@@ -60,7 +60,12 @@ impl Clib {
     }
 
     fn insert_host(&mut self, mac: MacAddr, location: HostLocation) {
-        if let Some(old) = self.hosts.insert(mac, location) {
+        let old = self.hosts.insert(mac, location);
+        if old == Some(location) {
+            // A re-learn of what is already known: the index is current.
+            return;
+        }
+        if let Some(old) = old {
             self.index_sub(old.tenant, old.switch);
         }
         self.index_add(location.tenant, location.switch);
@@ -100,13 +105,15 @@ impl Clib {
         self.hosts.get(&mac).copied()
     }
 
-    /// All hosts attached to one switch.
-    pub fn hosts_on(&self, switch: SwitchId) -> Vec<(MacAddr, HostLocation)> {
-        self.hosts
-            .iter()
-            .filter(|(_, l)| l.switch == switch)
-            .map(|(&m, &l)| (m, l))
-            .collect()
+    /// Every known host grouped by the switch it is attached to, in MAC
+    /// order within a switch: one pass for a caller that asks about many
+    /// switches at once (the regrouping preload).
+    pub fn hosts_by_switch(&self) -> BTreeMap<SwitchId, Vec<MacAddr>> {
+        let mut by_switch: BTreeMap<SwitchId, Vec<MacAddr>> = BTreeMap::new();
+        for (&mac, loc) in &self.hosts {
+            by_switch.entry(loc.switch).or_default().push(mac);
+        }
+        by_switch
     }
 
     /// All switches hosting at least one VM of `tenant` (sorted).
@@ -190,6 +197,18 @@ mod tests {
             vec![SwitchId::new(2)]
         );
         assert!(clib.switches_of_tenant(TenantId::new(9)).is_empty());
-        assert_eq!(clib.hosts_on(SwitchId::new(1)).len(), 2);
+        assert_eq!(
+            clib.hosts_by_switch(),
+            BTreeMap::from([
+                (
+                    SwitchId::new(1),
+                    vec![MacAddr::for_host(10), MacAddr::for_host(11)]
+                ),
+                (
+                    SwitchId::new(2),
+                    vec![MacAddr::for_host(12), MacAddr::for_host(13)]
+                ),
+            ])
+        );
     }
 }

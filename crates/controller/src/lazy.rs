@@ -683,59 +683,44 @@ impl LazyController {
     /// instead of punting while G-FIBs converge.
     fn preload_for_moves(&mut self, out: &mut OutputSink<ControllerOutput>) {
         let moves = self.grouping.take_last_moves();
+        if moves.is_empty() {
+            return;
+        }
+        // One C-LIB pass per update, not one per (moved switch, peer) pair.
+        let hosts = self.clib.hosts_by_switch();
+        let hosts_on = |s: SwitchId| hosts.get(&s).map_or(&[][..], Vec::as_slice);
         for (moved, old_group, _new_group) in moves {
             // Former peers = current members of the old group.
             let former_peers = self.grouping.members(old_group);
-            let moved_epoch = self.grouping.epoch_of_switch(moved);
-            let hosts_behind_moved = self.clib.hosts_on(moved);
             for peer in former_peers {
                 if peer == moved {
                     continue;
                 }
-                let peer_epoch = self.grouping.epoch_of_switch(peer);
-                // Rules on the former peer towards the moved switch's hosts.
-                for (mac, _) in &hosts_behind_moved {
-                    let xid = self.next_xid();
-                    out.push(ControllerOutput::ToSwitch(
-                        peer,
-                        Message::of(
-                            xid,
-                            OfMessage::flow_mod(FlowModMsg {
-                                command: FlowModCommand::Add,
-                                flow_match: FlowMatch::to_dst(*mac),
-                                priority: 10,
-                                idle_timeout: self.cfg.flow_idle_timeout_s,
-                                hard_timeout: 0,
-                                cookie: moved_epoch as u64,
-                                actions: vec![Action::Encap {
-                                    remote: moved.underlay_ip(),
-                                    key: moved_epoch,
-                                }],
-                            }),
-                        ),
-                    ));
-                }
-                // Rules on the moved switch towards the former peer's hosts.
-                for (mac, _) in self.clib.hosts_on(peer) {
-                    let xid = self.next_xid();
-                    out.push(ControllerOutput::ToSwitch(
-                        moved,
-                        Message::of(
-                            xid,
-                            OfMessage::flow_mod(FlowModMsg {
-                                command: FlowModCommand::Add,
-                                flow_match: FlowMatch::to_dst(mac),
-                                priority: 10,
-                                idle_timeout: self.cfg.flow_idle_timeout_s,
-                                hard_timeout: 0,
-                                cookie: peer_epoch as u64,
-                                actions: vec![Action::Encap {
-                                    remote: peer.underlay_ip(),
-                                    key: peer_epoch,
-                                }],
-                            }),
-                        ),
-                    ));
+                // Rules on the former peer towards the moved switch's
+                // hosts, then on the moved switch towards the peer's.
+                for (at, towards) in [(peer, moved), (moved, peer)] {
+                    let epoch = self.grouping.epoch_of_switch(towards);
+                    for &mac in hosts_on(towards) {
+                        let xid = self.next_xid();
+                        out.push(ControllerOutput::ToSwitch(
+                            at,
+                            Message::of(
+                                xid,
+                                OfMessage::flow_mod(FlowModMsg {
+                                    command: FlowModCommand::Add,
+                                    flow_match: FlowMatch::to_dst(mac),
+                                    priority: 10,
+                                    idle_timeout: self.cfg.flow_idle_timeout_s,
+                                    hard_timeout: 0,
+                                    cookie: epoch as u64,
+                                    actions: vec![Action::Encap {
+                                        remote: towards.underlay_ip(),
+                                        key: epoch,
+                                    }],
+                                }),
+                            ),
+                        ));
+                    }
                 }
             }
         }

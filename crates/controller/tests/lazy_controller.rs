@@ -6,8 +6,8 @@ use lazyctrl_controller::{ControllerOutput, ControllerTimer, LazyConfig, LazyCon
 use lazyctrl_net::{EtherType, EthernetFrame, HostId, PortNo, SwitchId, TenantId, VlanTag};
 use lazyctrl_partition::WeightedGraph;
 use lazyctrl_proto::{
-    Action, LazyMsg, LfibEntry, LfibSyncMsg, Message, MessageBody, OfMessage, OutputSink,
-    PacketInMsg, PacketInReason, WheelLoss, WheelReportMsg,
+    Action, FlowMatch, LazyMsg, LfibEntry, LfibSyncMsg, Message, MessageBody, OfMessage,
+    OutputSink, PacketInMsg, PacketInReason, WheelLoss, WheelReportMsg,
 };
 
 /// Sink-collecting wrappers mirroring the pre-sink `Vec` API.
@@ -32,17 +32,23 @@ fn fire_timer(
     sink.take_buf()
 }
 
-/// Two natural 4-switch clusters.
-fn bootstrap_graph() -> WeightedGraph {
+/// Two 4-switch cliques, {0..3} and {4..7}, every edge of weight `w`.
+fn two_cliques(w: f64) -> WeightedGraph {
     let mut g = WeightedGraph::new(8);
     for c in 0..2 {
         let b = c * 4;
         for i in 0..4 {
             for j in (i + 1)..4 {
-                g.add_edge(b + i, b + j, 10.0);
+                g.add_edge(b + i, b + j, w);
             }
         }
     }
+    g
+}
+
+/// Two natural 4-switch clusters.
+fn bootstrap_graph() -> WeightedGraph {
+    let mut g = two_cliques(10.0);
     g.add_edge(3, 4, 0.2);
     g
 }
@@ -369,4 +375,108 @@ fn static_mode_never_regroups() {
         assert_eq!(assigns, 0, "static mode must not reassign");
     }
     assert_eq!(c.grouping().updates_applied(), updates_before);
+}
+
+/// Two 4-switch clusters whose ties are weak enough for a few dozen punts
+/// to outweigh them.
+fn regroup_fixture() -> LazyController {
+    let cfg = LazyConfig {
+        group_size_limit: 4,
+        ..LazyConfig::default()
+    };
+    let mut c = LazyController::new((0..8).map(SwitchId::new).collect(), cfg);
+    c.bootstrap(0, two_cliques(0.01), &mut OutputSink::new());
+    // Host 10·s (and 10·s+1 on switches 3 and 4) lives on switch s.
+    for s in 0..8u32 {
+        let mut hosts = vec![(10 * s, 7)];
+        if s == 3 || s == 4 {
+            hosts.push((10 * s + 1, 7));
+        }
+        let _ = handle(&mut c, 0, SwitchId::new(s), &lfib_sync(s, &hosts));
+    }
+    // Switch 3 now talks to the other cluster and switch 7 to this one.
+    for round in 0..40u64 {
+        for (from, to) in [(3u32, 4u32), (3, 5), (3, 6), (7, 0), (7, 1), (7, 2)] {
+            let msg = Message::of(1, OfMessage::PacketIn(packet_in(10 * from, 10 * to, 7)));
+            let _ = handle(&mut c, 1 + round, SwitchId::new(from), &msg);
+        }
+    }
+    c
+}
+
+/// The Appendix-B preload is a message *sequence*: its order fixes the
+/// xids and, downstream, the order of the simulator's per-message RNG
+/// draws. However the hosts behind a switch are found, this must not move.
+#[test]
+fn preload_emits_a_pinned_flow_mod_sequence() {
+    let mut c = regroup_fixture();
+    let groups = |c: &LazyController| -> Vec<usize> {
+        (0..8)
+            .map(|s| c.grouping().group_of(SwitchId::new(s)).unwrap())
+            .collect()
+    };
+    assert_eq!(groups(&c), [1, 1, 1, 1, 0, 0, 0, 0]);
+    let out = fire_timer(&mut c, 360_000_000_000, ControllerTimer::RegroupCheck);
+    // Two moves: switch 3 and switch 7 trade places.
+    assert_eq!(groups(&c), [1, 1, 1, 0, 0, 0, 0, 1]);
+
+    let got: Vec<_> = out
+        .iter()
+        .filter_map(|o| match o {
+            ControllerOutput::ToSwitch(s, m) => match &m.body {
+                MessageBody::Of(OfMessage::FlowMod(fm)) => {
+                    assert_eq!((fm.priority, fm.idle_timeout, fm.hard_timeout), (10, 30, 0));
+                    Some((s.0, m.xid, fm.flow_match, fm.cookie, fm.actions.clone()))
+                }
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect();
+    // (target switch, xid, destination host, switch the tunnel leads to);
+    // every rule carries the post-update epoch 2 as cookie and tunnel key.
+    // Per move: for each current member of the group it left, the peer's
+    // rules towards the moved switch's hosts (MAC order), then the moved
+    // switch's rules towards that peer's hosts.
+    let want: Vec<_> = [
+        // Switch 3 left group 1, now {0, 1, 2, 7}.
+        (0, 497, 30, 3),
+        (0, 498, 31, 3),
+        (3, 499, 0, 0),
+        (1, 500, 30, 3),
+        (1, 501, 31, 3),
+        (3, 502, 10, 1),
+        (2, 503, 30, 3),
+        (2, 504, 31, 3),
+        (3, 505, 20, 2),
+        (7, 506, 30, 3),
+        (7, 507, 31, 3),
+        (3, 508, 70, 7),
+        // Switch 7 left group 0, now {3, 4, 5, 6}.
+        (3, 509, 70, 7),
+        (7, 510, 30, 3),
+        (7, 511, 31, 3),
+        (4, 512, 70, 7),
+        (7, 513, 40, 4),
+        (7, 514, 41, 4),
+        (5, 515, 70, 7),
+        (7, 516, 50, 5),
+        (6, 517, 70, 7),
+        (7, 518, 60, 6),
+    ]
+    .into_iter()
+    .map(|(target, xid, dst_host, towards): (u32, u32, u32, u32)| {
+        (
+            target,
+            xid,
+            FlowMatch::to_dst(HostId::new(dst_host).mac()),
+            2u64,
+            vec![Action::Encap {
+                remote: SwitchId::new(towards).underlay_ip(),
+                key: 2,
+            }],
+        )
+    })
+    .collect();
+    assert_eq!(got, want);
 }

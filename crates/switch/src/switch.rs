@@ -367,7 +367,7 @@ impl EdgeSwitch {
         // second of virtual time.
         if now_ns.saturating_sub(self.last_flow_expiry_ns) >= 1_000_000_000 {
             self.last_flow_expiry_ns = now_ns;
-            let _ = self.flow_table.expire(now_ns);
+            self.flow_table.expire(now_ns);
         }
         let tenant = frame.vlan.map(|t| t.vid()).unwrap_or(TenantId::NONE);
         // Source learning (live state dissemination, step i).
