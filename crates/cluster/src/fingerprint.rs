@@ -14,6 +14,15 @@
 //! input — fine here, because a fingerprint collision merely prunes one
 //! interleaving from an exploration that is bounded anyway, and the
 //! deterministic regression tests compare full reports as the backstop.
+//!
+//! The hasher is byte-at-a-time and stays that way: its value for a given
+//! byte sequence is a published constant (`fnv_matches_reference_vector`),
+//! and every fingerprint in the repository is defined in terms of it.
+//! Fingerprinting is made cheap one level up instead, by hashing less —
+//! the plane's fingerprint is a hash of per-member sub-fingerprints that
+//! are cached until the member is next written (see
+//! [`ClusterControlPlane::state_fingerprint`](crate::ClusterControlPlane::state_fingerprint)),
+//! and the checker hashes an in-flight message once, when it is sent.
 
 /// Streaming 64-bit FNV-1a hasher.
 ///
@@ -103,7 +112,8 @@ impl Fnv64 {
 /// disagree on which xid each message carries (xids are drawn from a
 /// per-node counter whose consumption order depends on the schedule).
 /// The checker's pending-message hash therefore blanks bytes 4..8 of the
-/// OpenFlow-style header — exactly the xid field — before absorbing.
+/// OpenFlow-style header — exactly the xid field — before absorbing. The
+/// checker calls this once per message, as it enters the in-flight set.
 pub fn hash_wire_ignoring_xid(h: &mut Fnv64, wire: &[u8]) {
     if wire.len() >= 8 {
         h.bytes(&wire[..4]);

@@ -47,6 +47,8 @@
 //!   reading the meter avoids acting on a stale copy in the simulation.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use lazyctrl_controller::{
     ControllerOutput, ControllerTimer, FailureDetector, FailureKind, LazyController,
@@ -106,6 +108,24 @@ pub enum ClusterTimerKind {
     /// Stand for election if no live leader has been heard within the
     /// election timeout (interval is staggered per member).
     Election,
+}
+
+impl ClusterTimerKind {
+    /// A stable one-byte identity of the kind, distinct per variant
+    /// (inner timers included) — what the model checker hashes and sorts
+    /// armed timers by. The match is exhaustive on purpose: a new kind
+    /// does not compile until it has a tag of its own.
+    pub fn tag(self) -> u8 {
+        match self {
+            ClusterTimerKind::Inner(ControllerTimer::KeepAlive) => 0,
+            ClusterTimerKind::Inner(ControllerTimer::RegroupCheck) => 1,
+            ClusterTimerKind::ReplicaFlush => 2,
+            ClusterTimerKind::Heartbeat => 3,
+            ClusterTimerKind::RebalanceCheck => 4,
+            ClusterTimerKind::AntiEntropy => 5,
+            ClusterTimerKind::Election => 6,
+        }
+    }
 }
 
 /// Effects the cluster wants performed by its driver.
@@ -347,6 +367,175 @@ impl ClusterNode {
             }
         }
     }
+
+    /// Canonical 64-bit hash of this member's protocol-visible state —
+    /// its share of [`ClusterControlPlane::state_fingerprint`].
+    ///
+    /// Covered: crash and read-only flags, timer generation, election
+    /// state, C-LIB shard, replica store (hosts, tombstones, progress),
+    /// flush outboxes and tombstone memory, relay outbox and dedup
+    /// window, delta log, anti-entropy rotation, heartbeat observation
+    /// times and peer loads, failure-detector evidence, pending lookups,
+    /// transfer ack ledgers, ingress-bucket state.
+    ///
+    /// Deliberately excluded: transaction-id counters and heartbeat
+    /// sequence numbers (identity, not state — receivers never branch on
+    /// them), traffic/report counters (observers, not behavior), and the
+    /// inner controller's switch-facing machinery beyond the C-LIB (the
+    /// checker drives no switch traffic, and for simulation reports the
+    /// full-report comparison is the backstop).
+    fn fingerprint(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.u32(self.id)
+            .u8(self.crashed as u8)
+            .u8(self.read_only as u8)
+            .u32(self.timer_gen);
+        let e = &self.election;
+        h.u64(e.term).u8(match e.role {
+            ElectionRole::Follower => 0,
+            ElectionRole::Candidate => 1,
+            ElectionRole::Leader => 2,
+        });
+        h.opt_u32(e.voted_for).opt_u32(e.known_leader);
+        h.usize(e.votes.len());
+        for v in &e.votes {
+            h.u32(*v);
+        }
+        h.u64(e.last_leader_hb_ns);
+        h.usize(self.ctrl.clib().len());
+        for (mac, loc) in self.ctrl.clib().iter() {
+            h.bytes(&mac.octets());
+            h.u32(loc.switch.0).u16(loc.port.as_u16());
+            h.u16(loc.tenant.as_u16());
+        }
+        self.replica.fingerprint_into(&mut h);
+        h.usize(self.outbox_entries.len());
+        for (mac, entry) in &self.outbox_entries {
+            h.bytes(&mac.octets());
+            h.u32(entry.switch.0).u16(entry.port.as_u16());
+            h.u16(entry.tenant.as_u16());
+        }
+        for (mac, sw) in &self.outbox_removed {
+            h.bytes(&mac.octets()).u32(sw.0);
+        }
+        for (mac, (sw, stamp)) in &self.own_tombstones {
+            h.bytes(&mac.octets()).u32(sw.0).u64(*stamp);
+        }
+        h.u64(self.tomb_stamp).u64(self.sync_seq).u64(self.ae_round);
+        h.usize(self.relay_outbox.len());
+        for sync in &self.relay_outbox {
+            hash_peer_sync(&mut h, sync);
+        }
+        for (origin, keys) in &self.seen_chunks {
+            h.u32(*origin).usize(keys.len());
+            for (seq, chunk) in keys {
+                h.u64(*seq).u32(*chunk);
+            }
+        }
+        h.usize(self.delta_log.len());
+        for sync in &self.delta_log {
+            hash_peer_sync(&mut h, sync);
+        }
+        for (peer, t) in &self.last_hb_from {
+            h.u32(*peer).u64(*t);
+        }
+        for (peer, load) in &self.peer_loads {
+            h.u32(*peer).u64(load.to_bits());
+        }
+        for (sw, loss, t) in self.detector.observation_state() {
+            h.u32(sw.0)
+                .u8(match loss {
+                    WheelLoss::Upstream => 0,
+                    WheelLoss::Downstream => 1,
+                    WheelLoss::Controller => 2,
+                })
+                .u64(t);
+        }
+        for (sw, t) in self.detector.down_state() {
+            h.u32(sw.0).u64(t);
+        }
+        h.usize(self.pending_lookups.len());
+        for (mac, pending) in &self.pending_lookups {
+            h.bytes(&mac.octets()).usize(pending.waiting_on.len());
+            h.u64(pending.deadline_ns).u32(pending.retries);
+            for w in &pending.waiting_on {
+                h.u32(*w);
+            }
+            for (from, msg) in &pending.queued {
+                h.u32(from.0);
+                hash_wire_ignoring_xid(&mut h, &msg.encode());
+            }
+        }
+        h.usize(self.unacked_transfers.len());
+        for (epoch, u) in &self.unacked_transfers {
+            h.u32(*epoch).u64(u.msg.term).usize(u.msg.group.index());
+            h.u32(u.msg.from).u32(u.msg.to);
+            h.u32(u.attempts).u64(u.next_retry_ns);
+        }
+        for epoch in &self.delivered_transfers {
+            h.u32(*epoch);
+        }
+        // Ingress-bucket behavior state: whether the next message is
+        // shed (and whether a shed signals) depends on these three.
+        // The shed/highwater/signal *counters* are observers and stay
+        // excluded, like the traffic counters above.
+        h.u64(self.ingress_queued_ns)
+            .u64(self.ingress_last_ns)
+            .u64(self.last_congestion_notice_ns);
+        h.finish()
+    }
+}
+
+/// One member's slot in the plane, and the single gate to its state.
+///
+/// Reads go through `Deref`. The only way to a `&mut ClusterNode` is
+/// [`Member::write`], which does the two things every write owes:
+///
+/// * **copy-on-write** — members sit behind an `Arc`, so cloning a plane
+///   copies pointers, and the first write after a clone deep-copies the
+///   one member written (a uniqueness check when nothing shares it);
+/// * **invalidation** — the member's cached sub-fingerprint is dropped,
+///   to be recomputed at the next [`ClusterControlPlane::state_fingerprint`].
+///
+/// The cache is sound only while a `&ClusterNode` cannot write: nothing
+/// reachable from a node may use interior mutability.
+/// `scripts/purity_lint.sh` rejects it anywhere in this crate, this
+/// cache cell excepted, and debug builds re-derive every cached value
+/// (see `state_fingerprint`).
+#[derive(Clone)]
+struct Member {
+    node: Arc<ClusterNode>,
+    fingerprint: OnceLock<u64>, // purity_lint: the one allowed cell
+}
+
+impl Member {
+    fn new(node: ClusterNode) -> Self {
+        Member {
+            node: Arc::new(node),
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// The gate. Take it once per handler and keep the reference: each
+    /// call pays the uniqueness check and costs the cached hash, whether
+    /// or not anything is then written.
+    fn write(&mut self) -> &mut ClusterNode {
+        self.fingerprint.take();
+        Arc::make_mut(&mut self.node)
+    }
+
+    /// [`ClusterNode::fingerprint`], computed at most once per write.
+    fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.node.fingerprint())
+    }
+}
+
+impl Deref for Member {
+    type Target = ClusterNode;
+
+    fn deref(&self) -> &ClusterNode {
+        &self.node
+    }
 }
 
 /// The sharded multi-controller control plane.
@@ -355,7 +544,8 @@ pub struct ClusterControlPlane {
     /// The configured dissemination strategy (built once from
     /// `cfg.dissemination`).
     strategy: Box<dyn Dissemination + Send + Sync>,
-    nodes: Vec<ClusterNode>,
+    /// The members, copy-on-write and sub-fingerprinted (see [`Member`]).
+    nodes: Vec<Member>,
     ownership: OwnershipMap,
     /// Dense switch → group mapping, frozen at bootstrap (all members
     /// share it; dynamic regrouping is off in cluster mode).
@@ -391,10 +581,12 @@ pub struct ClusterControlPlane {
 }
 
 /// Cloning snapshots the full protocol state — what the model checker
-/// branches on. The dissemination strategy is rebuilt from the config
-/// (it is stateless by construction) and the output scratch starts
-/// empty (it is drained within every step, so a snapshot taken between
-/// steps has nothing in flight there).
+/// branches on. Members are shared with the original until one side
+/// writes them (see `Member`); the plane-level fields are copied. The
+/// dissemination strategy is rebuilt from the config (it is stateless by
+/// construction) and the output scratch starts empty (it is drained
+/// within every step, so a snapshot taken between steps has nothing in
+/// flight there).
 impl Clone for ClusterControlPlane {
     fn clone(&self) -> Self {
         ClusterControlPlane {
@@ -432,7 +624,7 @@ impl ClusterControlPlane {
                 // Ownership moves balance load in a cluster; regrouping
                 // would make members' groupings diverge (see ClusterConfig).
                 lazy_cfg.dynamic_updates = false;
-                ClusterNode {
+                Member::new(ClusterNode {
                     id,
                     crashed: false,
                     ctrl: LazyController::new(ids.clone(), lazy_cfg),
@@ -468,7 +660,7 @@ impl ClusterControlPlane {
                     ingress_shed: [0; MsgPriority::COUNT],
                     queue_highwater: 0,
                     congestion_signals: 0,
-                }
+                })
             })
             .collect();
         ClusterControlPlane {
@@ -591,21 +783,18 @@ impl ClusterControlPlane {
     /// state — the model checker's dedup key and the determinism tests'
     /// cross-run checkpoint.
     ///
-    /// Covered: per-member crash and read-only flags, timer generation,
-    /// election state,
-    /// C-LIB shard, replica store (hosts, tombstones, progress), flush
-    /// outboxes and tombstone memory, relay outbox and dedup window,
-    /// delta log, anti-entropy rotation, heartbeat observation times and
-    /// peer loads, failure-detector evidence, pending lookups, transfer
-    /// ack ledgers — plus the shared ownership map, confirmed-dead set
-    /// and rebalance window.
+    /// Hierarchical: the plane-level fields (ownership map and epoch,
+    /// confirmed-dead set, rebalance window) are hashed here, followed by
+    /// one 64-bit sub-fingerprint per member, in member order. A member's
+    /// sub-fingerprint (what it covers and leaves out is listed on
+    /// `ClusterNode::fingerprint`) is cached in its `Member` slot and
+    /// dropped by `Member::write`, so after a step this costs the shared
+    /// fields plus a re-hash of the members that step wrote — not of the
+    /// whole cluster.
     ///
-    /// Deliberately excluded: transaction-id counters and heartbeat
-    /// sequence numbers (identity, not state — receivers never branch on
-    /// them), traffic/report counters (observers, not behavior), and the
-    /// inner controller's switch-facing machinery beyond the C-LIB (the
-    /// checker drives no switch traffic, and for simulation reports the
-    /// full-report comparison is the backstop).
+    /// Debug builds re-derive every member's sub-fingerprint from scratch
+    /// and compare it with the cache, which turns every debug test that
+    /// fingerprints a plane into a differential test of the gate.
     pub fn state_fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         h.u32(self.ownership.epoch());
@@ -619,103 +808,14 @@ impl ClusterControlPlane {
         for (g, c) in &self.group_window {
             h.usize(*g).u64(*c);
         }
-        for node in &self.nodes {
-            h.u32(node.id)
-                .u8(node.crashed as u8)
-                .u8(node.read_only as u8)
-                .u32(node.timer_gen);
-            let e = &node.election;
-            h.u64(e.term).u8(match e.role {
-                ElectionRole::Follower => 0,
-                ElectionRole::Candidate => 1,
-                ElectionRole::Leader => 2,
-            });
-            h.opt_u32(e.voted_for).opt_u32(e.known_leader);
-            h.usize(e.votes.len());
-            for v in &e.votes {
-                h.u32(*v);
-            }
-            h.u64(e.last_leader_hb_ns);
-            h.usize(node.ctrl.clib().len());
-            for (mac, loc) in node.ctrl.clib().iter() {
-                h.bytes(&mac.octets());
-                h.u32(loc.switch.0).u16(loc.port.as_u16());
-                h.u16(loc.tenant.as_u16());
-            }
-            node.replica.fingerprint_into(&mut h);
-            h.usize(node.outbox_entries.len());
-            for (mac, entry) in &node.outbox_entries {
-                h.bytes(&mac.octets());
-                h.u32(entry.switch.0).u16(entry.port.as_u16());
-                h.u16(entry.tenant.as_u16());
-            }
-            for (mac, sw) in &node.outbox_removed {
-                h.bytes(&mac.octets()).u32(sw.0);
-            }
-            for (mac, (sw, stamp)) in &node.own_tombstones {
-                h.bytes(&mac.octets()).u32(sw.0).u64(*stamp);
-            }
-            h.u64(node.tomb_stamp).u64(node.sync_seq).u64(node.ae_round);
-            h.usize(node.relay_outbox.len());
-            for sync in &node.relay_outbox {
-                hash_peer_sync(&mut h, sync);
-            }
-            for (origin, keys) in &node.seen_chunks {
-                h.u32(*origin).usize(keys.len());
-                for (seq, chunk) in keys {
-                    h.u64(*seq).u32(*chunk);
-                }
-            }
-            h.usize(node.delta_log.len());
-            for sync in &node.delta_log {
-                hash_peer_sync(&mut h, sync);
-            }
-            for (peer, t) in &node.last_hb_from {
-                h.u32(*peer).u64(*t);
-            }
-            for (peer, load) in &node.peer_loads {
-                h.u32(*peer).u64(load.to_bits());
-            }
-            for (sw, loss, t) in node.detector.observation_state() {
-                h.u32(sw.0)
-                    .u8(match loss {
-                        WheelLoss::Upstream => 0,
-                        WheelLoss::Downstream => 1,
-                        WheelLoss::Controller => 2,
-                    })
-                    .u64(t);
-            }
-            for (sw, t) in node.detector.down_state() {
-                h.u32(sw.0).u64(t);
-            }
-            h.usize(node.pending_lookups.len());
-            for (mac, pending) in &node.pending_lookups {
-                h.bytes(&mac.octets()).usize(pending.waiting_on.len());
-                h.u64(pending.deadline_ns).u32(pending.retries);
-                for w in &pending.waiting_on {
-                    h.u32(*w);
-                }
-                for (from, msg) in &pending.queued {
-                    h.u32(from.0);
-                    hash_wire_ignoring_xid(&mut h, &msg.encode());
-                }
-            }
-            h.usize(node.unacked_transfers.len());
-            for (epoch, u) in &node.unacked_transfers {
-                h.u32(*epoch).u64(u.msg.term).usize(u.msg.group.index());
-                h.u32(u.msg.from).u32(u.msg.to);
-                h.u32(u.attempts).u64(u.next_retry_ns);
-            }
-            for epoch in &node.delivered_transfers {
-                h.u32(*epoch);
-            }
-            // Ingress-bucket behavior state: whether the next message is
-            // shed (and whether a shed signals) depends on these three.
-            // The shed/highwater/signal *counters* are observers and stay
-            // excluded, like the traffic counters above.
-            h.u64(node.ingress_queued_ns)
-                .u64(node.ingress_last_ns)
-                .u64(node.last_congestion_notice_ns);
+        for member in &self.nodes {
+            debug_assert_eq!(
+                member.fingerprint(),
+                member.node.fingerprint(),
+                "member {} was written without passing Member::write",
+                member.id
+            );
+            h.u64(member.fingerprint());
         }
         h.finish()
     }
@@ -735,7 +835,7 @@ impl ClusterControlPlane {
         removed: Vec<(MacAddr, SwitchId)>,
     ) {
         let mut by_switch: BTreeMap<SwitchId, LfibSyncMsg> = BTreeMap::new();
-        let node = &mut self.nodes[id as usize];
+        let node = self.nodes[id as usize].write();
         for e in entries {
             node.outbox_entries.insert(e.mac, e);
             node.outbox_removed.remove(&e.mac);
@@ -956,7 +1056,7 @@ impl ClusterControlPlane {
     /// death confirmations, candidacies and new lookup fan-outs stop
     /// until majority contact resumes.
     fn step_down_read_only(&mut self, id: u32) {
-        let node = &mut self.nodes[id as usize];
+        let node = self.nodes[id as usize].write();
         if node.election.role == ElectionRole::Leader {
             node.election.relinquish_leadership();
         }
@@ -996,7 +1096,7 @@ impl ClusterControlPlane {
     ///
     /// [`recover`]: ClusterControlPlane::recover
     pub fn crash(&mut self, id: u32) {
-        let node = &mut self.nodes[id as usize];
+        let node = self.nodes[id as usize].write();
         node.crashed = true;
         node.timer_gen = node.timer_gen.wrapping_add(1);
     }
@@ -1007,10 +1107,10 @@ impl ClusterControlPlane {
     /// it as it heartbeats again; pushes fresh timer arms (the pre-crash
     /// chains were invalidated by the generation bump).
     pub fn recover(&mut self, id: u32, out: &mut OutputSink<ClusterOutput>) {
-        let node = &mut self.nodes[id as usize];
-        if !node.crashed {
+        if !self.nodes[id as usize].crashed {
             return;
         }
+        let node = self.nodes[id as usize].write();
         node.crashed = false;
         // A restarted member must not resume a stale leadership claim: it
         // demotes to follower and re-earns the role through an election if
@@ -1103,17 +1203,20 @@ impl ClusterControlPlane {
         // the ownership assignment below (one-time cost, not a hot path).
         let mut raw: Vec<(u32, Vec<ControllerOutput>)> = Vec::new();
         let mut scratch = OutputSink::new();
-        self.nodes[0].ctrl.bootstrap(now_ns, graph, &mut scratch);
+        let first = self.nodes[0].write();
+        first.ctrl.bootstrap(now_ns, graph, &mut scratch);
         raw.push((0, scratch.take_buf()));
-        let snapshot = self.nodes[0]
+        let snapshot = first
             .ctrl
             .freeze_grouping()
             .expect("member 0 just bootstrapped");
-        for node in self.nodes.iter_mut().skip(1) {
+        for member in self.nodes.iter_mut().skip(1) {
             let mut sink = OutputSink::new();
-            node.ctrl
+            member
+                .write()
+                .ctrl
                 .bootstrap_shared(now_ns, snapshot.clone(), &mut sink);
-            raw.push((node.id, sink.take_buf()));
+            raw.push((member.id, sink.take_buf()));
         }
         // Freeze the plane's dense switch → group view from the snapshot.
         let grouping = self.nodes[0].ctrl.grouping();
@@ -1127,12 +1230,12 @@ impl ClusterControlPlane {
         // from t=0, not from negative infinity. The election likewise
         // starts from agreed consensus (term 1, member 0 leads) — sound
         // because bootstrap is a synchronous, fault-free step.
-        for i in 0..self.nodes.len() {
-            let others: Vec<u32> = members.iter().copied().filter(|&m| m != i as u32).collect();
-            for o in others {
-                self.nodes[i].last_hb_from.insert(o, now_ns);
+        for member in &mut self.nodes {
+            let node = member.write();
+            for &o in members.iter().filter(|&&m| m != node.id) {
+                node.last_hb_from.insert(o, now_ns);
             }
-            self.nodes[i].election = ElectionState::bootstrap_consensus(i as u32, now_ns);
+            node.election = ElectionState::bootstrap_consensus(node.id, now_ns);
         }
 
         for (id, mut outs) in raw {
@@ -1191,7 +1294,7 @@ impl ClusterControlPlane {
             return true;
         }
         let cost = self.cfg.ingress_cost_ns;
-        let node = &mut self.nodes[owner as usize];
+        let node = self.nodes[owner as usize].write();
         let elapsed = now_ns.saturating_sub(node.ingress_last_ns);
         node.ingress_queued_ns = node.ingress_queued_ns.saturating_sub(elapsed);
         node.ingress_last_ns = now_ns;
@@ -1260,7 +1363,7 @@ impl ClusterControlPlane {
         if let Some(g) = self.group_of_switch(from) {
             *self.group_window.entry(g).or_insert(0) += 1;
         }
-        self.nodes[owner as usize].requests_handled += 1;
+        self.nodes[owner as usize].write().requests_handled += 1;
 
         // Inter-shard pre-resolution: a PacketIn towards a host this shard
         // does not know is first tried against the replica, then against a
@@ -1284,7 +1387,7 @@ impl ClusterControlPlane {
             if self.cfg.enable_lookup && !peers.is_empty() && !self.nodes[owner as usize].read_only
             {
                 let lookup_timeout_ns = self.cfg.lookup_timeout_ms as u64 * 1_000_000;
-                let node = &mut self.nodes[owner as usize];
+                let node = self.nodes[owner as usize].write();
                 let pending = node.pending_lookups.entry(dst).or_default();
                 pending.queued.push((from, msg.clone()));
                 if !pending.waiting_on.is_empty() {
@@ -1295,7 +1398,7 @@ impl ClusterControlPlane {
                 pending.deadline_ns = now_ns + lookup_timeout_ns;
                 pending.retries = 0;
                 for p in peers {
-                    let xid = self.nodes[owner as usize].next_xid();
+                    let xid = node.next_xid();
                     out.push(ClusterOutput::ToCtrl {
                         from: owner,
                         to: p,
@@ -1324,7 +1427,7 @@ impl ClusterControlPlane {
         msg: &Message,
         out: &mut OutputSink<ClusterOutput>,
     ) {
-        let node = &mut self.nodes[id as usize];
+        let node = self.nodes[id as usize].write();
         // Mirror the controller's C-LIB learning into the replication
         // outbox (same sources: PacketIn source learning, L-FIB syncs).
         match &msg.body {
@@ -1398,8 +1501,8 @@ impl ClusterControlPlane {
                 // Applied unconditionally (replica application is
                 // idempotent) — the dedup window only guards the relay
                 // overlay against re-circulation.
-                let node = &mut self.nodes[to as usize];
                 if sync.origin != to {
+                    let node = self.nodes[to as usize].write();
                     // Always apply (idempotent, and a catch-up sync's
                     // payload is a superset of the original chunk under
                     // the same key) — the dedup window only decides how
@@ -1417,7 +1520,7 @@ impl ClusterControlPlane {
             CtrlBody::Cluster(ClusterMsg::SyncDigest(digest)) => self.serve_digest(to, digest, out),
             CtrlBody::Cluster(ClusterMsg::Heartbeat(hb)) => {
                 let came_back = self.confirmed_dead.remove(&hb.from);
-                let node = &mut self.nodes[to as usize];
+                let node = self.nodes[to as usize].write();
                 node.last_hb_from.insert(hb.from, now_ns);
                 node.peer_loads.insert(hb.from, hb.load_rps);
                 node.detector.mark_recovered(ctrl_pseudo_switch(hb.from));
@@ -1434,7 +1537,7 @@ impl ClusterControlPlane {
                 if self.nodes[to as usize].read_only && self.holds_lease(to, now_ns) {
                     // The partition healed from this side's perspective:
                     // a majority is heartbeating again.
-                    self.nodes[to as usize].read_only = false;
+                    self.nodes[to as usize].write().read_only = false;
                 }
                 if came_back {
                     // The member rebooted; future rebalance checks may hand
@@ -1446,7 +1549,7 @@ impl ClusterControlPlane {
                 // the new owner seeds its C-LIB shard when it *hears* about
                 // the transfer, which is the asynchronous part.
                 if t.to == to {
-                    let node = &mut self.nodes[to as usize];
+                    let node = self.nodes[to as usize].write();
                     let first = node.delivered_transfers.insert(t.epoch);
                     // Always ack — even a duplicate announcement, since
                     // the *previous ack* may be what was lost. The ack
@@ -1471,17 +1574,17 @@ impl ClusterControlPlane {
                 }
             }
             CtrlBody::Cluster(ClusterMsg::TransferAck(ack)) => {
-                let node = &mut self.nodes[to as usize];
-                if node
+                let member = &mut self.nodes[to as usize];
+                if member
                     .unacked_transfers
                     .get(&ack.epoch)
                     .is_some_and(|u| u.msg.to == ack.from)
                 {
-                    node.unacked_transfers.remove(&ack.epoch);
+                    member.write().unacked_transfers.remove(&ack.epoch);
                 }
             }
             CtrlBody::Cluster(ClusterMsg::VoteRequest(req)) => {
-                let node = &mut self.nodes[to as usize];
+                let node = self.nodes[to as usize].write();
                 let granted = node.election.grant_vote(req.term, req.candidate);
                 let term = node.election.term;
                 let xid = node.next_xid();
@@ -1500,7 +1603,7 @@ impl ClusterControlPlane {
             }
             CtrlBody::Cluster(ClusterMsg::VoteReply(reply)) => {
                 let cluster_size = self.nodes.len();
-                let node = &mut self.nodes[to as usize];
+                let node = self.nodes[to as usize].write();
                 if node.election.observe_term(reply.term) {
                     // A peer is already in a newer term; this candidacy is
                     // over (observe_term stepped us down).
@@ -1517,7 +1620,7 @@ impl ClusterControlPlane {
                 }
             }
             CtrlBody::Cluster(ClusterMsg::LeaderClaim(claim)) => {
-                let node = &mut self.nodes[to as usize];
+                let node = self.nodes[to as usize].write();
                 if node
                     .election
                     .accept_leader(claim.term, claim.leader, now_ns)
@@ -1526,7 +1629,7 @@ impl ClusterControlPlane {
                 }
             }
             CtrlBody::Cluster(ClusterMsg::LookupRequest(req)) => {
-                let node = &mut self.nodes[to as usize];
+                let node = self.nodes[to as usize].write();
                 let location = node
                     .ctrl
                     .clib()
@@ -1568,7 +1671,7 @@ impl ClusterControlPlane {
         reply: &LookupReplyMsg,
         out: &mut OutputSink<ClusterOutput>,
     ) {
-        let node = &mut self.nodes[id as usize];
+        let node = self.nodes[id as usize].write();
         let Some(pending) = node.pending_lookups.get_mut(&reply.mac) else {
             return;
         };
@@ -1607,7 +1710,7 @@ impl ClusterControlPlane {
             .map(|(&mac, _)| mac)
             .collect();
         for mac in expired {
-            let node = &mut self.nodes[id as usize];
+            let node = self.nodes[id as usize].write();
             node.lookup_timeouts += 1;
             let pending = node.pending_lookups.get_mut(&mac).expect("just listed");
             if pending.retries >= max_retries {
@@ -1646,7 +1749,10 @@ impl ClusterControlPlane {
         report: WheelReportMsg,
         out: &mut OutputSink<ClusterOutput>,
     ) {
-        let inferred = self.nodes[at as usize].detector.observe(now_ns, &report);
+        let inferred = self.nodes[at as usize]
+            .write()
+            .detector
+            .observe(now_ns, &report);
         let Some(FailureKind::Switch(pseudo)) = inferred else {
             // Single-direction losses on the controller ring are link
             // noise; only a both-directions silence is a dead controller.
@@ -1693,6 +1799,7 @@ impl ClusterControlPlane {
         // Transfers still awaiting the dead member's ack are moot: its
         // groups are about to move again, to live targets.
         self.nodes[leader as usize]
+            .write()
             .unacked_transfers
             .retain(|_, u| u.msg.to != dead);
         let groups = self.ownership.groups_of(dead);
@@ -1706,12 +1813,12 @@ impl ClusterControlPlane {
         // final outstanding reply (the inner controller's relay fallback
         // takes over).
         let mut replays: Vec<(u32, SwitchId, Message)> = Vec::new();
-        for node in &mut self.nodes {
-            if node.crashed {
+        for member in &mut self.nodes {
+            if member.crashed || member.pending_lookups.is_empty() {
                 continue;
             }
-            let nid = node.id;
-            node.pending_lookups.retain(|_, pending| {
+            let nid = member.id;
+            member.write().pending_lookups.retain(|_, pending| {
                 pending.waiting_on.remove(&dead);
                 if pending.waiting_on.is_empty() {
                     for (from, msg) in pending.queued.drain(..) {
@@ -1744,20 +1851,23 @@ impl ClusterControlPlane {
                 // Track until the target acks; heartbeat ticks retransmit
                 // with capped exponential backoff.
                 let hb_ns = self.cfg.heartbeat_interval_ms as u64 * 1_000_000;
-                self.nodes[leader as usize].unacked_transfers.insert(
-                    t.epoch,
-                    UnackedTransfer {
-                        msg: t,
-                        attempts: 0,
-                        next_retry_ns: now_ns + hb_ns,
-                    },
-                );
+                self.nodes[leader as usize]
+                    .write()
+                    .unacked_transfers
+                    .insert(
+                        t.epoch,
+                        UnackedTransfer {
+                            msg: t,
+                            attempts: 0,
+                            next_retry_ns: now_ns + hb_ns,
+                        },
+                    );
             }
             for &peer in &survivors {
                 if peer == leader {
                     continue;
                 }
-                let xid = self.nodes[leader as usize].next_xid();
+                let xid = self.nodes[leader as usize].write().next_xid();
                 out.push(ClusterOutput::ToCtrl {
                     from: leader,
                     to: peer,
@@ -1793,6 +1903,7 @@ impl ClusterControlPlane {
         match timer.kind {
             ClusterTimerKind::Inner(t) => {
                 self.nodes[id as usize]
+                    .write()
                     .ctrl
                     .on_timer(now_ns, t, &mut self.ctrl_scratch);
                 self.convert_scratch(id, true, out);
@@ -1819,19 +1930,20 @@ impl ClusterControlPlane {
         out.push(self.rearm(timer, self.election_interval_ms(id)));
         let timeout_ns = self.cfg.election_timeout_ms as u64 * 1_000_000;
         let cluster_size = self.nodes.len();
-        let node = &mut self.nodes[id as usize];
-        if node.election.role == ElectionRole::Leader {
+        let member = &mut self.nodes[id as usize];
+        if member.election.role == ElectionRole::Leader {
             return;
         }
-        if node.read_only {
+        if member.read_only {
             // A read-only ex-leader knows it cannot reach a majority;
             // spinning terms from the minority island would only disrupt
             // the healed cluster later. Quorum contact clears the flag.
             return;
         }
-        if now_ns.saturating_sub(node.election.last_leader_hb_ns) < timeout_ns {
+        if now_ns.saturating_sub(member.election.last_leader_hb_ns) < timeout_ns {
             return;
         }
+        let node = member.write();
         node.election.start_candidacy(id);
         let term = node.election.term;
         if node.election.has_majority(cluster_size) {
@@ -1845,8 +1957,9 @@ impl ClusterControlPlane {
             .filter(|n| n.id != id && !self.confirmed_dead.contains(&n.id))
             .map(|n| n.id)
             .collect();
+        let node = self.nodes[id as usize].write();
         for peer in peers {
-            let xid = self.nodes[id as usize].next_xid();
+            let xid = node.next_xid();
             out.push(ClusterOutput::ToCtrl {
                 from: id,
                 to: peer,
@@ -1869,7 +1982,7 @@ impl ClusterControlPlane {
     /// taken over by anyone.
     fn win_election(&mut self, id: u32, now_ns: u64, out: &mut OutputSink<ClusterOutput>) {
         let term = {
-            let node = &mut self.nodes[id as usize];
+            let node = self.nodes[id as usize].write();
             node.election.become_leader(id);
             node.election.last_leader_hb_ns = now_ns;
             // A fresh majority of votes is quorum evidence in itself.
@@ -1890,8 +2003,9 @@ impl ClusterControlPlane {
             .filter(|n| n.id != id && !self.confirmed_dead.contains(&n.id))
             .map(|n| n.id)
             .collect();
+        let node = self.nodes[id as usize].write();
         for peer in peers {
-            let xid = self.nodes[id as usize].next_xid();
+            let xid = node.next_xid();
             out.push(ClusterOutput::ToCtrl {
                 from: id,
                 to: peer,
@@ -1939,9 +2053,12 @@ impl ClusterControlPlane {
             alive.insert(i, id);
         }
         let chunk_size = self.cfg.sync_chunk_entries;
-        let node = &mut self.nodes[id as usize];
+        let member = &mut self.nodes[id as usize];
         let mut own_chunks: Vec<PeerSyncMsg> = Vec::new();
-        if alive.len() > 1 && (!node.outbox_entries.is_empty() || !node.outbox_removed.is_empty()) {
+        if alive.len() > 1
+            && (!member.outbox_entries.is_empty() || !member.outbox_removed.is_empty())
+        {
+            let node = member.write();
             node.sync_seq += 1;
             let entries: Vec<HostEntry> = std::mem::take(&mut node.outbox_entries)
                 .into_values()
@@ -1983,8 +2100,7 @@ impl ClusterControlPlane {
                 }
             }
             FlushRoute::BundleTo(peer) => {
-                let node = &mut self.nodes[id as usize];
-                let mut syncs: Vec<PeerSyncMsg> = node.relay_outbox.drain(..).collect();
+                let mut syncs = self.drain_relay_outbox(id);
                 syncs.extend(own_chunks);
                 if !syncs.is_empty() {
                     let o = self.send_bundle(id, peer, syncs);
@@ -1992,8 +2108,7 @@ impl ClusterControlPlane {
                 }
             }
             FlushRoute::BundleToEach(peers) => {
-                let node = &mut self.nodes[id as usize];
-                let mut syncs: Vec<PeerSyncMsg> = node.relay_outbox.drain(..).collect();
+                let mut syncs = self.drain_relay_outbox(id);
                 syncs.extend(own_chunks);
                 if !syncs.is_empty() {
                     for peer in peers {
@@ -2007,9 +2122,19 @@ impl ClusterControlPlane {
         out.push(self.rearm(timer, self.cfg.replica_flush_interval_ms));
     }
 
+    /// Takes the foreign chunks a member has queued for its next overlay
+    /// hop. An idle flush tick — nothing queued — writes nothing.
+    fn drain_relay_outbox(&mut self, id: u32) -> Vec<PeerSyncMsg> {
+        let member = &mut self.nodes[id as usize];
+        if member.relay_outbox.is_empty() {
+            return Vec::new();
+        }
+        member.write().relay_outbox.drain(..).collect()
+    }
+
     /// Builds (and counts) one direct peer-sync message.
     fn send_sync(&mut self, from: u32, to: u32, sync: PeerSyncMsg) -> ClusterOutput {
-        let node = &mut self.nodes[from as usize];
+        let node = self.nodes[from as usize].write();
         node.traffic.messages_sent += 1;
         node.traffic.bytes_sent += sync.wire_len() as u64;
         let xid = node.next_xid();
@@ -2023,7 +2148,7 @@ impl ClusterControlPlane {
     /// Builds (and counts) one relay bundle.
     fn send_bundle(&mut self, from: u32, to: u32, syncs: Vec<PeerSyncMsg>) -> ClusterOutput {
         let bundle = SyncRelayMsg { from, syncs };
-        let node = &mut self.nodes[from as usize];
+        let node = self.nodes[from as usize].write();
         node.traffic.messages_sent += 1;
         node.traffic.bytes_sent += bundle.wire_len() as u64;
         let xid = node.next_xid();
@@ -2052,7 +2177,7 @@ impl ClusterControlPlane {
         let cap = self.cfg.relay_buffer_chunks;
         let mut fresh_chunks: Vec<PeerSyncMsg> = Vec::new();
         {
-            let node = &mut self.nodes[at as usize];
+            let node = self.nodes[at as usize].write();
             for sync in &bundle.syncs {
                 #[cfg(not(feature = "mc-mutations"))]
                 let fresh = node.note_seen(sync);
@@ -2100,7 +2225,7 @@ impl ClusterControlPlane {
             .filter(|&p| p != id)
             .collect();
         if !peers.is_empty() {
-            let node = &mut self.nodes[id as usize];
+            let node = self.nodes[id as usize].write();
             let target = peers[(node.ae_round % peers.len() as u64) as usize];
             node.ae_round += 1;
             let mut heads: BTreeMap<u32, u64> = node.replica.heads().into_iter().collect();
@@ -2143,7 +2268,7 @@ impl ClusterControlPlane {
         let chunk_size = self.cfg.sync_chunk_entries;
         let mut to_send: Vec<PeerSyncMsg> = Vec::new();
         {
-            let node = &mut self.nodes[at as usize];
+            let node = &self.nodes[at as usize];
             // Own origin: exact replay from the bounded delta log.
             let sender_head = their.get(&at).copied().unwrap_or(0);
             if sender_head < node.sync_seq {
@@ -2217,13 +2342,17 @@ impl ClusterControlPlane {
                     ));
                 }
             }
-            node.traffic.catchup_syncs_sent += to_send.len() as u64;
+        }
+        if to_send.is_empty() {
+            return;
         }
         // Catch-up rides direct syncs but is *repair* traffic, counted by
         // `catchup_syncs_sent` — not in `messages_sent`, which measures
         // the dissemination overlay's steady-state cost.
+        let node = self.nodes[at as usize].write();
+        node.traffic.catchup_syncs_sent += to_send.len() as u64;
         for sync in to_send {
-            let xid = self.nodes[at as usize].next_xid();
+            let xid = node.next_xid();
             out.push(ClusterOutput::ToCtrl {
                 from: at,
                 to: digest.from,
@@ -2247,7 +2376,7 @@ impl ClusterControlPlane {
         self.expire_lookups(id, now_ns, out);
         if self.nodes[id as usize].read_only {
             if self.holds_lease(id, now_ns) {
-                self.nodes[id as usize].read_only = false;
+                self.nodes[id as usize].write().read_only = false;
             }
         } else if self.nodes[id as usize].election.role == ElectionRole::Leader
             && !self.holds_lease(id, now_ns)
@@ -2263,7 +2392,7 @@ impl ClusterControlPlane {
         let load = self.load_of(id, now_ns);
         let owned = self.ownership.groups_of(id).len() as u32;
         {
-            let node = &mut self.nodes[id as usize];
+            let node = self.nodes[id as usize].write();
             node.hb_seq += 1;
             let term = node.election.term;
             let is_leader = node.election.role == ElectionRole::Leader;
@@ -2307,7 +2436,7 @@ impl ClusterControlPlane {
                 }
                 node.transfer_retransmits += resend.len() as u64;
                 for t in resend {
-                    let xid = self.nodes[id as usize].next_xid();
+                    let xid = node.next_xid();
                     out.push(ClusterOutput::ToCtrl {
                         from: id,
                         to: t.to,
@@ -2343,11 +2472,12 @@ impl ClusterControlPlane {
                 // every member (the leader in particular) can correlate
                 // both ring directions.
                 self.observe_ctrl_loss(id, now_ns, report, out);
+                let node = self.nodes[id as usize].write();
                 for &peer in &peers {
                     if peer == nb {
                         continue;
                     }
-                    let xid = self.nodes[id as usize].next_xid();
+                    let xid = node.next_xid();
                     out.push(ClusterOutput::ToCtrl {
                         from: id,
                         to: peer,
@@ -2441,7 +2571,7 @@ impl ClusterControlPlane {
         self.transfers.push(t);
         if cool != id {
             let hb_ns = self.cfg.heartbeat_interval_ms as u64 * 1_000_000;
-            self.nodes[id as usize].unacked_transfers.insert(
+            self.nodes[id as usize].write().unacked_transfers.insert(
                 t.epoch,
                 UnackedTransfer {
                     msg: t,
@@ -2450,11 +2580,12 @@ impl ClusterControlPlane {
                 },
             );
         }
+        let node = self.nodes[id as usize].write();
         for &peer in &live {
             if peer == id {
                 continue;
             }
-            let xid = self.nodes[id as usize].next_xid();
+            let xid = node.next_xid();
             out.push(ClusterOutput::ToCtrl {
                 from: id,
                 to: peer,
@@ -2509,6 +2640,7 @@ impl ClusterControlPlane {
         }
         // Inner outputs accumulate in the scratch across the per-switch
         // syncs (same order as the old concatenation), then convert once.
+        let node = self.nodes[id as usize].write();
         for (switch, lfib_entries) in by_switch {
             let sync = LfibSyncMsg {
                 origin: switch,
@@ -2516,7 +2648,7 @@ impl ClusterControlPlane {
                 entries: lfib_entries,
                 removed: vec![],
             };
-            self.nodes[id as usize].ctrl.handle_message(
+            node.ctrl.handle_message(
                 now_ns,
                 switch,
                 &Message::lazy(0, LazyMsg::lfib_sync(sync)),

@@ -8,7 +8,7 @@ use crate::event::{enabled_events, spend, FaultBudget, McEvent};
 use crate::invariants::{check_safety, check_terminal, Ghost};
 use crate::settle::settle;
 use crate::state::McState;
-use crate::trace::{label_event, Counterexample, TraceStep};
+use crate::trace::Counterexample;
 
 /// How to explore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +110,8 @@ struct Frame {
     budget: FaultBudget,
     events: Vec<McEvent>,
     next: usize,
-    step: Option<TraceStep>,
+    /// The event that led here (`None` at the root).
+    via: Option<McEvent>,
 }
 
 /// Explores `initial` under `cfg` and reports the outcome.
@@ -121,10 +122,9 @@ pub fn check(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
     }
 }
 
-fn trace_of(stack: &[Frame], last: TraceStep) -> Vec<TraceStep> {
-    let mut steps: Vec<TraceStep> = stack.iter().filter_map(|f| f.step.clone()).collect();
-    steps.push(last);
-    steps
+/// The schedule from the root through the stack to `last`.
+fn schedule_of(stack: &[Frame], last: McEvent) -> impl Iterator<Item = McEvent> + '_ {
+    stack.iter().filter_map(|f| f.via).chain([last])
 }
 
 fn check_exhaustive(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
@@ -137,11 +137,7 @@ fn check_exhaustive(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
         stats.distinct = distinct.len() as u64;
         return CheckOutcome {
             stats,
-            violation: Some(Counterexample {
-                steps: vec![],
-                violation: v,
-                settle_horizon_ns: 0,
-            }),
+            violation: Some(Counterexample::reconstruct(initial, [], v, 0)),
         };
     }
 
@@ -167,7 +163,7 @@ fn check_exhaustive(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
             budget: cfg.budget,
             events: enabled_events(initial, cfg.budget, cfg.max_pending),
             next: 0,
-            step: None,
+            via: None,
         }];
 
         while let Some(top) = stack.last_mut() {
@@ -178,7 +174,6 @@ fn check_exhaustive(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
             let ev = top.events[top.next];
             top.next += 1;
 
-            let label = label_event(&top.state, ev);
             let mut child = top.state.clone();
             let mut ghost = top.ghost.clone();
             let mut budget = top.budget;
@@ -189,21 +184,12 @@ fn check_exhaustive(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
             let bad = ghost
                 .note_outputs(&outs)
                 .or_else(|| check_safety(&child, &mut ghost));
-            let fp = child.fingerprint();
-            let step = TraceStep {
-                event: ev,
-                label,
-                now_ns: child.now_ns,
-                fingerprint: fp,
-            };
             if let Some(v) = bad {
-                violation = Some(Counterexample {
-                    steps: trace_of(&stack, step),
-                    violation: v,
-                    settle_horizon_ns: 0,
-                });
+                let schedule = schedule_of(&stack, ev);
+                violation = Some(Counterexample::reconstruct(initial, schedule, v, 0));
                 break 'deepening;
             }
+            let fp = child.fingerprint();
             if !visited.insert(fp) {
                 stats.deduped += 1;
                 continue;
@@ -226,11 +212,12 @@ fn check_exhaustive(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
                     stats.settled += 1;
                     let settled = settle(&child, cfg.settle_horizon_ns);
                     if let Some(v) = check_terminal(&settled) {
-                        violation = Some(Counterexample {
-                            steps: trace_of(&stack, step),
-                            violation: v,
-                            settle_horizon_ns: cfg.settle_horizon_ns,
-                        });
+                        violation = Some(Counterexample::reconstruct(
+                            initial,
+                            schedule_of(&stack, ev),
+                            v,
+                            cfg.settle_horizon_ns,
+                        ));
                         break 'deepening;
                     }
                 }
@@ -243,7 +230,7 @@ fn check_exhaustive(initial: &McState, cfg: &CheckerConfig) -> CheckOutcome {
                 budget,
                 events,
                 next: 0,
-                step: Some(step),
+                via: Some(ev),
             });
         }
         if stats.truncated {
@@ -271,40 +258,29 @@ fn check_walks(
         let mut state = initial.clone();
         let mut ghost = Ghost::default();
         let mut budget = cfg.budget;
-        let mut steps: Vec<TraceStep> = Vec::new();
+        let mut schedule: Vec<McEvent> = Vec::new();
         for _ in 0..depth {
             let events = enabled_events(&state, budget, cfg.max_pending);
             if events.is_empty() {
                 break;
             }
             let ev = events[(splitmix64(&mut rng) % events.len() as u64) as usize];
-            let label = label_event(&state, ev);
             spend(&mut budget, ev);
             let outs = state.apply(ev);
             stats.explored += 1;
-            let fp = state.fingerprint();
-            if visited.insert(fp) {
+            if visited.insert(state.fingerprint()) {
                 stats.distinct += 1;
             } else {
                 stats.deduped += 1;
             }
-            steps.push(TraceStep {
-                event: ev,
-                label,
-                now_ns: state.now_ns,
-                fingerprint: fp,
-            });
+            schedule.push(ev);
             let violation = ghost
                 .note_outputs(&outs)
                 .or_else(|| check_safety(&state, &mut ghost));
             if let Some(v) = violation {
                 return CheckOutcome {
                     stats,
-                    violation: Some(Counterexample {
-                        steps,
-                        violation: v,
-                        settle_horizon_ns: 0,
-                    }),
+                    violation: Some(Counterexample::reconstruct(initial, schedule, v, 0)),
                 };
             }
         }
@@ -315,11 +291,12 @@ fn check_walks(
             if let Some(v) = check_terminal(&settled) {
                 return CheckOutcome {
                     stats,
-                    violation: Some(Counterexample {
-                        steps,
-                        violation: v,
-                        settle_horizon_ns: cfg.settle_horizon_ns,
-                    }),
+                    violation: Some(Counterexample::reconstruct(
+                        initial,
+                        schedule,
+                        v,
+                        cfg.settle_horizon_ns,
+                    )),
                 };
             }
         }

@@ -1,8 +1,6 @@
 //! Event enumeration: what the adversary (the network and the fault
 //! injector) can do next in a given state.
 
-use lazyctrl_cluster::{hash_wire_ignoring_xid, Fnv64};
-
 use crate::state::McState;
 
 /// One adversarial choice.
@@ -71,17 +69,15 @@ impl FaultBudget {
 /// deterministic order.
 ///
 /// Symmetry reduction: two in-flight messages that are bit-identical on
-/// the same link (xid blinded) lead to identical successor states, so
-/// only the first enumerates Deliver/Drop/Duplicate branches.
+/// the same link (xid blinded — equal [`crate::PendingMsg::wire_hash`])
+/// lead to identical successor states, so only the first enumerates
+/// Deliver/Drop/Duplicate branches.
 pub fn enabled_events(state: &McState, budget: FaultBudget, max_pending: usize) -> Vec<McEvent> {
     let mut events = Vec::new();
     let mut seen_wires: Vec<u64> = Vec::new();
     let mut distinct: Vec<usize> = Vec::new();
     for (i, p) in state.pending.iter().enumerate() {
-        let mut h = Fnv64::new();
-        h.u32(p.from).u32(p.to);
-        hash_wire_ignoring_xid(&mut h, &p.msg.encode());
-        let w = h.finish();
+        let w = p.wire_hash();
         if !seen_wires.contains(&w) {
             seen_wires.push(w);
             distinct.push(i);
@@ -104,14 +100,15 @@ pub fn enabled_events(state: &McState, budget: FaultBudget, max_pending: usize) 
         events.push(McEvent::FireTimer);
     }
     let members = state.plane.num_controllers() as u32;
-    if budget.crashes > 0 {
-        // Never crash the last functioning member: with nobody left to
-        // act, every invariant holds vacuously and the subtree is noise.
-        if state.functioning().len() > 1 {
-            for id in 0..members {
-                if !state.plane.is_crashed(id) {
-                    events.push(McEvent::Crash(id));
-                }
+    let functioning = (0..members)
+        .filter(|&id| !state.plane.is_crashed(id))
+        .count();
+    // Never crash the last functioning member: with nobody left to act,
+    // every invariant holds vacuously and the subtree is noise.
+    if budget.crashes > 0 && functioning > 1 {
+        for id in 0..members {
+            if !state.plane.is_crashed(id) {
+                events.push(McEvent::Crash(id));
             }
         }
     }
@@ -123,7 +120,7 @@ pub fn enabled_events(state: &McState, budget: FaultBudget, max_pending: usize) 
     // One partition at a time: a second cut before the heal would only
     // re-partition an already-severed fabric, and keeping the partition
     // state a single island bound keeps the space small.
-    if budget.partitions > 0 && state.partition.is_none() && state.functioning().len() > 1 {
+    if budget.partitions > 0 && state.partition.is_none() && functioning > 1 {
         for id in 0..members {
             if !state.plane.is_crashed(id) {
                 events.push(McEvent::Partition(id));

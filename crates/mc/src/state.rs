@@ -15,15 +15,56 @@ use lazyctrl_proto::{HostEntry, Message, OutputSink};
 
 use crate::event::McEvent;
 
-/// A controller-peer message in flight.
+/// A controller-peer message in flight, with the hash that identifies
+/// it to the checker.
+///
+/// The fields are private and there is no mutable access: the hash is
+/// computed once, when the message enters the in-flight set, and can
+/// only stay true if link and message never change afterwards.
 #[derive(Debug, Clone)]
 pub struct PendingMsg {
+    from: u32,
+    to: u32,
+    msg: Message,
+    wire_hash: u64,
+}
+
+impl PendingMsg {
+    /// A message from `from` to `to`, hashed over its link and its wire
+    /// bytes with the xid blinded.
+    pub fn new(from: u32, to: u32, msg: Message) -> PendingMsg {
+        let mut h = Fnv64::new();
+        h.u32(from).u32(to);
+        hash_wire_ignoring_xid(&mut h, &msg.encode());
+        PendingMsg {
+            from,
+            to,
+            msg,
+            wire_hash: h.finish(),
+        }
+    }
+
     /// Link-level sender.
-    pub from: u32,
+    pub fn from(&self) -> u32 {
+        self.from
+    }
+
     /// Destination member.
-    pub to: u32,
+    pub fn to(&self) -> u32 {
+        self.to
+    }
+
     /// The message.
-    pub msg: Message,
+    pub fn msg(&self) -> &Message {
+        &self.msg
+    }
+
+    /// Hash of `(from, to, wire bytes with the xid zeroed)`: two
+    /// in-flight messages that are bit-identical on the same link share
+    /// it, and delivering either leads to the same successor state.
+    pub fn wire_hash(&self) -> u64 {
+        self.wire_hash
+    }
 }
 
 /// One state in the exploration: the plane, the in-flight messages, the
@@ -87,7 +128,7 @@ impl McState {
             now_ns: 0,
             partition: None,
         };
-        state.absorb(sink.take_buf());
+        state.absorb(&sink.take_buf());
         state
     }
 
@@ -120,17 +161,16 @@ impl McState {
     /// Messages across an active partition cut are discarded too: the
     /// pending set only ever holds deliverable traffic, so the event
     /// enumeration needs no reachability filter.
-    fn absorb(&mut self, outs: Vec<ClusterOutput>) {
+    fn absorb(&mut self, outs: &[ClusterOutput]) {
         for out in outs {
             match out {
                 ClusterOutput::ToCtrl { from, to, msg } => {
-                    if self.severed(from, to) {
-                        continue;
+                    if !self.severed(*from, *to) {
+                        self.pending.push(PendingMsg::new(*from, *to, msg.clone()));
                     }
-                    self.pending.push(PendingMsg { from, to, msg });
                 }
                 ClusterOutput::SetTimer(timer, delay_ns) => {
-                    self.timers.push((self.now_ns + delay_ns, timer));
+                    self.timers.push((self.now_ns + delay_ns, *timer));
                 }
                 ClusterOutput::ToSwitch { .. } => {}
             }
@@ -177,7 +217,7 @@ impl McState {
                 self.pending.remove(i);
             }
             McEvent::Duplicate(i) => {
-                let m = self.pending[i].clone();
+                let m = &self.pending[i];
                 self.plane
                     .step_ctrl(self.now_ns, m.from, m.to, &m.msg, &mut sink);
             }
@@ -209,15 +249,19 @@ impl McState {
             }
         }
         let outs = sink.take_buf();
-        self.absorb(outs.clone());
+        self.absorb(&outs);
         outs
     }
 
     /// Canonical fingerprint of this state: the plane's protocol-state
-    /// hash plus the in-flight message multiset (wire bytes, xid
-    /// blinded), the armed-timer multiset, and the clock. Two schedules
-    /// reaching the same fingerprint are indistinguishable to every
-    /// future step, so the checker explores from one of them only.
+    /// hash plus the in-flight message multiset (each message's
+    /// [`PendingMsg::wire_hash`]), the armed-timer multiset, and the
+    /// clock. Two schedules reaching the same fingerprint are
+    /// indistinguishable to every future step, so the checker explores
+    /// from one of them only. No message is encoded here, and the plane
+    /// re-hashes only the members written since it was last asked (see
+    /// [`ClusterControlPlane::state_fingerprint`]); what is left is the
+    /// two small sorts.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         h.u64(self.plane.fingerprint());
@@ -228,32 +272,22 @@ impl McState {
         };
         // In-flight messages as a multiset: delivery order is the
         // checker's choice, not part of the state's identity.
-        let mut wires: Vec<u64> = self
-            .pending
-            .iter()
-            .map(|p| {
-                let mut hm = Fnv64::new();
-                hm.u32(p.from).u32(p.to);
-                hash_wire_ignoring_xid(&mut hm, &p.msg.encode());
-                hm.finish()
-            })
-            .collect();
+        let mut wires: Vec<u64> = self.pending.iter().map(PendingMsg::wire_hash).collect();
         wires.sort_unstable();
         h.usize(wires.len());
         for w in wires {
             h.u64(w);
         }
-        // Armed timers, canonically ordered. The kind's Debug form is a
-        // stable, total description of the variant.
-        let mut arms: Vec<(u64, u32, String, u32)> = self
+        // Armed timers, canonically ordered.
+        let mut arms: Vec<(u64, u32, u8, u32)> = self
             .timers
             .iter()
-            .map(|&(due, t)| (due, t.node, format!("{:?}", t.kind), t.gen))
+            .map(|&(due, t)| (due, t.node, t.kind.tag(), t.gen))
             .collect();
-        arms.sort();
+        arms.sort_unstable();
         h.usize(arms.len());
         for (due, node, kind, gen) in arms {
-            h.u64(due).u32(node).bytes(kind.as_bytes()).u32(gen);
+            h.u64(due).u32(node).u8(kind).u32(gen);
         }
         h.finish()
     }

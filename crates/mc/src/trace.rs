@@ -37,10 +37,10 @@ pub struct Counterexample {
 
 /// Renders the event for trace display, peeking at the in-flight message
 /// it refers to (must be called *before* the event is applied).
-pub fn label_event(state: &McState, ev: McEvent) -> String {
+fn label_event(state: &McState, ev: McEvent) -> String {
     let named = |i: usize| {
         let p = &state.pending[i];
-        format!("{}→{} {}", p.from, p.to, kind_of(&p.msg))
+        format!("{}→{} {}", p.from(), p.to(), kind_of(p.msg()))
     };
     match ev {
         McEvent::Deliver(i) => format!("deliver {}", named(i)),
@@ -86,6 +86,37 @@ fn kind_of(msg: &Message) -> &'static str {
 }
 
 impl Counterexample {
+    /// Builds the report for `violation`, found after `events` from
+    /// `initial`. The checker carries only the events along a path; the
+    /// labels, clocks and fingerprints a reader wants are reproduced
+    /// here, by replay, for the one schedule that gets reported.
+    pub(crate) fn reconstruct(
+        initial: &McState,
+        events: impl IntoIterator<Item = McEvent>,
+        violation: Violation,
+        settle_horizon_ns: u64,
+    ) -> Counterexample {
+        let mut state = initial.clone();
+        let steps = events
+            .into_iter()
+            .map(|event| {
+                let label = label_event(&state, event);
+                state.apply(event);
+                TraceStep {
+                    event,
+                    label,
+                    now_ns: state.now_ns,
+                    fingerprint: state.fingerprint(),
+                }
+            })
+            .collect();
+        Counterexample {
+            steps,
+            violation,
+            settle_horizon_ns,
+        }
+    }
+
     /// Re-executes the schedule from `initial` (which must be the same
     /// state the checker started from) and returns the violation the
     /// replay reproduces. `None` means the replay did NOT reproduce —

@@ -3,7 +3,7 @@
 //! compiled in — the checker provably catches a real dedup bug.
 
 use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy};
-use lazyctrl_mc::{check, CheckerConfig, FaultBudget, McState, Mode};
+use lazyctrl_mc::{check, CheckOutcome, CheckStats, CheckerConfig, FaultBudget, McState, Mode};
 
 const SEC: u64 = 1_000_000_000;
 
@@ -29,6 +29,27 @@ fn initial(n: usize) -> McState {
     state
 }
 
+/// Pins an exploration state for state: the counters below were recorded
+/// before the checker's fingerprinting and cloning were made incremental,
+/// so any change to which states are reached, deduplicated or settled —
+/// a stale cached hash, a member shared when it should have been copied —
+/// shows up as a different count. This is the checker's
+/// `report_fingerprint`.
+fn assert_golden(outcome: &CheckOutcome, [explored, distinct, deduped, leaves, settled]: [u64; 5]) {
+    assert!(outcome.passed(), "violation: {:?}", outcome.violation);
+    assert_eq!(
+        outcome.stats,
+        CheckStats {
+            explored,
+            distinct,
+            deduped,
+            leaves,
+            settled,
+            truncated: false,
+        }
+    );
+}
+
 /// Fault-free exhaustive exploration: reorderings alone must never
 /// violate an invariant, and the fingerprint dedup must actually fire
 /// (diamond interleavings reconverge).
@@ -45,17 +66,7 @@ fn exhaustive_reorderings_hold_invariants() {
     };
     let state = initial(3);
     let outcome = check(&state, &cfg);
-    assert!(outcome.passed(), "violation: {:?}", outcome.violation);
-    assert!(
-        outcome.stats.distinct > 1_000,
-        "too few states: {:?}",
-        outcome.stats
-    );
-    assert!(
-        outcome.stats.deduped > 0,
-        "dedup never fired: {:?}",
-        outcome.stats
-    );
+    assert_golden(&outcome, [79_026, 11_908, 53_481, 4_808, 94]);
 
     // Same exploration, bit-identical counters: the checker itself is a
     // pure function of its inputs.
@@ -85,8 +96,7 @@ fn faulty_walks_hold_invariants() {
         ..CheckerConfig::default()
     };
     let outcome = check(&initial(4), &cfg);
-    assert!(outcome.passed(), "violation: {:?}", outcome.violation);
-    assert!(outcome.stats.settled > 0, "no walk was terminally checked");
+    assert_golden(&outcome, [19_200, 18_717, 484, 120, 8]);
 }
 
 /// Random walks with a partition in the fault model: any member may be
@@ -114,8 +124,7 @@ fn partitioned_walks_hold_invariants() {
         ..CheckerConfig::default()
     };
     let outcome = check(&initial(3), &cfg);
-    assert!(outcome.passed(), "violation: {:?}", outcome.violation);
-    assert!(outcome.stats.settled > 0, "no walk was terminally checked");
+    assert_golden(&outcome, [20_000, 16_284, 3_717, 100, 13]);
 }
 
 /// Exhaustive exploration from an *already partitioned* state: the
@@ -139,8 +148,7 @@ fn exhaustive_from_partitioned_leader_holds_invariants() {
     let mut state = initial(3);
     state.apply(lazyctrl_mc::McEvent::Partition(0));
     let outcome = check(&state, &cfg);
-    assert!(outcome.passed(), "violation: {:?}", outcome.violation);
-    assert!(outcome.stats.settled > 0, "no leaf was terminally checked");
+    assert_golden(&outcome, [1_485, 274, 768, 90, 5]);
 }
 
 /// With the relay-dedup bypass compiled in, a duplicated relay bundle

@@ -46,7 +46,27 @@ if out=$(grep -rn -e 'HashMap' -e 'HashSet' \
     fail=1
 fi
 
+# Interior mutability: the plane caches a sub-fingerprint per member and
+# shares members between clones (plane.rs, `Member`). Both are sound only
+# while a `&ClusterNode` cannot write, so no cell, lock or atomic may
+# appear in the plane or in the inner controller its members embed. The
+# one allowlisted cell is the cache itself, marked on its line.
+if out=$(grep -rn \
+    -e 'Cell<' \
+    -e 'OnceLock<' \
+    -e 'LazyLock<' \
+    -e 'Mutex<' \
+    -e 'RwLock<' \
+    -e 'Atomic[A-Z]' \
+    crates/cluster/src crates/controller/src \
+    | grep -v 'purity_lint: the one allowed cell'); then
+    echo "purity_lint: interior mutability behind the plane's member gate" >&2
+    echo "(a shared reference to a member must not be able to write):" >&2
+    echo "$out" >&2
+    fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-    echo "purity_lint: ok (crates/cluster, crates/mc are clock-, rand-, and hash-order-free)"
+    echo "purity_lint: ok (crates/cluster, crates/mc are clock-, rand-, and hash-order-free; members are cell-free)"
 fi
 exit "$fail"
