@@ -1,7 +1,8 @@
-//! Shared harness for the reproduction binaries (`repro-*`) and Criterion
-//! benches: trace construction at a chosen scale, and table rendering.
+//! Shared harness for the reproduction binaries (`repro-*`): trace
+//! construction at a chosen scale, and table rendering.
 //!
-//! Every binary honours the `LAZYCTRL_SCALE` environment variable:
+//! Every binary honours the `LAZYCTRL_SCALE` environment variable (any
+//! other value is an error, not a silent fallback):
 //!
 //! * `quick` (default) — laptop-scale versions of each experiment
 //!   (40–340 switches, 10⁵-ish flows); minutes end to end;
@@ -38,13 +39,28 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `LAZYCTRL_SCALE` (`quick`/`paper`/`x10`); defaults to quick.
-    pub fn from_env() -> Scale {
-        match std::env::var("LAZYCTRL_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            Ok("x10") => Scale::X10,
-            _ => Scale::Quick,
+    /// Parses a `LAZYCTRL_SCALE` value: unset is quick, anything but
+    /// `quick`/`paper`/`x10` is an error naming the accepted values.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("paper") => Ok(Scale::Paper),
+            Some("x10") => Ok(Scale::X10),
+            Some(other) => Err(format!(
+                "LAZYCTRL_SCALE={other:?} is not a scale; accepted values: quick, paper, x10"
+            )),
         }
+    }
+
+    /// Reads `LAZYCTRL_SCALE`; exits with status 2 on an unrecognised
+    /// value, so a typo cannot pass for a quick-scale run.
+    pub fn from_env() -> Scale {
+        let value = std::env::var_os("LAZYCTRL_SCALE");
+        let value = value.as_ref().map(|v| v.to_string_lossy());
+        Scale::parse(value.as_deref()).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2);
+        })
     }
 
     /// Human-readable label.
@@ -143,15 +159,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_defaults_to_quick() {
-        // Do not mutate the environment (tests run in parallel); just
-        // check the default path when the var is absent or garbage.
-        if std::env::var("LAZYCTRL_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Quick);
+    fn scale_parse_accepts_only_the_named_scales() {
+        for (value, want) in [
+            (None, Some(Scale::Quick)),
+            (Some("quick"), Some(Scale::Quick)),
+            (Some("paper"), Some(Scale::Paper)),
+            (Some("x10"), Some(Scale::X10)),
+            (Some("Paper"), None),
+            (Some("x100"), None),
+            (Some(""), None),
+        ] {
+            let got = Scale::parse(value);
+            assert_eq!(got.as_ref().ok(), want.as_ref(), "{value:?}");
+            match got {
+                // Every accepted spelling is the scale's own label.
+                Ok(scale) => assert_eq!(value.unwrap_or("quick"), scale.label()),
+                Err(msg) => assert!(msg.contains("quick, paper, x10"), "{msg}"),
+            }
         }
-        assert_eq!(Scale::Quick.label(), "quick");
-        assert_eq!(Scale::Paper.label(), "paper");
-        assert_eq!(Scale::X10.label(), "x10");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use lazyctrl_cluster::DisseminationStrategy;
 use lazyctrl_controller::RegroupTriggers;
 use lazyctrl_obs::ObsConfig;
 use lazyctrl_proto::EventPlan;
-use lazyctrl_sim::{BandwidthModel, LatencyModel, SchedulerKind};
+use lazyctrl_sim::{BandwidthModel, LatencyModel};
 use serde::{Deserialize, Serialize};
 
 /// Which control plane runs the data center.
@@ -66,7 +66,7 @@ pub struct ExperimentConfig {
     /// pre-existing reports stay bit-identical. Capping a class makes
     /// every message on it pay a closed-form fair-share delay computed
     /// from its wire size and the link's in-flight backlog — no RNG
-    /// draws, so scheduler/worker determinism holds by construction.
+    /// draws, so worker-count determinism holds by construction.
     pub bandwidth: BandwidthModel,
     /// Regrouping triggers (dynamic mode only).
     pub triggers: RegroupTriggers,
@@ -115,11 +115,6 @@ pub struct ExperimentConfig {
     /// switch crashes, link degradation, host migration, traffic bursts —
     /// see [`EventPlan`]). Empty by default: nothing is injected.
     pub plan: EventPlan,
-    /// Event-scheduler backend for the run: the timing wheel (default) or
-    /// the binary-heap reference. Both produce bit-identical reports for
-    /// a given seed; the knob exists so regression tests can replay a
-    /// scenario under each (see `lazyctrl_sim::SchedulerKind`).
-    pub scheduler: SchedulerKind,
     /// Worker threads for the SGI merge/split step of incremental
     /// regrouping (`1` = sequential; bit-identical results either way).
     pub sgi_parallelism: usize,
@@ -175,7 +170,6 @@ impl ExperimentConfig {
             cluster_ingress_slots: None,
             cluster_ingress_cost_ns: None,
             plan: EventPlan::new(),
-            scheduler: SchedulerKind::default(),
             sgi_parallelism: 1,
             obs: ObsConfig::default(),
             workers: None,
@@ -187,12 +181,6 @@ impl ExperimentConfig {
     /// Attaches an observability configuration (tracing/profiling).
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Selects the event-scheduler backend.
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
         self
     }
 

@@ -84,7 +84,7 @@ impl Experiment {
         let mode = cfg.mode;
         let horizon = run_horizon(&trace, &cfg);
 
-        let mut queue: EventQueue<Ev> = EventQueue::with_kind(cfg.scheduler);
+        let mut queue: EventQueue<Ev> = EventQueue::new();
         // Schedule every flow arrival up front (they're already sorted).
         for (i, f) in trace.flows.iter().enumerate() {
             if SimTime::from_nanos(f.time_ns) > horizon {

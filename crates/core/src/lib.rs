@@ -64,5 +64,5 @@ pub use lazyctrl_cluster::DisseminationStrategy;
 pub use lazyctrl_controller::{BaselineController, LazyController};
 pub use lazyctrl_obs::ObsConfig;
 pub use lazyctrl_proto::{EventPlan, InjectedEvent, ScheduledEvent};
-pub use lazyctrl_sim::{BandwidthModel, ChannelClass, SchedulerKind};
+pub use lazyctrl_sim::{BandwidthModel, ChannelClass};
 pub use lazyctrl_switch::EdgeSwitch;

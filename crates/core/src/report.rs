@@ -33,8 +33,8 @@ pub struct ExperimentReport {
     /// First packets confirmed delivered.
     pub delivered_flows: u64,
     /// Simulation events processed (scheduler pops) over the run — the
-    /// numerator of `repro_perf`'s events/sec. Identical across scheduler
-    /// backends and SGI parallelism settings for a given seed.
+    /// benchmark's `sim.events`. Identical across SGI parallelism
+    /// settings for a given seed.
     pub events_processed: u64,
     /// Overall mean first-packet latency (ms).
     pub mean_latency_ms: f64,

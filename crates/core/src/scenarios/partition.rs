@@ -25,7 +25,7 @@
 //!
 //! Every verdict leans on the plane's cross-member election-safety
 //! monitor (`double_leader_events`) — the "no two leaders share a term"
-//! acceptance criterion — plus `confirmed_dead` emptiness at end of run
+//! acceptance condition — plus `confirmed_dead` emptiness at end of run
 //! as the post-heal convergence bound (heartbeats clear a latched death
 //! within one interval once reachability returns, well inside the
 //! post-heal tail every plan leaves).

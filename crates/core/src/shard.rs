@@ -96,9 +96,7 @@ fn split_queue(
     nparts: u16,
     mut queue: EventQueue<Ev>,
 ) -> (Vec<EventQueue<Ev>>, Vec<(SimTime, InjectedEvent)>) {
-    let kind = queue.kind();
-    let mut queues: Vec<EventQueue<Ev>> =
-        (0..nparts).map(|_| EventQueue::with_kind(kind)).collect();
+    let mut queues: Vec<EventQueue<Ev>> = (0..nparts).map(|_| EventQueue::new()).collect();
     let mut globals = Vec::new();
     while let Some((at, ev)) = queue.pop() {
         if let Ev::Injected(g) = ev {

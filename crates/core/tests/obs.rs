@@ -51,7 +51,7 @@ fn traced_run(mode: ControlMode) -> lazyctrl_core::DetailedRun {
     Experiment::new(trace, cfg).run_detailed()
 }
 
-/// Acceptance criterion: from a traced run, `flow_chain` reconstructs a
+/// Acceptance check: from a traced run, `flow_chain` reconstructs a
 /// complete PacketIn → FlowMod → delivery chain for at least one flow.
 #[test]
 fn flow_chain_reconstructs_packet_in_to_delivery() {
@@ -144,7 +144,7 @@ impl Scenario for AlwaysFails<'_> {
     }
 }
 
-/// Acceptance criterion, end to end: a failed-verdict run emits a dump
+/// Acceptance check, end to end: a failed-verdict run emits a dump
 /// from which a complete PacketIn → FlowMod → delivery chain is
 /// reconstructable for at least one flow — here re-parsed from the
 /// `.trace.jsonl` artifact itself, not from in-memory state.

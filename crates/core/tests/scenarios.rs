@@ -208,72 +208,6 @@ fn seeds_are_not_cherry_picked() {
     }
 }
 
-/// Runs one scenario under both scheduler backends at the same seed: the
-/// reports must be bit-identical. This is the experiment-level half of
-/// the scheduler equivalence argument (the kernel-level half is the
-/// differential proptest in `lazyctrl-sim`), and it is what lets the
-/// timing wheel replace the heap without invalidating any prior result.
-fn assert_identical_across_schedulers(name: &str) {
-    use lazyctrl_core::SchedulerKind;
-    let reg = ScenarioRegistry::builtin();
-    let s = reg.get(name).unwrap_or_else(|| panic!("{name} registered"));
-    let run_with = |kind: SchedulerKind| {
-        let (trace, cfg, plan) = s.build(0xC1);
-        run_built(s, trace, cfg.with_scheduler(kind), plan)
-    };
-    let wheel = run_with(SchedulerKind::Wheel);
-    let heap = run_with(SchedulerKind::Heap);
-    assert!(
-        wheel.verdict.passed(),
-        "{name} failed on the wheel: {:?}",
-        wheel.verdict.failures
-    );
-    assert_fingerprints_agree(name, "wheel-vs-heap", &wheel.report, &heap.report);
-    assert_eq!(
-        wheel.report, heap.report,
-        "{name}: wheel and heap reports diverged"
-    );
-    assert_eq!(wheel.verdict, heap.verdict);
-}
-
-#[test]
-fn cold_cache_is_identical_across_schedulers() {
-    assert_identical_across_schedulers("cold_cache");
-}
-
-#[test]
-fn crash_under_load_is_identical_across_schedulers() {
-    assert_identical_across_schedulers("crash_under_load");
-}
-
-#[test]
-fn peer_sync_storm_is_identical_across_schedulers() {
-    assert_identical_across_schedulers("peer_sync_storm");
-}
-
-#[test]
-fn partition_split_is_identical_across_schedulers() {
-    assert_identical_across_schedulers("partition_split");
-}
-
-/// The bandwidth model and the ingress shed/pace machinery are pure
-/// functions of virtual time (no RNG draws), so overload scenarios keep
-/// the scheduler-backend equivalence intact.
-#[test]
-fn flow_setup_storm_is_identical_across_schedulers() {
-    assert_identical_across_schedulers("flow_setup_storm");
-}
-
-#[test]
-fn controller_incast_is_identical_across_schedulers() {
-    assert_identical_across_schedulers("controller_incast");
-}
-
-#[test]
-fn elephant_peer_sync_is_identical_across_schedulers() {
-    assert_identical_across_schedulers("elephant_peer_sync");
-}
-
 /// Runs one scenario with the parallel SGI merge/split at 4 workers vs
 /// the sequential default: bit-identical reports, because the re-splits
 /// are pure per-pair functions applied in deterministic order.

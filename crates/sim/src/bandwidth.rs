@@ -17,9 +17,9 @@
 //! `now`, so the next message pays serialization only). Everything is
 //! integer arithmetic on virtual time — **no RNG draws** — so the
 //! replicated-RNG lockstep of the sharded engine and bit-identical
-//! reports across scheduler backends and worker counts hold by
-//! construction. Classes without a configured capacity cost a single
-//! array read and return zero, keeping the off-path overhead negligible.
+//! reports across worker counts hold by construction. Classes without a
+//! configured capacity cost a single array read and return zero, keeping
+//! the off-path overhead negligible.
 //!
 //! Sharded runs clone the model into every partition at `split`. That is
 //! sound because a directed link's delays are computed where its *sender*

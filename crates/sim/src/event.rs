@@ -1,162 +1,17 @@
 //! The event queue and driver loop.
 //!
-//! Two scheduler backends implement the same deterministic contract —
-//! events fire in `(time, insertion seq)` order, bit-identically:
-//!
-//! * [`WheelQueue`] — a hierarchical timing wheel (the default): 9 levels
-//!   of 64 slots over ~8 µs ticks cover the full `u64` nanosecond range,
-//!   so `schedule`/`pop` are near-O(1) amortized instead of the
-//!   `O(log n)` cache-missing heap operations that dominated the hot
-//!   path at paper scale. See `DESIGN.md` §"Scheduler".
-//! * [`HeapQueue`] — the original `BinaryHeap` scheduler, retained as the
-//!   differential-testing reference (`tests/proptest_scheduler.rs`
-//!   asserts both pop identical sequences under arbitrary schedules).
-//!
-//! [`EventQueue`] fronts both behind one type; the backend is chosen per
-//! queue via [`SchedulerKind`] (experiments expose this as a config knob
-//! so scenario regressions can replay the same run under both). The
-//! compile-time default is the wheel; building `lazyctrl-sim` with the
-//! `heap-sched` feature flips the default back to the heap.
+//! [`EventQueue`] is a hierarchical timing wheel: 9 levels of 64 slots
+//! over ~8 µs ticks cover the full `u64` nanosecond range, so
+//! `schedule`/`pop` are near-O(1) amortized. Events fire in
+//! `(time, insertion seq)` order, bit-identically from run to run;
+//! `tests/proptest_scheduler.rs` checks that order against a plain
+//! `BinaryHeap` model under arbitrary schedules. See `DESIGN.md`
+//! §"Scheduler".
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::{SimDuration, SimTime};
-
-/// A pending event: fire time, tie-break sequence, payload.
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Which scheduler backend an [`EventQueue`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel (near-O(1); the default).
-    Wheel,
-    /// Binary-heap reference scheduler (O(log n)).
-    Heap,
-}
-
-impl Default for SchedulerKind {
-    fn default() -> Self {
-        if cfg!(feature = "heap-sched") {
-            SchedulerKind::Heap
-        } else {
-            SchedulerKind::Wheel
-        }
-    }
-}
-
-impl SchedulerKind {
-    /// Short label used in reports and bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Heap backend (reference implementation)
-// ---------------------------------------------------------------------------
-
-/// The original `BinaryHeap` scheduler: `O(log n)` schedule/pop, kept as
-/// the differential-testing reference for [`WheelQueue`].
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    next_seq: u64,
-    popped: u64,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            popped: 0,
-        }
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue::default()
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, event }));
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| {
-            self.popped += 1;
-            (e.at, e.event)
-        })
-    }
-
-    /// Fire time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Pops the earliest event if it fires at or before `until`.
-    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek().is_some_and(|Reverse(e)| e.at <= until) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events scheduled over the queue's lifetime.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Total events popped over the queue's lifetime.
-    pub fn popped_total(&self) -> u64 {
-        self.popped
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timing-wheel backend
-// ---------------------------------------------------------------------------
 
 /// Tick granularity: 2¹³ ns ≈ 8 µs. Events inside one tick are ordered
 /// exactly by `(time, seq)` through the ready stage, so the granularity
@@ -174,7 +29,7 @@ const LEVELS: usize = 9;
 /// The key a wheel slot actually stores and moves: fire time, tie-break
 /// sequence, and the payload's slab index. 24 bytes and `Copy`, so the
 /// cascade/sort churn of the wheel shuffles keys, not full events — the
-/// payload sits still in the slab until its pop (see [`WheelQueue`]).
+/// payload sits still in the slab until its pop (see [`EventQueue`]).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Key {
     at: SimTime,
@@ -205,7 +60,11 @@ fn slab_index(len: usize) -> u32 {
         .unwrap_or_else(|_| panic!("wheel payload slab exceeded u32 capacity ({len} live cells)"))
 }
 
-/// A deterministic hierarchical timing wheel.
+/// A deterministic priority queue of future events, built as a
+/// hierarchical timing wheel.
+///
+/// Events at equal times fire in insertion order, making every simulation
+/// replayable bit-for-bit.
 ///
 /// Invariants (see `DESIGN.md` for the full argument):
 ///
@@ -228,7 +87,7 @@ fn slab_index(len: usize) -> u32 {
 ///   same cache-hot cells), the wheel moves only 24-byte `Key`s, and
 ///   `pop` takes the payload back out of its cell. Park, cascade and the
 ///   ready-stage sort therefore never copy event payloads.
-pub struct WheelQueue<E> {
+pub struct EventQueue<E> {
     /// `LEVELS × SLOTS` buckets, flattened.
     slots: Vec<Vec<Key>>,
     /// Per-level occupancy bitmaps (bit `s` ⇔ slot `s` non-empty).
@@ -254,9 +113,9 @@ pub struct WheelQueue<E> {
     popped: u64,
 }
 
-impl<E> Default for WheelQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        WheelQueue {
+        EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             cursor: 0,
@@ -272,10 +131,10 @@ impl<E> Default for WheelQueue<E> {
     }
 }
 
-impl<E> WheelQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        WheelQueue::default()
+        EventQueue::default()
     }
 
     /// Size in bytes of the record a wheel slot stores per pending event
@@ -338,9 +197,9 @@ impl<E> WheelQueue<E> {
     fn park(&mut self, key: Key) {
         let tick = Self::tick_of(key.at);
         if tick <= self.cursor {
-            // Current (already-open) tick — or a past time, which the
-            // heap reference would also surface next; both join the
-            // ready stage through the overflow heap.
+            // Current (already-open) tick — or a past time, which must
+            // surface next; both join the ready stage through the
+            // overflow heap.
             self.ready_extra.push(Reverse(key));
             return;
         }
@@ -463,6 +322,10 @@ impl<E> WheelQueue<E> {
     }
 
     /// Fire time of the earliest pending event.
+    ///
+    /// Takes `&mut self`: the wheel may advance its cursor (and cascade
+    /// slots) to locate the minimum — pending events and their order are
+    /// unaffected.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.prime();
         if self.extra_first() {
@@ -487,136 +350,16 @@ impl<E> WheelQueue<E> {
         self.next_seq
     }
 
-    /// Total events popped over the queue's lifetime.
-    pub fn popped_total(&self) -> u64 {
-        self.popped
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Facade
-// ---------------------------------------------------------------------------
-
-// One `EventQueue` exists per experiment and lives on the stack for the
-// whole run; the wheel's inline slot/bitmap state dwarfs the heap variant
-// but is never copied, so the size skew is irrelevant here.
-#[allow(clippy::large_enum_variant)]
-enum Backend<E> {
-    Wheel(WheelQueue<E>),
-    Heap(HeapQueue<E>),
-}
-
-/// A deterministic priority queue of future events.
-///
-/// Events at equal times fire in insertion order, making every simulation
-/// replayable bit-for-bit — on either backend (see [`SchedulerKind`]).
-pub struct EventQueue<E> {
-    backend: Backend<E>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::with_kind(SchedulerKind::default())
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default backend (the timing wheel,
-    /// unless the `heap-sched` feature is enabled).
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Creates an empty queue on the given backend.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
-        EventQueue {
-            backend: match kind {
-                SchedulerKind::Wheel => Backend::Wheel(WheelQueue::new()),
-                SchedulerKind::Heap => Backend::Heap(HeapQueue::new()),
-            },
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> SchedulerKind {
-        match &self.backend {
-            Backend::Wheel(_) => SchedulerKind::Wheel,
-            Backend::Heap(_) => SchedulerKind::Heap,
-        }
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.schedule(at, event),
-            Backend::Heap(q) => q.schedule(at, event),
-        }
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.pop(),
-            Backend::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Fire time of the earliest pending event.
-    ///
-    /// Takes `&mut self`: the wheel backend may advance its cursor (and
-    /// cascade slots) to locate the minimum — pending events and their
-    /// order are unaffected.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.peek_time(),
-            Backend::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Pops the earliest event if it fires at or before `until` (the
-    /// driver loop's one-call fast path).
-    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(q) => q.pop_until(until),
-            Backend::Heap(q) => q.pop_until(until),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(q) => q.len(),
-            Backend::Heap(q) => q.len(),
-        }
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events scheduled over the queue's lifetime.
-    pub fn scheduled_total(&self) -> u64 {
-        match &self.backend {
-            Backend::Wheel(q) => q.scheduled_total(),
-            Backend::Heap(q) => q.scheduled_total(),
-        }
-    }
-
     /// Total events popped over the queue's lifetime (what an experiment
     /// reports as events processed).
     pub fn popped_total(&self) -> u64 {
-        match &self.backend {
-            Backend::Wheel(q) => q.popped_total(),
-            Backend::Heap(q) => q.popped_total(),
-        }
+        self.popped
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("kind", &self.kind().label())
             .field("pending", &self.len())
             .field("scheduled_total", &self.scheduled_total())
             .finish()
@@ -702,93 +445,73 @@ mod tests {
         }
     }
 
-    fn both_kinds() -> [SchedulerKind; 2] {
-        [SchedulerKind::Wheel, SchedulerKind::Heap]
-    }
-
     #[test]
     fn events_fire_in_time_order() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_millis(30), 3);
-            q.schedule(SimTime::from_millis(10), 1);
-            q.schedule(SimTime::from_millis(20), 2);
-            let mut w = Recorder { seen: vec![] };
-            run_until_idle(&mut w, &mut q);
-            // Event 1 at t=10 chains event 10 at t=15 (before 2 at t=20) and
-            // event 11 at t=100.
-            let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(evs, vec![1, 10, 2, 3, 11], "{}", kind.label());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), 3);
+        q.schedule(SimTime::from_millis(10), 1);
+        q.schedule(SimTime::from_millis(20), 2);
+        let mut w = Recorder { seen: vec![] };
+        run_until_idle(&mut w, &mut q);
+        // Event 1 at t=10 chains event 10 at t=15 (before 2 at t=20) and
+        // event 11 at t=100.
+        let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(evs, vec![1, 10, 2, 3, 11]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            // Values ≥ 100 so no chaining kicks in.
-            for i in 100..150 {
-                q.schedule(SimTime::from_millis(7), i);
-            }
-            let mut w = Recorder { seen: vec![] };
-            run_until_idle(&mut w, &mut q);
-            let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
-            assert_eq!(evs, (100..150).collect::<Vec<_>>(), "{}", kind.label());
+        let mut q = EventQueue::new();
+        // Values ≥ 100 so no chaining kicks in.
+        for i in 100..150 {
+            q.schedule(SimTime::from_millis(7), i);
         }
+        let mut w = Recorder { seen: vec![] };
+        run_until_idle(&mut w, &mut q);
+        let evs: Vec<u32> = w.seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(evs, (100..150).collect::<Vec<_>>());
     }
 
     #[test]
     fn run_respects_horizon() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_secs(1), 2);
-            q.schedule(SimTime::from_secs(10), 3);
-            let mut w = Recorder { seen: vec![] };
-            let last = run(&mut w, &mut q, SimTime::from_secs(5));
-            assert_eq!(w.seen.len(), 1);
-            assert_eq!(last, SimTime::from_secs(1));
-            assert_eq!(q.len(), 1, "late event remains queued");
-            assert_eq!(q.popped_total(), 1);
-            assert_eq!(q.scheduled_total(), 2);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), 2);
+        q.schedule(SimTime::from_secs(10), 3);
+        let mut w = Recorder { seen: vec![] };
+        let last = run(&mut w, &mut q, SimTime::from_secs(5));
+        assert_eq!(w.seen.len(), 1);
+        assert_eq!(last, SimTime::from_secs(1));
+        assert_eq!(q.len(), 1, "late event remains queued");
+        assert_eq!(q.popped_total(), 1);
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
     fn empty_queue_returns_zero() {
-        for kind in both_kinds() {
-            let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-            let mut w = Recorder { seen: vec![] };
-            assert_eq!(run_until_idle(&mut w, &mut q), SimTime::ZERO);
-            assert!(q.is_empty());
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut w = Recorder { seen: vec![] };
+        assert_eq!(run_until_idle(&mut w, &mut q), SimTime::ZERO);
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn determinism_across_runs_and_backends() {
-        let build = |kind| {
-            let mut q = EventQueue::with_kind(kind);
+    fn determinism_across_runs() {
+        let run_once = || {
+            let mut q = EventQueue::new();
             q.schedule(SimTime::from_millis(1), 1);
             q.schedule(SimTime::from_millis(1), 2);
             q.schedule(SimTime::from_millis(2), 3);
-            q
-        };
-        let mut runs = Vec::new();
-        for kind in [
-            SchedulerKind::Wheel,
-            SchedulerKind::Wheel,
-            SchedulerKind::Heap,
-        ] {
             let mut w = Recorder { seen: vec![] };
-            run_until_idle(&mut w, &mut build(kind));
-            runs.push(w.seen);
-        }
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2], "wheel and heap must agree");
+            run_until_idle(&mut w, &mut q);
+            w.seen
+        };
+        assert_eq!(run_once(), run_once());
     }
 
     #[test]
     fn far_future_and_equal_time_bursts() {
-        // Crosses several wheel levels, including the top one.
+        // Crosses several wheel levels, including the top one. Times are
+        // non-decreasing, so (time, seq) order is insertion order.
         let times: Vec<u64> = vec![
             0,
             1,
@@ -803,38 +526,27 @@ mod tests {
             u64::MAX >> 1,      // deep into the top level
             u64::MAX - 1,
         ];
-        let mut wheel = EventQueue::with_kind(SchedulerKind::Wheel);
-        let mut heap = EventQueue::with_kind(SchedulerKind::Heap);
+        let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            wheel.schedule(SimTime::from_nanos(t), i as u32);
-            heap.schedule(SimTime::from_nanos(t), i as u32);
+            q.schedule(SimTime::from_nanos(t), i as u32);
         }
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            assert_eq!(
-                a.as_ref().map(|(t, e)| (*t, *e)),
-                b.as_ref().map(|(t, e)| (*t, *e))
-            );
-            if a.is_none() {
-                break;
-            }
+        for (i, &t) in times.iter().enumerate() {
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(t), i as u32)));
         }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn scheduling_into_the_past_fires_immediately() {
-        for kind in both_kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_secs(10), 1);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(1));
-            // Cursor (wheel) is now at t=10 s; a smaller time must still
-            // surface, first.
-            q.schedule(SimTime::from_secs(20), 2);
-            q.schedule(SimTime::from_secs(5), 3);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(3), "{}", kind.label());
-            assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(10), 1);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        // The cursor is now at t=10 s; a smaller time must still surface,
+        // first.
+        q.schedule(SimTime::from_secs(20), 2);
+        q.schedule(SimTime::from_secs(5), 3);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(3));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
     }
 
     /// Layout contract of the pooled wheel: a slot stores (and the
@@ -843,11 +555,11 @@ mod tests {
     /// keeps the scheduler's per-event cost independent of `E`.
     #[test]
     fn wheel_slot_entries_stay_small() {
-        assert_eq!(WheelQueue::<u64>::slot_entry_size(), 24);
+        assert_eq!(EventQueue::<u64>::slot_entry_size(), 24);
         // The key size must not scale with the payload.
         assert_eq!(
-            WheelQueue::<[u8; 512]>::slot_entry_size(),
-            WheelQueue::<u8>::slot_entry_size()
+            EventQueue::<[u8; 512]>::slot_entry_size(),
+            EventQueue::<u8>::slot_entry_size()
         );
     }
 
@@ -855,7 +567,7 @@ mod tests {
     /// reuses the same hot cells instead of growing the slab.
     #[test]
     fn slab_cells_are_recycled() {
-        let mut q: WheelQueue<u64> = WheelQueue::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
         for round in 0..100u64 {
             q.schedule(SimTime::from_millis(round + 1), round);
             let _ = q.pop();
@@ -889,7 +601,7 @@ mod tests {
     fn wheel_interleaves_sub_tick_times_exactly() {
         // Two events inside one tick (2^TICK_SHIFT ns), scheduled while
         // the first is being handled: order must be by exact nanosecond.
-        let mut q = EventQueue::with_kind(SchedulerKind::Wheel);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(2000), 1);
         q.schedule(SimTime::from_nanos(2500), 2);
         let (t, e) = q.pop().unwrap();

@@ -7,10 +7,8 @@
 //! * [`SimTime`]/[`SimDuration`] — nanosecond virtual clock;
 //! * [`EventQueue`]/[`Scheduler`]/[`run`] — the kernel: a total order over
 //!   events with deterministic tie-breaking, and a driver loop over a
-//!   user-provided [`World`]. Two interchangeable backends implement the
-//!   order ([`SchedulerKind`]): a hierarchical timing wheel (near-O(1),
-//!   the default) and the original binary heap, kept as the
-//!   differential-testing reference;
+//!   user-provided [`World`]. The queue is a hierarchical timing wheel
+//!   (near-O(1) schedule/pop);
 //! * [`LatencyModel`] — per-channel-class delivery latencies (data path,
 //!   control link, state link, peer link) with optional deterministic
 //!   jitter;
@@ -68,9 +66,7 @@ mod shard;
 mod time;
 
 pub use bandwidth::BandwidthModel;
-pub use event::{
-    run, run_until_idle, EventQueue, HeapQueue, Scheduler, SchedulerKind, WheelQueue, World,
-};
+pub use event::{run, run_until_idle, EventQueue, Scheduler, World};
 pub use latency::{ChannelClass, LatencyModel};
 pub use link::{LinkId, LinkState};
 pub use metrics::{Histogram, Log2Histogram, MetricsSink, TimeSeries, LOG2_BUCKETS};

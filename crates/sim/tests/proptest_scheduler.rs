@@ -1,12 +1,49 @@
 //! Differential property test: the timing-wheel scheduler pops the exact
-//! same `(time, seq, event)` sequence as the retained `BinaryHeap`
-//! reference under arbitrary schedules — equal-time bursts, sub-tick
+//! same `(time, seq, event)` sequence as the `BinaryHeap` reference model
+//! below under arbitrary schedules — equal-time bursts, sub-tick
 //! spacings, day-scale horizons and far-future (top-level) times
 //! included, with pops interleaved between schedules so the wheel's
 //! cursor advances mid-stream.
 
-use lazyctrl_sim::{EventQueue, SchedulerKind, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use lazyctrl_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
+
+/// The reference model: a min-heap on `(time, insertion seq)`. This was
+/// the simulator's first scheduler; the wheel replaced it and must keep
+/// popping exactly what it pops.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    scheduled: u64,
+    popped: u64,
+}
+
+impl HeapModel {
+    fn schedule(&mut self, at: SimTime, event: u32) {
+        self.heap.push(Reverse((at, self.scheduled, event)));
+        self.scheduled += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, u32)> {
+        let &Reverse((at, ..)) = self.heap.peek()?;
+        if at > until {
+            return None;
+        }
+        self.popped += 1;
+        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -14,7 +51,7 @@ enum Op {
     Schedule(u64),
     /// Schedule a burst of events at the same time (tie-break stress).
     Burst(u64, u8),
-    /// Pop up to `n` events, comparing the two backends pop by pop.
+    /// Pop up to `n` events, comparing wheel and model pop by pop.
     Pop(u8),
     /// Pop up to `n` events bounded by a horizon (the driver loop's
     /// `pop_until` fast path).
@@ -42,8 +79,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 fn drive(ops: &[Op]) {
-    let mut wheel: EventQueue<u32> = EventQueue::with_kind(SchedulerKind::Wheel);
-    let mut heap: EventQueue<u32> = EventQueue::with_kind(SchedulerKind::Heap);
+    let mut wheel: EventQueue<u32> = EventQueue::new();
+    let mut heap = HeapModel::default();
     let mut next_event = 0u32;
     for op in ops {
         match *op {
@@ -63,7 +100,7 @@ fn drive(ops: &[Op]) {
                 for _ in 0..n {
                     let a = wheel.pop();
                     let b = heap.pop();
-                    assert_eq!(a, b, "backends diverged mid-stream");
+                    assert_eq!(a, b, "wheel and heap model diverged mid-stream");
                     if a.is_none() {
                         break;
                     }
@@ -74,7 +111,7 @@ fn drive(ops: &[Op]) {
                 for _ in 0..n {
                     let a = wheel.pop_until(until);
                     let b = heap.pop_until(until);
-                    assert_eq!(a, b, "backends diverged under a horizon");
+                    assert_eq!(a, b, "wheel and heap model diverged under a horizon");
                     if a.is_none() {
                         break;
                     }
@@ -87,13 +124,13 @@ fn drive(ops: &[Op]) {
     loop {
         let a = wheel.pop();
         let b = heap.pop();
-        assert_eq!(a, b, "backends diverged in the drain");
+        assert_eq!(a, b, "wheel and heap model diverged in the drain");
         if a.is_none() {
             break;
         }
     }
-    assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-    assert_eq!(wheel.popped_total(), heap.popped_total());
+    assert_eq!(wheel.scheduled_total(), heap.scheduled);
+    assert_eq!(wheel.popped_total(), heap.popped);
 }
 
 proptest! {
