@@ -7,14 +7,6 @@
 //! "predictable and controllable by space-time trade-offs" — this crate
 //! exposes exactly those controls.
 //!
-//! Two variants are provided:
-//!
-//! * [`BloomFilter`] — the classic bit-array filter that goes on the wire in
-//!   `GfibUpdate` messages;
-//! * [`CountingBloomFilter`] — a counter-based variant the *owning* switch
-//!   maintains so that host removals (VM migration/teardown) can be
-//!   reflected without rebuilding, exported as a plain filter on demand.
-//!
 //! Hashing is deterministic (FNV-1a seeds + splitmix64 finalizer, combined
 //! with Kirsch–Mitzenmacher double hashing) so that a filter built on one
 //! simulated switch and queried on another behaves identically — and so the
@@ -34,10 +26,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counting;
 mod hashing;
 
-pub use counting::CountingBloomFilter;
 pub use hashing::{base_hashes, IndexIter};
 
 use serde::{Deserialize, Serialize};

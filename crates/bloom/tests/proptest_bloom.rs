@@ -1,6 +1,6 @@
 //! Property tests for the Bloom-filter invariants the G-FIB relies on.
 
-use lazyctrl_bloom::{BloomFilter, CountingBloomFilter};
+use lazyctrl_bloom::BloomFilter;
 use proptest::prelude::*;
 
 proptest! {
@@ -51,44 +51,6 @@ proptest! {
         a.union_with(&b);
         for k in a_keys.iter().chain(&b_keys) {
             prop_assert!(a.contains(k));
-        }
-    }
-
-    /// Counting filter: removals of distinct inserted keys never disturb the
-    /// keys that remain (no false negatives among survivors).
-    #[test]
-    fn counting_removal_preserves_survivors(
-        keys in proptest::collection::hash_set(proptest::collection::vec(any::<u8>(), 1..12), 2..100),
-        split in any::<prop::sample::Index>(),
-    ) {
-        let keys: Vec<_> = keys.into_iter().collect();
-        let cut = 1 + split.index(keys.len() - 1);
-        let (gone, kept) = keys.split_at(cut);
-        let mut cbf = CountingBloomFilter::with_capacity(keys.len() as u64, 0.01);
-        for k in &keys {
-            cbf.insert(k);
-        }
-        for k in gone {
-            prop_assert!(cbf.remove(k));
-        }
-        for k in kept {
-            prop_assert!(cbf.contains(k), "survivor lost after removals");
-        }
-    }
-
-    /// The exported snapshot agrees with the counting filter on inserted
-    /// membership.
-    #[test]
-    fn export_preserves_membership(
-        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..12), 1..80),
-    ) {
-        let mut cbf = CountingBloomFilter::with_capacity(keys.len() as u64, 0.01);
-        for k in &keys {
-            cbf.insert(k);
-        }
-        let bf = cbf.to_bloom();
-        for k in &keys {
-            prop_assert!(bf.contains(k));
         }
     }
 

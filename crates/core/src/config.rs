@@ -126,16 +126,10 @@ pub struct ExperimentConfig {
     /// default) runs the original single-threaded engine; `Some(n)` — n
     /// included `Some(1)` — runs the conservative sharded engine with
     /// `n` workers. Sharded reports are bit-identical across worker
-    /// counts (for a fixed shard count and window) but are a *different*
-    /// deterministic run than the single-threaded engine: the world is
-    /// split into partitions with independent RNG streams (see
-    /// DESIGN.md §10).
+    /// counts (for a fixed window) but are a *different* deterministic
+    /// run than the single-threaded engine: the world is split into
+    /// partitions with independent RNG streams (see DESIGN.md §10).
     pub workers: Option<usize>,
-    /// Partition count for the sharded engine (`None` = default 16,
-    /// capped at the switch count). Results depend on this number, so it
-    /// is deliberately decoupled from `workers`: changing the thread
-    /// count never changes reports.
-    pub shards: Option<usize>,
     /// Synchronization window for the sharded engine, in microseconds.
     /// `None` (the default) uses the model's cross-partition lookahead
     /// floor, which keeps event timing exact; larger values trade
@@ -173,7 +167,6 @@ impl ExperimentConfig {
             sgi_parallelism: 1,
             obs: ObsConfig::default(),
             workers: None,
-            shards: None,
             shard_window_us: None,
         }
     }
@@ -256,12 +249,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the sharded engine's partition count.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = Some(n);
-        self
-    }
-
     /// Sets the sharded engine's synchronization window (µs). Values
     /// above the lookahead floor relax cross-partition event timing.
     pub fn with_shard_window_us(mut self, us: u64) -> Self {
@@ -313,18 +300,10 @@ impl ExperimentConfig {
         if let Some(w) = self.workers {
             assert!(w > 0, "workers must be positive");
         }
-        if let Some(s) = self.shards {
-            assert!(
-                s > 0 && s < usize::from(u16::MAX),
-                "shards must be in 1..65535"
-            );
-        }
-        if self.workers.is_none() {
-            assert!(
-                self.shards.is_none() && self.shard_window_us.is_none(),
-                "shards/shard_window_us require the sharded engine (set workers)"
-            );
-        }
+        assert!(
+            self.workers.is_some() || self.shard_window_us.is_none(),
+            "shard_window_us requires the sharded engine (set workers)"
+        );
         self.plan.validate();
         if self.cluster_controllers.is_none() {
             assert!(

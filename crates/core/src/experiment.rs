@@ -1,7 +1,7 @@
 //! The experiment driver: trace in, report out.
 
 use lazyctrl_obs::{EngineProfile, FlightRecorder, ObsConfig, PhaseTimings, RecorderStats};
-use lazyctrl_sim::{run, EventQueue, SimDuration, SimTime};
+use lazyctrl_sim::{run, EventQueue, SimDuration, SimTime, TimeSeries};
 use lazyctrl_trace::Trace;
 use std::time::Instant;
 
@@ -126,49 +126,17 @@ impl Experiment {
         let run_s = (t_report - t_run).as_secs_f64();
 
         // ---- Collect ----
-        let bucket_hours = world.cfg.bucket_hours;
-        let series = |name: &str| -> Vec<SeriesPoint> {
-            world
-                .metrics
-                .series(name)
-                .map(|s| {
-                    s.rates()
-                        .into_iter()
-                        .map(|(t, v)| SeriesPoint {
-                            hour: t.as_secs_f64() / 3600.0,
-                            value: v,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
+        let series = |name: &str, read: fn(&TimeSeries) -> Vec<(SimTime, f64)>| {
+            let points = world.metrics.series(name).map(read).unwrap_or_default();
+            let to_point = |(t, value): (SimTime, f64)| SeriesPoint {
+                hour: t.as_secs_f64() / 3600.0,
+                value,
+            };
+            points.into_iter().map(to_point).collect::<Vec<_>>()
         };
-        let workload_rps = series("workload");
-        let latency_ms: Vec<SeriesPoint> = world
-            .metrics
-            .series("latency_ms")
-            .map(|s| {
-                s.means()
-                    .into_iter()
-                    .map(|(t, v)| SeriesPoint {
-                        hour: t.as_secs_f64() / 3600.0,
-                        value: v,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let updates_per_hour: Vec<SeriesPoint> = world
-            .metrics
-            .series("regroup_updates")
-            .map(|s| {
-                s.sums()
-                    .into_iter()
-                    .map(|(t, v)| SeriesPoint {
-                        hour: t.as_secs_f64() / 3600.0,
-                        value: v,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let workload_rps = series("workload", TimeSeries::rates);
+        let latency_ms = series("latency_ms", TimeSeries::means);
+        let updates_per_hour = series("regroup_updates", TimeSeries::sums);
         let lat_hist = world.metrics.log2_histogram("latency_all_ms");
         let mean_latency_ms = lat_hist.and_then(|h| h.mean()).unwrap_or(0.0);
         let p99_latency_ms = lat_hist.and_then(|h| h.quantile(0.99)).unwrap_or(0.0);
@@ -244,7 +212,6 @@ impl Experiment {
             }
         });
 
-        let _ = bucket_hours;
         let report = ExperimentReport {
             mode: mode.label().to_owned(),
             trace: trace_name,

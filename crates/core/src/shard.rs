@@ -10,7 +10,7 @@
 //! plus any switches whose group hashes there; the measured event mix is
 //! ~95% switch-subsystem, so the hub's serial share stays small.
 //!
-//! Shard count is fixed by configuration (default 16), deliberately
+//! Shard count is a constant ([`DEFAULT_SHARDS`]), deliberately
 //! independent of the worker-thread count: results are a function of the
 //! layout, threads only change wall clock.
 
@@ -24,9 +24,9 @@ use lazyctrl_sim::{
 
 use crate::world::{AnyController, DataCenterWorld, Ev};
 
-/// Default shard count when `cfg.shards` is unset. Chosen to leave
-/// headroom over common core counts while keeping per-partition state
-/// (topology + link clones) modest.
+/// Switch partitions per sharded run (capped at the switch count).
+/// Chosen to leave headroom over common core counts while keeping
+/// per-partition state (topology + link clones) modest.
 const DEFAULT_SHARDS: usize = 16;
 
 /// Outcome of a sharded run, post-merge.
@@ -161,11 +161,7 @@ pub(crate) fn run_sharded_experiment(
     workers: usize,
 ) -> ShardedRun {
     let num_switches = world.trace.topology.num_switches;
-    let shards = world
-        .cfg
-        .shards
-        .unwrap_or(DEFAULT_SHARDS)
-        .min(num_switches.max(1));
+    let shards = DEFAULT_SHARDS.min(num_switches.max(1));
     let window = world
         .cfg
         .shard_window_us

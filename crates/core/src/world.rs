@@ -248,13 +248,17 @@ impl AnyController {
         }
     }
 
-    fn service_time_ns(&self, now_ns: u64) -> u64 {
-        match self {
-            AnyController::Baseline(c) => c.meter().service_time_ns(now_ns),
-            AnyController::Lazy(c) => c.meter().service_time_ns(now_ns),
-            // Unused: the cluster path computes per-member service times.
-            AnyController::Cluster(_) => 0,
-        }
+    /// The sender's current service time (M/M/1-style, load dependent):
+    /// the single controller's, or cluster member `member`'s.
+    fn service_time(&self, member: Option<u32>, now: SimTime) -> SimDuration {
+        let now_ns = now.as_nanos();
+        SimDuration::from_nanos(match (self, member) {
+            (AnyController::Baseline(c), _) => c.meter().service_time_ns(now_ns),
+            (AnyController::Lazy(c), _) => c.meter().service_time_ns(now_ns),
+            (AnyController::Cluster(plane), Some(m)) => plane.service_time_ns(m, now_ns),
+            // A cluster has no single controller; its outputs name their member.
+            (AnyController::Cluster(_), None) => 0,
+        })
     }
 
     pub(crate) fn lazy(&self) -> Option<&LazyController> {
@@ -574,16 +578,10 @@ impl DataCenterWorld {
             return;
         }
         let ms = (now.as_nanos() - emit_ns) as f64 / 1e6;
-        if let Some(obs) = &mut self.obs {
-            obs.recorder.record(
-                now.as_nanos(),
-                mac_pair_trace_id(frame.src, frame.dst),
-                tk::FRAME_DELIVERED,
-                ts::SWITCH,
-                0,
-                0,
-            );
-        }
+        self.trace(now, || {
+            let id = mac_pair_trace_id(frame.src, frame.dst);
+            (id, tk::FRAME_DELIVERED, ts::SWITCH, 0, 0)
+        });
         self.metrics
             .series_mut("latency_ms", self.workload_bucket)
             .record(now, ms);
@@ -598,6 +596,43 @@ impl DataCenterWorld {
                     .push(((s as u32, d as u32, emit_ns), ms));
             }
         }
+    }
+
+    /// Writes one flight-recorder record at `now` — `(trace id, kind,
+    /// subsystem, a, b)` — building it only when tracing is on, so the
+    /// untraced path never computes a trace id.
+    fn trace(&mut self, now: SimTime, record: impl FnOnce() -> (u64, u16, u16, u32, u32)) {
+        if let Some(obs) = &mut self.obs {
+            let (trace_id, kind, subsys, a, b) = record();
+            obs.recorder
+                .record(now.as_nanos(), trace_id, kind, subsys, a, b);
+        }
+    }
+
+    /// The link gate (DESIGN §7.5): what `link` does to one message sent
+    /// at `now`. `None` when the link drops it, otherwise its delivery
+    /// delay. The order is part of the determinism contract — both draws
+    /// come from one RNG stream, and a dropped message costs nothing
+    /// further: reachability and the loss draw, then the trace record
+    /// (delivered messages only), then the latency draw, then the
+    /// bandwidth watermark — charged, and `wire_len` evaluated, only on a
+    /// capacitated class.
+    fn transmit(
+        &mut self,
+        now: SimTime,
+        link: LinkId,
+        wire_len: impl FnOnce() -> usize,
+        record: impl FnOnce() -> (u64, u16, u16, u32, u32),
+    ) -> Option<SimDuration> {
+        if !self.links.delivers(link, &mut self.rng) {
+            return None;
+        }
+        self.trace(now, record);
+        let mut delay = self.latency.sample(link.class, &mut self.rng);
+        if self.bandwidth.class_enabled(link.class) {
+            delay += self.bandwidth.delay(link, wire_len() as u64, now);
+        }
+        Some(delay)
     }
 
     /// Drains the switch scratch sink: schedule deliveries with channel
@@ -615,94 +650,38 @@ impl DataCenterWorld {
             match out {
                 SwitchOutput::ToController(msg) => {
                     let link = LinkId::new(from.0, SwitchId::CONTROLLER.0, ChannelClass::Control);
-                    if self.links.delivers(link, &mut self.rng) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                message_trace_id(&msg),
-                                to_controller_kind(&msg),
-                                ts::SWITCH,
-                                from.0,
-                                0,
-                            );
-                        }
-                        let mut delay = self.latency.sample(ChannelClass::Control, &mut self.rng);
-                        if self.bandwidth.class_enabled(ChannelClass::Control) {
-                            delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
-                        }
+                    let record = || {
+                        let (id, kind) = (message_trace_id(&msg), to_controller_kind(&msg));
+                        (id, kind, ts::SWITCH, from.0, 0)
+                    };
+                    if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
                         self.route_to_hub(now, delay, Ev::MsgToController { from, msg }, sched);
                     }
                 }
                 SwitchOutput::ToState(msg) => {
                     let link = LinkId::new(from.0, SwitchId::CONTROLLER.0, ChannelClass::State);
-                    if self.links.delivers(link, &mut self.rng) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                0,
-                                tk::MSG_TO_CONTROLLER,
-                                ts::SWITCH,
-                                from.0,
-                                1,
-                            );
-                        }
-                        let mut delay = self.latency.sample(ChannelClass::State, &mut self.rng);
-                        if self.bandwidth.class_enabled(ChannelClass::State) {
-                            delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
-                        }
+                    let record = || (0, tk::MSG_TO_CONTROLLER, ts::SWITCH, from.0, 1);
+                    if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
                         self.route_to_hub(now, delay, Ev::MsgToController { from, msg }, sched);
                     }
                 }
                 SwitchOutput::ToPeer(to, msg) => {
                     let link = LinkId::new(from.0, to.0, ChannelClass::Peer);
-                    if self.links.delivers(link, &mut self.rng) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                0,
-                                tk::MSG_TO_SWITCH,
-                                ts::SWITCH,
-                                from.0,
-                                to.0,
-                            );
-                        }
-                        let mut delay = self.latency.sample(ChannelClass::Peer, &mut self.rng);
-                        if self.bandwidth.class_enabled(ChannelClass::Peer) {
-                            delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
-                        }
-                        self.route_to_switch(
-                            now,
-                            delay,
-                            to,
-                            Ev::MsgToSwitch { to, from, msg },
-                            sched,
-                        );
+                    let record = || (0, tk::MSG_TO_SWITCH, ts::SWITCH, from.0, to.0);
+                    if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
+                        let ev = Ev::MsgToSwitch { to, from, msg };
+                        self.route_to_switch(now, delay, to, ev, sched);
                     }
                 }
                 SwitchOutput::Tunnel(to, packet) => {
                     let link = LinkId::new(from.0, to.0, ChannelClass::Data);
-                    if self.links.delivers(link, &mut self.rng) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                mac_pair_trace_id(packet.inner.src, packet.inner.dst),
-                                tk::TUNNEL_SENT,
-                                ts::SWITCH,
-                                from.0,
-                                to.0,
-                            );
-                        }
-                        let mut delay = self.latency.sample(ChannelClass::Data, &mut self.rng);
-                        if self.bandwidth.class_enabled(ChannelClass::Data) {
-                            delay += self.bandwidth.delay(link, packet.wire_len() as u64, now);
-                        }
-                        self.route_to_switch(
-                            now,
-                            delay,
-                            to,
-                            Ev::TunnelArrive { to, packet },
-                            sched,
-                        );
+                    let record = || {
+                        let id = mac_pair_trace_id(packet.inner.src, packet.inner.dst);
+                        (id, tk::TUNNEL_SENT, ts::SWITCH, from.0, to.0)
+                    };
+                    if let Some(delay) = self.transmit(now, link, || packet.wire_len(), record) {
+                        let ev = Ev::TunnelArrive { to, packet };
+                        self.route_to_switch(now, delay, to, ev, sched);
                     }
                 }
                 SwitchOutput::DeliverLocal(_port, frame) => {
@@ -827,43 +806,50 @@ impl DataCenterWorld {
         );
     }
 
+    /// Sends a control-plane message down the control link to switch `to`:
+    /// from the single controller (`member` = `None`), or from one cluster
+    /// member. It leaves after the sender's current `service` time.
+    fn send_to_switch(
+        &mut self,
+        now: SimTime,
+        member: Option<u32>,
+        service: SimDuration,
+        to: SwitchId,
+        msg: Message,
+        sched: &mut Scheduler<'_, Ev>,
+    ) {
+        // A cluster member sends from its own pseudo-id, not the
+        // CONTROLLER sentinel: a partition that cuts this member off from
+        // the switch must also cut its FlowMods, or the minority side
+        // would keep programming switches it can no longer hear.
+        let (sender, subsys) = match member {
+            Some(m) => (ctrl_pseudo_switch(m), ts::CLUSTER),
+            None => (SwitchId::CONTROLLER, ts::CONTROLLER),
+        };
+        let link = LinkId::new(sender.0, to.0, ChannelClass::Control);
+        let record = || {
+            let (id, kind) = (message_trace_id(&msg), to_switch_kind(&msg));
+            (id, kind, subsys, to.0, member.unwrap_or(0))
+        };
+        if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
+            let ev = Ev::MsgToSwitch {
+                to,
+                from: SwitchId::CONTROLLER,
+                msg,
+            };
+            self.route_to_switch(now, service + delay, to, ev, sched);
+        }
+    }
+
     fn dispatch_controller_outputs(&mut self, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         // Model controller processing: outputs leave after the current
-        // service time (M/M/1-style, load dependent).
-        let service = SimDuration::from_nanos(self.controller.service_time_ns(now.as_nanos()));
+        // service time, the same for the whole batch.
+        let service = self.controller.service_time(None, now);
         let mut buf = self.ctrl_sink.take_buf();
         for out in buf.drain(..) {
             match out {
                 ControllerOutput::ToSwitch(to, msg) => {
-                    let link = LinkId::new(SwitchId::CONTROLLER.0, to.0, ChannelClass::Control);
-                    if self.links.delivers(link, &mut self.rng) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                message_trace_id(&msg),
-                                to_switch_kind(&msg),
-                                ts::CONTROLLER,
-                                to.0,
-                                0,
-                            );
-                        }
-                        let mut delay =
-                            service + self.latency.sample(ChannelClass::Control, &mut self.rng);
-                        if self.bandwidth.class_enabled(ChannelClass::Control) {
-                            delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
-                        }
-                        self.route_to_switch(
-                            now,
-                            delay,
-                            to,
-                            Ev::MsgToSwitch {
-                                to,
-                                from: SwitchId::CONTROLLER,
-                                msg,
-                            },
-                            sched,
-                        );
-                    }
+                    self.send_to_switch(now, None, service, to, msg, sched);
                 }
                 ControllerOutput::SetTimer(timer, delay_ns) => {
                     sched.schedule_in(
@@ -884,74 +870,19 @@ impl DataCenterWorld {
         for out in buf.drain(..) {
             match out {
                 ClusterOutput::ToSwitch { from, to, msg } => {
-                    let AnyController::Cluster(plane) = &self.controller else {
-                        continue;
-                    };
-                    let service =
-                        SimDuration::from_nanos(plane.service_time_ns(from, now.as_nanos()));
-                    // The sending *member's* pseudo-id, not the CONTROLLER
-                    // sentinel: a partition that cuts this member off from
-                    // the switch must also cut its FlowMods, or the
-                    // minority side would keep programming switches it can
-                    // no longer hear.
-                    let link = LinkId::new(ctrl_pseudo_switch(from).0, to.0, ChannelClass::Control);
-                    if self.links.delivers(link, &mut self.rng) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                message_trace_id(&msg),
-                                to_switch_kind(&msg),
-                                ts::CLUSTER,
-                                to.0,
-                                from,
-                            );
-                        }
-                        let mut delay =
-                            service + self.latency.sample(ChannelClass::Control, &mut self.rng);
-                        if self.bandwidth.class_enabled(ChannelClass::Control) {
-                            delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
-                        }
-                        self.route_to_switch(
-                            now,
-                            delay,
-                            to,
-                            Ev::MsgToSwitch {
-                                to,
-                                from: SwitchId::CONTROLLER,
-                                msg,
-                            },
-                            sched,
-                        );
-                    }
+                    let service = self.controller.service_time(Some(from), now);
+                    self.send_to_switch(now, Some(from), service, to, msg, sched);
                 }
                 ClusterOutput::ToCtrl { from, to, msg } => {
-                    let AnyController::Cluster(plane) = &self.controller else {
-                        continue;
-                    };
-                    let service =
-                        SimDuration::from_nanos(plane.service_time_ns(from, now.as_nanos()));
+                    let service = self.controller.service_time(Some(from), now);
                     let link = LinkId::new(
                         ctrl_pseudo_switch(from).0,
                         ctrl_pseudo_switch(to).0,
                         ChannelClass::CtrlPeer,
                     );
-                    if self.links.delivers(link, &mut self.rng) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                0,
-                                tk::CTRL_PEER_SEND,
-                                ts::CLUSTER,
-                                from,
-                                to,
-                            );
-                        }
-                        let mut delay =
-                            service + self.latency.sample(ChannelClass::CtrlPeer, &mut self.rng);
-                        if self.bandwidth.class_enabled(ChannelClass::CtrlPeer) {
-                            delay += self.bandwidth.delay(link, msg.wire_len() as u64, now);
-                        }
-                        sched.schedule_in(now, delay, Ev::CtrlPeerMsg { from, to, msg });
+                    let record = || (0, tk::CTRL_PEER_SEND, ts::CLUSTER, from, to);
+                    if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
+                        sched.schedule_in(now, service + delay, Ev::CtrlPeerMsg { from, to, msg });
                     }
                 }
                 ClusterOutput::SetTimer(timer, delay_ns) => {
@@ -1298,17 +1229,34 @@ impl DataCenterWorld {
         }
     }
 
-    /// Starts one flow — trace arrival or injected burst, both take the
-    /// identical first-packet path (ingress power gate, fresh-pair
-    /// tracking, optional ARP-before-data).
+    /// Starts one flow — trace arrival or injected burst (`arrival`, the
+    /// event that brought it), both take the identical first-packet path
+    /// (owner re-resolution, ingress power gate, fresh-pair tracking,
+    /// optional ARP-before-data).
     fn start_flow(
         &mut self,
         now: SimTime,
         src: HostId,
         dst: HostId,
+        arrival: Ev,
         sched: &mut Scheduler<'_, Ev>,
     ) {
         let at = self.trace.topology.switch_of(src);
+        // The partition map places arrivals by the source host's switch
+        // *at split time*; a later migration can move the host, so
+        // re-resolve and forward to the current owner. The zero-delay
+        // forward lands below the merge floor and is bumped to the epoch
+        // horizon (counted in `ShardStats::bumped_events`), so a migrated
+        // host's flow starts up to one window late — deterministically,
+        // and only for hosts a fault moved across partitions.
+        if !self.owns_switch(at.0) {
+            self.route_to_switch(now, SimDuration::ZERO, at, arrival, sched);
+            return;
+        }
+        self.metrics.count("flows_started", 1);
+        if matches!(arrival, Ev::SyntheticFlow { .. }) {
+            self.metrics.count("burst_flows", 1);
+        }
         let port = self.port_of(src);
         if !self.links.is_node_up(at.0) {
             // Ingress switch is powered off: the flow has nowhere to
@@ -1319,16 +1267,10 @@ impl DataCenterWorld {
         }
         let pair = (src.0.min(dst.0), src.0.max(dst.0));
         let fresh = self.seen_pairs.insert(pair);
-        if let Some(obs) = &mut self.obs {
-            obs.recorder.record(
-                now.as_nanos(),
-                pair_trace_id(src.0 as u64, dst.0 as u64),
-                tk::FLOW_START,
-                ts::WORLD,
-                at.0,
-                port.0 as u32,
-            );
-        }
+        self.trace(now, || {
+            let id = pair_trace_id(src.0 as u64, dst.0 as u64);
+            (id, tk::FLOW_START, ts::WORLD, at.0, port.0 as u32)
+        });
 
         if fresh && self.cfg.emit_arp {
             // Fresh pair: the source ARPs for the destination first.
@@ -1375,16 +1317,7 @@ impl DataCenterWorld {
             let updates = lazy.grouping().updates_applied();
             if updates > self.last_updates_applied {
                 let delta = updates - self.last_updates_applied;
-                if let Some(obs) = &mut self.obs {
-                    obs.recorder.record(
-                        now.as_nanos(),
-                        0,
-                        tk::REGROUP,
-                        ts::CONTROLLER,
-                        delta as u32,
-                        0,
-                    );
-                }
+                self.trace(now, || (0, tk::REGROUP, ts::CONTROLLER, delta as u32, 0));
                 self.metrics
                     .series_mut("regroup_updates", SimDuration::from_secs(3600))
                     .record(now, delta as f64);
@@ -1628,27 +1561,7 @@ impl DataCenterWorld {
         match event {
             Ev::FlowArrival(i) => {
                 let flow = self.trace.flows[i];
-                // The partition map places arrivals by the source host's
-                // switch *at split time*; a later migration can move the
-                // host, so re-resolve and forward to the current owner.
-                // The zero-delay forward lands below the merge floor and
-                // is bumped to the epoch horizon (counted in
-                // `ShardStats::bumped_events`), so a migrated host's
-                // flow starts up to one window late — deterministically,
-                // and only for hosts a fault moved across partitions.
-                let ingress = self.trace.topology.switch_of(flow.src);
-                if !self.owns_switch(ingress.0) {
-                    self.route_to_switch(
-                        now,
-                        SimDuration::ZERO,
-                        ingress,
-                        Ev::FlowArrival(i),
-                        sched,
-                    );
-                    return;
-                }
-                self.metrics.count("flows_started", 1);
-                self.start_flow(now, flow.src, flow.dst, sched);
+                self.start_flow(now, flow.src, flow.dst, Ev::FlowArrival(i), sched);
             }
             Ev::LocalFrame {
                 switch,
@@ -1682,19 +1595,13 @@ impl DataCenterWorld {
                 if !self.links.is_node_up(to.0) {
                     return;
                 }
-                if let Some(obs) = &mut self.obs {
-                    if from == SwitchId::CONTROLLER {
-                        if let Some(OfMessage::FlowMod(_)) = msg.as_of() {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                message_trace_id(&msg),
-                                tk::FLOW_MOD_RECV,
-                                ts::SWITCH,
-                                to.0,
-                                0,
-                            );
-                        }
-                    }
+                if from == SwitchId::CONTROLLER
+                    && matches!(msg.as_of(), Some(OfMessage::FlowMod(_)))
+                {
+                    self.trace(now, || {
+                        let id = message_trace_id(&msg);
+                        (id, tk::FLOW_MOD_RECV, ts::SWITCH, to.0, 0)
+                    });
                 }
                 let sw = self.switches[to.index()]
                     .as_mut()
@@ -1716,16 +1623,10 @@ impl DataCenterWorld {
                     if pi.reason == lazyctrl_proto::PacketInReason::FalsePositive {
                         self.metrics.count("fp_reports", 1);
                     }
-                    if let Some(obs) = &mut self.obs {
-                        obs.recorder.record(
-                            now.as_nanos(),
-                            packet_bytes_trace_id(&pi.data),
-                            tk::PACKET_IN_RECV,
-                            ts::CONTROLLER,
-                            from.0,
-                            pi.reason as u32,
-                        );
-                    }
+                    self.trace(now, || {
+                        let (id, reason) = (packet_bytes_trace_id(&pi.data), pi.reason as u32);
+                        (id, tk::PACKET_IN_RECV, ts::CONTROLLER, from.0, reason)
+                    });
                 }
                 match msg.as_lazy() {
                     Some(LazyMsg::StateReport(_)) => self.metrics.count("state_reports", 1),
@@ -1796,16 +1697,7 @@ impl DataCenterWorld {
                     }
                     Some(lazyctrl_proto::ClusterMsg::OwnershipTransfer(_)) => {
                         self.metrics.count("ownership_transfer_msgs", 1);
-                        if let Some(obs) = &mut self.obs {
-                            obs.recorder.record(
-                                now.as_nanos(),
-                                0,
-                                tk::OWNERSHIP_TRANSFER,
-                                ts::CLUSTER,
-                                from,
-                                to,
-                            );
-                        }
+                        self.trace(now, || (0, tk::OWNERSHIP_TRANSFER, ts::CLUSTER, from, to));
                     }
                     _ => {}
                 }
@@ -1822,23 +1714,7 @@ impl DataCenterWorld {
             }
             Ev::Injected(event) => self.apply_injected(now, event, sched),
             Ev::SyntheticFlow { src, dst } => {
-                // Same owner re-resolution as `FlowArrival`: a migration
-                // may have moved the source host since scheduling (and
-                // the same bump-to-horizon consequence for the forward).
-                let ingress = self.trace.topology.switch_of(src);
-                if !self.owns_switch(ingress.0) {
-                    self.route_to_switch(
-                        now,
-                        SimDuration::ZERO,
-                        ingress,
-                        Ev::SyntheticFlow { src, dst },
-                        sched,
-                    );
-                    return;
-                }
-                self.metrics.count("flows_started", 1);
-                self.metrics.count("burst_flows", 1);
-                self.start_flow(now, src, dst, sched);
+                self.start_flow(now, src, dst, Ev::SyntheticFlow { src, dst }, sched);
             }
             Ev::SwitchTimer { switch, timer } => {
                 // A powered-off switch cannot probe the wheel or sync its
@@ -1927,6 +1803,142 @@ mod tests {
             "Ev grew to {} bytes; check Message and frame layouts",
             size_of::<Ev>()
         );
+    }
+
+    /// A two-switch world with no traffic — all the link gate needs.
+    /// Default latency model (±5 % jitter), so every latency sample is an
+    /// RNG draw the tests below can count.
+    fn gate_world(obs: bool) -> DataCenterWorld {
+        let trace = Trace {
+            name: "gate".to_owned(),
+            topology: lazyctrl_trace::Topology {
+                num_switches: 2,
+                host_switch: vec![SwitchId::new(0), SwitchId::new(1)],
+                host_tenant: vec![TenantId::new(1); 2],
+            },
+            flows: Vec::new(),
+            duration_ns: 0,
+            nominal: Default::default(),
+        };
+        let mut cfg = ExperimentConfig::new(ControlMode::Baseline);
+        if obs {
+            cfg = cfg.with_obs(lazyctrl_obs::ObsConfig::full());
+        }
+        DataCenterWorld::new(trace, cfg)
+    }
+
+    const PEER_LINK: LinkId = LinkId {
+        from: 0,
+        to: 1,
+        class: ChannelClass::Peer,
+    };
+
+    /// A message the link does not carry costs nothing and leaves no
+    /// trace: no latency draw, no bandwidth charge, no record — whether
+    /// the link is down, partitioned (no draw at all), or lossy (the loss
+    /// draw only).
+    #[test]
+    fn gate_drops_without_latency_draw_charge_or_record() {
+        let mut world = gate_world(true);
+        world
+            .bandwidth
+            .set_capacity(ChannelClass::Peer, Some(1_000));
+        let now = SimTime::from_secs(1);
+        let unused_len = || -> usize { panic!("wire_len evaluated for a dropped message") };
+        let unused_record =
+            || -> (u64, u16, u16, u32, u32) { panic!("record evaluated for a dropped message") };
+
+        world.links.set_node_down(1, true);
+        let mut fresh = world.rng.clone();
+        assert_eq!(
+            world.transmit(now, PEER_LINK, unused_len, unused_record),
+            None
+        );
+        world.links.set_node_down(1, false);
+        world.links.set_partition(&[vec![0], vec![1]]);
+        assert_eq!(
+            world.transmit(now, PEER_LINK, unused_len, unused_record),
+            None
+        );
+        world.links.heal_partition();
+        assert_eq!(
+            world.rng.gen::<u64>(),
+            fresh.gen::<u64>(),
+            "an unreachable link must draw nothing"
+        );
+
+        world.links.set_class_loss(ChannelClass::Peer, 1.0);
+        let mut fresh = world.rng.clone();
+        assert_eq!(
+            world.transmit(now, PEER_LINK, unused_len, unused_record),
+            None
+        );
+        assert!(fresh.gen_bool(1.0), "the loss draw");
+        assert_eq!(
+            world.rng.gen::<u64>(),
+            fresh.gen::<u64>(),
+            "a lost message must consume the loss draw and nothing else"
+        );
+
+        let recorder = &world.obs.as_ref().expect("tracing on").recorder;
+        assert_eq!(recorder.recorded(), 0);
+        assert_eq!(world.bandwidth.backlog_ns(PEER_LINK, now), 0);
+    }
+
+    /// The untraced, unmodeled path: exactly one latency draw, and neither
+    /// the wire size nor the trace tuple is ever computed.
+    #[test]
+    fn gate_unmodeled_untraced_path_is_one_latency_draw() {
+        let mut world = gate_world(false);
+        assert!(world.bandwidth.is_unmodeled());
+        // The oracle: the same model sampling from a copy of the same stream.
+        let (oracle, mut fresh) = (world.latency.clone(), world.rng.clone());
+        let delay = world.transmit(
+            SimTime::from_secs(1),
+            PEER_LINK,
+            || panic!("wire_len evaluated on an uncapacitated class"),
+            || panic!("record evaluated with tracing off"),
+        );
+        let sample = oracle.sample(ChannelClass::Peer, &mut fresh);
+        assert_eq!(delay, Some(sample));
+        assert_eq!(world.rng.gen::<u64>(), fresh.gen::<u64>());
+    }
+
+    /// On a capacitated class the delay is the latency sample plus the
+    /// bandwidth model's serialization + queueing delay, a second message
+    /// queues behind the first, and each delivered message leaves exactly
+    /// its own record.
+    #[test]
+    fn gate_charges_bandwidth_and_records_delivered_messages() {
+        let mut world = gate_world(true);
+        // 100 bytes at 1 kB/s serialize in 100 ms.
+        world
+            .bandwidth
+            .set_capacity(ChannelClass::Peer, Some(1_000));
+        let ser = SimDuration::from_millis(100);
+        let now = SimTime::from_secs(1);
+        // The oracle: the same model sampling from a copy of the same stream.
+        let (oracle, mut fresh) = (world.latency.clone(), world.rng.clone());
+        let record = || (7, tk::MSG_TO_SWITCH, ts::SWITCH, 0, 1);
+
+        let first = world.transmit(now, PEER_LINK, || 100, record);
+        let second = world.transmit(now, PEER_LINK, || 100, record);
+        let sample = oracle.sample(ChannelClass::Peer, &mut fresh);
+        assert_eq!(first, Some(sample + ser));
+        let sample = oracle.sample(ChannelClass::Peer, &mut fresh);
+        assert_eq!(second, Some(sample + ser + ser), "queues behind the first");
+        assert_eq!(world.rng.gen::<u64>(), fresh.gen::<u64>());
+
+        let recorder = &world.obs.as_ref().expect("tracing on").recorder;
+        let want = lazyctrl_obs::TraceRecord {
+            t_ns: now.as_nanos(),
+            trace_id: 7,
+            kind: tk::MSG_TO_SWITCH,
+            subsys: ts::SWITCH,
+            a: 0,
+            b: 1,
+        };
+        assert_eq!(recorder.iter().copied().collect::<Vec<_>>(), [want; 2]);
     }
 
     /// Regression for the sharded engine's replicated-RNG lockstep:

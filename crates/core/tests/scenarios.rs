@@ -352,3 +352,68 @@ fn lazyctrl_bench_free_trace() -> lazyctrl_trace::Trace {
     let base = generate(&cfg);
     expand(&base, 0.40, 8.0, 24.0, 11)
 }
+
+// ---- Golden scenario table -------------------------------------------
+//
+// "Bit-identical by contract" as a test: the integer report fields that
+// move on any behaviour change, for every registry scenario at seed 7.
+// Integers only, so the table does not depend on the host's `libm`.
+//
+// Re-base rule: a PR that *means* to change behaviour replaces the rows
+// below with the table this test prints on mismatch and lists old → new
+// in CHANGES.md. A PR that claims "no behaviour change" must pass this
+// test without touching the table.
+
+/// One golden row: scenario name, `events_processed`,
+/// `controller_messages`, `packet_ins`, `delivered_flows`, and the
+/// end-of-run `cluster.state_fingerprint` (0 for a run with no cluster).
+type GoldenRow = (&'static str, u64, u64, u64, u64, u64);
+
+#[rustfmt::skip] // a table: one scenario per line
+const GOLDEN_SEED_7: [GoldenRow; 16] = [
+    ("cold_cache", 28883, 275, 15, 273, 0),
+    ("crash_under_load", 164512, 3119, 72, 32480, 0x1755f81c2602e564),
+    ("crash_recover", 122774, 1967, 72, 19872, 0x32c3aba0bfcd95e0),
+    ("shard_rebalance", 116244, 944, 54, 16182, 0x34f9a36aec12343f),
+    ("peer_sync_storm", 203524, 1656, 103, 16732, 0x811c314407e2c048),
+    ("switch_failure", 820984, 390920, 12, 9141, 0),
+    ("degraded_control_net", 46982, 779, 12, 13986, 0),
+    ("host_migration_storm", 54543, 796, 18, 17430, 0),
+    ("traffic_burst", 47082, 788, 21, 14010, 0),
+    ("partition_split", 219983, 3251, 72, 30226, 0xce8016e1ecf65ffb),
+    ("partition_ctrl_island", 222499, 3119, 72, 32480, 0xea380e650bbe8b42),
+    ("partition_switch_orphan", 175645, 3185, 72, 32480, 0xff3a5d6e22a56519),
+    ("partition_flapping", 225570, 3119, 72, 32480, 0x15c06dcbeaef77fd),
+    ("flow_setup_storm", 144798, 1945, 569, 30972, 0xb39a12df3ecc31a5),
+    ("controller_incast", 124119, 1824, 217, 20320, 0xa5d2d1ac13bb9a99),
+    ("elephant_peer_sync", 206765, 1870, 247, 17920, 0xf3bcf720d702820f),
+];
+
+#[test]
+fn golden_scenario_table_at_seed_7() {
+    let reg = ScenarioRegistry::builtin();
+    let actual: Vec<GoldenRow> = reg
+        .iter()
+        .map(|s| {
+            let r = run_scenario(s, 7).report;
+            (
+                s.name(),
+                r.events_processed,
+                r.controller_messages,
+                r.packet_ins,
+                r.delivered_flows,
+                r.cluster.map_or(0, |c| c.state_fingerprint),
+            )
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, ev, cm, pi, df, fp)| {
+            format!("    ({name:?}, {ev}, {cm}, {pi}, {df}, {fp:#x}),\n")
+        })
+        .collect();
+    assert!(
+        actual == GOLDEN_SEED_7,
+        "scenario reports moved at seed 7; the table now reads:\n{table}"
+    );
+}

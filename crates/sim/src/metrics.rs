@@ -4,10 +4,9 @@
 //! The paper's evaluation reports controller workload in requests/sec per
 //! 2-hour bucket (Fig. 7), grouping updates per hour (Fig. 8), and average
 //! forwarding latency per 2-hour bucket (Fig. 9). [`TimeSeries`] produces
-//! exactly those shapes; [`Histogram`] backs the cold-cache latency numbers.
+//! exactly those shapes; [`Log2Histogram`] backs the latency mean and tails.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -126,131 +125,14 @@ impl TimeSeries {
     }
 }
 
-/// A simple exact histogram of f64 samples (stores all samples; fine at
-/// simulation scale — unbounded-sample hot sites should prefer
-/// [`Log2Histogram`]).
-#[derive(Debug, Serialize, Deserialize, Default)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    /// Lazily built sorted copy backing [`Histogram::quantile`]; valid iff
-    /// its length equals `samples.len()` (a fresh `record` invalidates by
-    /// making the lengths differ). Interior mutability keeps `quantile`
-    /// callable through `&self` while repeat calls cost a binary-search
-    /// index instead of a clone + `O(n log n)` sort each. A `Mutex`
-    /// (never contended: uncontended lock is a single atomic) rather than
-    /// a `RefCell` so sinks stay `Send + Sync` and worker threads can
-    /// read quantiles without data races.
-    sorted: Mutex<Vec<f64>>,
-}
-
-impl Clone for Histogram {
-    fn clone(&self) -> Self {
-        // The cache is derived state; a clone starts with a cold cache.
-        Histogram {
-            samples: self.samples.clone(),
-            sorted: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl PartialEq for Histogram {
-    fn eq(&self, other: &Self) -> bool {
-        // The cache is derived state: identity is the recorded samples.
-        self.samples == other.samples
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN.
-    pub fn record(&mut self, value: f64) {
-        assert!(!value.is_nan(), "cannot record NaN");
-        self.samples.push(value);
-        // Cheap invalidation: only clear a cache that exists (repeated
-        // record bursts between quantile calls pay one branch each).
-        let cache = self.sorted.get_mut().unwrap_or_else(|p| p.into_inner());
-        if !cache.is_empty() {
-            cache.clear();
-        }
-    }
-
-    /// Appends all of `other`'s samples (sharded-run merge). Sample order
-    /// is concatenation order, so merging in a fixed partition order keeps
-    /// the merged histogram deterministic.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        let cache = self.sorted.get_mut().unwrap_or_else(|p| p.into_inner());
-        if !cache.is_empty() {
-            cache.clear();
-        }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank, or `None` when empty.
-    ///
-    /// The samples are sorted once on the first call and the sorted copy
-    /// is cached until the next [`Histogram::record`] — a quantile sweep
-    /// (p50/p95/p99/max in one report) sorts once, not four times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0,1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut cache = self.sorted.lock().unwrap_or_else(|p| p.into_inner());
-        if cache.len() != self.samples.len() {
-            cache.clear();
-            cache.extend_from_slice(&self.samples);
-            cache.sort_by(|a, b| a.partial_cmp(b).expect("no NaN recorded"));
-        }
-        let idx = ((cache.len() - 1) as f64 * q).round() as usize;
-        Some(cache[idx])
-    }
-
-    /// Maximum sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().cloned().reduce(f64::max)
-    }
-}
-
 /// Number of buckets in a [`Log2Histogram`] (power-of-two widths covering
 /// `2^-32 .. 2^32`, i.e. sub-nanosecond to decades at millisecond units).
 pub const LOG2_BUCKETS: usize = 64;
 
 /// A fixed-footprint histogram with power-of-two bucket boundaries.
 ///
-/// Where [`Histogram`] stores every sample (exact quantiles, `O(n)`
-/// memory), this variant folds each sample into one of [`LOG2_BUCKETS`]
-/// buckets keyed by `floor(log2(value))` — constant memory regardless of
+/// Folds each sample into one of [`LOG2_BUCKETS`] buckets keyed by
+/// `floor(log2(value))` instead of storing it — constant memory regardless of
 /// how many samples arrive, which is what unbounded per-event sites (the
 /// 67 M-event paper runs, the engine self-profiler's dispatch timings)
 /// need. The count, sum, min and max are tracked exactly, so
@@ -417,7 +299,6 @@ pub struct MetricsSink {
     /// the common case.
     counters: Vec<(&'static str, u64)>,
     series: BTreeMap<&'static str, TimeSeries>,
-    histograms: BTreeMap<&'static str, Histogram>,
     log2s: BTreeMap<&'static str, Log2Histogram>,
 }
 
@@ -465,19 +346,9 @@ impl MetricsSink {
         self.series.get(name)
     }
 
-    /// Gets (or creates) a named histogram.
-    pub fn histogram_mut(&mut self, name: &'static str) -> &mut Histogram {
-        self.histograms.entry(name).or_default()
-    }
-
-    /// Reads a named histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Gets (or creates) a named fixed-bucket log2 histogram — the
-    /// constant-memory variant for sites recording one sample per event
-    /// (see [`Log2Histogram`]).
+    /// Gets (or creates) a named fixed-bucket histogram — constant
+    /// memory, so fit for sites recording one sample per event (see
+    /// [`Log2Histogram`]).
     pub fn log2_histogram_mut(&mut self, name: &'static str) -> &mut Log2Histogram {
         self.log2s.entry(name).or_default()
     }
@@ -488,8 +359,8 @@ impl MetricsSink {
     }
 
     /// Folds another sink into this one: counters add, series merge
-    /// bucket-wise, exact histograms concatenate samples, log2 histograms
-    /// add bucket counts. Deterministic for a fixed merge order.
+    /// bucket-wise, log2 histograms add bucket counts. Deterministic for
+    /// a fixed merge order.
     ///
     /// # Panics
     ///
@@ -506,9 +377,6 @@ impl MetricsSink {
                 }
             }
         }
-        for (&name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(h);
-        }
         for (&name, h) in &other.log2s {
             self.log2s.entry(name).or_default().merge(h);
         }
@@ -522,11 +390,6 @@ impl MetricsSink {
     /// All named time series, sorted by name.
     pub fn all_series(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
         self.series.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// All named exact histograms, sorted by name.
-    pub fn all_histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(&k, v)| (k, v))
     }
 
     /// All named log2 histograms, sorted by name.
@@ -573,53 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            h.record(v);
-        }
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.mean(), Some(3.0));
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(0.5), Some(3.0));
-        assert_eq!(h.quantile(1.0), Some(5.0));
-        assert_eq!(h.max(), Some(5.0));
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.max(), None);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot record NaN")]
     fn nan_rejected() {
-        Histogram::new().record(f64::NAN);
-    }
-
-    /// The sorted cache must invalidate on record: a quantile read
-    /// followed by more samples followed by another read sees the new
-    /// samples.
-    #[test]
-    fn quantile_cache_invalidates_on_record() {
-        let mut h = Histogram::new();
-        h.record(1.0);
-        h.record(3.0);
-        assert_eq!(h.quantile(1.0), Some(3.0));
-        h.record(10.0);
-        assert_eq!(h.quantile(1.0), Some(10.0));
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        // Equality ignores the cache: a histogram that has sorted and one
-        // that has not compare equal when their samples agree.
-        let mut fresh = Histogram::new();
-        for v in [1.0, 3.0, 10.0] {
-            fresh.record(v);
-        }
-        assert_eq!(h, fresh);
+        Log2Histogram::new().record(f64::NAN);
     }
 
     #[test]
@@ -670,8 +489,8 @@ mod tests {
             .increment(SimTime::from_secs(1));
         assert_eq!(sink.series("workload").unwrap().total(), 1.0);
 
-        sink.histogram_mut("latency").record(0.8);
-        assert_eq!(sink.histogram("latency").unwrap().len(), 1);
+        sink.log2_histogram_mut("latency").record(0.8);
+        assert_eq!(sink.log2_histogram("latency").unwrap().len(), 1);
 
         let names: Vec<&str> = sink.counters().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["packet_in"]);
@@ -686,30 +505,13 @@ mod tests {
     }
 
     /// Worker threads hold (and merge-threads read) metrics across thread
-    /// boundaries, so every metrics type must be `Send + Sync` — the
-    /// quantile cache in particular must not be `RefCell`-backed.
+    /// boundaries, so every metrics type must be `Send + Sync`.
     #[test]
     fn metrics_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TimeSeries>();
-        assert_send_sync::<Histogram>();
         assert_send_sync::<Log2Histogram>();
         assert_send_sync::<MetricsSink>();
-    }
-
-    /// A clone made while the quantile cache is warm still answers
-    /// quantiles correctly (the cache is derived state, not identity).
-    #[test]
-    fn histogram_clone_drops_cache_but_keeps_samples() {
-        let mut h = Histogram::new();
-        for v in [4.0, 1.0, 9.0] {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.5), Some(4.0)); // warm the cache
-        let c = h.clone();
-        assert_eq!(c, h);
-        assert_eq!(c.quantile(0.5), Some(4.0));
-        assert_eq!(c.quantile(1.0), Some(9.0));
     }
 
     #[test]
@@ -732,20 +534,6 @@ mod tests {
     fn series_merge_width_conflict_panics() {
         let mut a = TimeSeries::new(SimDuration::from_secs(1));
         a.merge(&TimeSeries::new(SimDuration::from_secs(2)));
-    }
-
-    #[test]
-    fn histogram_merge_concatenates_and_invalidates() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        assert_eq!(a.quantile(1.0), Some(1.0)); // warm the cache
-        let mut b = Histogram::new();
-        b.record(7.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.quantile(1.0), Some(7.0));
-        assert_eq!(a.quantile(0.0), Some(1.0));
     }
 
     #[test]
@@ -775,7 +563,6 @@ mod tests {
         a.count("flows", 2);
         a.series_mut("workload", SimDuration::from_secs(2))
             .increment(SimTime::from_secs(1));
-        a.histogram_mut("lat").record(1.0);
         a.log2_histogram_mut("ns").record(8.0);
 
         let mut b = MetricsSink::new();
@@ -785,7 +572,6 @@ mod tests {
             .increment(SimTime::from_secs(1));
         b.series_mut("extra", SimDuration::from_secs(1))
             .increment(SimTime::ZERO);
-        b.histogram_mut("lat").record(5.0);
         b.log2_histogram_mut("ns").record(16.0);
 
         a.merge(&b);
@@ -793,7 +579,6 @@ mod tests {
         assert_eq!(a.counter("drops"), 1);
         assert_eq!(a.series("workload").unwrap().total(), 2.0);
         assert_eq!(a.series("extra").unwrap().total(), 1.0);
-        assert_eq!(a.histogram("lat").unwrap().len(), 2);
         assert_eq!(a.log2_histogram("ns").unwrap().len(), 2);
     }
 }

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`net`] | `lazyctrl-net` | MAC/Ethernet/ARP/VLAN packet model, GRE-like encapsulation |
 //! | [`proto`] | `lazyctrl-proto` | OpenFlow 1.0-style wire protocol + LazyCtrl vendor extensions |
-//! | [`bloom`] | `lazyctrl-bloom` | Bloom / counting-Bloom filters (the G-FIB substrate) |
+//! | [`bloom`] | `lazyctrl-bloom` | Bloom filters (the G-FIB substrate) |
 //! | [`cluster`] | `lazyctrl-cluster` | sharded multi-controller control plane: ownership, C-LIB replication, failover |
 //! | [`partition`] | `lazyctrl-partition` | multilevel k-way partitioning, Stoer–Wagner, the SGI algorithm, Rubinstein bargaining |
 //! | [`sim`] | `lazyctrl-sim` | deterministic discrete-event kernel, latency model, metrics |
