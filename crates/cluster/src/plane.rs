@@ -339,8 +339,12 @@ impl ClusterNode {
         let set = self.seen_chunks.entry(sync.origin).or_default();
         let fresh = set.insert((sync.seq, sync.chunk));
         if fresh {
+            // The set is ordered by `seq` first, so everything below the
+            // window sits at its front.
             let floor = sync.seq.saturating_sub(DEDUP_WINDOW_SEQS);
-            set.retain(|&(s, _)| s >= floor);
+            while set.first().is_some_and(|&(s, _)| s < floor) {
+                set.pop_first();
+            }
         }
         fresh
     }
@@ -859,11 +863,15 @@ impl ClusterControlPlane {
                 .push(mac);
         }
         let mut discard = OutputSink::new();
+        // The seam has no clock. The member's workload meter wants
+        // non-decreasing request times, so the arrival is stamped with
+        // the newest one it has seen (0 on a fresh member).
+        let now_ns = node.ctrl.meter().newest_ns();
         for (switch, sync) in by_switch {
             // Outputs (if any) are deliberately dropped: the seam models
             // state arrival, not a live switch conversation.
             node.ctrl.handle_message(
-                0,
+                now_ns,
                 switch,
                 &Message::lazy(0, LazyMsg::lfib_sync(sync)),
                 &mut discard,

@@ -8,7 +8,7 @@
 //! both endpoints are known installs an `Encap` rule on the ingress switch
 //! so the flow's remaining packets ride the underlay directly.
 
-use lazyctrl_net::{EthernetFrame, MacAddr, PortNo, SwitchId, TenantId};
+use lazyctrl_net::{EthernetFrame, MacAddr, PortNo, SwitchId};
 use lazyctrl_proto::{
     Action, FlowMatch, FlowModCommand, FlowModMsg, Message, OfMessage, OutputSink, PacketInMsg,
     PacketOutMsg,
@@ -104,7 +104,6 @@ impl BaselineController {
             Some((dst_switch, dst_port)) => {
                 // Known destination: install the forwarding rule on the
                 // ingress switch, then release the packet.
-                let tenant = frame.vlan.map(|t| t.vid()).unwrap_or(TenantId::NONE);
                 let actions = if dst_switch == from {
                     vec![Action::Output(dst_port)]
                 } else {
@@ -113,7 +112,6 @@ impl BaselineController {
                         key: 0,
                     }]
                 };
-                let _ = tenant;
                 let xid = self.next_xid();
                 out.push(ControllerOutput::ToSwitch(
                     from,
@@ -147,8 +145,8 @@ impl BaselineController {
             None => {
                 // Unknown destination: flood. The learning switch relays
                 // the packet to every other switch for local flooding.
-                let switches = self.switches.clone();
-                for s in switches {
+                for i in 0..self.switches.len() {
+                    let s = self.switches[i];
                     if s == from {
                         continue;
                     }

@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 pub struct WorkloadMeter {
     /// Window width for rate estimation (ns).
     window_ns: u64,
-    /// Request timestamps in the current window (ring pruned on insert).
+    /// Request timestamps in the current window, oldest first (ring
+    /// pruned on insert). Non-decreasing: see [`WorkloadMeter::record`].
     recent: std::collections::VecDeque<u64>,
     /// Lifetime request count.
     total: u64,
@@ -56,8 +57,17 @@ impl WorkloadMeter {
         self
     }
 
-    /// Records one handled request.
+    /// Records one handled request. Timestamps must arrive
+    /// non-decreasing — callers pass the simulation clock, which never
+    /// runs backwards — because both the pruning below and the window
+    /// count in [`rate_rps`](WorkloadMeter::rate_rps) rely on `recent`
+    /// being time-ordered.
     pub fn record(&mut self, now_ns: u64) {
+        debug_assert!(
+            self.newest_ns() <= now_ns,
+            "request at {now_ns} ns recorded after one at {} ns",
+            self.newest_ns()
+        );
         self.total += 1;
         self.recent.push_back(now_ns);
         let cutoff = now_ns.saturating_sub(self.window_ns);
@@ -70,6 +80,12 @@ impl WorkloadMeter {
         }
     }
 
+    /// Time of the newest recorded request (0 before the first): the
+    /// earliest timestamp [`record`](WorkloadMeter::record) still accepts.
+    pub fn newest_ns(&self) -> u64 {
+        self.recent.back().copied().unwrap_or(0)
+    }
+
     /// Lifetime request count.
     pub fn total(&self) -> u64 {
         self.total
@@ -78,7 +94,7 @@ impl WorkloadMeter {
     /// Request rate over the sliding window (requests/sec).
     pub fn rate_rps(&self, now_ns: u64) -> f64 {
         let cutoff = now_ns.saturating_sub(self.window_ns);
-        let in_window = self.recent.iter().filter(|&&t| t >= cutoff).count();
+        let in_window = self.recent.len() - self.recent.partition_point(|&t| t < cutoff);
         in_window as f64 / (self.window_ns as f64 / 1e9)
     }
 
@@ -138,6 +154,52 @@ mod tests {
             busy_t > idle_t * 5,
             "expected clear M/M/1 blowup: idle {idle_t} vs busy {busy_t}"
         );
+    }
+
+    /// The window count by binary search equals the filter over the whole
+    /// deque it replaced, for any query time — including one that
+    /// precedes the newest record.
+    #[test]
+    fn window_count_equals_the_filter_it_replaced() {
+        fn filtered(m: &WorkloadMeter, now_ns: u64) -> f64 {
+            let cutoff = now_ns.saturating_sub(m.window_ns);
+            let in_window = m.recent.iter().filter(|&&t| t >= cutoff).count();
+            in_window as f64 / (m.window_ns as f64 / 1e9)
+        }
+        // splitmix64: the crate has no RNG dependency.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut m = WorkloadMeter::new();
+        let mut now = 0u64;
+        let mut queried_the_past = false;
+        for _ in 0..20_000 {
+            // Mostly sub-millisecond gaps (repeats included), now and
+            // then a jump that empties most or all of the window.
+            now += match next() % 100 {
+                0 => next() % (3 * m.window_ns),
+                1..=9 => 0,
+                _ => next() % 2_000_000,
+            };
+            m.record(now);
+            let at = match next() % 4 {
+                0 => now,
+                1 => now + next() % (2 * m.window_ns),
+                _ => now.saturating_sub(next() % (2 * m.window_ns)),
+            };
+            queried_the_past |= at < now;
+            assert_eq!(
+                m.rate_rps(at),
+                filtered(&m, at),
+                "query at {at}, last record {now}"
+            );
+        }
+        assert!(queried_the_past);
     }
 
     #[test]

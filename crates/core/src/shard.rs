@@ -183,16 +183,17 @@ pub(crate) fn run_sharded_experiment(
         worlds.push(shard.0);
     }
     let mut world = DataCenterWorld::merge_partitions(worlds);
-    world.metrics.count("shard_rounds", stats.rounds);
+    let ctr = world.ctr;
+    world.metrics.bump(ctr.shard_rounds, stats.rounds);
     world
         .metrics
-        .count("shard_cross_events", stats.cross_events);
+        .bump(ctr.shard_cross_events, stats.cross_events);
     world
         .metrics
-        .count("shard_bumped_events", stats.bumped_events);
+        .bump(ctr.shard_bumped_events, stats.bumped_events);
     world
         .metrics
-        .count("shard_globals_applied", stats.globals_applied);
+        .bump(ctr.shard_globals_applied, stats.globals_applied);
     ShardedRun {
         world,
         events_processed,

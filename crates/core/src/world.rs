@@ -20,8 +20,8 @@ use lazyctrl_obs::{
 };
 use lazyctrl_proto::{InjectedEvent, LazyMsg, Message, OfMessage, OutputSink};
 use lazyctrl_sim::{
-    BandwidthModel, ChannelClass, LatencyModel, LinkId, LinkState, MetricsSink, Scheduler,
-    SimDuration, SimTime, World,
+    BandwidthModel, ChannelClass, CounterId, LatencyModel, LinkId, LinkState, MetricsSink,
+    Scheduler, SimDuration, SimTime, World,
 };
 use lazyctrl_switch::{EdgeSwitch, SwitchOutput, SwitchTimer};
 use lazyctrl_trace::Trace;
@@ -103,6 +103,65 @@ pub(crate) enum Ev {
         dst: HostId,
     },
 }
+
+/// Declares the counters this crate bumps: one [`CounterId`] field per
+/// counter, named after it, so a site names a field instead of looking a
+/// string up per event.
+macro_rules! world_counters {
+    ($($name:ident),* $(,)?) => {
+        /// Ids of the world's counters in its own [`MetricsSink`].
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) struct WorldCounters {
+            $(pub(crate) $name: CounterId,)*
+        }
+
+        impl WorldCounters {
+            /// Registers every counter with `sink`; none becomes visible
+            /// in a report until it is first bumped.
+            fn register(sink: &mut MetricsSink) -> Self {
+                WorldCounters {
+                    $($name: sink.register(stringify!($name)),)*
+                }
+            }
+        }
+    };
+}
+
+world_counters!(
+    burst_flows,
+    controller_crashes,
+    controller_messages,
+    ctrl_heartbeats,
+    ctrl_lookups,
+    ctrl_peer_messages,
+    ctrl_unreachable_drops,
+    delivered_flows,
+    flows_started,
+    fp_reports,
+    frames_emitted,
+    host_migrations,
+    ingress_down_drops,
+    lfib_syncs,
+    link_degrades,
+    link_loss_changes,
+    network_partitions,
+    ownership_transfer_msgs,
+    packet_ins,
+    partition_heals,
+    peer_syncs,
+    shard_bumped_events,
+    shard_cross_events,
+    shard_globals_applied,
+    shard_rounds,
+    state_reports,
+    switch_crashes,
+    switch_rehome_returns,
+    switch_rehomes,
+    sync_digests,
+    sync_relays,
+    tunnel_drops,
+    wheel_reports,
+);
 
 /// Display names of the dense event kinds (`Ev::kind_idx` order) —
 /// the vocabulary of the engine profiler's per-kind rows.
@@ -351,6 +410,8 @@ pub(crate) struct DataCenterWorld {
     bandwidth: BandwidthModel,
     rng: StdRng,
     pub(crate) metrics: MetricsSink,
+    /// Where `metrics` keeps each counter this crate bumps.
+    pub(crate) ctr: WorldCounters,
     /// Port of each host on its switch.
     host_port: Vec<PortNo>,
     /// Next free port per switch (migrated hosts get a fresh port at
@@ -485,6 +546,8 @@ impl DataCenterWorld {
                 ),
             })
         });
+        let mut metrics = MetricsSink::new();
+        let ctr = WorldCounters::register(&mut metrics);
         DataCenterWorld {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x57a7e),
             // The live (fault-degradable) latency model moves out of the
@@ -499,7 +562,8 @@ impl DataCenterWorld {
             switches: switches.into_iter().map(Some).collect(),
             controller,
             links: LinkState::new(),
-            metrics: MetricsSink::new(),
+            metrics,
+            ctr,
             host_port,
             next_port,
             seen_pairs: HashSet::new(),
@@ -564,7 +628,7 @@ impl DataCenterWorld {
     }
 
     fn note_emission(&mut self, _now: SimTime, _frame: &EthernetFrame) {
-        self.metrics.count("frames_emitted", 1);
+        self.metrics.bump(self.ctr.frames_emitted, 1);
     }
 
     fn note_delivery(&mut self, now: SimTime, frame: &EthernetFrame) {
@@ -589,7 +653,7 @@ impl DataCenterWorld {
         // runs, and `mean()` accumulates in the same order as the old
         // full-sample histogram did, so reports are unchanged.
         self.metrics.log2_histogram_mut("latency_all_ms").record(ms);
-        self.metrics.count("delivered_flows", 1);
+        self.metrics.bump(self.ctr.delivered_flows, 1);
         if self.cfg.record_flow_latencies {
             if let (Some(s), Some(d)) = (frame.src.host_id(), frame.dst.host_id()) {
                 self.flow_latencies
@@ -867,14 +931,28 @@ impl DataCenterWorld {
     /// links towards switches, ctrl-peer links between members.
     fn dispatch_cluster_outputs(&mut self, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         let mut buf = self.cluster_sink.take_buf();
+        // As in `dispatch_controller_outputs`, a sender's service time is
+        // the same for the whole batch: meters change inside the plane's
+        // handlers, never during a drain. A batch comes out of one handler
+        // call, so nearly always has one sender; computing it again when
+        // the sender changes is all the memo a drain needs.
+        let mut last: Option<(u32, SimDuration)> = None;
+        let mut service_of = |world: &Self, member: u32| match last {
+            Some((m, service)) if m == member => service,
+            _ => {
+                let service = world.controller.service_time(Some(member), now);
+                last = Some((member, service));
+                service
+            }
+        };
         for out in buf.drain(..) {
             match out {
                 ClusterOutput::ToSwitch { from, to, msg } => {
-                    let service = self.controller.service_time(Some(from), now);
+                    let service = service_of(self, from);
                     self.send_to_switch(now, Some(from), service, to, msg, sched);
                 }
                 ClusterOutput::ToCtrl { from, to, msg } => {
-                    let service = self.controller.service_time(Some(from), now);
+                    let service = service_of(self, from);
                     let link = LinkId::new(
                         ctrl_pseudo_switch(from).0,
                         ctrl_pseudo_switch(to).0,
@@ -945,7 +1023,7 @@ impl DataCenterWorld {
                 || !reachable_member(&self.links, standin)
             {
                 self.rehome.remove(&from.0);
-                self.metrics.count("switch_rehome_returns", 1);
+                self.metrics.bump(self.ctr.switch_rehome_returns, 1);
                 return CtrlRoute::Owner;
             }
             return CtrlRoute::Standin(standin);
@@ -961,11 +1039,11 @@ impl DataCenterWorld {
             if now_ns.saturating_sub(entry.blocked_since_ns) < deadline_ns {
                 // Detection window: the switch still trusts its owner, so
                 // the message is lost in the partition.
-                self.metrics.count("ctrl_unreachable_drops", 1);
+                self.metrics.bump(self.ctr.ctrl_unreachable_drops, 1);
                 return CtrlRoute::Lost;
             }
             let Some(m) = pick(&self.links, plane) else {
-                self.metrics.count("ctrl_unreachable_drops", 1);
+                self.metrics.bump(self.ctr.ctrl_unreachable_drops, 1);
                 return CtrlRoute::Lost;
             };
             entry.standin = Some(m);
@@ -973,7 +1051,7 @@ impl DataCenterWorld {
             entry.next_probe_ns = now_ns
                 .saturating_add(deadline_ns)
                 .saturating_add(rehome_jitter_ns(self.cfg.seed, from.0, 0, deadline_ns / 2));
-            self.metrics.count("switch_rehomes", 1);
+            self.metrics.bump(self.ctr.switch_rehomes, 1);
             return CtrlRoute::Standin(m);
         }
         // Re-homed and due for a probe: the owner is still dark, so the
@@ -996,11 +1074,11 @@ impl DataCenterWorld {
         }
         // Stand-in lost too; fail over to the next reachable member.
         let Some(m) = pick(&self.links, plane) else {
-            self.metrics.count("ctrl_unreachable_drops", 1);
+            self.metrics.bump(self.ctr.ctrl_unreachable_drops, 1);
             return CtrlRoute::Lost;
         };
         self.rehome.get_mut(&from.0).expect("present").standin = Some(m);
-        self.metrics.count("switch_rehomes", 1);
+        self.metrics.bump(self.ctr.switch_rehomes, 1);
         CtrlRoute::Standin(m)
     }
 
@@ -1051,7 +1129,7 @@ impl DataCenterWorld {
         match event {
             InjectedEvent::CrashController(id) => {
                 if hub {
-                    self.metrics.count("controller_crashes", 1);
+                    self.metrics.bump(self.ctr.controller_crashes, 1);
                 }
                 if let AnyController::Cluster(plane) = &mut self.controller {
                     plane.step_crash(id);
@@ -1077,7 +1155,7 @@ impl DataCenterWorld {
             }
             InjectedEvent::CrashSwitch(s) => {
                 if hub {
-                    self.metrics.count("switch_crashes", 1);
+                    self.metrics.bump(self.ctr.switch_crashes, 1);
                 }
                 self.links.set_node_down(s.0, true);
             }
@@ -1114,13 +1192,13 @@ impl DataCenterWorld {
             }
             InjectedEvent::LinkDegrade { class, factor } => {
                 if hub {
-                    self.metrics.count("link_degrades", 1);
+                    self.metrics.bump(self.ctr.link_degrades, 1);
                 }
                 self.latency.degrade(class, factor);
             }
             InjectedEvent::LinkLoss { class, loss } => {
                 if hub {
-                    self.metrics.count("link_loss_changes", 1);
+                    self.metrics.bump(self.ctr.link_loss_changes, 1);
                 }
                 self.links.set_class_loss(class, loss);
             }
@@ -1132,7 +1210,7 @@ impl DataCenterWorld {
             }
             InjectedEvent::PartitionNetwork { groups } => {
                 if hub {
-                    self.metrics.count("network_partitions", 1);
+                    self.metrics.bump(self.ctr.network_partitions, 1);
                 }
                 // Reachability is a pure link-state mutation, identical
                 // on every partition and drawing no randomness — the
@@ -1141,7 +1219,7 @@ impl DataCenterWorld {
             }
             InjectedEvent::HealPartition => {
                 if hub {
-                    self.metrics.count("partition_heals", 1);
+                    self.metrics.bump(self.ctr.partition_heals, 1);
                 }
                 self.links.heal_partition();
             }
@@ -1186,7 +1264,7 @@ impl DataCenterWorld {
             self.next_port[new.index()] += 1;
             self.host_port[host.index()] = port;
             if self.is_hub() {
-                self.metrics.count("host_migrations", 1);
+                self.metrics.bump(self.ctr.host_migrations, 1);
             }
             // The re-plugged host announces itself from its new switch;
             // migrations in one batch land a millisecond apart. Only the
@@ -1253,16 +1331,16 @@ impl DataCenterWorld {
             self.route_to_switch(now, SimDuration::ZERO, at, arrival, sched);
             return;
         }
-        self.metrics.count("flows_started", 1);
+        self.metrics.bump(self.ctr.flows_started, 1);
         if matches!(arrival, Ev::SyntheticFlow { .. }) {
-            self.metrics.count("burst_flows", 1);
+            self.metrics.bump(self.ctr.burst_flows, 1);
         }
         let port = self.port_of(src);
         if !self.links.is_node_up(at.0) {
             // Ingress switch is powered off: the flow has nowhere to
             // enter the fabric — and the pair stays *fresh*, since
             // nothing of it ever reached the network.
-            self.metrics.count("ingress_down_drops", 1);
+            self.metrics.bump(self.ctr.ingress_down_drops, 1);
             return;
         }
         let pair = (src.0.min(dst.0), src.0.max(dst.0));
@@ -1441,6 +1519,8 @@ impl DataCenterWorld {
                     ),
                 })
             });
+            let mut metrics = MetricsSink::new();
+            let ctr = WorldCounters::register(&mut metrics);
             parts.push(DataCenterWorld {
                 // A distinct, seed-derived stream per partition (golden
                 // ratio stride): which jitter samples a message draws
@@ -1458,7 +1538,8 @@ impl DataCenterWorld {
                 // controller (controller-bound traffic routes to the hub).
                 controller: AnyController::Baseline(BaselineController::new(Vec::new())),
                 links: self.links.clone(),
-                metrics: MetricsSink::new(),
+                metrics,
+                ctr,
                 host_port: self.host_port.clone(),
                 next_port: self.next_port.clone(),
                 seen_pairs: HashSet::new(),
@@ -1587,7 +1668,7 @@ impl DataCenterWorld {
                     .expect("tunnel routed to its owner")
                     .handle_tunnel_packet(now.as_nanos(), packet, &mut self.switch_sink);
                 if self.switch_sink.is_empty() && !is_flood {
-                    self.metrics.count("tunnel_drops", 1);
+                    self.metrics.bump(self.ctr.tunnel_drops, 1);
                 }
                 self.dispatch_switch_outputs(now, to, sched);
             }
@@ -1617,11 +1698,11 @@ impl DataCenterWorld {
                 self.metrics
                     .series_mut("workload", self.workload_bucket)
                     .increment(now);
-                self.metrics.count("controller_messages", 1);
+                self.metrics.bump(self.ctr.controller_messages, 1);
                 if let Some(lazyctrl_proto::OfMessage::PacketIn(pi)) = msg.as_of() {
-                    self.metrics.count("packet_ins", 1);
+                    self.metrics.bump(self.ctr.packet_ins, 1);
                     if pi.reason == lazyctrl_proto::PacketInReason::FalsePositive {
-                        self.metrics.count("fp_reports", 1);
+                        self.metrics.bump(self.ctr.fp_reports, 1);
                     }
                     self.trace(now, || {
                         let (id, reason) = (packet_bytes_trace_id(&pi.data), pi.reason as u32);
@@ -1629,9 +1710,9 @@ impl DataCenterWorld {
                     });
                 }
                 match msg.as_lazy() {
-                    Some(LazyMsg::StateReport(_)) => self.metrics.count("state_reports", 1),
-                    Some(LazyMsg::LfibSync(_)) => self.metrics.count("lfib_syncs", 1),
-                    Some(LazyMsg::WheelReport(_)) => self.metrics.count("wheel_reports", 1),
+                    Some(LazyMsg::StateReport(_)) => self.metrics.bump(self.ctr.state_reports, 1),
+                    Some(LazyMsg::LfibSync(_)) => self.metrics.bump(self.ctr.lfib_syncs, 1),
+                    Some(LazyMsg::WheelReport(_)) => self.metrics.bump(self.ctr.wheel_reports, 1),
                     _ => {}
                 }
                 match &mut self.controller {
@@ -1678,25 +1759,25 @@ impl DataCenterWorld {
                 }
             }
             Ev::CtrlPeerMsg { from, to, msg } => {
-                self.metrics.count("ctrl_peer_messages", 1);
+                self.metrics.bump(self.ctr.ctrl_peer_messages, 1);
                 match msg.as_cluster() {
                     Some(lazyctrl_proto::ClusterMsg::PeerSync(_)) => {
-                        self.metrics.count("peer_syncs", 1);
+                        self.metrics.bump(self.ctr.peer_syncs, 1);
                     }
                     Some(lazyctrl_proto::ClusterMsg::SyncRelay(_)) => {
-                        self.metrics.count("sync_relays", 1);
+                        self.metrics.bump(self.ctr.sync_relays, 1);
                     }
                     Some(lazyctrl_proto::ClusterMsg::SyncDigest(_)) => {
-                        self.metrics.count("sync_digests", 1);
+                        self.metrics.bump(self.ctr.sync_digests, 1);
                     }
                     Some(lazyctrl_proto::ClusterMsg::Heartbeat(_)) => {
-                        self.metrics.count("ctrl_heartbeats", 1);
+                        self.metrics.bump(self.ctr.ctrl_heartbeats, 1);
                     }
                     Some(lazyctrl_proto::ClusterMsg::LookupRequest(_)) => {
-                        self.metrics.count("ctrl_lookups", 1);
+                        self.metrics.bump(self.ctr.ctrl_lookups, 1);
                     }
                     Some(lazyctrl_proto::ClusterMsg::OwnershipTransfer(_)) => {
-                        self.metrics.count("ownership_transfer_msgs", 1);
+                        self.metrics.bump(self.ctr.ownership_transfer_msgs, 1);
                         self.trace(now, || (0, tk::OWNERSHIP_TRANSFER, ts::CLUSTER, from, to));
                     }
                     _ => {}

@@ -285,19 +285,37 @@ impl Log2Histogram {
     }
 }
 
+/// Handle to one counter of the [`MetricsSink`] that issued it (or of a
+/// clone of that sink): its dense index, so a bump is an array access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(u32);
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Counter {
+    name: &'static str,
+    value: u64,
+    /// Set by the first write, even a write of 0. Only written counters
+    /// are visible in [`MetricsSink::counters`] — and through it in every
+    /// report — so registering a counter changes no output.
+    written: bool,
+}
+
 /// A bundle of named metrics for one experiment run.
 ///
-/// Metric names are interned `&'static str` literals: recording a counter
-/// is a lookup in a small sorted table keyed by string identity (pointer
-/// fast path) — no per-event `String` allocation, no owned-key `BTreeMap`.
-/// This matters because the hot simulation loop touches several counters
-/// per event.
+/// Metric names are `&'static str` literals, so nothing allocates a
+/// `String` per event. A counter is found by name with a binary search
+/// that compares strings ([`MetricsSink::count`], [`MetricsSink::counter`],
+/// [`MetricsSink::merge`]); code that bumps the same counters once per
+/// event — the simulation loop touches several per event —
+/// [registers](MetricsSink::register) them once and bumps by
+/// [`CounterId`] instead ([`MetricsSink::bump`]).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MetricsSink {
-    /// Sorted by name; small (tens of entries), so binary search beats
-    /// hashing and the static keys make comparisons pointer-equality in
-    /// the common case.
-    counters: Vec<(&'static str, u64)>,
+    /// Indexed by [`CounterId`], in registration order.
+    counters: Vec<Counter>,
+    /// Indices into `counters`, sorted by counter name: the by-name
+    /// lookup and the order of [`MetricsSink::counters`].
+    by_name: Vec<u32>,
     series: BTreeMap<&'static str, TimeSeries>,
     log2s: BTreeMap<&'static str, Log2Histogram>,
 }
@@ -308,19 +326,52 @@ impl MetricsSink {
         MetricsSink::default()
     }
 
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|&i| self.counters[i as usize].name.cmp(name))
+    }
+
+    /// Hands out the dense id of a named counter, creating it unwritten
+    /// (and so invisible) if the name is new. Ids are only meaningful to
+    /// this sink and its clones.
+    pub fn register(&mut self, name: &'static str) -> CounterId {
+        match self.position(name) {
+            Ok(at) => CounterId(self.by_name[at]),
+            Err(at) => {
+                let id = u32::try_from(self.counters.len()).expect("fewer than 2^32 counters");
+                self.counters.push(Counter {
+                    name,
+                    value: 0,
+                    written: false,
+                });
+                self.by_name.insert(at, id);
+                CounterId(id)
+            }
+        }
+    }
+
+    /// Adds `n` to a registered counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was issued by a sink with more counters than this
+    /// one.
+    pub fn bump(&mut self, id: CounterId, n: u64) {
+        let c = &mut self.counters[id.0 as usize];
+        c.value += n;
+        c.written = true;
+    }
+
     /// Adds `n` to a named counter.
     pub fn count(&mut self, name: &'static str, n: u64) {
-        match self.counters.binary_search_by(|(k, _)| (*k).cmp(name)) {
-            Ok(i) => self.counters[i].1 += n,
-            Err(i) => self.counters.insert(i, (name, n)),
-        }
+        let id = self.register(name);
+        self.bump(id, n);
     }
 
     /// Reads a counter (0 if never written).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .binary_search_by(|(k, _)| (*k).cmp(name))
-            .map(|i| self.counters[i].1)
+        self.position(name)
+            .map(|at| self.counters[self.by_name[at] as usize].value)
             .unwrap_or(0)
     }
 
@@ -366,7 +417,7 @@ impl MetricsSink {
     ///
     /// Panics if a shared series name has different bucket widths.
     pub fn merge(&mut self, other: &MetricsSink) {
-        for &(name, v) in &other.counters {
+        for (name, v) in other.counters() {
             self.count(name, v);
         }
         for (&name, s) in &other.series {
@@ -382,9 +433,13 @@ impl MetricsSink {
         }
     }
 
-    /// All counter names and values, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|&(k, v)| (k, v))
+    /// All written counters' names and values, sorted by name.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.by_name
+            .iter()
+            .map(|&i| &self.counters[i as usize])
+            .filter(|c| c.written)
+            .map(|c| (c.name, c.value))
     }
 
     /// All named time series, sorted by name.
@@ -494,6 +549,70 @@ mod tests {
 
         let names: Vec<&str> = sink.counters().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["packet_in"]);
+    }
+
+    /// The visibility contract reports and `report_fingerprint` rest on: a
+    /// counter shows up in `counters()` once it has been written — a write
+    /// of 0 counts — and never because it was registered.
+    #[test]
+    fn registering_a_counter_does_not_make_it_visible() {
+        let mut sink = MetricsSink::new();
+        let idle = sink.register("idle");
+        let busy = sink.register("busy");
+        assert_eq!(sink.counters().count(), 0, "registered, never written");
+        assert_eq!(sink.counter("idle"), 0);
+
+        sink.bump(busy, 2);
+        sink.count("zero_by_name", 0);
+        let view: Vec<_> = sink.counters().collect();
+        assert_eq!(view, vec![("busy", 2), ("zero_by_name", 0)]);
+
+        sink.bump(idle, 0);
+        let view: Vec<_> = sink.counters().collect();
+        assert_eq!(view, vec![("busy", 2), ("idle", 0), ("zero_by_name", 0)]);
+
+        // By id and by name are the same counter, whichever came first.
+        assert_eq!(sink.register("busy"), busy);
+        sink.count("busy", 3);
+        assert_eq!(sink.counter("busy"), 5);
+        assert_eq!(sink.register("zero_by_name"), sink.register("zero_by_name"));
+
+        // An unwritten counter does not travel through a merge either.
+        let mut other = MetricsSink::new();
+        other.register("never");
+        sink.merge(&other);
+        assert!(sink.counters().all(|(name, _)| name != "never"));
+    }
+
+    #[test]
+    fn merge_ignores_registration_order() {
+        let names = ["delta", "alpha", "charlie", "bravo"];
+        let mut a = MetricsSink::new();
+        let a_ids: Vec<CounterId> = names.iter().map(|n| a.register(n)).collect();
+        let mut b = MetricsSink::new();
+        let b_ids: Vec<CounterId> = names.iter().rev().map(|n| b.register(n)).collect();
+        // a writes delta, alpha, charlie; b writes delta, charlie, bravo.
+        for (i, &id) in a_ids.iter().take(3).enumerate() {
+            a.bump(id, 1 + i as u64);
+        }
+        for (&id, n) in b_ids.iter().zip([10, 20, 0, 40]).filter(|&(_, n)| n != 0) {
+            b.bump(id, n);
+        }
+        let expected = vec![("alpha", 2), ("bravo", 10), ("charlie", 23), ("delta", 41)];
+
+        let mut ab = a.clone();
+        ab.merge(&b);
+        assert_eq!(ab.counters().collect::<Vec<_>>(), expected);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ba.counters().collect::<Vec<_>>(), expected);
+        let mut fresh = MetricsSink::new();
+        fresh.merge(&b);
+        fresh.merge(&a);
+        assert_eq!(fresh.counters().collect::<Vec<_>>(), expected);
+        // Ids issued before the merge still name the same counters.
+        ab.bump(a_ids[1], 5);
+        assert_eq!(ab.counter("alpha"), 7);
     }
 
     #[test]
