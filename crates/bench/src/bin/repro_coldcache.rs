@@ -54,5 +54,5 @@ fn main() {
     println!("\nreproduction target: order-of-magnitude intra-group gap; LazyCtrl's");
     println!("own intra ≪ inter split. (Our baseline omits Floodlight's slow");
     println!("passive topology learning, so its absolute cold path is faster than");
-    println!("the paper's 15 ms — see EXPERIMENTS.md.)");
+    println!("the paper's 15 ms — see DESIGN.md §1.)");
 }

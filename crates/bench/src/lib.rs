@@ -15,7 +15,7 @@
 //!
 //! Absolute numbers scale with flow counts; the *shapes* the paper reports
 //! (orderings, ratios, crossovers) are the reproduction target — see
-//! `EXPERIMENTS.md`.
+//! `DESIGN.md` §1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

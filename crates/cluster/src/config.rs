@@ -3,6 +3,7 @@
 use lazyctrl_controller::LazyConfig;
 use serde::{Deserialize, Serialize};
 
+use crate::plane::{ELECTION_TIMEOUT_MS, LEADER_LEASE_MS};
 use crate::DisseminationStrategy;
 
 /// Configuration of a controller cluster.
@@ -26,69 +27,14 @@ pub struct ClusterConfig {
     /// A ring neighbour is reported missing after this many silent
     /// heartbeat intervals.
     pub heartbeat_miss_factor: u32,
-    /// How often the leader evaluates load skew (ms).
-    pub rebalance_check_interval_ms: u32,
-    /// Rebalancing triggers when `max_load / min_load` across members
-    /// exceeds this ratio (and the loaded member owns more than one group).
-    pub skew_threshold: f64,
-    /// The hottest member must have handled at least this many messages in
-    /// the rebalance window for a move to trigger — an activity floor that
-    /// stops ownership thrash when the whole cluster is near idle and the
-    /// load ratio is just noise.
-    pub rebalance_min_window_msgs: u64,
-    /// Resolve replica misses with synchronous peer lookups before falling
-    /// back to the scoped-ARP relay path.
-    pub enable_lookup: bool,
     /// How often each member sends an anti-entropy digest to one rotating
     /// peer (ms). The catch-up path for members that missed relayed deltas
     /// (crashed mid-circulation, recovered after takeover, late-joining).
     pub anti_entropy_interval_ms: u32,
-    /// Entries per peer-sync chunk (bounds the largest single wire
-    /// message; ~64 KiB at the default of 2000 × 14 B).
-    pub sync_chunk_entries: usize,
-    /// Maximum foreign delta chunks a member buffers for relay between
-    /// flush ticks. Overflow drops the oldest (counted; anti-entropy
-    /// repairs the hole) — the bound that keeps per-member memory flat
-    /// when a slow member lags a chatty overlay.
-    pub relay_buffer_chunks: usize,
     /// Flush rounds of its own deltas each member retains for exact
     /// anti-entropy replay. A peer further behind than this receives a
     /// full-shard snapshot instead.
     pub delta_log_flushes: usize,
-    /// A member stands for election after this long (ms) without hearing a
-    /// live leader's heartbeat. Must comfortably exceed the heartbeat
-    /// interval plus peer-link latency, or followers will trigger spurious
-    /// elections against a healthy leader.
-    pub election_timeout_ms: u32,
-    /// Per-member stagger added to the election timer (ms × member id), so
-    /// that concurrent timeouts don't produce perpetual split votes.
-    pub election_stagger_ms: u32,
-    /// Leader lease window (ms): a leader that has not heard heartbeats
-    /// from a strict majority of the *static* cluster within this window
-    /// steps down to read-only — it keeps serving cached lookups but
-    /// stops confirming deaths and minting ownership transfers. This is
-    /// the split-brain guard for network partitions: on the minority
-    /// side the detector sees exactly the cross-cut silence a real crash
-    /// would produce, and without the lease it would "take over" groups
-    /// it can no longer speak for. Must exceed the heartbeat interval
-    /// and should stay below the failure-confirmation deadline
-    /// (`heartbeat_miss_factor × heartbeat_interval_ms`) so the
-    /// step-down lands before any cross-partition death is confirmed.
-    pub leader_lease_ms: u32,
-    /// Deadline (ms) for a synchronous peer lookup round. An expired
-    /// lookup retries against the next outstanding replica with
-    /// exponential backoff instead of hanging on a dead or partitioned
-    /// peer forever.
-    pub lookup_timeout_ms: u32,
-    /// Retry rounds a pending lookup gets after its first deadline
-    /// expires. Once spent, the queued switch messages replay through
-    /// the inner controller's scoped-ARP relay fallback.
-    pub lookup_max_retries: u32,
-    /// Cap, in heartbeat intervals, on the exponential backoff between
-    /// retransmissions of an unacked ownership transfer. Keeps a long
-    /// partition from flooding the heal with a retransmit per tick
-    /// while still bounding the repair latency.
-    pub transfer_retransmit_backoff_cap: u32,
     /// Bounded-ingress queue depth per member, in slots. `0` (the
     /// default) disables the bound entirely: every switch message is
     /// admitted and no overload state is tracked, preserving bit-exact
@@ -105,13 +51,6 @@ pub struct ClusterConfig {
     /// capacity in nanoseconds — the backlog a member tolerates before
     /// shedding its lowest class.
     pub ingress_cost_ns: u64,
-    /// Minimum gap (ms) between ECN-style [`CongestionNotice`] pressure
-    /// signals a member sends back to a switch whose flow setup it shed.
-    /// Rate-limits the signalling so a storm of shed setups does not
-    /// itself become a reverse-path storm.
-    ///
-    /// [`CongestionNotice`]: lazyctrl_proto::CongestionNoticeMsg
-    pub congestion_notice_interval_ms: u32,
 }
 
 impl Default for ClusterConfig {
@@ -123,23 +62,10 @@ impl Default for ClusterConfig {
             replica_flush_interval_ms: 1_000,
             heartbeat_interval_ms: 1_000,
             heartbeat_miss_factor: 3,
-            rebalance_check_interval_ms: 10_000,
-            skew_threshold: 2.0,
-            rebalance_min_window_msgs: 20,
-            enable_lookup: true,
             anti_entropy_interval_ms: 5_000,
-            sync_chunk_entries: 2_000,
-            relay_buffer_chunks: 1_024,
             delta_log_flushes: 64,
-            election_timeout_ms: 3_000,
-            election_stagger_ms: 150,
-            leader_lease_ms: 2_500,
-            lookup_timeout_ms: 2_000,
-            lookup_max_retries: 2,
-            transfer_retransmit_backoff_cap: 8,
             ingress_queue_slots: 0,
             ingress_cost_ns: 20_000,
-            congestion_notice_interval_ms: 100,
         }
     }
 }
@@ -176,53 +102,25 @@ impl ClusterConfig {
             "miss factor must be positive"
         );
         assert!(
-            self.rebalance_check_interval_ms > 0,
-            "rebalance interval must be positive"
-        );
-        assert!(
-            self.skew_threshold.is_finite() && self.skew_threshold > 1.0,
-            "skew threshold must exceed 1"
-        );
-        assert!(
             self.anti_entropy_interval_ms > 0,
             "anti-entropy interval must be positive"
-        );
-        assert!(
-            self.sync_chunk_entries > 0,
-            "sync chunk size must be positive"
-        );
-        assert!(
-            self.relay_buffer_chunks > 0,
-            "relay buffer must hold at least one chunk"
         );
         assert!(
             self.delta_log_flushes > 0,
             "delta log must retain at least one flush"
         );
         assert!(
-            self.election_timeout_ms > self.heartbeat_interval_ms,
+            ELECTION_TIMEOUT_MS > self.heartbeat_interval_ms,
             "election timeout must exceed the heartbeat interval"
         );
         assert!(
-            self.leader_lease_ms > self.heartbeat_interval_ms,
+            LEADER_LEASE_MS > self.heartbeat_interval_ms,
             "leader lease must exceed the heartbeat interval"
-        );
-        assert!(
-            self.lookup_timeout_ms > 0,
-            "lookup timeout must be positive"
-        );
-        assert!(
-            self.transfer_retransmit_backoff_cap > 0,
-            "transfer retransmit backoff cap must be positive"
         );
         if self.ingress_queue_slots > 0 {
             assert!(
                 self.ingress_cost_ns > 0,
                 "ingress cost must be positive when the ingress queue is bounded"
-            );
-            assert!(
-                self.congestion_notice_interval_ms > 0,
-                "congestion notice interval must be positive when the ingress queue is bounded"
             );
         }
     }
@@ -278,18 +176,7 @@ mod tests {
     #[should_panic(expected = "leader lease")]
     fn short_leader_lease_rejected() {
         let c = ClusterConfig {
-            leader_lease_ms: 1_000,
-            heartbeat_interval_ms: 1_000,
-            ..ClusterConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "lookup timeout")]
-    fn zero_lookup_timeout_rejected() {
-        let c = ClusterConfig {
-            lookup_timeout_ms: 0,
+            heartbeat_interval_ms: LEADER_LEASE_MS,
             ..ClusterConfig::default()
         };
         c.validate();
@@ -297,12 +184,11 @@ mod tests {
 
     #[test]
     fn unbounded_ingress_skips_ingress_checks() {
-        // slots == 0 disables the queue; the dependent knobs may then be
-        // zero without tripping validation.
+        // slots == 0 disables the queue; the cost may then be zero
+        // without tripping validation.
         let c = ClusterConfig {
             ingress_queue_slots: 0,
             ingress_cost_ns: 0,
-            congestion_notice_interval_ms: 0,
             ..ClusterConfig::default()
         };
         c.validate();
@@ -314,27 +200,6 @@ mod tests {
         let c = ClusterConfig {
             ingress_queue_slots: 64,
             ingress_cost_ns: 0,
-            ..ClusterConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "congestion notice interval")]
-    fn zero_notice_interval_rejected_when_bounded() {
-        let c = ClusterConfig {
-            ingress_queue_slots: 64,
-            congestion_notice_interval_ms: 0,
-            ..ClusterConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "skew threshold")]
-    fn bad_skew_rejected() {
-        let c = ClusterConfig {
-            skew_threshold: 1.0,
             ..ClusterConfig::default()
         };
         c.validate();

@@ -12,7 +12,7 @@
 //!   size — so two leaders can never coexist in one term.
 //! * Leadership is advertised by piggybacking `(term, leader)` on the
 //!   existing heartbeats; followers stand for election only after
-//!   [`ClusterConfig::election_timeout_ms`](crate::ClusterConfig::election_timeout_ms)
+//!   [`ELECTION_TIMEOUT_MS`](crate::plane::ELECTION_TIMEOUT_MS)
 //!   without hearing a *leader* heartbeat, with a per-member stagger so
 //!   concurrent timeouts don't split votes forever.
 //!

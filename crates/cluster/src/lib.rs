@@ -50,6 +50,6 @@ pub use model::StepModel;
 pub use ownership::OwnershipMap;
 pub use plane::{
     ctrl_pseudo_switch, ClusterControlPlane, ClusterOutput, ClusterTimer, ClusterTimerKind,
-    SyncTraffic,
+    SyncTraffic, LEADER_LEASE_MS,
 };
 pub use replica::ReplicaStore;

@@ -25,7 +25,7 @@
 //!   fallback.
 //! * **Load rebalancing** — members piggyback their measured request rate
 //!   on heartbeats; when the leader (lowest live id) sees the max/min load
-//!   ratio exceed the configured skew, it moves a group from the hottest
+//!   ratio exceed the skew threshold, it moves a group from the hottest
 //!   to the coolest member ([`OwnershipTransferMsg`]).
 //! * **Failover** — members heartbeat on a logical ring and report silent
 //!   neighbours using the *same Table-I inference machinery* switches use
@@ -176,8 +176,7 @@ struct PendingLookup {
     /// partitioned peer never replies, so without this deadline a lookup
     /// (and every flow setup queued on it) would wedge until takeover.
     deadline_ns: u64,
-    /// Expired rounds so far; bounded by
-    /// [`ClusterConfig::lookup_max_retries`](crate::ClusterConfig).
+    /// Expired rounds so far; bounded by [`LOOKUP_MAX_RETRIES`].
     retries: u32,
 }
 
@@ -245,7 +244,7 @@ struct ClusterNode {
     sync_seq: u64,
     /// Foreign chunks queued for forwarding at the next flush tick
     /// (ring successor hop / tree-root redistribution). Bounded by
-    /// `relay_buffer_chunks`; overflow drops the oldest and counts it.
+    /// [`RELAY_BUFFER_CHUNKS`]; overflow drops the oldest and counts it.
     relay_outbox: VecDeque<PeerSyncMsg>,
     /// Relay dedup: per-origin `(seq, chunk)` pairs already absorbed, with
     /// a pruned window (see [`DEDUP_WINDOW_SEQS`]).
@@ -309,11 +308,8 @@ struct ClusterNode {
     /// Virtual time of the last `CongestionNotice` sent (behavior
     /// state: it gates whether the next shed emits a signal).
     last_congestion_notice_ns: u64,
-    /// Messages shed by priority class (observer counters, indexed by
-    /// [`MsgPriority::index`]). The `Critical` slot is structurally
-    /// zero — critical traffic is never shed — and scenario verdicts
-    /// pin that.
-    ingress_shed: [u64; MsgPriority::COUNT],
+    /// Flow setups the bounded ingress queue shed (observer counter).
+    setups_shed: u64,
     /// Peak ingress queue depth observed, in slots (observer counter).
     queue_highwater: u64,
     /// ECN-style pressure notices emitted to switches (observer
@@ -326,6 +322,81 @@ struct ClusterNode {
 /// from further back re-applies harmlessly (replica application is
 /// idempotent) — the window only has to cover chunks still in flight.
 const DEDUP_WINDOW_SEQS: u64 = 64;
+
+// ---- Protocol constants ----------------------------------------------
+//
+// The timing and sizing the cluster protocols run at. A value becomes a
+// `ClusterConfig` field only once two callers need different ones.
+
+/// How often the leader evaluates load skew (ms).
+const REBALANCE_CHECK_INTERVAL_MS: u32 = 10_000;
+
+/// Rebalancing triggers when `max_load / min_load` across members
+/// exceeds this ratio (and the loaded member owns more than one group).
+const SKEW_THRESHOLD: f64 = 2.0;
+
+/// The hottest member must have handled at least this many messages in
+/// the rebalance window for a move to trigger — an activity floor that
+/// stops ownership thrash when the whole cluster is near idle and the
+/// load ratio is just noise.
+const REBALANCE_MIN_WINDOW_MSGS: u64 = 20;
+
+/// Entries per peer-sync chunk (bounds the largest single wire message;
+/// ~64 KiB at 2000 × 14 B).
+const SYNC_CHUNK_ENTRIES: usize = 2_000;
+
+/// Maximum foreign delta chunks a member buffers for relay between flush
+/// ticks. Overflow drops the oldest (counted; anti-entropy repairs the
+/// hole) — the bound that keeps per-member memory flat when a slow
+/// member lags a chatty overlay.
+const RELAY_BUFFER_CHUNKS: usize = 1_024;
+
+/// A member stands for election after this long (ms) without hearing a
+/// live leader's heartbeat. Must comfortably exceed the heartbeat
+/// interval plus peer-link latency, or followers will trigger spurious
+/// elections against a healthy leader (`ClusterConfig::validate` checks
+/// the first half).
+pub(crate) const ELECTION_TIMEOUT_MS: u32 = 3_000;
+
+/// Per-member stagger added to the election timer (ms × member id), so
+/// that concurrent timeouts don't produce perpetual split votes.
+const ELECTION_STAGGER_MS: u32 = 150;
+
+/// Leader lease window (ms): a leader that has not heard heartbeats from
+/// a strict majority of the *static* cluster within this window steps
+/// down to read-only — it keeps serving cached lookups but stops
+/// confirming deaths and minting ownership transfers. This is the
+/// split-brain guard for network partitions: on the minority side the
+/// detector sees exactly the cross-cut silence a real crash would
+/// produce, and without the lease it would "take over" groups it can no
+/// longer speak for. Must exceed the heartbeat interval
+/// (`ClusterConfig::validate` checks it) and should stay below the
+/// failure-confirmation deadline (`heartbeat_miss_factor ×
+/// heartbeat_interval_ms`) so the step-down lands before any
+/// cross-partition death is confirmed.
+pub const LEADER_LEASE_MS: u32 = 2_500;
+
+/// Deadline (ms) for a synchronous peer lookup round. An expired lookup
+/// retries against the next outstanding replica with exponential backoff
+/// instead of hanging on a dead or partitioned peer forever.
+const LOOKUP_TIMEOUT_MS: u64 = 2_000;
+
+/// Retry rounds a pending lookup gets after its first deadline expires.
+/// Once spent, the queued switch messages replay through the inner
+/// controller's scoped-ARP relay fallback.
+const LOOKUP_MAX_RETRIES: u32 = 2;
+
+/// Cap, in heartbeat intervals, on the exponential backoff between
+/// retransmissions of an unacked ownership transfer. Keeps a long
+/// partition from flooding the heal with a retransmit per tick while
+/// still bounding the repair latency.
+const TRANSFER_RETRANSMIT_BACKOFF_CAP: u64 = 8;
+
+/// Minimum gap (ms) between ECN-style [`CongestionNoticeMsg`] pressure
+/// signals a member sends back to a switch whose flow setup it shed.
+/// Rate-limits the signalling so a storm of shed setups does not itself
+/// become a reverse-path storm.
+const CONGESTION_NOTICE_INTERVAL_MS: u64 = 100;
 
 impl ClusterNode {
     fn next_xid(&mut self) -> u32 {
@@ -351,9 +422,9 @@ impl ClusterNode {
 
     /// Queues a foreign chunk for forwarding at the next flush tick,
     /// enforcing the relay-buffer bound.
-    fn queue_relay(&mut self, sync: PeerSyncMsg, cap: usize) {
+    fn queue_relay(&mut self, sync: PeerSyncMsg) {
         self.relay_outbox.push_back(sync);
-        while self.relay_outbox.len() > cap {
+        while self.relay_outbox.len() > RELAY_BUFFER_CHUNKS {
             self.relay_outbox.pop_front();
             self.traffic.relay_overflows += 1;
         }
@@ -661,7 +732,7 @@ impl ClusterControlPlane {
                     ingress_queued_ns: 0,
                     ingress_last_ns: 0,
                     last_congestion_notice_ns: 0,
-                    ingress_shed: [0; MsgPriority::COUNT],
+                    setups_shed: 0,
                     queue_highwater: 0,
                     congestion_signals: 0,
                 })
@@ -1003,19 +1074,7 @@ impl ClusterControlPlane {
     /// Flow setups (PacketIns) a member's bounded ingress queue shed.
     /// Always zero when the queue is unbounded (the default).
     pub fn setups_shed(&self, id: u32) -> u64 {
-        self.nodes[id as usize].ingress_shed[MsgPriority::FlowSetup.index()]
-    }
-
-    /// Lookup-class messages a member's bounded ingress queue shed.
-    pub fn lookups_shed(&self, id: u32) -> u64 {
-        self.nodes[id as usize].ingress_shed[MsgPriority::Lookup.index()]
-    }
-
-    /// Critical-class (heartbeat / election / liveness) messages shed.
-    /// Structurally always zero — critical traffic is never shed — and
-    /// exposed so scenario verdicts can pin exactly that.
-    pub fn critical_sheds(&self, id: u32) -> u64 {
-        self.nodes[id as usize].ingress_shed[MsgPriority::Critical.index()]
+        self.nodes[id as usize].setups_shed
     }
 
     /// Peak ingress-queue depth (slots) observed at a member.
@@ -1050,7 +1109,7 @@ impl ClusterControlPlane {
         if self.nodes.len() <= 2 {
             return true;
         }
-        let lease_ns = self.cfg.leader_lease_ms as u64 * 1_000_000;
+        let lease_ns = LEADER_LEASE_MS as u64 * 1_000_000;
         let recent = self.nodes[id as usize]
             .last_hb_from
             .iter()
@@ -1162,7 +1221,7 @@ impl ClusterControlPlane {
                 (ClusterTimerKind::Heartbeat, self.cfg.heartbeat_interval_ms),
                 (
                     ClusterTimerKind::RebalanceCheck,
-                    self.cfg.rebalance_check_interval_ms,
+                    REBALANCE_CHECK_INTERVAL_MS,
                 ),
                 (
                     ClusterTimerKind::AntiEntropy,
@@ -1188,7 +1247,7 @@ impl ClusterControlPlane {
     /// id-proportional stagger that keeps concurrent timeouts from
     /// splitting votes forever.
     fn election_interval_ms(&self, id: u32) -> u32 {
-        self.cfg.election_timeout_ms + id * self.cfg.election_stagger_ms
+        ELECTION_TIMEOUT_MS + id * ELECTION_STAGGER_MS
     }
 
     // ---- Bootstrap -----------------------------------------------------
@@ -1316,9 +1375,9 @@ impl ClusterControlPlane {
             MsgPriority::FlowSetup => slots.saturating_mul(cost),
         };
         if prio != MsgPriority::Critical && node.ingress_queued_ns.saturating_add(cost) > cap_ns {
-            node.ingress_shed[prio.index()] += 1;
             if prio == MsgPriority::FlowSetup {
-                let gap_ns = self.cfg.congestion_notice_interval_ms as u64 * 1_000_000;
+                node.setups_shed += 1;
+                let gap_ns = CONGESTION_NOTICE_INTERVAL_MS * 1_000_000;
                 if node.last_congestion_notice_ns == 0
                     || now_ns.saturating_sub(node.last_congestion_notice_ns) >= gap_ns
                 {
@@ -1392,9 +1451,8 @@ impl ClusterControlPlane {
             // caches only: a lookup fan-out would just wedge on peers it
             // cannot reach, so the queued message goes straight to the
             // inner controller's scoped-ARP relay fallback instead.
-            if self.cfg.enable_lookup && !peers.is_empty() && !self.nodes[owner as usize].read_only
-            {
-                let lookup_timeout_ns = self.cfg.lookup_timeout_ms as u64 * 1_000_000;
+            if !peers.is_empty() && !self.nodes[owner as usize].read_only {
+                let lookup_timeout_ns = LOOKUP_TIMEOUT_MS * 1_000_000;
                 let node = self.nodes[owner as usize].write();
                 let pending = node.pending_lookups.entry(dst).or_default();
                 pending.queued.push((from, msg.clone()));
@@ -1709,8 +1767,7 @@ impl ClusterControlPlane {
         if self.nodes[id as usize].pending_lookups.is_empty() {
             return;
         }
-        let timeout_ns = self.cfg.lookup_timeout_ms as u64 * 1_000_000;
-        let max_retries = self.cfg.lookup_max_retries;
+        let timeout_ns = LOOKUP_TIMEOUT_MS * 1_000_000;
         let expired: Vec<MacAddr> = self.nodes[id as usize]
             .pending_lookups
             .iter()
@@ -1721,7 +1778,7 @@ impl ClusterControlPlane {
             let node = self.nodes[id as usize].write();
             node.lookup_timeouts += 1;
             let pending = node.pending_lookups.get_mut(&mac).expect("just listed");
-            if pending.retries >= max_retries {
+            if pending.retries >= LOOKUP_MAX_RETRIES {
                 let queued = std::mem::take(&mut pending.queued);
                 node.pending_lookups.remove(&mac);
                 for (from, msg) in queued {
@@ -1936,7 +1993,7 @@ impl ClusterControlPlane {
         out: &mut OutputSink<ClusterOutput>,
     ) {
         out.push(self.rearm(timer, self.election_interval_ms(id)));
-        let timeout_ns = self.cfg.election_timeout_ms as u64 * 1_000_000;
+        let timeout_ns = ELECTION_TIMEOUT_MS as u64 * 1_000_000;
         let cluster_size = self.nodes.len();
         let member = &mut self.nodes[id as usize];
         if member.election.role == ElectionRole::Leader {
@@ -2060,7 +2117,6 @@ impl ClusterControlPlane {
         if let Err(i) = alive.binary_search(&id) {
             alive.insert(i, id);
         }
-        let chunk_size = self.cfg.sync_chunk_entries;
         let member = &mut self.nodes[id as usize];
         let mut own_chunks: Vec<PeerSyncMsg> = Vec::new();
         if alive.len() > 1
@@ -2089,10 +2145,11 @@ impl ClusterControlPlane {
                 crate::replica::TOMBSTONE_CAP,
                 |&(_, stamp)| stamp,
             );
-            // Bounded chunks (~64 KiB at the default 2000 × 14 B) keep the
+            // Bounded chunks (~64 KiB at 2000 × 14 B) keep the
             // largest wire message flat no matter how much churn a flush
             // interval accumulated.
-            own_chunks = PeerSyncMsg::chunked(id, node.sync_seq, entries, removed, chunk_size);
+            own_chunks =
+                PeerSyncMsg::chunked(id, node.sync_seq, entries, removed, SYNC_CHUNK_ENTRIES);
             node.traffic.chunks_created += own_chunks.len() as u64;
             node.log_own_chunks(&own_chunks, self.cfg.delta_log_flushes);
         }
@@ -2182,7 +2239,6 @@ impl ClusterControlPlane {
         out: &mut OutputSink<ClusterOutput>,
     ) {
         let alive = self.believed_alive();
-        let cap = self.cfg.relay_buffer_chunks;
         let mut fresh_chunks: Vec<PeerSyncMsg> = Vec::new();
         {
             let node = self.nodes[at as usize].write();
@@ -2208,7 +2264,7 @@ impl ClusterControlPlane {
                     node.replica.apply(sync);
                     node.traffic.relay_applies += 1;
                     if self.strategy.should_queue_relay(at, sync.origin, &alive) {
-                        node.queue_relay(sync.clone(), cap);
+                        node.queue_relay(sync.clone());
                     }
                 }
                 fresh_chunks.push(sync.clone());
@@ -2273,7 +2329,6 @@ impl ClusterControlPlane {
         out: &mut OutputSink<ClusterOutput>,
     ) {
         let their: BTreeMap<u32, u64> = digest.heads.iter().copied().collect();
-        let chunk_size = self.cfg.sync_chunk_entries;
         let mut to_send: Vec<PeerSyncMsg> = Vec::new();
         {
             let node = &self.nodes[at as usize];
@@ -2317,8 +2372,13 @@ impl ClusterControlPlane {
                         .iter()
                         .map(|(mac, (sw, _))| (*mac, *sw))
                         .collect();
-                    let mut chunks =
-                        PeerSyncMsg::chunked(at, node.sync_seq, entries, removed, chunk_size);
+                    let mut chunks = PeerSyncMsg::chunked(
+                        at,
+                        node.sync_seq,
+                        entries,
+                        removed,
+                        SYNC_CHUNK_ENTRIES,
+                    );
                     mark_last_as_summary(&mut chunks);
                     to_send.extend(chunks);
                 }
@@ -2336,7 +2396,7 @@ impl ClusterControlPlane {
                 if their_head < my_head {
                     let (entries, removed) = node.replica.knowledge_since(origin, their_head);
                     let mut chunks =
-                        PeerSyncMsg::chunked(origin, my_head, entries, removed, chunk_size);
+                        PeerSyncMsg::chunked(origin, my_head, entries, removed, SYNC_CHUNK_ENTRIES);
                     mark_last_as_summary(&mut chunks);
                     to_send.extend(chunks);
                 }
@@ -2346,7 +2406,11 @@ impl ClusterControlPlane {
                     }
                     let (entries, removed) = node.replica.pending_delta(origin, seq);
                     to_send.extend(PeerSyncMsg::chunked(
-                        origin, seq, entries, removed, chunk_size,
+                        origin,
+                        seq,
+                        entries,
+                        removed,
+                        SYNC_CHUNK_ENTRIES,
                     ));
                 }
             }
@@ -2431,14 +2495,16 @@ impl ClusterControlPlane {
                 // were pruned at takeover; an undetected crash just means
                 // the retransmit vanishes and a later tick retries.)
                 let hb_ns = self.cfg.heartbeat_interval_ms as u64 * 1_000_000;
-                let cap = self.cfg.transfer_retransmit_backoff_cap as u64;
                 let mut resend: Vec<OwnershipTransferMsg> = Vec::new();
                 for u in node.unacked_transfers.values_mut() {
                     if now_ns < u.next_retry_ns {
                         continue;
                     }
                     u.attempts += 1;
-                    let backoff = 1u64.checked_shl(u.attempts).unwrap_or(u64::MAX).min(cap);
+                    let backoff = 1u64
+                        .checked_shl(u.attempts)
+                        .unwrap_or(u64::MAX)
+                        .min(TRANSFER_RETRANSMIT_BACKOFF_CAP);
                     u.next_retry_ns = now_ns + backoff * hb_ns;
                     resend.push(u.msg);
                 }
@@ -2499,7 +2565,7 @@ impl ClusterControlPlane {
 
     /// Leader-side skew check over the per-group message window: move one
     /// group from the hottest to the coolest member when the window-count
-    /// ratio exceeds the configured skew (and the hot member saw real
+    /// ratio exceeds [`SKEW_THRESHOLD`] (and the hot member saw real
     /// activity — an idle cluster's ratio is just noise).
     fn rebalance_check(
         &mut self,
@@ -2508,7 +2574,7 @@ impl ClusterControlPlane {
         timer: ClusterTimer,
         out: &mut OutputSink<ClusterOutput>,
     ) {
-        out.push(self.rearm(timer, self.cfg.rebalance_check_interval_ms));
+        out.push(self.rearm(timer, REBALANCE_CHECK_INTERVAL_MS));
         if self.nodes[id as usize].election.role != ElectionRole::Leader {
             // The window is plane-global shared state; only the leader may
             // drain it, or phase-shifted non-leader timers (e.g. after a
@@ -2545,8 +2611,8 @@ impl ClusterControlPlane {
             _ => return,
         };
         if hot == cool
-            || hot_count < self.cfg.rebalance_min_window_msgs
-            || (hot_count as f64) < (cool_count.max(1) as f64) * self.cfg.skew_threshold
+            || hot_count < REBALANCE_MIN_WINDOW_MSGS
+            || (hot_count as f64) < (cool_count.max(1) as f64) * SKEW_THRESHOLD
         {
             return;
         }

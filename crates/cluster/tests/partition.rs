@@ -14,7 +14,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::{test_config, MiniNet};
-use lazyctrl_cluster::ElectionRole;
+use lazyctrl_cluster::{ElectionRole, LEADER_LEASE_MS};
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::HostEntry;
 use proptest::prelude::*;
@@ -70,9 +70,8 @@ fn run_watching_leadership(
 /// strictly newer term.
 #[test]
 fn minority_leader_steps_down_within_lease_window() {
-    let cfg = test_config(3);
-    let lease_ns = u64::from(cfg.leader_lease_ms) * MS;
-    let mut net = MiniNet::new(3, cfg);
+    let lease_ns = u64::from(LEADER_LEASE_MS) * MS;
+    let mut net = MiniNet::new(3, test_config(3));
     net.run_until(SEC);
     assert_eq!(net.plane.leader(), Some(0), "member 0 leads from bootstrap");
     let term_before = net.plane.election_term(0);

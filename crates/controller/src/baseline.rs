@@ -15,7 +15,7 @@ use lazyctrl_proto::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::lazy::ControllerOutput;
+use crate::lazy::{ControllerOutput, FLOW_IDLE_TIMEOUT_S};
 use crate::WorkloadMeter;
 
 /// Floodlight-style reactive learning controller.
@@ -24,7 +24,6 @@ pub struct BaselineController {
     switches: Vec<SwitchId>,
     hosts: std::collections::BTreeMap<MacAddr, (SwitchId, PortNo)>,
     meter: WorkloadMeter,
-    flow_idle_timeout_s: u16,
     xid: u32,
 }
 
@@ -35,7 +34,6 @@ impl BaselineController {
             switches,
             hosts: std::collections::BTreeMap::new(),
             meter: WorkloadMeter::new(),
-            flow_idle_timeout_s: 30,
             xid: 0,
         }
     }
@@ -121,7 +119,7 @@ impl BaselineController {
                             command: FlowModCommand::Add,
                             flow_match: FlowMatch::to_dst(frame.dst),
                             priority: 10,
-                            idle_timeout: self.flow_idle_timeout_s,
+                            idle_timeout: FLOW_IDLE_TIMEOUT_S,
                             hard_timeout: 0,
                             cookie: 0,
                             actions: actions.clone(),

@@ -16,27 +16,16 @@ use lazyctrl_partition::{Sgi, SgiConfig, WeightedGraph, CONTROLLER_GROUP};
 use lazyctrl_proto::{GroupAssignMsg, StateReportMsg};
 use serde::{Deserialize, Serialize};
 
-/// The regrouping trigger parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RegroupTriggers {
-    /// Minimum time between updates (the 2-minute oscillation floor).
-    pub min_interval_ns: u64,
-    /// Workload growth since the last update that forces an update (0.30).
-    pub growth_threshold: f64,
-    /// Periodic refresh even without growth (keeps the grouping tracking
-    /// slow drift; the paper's trigger ii).
-    pub refresh_interval_ns: u64,
-}
+/// Minimum time between updates (ns): the paper's 2-minute oscillation
+/// floor.
+const MIN_REGROUP_INTERVAL_NS: u64 = 120_000_000_000;
 
-impl Default for RegroupTriggers {
-    fn default() -> Self {
-        RegroupTriggers {
-            min_interval_ns: 120_000_000_000,     // 2 min
-            growth_threshold: 0.30,               // +30%
-            refresh_interval_ns: 360_000_000_000, // 6 min
-        }
-    }
-}
+/// Workload growth since the last update that forces an update (+30 %).
+const GROWTH_THRESHOLD: f64 = 0.30;
+
+/// Periodic refresh even without growth (ns, 6 minutes): keeps the
+/// grouping tracking slow drift (the paper's trigger ii).
+const REFRESH_INTERVAL_NS: u64 = 360_000_000_000;
 
 /// What the trigger check decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,7 +88,6 @@ pub struct GroupingManager {
     num_switches: usize,
     group_size_limit: usize,
     seed: u64,
-    triggers: RegroupTriggers,
     /// Directed intensity samples from state reports, accumulated since
     /// the last update (drained at each update so the grouping always sees
     /// a fresh, consistent window — stale rates must not linger).
@@ -125,10 +113,6 @@ pub struct GroupingManager {
     /// Switches moved by the most recent update: `(switch, old group,
     /// new group)`. Consumed by the controller's preload step.
     last_moves: Vec<(SwitchId, usize, usize)>,
-    /// Worker threads for the parallel merge/split step of incremental
-    /// updates (`1` = sequential; results are bit-identical either way —
-    /// see `lazyctrl_partition::SgiConfig::parallelism`).
-    parallelism: usize,
 }
 
 impl GroupingManager {
@@ -137,12 +121,7 @@ impl GroupingManager {
     /// # Panics
     ///
     /// Panics if `group_size_limit` is zero.
-    pub fn new(
-        num_switches: usize,
-        group_size_limit: usize,
-        triggers: RegroupTriggers,
-        seed: u64,
-    ) -> Self {
+    pub fn new(num_switches: usize, group_size_limit: usize, seed: u64) -> Self {
         assert!(group_size_limit > 0, "group size limit must be positive");
         GroupingManager {
             sgi: None,
@@ -150,7 +129,6 @@ impl GroupingManager {
             num_switches,
             group_size_limit,
             seed,
-            triggers,
             samples: BTreeMap::new(),
             history: BTreeMap::new(),
             punt_counts: BTreeMap::new(),
@@ -160,22 +138,7 @@ impl GroupingManager {
             epoch: 0,
             group_epochs: BTreeMap::new(),
             last_moves: Vec::new(),
-            parallelism: 1,
         }
-    }
-
-    /// Sets the worker-thread count for the parallel merge/split step.
-    /// Call before [`bootstrap`]; the value is baked into the SGI
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    ///
-    /// [`bootstrap`]: GroupingManager::bootstrap
-    pub fn set_parallelism(&mut self, n: usize) {
-        assert!(n > 0, "parallelism must be at least 1");
-        self.parallelism = n;
     }
 
     /// The (global) grouping epoch currently in force.
@@ -380,8 +343,7 @@ impl GroupingManager {
             SgiConfig::new(self.group_size_limit)
                 .with_thresholds(0.0, 0.0)
                 .with_min_improvement(0.10)
-                .with_seed(self.seed)
-                .with_parallelism(self.parallelism),
+                .with_seed(self.seed),
         );
         self.epoch = sgi.epoch();
         let num_groups = sgi.partition().num_groups();
@@ -409,21 +371,21 @@ impl GroupingManager {
             return RegroupDecision::None;
         }
         let elapsed = now_ns.saturating_sub(self.last_update_ns);
-        if elapsed < self.triggers.min_interval_ns {
+        if elapsed < MIN_REGROUP_INTERVAL_NS {
             return RegroupDecision::None;
         }
         let base = self.workload_at_last_update.max(1e-9);
         let growth = (workload_rps - self.workload_at_last_update) / base;
-        if growth >= self.triggers.growth_threshold {
+        if growth >= GROWTH_THRESHOLD {
             // Large accumulated drift: incremental updates may not retain
             // quality; the paper falls back to a fresh IniGroup for "very
             // significant" changes (§V-C).
-            if growth >= 2.0 * self.triggers.growth_threshold {
+            if growth >= 2.0 * GROWTH_THRESHOLD {
                 return RegroupDecision::Full;
             }
             return RegroupDecision::Incremental;
         }
-        if elapsed >= self.triggers.refresh_interval_ns {
+        if elapsed >= REFRESH_INTERVAL_NS {
             return RegroupDecision::Incremental;
         }
         RegroupDecision::None
@@ -481,10 +443,8 @@ impl GroupingManager {
         sgi.set_intensity(graph);
         match decision {
             RegroupDecision::Incremental => {
-                // Disjoint-pair merge/split (Appendix B): the re-splits
-                // are computed on `parallelism` workers and applied in
-                // deterministic order, so the result does not depend on
-                // the thread count.
+                // Disjoint-pair merge/split (Appendix B): several group
+                // pairs re-split in one round, applied in selection order.
                 let _ = sgi.par_inc_update(f64::INFINITY, sgi.config().max_merge_rounds);
             }
             RegroupDecision::Full => sgi.regroup(),
@@ -622,7 +582,7 @@ mod tests {
     }
 
     fn manager(n: usize, limit: usize) -> GroupingManager {
-        GroupingManager::new(n, limit, RegroupTriggers::default(), 7)
+        GroupingManager::new(n, limit, 7)
     }
 
     #[test]

@@ -17,7 +17,7 @@ use lazyctrl_proto::{
 use serde::{Deserialize, Serialize};
 
 use crate::failover::{FailureDetector, FailureKind, RecoveryAction};
-use crate::grouping::{FrozenGrouping, GroupingManager, RegroupDecision, RegroupTriggers};
+use crate::grouping::{FrozenGrouping, GroupingManager, RegroupDecision};
 use crate::tenant::TenantDirectory;
 use crate::{Clib, HostLocation, WorkloadMeter};
 
@@ -39,6 +39,11 @@ pub enum ControllerOutput {
     SetTimer(ControllerTimer, u64),
 }
 
+/// Idle timeout (s) of every rule a controller installs: inter-group
+/// tunnels, false-positive corrections, regrouping preloads, and the
+/// baseline's learned forwarding rules alike.
+pub(crate) const FLOW_IDLE_TIMEOUT_S: u16 = 30;
+
 /// Configuration of the lazy controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LazyConfig {
@@ -48,24 +53,9 @@ pub struct LazyConfig {
     pub keepalive_interval_ms: u32,
     /// Group size limit (switches per LCG).
     pub group_size_limit: usize,
-    /// Regrouping triggers.
-    pub triggers: RegroupTriggers,
     /// Enable incremental regrouping ("dynamic" in Fig. 7); when false the
     /// bootstrap grouping stays frozen ("static").
     pub dynamic_updates: bool,
-    /// Enable tenant ARP blocking (§III-D.3).
-    pub enable_arp_blocking: bool,
-    /// Preload temporary tunnel rules around regroupings (Appendix B,
-    /// "preload for seamless grouping update"): flows between a moved
-    /// switch and its former peers keep flowing from rules instead of
-    /// punting while the G-FIBs converge.
-    pub enable_preload: bool,
-    /// Idle timeout for installed inter-group rules (s).
-    pub flow_idle_timeout_s: u16,
-    /// Worker threads for the SGI merge/split step of incremental
-    /// regrouping (`1` = sequential; any value produces bit-identical
-    /// groupings — the knob only buys wall-clock time on big topologies).
-    pub sgi_parallelism: usize,
     /// Deterministic seed.
     pub seed: u64,
 }
@@ -76,12 +66,7 @@ impl Default for LazyConfig {
             sync_interval_ms: 1_000,
             keepalive_interval_ms: 1_000,
             group_size_limit: 46,
-            triggers: RegroupTriggers::default(),
             dynamic_updates: true,
-            enable_arp_blocking: true,
-            enable_preload: true,
-            flow_idle_timeout_s: 30,
-            sgi_parallelism: 1,
             seed: 0x1a2b,
         }
     }
@@ -104,9 +89,7 @@ pub struct LazyController {
 impl LazyController {
     /// Creates a controller for the given switches.
     pub fn new(switches: Vec<SwitchId>, cfg: LazyConfig) -> Self {
-        let mut grouping =
-            GroupingManager::new(switches.len(), cfg.group_size_limit, cfg.triggers, cfg.seed);
-        grouping.set_parallelism(cfg.sgi_parallelism.max(1));
+        let grouping = GroupingManager::new(switches.len(), cfg.group_size_limit, cfg.seed);
         // Correlation window ≥ 2 wheel deadlines (interval × the shared
         // miss threshold), so persistent losses from both ring directions
         // are guaranteed to overlap — see `FailureDetector::with_window`.
@@ -161,11 +144,8 @@ impl LazyController {
         self.grouping = GroupingManager::new(
             self.switches.len(),
             self.cfg.group_size_limit,
-            self.cfg.triggers,
             self.cfg.seed,
         );
-        self.grouping
-            .set_parallelism(self.cfg.sgi_parallelism.max(1));
         outcome
     }
 
@@ -345,9 +325,7 @@ impl LazyController {
                                 Message::lazy(xid, LazyMsg::group_assign(ga)),
                             ));
                         }
-                        if self.cfg.enable_preload {
-                            self.preload_for_moves(out);
-                        }
+                        self.preload_for_moves(out);
                         self.refresh_arp_blocking(out);
                     }
                 }
@@ -362,9 +340,6 @@ impl LazyController {
     /// Re-evaluates tenant confinement and pushes `BlockArp` deltas
     /// (§III-D.3).
     pub fn refresh_arp_blocking(&mut self, out: &mut OutputSink<ControllerOutput>) {
-        if !self.cfg.enable_arp_blocking {
-            return;
-        }
         let grouping = &self.grouping;
         self.tenants.rebuild(&self.clib, |s| grouping.group_of(s));
         let (to_block, to_unblock) = self.tenants.block_delta();
@@ -472,7 +447,7 @@ impl LazyController {
                     command: FlowModCommand::Add,
                     flow_match: FlowMatch::to_dst(dst),
                     priority: 10,
-                    idle_timeout: self.cfg.flow_idle_timeout_s,
+                    idle_timeout: FLOW_IDLE_TIMEOUT_S,
                     hard_timeout: 0,
                     cookie: epoch as u64,
                     actions: actions.clone(),
@@ -514,7 +489,7 @@ impl LazyController {
                     command: FlowModCommand::Add,
                     flow_match: FlowMatch::to_dst(encap.inner.dst),
                     priority: 20, // outranks the G-FIB path
-                    idle_timeout: self.cfg.flow_idle_timeout_s,
+                    idle_timeout: FLOW_IDLE_TIMEOUT_S,
                     hard_timeout: 0,
                     cookie: epoch as u64,
                     actions: vec![Action::Encap {
@@ -710,7 +685,7 @@ impl LazyController {
                                     command: FlowModCommand::Add,
                                     flow_match: FlowMatch::to_dst(mac),
                                     priority: 10,
-                                    idle_timeout: self.cfg.flow_idle_timeout_s,
+                                    idle_timeout: FLOW_IDLE_TIMEOUT_S,
                                     hard_timeout: 0,
                                     cookie: epoch as u64,
                                     actions: vec![Action::Encap {

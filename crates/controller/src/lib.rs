@@ -35,7 +35,7 @@ mod workload;
 pub use baseline::BaselineController;
 pub use clib::{Clib, HostLocation};
 pub use failover::{FailureDetector, FailureKind, RecoveryAction};
-pub use grouping::{FrozenGrouping, GroupingManager, RegroupDecision, RegroupTriggers};
+pub use grouping::{FrozenGrouping, GroupingManager, RegroupDecision};
 pub use lazy::{ControllerOutput, ControllerTimer, LazyConfig, LazyController};
 pub use tenant::TenantDirectory;
 pub use workload::WorkloadMeter;

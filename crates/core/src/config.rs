@@ -1,7 +1,6 @@
 //! Experiment configuration.
 
 use lazyctrl_cluster::DisseminationStrategy;
-use lazyctrl_controller::RegroupTriggers;
 use lazyctrl_obs::ObsConfig;
 use lazyctrl_proto::EventPlan;
 use lazyctrl_sim::{BandwidthModel, LatencyModel};
@@ -43,10 +42,6 @@ pub struct ExperimentConfig {
     pub mode: ControlMode,
     /// Switches per local control group.
     pub group_size_limit: usize,
-    /// Hours of leading traffic used to build the bootstrap intensity
-    /// graph ("the initial grouping is done based on the first-hour
-    /// traffic pattern", §V-D).
-    pub bootstrap_hours: f64,
     /// Peer-sync interval pushed to switches (ms). Large default keeps the
     /// 24 h runs fast; the sync traffic itself never touches the
     /// controller's PacketIn path.
@@ -68,12 +63,6 @@ pub struct ExperimentConfig {
     /// from its wire size and the link's in-flight backlog — no RNG
     /// draws, so worker-count determinism holds by construction.
     pub bandwidth: BandwidthModel,
-    /// Regrouping triggers (dynamic mode only).
-    pub triggers: RegroupTriggers,
-    /// Report G-FIB false positives to the controller for corrective rules.
-    pub report_false_positives: bool,
-    /// Preload temporary tunnel rules around regroupings (Appendix B).
-    pub preload: bool,
     /// Record every delivered flow's (src, dst, emit-time, latency) tuple.
     /// Memory-heavy; only the micro scenarios enable it.
     pub record_flow_latencies: bool,
@@ -115,9 +104,6 @@ pub struct ExperimentConfig {
     /// switch crashes, link degradation, host migration, traffic bursts —
     /// see [`EventPlan`]). Empty by default: nothing is injected.
     pub plan: EventPlan,
-    /// Worker threads for the SGI merge/split step of incremental
-    /// regrouping (`1` = sequential; bit-identical results either way).
-    pub sgi_parallelism: usize,
     /// Observability layer (flight recorder + sampling profiler). Off by
     /// default; the layer is strictly read-only, so reports are
     /// bit-identical with it on or off (see `lazyctrl_obs`).
@@ -144,16 +130,12 @@ impl ExperimentConfig {
         ExperimentConfig {
             mode,
             group_size_limit: 46,
-            bootstrap_hours: 1.0,
             sync_interval_ms: 300_000,
             keepalive_interval_ms: 60_000,
             emit_arp: false,
             responses: true,
             latency: LatencyModel::default(),
             bandwidth: BandwidthModel::unmodeled(),
-            triggers: RegroupTriggers::default(),
-            report_false_positives: true,
-            preload: true,
             record_flow_latencies: false,
             horizon_hours: None,
             bucket_hours: 2.0,
@@ -164,7 +146,6 @@ impl ExperimentConfig {
             cluster_ingress_slots: None,
             cluster_ingress_cost_ns: None,
             plan: EventPlan::new(),
-            sgi_parallelism: 1,
             obs: ObsConfig::default(),
             workers: None,
             shard_window_us: None,
@@ -174,12 +155,6 @@ impl ExperimentConfig {
     /// Attaches an observability configuration (tracing/profiling).
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Sets the SGI merge/split worker-thread count.
-    pub fn with_sgi_parallelism(mut self, n: usize) -> Self {
-        self.sgi_parallelism = n;
         self
     }
 
@@ -267,10 +242,6 @@ impl ExperimentConfig {
             "group size limit must be positive"
         );
         assert!(self.bucket_hours > 0.0, "bucket width must be positive");
-        assert!(
-            self.bootstrap_hours >= 0.0,
-            "bootstrap window cannot be negative"
-        );
         assert!(self.sync_interval_ms > 0, "sync interval must be positive");
         assert!(
             self.keepalive_interval_ms > 0,
@@ -296,7 +267,6 @@ impl ExperimentConfig {
         if let Some(cost) = self.cluster_ingress_cost_ns {
             assert!(cost > 0, "ingress cost must be positive");
         }
-        assert!(self.sgi_parallelism > 0, "sgi_parallelism must be positive");
         if let Some(w) = self.workers {
             assert!(w > 0, "workers must be positive");
         }

@@ -33,8 +33,7 @@ pub struct ExperimentReport {
     /// First packets confirmed delivered.
     pub delivered_flows: u64,
     /// Simulation events processed (scheduler pops) over the run — the
-    /// benchmark's `sim.events`. Identical across SGI parallelism
-    /// settings for a given seed.
+    /// benchmark's `sim.events`.
     pub events_processed: u64,
     /// Overall mean first-packet latency (ms).
     pub mean_latency_ms: f64,

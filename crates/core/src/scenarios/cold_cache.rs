@@ -233,7 +233,7 @@ mod tests {
         // LazyCtrl must not be meaningfully slower than the baseline there.
         // (The paper's 5.38-vs-15.06 gap additionally reflects Floodlight's
         // slow passive topology learning, which our leaner baseline does
-        // not model — see EXPERIMENTS.md.)
+        // not model — see DESIGN.md §1.)
         assert!(
             lazy.inter_group_ms <= base.inter_group_ms * 2.0,
             "inter-group: lazy {} vs baseline {}",

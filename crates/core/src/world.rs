@@ -463,7 +463,7 @@ impl DataCenterWorld {
         let mut switches: Vec<EdgeSwitch> = (0..n)
             .map(|i| {
                 let mut sw = EdgeSwitch::new(SwitchId::new(i as u32));
-                sw.report_false_positives = cfg.report_false_positives;
+                sw.report_false_positives = true;
                 sw.datapath_learning = cfg.mode.is_lazy();
                 sw
             })
@@ -498,12 +498,7 @@ impl DataCenterWorld {
                     sync_interval_ms: cfg.sync_interval_ms,
                     keepalive_interval_ms: cfg.keepalive_interval_ms,
                     group_size_limit: cfg.group_size_limit,
-                    triggers: cfg.triggers,
                     dynamic_updates: mode == ControlMode::LazyDynamic,
-                    enable_arp_blocking: true,
-                    enable_preload: cfg.preload,
-                    flow_idle_timeout_s: 30,
-                    sgi_parallelism: cfg.sgi_parallelism,
                     seed: cfg.seed,
                 };
                 match maybe_cluster {
@@ -582,19 +577,17 @@ impl DataCenterWorld {
         }
     }
 
-    /// Runs the control plane's bootstrap (IniGroup from the leading
-    /// window of the trace) and dispatches its outputs at t=0.
+    /// Runs the control plane's bootstrap (IniGroup from the trace's
+    /// first hour — "the initial grouping is done based on the first-hour
+    /// traffic pattern", §V-D) and dispatches its outputs at t=0.
     pub(crate) fn bootstrap(&mut self, sched: &mut Scheduler<'_, Ev>) {
         if matches!(self.controller, AnyController::Baseline(_)) {
             return;
         }
-        let window_ns = SimTime::from_hours(self.cfg.bootstrap_hours).as_nanos();
-        let graph = if window_ns == 0 {
-            lazyctrl_partition::WeightedGraph::new(self.trace.topology.num_switches)
-        } else {
-            lazyctrl_trace::IntensityMatrix::from_trace_window(&self.trace, 0, window_ns.max(1))
-                .to_graph()
-        };
+        let first_hour_ns = SimTime::from_hours(1.0).as_nanos();
+        let graph =
+            lazyctrl_trace::IntensityMatrix::from_trace_window(&self.trace, 0, first_hour_ns)
+                .to_graph();
         match &mut self.controller {
             AnyController::Lazy(controller) => {
                 controller.bootstrap(0, graph, &mut self.ctrl_sink);

@@ -208,41 +208,6 @@ fn seeds_are_not_cherry_picked() {
     }
 }
 
-/// Runs one scenario with the parallel SGI merge/split at 4 workers vs
-/// the sequential default: bit-identical reports, because the re-splits
-/// are pure per-pair functions applied in deterministic order.
-fn assert_identical_across_sgi_parallelism(name: &str) {
-    let reg = ScenarioRegistry::builtin();
-    let s = reg.get(name).unwrap_or_else(|| panic!("{name} registered"));
-    let run_with = |n: usize| {
-        let (trace, cfg, plan) = s.build(0xC1);
-        run_built(s, trace, cfg.with_sgi_parallelism(n), plan)
-    };
-    let serial = run_with(1);
-    let parallel = run_with(4);
-    assert_fingerprints_agree(name, "sgi-parallelism", &serial.report, &parallel.report);
-    assert_eq!(
-        serial.report, parallel.report,
-        "{name}: SGI parallelism changed the report"
-    );
-    assert_eq!(serial.verdict, parallel.verdict);
-}
-
-#[test]
-fn cold_cache_is_identical_across_sgi_parallelism() {
-    assert_identical_across_sgi_parallelism("cold_cache");
-}
-
-#[test]
-fn crash_under_load_is_identical_across_sgi_parallelism() {
-    assert_identical_across_sgi_parallelism("crash_under_load");
-}
-
-#[test]
-fn peer_sync_storm_is_identical_across_sgi_parallelism() {
-    assert_identical_across_sgi_parallelism("peer_sync_storm");
-}
-
 /// Runs one scenario on the sharded engine at 1, 4 and 8 workers: the
 /// reports must be bit-identical, because the shard layout (and thus every
 /// partition's event stream) is fixed by configuration — worker threads
@@ -316,41 +281,6 @@ fn controller_incast_is_identical_across_workers() {
 #[test]
 fn elephant_peer_sync_is_identical_across_workers() {
     assert_identical_across_workers("elephant_peer_sync");
-}
-
-/// Dynamic-mode regrouping actually exercises the parallel merge/split
-/// path (the static scenarios freeze their grouping), so this is the
-/// end-to-end proof that worker count does not leak into results.
-#[test]
-fn dynamic_regrouping_is_identical_across_sgi_parallelism() {
-    use lazyctrl_core::{ControlMode, Experiment, ExperimentConfig};
-    let base = lazyctrl_bench_free_trace();
-    let run_with = |n: usize| {
-        let cfg = ExperimentConfig::new(ControlMode::LazyDynamic)
-            .with_group_size_limit(10)
-            .with_seed(77)
-            .with_sgi_parallelism(n);
-        Experiment::new(base.clone(), cfg).run()
-    };
-    let serial = run_with(1);
-    let parallel = run_with(4);
-    assert_eq!(serial, parallel, "dynamic SGI diverged across parallelism");
-    let updates: f64 = serial.updates_per_hour.iter().map(|p| p.value).sum();
-    assert!(
-        updates > 0.0,
-        "dynamic mode never regrouped — test is vacuous"
-    );
-}
-
-/// A shifting-hotspot trace that forces incremental regroups (mirrors the
-/// end-to-end dynamic test's construction, without depending on bench).
-fn lazyctrl_bench_free_trace() -> lazyctrl_trace::Trace {
-    use lazyctrl_trace::expand::expand;
-    use lazyctrl_trace::realistic::{generate, RealTraceConfig};
-    let mut cfg = RealTraceConfig::small();
-    cfg.num_flows = 20_000;
-    let base = generate(&cfg);
-    expand(&base, 0.40, 8.0, 24.0, 11)
 }
 
 // ---- Golden scenario table -------------------------------------------

@@ -299,3 +299,21 @@ impl McState {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Layout tripwire: the checker clones every in-flight `PendingMsg`
+    /// with each state it branches, so its inline size is a per-message,
+    /// per-state memory constant.
+    #[test]
+    fn pending_msg_stays_compact() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<PendingMsg>() <= 72,
+            "PendingMsg grew to {} bytes",
+            size_of::<PendingMsg>()
+        );
+    }
+}

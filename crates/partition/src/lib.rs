@@ -17,8 +17,8 @@
 //!   is balanced enough, Fiduccia–Mattheyses-style refinement otherwise);
 //! * [`Sgi`] — the paper's **SGI** algorithm (Fig. 3): `IniGroup` for the
 //!   initial grouping and `IncUpdate` for threshold-driven incremental
-//!   regrouping, with Appendix-B extensions (host exclusion, parallel
-//!   merge/split via crossbeam);
+//!   regrouping, with Appendix-B extensions (host exclusion, disjoint-pair
+//!   merge/split);
 //! * [`bargain`] — the Appendix-C modified Rubinstein bargaining model for
 //!   dynamic group-size negotiation.
 //!

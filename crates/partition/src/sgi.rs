@@ -11,16 +11,11 @@
 //!
 //! Appendix-B extensions are included: host/switch **exclusion** (excluded
 //! vertices are pinned to [`CONTROLLER_GROUP`] and handled centrally) and
-//! **parallel** merge/split over disjoint group pairs
-//! ([`Sgi::par_inc_update`], via `std::thread::scope` workers).
-//!
-//! Parallelism is gated by [`SgiConfig::parallelism`]: `1` (the default)
-//! computes the re-splits sequentially on the calling thread; `n > 1`
-//! fans the disjoint pairs out over up to `n` scoped OS threads. Each
-//! worker is a pure function of its pair's subgraph and a pair-derived
-//! seed, and results are *applied* sequentially in selection order either
-//! way — so the resulting grouping (and every simulation report built on
-//! it) is bit-identical across `parallelism` settings.
+//! the **parallel** merge/split over disjoint group pairs
+//! ([`Sgi::par_inc_update`]). The pairs are disjoint, so each re-split is
+//! a pure function of its pair's subgraph and a pair-derived seed; they
+//! run one after another on the calling thread and are applied in
+//! selection order.
 
 use std::collections::BTreeMap;
 
@@ -52,10 +47,6 @@ pub struct SgiConfig {
     /// live network every accepted update costs reassignments, G-FIB
     /// rebuilds and transient punts, so it must earn its keep.
     pub min_improvement: f64,
-    /// Worker threads for [`Sgi::par_inc_update`]'s re-split computation.
-    /// `1` (the default) stays sequential and spawns nothing; results are
-    /// identical for any value (see the module docs).
-    pub parallelism: usize,
 }
 
 impl SgiConfig {
@@ -74,19 +65,7 @@ impl SgiConfig {
             excluded: Vec::new(),
             max_merge_rounds: 16,
             min_improvement: 0.0,
-            parallelism: 1,
         }
-    }
-
-    /// Sets the worker-thread count for parallel merge/split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        assert!(n > 0, "parallelism must be at least 1");
-        self.parallelism = n;
-        self
     }
 
     /// Sets the minimum relative improvement for accepting a merge/split.
@@ -305,18 +284,14 @@ impl Sgi {
     }
 
     /// Parallel `IncUpdate` (Appendix B): merges and re-splits several
-    /// *disjoint* group pairs in one round, computing the expensive
-    /// min-bisections on `std::thread::scope` workers when
-    /// [`SgiConfig::parallelism`] exceeds 1.
+    /// *disjoint* group pairs in one round.
     ///
     /// Selects up to `max_pairs` disjoint candidate pairs by traffic
-    /// increase. Each pair's re-split is a pure function of the (shared,
-    /// immutable) intensity graph and current grouping, so computing them
-    /// concurrently changes nothing; the results are then *applied*
-    /// sequentially in selection order, each accepted only if it improves
-    /// `W_inter` by at least `min_improvement` (the same accept/revert
-    /// rule as the serial path). The outcome is therefore bit-identical
-    /// for every `parallelism` setting.
+    /// increase. Each pair's re-split is a pure function of the intensity
+    /// graph and the grouping as it stood before the round; the results
+    /// are then *applied* in selection order, each accepted only if it
+    /// improves `W_inter` by at least `min_improvement` (the same
+    /// accept/revert rule as the serial path).
     pub fn par_inc_update(&mut self, current_load: f64, max_pairs: usize) -> IncUpdateReport {
         let winter_before = self.winter();
         let mut report = IncUpdateReport {
@@ -333,42 +308,22 @@ impl Sgi {
         if pairs.is_empty() {
             return report;
         }
-        // Compute the re-splits (in parallel when configured); apply
-        // sequentially, in selection order.
-        let graph = &self.graph;
-        let partition = &self.partition;
-        let limit = self.cfg.group_size_limit as f64;
-        let seed = self.cfg.seed;
-        let epoch = self.epoch;
-        let resplit = move |&(g1, g2): &(usize, usize)| {
-            let mut members = partition.members(g1);
-            members.extend(partition.members(g2));
-            let (sub, map) = graph.subgraph(&members);
-            let split = min_bisection(
-                &sub,
-                limit,
-                seed ^ ((g1 as u64) << 16) ^ g2 as u64 ^ ((epoch as u64) << 32),
-            );
-            (g1, g2, map, split)
-        };
-        let workers = self.cfg.parallelism.max(1).min(pairs.len());
-        let results: Vec<(usize, usize, Vec<usize>, Partition)> = if workers <= 1 {
-            pairs.iter().map(resplit).collect()
-        } else {
-            // Contiguous chunks, joined in chunk order, keep the result
-            // order equal to the sequential path's.
-            let chunk_len = pairs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .chunks(chunk_len)
-                    .map(|chunk| scope.spawn(move || chunk.iter().map(resplit).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("merge/split worker panicked"))
-                    .collect()
+        // Compute every re-split against the pre-round grouping, then
+        // apply them in selection order.
+        let results: Vec<(usize, usize, Vec<usize>, Partition)> = pairs
+            .iter()
+            .map(|&(g1, g2)| {
+                let mut members = self.partition.members(g1);
+                members.extend(self.partition.members(g2));
+                let (sub, map) = self.graph.subgraph(&members);
+                let split = min_bisection(
+                    &sub,
+                    self.cfg.group_size_limit as f64,
+                    self.cfg.seed ^ ((g1 as u64) << 16) ^ g2 as u64 ^ ((self.epoch as u64) << 32),
+                );
+                (g1, g2, map, split)
             })
-        };
+            .collect();
 
         for (g1, g2, map, split) in results {
             let before = self.winter();
@@ -635,32 +590,6 @@ mod tests {
         // Both should materially cut winter; parallel handles 2 pairs at once.
         assert!(rs.winter_after <= rs.winter_before);
         assert!(rp.winter_after <= rp.winter_before + 1e-9);
-    }
-
-    #[test]
-    fn par_inc_update_is_bit_identical_across_parallelism() {
-        let g = clustered_graph(8, 6, 77);
-        let mut shifted = g.clone();
-        for i in 0..3 {
-            shifted.add_edge(i, 6 + i, 40.0);
-            shifted.add_edge(12 + i, 18 + i, 40.0);
-            shifted.add_edge(24 + i, 30 + i, 40.0);
-        }
-        let run = |parallelism: usize| {
-            let cfg = SgiConfig::new(6)
-                .with_thresholds(0.1, 1.0)
-                .with_seed(5)
-                .with_parallelism(parallelism);
-            let mut sgi = Sgi::ini_group(g.clone(), cfg);
-            sgi.set_intensity(shifted.clone());
-            let report = sgi.par_inc_update(1e9, 4);
-            (report, sgi.partition().assignment().to_vec(), sgi.epoch())
-        };
-        let serial = run(1);
-        for n in [2, 4, 16] {
-            assert_eq!(run(n), serial, "parallelism={n} diverged from serial");
-        }
-        assert!(!serial.0.merged_pairs.is_empty(), "update did nothing");
     }
 
     #[test]

@@ -706,6 +706,19 @@ mod tests {
         }
     }
 
+    /// Layout tripwire: every C-LIB replica, outbox and peer-sync chunk
+    /// stores `HostEntry`s by value, so its inline size is a per-host
+    /// memory constant (its wire form is 14 bytes).
+    #[test]
+    fn host_entry_stays_compact() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<HostEntry>() <= 16,
+            "HostEntry grew to {} bytes",
+            size_of::<HostEntry>()
+        );
+    }
+
     #[test]
     fn peer_sync_round_trips() {
         round_trip(ClusterMsg::peer_sync(PeerSyncMsg {

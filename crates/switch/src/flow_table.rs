@@ -221,6 +221,20 @@ mod tests {
         }
     }
 
+    /// Layout tripwire: a switch holds one `FlowRule` per installed rule
+    /// (millions per `dynamic_regroup` run), so its inline size is a
+    /// per-rule memory constant; the `actions` vector's heap block comes
+    /// on top.
+    #[test]
+    fn flow_rule_stays_compact() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<FlowRule>() <= 88,
+            "FlowRule grew to {} bytes",
+            size_of::<FlowRule>()
+        );
+    }
+
     #[test]
     fn add_and_lookup() {
         let mut t = FlowTable::new();
