@@ -8,6 +8,8 @@
 //! both endpoints are known installs an `Encap` rule on the ingress switch
 //! so the flow's remaining packets ride the underlay directly.
 
+use std::sync::Arc;
+
 use lazyctrl_net::{EthernetFrame, MacAddr, PortNo, SwitchId};
 use lazyctrl_proto::{
     Action, FlowMatch, FlowModCommand, FlowModMsg, Message, OfMessage, OutputSink, PacketInMsg,
@@ -102,14 +104,16 @@ impl BaselineController {
             Some((dst_switch, dst_port)) => {
                 // Known destination: install the forwarding rule on the
                 // ingress switch, then release the packet.
-                let actions = if dst_switch == from {
-                    vec![Action::Output(dst_port)]
+                // One list for the FlowMod and the PacketOut.
+                let action = if dst_switch == from {
+                    Action::Output(dst_port)
                 } else {
-                    vec![Action::Encap {
+                    Action::Encap {
                         remote: dst_switch.underlay_ip(),
                         key: 0,
-                    }]
+                    }
                 };
+                let actions: Arc<[Action]> = Arc::new([action]);
                 let xid = self.next_xid();
                 out.push(ControllerOutput::ToSwitch(
                     from,
@@ -122,7 +126,7 @@ impl BaselineController {
                             idle_timeout: FLOW_IDLE_TIMEOUT_S,
                             hard_timeout: 0,
                             cookie: 0,
-                            actions: actions.clone(),
+                            actions: Arc::clone(&actions),
                         }),
                     ),
                 ));
@@ -142,7 +146,9 @@ impl BaselineController {
             }
             None => {
                 // Unknown destination: flood. The learning switch relays
-                // the packet to every other switch for local flooding.
+                // the packet to every other switch for local flooding —
+                // one action list and one packet buffer for all of them.
+                let flood: Arc<[Action]> = Arc::new([Action::Output(PortNo::FLOOD)]);
                 for i in 0..self.switches.len() {
                     let s = self.switches[i];
                     if s == from {
@@ -156,7 +162,7 @@ impl BaselineController {
                             OfMessage::PacketOut(PacketOutMsg {
                                 buffer_id: u32::MAX,
                                 in_port: PortNo::NONE,
-                                actions: vec![Action::Output(PortNo::FLOOD)],
+                                actions: Arc::clone(&flood),
                                 data: pi.data.clone(),
                             }),
                         ),
@@ -249,8 +255,8 @@ mod tests {
             lazyctrl_proto::MessageBody::Of(OfMessage::FlowMod(fm)) => {
                 assert_eq!(fm.command, FlowModCommand::Add);
                 assert_eq!(
-                    fm.actions,
-                    vec![Action::Encap {
+                    *fm.actions,
+                    [Action::Encap {
                         remote: SwitchId::new(2).underlay_ip(),
                         key: 0
                     }]
@@ -283,7 +289,7 @@ mod tests {
         };
         match &m.body {
             lazyctrl_proto::MessageBody::Of(OfMessage::FlowMod(fm)) => {
-                assert_eq!(fm.actions, vec![Action::Output(PortNo::new(7))]);
+                assert_eq!(*fm.actions, [Action::Output(PortNo::new(7))]);
             }
             other => panic!("expected FlowMod, got {other:?}"),
         }

@@ -7,6 +7,8 @@
 //! processed here is counted by the workload meter — the quantity Fig. 7
 //! shows dropping 61–82% below the baseline controller.
 
+use std::sync::Arc;
+
 use lazyctrl_net::{EthernetFrame, Packet, PortNo, SwitchId, TenantId};
 use lazyctrl_partition::bargain::{negotiate, BargainConfig, BargainOutcome};
 use lazyctrl_partition::WeightedGraph;
@@ -410,7 +412,7 @@ impl LazyController {
                         OfMessage::PacketOut(PacketOutMsg {
                             buffer_id: pi.buffer_id,
                             in_port: pi.in_port,
-                            actions: vec![Action::Output(loc.port)],
+                            actions: Arc::new([Action::Output(loc.port)]),
                             data: pi.data.clone(),
                         }),
                     ),
@@ -434,10 +436,11 @@ impl LazyController {
         // Tunnel keys carry the *receiver's* group epoch so untouched
         // groups keep accepting the traffic across global regroupings.
         let epoch = self.grouping.epoch_of_switch(loc.switch);
-        let actions = vec![Action::Encap {
+        // One list for the FlowMod and the PacketOut.
+        let actions: Arc<[Action]> = Arc::new([Action::Encap {
             remote: loc.switch.underlay_ip(),
             key: epoch,
-        }];
+        }]);
         let xid = self.next_xid();
         out.push(ControllerOutput::ToSwitch(
             from,
@@ -450,7 +453,7 @@ impl LazyController {
                     idle_timeout: FLOW_IDLE_TIMEOUT_S,
                     hard_timeout: 0,
                     cookie: epoch as u64,
-                    actions: actions.clone(),
+                    actions: Arc::clone(&actions),
                 }),
             ),
         ));
@@ -492,10 +495,10 @@ impl LazyController {
                     idle_timeout: FLOW_IDLE_TIMEOUT_S,
                     hard_timeout: 0,
                     cookie: epoch as u64,
-                    actions: vec![Action::Encap {
+                    actions: Arc::new([Action::Encap {
                         remote: loc.switch.underlay_ip(),
                         key: epoch,
-                    }],
+                    }]),
                 }),
             ),
         ));
@@ -536,6 +539,7 @@ impl LazyController {
                 }
             }
         }
+        let flood: Arc<[Action]> = Arc::new([Action::Output(PortNo::FLOOD)]);
         for s in targets {
             let xid = self.next_xid();
             out.push(ControllerOutput::ToSwitch(
@@ -545,10 +549,10 @@ impl LazyController {
                     OfMessage::PacketOut(PacketOutMsg {
                         buffer_id: u32::MAX,
                         in_port: PortNo::NONE,
-                        actions: vec![Action::Output(PortNo::FLOOD)],
-                        // Shared handle: one relayed ARP broadcast to
+                        // Shared handles: one relayed ARP broadcast to
                         // n designated switches is n refcount bumps,
-                        // not n payload copies.
+                        // not n action-list or payload copies.
+                        actions: Arc::clone(&flood),
                         data: data.clone(),
                     }),
                 ),
@@ -675,6 +679,13 @@ impl LazyController {
                 // hosts, then on the moved switch towards the peer's.
                 for (at, towards) in [(peer, moved), (moved, peer)] {
                     let epoch = self.grouping.epoch_of_switch(towards);
+                    // Every rule of the pair tunnels the same way: one
+                    // list, shared by its FlowMods and the rules they
+                    // install.
+                    let actions: Arc<[Action]> = Arc::new([Action::Encap {
+                        remote: towards.underlay_ip(),
+                        key: epoch,
+                    }]);
                     for &mac in hosts_on(towards) {
                         let xid = self.next_xid();
                         out.push(ControllerOutput::ToSwitch(
@@ -688,10 +699,7 @@ impl LazyController {
                                     idle_timeout: FLOW_IDLE_TIMEOUT_S,
                                     hard_timeout: 0,
                                     cookie: epoch as u64,
-                                    actions: vec![Action::Encap {
-                                        remote: towards.underlay_ip(),
-                                        key: epoch,
-                                    }],
+                                    actions: Arc::clone(&actions),
                                 }),
                             ),
                         ));

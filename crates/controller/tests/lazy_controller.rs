@@ -150,8 +150,8 @@ fn intergroup_packet_in_installs_encap_rule() {
     match &m.body {
         MessageBody::Of(OfMessage::FlowMod(fm)) => {
             assert_eq!(
-                fm.actions,
-                vec![Action::Encap {
+                *fm.actions,
+                [Action::Encap {
                     remote: SwitchId::new(5).underlay_ip(),
                     key: c.grouping().epoch(),
                 }]
@@ -426,7 +426,7 @@ fn preload_emits_a_pinned_flow_mod_sequence() {
             ControllerOutput::ToSwitch(s, m) => match &m.body {
                 MessageBody::Of(OfMessage::FlowMod(fm)) => {
                     assert_eq!((fm.priority, fm.idle_timeout, fm.hard_timeout), (10, 30, 0));
-                    Some((s.0, m.xid, fm.flow_match, fm.cookie, fm.actions.clone()))
+                    Some((s.0, m.xid, fm.flow_match, fm.cookie, fm.actions.to_vec()))
                 }
                 _ => None,
             },

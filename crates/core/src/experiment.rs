@@ -1,8 +1,9 @@
 //! The experiment driver: trace in, report out.
 
 use lazyctrl_obs::{EngineProfile, FlightRecorder, ObsConfig, PhaseTimings, RecorderStats};
-use lazyctrl_sim::{run, EventQueue, SimDuration, SimTime, TimeSeries};
-use lazyctrl_trace::Trace;
+use lazyctrl_sim::{run, EventQueue, Scheduler, SimDuration, SimTime, TimeSeries};
+use lazyctrl_trace::{FlowRecord, Trace};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::report::SeriesPoint;
@@ -84,40 +85,30 @@ impl Experiment {
         let mode = cfg.mode;
         let horizon = run_horizon(&trace, &cfg);
 
+        // The fault-injection plan rides the queue; plans are sorted, so
+        // insertion order here equals plan order and same-timestamp events
+        // keep their scheduled sequence. Flow arrivals never enter the
+        // queue: the run loop streams them from the trace beside it.
         let mut queue: EventQueue<Ev> = EventQueue::new();
-        // Schedule every flow arrival up front (they're already sorted).
-        for (i, f) in trace.flows.iter().enumerate() {
-            if SimTime::from_nanos(f.time_ns) > horizon {
-                break;
-            }
-            queue.schedule(SimTime::from_nanos(f.time_ns), Ev::FlowArrival(i));
-        }
-        // The fault-injection plan rides the same queue as the traffic;
-        // plans are sorted, so insertion order here equals plan order and
-        // same-timestamp events keep their scheduled sequence.
         for e in cfg.plan.events() {
             queue.schedule(e.at, Ev::Injected(e.event.clone()));
         }
 
         let mut world = DataCenterWorld::new(trace, cfg);
-        {
-            // Bootstrap needs a scheduler; run a tiny prologue through the
-            // kernel by scheduling from a scratch queue.
-            let mut sched_queue = std::mem::take(&mut queue);
-            let mut sched = scheduler_for(&mut sched_queue);
-            world.bootstrap(&mut sched);
-            queue = sched_queue;
-        }
+        world.bootstrap(&mut Scheduler::over(&mut queue));
+        let flows = Arc::clone(&world.flows);
+        let arrivals = flow_arrivals(&flows, horizon);
 
         let t_run = Instant::now();
         let build_s = (t_run - t_build).as_secs_f64();
         let (mut world, events_processed) = match world.cfg.workers {
             Some(workers) => {
-                let r = crate::shard::run_sharded_experiment(world, queue, horizon, workers);
+                let r =
+                    crate::shard::run_sharded_experiment(world, queue, arrivals, horizon, workers);
                 (r.world, r.events_processed)
             }
             None => {
-                run(&mut world, &mut queue, horizon);
+                run(&mut world, &mut queue, arrivals, horizon);
                 let popped = queue.popped_total();
                 (world, popped)
             }
@@ -195,7 +186,7 @@ impl Experiment {
                     .filter(|t| t.reason == lazyctrl_proto::TransferReason::Failover)
                     .map(|t| t.group.index())
                     .collect(),
-                switch_groups: (0..world.trace.topology.num_switches)
+                switch_groups: (0..world.topology.num_switches)
                     .map(|s| plane.group_of_switch(lazyctrl_net::SwitchId::new(s as u32)))
                     .collect(),
                 transfer_retransmits: (0..n as u32)
@@ -297,8 +288,16 @@ fn run_horizon(trace: &Trace, cfg: &ExperimentConfig) -> SimTime {
         .unwrap_or(SimTime::from_nanos(trace.duration_ns) + SimDuration::from_secs(3600))
 }
 
-/// Builds a scheduler over a queue (free function to satisfy borrowck in
-/// the bootstrap prologue).
-fn scheduler_for<E>(queue: &mut EventQueue<E>) -> lazyctrl_sim::Scheduler<'_, E> {
-    lazyctrl_sim::Scheduler::over(queue)
+/// The trace's flow arrivals up to `horizon`, in trace order (sorted by
+/// time, which `Trace::validate` asserts) — the source the run loop merges
+/// with the queue. The only place an `Ev::FlowArrival` is made.
+fn flow_arrivals(
+    flows: &[FlowRecord],
+    horizon: SimTime,
+) -> impl Iterator<Item = (SimTime, Ev)> + '_ {
+    flows
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (SimTime::from_nanos(f.time_ns), Ev::FlowArrival(i)))
+        .take_while(move |&(at, _)| at <= horizon)
 }

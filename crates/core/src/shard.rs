@@ -49,7 +49,7 @@ pub(crate) struct ShardedRun {
 /// regroups or migrations do not re-shard (events for a moved host are
 /// forwarded by the ownership checks in the world's dispatcher).
 fn partition_map(world: &DataCenterWorld, shards: usize) -> Vec<u16> {
-    let n = world.trace.topology.num_switches;
+    let n = world.topology.num_switches;
     (0..n)
         .map(|s| {
             let id = SwitchId::new(s as u32);
@@ -69,11 +69,8 @@ fn partition_map(world: &DataCenterWorld, shards: usize) -> Vec<u16> {
 fn target_partition(world: &DataCenterWorld, owner: &[u16], ev: &Ev) -> Option<u16> {
     let of = |s: SwitchId| owner[s.index()];
     match ev {
-        Ev::FlowArrival(i) => Some(of(world
-            .trace
-            .topology
-            .switch_of(world.trace.flows[*i].src))),
-        Ev::SyntheticFlow { src, .. } => Some(of(world.trace.topology.switch_of(*src))),
+        Ev::FlowArrival(i) => Some(of(world.topology.switch_of(world.flows[*i].src))),
+        Ev::SyntheticFlow { src, .. } => Some(of(world.topology.switch_of(*src))),
         Ev::LocalFrame { switch, .. } => Some(of(*switch)),
         Ev::TunnelArrive { to, .. } => Some(of(*to)),
         Ev::MsgToSwitch { to, .. } => Some(of(*to)),
@@ -86,19 +83,22 @@ fn target_partition(world: &DataCenterWorld, owner: &[u16], ev: &Ev) -> Option<u
     }
 }
 
-/// Redistributes the sequential bootstrap queue into per-partition queues
-/// plus the global-event list. Draining in `(time, seq)` order and
-/// re-inserting preserves relative order within each destination, so the
-/// split is itself deterministic.
+/// Redistributes the sequential bootstrap queue, merged with the flow
+/// arrivals exactly as the sequential run loop merges them, into
+/// per-partition queues plus the global-event list. Draining in merge
+/// order and re-inserting preserves relative order within each
+/// destination, so the split is itself deterministic.
 fn split_queue(
     world: &DataCenterWorld,
     owner: &[u16],
     nparts: u16,
     mut queue: EventQueue<Ev>,
+    arrivals: impl Iterator<Item = (SimTime, Ev)>,
 ) -> (Vec<EventQueue<Ev>>, Vec<(SimTime, InjectedEvent)>) {
     let mut queues: Vec<EventQueue<Ev>> = (0..nparts).map(|_| EventQueue::new()).collect();
     let mut globals = Vec::new();
-    while let Some((at, ev)) = queue.pop() {
+    let mut arrivals = arrivals.peekable();
+    while let Some((at, ev)) = queue.pop_merged(&mut arrivals, SimTime::MAX) {
         if let Ev::Injected(g) = ev {
             globals.push((at, g));
             continue;
@@ -149,18 +149,20 @@ impl ShardWorld for CoreShard {
     }
 }
 
-/// Runs a bootstrapped world + queue on the sharded engine with
-/// `workers` threads, then reassembles one world for report collection.
+/// Runs a bootstrapped world + queue, beside the flow `arrivals`, on the
+/// sharded engine with `workers` threads, then reassembles one world for
+/// report collection.
 /// Shard-layer counters land in the merged metrics (prefixed `shard_`);
 /// only worker-count-independent quantities are recorded, preserving
 /// bit-identical reports across worker counts.
 pub(crate) fn run_sharded_experiment(
     world: DataCenterWorld,
     queue: EventQueue<Ev>,
+    arrivals: impl Iterator<Item = (SimTime, Ev)>,
     horizon: SimTime,
     workers: usize,
 ) -> ShardedRun {
-    let num_switches = world.trace.topology.num_switches;
+    let num_switches = world.topology.num_switches;
     let shards = DEFAULT_SHARDS.min(num_switches.max(1));
     let window = world
         .cfg
@@ -169,7 +171,7 @@ pub(crate) fn run_sharded_experiment(
         .unwrap_or_else(|| world.lookahead_floor());
     let owner = Arc::new(partition_map(&world, shards));
     let nparts = (shards + 1) as u16; // + the hub
-    let (queues, globals) = split_queue(&world, &owner, nparts, queue);
+    let (queues, globals) = split_queue(&world, &owner, nparts, queue, arrivals);
     let worlds = world.split(owner, nparts);
     let shards_in: Vec<(CoreShard, EventQueue<Ev>)> =
         worlds.into_iter().map(CoreShard).zip(queues).collect();

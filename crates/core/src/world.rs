@@ -2,6 +2,7 @@
 //! [`World`] for the discrete-event kernel.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use lazyctrl_cluster::{
     ctrl_pseudo_switch, ClusterConfig, ClusterControlPlane, ClusterOutput, ClusterTimer, StepModel,
@@ -24,7 +25,7 @@ use lazyctrl_sim::{
     Scheduler, SimDuration, SimTime, World,
 };
 use lazyctrl_switch::{EdgeSwitch, SwitchOutput, SwitchTimer};
-use lazyctrl_trace::Trace;
+use lazyctrl_trace::{FlowRecord, IntensityMatrix, Topology, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -346,7 +347,7 @@ pub(crate) struct PartitionCtx {
     /// This partition's index (0 = hub).
     pub(crate) id: u16,
     /// `owner[switch] = partition index` for every switch.
-    pub(crate) owner: std::sync::Arc<Vec<u16>>,
+    pub(crate) owner: Arc<Vec<u16>>,
     /// Cross-partition sends staged during the current event; drained
     /// into the shard executor's outbox after each handler.
     pub(crate) staged: Vec<(u16, SimTime, Ev)>,
@@ -395,7 +396,12 @@ enum CtrlRoute {
 /// The composed simulation state.
 pub(crate) struct DataCenterWorld {
     pub(crate) cfg: ExperimentConfig,
-    pub(crate) trace: Trace,
+    /// The trace's topology — live: host migrations rewrite it.
+    pub(crate) topology: Topology,
+    /// The trace's flows, sorted by time. Shared, never copied: the run
+    /// loop streams arrivals from its own handle to the same list, and
+    /// every sharded partition holds one too.
+    pub(crate) flows: Arc<Vec<FlowRecord>>,
     /// Slot per switch; `None` for switches owned by another partition
     /// (always all `Some` on the single-threaded path and after merge).
     pub(crate) switches: Vec<Option<EdgeSwitch>>,
@@ -459,7 +465,10 @@ impl DataCenterWorld {
         // Checked once here so the per-message latency sampling can skip
         // the assertion.
         cfg.latency.validate();
-        let n = trace.topology.num_switches;
+        let Trace {
+            topology, flows, ..
+        } = trace;
+        let n = topology.num_switches;
         let mut switches: Vec<EdgeSwitch> = (0..n)
             .map(|i| {
                 let mut sw = EdgeSwitch::new(SwitchId::new(i as u32));
@@ -473,16 +482,16 @@ impl DataCenterWorld {
         // population for lazy modes: the paper's hosts announce themselves
         // via ARP broadcast at bootstrap (§III-D.3 live dissemination).
         let mut next_port = vec![1u16; n];
-        let mut host_port = Vec::with_capacity(trace.topology.num_hosts());
+        let mut host_port = Vec::with_capacity(topology.num_hosts());
         let mut boot_sink = OutputSink::new();
-        for h in 0..trace.topology.num_hosts() {
+        for h in 0..topology.num_hosts() {
             let host = HostId::new(h as u32);
-            let s = trace.topology.switch_of(host);
+            let s = topology.switch_of(host);
             let port = PortNo::new(next_port[s.index()]);
             next_port[s.index()] += 1;
             host_port.push(port);
             if cfg.mode.is_lazy() {
-                let frame = gratuitous_announcement(host, trace.topology.tenant_of(host));
+                let frame = gratuitous_announcement(host, topology.tenant_of(host));
                 // Learning only; the announcement itself produces no output
                 // before group assignment.
                 switches[s.index()].handle_local_frame(0, port, frame, &mut boot_sink);
@@ -553,7 +562,8 @@ impl DataCenterWorld {
             // watermark) copy is the world's, not the config's.
             bandwidth: std::mem::take(&mut cfg.bandwidth),
             cfg,
-            trace,
+            topology,
+            flows: Arc::new(flows),
             switches: switches.into_iter().map(Some).collect(),
             controller,
             links: LinkState::new(),
@@ -585,9 +595,9 @@ impl DataCenterWorld {
             return;
         }
         let first_hour_ns = SimTime::from_hours(1.0).as_nanos();
+        let first_hour = &self.flows[..self.flows.partition_point(|f| f.time_ns < first_hour_ns)];
         let graph =
-            lazyctrl_trace::IntensityMatrix::from_trace_window(&self.trace, 0, first_hour_ns)
-                .to_graph();
+            IntensityMatrix::from_flows(&self.topology, first_hour, 0, first_hour_ns).to_graph();
         match &mut self.controller {
             AnyController::Lazy(controller) => {
                 controller.bootstrap(0, graph, &mut self.ctrl_sink);
@@ -612,7 +622,7 @@ impl DataCenterWorld {
         EthernetFrame::tagged(
             src.mac(),
             dst.mac(),
-            VlanTag::for_tenant(self.trace.topology.tenant_of(src)),
+            VlanTag::for_tenant(self.topology.tenant_of(src)),
             EtherType::IPV4,
             // One shared buffer per flow; every copy the fabric makes of
             // this frame from here on is a refcount bump.
@@ -775,8 +785,7 @@ impl DataCenterWorld {
         if frame.dst.is_unicast() {
             if let Some(h) = frame.dst.host_id() {
                 let host = HostId::new(h as u32);
-                if (host.index()) < self.trace.topology.num_hosts()
-                    && self.trace.topology.switch_of(host) == at
+                if (host.index()) < self.topology.num_hosts() && self.topology.switch_of(host) == at
                 {
                     self.note_delivery(now, &frame);
                     self.maybe_respond(now, &frame, sched);
@@ -794,16 +803,14 @@ impl DataCenterWorld {
         let Some(target) = HostId::from_ip(arp.target_ip) else {
             return;
         };
-        if target.index() >= self.trace.topology.num_hosts()
-            || self.trace.topology.switch_of(target) != at
-        {
+        if target.index() >= self.topology.num_hosts() || self.topology.switch_of(target) != at {
             return;
         }
         let reply = lazyctrl_net::ArpPacket::reply_to(&arp, target.mac());
         let reply_frame = EthernetFrame::tagged(
             target.mac(),
             arp.sender_mac,
-            VlanTag::for_tenant(self.trace.topology.tenant_of(target)),
+            VlanTag::for_tenant(self.topology.tenant_of(target)),
             EtherType::ARP,
             reply.encode(),
         );
@@ -842,12 +849,12 @@ impl DataCenterWorld {
             return;
         }
         let dst_host = HostId::new(d as u32);
-        if dst_host.index() >= self.trace.topology.num_hosts() {
+        if dst_host.index() >= self.topology.num_hosts() {
             return;
         }
         let emit = now + SimDuration::from_micros(200);
         let response = self.frame_for_flow(dst_host, HostId::new(s as u32), emit.as_nanos());
-        let at = self.trace.topology.switch_of(dst_host);
+        let at = self.topology.switch_of(dst_host);
         let port = self.port_of(dst_host);
         self.note_emission(emit, &response);
         self.route_to_switch(
@@ -1224,8 +1231,8 @@ impl DataCenterWorld {
     /// there (gratuitous ARP), so datapath learning and C-LIB state
     /// converge on the new location while stale entries age out.
     fn migrate_hosts(&mut self, now: SimTime, batch: u32, sched: &mut Scheduler<'_, Ev>) {
-        let num_hosts = self.trace.topology.num_hosts();
-        let num_switches = self.trace.topology.num_switches;
+        let num_hosts = self.topology.num_hosts();
+        let num_switches = self.topology.num_switches;
         if num_switches < 2 || num_hosts == 0 {
             return;
         }
@@ -1240,7 +1247,7 @@ impl DataCenterWorld {
                 continue;
             }
             let k = moved.len() - 1;
-            let old = self.trace.topology.switch_of(host);
+            let old = self.topology.switch_of(host);
             // Only powered-on switches can receive a migrated VM — landing
             // one on a dark switch would silently drop its announcement
             // and leave location state stale forever.
@@ -1252,7 +1259,7 @@ impl DataCenterWorld {
             }
             let pick: usize = self.rng.gen_range(0..candidates.len());
             let new = SwitchId::new(candidates[pick]);
-            self.trace.topology.host_switch[host.index()] = new;
+            self.topology.host_switch[host.index()] = new;
             let port = PortNo::new(self.next_port[new.index()]);
             self.next_port[new.index()] += 1;
             self.host_port[host.index()] = port;
@@ -1263,7 +1270,7 @@ impl DataCenterWorld {
             // migrations in one batch land a millisecond apart. Only the
             // new switch's owner emits the (strictly local) announcement.
             if self.owns_switch(new.0) {
-                let frame = gratuitous_announcement(host, self.trace.topology.tenant_of(host));
+                let frame = gratuitous_announcement(host, self.topology.tenant_of(host));
                 sched.schedule_in(
                     now,
                     SimDuration::from_millis(1 + k as u64),
@@ -1280,7 +1287,7 @@ impl DataCenterWorld {
     /// Injects `scale × hosts` synthetic flow arrivals between random host
     /// pairs, spread over a one-minute window.
     fn traffic_burst(&mut self, now: SimTime, scale: f64, sched: &mut Scheduler<'_, Ev>) {
-        let num_hosts = self.trace.topology.num_hosts() as u32;
+        let num_hosts = self.topology.num_hosts() as u32;
         if num_hosts < 2 {
             return;
         }
@@ -1294,7 +1301,7 @@ impl DataCenterWorld {
             let hop = 1 + self.rng.gen_range(0..num_hosts - 1);
             let dst = HostId::new((src.0 + hop) % num_hosts);
             offset += spacing;
-            if self.owns_switch(self.trace.topology.switch_of(src).0) {
+            if self.owns_switch(self.topology.switch_of(src).0) {
                 sched.schedule_in(now, offset, Ev::SyntheticFlow { src, dst });
             }
         }
@@ -1312,7 +1319,7 @@ impl DataCenterWorld {
         arrival: Ev,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        let at = self.trace.topology.switch_of(src);
+        let at = self.topology.switch_of(src);
         // The partition map places arrivals by the source host's switch
         // *at split time*; a later migration can move the host, so
         // re-resolve and forward to the current owner. The zero-delay
@@ -1349,7 +1356,7 @@ impl DataCenterWorld {
             let arp_frame = EthernetFrame::tagged(
                 src.mac(),
                 MacAddr::BROADCAST,
-                VlanTag::for_tenant(self.trace.topology.tenant_of(src)),
+                VlanTag::for_tenant(self.topology.tenant_of(src)),
                 EtherType::ARP,
                 arp.encode(),
             );
@@ -1491,11 +1498,7 @@ impl DataCenterWorld {
     /// derived RNG streams, and their owned switches. Shared read-mostly
     /// state (topology, links, latency) is replicated and kept identical
     /// by the lockstep global-event protocol.
-    pub(crate) fn split(
-        mut self,
-        owner: std::sync::Arc<Vec<u16>>,
-        nparts: u16,
-    ) -> Vec<DataCenterWorld> {
+    pub(crate) fn split(mut self, owner: Arc<Vec<u16>>, nparts: u16) -> Vec<DataCenterWorld> {
         assert!(nparts >= 1, "need at least the hub partition");
         assert_eq!(owner.len(), self.switches.len(), "owner map size mismatch");
         let global_seed = self.cfg.seed ^ 0x610ba1;
@@ -1525,7 +1528,8 @@ impl DataCenterWorld {
                 ),
                 latency: self.latency.clone(),
                 bandwidth: self.bandwidth.clone(),
-                trace: self.trace.clone(),
+                topology: self.topology.clone(),
+                flows: Arc::clone(&self.flows),
                 switches: (0..self.switches.len()).map(|_| None).collect(),
                 // Placeholder: shard partitions never dispatch to a
                 // controller (controller-bound traffic routes to the hub).
@@ -1633,9 +1637,9 @@ impl DataCenterWorld {
     /// so the observability wrapper can bracket it without touching it).
     fn dispatch_event(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
         match event {
-            Ev::FlowArrival(i) => {
-                let flow = self.trace.flows[i];
-                self.start_flow(now, flow.src, flow.dst, Ev::FlowArrival(i), sched);
+            arrival @ Ev::FlowArrival(i) => {
+                let flow = self.flows[i];
+                self.start_flow(now, flow.src, flow.dst, arrival, sched);
             }
             Ev::LocalFrame {
                 switch,
@@ -2042,10 +2046,10 @@ mod tests {
         // Hub + two shards, alternating ownership; any fixed layout
         // works — the lockstep invariant must hold for all of them.
         let nparts = 3u16;
-        let owner: Vec<u16> = (0..world.trace.topology.num_switches)
+        let owner: Vec<u16> = (0..world.topology.num_switches)
             .map(|s| 1 + (s % 2) as u16)
             .collect();
-        let mut parts = world.split(std::sync::Arc::new(owner), nparts);
+        let mut parts = world.split(Arc::new(owner), nparts);
         let mut queues: Vec<EventQueue<Ev>> = (0..nparts).map(|_| EventQueue::new()).collect();
 
         // One global barrier, exactly as the shard coordinator runs it:
@@ -2102,7 +2106,7 @@ mod tests {
                 "partition {i}: replicated global RNG stream diverged from the hub"
             );
             assert_eq!(
-                parts[0].trace.topology.host_switch, p.trace.topology.host_switch,
+                parts[0].topology.host_switch, p.topology.host_switch,
                 "partition {i}: replicated host placement diverged"
             );
             assert_eq!(

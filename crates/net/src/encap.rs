@@ -143,7 +143,7 @@ impl EncapsulatedFrame {
     /// Propagates header and inner-frame parse errors.
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let (header, consumed) = EncapHeader::decode(buf)?;
-        let inner = EthernetFrame::decode(&buf[consumed..])?;
+        let inner = EthernetFrame::decode(&bytes::Bytes::copy_from_slice(&buf[consumed..]))?;
         Ok(EncapsulatedFrame { header, inner })
     }
 

@@ -84,9 +84,10 @@ impl From<EtherType> for u16 {
 /// prototype (§IV-B, tenant information management), so the frame model keeps
 /// it as a first-class field rather than burying it in the payload.
 ///
-/// The payload is a shared [`Bytes`] buffer: cloning a frame — which the
+/// The payload is a shared [`Bytes`] view: cloning a frame — which the
 /// simulator does on every broadcast fan-out, tunnel candidate and relay
-/// hop — bumps a refcount instead of copying the payload.
+/// hop — bumps a refcount instead of copying the payload, and a frame
+/// decoded out of a message shows that message's bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EthernetFrame {
     /// Destination MAC address.
@@ -171,14 +172,17 @@ impl EthernetFrame {
         buf.put_slice(&self.payload);
     }
 
-    /// Parses a frame from its binary wire format.
+    /// Parses a frame from its binary wire format. The payload is a view
+    /// into `bytes` — decoding copies only the header fields. A caller
+    /// holding a plain slice wraps it first (`&Bytes::copy_from_slice(..)`).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Truncated`] if the buffer is shorter than the
     /// (possibly VLAN-tagged) header, and [`NetError::Oversized`] if it
     /// exceeds [`MAX_FRAME_LEN`].
-    pub fn decode(mut buf: &[u8]) -> Result<Self> {
+    pub fn decode(bytes: &Bytes) -> Result<Self> {
+        let mut buf: &[u8] = bytes;
         let total = buf.len();
         if total > MAX_FRAME_LEN {
             return Err(NetError::Oversized {
@@ -215,7 +219,7 @@ impl EthernetFrame {
             src: MacAddr::new(src),
             vlan,
             ethertype,
-            payload: buf.to_vec().into(),
+            payload: bytes.slice(total - buf.remaining()..),
         })
     }
 
@@ -234,12 +238,23 @@ mod tests {
         MacAddr::new([0x02, 0, 0, 0, 0, n])
     }
 
+    /// Layout tripwire: a frame rides inline in local-frame and tunnel
+    /// events, so its size is a per-event constant.
+    #[test]
+    fn frame_stays_compact() {
+        assert!(
+            std::mem::size_of::<EthernetFrame>() <= 40,
+            "EthernetFrame grew to {} bytes",
+            std::mem::size_of::<EthernetFrame>()
+        );
+    }
+
     #[test]
     fn untagged_round_trip() {
         let f = EthernetFrame::new(mac(1), mac(2), EtherType::IPV4, vec![1, 2, 3]);
         let wire = f.encode();
         assert_eq!(wire.len(), 17);
-        assert_eq!(EthernetFrame::decode(&wire).unwrap(), f);
+        assert_eq!(EthernetFrame::decode(&wire.into()).unwrap(), f);
     }
 
     #[test]
@@ -248,15 +263,26 @@ mod tests {
         let f = EthernetFrame::tagged(mac(1), mac(2), tag, EtherType::ARP, vec![9; 28]);
         let wire = f.encode();
         assert_eq!(wire.len(), ETHERNET_HEADER_LEN + VLAN_TAG_LEN + 28);
-        let back = EthernetFrame::decode(&wire).unwrap();
+        let back = EthernetFrame::decode(&wire.into()).unwrap();
         assert_eq!(back, f);
         assert_eq!(back.vlan.unwrap().vid().as_u16(), 42);
         assert_eq!(back.vlan.unwrap().pcp(), 3);
     }
 
     #[test]
+    fn decoded_payload_is_a_view_of_the_wire_bytes() {
+        let tag = VlanTag::new(TenantId::new(7), 0);
+        let f = EthernetFrame::tagged(mac(1), mac(2), tag, EtherType::IPV4, vec![5; 8]);
+        let wire = Bytes::from(f.encode());
+        let back = EthernetFrame::decode(&wire).unwrap();
+        assert_eq!(back, f);
+        let header = ETHERNET_HEADER_LEN + VLAN_TAG_LEN;
+        assert!(std::ptr::eq(&back.payload[0], &wire[header]));
+    }
+
+    #[test]
     fn decode_rejects_short_buffers() {
-        let err = EthernetFrame::decode(&[0; 13]).unwrap_err();
+        let err = EthernetFrame::decode(&[0; 13].into()).unwrap_err();
         assert!(matches!(err, NetError::Truncated { needed: 14, .. }));
     }
 
@@ -266,7 +292,7 @@ mod tests {
         wire.extend_from_slice(&[0; 12]);
         wire.extend_from_slice(&0x8100u16.to_be_bytes());
         wire.push(0); // only 1 of 4 tag bytes
-        let err = EthernetFrame::decode(&wire).unwrap_err();
+        let err = EthernetFrame::decode(&wire.into()).unwrap_err();
         assert!(matches!(
             err,
             NetError::Truncated {
@@ -280,7 +306,7 @@ mod tests {
     fn decode_rejects_oversized() {
         let wire = vec![0u8; MAX_FRAME_LEN + 1];
         assert!(matches!(
-            EthernetFrame::decode(&wire).unwrap_err(),
+            EthernetFrame::decode(&wire.into()).unwrap_err(),
             NetError::Oversized { .. }
         ));
     }
@@ -288,7 +314,7 @@ mod tests {
     #[test]
     fn empty_payload_is_fine() {
         let f = EthernetFrame::new(mac(1), mac(2), EtherType(0x1234), vec![]);
-        assert_eq!(EthernetFrame::decode(&f.encode()).unwrap(), f);
+        assert_eq!(EthernetFrame::decode(&f.encode().into()).unwrap(), f);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!     vec![0xde, 0xad, 0xbe, 0xef],
 //! );
 //! let wire = frame.encode();
-//! let decoded = EthernetFrame::decode(&wire)?;
+//! let decoded = EthernetFrame::decode(&wire.into())?;
 //! assert_eq!(decoded, frame);
 //! # Ok(())
 //! # }

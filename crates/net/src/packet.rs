@@ -97,7 +97,7 @@ impl Packet {
         if buf.len() >= 4 && buf[0..4] == [0x4c, 0x5a, 0x43, 0x54] {
             Ok(Packet::Encapsulated(EncapsulatedFrame::decode(buf)?))
         } else if buf.len() >= 4 {
-            Ok(Packet::Plain(EthernetFrame::decode(buf)?))
+            Ok(Packet::Plain(EthernetFrame::decode(&buf.into())?))
         } else {
             Err(NetError::Truncated {
                 what: "packet",

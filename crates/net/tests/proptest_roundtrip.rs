@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn ethernet_round_trips(frame in arb_frame()) {
         let wire = frame.encode();
-        let back = EthernetFrame::decode(&wire).unwrap();
+        let back = EthernetFrame::decode(&wire.into()).unwrap();
         prop_assert_eq!(back, frame);
     }
 
@@ -121,7 +121,7 @@ proptest! {
 
     #[test]
     fn decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = EthernetFrame::decode(&bytes);
+        let _ = EthernetFrame::decode(&bytes.clone().into());
         let _ = ArpPacket::decode(&bytes);
         let _ = EncapsulatedFrame::decode(&bytes);
         let _ = Packet::decode(&bytes);

@@ -291,6 +291,8 @@ mod tests {
         assert!(size_of::<ClusterMsg>() <= 48, "ClusterMsg grew");
         assert!(size_of::<PacketInMsg>() <= 24, "PacketInMsg grew");
         assert!(size_of::<PacketOutMsg>() <= 48, "PacketOutMsg grew");
+        // Boxed, but one box per FlowMod: the preload lands thousands.
+        assert!(size_of::<FlowModMsg>() <= 64, "FlowModMsg grew");
     }
 
     #[test]
@@ -433,7 +435,7 @@ mod tests {
                 OfMessage::PacketOut(PacketOutMsg {
                     buffer_id: u32::MAX,
                     in_port: PortNo::NONE,
-                    actions: vec![Action::Output(PortNo::FLOOD)],
+                    actions: vec![Action::Output(PortNo::FLOOD)].into(),
                     data: vec![9; 60].into(),
                 }),
             ),
@@ -449,7 +451,8 @@ mod tests {
                     actions: vec![
                         Action::SetVlan(TenantId::new(7)),
                         Action::Output(PortNo::new(2)),
-                    ],
+                    ]
+                    .into(),
                 }),
             ),
             Message::of(

@@ -1,5 +1,7 @@
 //! The OpenFlow 1.0-style message subset.
 
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes};
 use lazyctrl_net::PortNo;
 use serde::{Deserialize, Serialize};
@@ -68,8 +70,9 @@ pub struct PacketOutMsg {
     pub buffer_id: u32,
     /// Port to treat as ingress for action processing.
     pub in_port: PortNo,
-    /// Actions to apply.
-    pub actions: Vec<Action>,
+    /// Actions to apply. Shared: a fan-out of one packet to many switches
+    /// carries one list.
+    pub actions: Arc<[Action]>,
     /// Raw packet, when not referring to a buffer (shared bytes).
     pub data: Bytes,
 }
@@ -124,8 +127,10 @@ pub struct FlowModMsg {
     pub hard_timeout: u16,
     /// Opaque controller cookie.
     pub cookie: u64,
-    /// Actions applied on match.
-    pub actions: Vec<Action>,
+    /// Actions applied on match. Shared: every rule installed from this
+    /// message — and every message of a fan-out built from one list —
+    /// holds the same allocation.
+    pub actions: Arc<[Action]>,
 }
 
 /// Error categories a peer can report.
@@ -361,7 +366,7 @@ impl OfMessage {
             MsgType::PacketOut => {
                 let buffer_id = r.u32()?;
                 let in_port = PortNo::new(r.u16()?);
-                let actions = decode_actions(&mut r)?;
+                let actions = decode_actions(&mut r)?.into();
                 let n = r.len_prefix()?;
                 OfMessage::PacketOut(PacketOutMsg {
                     buffer_id,
@@ -377,7 +382,7 @@ impl OfMessage {
                 let idle_timeout = r.u16()?;
                 let hard_timeout = r.u16()?;
                 let cookie = r.u64()?;
-                let actions = decode_actions(&mut r)?;
+                let actions = decode_actions(&mut r)?.into();
                 OfMessage::flow_mod(FlowModMsg {
                     command,
                     flow_match,
@@ -464,7 +469,8 @@ mod tests {
             actions: vec![
                 Action::SetVlan(TenantId::new(7)),
                 Action::Output(PortNo::new(2)),
-            ],
+            ]
+            .into(),
         }));
     }
 
@@ -473,7 +479,7 @@ mod tests {
         round_trip(OfMessage::PacketOut(PacketOutMsg {
             buffer_id: 55,
             in_port: PortNo::NONE,
-            actions: vec![Action::Output(PortNo::FLOOD)],
+            actions: vec![Action::Output(PortNo::FLOOD)].into(),
             data: vec![].into(),
         }));
     }

@@ -103,7 +103,7 @@ fn arb_of() -> impl Strategy<Value = OfMessage> {
                 PacketOutMsg {
                     buffer_id,
                     in_port,
-                    actions,
+                    actions: actions.into(),
                     data: data.into()
                 }
             )),
@@ -129,7 +129,7 @@ fn arb_of() -> impl Strategy<Value = OfMessage> {
                         idle_timeout: idle,
                         hard_timeout: hard,
                         cookie,
-                        actions,
+                        actions: actions.into(),
                     })
                 }
             ),

@@ -5,11 +5,13 @@
 //! `schedule`/`pop` are near-O(1) amortized. Events fire in
 //! `(time, insertion seq)` order, bit-identically from run to run;
 //! `tests/proptest_scheduler.rs` checks that order against a plain
-//! `BinaryHeap` model under arbitrary schedules. See `DESIGN.md`
-//! §"Scheduler".
+//! `BinaryHeap` model under arbitrary schedules. [`run`] merges the wheel
+//! with a sorted source of arrivals that are not yet in flight, so a
+//! trace's flows never sit in the wheel. See `DESIGN.md` §"Scheduler".
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::Peekable;
 
 use crate::{SimDuration, SimTime};
 
@@ -321,6 +323,37 @@ impl<E> EventQueue<E> {
         key.map(|k| self.redeem(k))
     }
 
+    /// Pops the earliest event at or before `until` from the wheel merged
+    /// with `arrivals`, a source sorted by time. Wheel events strictly
+    /// earlier than the next arrival go first; an arrival wins a tie (so
+    /// one at t = 0 fires before any wheel event), and the merge fires
+    /// exactly what scheduling every arrival up front (before anything
+    /// else) would have fired. Arrivals past `until` stay in the source.
+    /// Both kinds count in [`EventQueue::popped_total`].
+    ///
+    /// The wheel's `peek_time` picks the source, so only the pop that
+    /// takes the event moves it. A `pop_until` one nanosecond before the
+    /// arrival, with the source as the fallback, moved every event twice
+    /// and measured slower.
+    pub fn pop_merged<I>(
+        &mut self,
+        arrivals: &mut Peekable<I>,
+        until: SimTime,
+    ) -> Option<(SimTime, E)>
+    where
+        I: Iterator<Item = (SimTime, E)>,
+    {
+        let arrival_first = arrivals
+            .peek()
+            .is_some_and(|&(at, _)| at <= until && self.peek_time().is_none_or(|t| at <= t));
+        if arrival_first {
+            self.popped += 1;
+            arrivals.next()
+        } else {
+            self.pop_until(until)
+        }
+    }
+
     /// Fire time of the earliest pending event.
     ///
     /// Takes `&mut self`: the wheel may advance its cursor (and cascade
@@ -350,8 +383,9 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Total events popped over the queue's lifetime (what an experiment
-    /// reports as events processed).
+    /// Total events popped over the queue's lifetime, arrivals merged by
+    /// [`EventQueue::pop_merged`] included (what an experiment reports as
+    /// events processed).
     pub fn popped_total(&self) -> u64 {
         self.popped
     }
@@ -405,13 +439,26 @@ pub trait World {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
 }
 
-/// Runs until the queue drains or virtual time would exceed `until`.
+/// Runs until the queue and `arrivals` drain or virtual time would
+/// exceed `until`.
+///
+/// `arrivals` is a source of events sorted by time that enter the run
+/// without being scheduled — a trace's flow arrivals, merged with the
+/// queue by [`EventQueue::pop_merged`] — so the queue holds only what is
+/// in flight. A run with no such source passes [`std::iter::empty`].
 ///
 /// Returns the time of the last handled event (or [`SimTime::ZERO`] if
-/// nothing fired). Events scheduled beyond `until` stay in the queue.
-pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, until: SimTime) -> SimTime {
+/// nothing fired). Events scheduled beyond `until` stay in the queue, and
+/// arrivals beyond it are never fired.
+pub fn run<W: World>(
+    world: &mut W,
+    queue: &mut EventQueue<W::Event>,
+    arrivals: impl IntoIterator<Item = (SimTime, W::Event)>,
+    until: SimTime,
+) -> SimTime {
+    let mut arrivals = arrivals.into_iter().peekable();
     let mut last = SimTime::ZERO;
-    while let Some((now, event)) = queue.pop_until(until) {
+    while let Some((now, event)) = queue.pop_merged(&mut arrivals, until) {
         let mut sched = Scheduler { queue };
         world.handle(now, event, &mut sched);
         last = now;
@@ -422,7 +469,7 @@ pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, until: Sim
 /// Runs until the queue is completely empty (use with care: worlds that
 /// reschedule forever will not terminate).
 pub fn run_until_idle<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>) -> SimTime {
-    run(world, queue, SimTime::MAX)
+    run(world, queue, std::iter::empty(), SimTime::MAX)
 }
 
 #[cfg(test)]
@@ -478,7 +525,7 @@ mod tests {
         q.schedule(SimTime::from_secs(1), 2);
         q.schedule(SimTime::from_secs(10), 3);
         let mut w = Recorder { seen: vec![] };
-        let last = run(&mut w, &mut q, SimTime::from_secs(5));
+        let last = run(&mut w, &mut q, std::iter::empty(), SimTime::from_secs(5));
         assert_eq!(w.seen.len(), 1);
         assert_eq!(last, SimTime::from_secs(1));
         assert_eq!(q.len(), 1, "late event remains queued");

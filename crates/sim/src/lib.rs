@@ -7,8 +7,9 @@
 //! * [`SimTime`]/[`SimDuration`] — nanosecond virtual clock;
 //! * [`EventQueue`]/[`Scheduler`]/[`run`] — the kernel: a total order over
 //!   events with deterministic tie-breaking, and a driver loop over a
-//!   user-provided [`World`]. The queue is a hierarchical timing wheel
-//!   (near-O(1) schedule/pop);
+//!   user-provided [`World`] that merges the queue with a sorted source of
+//!   arrivals. The queue is a hierarchical timing wheel (near-O(1)
+//!   schedule/pop);
 //! * [`LatencyModel`] — per-channel-class delivery latencies (data path,
 //!   control link, state link, peer link) with optional deterministic
 //!   jitter;
@@ -49,7 +50,7 @@
 //! let mut world = Counter { fired: 0 };
 //! let mut queue = EventQueue::new();
 //! queue.schedule(SimTime::ZERO, Ev::Tick);
-//! let end = run(&mut world, &mut queue, SimTime::from_secs(60));
+//! let end = run(&mut world, &mut queue, std::iter::empty(), SimTime::from_secs(60));
 //! assert_eq!(world.fired, 10);
 //! assert_eq!(end, SimTime::from_millis(900));
 //! ```

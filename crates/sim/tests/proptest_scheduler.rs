@@ -3,12 +3,14 @@
 //! below under arbitrary schedules — equal-time bursts, sub-tick
 //! spacings, day-scale horizons and far-future (top-level) times
 //! included, with pops interleaved between schedules so the wheel's
-//! cursor advances mid-stream.
+//! cursor advances mid-stream. A second property pins the run loop's
+//! merge: a sorted arrival source handed to `run` fires exactly what
+//! scheduling the source first and then running fires.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use lazyctrl_sim::{EventQueue, SimTime};
+use lazyctrl_sim::{run, EventQueue, Scheduler, SimTime, World};
 use proptest::prelude::*;
 
 /// The reference model: a min-heap on `(time, insertion seq)`. This was
@@ -158,4 +160,155 @@ fn horizon_wrap_across_every_level() {
     ops.push(Op::Schedule(0)); // into the past of the advanced cursor
     ops.push(Op::Pop(255));
     drive(&ops);
+}
+
+/// Follow-up delays of the merge tests' world, in ns: zero and one-tick
+/// delays land on the instants where arrivals sit, so scheduled events
+/// tie with arrivals at equal nanoseconds.
+const FOLLOW_UP_NS: [u64; 4] = [0, 1, 37, 1_000];
+/// Most events the merge tests' world creates (bounds the chain).
+const MAX_EVENTS: u32 = 600;
+
+/// The merge tests' world logic: records every `(time, payload)` it
+/// handles, and every third payload schedules two follow-ups with fresh
+/// payloads.
+struct Chain {
+    next_id: u32,
+    fired: Vec<(SimTime, u32)>,
+}
+
+impl Chain {
+    fn react(&mut self, now: SimTime, payload: u32) -> Vec<(SimTime, u32)> {
+        self.fired.push((now, payload));
+        let mut follow_ups = Vec::new();
+        if payload.is_multiple_of(3) {
+            for k in 0..2 {
+                if self.next_id == MAX_EVENTS {
+                    break;
+                }
+                let delay = FOLLOW_UP_NS[(payload as usize + k) % FOLLOW_UP_NS.len()];
+                follow_ups.push((SimTime::from_nanos(now.as_nanos() + delay), self.next_id));
+                self.next_id += 1;
+            }
+        }
+        follow_ups
+    }
+}
+
+impl World for Chain {
+    type Event = u32;
+    fn handle(&mut self, now: SimTime, payload: u32, sched: &mut Scheduler<'_, u32>) {
+        for (at, follow_up) in self.react(now, payload) {
+            sched.schedule_at(at, follow_up);
+        }
+    }
+}
+
+/// Runs `source` (sorted; payloads `0..n`) beside `scheduled` (payloads
+/// `n..`) to `until` both ways — merged by `run`, and scheduled source
+/// first into the heap model — and asserts they fire the same sequence
+/// and count the same events. Returns what fired.
+fn merge_matches_prefill(source: &[u64], scheduled: &[u64], until: u64) -> Vec<(SimTime, u32)> {
+    assert!(
+        source.windows(2).all(|w| w[0] <= w[1]),
+        "source must be sorted"
+    );
+    let until = SimTime::from_nanos(until);
+    let n = (source.len() + scheduled.len()) as u32;
+    let arrivals = || {
+        source
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (SimTime::from_nanos(t), i as u32))
+    };
+    let plan = || {
+        scheduled
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (SimTime::from_nanos(t), source.len() as u32 + i as u32))
+    };
+
+    let mut merged = Chain {
+        next_id: n,
+        fired: Vec::new(),
+    };
+    let mut wheel: EventQueue<u32> = EventQueue::new();
+    for (at, payload) in plan() {
+        wheel.schedule(at, payload);
+    }
+    run(&mut merged, &mut wheel, arrivals(), until);
+
+    let mut prefilled = Chain {
+        next_id: n,
+        fired: Vec::new(),
+    };
+    let mut heap = HeapModel::default();
+    for (at, payload) in arrivals().filter(|&(at, _)| at <= until).chain(plan()) {
+        heap.schedule(at, payload);
+    }
+    while let Some((now, payload)) = heap.pop_until(until) {
+        for (at, follow_up) in prefilled.react(now, payload) {
+            heap.schedule(at, follow_up);
+        }
+    }
+
+    assert_eq!(merged.fired, prefilled.fired, "merge diverged from prefill");
+    assert_eq!(wheel.popped_total(), heap.popped, "events processed differ");
+    assert_eq!(wheel.len(), heap.len(), "pending past the horizon differ");
+    merged.fired
+}
+
+/// Instants clustered so that arrivals, scheduled events and follow-ups
+/// collide: t = 0, a handful of shared small times, and a wider spread.
+fn arb_instant() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..8, 0u64..2_048, 0u64..20_000_000]
+}
+
+proptest! {
+    #[test]
+    fn merged_arrivals_fire_like_a_prefilled_queue(
+        mut source in proptest::collection::vec(arb_instant(), 0..40),
+        scheduled in proptest::collection::vec(arb_instant(), 0..40),
+        until in prop_oneof![Just(u64::MAX), 0u64..2_048, 0u64..20_000_000],
+    ) {
+        source.sort_unstable();
+        merge_matches_prefill(&source, &scheduled, until);
+    }
+}
+
+/// The cases the property must cover, built by hand so their presence
+/// does not depend on the generator: an arrival at t = 0, several
+/// arrivals at one instant, arrivals tied at equal ns with scheduled
+/// events and with follow-ups, and arrivals past the horizon.
+#[test]
+fn merge_covers_ties_bursts_zero_and_the_horizon() {
+    let source = [0, 0, 5, 5, 5, 37, 1_000, 1_005, 5_000, 9_000];
+    let scheduled = [0, 5, 5, 38, 1_000, 4_999, 5_000];
+    let until = 4_999;
+    let fired = merge_matches_prefill(&source, &scheduled, until);
+    let payloads_at = |t: u64| -> Vec<u32> {
+        fired
+            .iter()
+            .filter(|&&(at, _)| at == SimTime::from_nanos(t))
+            .map(|&(_, p)| p)
+            .collect()
+    };
+    // Arrivals (payloads 0..10) lead their instant, in source order;
+    // scheduled events (10..17) and follow-ups (17..) come after.
+    assert_eq!(&payloads_at(0)[..3], [0, 1, 10]);
+    assert_eq!(&payloads_at(5)[..5], [2, 3, 4, 11, 12]);
+    assert_eq!(&payloads_at(1_000)[..2], [6, 14]);
+    // Payload 3 (t = 5) scheduled follow-up 21 for t = 1 005, where
+    // arrival 7 was still waiting in the source.
+    assert_eq!(
+        payloads_at(1_005),
+        [7, 21],
+        "an arrival wins a tie with a follow-up"
+    );
+    assert!(
+        fired
+            .iter()
+            .all(|&(at, p)| at <= SimTime::from_nanos(until) && p != 8 && p != 9),
+        "arrivals past the horizon never fire"
+    );
 }

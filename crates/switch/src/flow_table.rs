@@ -8,6 +8,8 @@
 //! table also keeps a lower bound on its earliest timeout, so a sweep
 //! that cannot evict anything returns without reading a rule.
 
+use std::sync::Arc;
+
 use lazyctrl_net::{EtherType, MacAddr, PortNo, TenantId};
 use lazyctrl_proto::{Action, FlowMatch, FlowModCommand, FlowModMsg};
 use serde::{Deserialize, Serialize};
@@ -21,8 +23,9 @@ pub struct FlowRule {
     pub flow_match: FlowMatch,
     /// Priority; higher wins, ties broken by older-first.
     pub priority: u16,
-    /// Actions applied on match.
-    pub actions: Vec<Action>,
+    /// Actions applied on match: the installing `FlowMod`'s own list,
+    /// shared, not copied.
+    pub actions: Arc<[Action]>,
     /// Seconds of idleness before eviction (0 = never).
     pub idle_timeout: u16,
     /// Seconds of lifetime before eviction (0 = never).
@@ -111,7 +114,7 @@ impl FlowTable {
                 let rule = FlowRule {
                     flow_match: msg.flow_match,
                     priority: msg.priority,
-                    actions: msg.actions.clone(),
+                    actions: Arc::clone(&msg.actions),
                     idle_timeout: msg.idle_timeout,
                     hard_timeout: msg.hard_timeout,
                     cookie: msg.cookie,
@@ -137,7 +140,7 @@ impl FlowTable {
                 let mut n = 0;
                 for r in &mut self.rules {
                     if r.flow_match == msg.flow_match {
-                        r.actions = msg.actions.clone();
+                        r.actions = Arc::clone(&msg.actions);
                         r.cookie = msg.cookie;
                         n += 1;
                     }
@@ -210,7 +213,7 @@ mod tests {
             idle_timeout: 0,
             hard_timeout: 0,
             cookie: 0,
-            actions: vec![Action::Output(PortNo::new(port))],
+            actions: vec![Action::Output(PortNo::new(port))].into(),
         }
     }
 
@@ -222,14 +225,15 @@ mod tests {
     }
 
     /// Layout tripwire: a switch holds one `FlowRule` per installed rule
-    /// (millions per `dynamic_regroup` run), so its inline size is a
-    /// per-rule memory constant; the `actions` vector's heap block comes
-    /// on top.
+    /// (millions per `dynamic_regroup` run), so its inline size is the
+    /// per-rule memory cost. The action list is not on top of it: a rule
+    /// shares the list of the `FlowMod` that installed it, and a fan-out
+    /// builds one list for all its `FlowMod`s.
     #[test]
     fn flow_rule_stays_compact() {
         use std::mem::size_of;
         assert!(
-            size_of::<FlowRule>() <= 88,
+            size_of::<FlowRule>() <= 80,
             "FlowRule grew to {} bytes",
             size_of::<FlowRule>()
         );
@@ -240,7 +244,7 @@ mod tests {
         let mut t = FlowTable::new();
         assert_eq!(t.apply(&flow_mod(FlowModCommand::Add, 1, 10, 3), 0), 1);
         let rule = t.lookup(&fields_to(1), 5).expect("match");
-        assert_eq!(rule.actions, vec![Action::Output(PortNo::new(3))]);
+        assert_eq!(*rule.actions, [Action::Output(PortNo::new(3))]);
         assert_eq!(rule.packets, 1);
         assert_eq!(rule.last_used_ns, 5);
         assert!(t.lookup(&fields_to(2), 5).is_none());
@@ -252,7 +256,7 @@ mod tests {
         t.apply(&flow_mod(FlowModCommand::Add, 1, 1, 7), 0);
         t.apply(&flow_mod(FlowModCommand::Add, 1, 100, 9), 0);
         let rule = t.lookup(&fields_to(1), 0).unwrap();
-        assert_eq!(rule.actions, vec![Action::Output(PortNo::new(9))]);
+        assert_eq!(*rule.actions, [Action::Output(PortNo::new(9))]);
     }
 
     #[test]
@@ -262,7 +266,7 @@ mod tests {
         t.apply(&flow_mod(FlowModCommand::Add, 1, 10, 4), 1);
         assert_eq!(t.len(), 2);
         let rule = t.lookup(&fields_to(1), 2).unwrap();
-        assert_eq!(rule.actions, vec![Action::Output(PortNo::new(3))]);
+        assert_eq!(*rule.actions, [Action::Output(PortNo::new(3))]);
     }
 
     #[test]
@@ -272,7 +276,7 @@ mod tests {
         let n = t.apply(&flow_mod(FlowModCommand::Modify, 1, 10, 42), 1);
         assert_eq!(n, 1);
         let rule = t.lookup(&fields_to(1), 2).unwrap();
-        assert_eq!(rule.actions, vec![Action::Output(PortNo::new(42))]);
+        assert_eq!(*rule.actions, [Action::Output(PortNo::new(42))]);
     }
 
     #[test]
@@ -320,7 +324,7 @@ mod tests {
             idle_timeout: 0,
             hard_timeout: 0,
             cookie: 9,
-            actions: vec![Action::Drop],
+            actions: vec![Action::Drop].into(),
         };
         t.apply(&m, 0);
         assert!(t.lookup(&fields_to(123), 0).is_some());
@@ -336,7 +340,7 @@ mod tests {
             idle_timeout: 0,
             hard_timeout: 0,
             cookie,
-            actions: vec![Action::Drop],
+            actions: vec![Action::Drop].into(),
         };
         let mut t = FlowTable::new();
         t.apply(&any(10, 1), 0);
@@ -381,8 +385,8 @@ mod tests {
         for dst in (0..N).step_by(499).chain([N - 1]) {
             let rule = t.lookup(&fields_to(dst), N).expect("installed");
             assert_eq!(
-                rule.actions,
-                vec![Action::Output(PortNo::new((dst % 48) as u16))]
+                *rule.actions,
+                [Action::Output(PortNo::new((dst % 48) as u16))]
             );
         }
         assert!(t.lookup(&fields_to(N), N).is_none());

@@ -195,7 +195,7 @@ mod tests {
                 idle_timeout: 0,
                 hard_timeout: 0,
                 cookie: 0,
-                actions: vec![Action::Drop],
+                actions: vec![Action::Drop].into(),
             },
             0,
         );

@@ -428,7 +428,7 @@ impl EdgeSwitch {
                         OfMessage::PacketOut(PacketOutMsg {
                             buffer_id: u32::MAX,
                             in_port,
-                            actions: vec![Action::Output(PortNo::FLOOD)],
+                            actions: [Action::Output(PortNo::FLOOD)].into(),
                             data: frame.encode().into(),
                         }),
                     ),
@@ -733,10 +733,15 @@ impl EdgeSwitch {
                 };
                 let tenant = frame.vlan.map(|t| t.vid()).unwrap_or(TenantId::NONE);
                 if self.designated_role.is_some() {
-                    self.group_broadcast_except(frame.clone(), tenant, from, out);
-                    // Escalate to the controller (level iii) unless blocked.
+                    // Escalate to the controller (level iii) unless
+                    // blocked. The punt carries the relayed bytes as they
+                    // came: every frame on this path was built by
+                    // `EthernetFrame::encode`, which never sets DEI, so
+                    // re-encoding the decoded frame would give them back.
+                    debug_assert_eq!(*frame.encode(), *po.data, "relayed frame re-encodes");
+                    self.group_broadcast_except(frame, tenant, from, out);
                     if !self.blocked_arp.contains(&tenant) {
-                        self.punt_no_match(now_ns, po.in_port, frame.encode(), out);
+                        self.punt_no_match(now_ns, po.in_port, po.data.clone(), out);
                     }
                 }
             }
@@ -1100,38 +1105,59 @@ impl EdgeSwitch {
     ) {
         let mut frame = frame;
         let mut tenant = tenant;
-        for action in actions {
-            match *action {
-                Action::Output(port) if port == PortNo::FLOOD || port == PortNo::ALL => {
-                    out.push(SwitchOutput::FloodLocal(frame.clone()));
-                }
+        for (i, action) in actions.iter().enumerate() {
+            let emit = match *action {
+                Action::Output(port) if port == PortNo::FLOOD || port == PortNo::ALL => Emit::Flood,
                 Action::Output(port) if port == PortNo::CONTROLLER => {
                     let msg = self.packet_in(PacketInReason::Action, PortNo::NONE, frame.encode());
                     out.push(SwitchOutput::ToController(msg));
+                    continue;
                 }
-                Action::Output(port) if port.is_physical() => {
-                    out.push(SwitchOutput::DeliverLocal(port, frame.clone()));
-                }
-                Action::Output(_) => {}
+                Action::Output(port) if port.is_physical() => Emit::Local(port),
+                Action::Output(_) => continue,
                 Action::SetVlan(t) => {
                     tenant = t;
                     frame.vlan = Some(lazyctrl_net::VlanTag::for_tenant(t));
+                    continue;
                 }
                 Action::StripVlan => {
                     frame.vlan = None;
+                    continue;
                 }
                 Action::Drop => return,
-                Action::Encap { remote, key } => {
-                    if let Some(target) = SwitchId::from_underlay_ip(remote) {
-                        out.push(SwitchOutput::Tunnel(
-                            target,
-                            EncapsulatedFrame::new(
-                                EncapHeader::new(self.id.underlay_ip(), remote, tenant, key),
-                                frame.clone(),
-                            ),
-                        ));
-                    }
-                }
+                Action::Encap { remote, key } => match SwitchId::from_underlay_ip(remote) {
+                    Some(target) => Emit::Tunnel(
+                        target,
+                        EncapHeader::new(self.id.underlay_ip(), remote, tenant, key),
+                    ),
+                    None => continue,
+                },
+            };
+            // The last action takes the frame itself; an earlier output
+            // takes a copy (a refcount bump on the payload).
+            if i + 1 == actions.len() {
+                out.push(emit.with(frame));
+                return;
+            }
+            out.push(emit.with(frame.clone()));
+        }
+    }
+}
+
+/// Where an output action sends the frame (see `EdgeSwitch::apply_actions`).
+enum Emit {
+    Flood,
+    Local(PortNo),
+    Tunnel(SwitchId, EncapHeader),
+}
+
+impl Emit {
+    fn with(self, frame: EthernetFrame) -> SwitchOutput {
+        match self {
+            Emit::Flood => SwitchOutput::FloodLocal(frame),
+            Emit::Local(port) => SwitchOutput::DeliverLocal(port, frame),
+            Emit::Tunnel(target, header) => {
+                SwitchOutput::Tunnel(target, EncapsulatedFrame::new(header, frame))
             }
         }
     }

@@ -107,7 +107,7 @@ fn arb_flow_mod() -> impl Strategy<Value = FlowModMsg> {
             idle_timeout: idle,
             hard_timeout: 0,
             cookie: 0,
-            actions,
+            actions: actions.into(),
         })
 }
 
@@ -179,7 +179,7 @@ fn arb_colliding_flow_mod() -> impl Strategy<Value = FlowModMsg> {
                     idle_timeout,
                     hard_timeout,
                     cookie,
-                    actions,
+                    actions: actions.into(),
                 }
             },
         )

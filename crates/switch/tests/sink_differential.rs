@@ -79,14 +79,15 @@ fn script() -> Vec<Input> {
         actions: vec![Action::Encap {
             remote: SwitchId::new(9).underlay_ip(),
             key: 1,
-        }],
+        }]
+        .into(),
     };
     let relayed_arp = Message::of(
         77,
         OfMessage::PacketOut(PacketOutMsg {
             buffer_id: u32::MAX,
             in_port: PortNo::new(3),
-            actions: vec![Action::Output(PortNo::FLOOD)],
+            actions: vec![Action::Output(PortNo::FLOOD)].into(),
             data: arp_frame(50, 60, 1).encode().into(),
         }),
     );

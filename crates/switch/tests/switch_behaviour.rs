@@ -313,7 +313,7 @@ fn flow_mod_and_stats_round_trip() {
             idle_timeout: 0,
             hard_timeout: 0,
             cookie: 7,
-            actions: vec![Action::Drop],
+            actions: vec![Action::Drop].into(),
         }),
     );
     let _ = collect(|s| sw.handle_control_message(0, &fm, s));

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use lazyctrl_partition::WeightedGraph;
 use serde::{Deserialize, Serialize};
 
-use crate::Trace;
+use crate::{FlowRecord, Topology, Trace};
 
 /// A sparse symmetric switch-pair intensity matrix (new flows/sec).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,12 +38,28 @@ impl IntensityMatrix {
     ///
     /// Panics if the window is empty (`start_ns >= end_ns`).
     pub fn from_trace_window(trace: &Trace, start_ns: u64, end_ns: u64) -> Self {
+        let window = trace.flows_between(start_ns, end_ns);
+        Self::from_flows(&trace.topology, window, start_ns, end_ns)
+    }
+
+    /// Builds the matrix from `flows` over `topology`, all of which lie in
+    /// the window `[start_ns, end_ns)` that normalizes the rates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`start_ns >= end_ns`).
+    pub fn from_flows(
+        topology: &Topology,
+        flows: &[FlowRecord],
+        start_ns: u64,
+        end_ns: u64,
+    ) -> Self {
         assert!(start_ns < end_ns, "empty window");
         let secs = (end_ns - start_ns) as f64 / 1e9;
         let mut entries: HashMap<(u32, u32), f64> = HashMap::new();
-        for f in trace.flows_between(start_ns, end_ns) {
-            let a = trace.topology.switch_of(f.src).0;
-            let b = trace.topology.switch_of(f.dst).0;
+        for f in flows {
+            let a = topology.switch_of(f.src).0;
+            let b = topology.switch_of(f.dst).0;
             if a == b {
                 continue;
             }
@@ -54,7 +70,7 @@ impl IntensityMatrix {
             *v /= secs;
         }
         IntensityMatrix {
-            num_switches: trace.topology.num_switches,
+            num_switches: topology.num_switches,
             entries,
         }
     }
