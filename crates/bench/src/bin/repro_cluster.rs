@@ -10,9 +10,9 @@
 //!    the per-controller request rate, so the control plane's capacity
 //!    grows with N;
 //! 2. the inter-controller replication fabric scales *sub-quadratically*
-//!    when deltas ride a ring/tree relay overlay instead of a full flood —
+//!    when deltas ride the ring relay overlay instead of a full flood —
 //!    flood pays ≈ n−1 wire messages per delta chunk (O(n²) per flush
-//!    round), the overlays amortize bundled relays towards O(1) per chunk
+//!    round), the ring amortizes bundled relays towards O(1) per chunk
 //!    (O(n) per round), which is what makes 16 controllers feasible.
 //!
 //! Also replays the registry's cluster scenarios (crash-under-load,
@@ -25,7 +25,7 @@
 //! LAZYCTRL_SCALE=paper cargo run --release -p lazyctrl-bench --bin repro_cluster
 //! ```
 //!
-//! Exits non-zero if any scenario verdict fails (including the overlays
+//! Exits non-zero if any scenario verdict fails (including the ring
 //! failing to undercut flood).
 
 use std::process::ExitCode;
@@ -88,7 +88,7 @@ fn main() -> ExitCode {
     // for, with a group limit small enough that every member owns groups;
     // the shared frozen grouping keeps the 16 inner controllers at one
     // grouping's worth of memory, and a 20 s flush cadence lets the
-    // ring/tree bundles aggregate. Time-boxed via the run horizon.
+    // ring bundles aggregate. Time-boxed via the run horizon.
     let (members, group_limit_big, flush_ms, horizon) = match scale {
         Scale::Quick => (4usize, group_limit.min(8), 10_000u32, 2.0f64),
         Scale::Paper | Scale::X10 => (16, (trace.topology.num_switches / 24).max(4), 20_000, 4.0),
@@ -97,11 +97,7 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     let mut flood_cost = f64::NAN;
     let mut overlay_beats_flood = true;
-    for strategy in [
-        DisseminationStrategy::Flood,
-        DisseminationStrategy::Ring,
-        DisseminationStrategy::tree(),
-    ] {
+    for strategy in [DisseminationStrategy::Flood, DisseminationStrategy::Ring] {
         let mut cfg = ExperimentConfig::new(ControlMode::LazyStatic)
             .with_group_size_limit(group_limit_big)
             .with_seed(17)
@@ -148,7 +144,7 @@ fn main() -> ExitCode {
         )
     );
     println!(
-        "expected shape: flood pays ~{:.0} msgs/chunk (n-1); ring/tree amortize far below it\n",
+        "expected shape: flood pays ~{:.0} msgs/chunk (n-1); ring amortizes far below it\n",
         members as f64 - 1.0
     );
 
@@ -169,7 +165,7 @@ fn main() -> ExitCode {
         .with_group_size_limit(46)
         .with_seed(17)
         .with_cluster(members)
-        .with_dissemination(DisseminationStrategy::tree())
+        .with_dissemination(DisseminationStrategy::Ring)
         .with_cluster_flush_ms(flush_ms);
     cfg.sync_interval_ms = 10_000;
     let t0 = Instant::now();
@@ -213,7 +209,7 @@ fn main() -> ExitCode {
     // (see `repro_scenario --list` for the full catalogue).
     let registry = ScenarioRegistry::builtin();
     // The detailed reachability analysis above counts as a check too, as
-    // does the overlays-beat-flood shape of the dissemination table.
+    // does the ring-beats-flood shape of the dissemination table.
     let mut failures = usize::from(crash.affected_after_takeover == 0)
         + usize::from(!overlay_beats_flood)
         + usize::from(!syn_a_ok);

@@ -11,8 +11,8 @@ use crate::DisseminationStrategy;
 pub struct ClusterConfig {
     /// Number of controllers in the cluster.
     pub num_controllers: usize,
-    /// How C-LIB deltas reach the other members (flood / ring / tree —
-    /// see [`DisseminationStrategy`]).
+    /// How C-LIB deltas reach the other members (flood or ring — see
+    /// [`DisseminationStrategy`]).
     pub dissemination: DisseminationStrategy,
     /// Per-member inner controller configuration. `dynamic_updates` is
     /// forced off: in a cluster, load is balanced by moving *group
@@ -79,6 +79,18 @@ impl ClusterConfig {
         }
     }
 
+    /// The heartbeat interval in nanoseconds.
+    pub fn heartbeat_interval_ns(&self) -> u64 {
+        u64::from(self.heartbeat_interval_ms) * 1_000_000
+    }
+
+    /// How long (ns) a ring neighbour may stay silent before it is
+    /// reported missing: `heartbeat_miss_factor` heartbeat intervals.
+    /// Switch-side re-homing waits the same deadline.
+    pub fn failure_deadline_ns(&self) -> u64 {
+        u64::from(self.heartbeat_miss_factor) * self.heartbeat_interval_ns()
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
@@ -143,11 +155,7 @@ mod tests {
 
     #[test]
     fn all_strategies_validate() {
-        for strategy in [
-            DisseminationStrategy::Flood,
-            DisseminationStrategy::Ring,
-            DisseminationStrategy::tree(),
-        ] {
+        for strategy in [DisseminationStrategy::Flood, DisseminationStrategy::Ring] {
             let c = ClusterConfig {
                 dissemination: strategy,
                 ..ClusterConfig::default()

@@ -1,5 +1,5 @@
-//! Pluggable peer-sync dissemination: how a member's C-LIB deltas reach
-//! the other cluster members.
+//! Peer-sync dissemination: how a member's C-LIB deltas reach the other
+//! cluster members.
 //!
 //! The original cluster replicated by **full flood**: every member sent
 //! every delta chunk to every peer, so one flush round of an `n`-member
@@ -7,12 +7,11 @@
 //! "scale the repro" item hits at 16 controllers. The devolved-controller
 //! line of work (Tam et al.; Yazıcı et al.) argues the inter-controller
 //! fabric must scale sub-quadratically for the devolved design to pay off,
-//! which is exactly what the two overlay strategies here buy:
+//! which is what the ring overlay buys:
 //!
-//! * [`DisseminationStrategy::Flood`] — today's behaviour, kept as the
-//!   ablation baseline: the origin sends each delta chunk directly to
-//!   every believed-alive peer. O(n²) messages per flush round, one-hop
-//!   latency.
+//! * [`DisseminationStrategy::Flood`] — the ablation baseline: the origin
+//!   sends each delta chunk directly to every believed-alive peer. O(n²)
+//!   messages per flush round, one-hop latency.
 //! * [`DisseminationStrategy::Ring`] — each member forwards, at its own
 //!   flush tick, one [`SyncRelayMsg`](lazyctrl_proto::SyncRelayMsg) bundle
 //!   to its ring successor: its own fresh chunks plus every foreign chunk
@@ -21,64 +20,17 @@
 //!   dedup key stops re-circulation when the ring membership shifts
 //!   mid-flight. O(n) messages per round; worst-case propagation is one
 //!   full ring circumference of flush ticks.
-//! * [`DisseminationStrategy::Tree`] — a leader-rooted k-ary relay tree,
-//!   recomputed from the believed-alive membership on every use (so a
-//!   confirmed-dead member heals out of the overlay instantly, the same
-//!   cut-healing rule as the ring). Non-root members send their flush
-//!   bundle straight to the root; the root batches everything it heard and
-//!   pushes one bundle down the tree at its own tick, each member relaying
-//!   to its `k` children immediately. ~2·(n-1) messages per round with
-//!   O(log_k n) relay depth — the paper-scale default.
 //!
 //! A member that was dark while a delta circulated (crashed, partitioned,
 //! or just unlucky on the overlay) reconverges through the plane's
 //! anti-entropy digests, not through the strategy — see
 //! `ClusterControlPlane` and [`SyncDigestMsg`](lazyctrl_proto::SyncDigestMsg).
 //!
-//! All three strategies are pure functions of the believed-alive member
-//! list, which keeps them deterministic and trivially rebuildable on
-//! membership change; the plane owns all the state (outboxes, dedup sets,
-//! logs).
+//! Both strategies are pure functions of the believed-alive member list,
+//! which keeps them deterministic and self-healing on membership change;
+//! the plane owns all the state (outboxes, dedup sets, logs).
 
 use serde::{Deserialize, Serialize};
-
-/// Where a flush-tick bundle goes, as decided by a [`Dissemination`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlushRoute {
-    /// Send each own-delta chunk directly to every listed peer
-    /// (flood; relayed foreign chunks are never queued in this mode).
-    DirectToAll(Vec<u32>),
-    /// Send one bundle (own chunks + queued relays) to this peer.
-    BundleTo(u32),
-    /// Send one bundle to each listed peer (tree root pushing down).
-    BundleToEach(Vec<u32>),
-    /// Nobody to send to (single-member cluster, or all peers dead).
-    Nowhere,
-}
-
-/// A dissemination strategy: a pure routing policy over the current
-/// believed-alive membership. Implementations must be deterministic —
-/// same inputs, same routes — because the whole simulation is.
-pub trait Dissemination {
-    /// Short label for reports and benches.
-    fn label(&self) -> &'static str;
-
-    /// Where member `id` sends at its flush tick. `alive` is the
-    /// believed-alive membership (ids ascending, including `id` itself —
-    /// members not yet *confirmed* dead still occupy their slot, exactly
-    /// like a freshly dead switch on the wheel).
-    fn flush_route(&self, id: u32, alive: &[u32]) -> FlushRoute;
-
-    /// Whether `at` should queue a received foreign chunk (from `origin`)
-    /// for forwarding at its next flush tick. Flood never relays; ring
-    /// relays until the chunk would loop back to its origin; tree queues
-    /// only at the root (which redistributes down).
-    fn should_queue_relay(&self, at: u32, origin: u32, alive: &[u32]) -> bool;
-
-    /// Peers `at` must forward a parent-received bundle to *immediately*
-    /// (tree down-path children; empty for flood and ring).
-    fn immediate_relay(&self, at: u32, sender: u32, alive: &[u32]) -> Vec<u32>;
-}
 
 /// The configured choice of dissemination strategy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -89,270 +41,139 @@ pub enum DisseminationStrategy {
     Flood,
     /// Ring circulation with per-tick bundling (O(n) per round).
     Ring,
-    /// Leader-rooted k-ary relay tree (O(n) per round, O(log_k n) depth).
-    Tree {
-        /// Children per tree node; clamped to at least 2.
-        fanout: usize,
-    },
 }
 
 impl DisseminationStrategy {
-    /// A tree with the default fanout of 4.
-    pub fn tree() -> Self {
-        DisseminationStrategy::Tree { fanout: 4 }
-    }
-
     /// Short label for reports and benches.
     pub fn label(&self) -> &'static str {
         match self {
             DisseminationStrategy::Flood => "flood",
             DisseminationStrategy::Ring => "ring",
-            DisseminationStrategy::Tree { .. } => "tree",
-        }
-    }
-
-    /// Builds the strategy object.
-    pub fn build(&self) -> Box<dyn Dissemination + Send + Sync> {
-        match *self {
-            DisseminationStrategy::Flood => Box::new(Flood),
-            DisseminationStrategy::Ring => Box::new(Ring),
-            DisseminationStrategy::Tree { fanout } => Box::new(KaryTree {
-                fanout: fanout.max(2),
-            }),
         }
     }
 }
 
-/// Direct flood: the O(n²) baseline.
-pub struct Flood;
-
-impl Dissemination for Flood {
-    fn label(&self) -> &'static str {
-        "flood"
-    }
-
-    fn flush_route(&self, id: u32, alive: &[u32]) -> FlushRoute {
-        let peers: Vec<u32> = alive.iter().copied().filter(|&p| p != id).collect();
-        if peers.is_empty() {
-            FlushRoute::Nowhere
-        } else {
-            FlushRoute::DirectToAll(peers)
-        }
-    }
-
-    fn should_queue_relay(&self, _at: u32, _origin: u32, _alive: &[u32]) -> bool {
-        false
-    }
-
-    fn immediate_relay(&self, _at: u32, _sender: u32, _alive: &[u32]) -> Vec<u32> {
-        Vec::new()
-    }
-}
-
-/// Ring circulation with per-tick bundling.
-pub struct Ring;
-
-/// The ring successor of `id` among `alive` (ascending, cyclic).
-fn ring_successor(id: u32, alive: &[u32]) -> Option<u32> {
-    if alive.len() < 2 {
+/// Ring neighbours `(prev, next)` of `id` on `ring` (member ids
+/// ascending, cyclic) — the one ring both the heartbeat protocol and the
+/// ring overlay walk. `None` when `id` is not on the ring or has nobody
+/// to neighbour.
+pub(crate) fn ring_neighbours(id: u32, ring: &[u32]) -> Option<(u32, u32)> {
+    if ring.len() < 2 {
         return None;
     }
-    let i = alive.iter().position(|&m| m == id)?;
-    Some(alive[(i + 1) % alive.len()])
-}
-
-impl Dissemination for Ring {
-    fn label(&self) -> &'static str {
-        "ring"
-    }
-
-    fn flush_route(&self, id: u32, alive: &[u32]) -> FlushRoute {
-        match ring_successor(id, alive) {
-            Some(next) => FlushRoute::BundleTo(next),
-            None => FlushRoute::Nowhere,
-        }
-    }
-
-    fn should_queue_relay(&self, at: u32, origin: u32, alive: &[u32]) -> bool {
-        // Keep circulating until the next hop would be the origin itself.
-        ring_successor(at, alive).is_some_and(|next| next != origin)
-    }
-
-    fn immediate_relay(&self, _at: u32, _sender: u32, _alive: &[u32]) -> Vec<u32> {
-        Vec::new()
-    }
-}
-
-/// Leader-rooted k-ary relay tree.
-pub struct KaryTree {
-    /// Children per node (≥ 2).
-    pub fanout: usize,
-}
-
-impl KaryTree {
-    /// The believed-alive members in tree order: root (lowest id) first,
-    /// then the rest ascending; node `i`'s children sit at
-    /// `k·i + 1 ..= k·i + k`.
-    fn position(&self, id: u32, alive: &[u32]) -> Option<usize> {
-        alive.iter().position(|&m| m == id)
-    }
-
-    fn children(&self, id: u32, alive: &[u32]) -> Vec<u32> {
-        let Some(i) = self.position(id, alive) else {
-            return Vec::new();
-        };
-        (self.fanout * i + 1..=self.fanout * i + self.fanout)
-            .filter_map(|c| alive.get(c).copied())
-            .collect()
-    }
-}
-
-impl Dissemination for KaryTree {
-    fn label(&self) -> &'static str {
-        "tree"
-    }
-
-    fn flush_route(&self, id: u32, alive: &[u32]) -> FlushRoute {
-        if alive.len() < 2 {
-            return FlushRoute::Nowhere;
-        }
-        let root = alive[0];
-        if id == root {
-            FlushRoute::BundleToEach(self.children(id, alive))
-        } else {
-            // Non-root members converge-cast straight to the root, which
-            // batches and redistributes down the tree at its own tick.
-            FlushRoute::BundleTo(root)
-        }
-    }
-
-    fn should_queue_relay(&self, at: u32, origin: u32, alive: &[u32]) -> bool {
-        // Only the root redistributes; everyone else either received the
-        // chunk from the root's down-path (already relayed immediately to
-        // the children) or is the origin.
-        !alive.is_empty() && at == alive[0] && origin != at
-    }
-
-    fn immediate_relay(&self, at: u32, sender: u32, alive: &[u32]) -> Vec<u32> {
-        // A bundle from my tree parent is on the down-path: push it to my
-        // children right away (no flush-tick wait per level). Bundles
-        // from anyone else are up-path traffic towards the root.
-        let Some(i) = self.position(at, alive) else {
-            return Vec::new();
-        };
-        if i == 0 {
-            return Vec::new();
-        }
-        let parent = alive[(i - 1) / self.fanout];
-        if sender == parent {
-            self.children(at, alive)
-        } else {
-            Vec::new()
-        }
-    }
+    let i = ring.iter().position(|&m| m == id)?;
+    let n = ring.len();
+    Some((ring[(i + n - 1) % n], ring[(i + 1) % n]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        ClusterConfig, ClusterControlPlane, ClusterOutput, ClusterTimer, ClusterTimerKind,
+    };
+    use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
+    use lazyctrl_proto::{ClusterMsg, HostEntry, Message, MessageBody, OutputSink, SyncRelayMsg};
 
     fn alive(n: u32) -> Vec<u32> {
         (0..n).collect()
+    }
+
+    fn successor(id: u32, ring: &[u32]) -> Option<u32> {
+        ring_neighbours(id, ring).map(|(_, next)| next)
     }
 
     #[test]
     fn labels_round_trip_through_config() {
         assert_eq!(DisseminationStrategy::Flood.label(), "flood");
         assert_eq!(DisseminationStrategy::Ring.label(), "ring");
-        assert_eq!(DisseminationStrategy::tree().label(), "tree");
-        for s in [
-            DisseminationStrategy::Flood,
-            DisseminationStrategy::Ring,
-            DisseminationStrategy::tree(),
-        ] {
-            assert_eq!(s.build().label(), s.label());
+        for s in [DisseminationStrategy::Flood, DisseminationStrategy::Ring] {
+            let cfg = ClusterConfig {
+                dissemination: s,
+                ..ClusterConfig::default()
+            };
+            assert_eq!(
+                ClusterControlPlane::new(3, cfg)
+                    .config()
+                    .dissemination
+                    .label(),
+                s.label()
+            );
         }
     }
 
+    /// Flood sends a flushed chunk straight to every peer, and a relay
+    /// bundle that reaches a flood member is applied but never forwarded.
     #[test]
     fn flood_targets_every_peer_and_never_relays() {
-        let f = Flood;
-        assert_eq!(
-            f.flush_route(1, &alive(4)),
-            FlushRoute::DirectToAll(vec![0, 2, 3])
+        let mut plane = ClusterControlPlane::new(4, ClusterConfig::with_controllers(4));
+        let host = HostEntry {
+            mac: MacAddr::for_host(1),
+            switch: SwitchId::new(1),
+            port: PortNo::new(1),
+            tenant: TenantId::new(1),
+        };
+        plane.enqueue_delta(1, vec![host], vec![]);
+        let flush = |node| ClusterTimer {
+            node,
+            kind: ClusterTimerKind::ReplicaFlush,
+            gen: 0,
+        };
+        let mut out = OutputSink::new();
+        plane.handle_timer(0, flush(1), &mut out);
+        let mut sent = Vec::new();
+        let mut bundle = None;
+        for o in out.drain() {
+            if let ClusterOutput::ToCtrl { to, msg, .. } = o {
+                let MessageBody::Cluster(ClusterMsg::PeerSync(sync)) = &msg.body else {
+                    panic!("flood sends direct syncs only");
+                };
+                sent.push(to);
+                bundle = Some(SyncRelayMsg {
+                    from: 1,
+                    syncs: vec![(**sync).clone()],
+                });
+            }
+        }
+        assert_eq!(sent, vec![0, 2, 3]);
+        let bundle = Message::cluster(0, ClusterMsg::sync_relay(bundle.expect("a sync was sent")));
+        plane.handle_ctrl_message(0, 1, 2, &bundle, &mut out);
+        assert_eq!(plane.view_of(2, host.mac), Some(host));
+        plane.handle_timer(0, flush(2), &mut out);
+        assert!(
+            out.drain()
+                .all(|o| matches!(o, ClusterOutput::SetTimer(..))),
+            "flood queued a relayed chunk"
         );
-        assert_eq!(f.flush_route(0, &[0]), FlushRoute::Nowhere);
-        assert!(!f.should_queue_relay(2, 0, &alive(4)));
     }
 
     #[test]
     fn ring_follows_successor_and_stops_at_origin() {
-        let r = Ring;
-        assert_eq!(r.flush_route(1, &alive(4)), FlushRoute::BundleTo(2));
-        assert_eq!(r.flush_route(3, &alive(4)), FlushRoute::BundleTo(0));
-        // Member 3's successor is 0: a chunk originated by 0 stops here.
-        assert!(!r.should_queue_relay(3, 0, &alive(4)));
-        assert!(r.should_queue_relay(1, 0, &alive(4)));
-        assert_eq!(r.flush_route(0, &[0]), FlushRoute::Nowhere);
+        assert_eq!(successor(1, &alive(4)), Some(2));
+        assert_eq!(ring_neighbours(0, &alive(4)), Some((3, 1)));
+        // Member 3's successor is 0: a chunk originated by 0 stops there,
+        // while member 1 passes it on to 2.
+        assert_eq!(successor(3, &alive(4)), Some(0));
+        assert_eq!(successor(0, &[0]), None);
+        assert_eq!(successor(4, &alive(4)), None, "not on the ring");
     }
 
     #[test]
     fn ring_heals_around_a_dead_member() {
-        let r = Ring;
         // Member 2 confirmed dead: 1's successor becomes 3.
-        assert_eq!(r.flush_route(1, &[0, 1, 3]), FlushRoute::BundleTo(3));
-    }
-
-    #[test]
-    fn tree_converges_to_root_and_fans_down() {
-        let t = KaryTree { fanout: 2 };
-        let members = alive(7);
-        // Non-root members send up to the root directly.
-        for id in 1..7 {
-            assert_eq!(t.flush_route(id, &members), FlushRoute::BundleTo(0));
-        }
-        // Root pushes down to its children.
-        assert_eq!(
-            t.flush_route(0, &members),
-            FlushRoute::BundleToEach(vec![1, 2])
-        );
-        // Down-path bundles relay immediately along tree edges.
-        assert_eq!(t.immediate_relay(1, 0, &members), vec![3, 4]);
-        assert_eq!(t.immediate_relay(2, 0, &members), vec![5, 6]);
-        // Leaves have nobody below them.
-        assert_eq!(t.immediate_relay(3, 1, &members), Vec::<u32>::new());
-        // Up-path traffic (sender is not the parent) is not re-fanned.
-        assert_eq!(t.immediate_relay(1, 3, &members), Vec::<u32>::new());
-        // Only the root queues foreign chunks for redistribution.
-        assert!(t.should_queue_relay(0, 4, &members));
-        assert!(!t.should_queue_relay(1, 4, &members));
-    }
-
-    #[test]
-    fn tree_rebuilds_on_membership_change() {
-        let t = KaryTree { fanout: 2 };
-        // Root 0 confirmed dead: 1 becomes the root.
-        let members = vec![1, 2, 3, 4];
-        assert_eq!(
-            t.flush_route(1, &members),
-            FlushRoute::BundleToEach(vec![2, 3])
-        );
-        assert_eq!(t.flush_route(4, &members), FlushRoute::BundleTo(1));
-        assert_eq!(t.immediate_relay(2, 1, &members), vec![4]);
+        assert_eq!(successor(1, &[0, 1, 3]), Some(3));
     }
 
     #[test]
     fn every_member_is_reached_per_round() {
-        // Structural coverage check: under ring and tree, starting from
-        // any origin, repeatedly applying the routing rules visits every
-        // alive member.
+        // Structural coverage check: starting from any origin, walking
+        // ring successors visits every alive member.
         for n in 2u32..10 {
             let members = alive(n);
             for origin in 0..n {
-                // Ring: walk successors.
                 let mut visited = vec![origin];
                 let mut at = origin;
-                while let Some(next) = ring_successor(at, &members) {
+                while let Some(next) = successor(at, &members) {
                     if next == origin {
                         break;
                     }
@@ -360,17 +181,6 @@ mod tests {
                     at = next;
                 }
                 assert_eq!(visited.len(), n as usize, "ring misses members");
-                // Tree: origin → root → down the children edges.
-                let t = KaryTree { fanout: 3 };
-                let mut reached = std::collections::BTreeSet::from([members[0]]);
-                let mut frontier = vec![members[0]];
-                while let Some(m) = frontier.pop() {
-                    for c in t.children(m, &members) {
-                        reached.insert(c);
-                        frontier.push(c);
-                    }
-                }
-                assert_eq!(reached.len(), n as usize, "tree misses members");
             }
         }
     }

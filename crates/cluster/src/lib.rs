@@ -17,9 +17,9 @@
 //!
 //! * [`OwnershipMap`] — which member owns each group, with epochal
 //!   transfers for load rebalancing;
-//! * [`ReplicaStore`] + pluggable peer-sync dissemination
-//!   ([`DisseminationStrategy`]: direct flood, ring circulation, or a
-//!   leader-rooted relay tree, with anti-entropy digest catch-up) —
+//! * [`ReplicaStore`] + peer-sync dissemination
+//!   ([`DisseminationStrategy`]: direct flood or ring circulation, with
+//!   anti-entropy digest catch-up) —
 //!   asynchronous C-LIB replication, so inter-shard flow setups resolve
 //!   locally (with a synchronous peer lookup as miss fallback);
 //! * controller failover — ring heartbeats feeding the *same* Table-I
@@ -43,13 +43,13 @@ mod plane;
 mod replica;
 
 pub use config::ClusterConfig;
-pub use dissemination::{Dissemination, DisseminationStrategy, Flood, FlushRoute, KaryTree, Ring};
+pub use dissemination::DisseminationStrategy;
 pub use election::{ElectionRole, ElectionState};
 pub use fingerprint::{hash_wire_ignoring_xid, Fnv64};
 pub use model::StepModel;
 pub use ownership::OwnershipMap;
 pub use plane::{
     ctrl_pseudo_switch, ClusterControlPlane, ClusterOutput, ClusterTimer, ClusterTimerKind,
-    SyncTraffic, LEADER_LEASE_MS,
+    MemberCounter, LEADER_LEASE_MS,
 };
 pub use replica::ReplicaStore;

@@ -15,14 +15,12 @@
 //!
 //! * **C-LIB replication** — each member batches the host locations it
 //!   learns and publishes them on a timer ([`PeerSyncMsg`]); *how* the
-//!   deltas reach the other members is the pluggable
-//!   [`Dissemination`](crate::Dissemination) strategy (direct flood, ring
-//!   circulation, or a leader-rooted relay tree — see
-//!   [`DisseminationStrategy`](crate::DisseminationStrategy)), backed by a
-//!   periodic anti-entropy digest exchange so members that missed relayed
-//!   deltas reconverge. Inter-shard flow setups then resolve against the
-//!   local replica, with a synchronous [`LookupRequestMsg`] as the miss
-//!   fallback.
+//!   deltas reach the other members is the configured
+//!   [`DisseminationStrategy`] (direct flood or ring circulation), backed
+//!   by a periodic anti-entropy digest exchange so members that missed
+//!   relayed deltas reconverge. Inter-shard flow setups then resolve
+//!   against the local replica, with a synchronous [`LookupRequestMsg`] as
+//!   the miss fallback.
 //! * **Load rebalancing** — members piggyback their measured request rate
 //!   on heartbeats; when the leader (lowest live id) sees the max/min load
 //!   ratio exceed the skew threshold, it moves a group from the hottest
@@ -52,6 +50,7 @@ use std::sync::{Arc, OnceLock};
 
 use lazyctrl_controller::{
     ControllerOutput, ControllerTimer, FailureDetector, FailureKind, LazyController,
+    REGROUP_CHECK_INTERVAL_MS,
 };
 use lazyctrl_net::{EthernetFrame, MacAddr, SwitchId, TenantId};
 use lazyctrl_partition::WeightedGraph;
@@ -63,10 +62,10 @@ use lazyctrl_proto::{
     WheelReportMsg,
 };
 
-use crate::dissemination::{Dissemination, FlushRoute};
+use crate::dissemination::ring_neighbours;
 use crate::election::{ElectionRole, ElectionState};
 use crate::fingerprint::{hash_wire_ignoring_xid, Fnv64};
-use crate::{ClusterConfig, OwnershipMap, ReplicaStore};
+use crate::{ClusterConfig, DisseminationStrategy, OwnershipMap, ReplicaStore};
 
 /// Controllers are mapped into the switch-id space for the reused Table-I
 /// failure detector; this tag keeps them clear of any real switch.
@@ -192,30 +191,72 @@ struct UnackedTransfer {
     next_retry_ns: u64,
 }
 
-/// Per-member peer-sync traffic accounting (what `ClusterReport` exposes
-/// so the O(n²) → O(n) dissemination win is measurable).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SyncTraffic {
-    /// Peer-sync wire messages this member sent on the dissemination
-    /// overlay (direct flood syncs + relay bundles). Anti-entropy digests
-    /// and catch-up syncs are repair traffic, counted separately below.
-    pub messages_sent: u64,
+/// A per-member observer counter: what a member did, never what it is.
+/// The state fingerprint leaves them all out; reports and the model
+/// checker read them through [`ClusterControlPlane::counter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemberCounter {
+    /// Switch-originated messages handled (the sharded workload quantity
+    /// `repro_cluster` reports).
+    RequestsHandled,
+    /// Peer-sync wire messages sent on the dissemination overlay (direct
+    /// flood syncs + relay bundles). Anti-entropy digests and catch-up
+    /// syncs are repair traffic, counted separately.
+    SyncMessages,
     /// Estimated wire bytes of those messages.
-    pub bytes_sent: u64,
+    SyncBytes,
     /// Delta chunks this member originated.
-    pub chunks_created: u64,
+    ChunksCreated,
     /// Foreign chunks applied off the relay overlay.
-    pub relay_applies: u64,
+    RelayApplies,
     /// Foreign chunks applied from direct syncs (flood or catch-up).
-    pub direct_applies: u64,
+    DirectApplies,
     /// Already-seen chunks dropped by the relay dedup.
-    pub duplicate_drops: u64,
+    DuplicateDrops,
     /// Relay-buffer overflows (oldest chunk dropped; anti-entropy heals).
-    pub relay_overflows: u64,
+    RelayOverflows,
     /// Anti-entropy digests sent.
-    pub digests_sent: u64,
+    DigestsSent,
     /// Catch-up syncs served to digesting peers.
-    pub catchup_syncs_sent: u64,
+    CatchupSyncs,
+    /// Ownership-transfer retransmissions sent.
+    TransferRetransmits,
+    /// Peer-lookup rounds that expired at their deadline.
+    LookupTimeouts,
+    /// Times this member stepped down to read-only on lease loss.
+    LeaseStepDowns,
+    /// Flow setups the bounded ingress queue shed (always zero when the
+    /// queue is unbounded, the default).
+    SetupsShed,
+    /// Peak ingress-queue depth observed, in slots.
+    QueueHighwater,
+    /// ECN-style congestion notices emitted toward switches.
+    CongestionSignals,
+}
+
+impl MemberCounter {
+    /// Every counter, in table order.
+    pub const ALL: [MemberCounter; 16] = [
+        MemberCounter::RequestsHandled,
+        MemberCounter::SyncMessages,
+        MemberCounter::SyncBytes,
+        MemberCounter::ChunksCreated,
+        MemberCounter::RelayApplies,
+        MemberCounter::DirectApplies,
+        MemberCounter::DuplicateDrops,
+        MemberCounter::RelayOverflows,
+        MemberCounter::DigestsSent,
+        MemberCounter::CatchupSyncs,
+        MemberCounter::TransferRetransmits,
+        MemberCounter::LookupTimeouts,
+        MemberCounter::LeaseStepDowns,
+        MemberCounter::SetupsShed,
+        MemberCounter::QueueHighwater,
+        MemberCounter::CongestionSignals,
+    ];
+
+    /// Number of counters (the width of a member's counter table).
+    pub const COUNT: usize = MemberCounter::ALL.len();
 }
 
 /// One cluster member.
@@ -242,8 +283,8 @@ struct ClusterNode {
     /// Monotonic stamp for `own_tombstones` eviction order.
     tomb_stamp: u64,
     sync_seq: u64,
-    /// Foreign chunks queued for forwarding at the next flush tick
-    /// (ring successor hop / tree-root redistribution). Bounded by
+    /// Foreign chunks queued for forwarding to the ring successor at the
+    /// next flush tick. Bounded by
     /// [`RELAY_BUFFER_CHUNKS`]; overflow drops the oldest and counts it.
     relay_outbox: VecDeque<PeerSyncMsg>,
     /// Relay dedup: per-origin `(seq, chunk)` pairs already absorbed, with
@@ -254,8 +295,8 @@ struct ClusterNode {
     delta_log: VecDeque<PeerSyncMsg>,
     /// Rotation counter for anti-entropy digest targets.
     ae_round: u64,
-    /// Peer-sync traffic accounting.
-    traffic: SyncTraffic,
+    /// Observer counters, indexed by [`MemberCounter`].
+    counters: [u64; MemberCounter::COUNT],
     hb_seq: u64,
     /// Last virtual time a heartbeat arrived from each peer.
     last_hb_from: BTreeMap<u32, u64>,
@@ -287,17 +328,6 @@ struct ClusterNode {
     /// Bumped on crash; stale timer chains are dropped (see
     /// [`ClusterTimer::gen`]).
     timer_gen: u32,
-    /// Switch-originated messages this member handled (the sharded
-    /// workload quantity `repro_cluster` reports).
-    requests_handled: u64,
-    /// Ownership-transfer retransmissions sent (observer counter).
-    transfer_retransmits: u64,
-    /// Peer-lookup rounds that expired at their deadline (observer
-    /// counter).
-    lookup_timeouts: u64,
-    /// Times this member stepped down to read-only on lease loss
-    /// (observer counter).
-    lease_step_downs: u64,
     /// Bounded-ingress leaky bucket: virtual backlog (ns) still queued
     /// at this member. Behavior state — whether the *next* message is
     /// shed depends on it — so it is fingerprinted. Stays zero when the
@@ -308,13 +338,6 @@ struct ClusterNode {
     /// Virtual time of the last `CongestionNotice` sent (behavior
     /// state: it gates whether the next shed emits a signal).
     last_congestion_notice_ns: u64,
-    /// Flow setups the bounded ingress queue shed (observer counter).
-    setups_shed: u64,
-    /// Peak ingress queue depth observed, in slots (observer counter).
-    queue_highwater: u64,
-    /// ECN-style pressure notices emitted to switches (observer
-    /// counter).
-    congestion_signals: u64,
 }
 
 /// How many recent flush sequences the relay dedup remembers per origin.
@@ -404,6 +427,43 @@ impl ClusterNode {
         self.xid
     }
 
+    /// Sends `body` to peer `to` under this member's next xid — the one
+    /// place a [`ClusterOutput::ToCtrl`] is built.
+    fn send_peer(
+        &mut self,
+        to: u32,
+        body: impl Into<MessageBody>,
+        out: &mut OutputSink<ClusterOutput>,
+    ) {
+        let xid = self.next_xid();
+        out.push(ClusterOutput::ToCtrl {
+            from: self.id,
+            to,
+            msg: Message {
+                xid,
+                body: body.into(),
+            },
+        });
+    }
+
+    /// Sends one dissemination-overlay message (a flood sync or a relay
+    /// bundle of `bytes` estimated wire bytes) and counts it.
+    fn send_overlay(
+        &mut self,
+        to: u32,
+        bytes: usize,
+        msg: ClusterMsg,
+        out: &mut OutputSink<ClusterOutput>,
+    ) {
+        self.count(MemberCounter::SyncMessages, 1);
+        self.count(MemberCounter::SyncBytes, bytes as u64);
+        self.send_peer(to, msg, out);
+    }
+
+    fn count(&mut self, c: MemberCounter, by: u64) {
+        self.counters[c as usize] += by;
+    }
+
     /// Records a chunk key in the dedup window. Returns false when it was
     /// already present (a duplicate).
     fn note_seen(&mut self, sync: &PeerSyncMsg) -> bool {
@@ -426,7 +486,7 @@ impl ClusterNode {
         self.relay_outbox.push_back(sync);
         while self.relay_outbox.len() > RELAY_BUFFER_CHUNKS {
             self.relay_outbox.pop_front();
-            self.traffic.relay_overflows += 1;
+            self.count(MemberCounter::RelayOverflows, 1);
         }
     }
 
@@ -455,7 +515,7 @@ impl ClusterNode {
     ///
     /// Deliberately excluded: transaction-id counters and heartbeat
     /// sequence numbers (identity, not state — receivers never branch on
-    /// them), traffic/report counters (observers, not behavior), and the
+    /// them), the [`MemberCounter`] table (observers, not behavior), and the
     /// inner controller's switch-facing machinery beyond the C-LIB (the
     /// checker drives no switch traffic, and for simulation reports the
     /// full-report comparison is the backstop).
@@ -553,7 +613,7 @@ impl ClusterNode {
         // Ingress-bucket behavior state: whether the next message is
         // shed (and whether a shed signals) depends on these three.
         // The shed/highwater/signal *counters* are observers and stay
-        // excluded, like the traffic counters above.
+        // excluded, like every other counter.
         h.u64(self.ingress_queued_ns)
             .u64(self.ingress_last_ns)
             .u64(self.last_congestion_notice_ns);
@@ -614,11 +674,14 @@ impl Deref for Member {
 }
 
 /// The sharded multi-controller control plane.
+///
+/// Cloning snapshots the full protocol state — what the model checker
+/// branches on. Members are shared with the original until one side
+/// writes them (see `Member`); the plane-level fields are copied, and the
+/// output scratch copies empty (it is drained within every step).
+#[derive(Clone)]
 pub struct ClusterControlPlane {
     cfg: ClusterConfig,
-    /// The configured dissemination strategy (built once from
-    /// `cfg.dissemination`).
-    strategy: Box<dyn Dissemination + Send + Sync>,
     /// The members, copy-on-write and sub-fingerprinted (see [`Member`]).
     nodes: Vec<Member>,
     ownership: OwnershipMap,
@@ -655,35 +718,6 @@ pub struct ClusterControlPlane {
     last_step_ns: u64,
 }
 
-/// Cloning snapshots the full protocol state — what the model checker
-/// branches on. Members are shared with the original until one side
-/// writes them (see `Member`); the plane-level fields are copied. The
-/// dissemination strategy is rebuilt from the config (it is stateless by
-/// construction) and the output scratch starts empty (it is drained
-/// within every step, so a snapshot taken between steps has nothing in
-/// flight there).
-impl Clone for ClusterControlPlane {
-    fn clone(&self) -> Self {
-        ClusterControlPlane {
-            cfg: self.cfg.clone(),
-            strategy: self.cfg.dissemination.build(),
-            nodes: self.nodes.clone(),
-            ownership: self.ownership.clone(),
-            group_of_switch: self.group_of_switch.clone(),
-            confirmed_dead: self.confirmed_dead.clone(),
-            group_window: self.group_window.clone(),
-            transfers: self.transfers.clone(),
-            term_leaders: self.term_leaders.clone(),
-            double_leader_events: self.double_leader_events,
-            takeovers: self.takeovers.clone(),
-            bootstrapped: self.bootstrapped,
-            ctrl_scratch: OutputSink::new(),
-            #[cfg(debug_assertions)]
-            last_step_ns: self.last_step_ns,
-        }
-    }
-}
-
 impl ClusterControlPlane {
     /// Creates a cluster over switches `0..num_switches`.
     ///
@@ -713,7 +747,7 @@ impl ClusterControlPlane {
                     seen_chunks: BTreeMap::new(),
                     delta_log: VecDeque::new(),
                     ae_round: 0,
-                    traffic: SyncTraffic::default(),
+                    counters: [0; MemberCounter::COUNT],
                     hb_seq: 0,
                     last_hb_from: BTreeMap::new(),
                     peer_loads: BTreeMap::new(),
@@ -725,21 +759,13 @@ impl ClusterControlPlane {
                     read_only: false,
                     xid: 0,
                     timer_gen: 0,
-                    requests_handled: 0,
-                    transfer_retransmits: 0,
-                    lookup_timeouts: 0,
-                    lease_step_downs: 0,
                     ingress_queued_ns: 0,
                     ingress_last_ns: 0,
                     last_congestion_notice_ns: 0,
-                    setups_shed: 0,
-                    queue_highwater: 0,
-                    congestion_signals: 0,
                 })
             })
             .collect();
         ClusterControlPlane {
-            strategy: cfg.dissemination.build(),
             cfg,
             nodes,
             ownership: OwnershipMap::new(),
@@ -813,9 +839,9 @@ impl ClusterControlPlane {
         self.confirmed_dead.iter().copied().collect()
     }
 
-    /// Switch-originated messages handled by a member.
-    pub fn requests_of(&self, id: u32) -> u64 {
-        self.nodes[id as usize].requests_handled
+    /// One of a member's observer counters.
+    pub fn counter(&self, id: u32, c: MemberCounter) -> u64 {
+        self.nodes[id as usize].counters[c as usize]
     }
 
     /// A member's measured request rate (its meter window).
@@ -838,20 +864,10 @@ impl ClusterControlPlane {
         self.nodes[id as usize].replica.len()
     }
 
-    /// A member's peer-sync traffic counters.
-    pub fn sync_traffic(&self, id: u32) -> SyncTraffic {
-        self.nodes[id as usize].traffic
-    }
-
     /// A member's replication flush sequence (how many delta flushes it
     /// has originated).
     pub fn sync_seq(&self, id: u32) -> u64 {
         self.nodes[id as usize].sync_seq
-    }
-
-    /// The label of the dissemination strategy in force.
-    pub fn dissemination_label(&self) -> &'static str {
-        self.strategy.label()
     }
 
     /// A canonical 64-bit fingerprint of the plane's protocol-visible
@@ -991,12 +1007,17 @@ impl ClusterControlPlane {
     /// occupy their overlay slot (their traffic simply vanishes until the
     /// heartbeat protocol confirms them dead and the overlay heals), the
     /// same rule the heartbeat ring uses.
-    fn believed_alive(&self) -> Vec<u32> {
+    fn believed_alive(&self) -> impl Iterator<Item = u32> + '_ {
         self.nodes
             .iter()
-            .filter(|n| !self.confirmed_dead.contains(&n.id))
             .map(|n| n.id)
-            .collect()
+            .filter(|id| !self.confirmed_dead.contains(id))
+    }
+
+    /// The believed-alive members other than `id`: who `id` heartbeats,
+    /// canvasses and digests.
+    fn peers_of(&self, id: u32) -> Vec<u32> {
+        self.believed_alive().filter(|&p| p != id).collect()
     }
 
     /// The current leader: the functioning member holding the
@@ -1056,37 +1077,6 @@ impl ClusterControlPlane {
         self.nodes[id as usize].read_only
     }
 
-    /// Ownership-transfer retransmissions a member has sent.
-    pub fn transfer_retransmits(&self, id: u32) -> u64 {
-        self.nodes[id as usize].transfer_retransmits
-    }
-
-    /// Peer-lookup rounds that expired at their deadline on a member.
-    pub fn lookup_timeouts(&self, id: u32) -> u64 {
-        self.nodes[id as usize].lookup_timeouts
-    }
-
-    /// Times a member stepped down to read-only on lease loss.
-    pub fn lease_step_downs(&self, id: u32) -> u64 {
-        self.nodes[id as usize].lease_step_downs
-    }
-
-    /// Flow setups (PacketIns) a member's bounded ingress queue shed.
-    /// Always zero when the queue is unbounded (the default).
-    pub fn setups_shed(&self, id: u32) -> u64 {
-        self.nodes[id as usize].setups_shed
-    }
-
-    /// Peak ingress-queue depth (slots) observed at a member.
-    pub fn queue_highwater(&self, id: u32) -> u64 {
-        self.nodes[id as usize].queue_highwater
-    }
-
-    /// ECN-style congestion notices a member emitted toward switches.
-    pub fn congestion_signals(&self, id: u32) -> u64 {
-        self.nodes[id as usize].congestion_signals
-    }
-
     /// Election-safety monitor: times two distinct members led the same
     /// term. Cross-member ground truth (the plane holds every member);
     /// any nonzero value is a split-brain.
@@ -1129,26 +1119,8 @@ impl ClusterControlPlane {
         }
         if !node.read_only {
             node.read_only = true;
-            node.lease_step_downs += 1;
+            node.count(MemberCounter::LeaseStepDowns, 1);
         }
-    }
-
-    /// Ring neighbours `(prev, next)` of `id` among believed-alive members
-    /// (crashed-but-undetected members still occupy their slot, exactly
-    /// like a freshly dead switch on the wheel).
-    fn ring_neighbours(&self, id: u32) -> Option<(u32, u32)> {
-        let ring: Vec<u32> = self
-            .nodes
-            .iter()
-            .filter(|n| !self.confirmed_dead.contains(&n.id))
-            .map(|n| n.id)
-            .collect();
-        if ring.len() < 2 {
-            return None;
-        }
-        let i = ring.iter().position(|&x| x == id)?;
-        let n = ring.len();
-        Some((ring[(i + n - 1) % n], ring[(i + 1) % n]))
     }
 
     // ---- Scenario hooks ------------------------------------------------
@@ -1193,7 +1165,7 @@ impl ClusterControlPlane {
             ),
             (
                 ClusterTimerKind::Inner(ControllerTimer::RegroupCheck),
-                10_000,
+                REGROUP_CHECK_INTERVAL_MS,
             ),
         ] {
             out.push(ClusterOutput::SetTimer(
@@ -1376,13 +1348,13 @@ impl ClusterControlPlane {
         };
         if prio != MsgPriority::Critical && node.ingress_queued_ns.saturating_add(cost) > cap_ns {
             if prio == MsgPriority::FlowSetup {
-                node.setups_shed += 1;
+                node.count(MemberCounter::SetupsShed, 1);
                 let gap_ns = CONGESTION_NOTICE_INTERVAL_MS * 1_000_000;
                 if node.last_congestion_notice_ns == 0
                     || now_ns.saturating_sub(node.last_congestion_notice_ns) >= gap_ns
                 {
                     node.last_congestion_notice_ns = now_ns;
-                    node.congestion_signals += 1;
+                    node.count(MemberCounter::CongestionSignals, 1);
                     // Pressure level: how many times over the flow-setup
                     // mark the backlog sits — the switch applies that many
                     // extra backoff doublings (capped on its side).
@@ -1401,7 +1373,8 @@ impl ClusterControlPlane {
             return false;
         }
         node.ingress_queued_ns = node.ingress_queued_ns.saturating_add(cost);
-        node.queue_highwater = node.queue_highwater.max(node.ingress_queued_ns / cost);
+        let highwater = &mut node.counters[MemberCounter::QueueHighwater as usize];
+        *highwater = (*highwater).max(node.ingress_queued_ns / cost);
         true
     }
 
@@ -1430,7 +1403,9 @@ impl ClusterControlPlane {
         if let Some(g) = self.group_of_switch(from) {
             *self.group_window.entry(g).or_insert(0) += 1;
         }
-        self.nodes[owner as usize].write().requests_handled += 1;
+        self.nodes[owner as usize]
+            .write()
+            .count(MemberCounter::RequestsHandled, 1);
 
         // Inter-shard pre-resolution: a PacketIn towards a host this shard
         // does not know is first tried against the replica, then against a
@@ -1464,18 +1439,11 @@ impl ClusterControlPlane {
                 pending.deadline_ns = now_ns + lookup_timeout_ns;
                 pending.retries = 0;
                 for p in peers {
-                    let xid = node.next_xid();
-                    out.push(ClusterOutput::ToCtrl {
+                    let req = LookupRequestMsg {
                         from: owner,
-                        to: p,
-                        msg: Message::cluster(
-                            xid,
-                            ClusterMsg::LookupRequest(LookupRequestMsg {
-                                from: owner,
-                                mac: dst,
-                            }),
-                        ),
-                    });
+                        mac: dst,
+                    };
+                    node.send_peer(p, ClusterMsg::LookupRequest(req), out);
                 }
                 return;
             }
@@ -1576,16 +1544,18 @@ impl ClusterControlPlane {
                     let fresh = node.note_seen(sync);
                     node.replica.apply(sync);
                     if fresh {
-                        node.traffic.direct_applies += 1;
+                        node.count(MemberCounter::DirectApplies, 1);
                     } else {
-                        node.traffic.duplicate_drops += 1;
+                        node.count(MemberCounter::DuplicateDrops, 1);
                     }
                 }
             }
-            CtrlBody::Cluster(ClusterMsg::SyncRelay(bundle)) => self.absorb_relay(to, bundle, out),
+            CtrlBody::Cluster(ClusterMsg::SyncRelay(bundle)) => self.absorb_relay(to, bundle),
             CtrlBody::Cluster(ClusterMsg::SyncDigest(digest)) => self.serve_digest(to, digest, out),
             CtrlBody::Cluster(ClusterMsg::Heartbeat(hb)) => {
-                let came_back = self.confirmed_dead.remove(&hb.from);
+                // A heartbeat from a confirmed-dead member means it came
+                // back; later rebalance checks may hand it groups again.
+                self.confirmed_dead.remove(&hb.from);
                 let node = self.nodes[to as usize].write();
                 node.last_hb_from.insert(hb.from, now_ns);
                 node.peer_loads.insert(hb.from, hb.load_rps);
@@ -1605,10 +1575,6 @@ impl ClusterControlPlane {
                     // a majority is heartbeating again.
                     self.nodes[to as usize].write().read_only = false;
                 }
-                if came_back {
-                    // The member rebooted; future rebalance checks may hand
-                    // groups back. Nothing to emit now.
-                }
             }
             CtrlBody::Cluster(ClusterMsg::OwnershipTransfer(t)) => {
                 // The plane's authoritative map was updated at initiation;
@@ -1621,19 +1587,12 @@ impl ClusterControlPlane {
                     // the *previous ack* may be what was lost. The ack
                     // goes to the link-level sender (the announcing
                     // leader, original or retransmitting).
-                    let xid = node.next_xid();
-                    out.push(ClusterOutput::ToCtrl {
+                    let ack = TransferAckMsg {
                         from: to,
-                        to: from,
-                        msg: Message::cluster(
-                            xid,
-                            ClusterMsg::TransferAck(TransferAckMsg {
-                                from: to,
-                                epoch: t.epoch,
-                                group: t.group,
-                            }),
-                        ),
-                    });
+                        epoch: t.epoch,
+                        group: t.group,
+                    };
+                    node.send_peer(from, ClusterMsg::TransferAck(ack), out);
                     if first {
                         self.seed_group(to, now_ns, t.group.index(), out);
                     }
@@ -1652,20 +1611,12 @@ impl ClusterControlPlane {
             CtrlBody::Cluster(ClusterMsg::VoteRequest(req)) => {
                 let node = self.nodes[to as usize].write();
                 let granted = node.election.grant_vote(req.term, req.candidate);
-                let term = node.election.term;
-                let xid = node.next_xid();
-                out.push(ClusterOutput::ToCtrl {
+                let reply = VoteReplyMsg {
+                    term: node.election.term,
                     from: to,
-                    to: req.candidate,
-                    msg: Message::cluster(
-                        xid,
-                        ClusterMsg::VoteReply(VoteReplyMsg {
-                            term,
-                            from: to,
-                            granted,
-                        }),
-                    ),
-                });
+                    granted,
+                };
+                node.send_peer(req.candidate, ClusterMsg::VoteReply(reply), out);
             }
             CtrlBody::Cluster(ClusterMsg::VoteReply(reply)) => {
                 let cluster_size = self.nodes.len();
@@ -1707,19 +1658,12 @@ impl ClusterControlPlane {
                         tenant: loc.tenant,
                     })
                     .or_else(|| node.replica.lookup(req.mac));
-                let xid = node.next_xid();
-                out.push(ClusterOutput::ToCtrl {
+                let reply = LookupReplyMsg {
                     from: to,
-                    to: req.from,
-                    msg: Message::cluster(
-                        xid,
-                        ClusterMsg::LookupReply(LookupReplyMsg {
-                            from: to,
-                            mac: req.mac,
-                            location,
-                        }),
-                    ),
-                });
+                    mac: req.mac,
+                    location,
+                };
+                node.send_peer(req.from, ClusterMsg::LookupReply(reply), out);
             }
             CtrlBody::Cluster(ClusterMsg::LookupReply(reply)) => {
                 self.resolve_lookup(to, now_ns, reply, out);
@@ -1776,7 +1720,7 @@ impl ClusterControlPlane {
             .collect();
         for mac in expired {
             let node = self.nodes[id as usize].write();
-            node.lookup_timeouts += 1;
+            node.count(MemberCounter::LookupTimeouts, 1);
             let pending = node.pending_lookups.get_mut(&mac).expect("just listed");
             if pending.retries >= LOOKUP_MAX_RETRIES {
                 let queued = std::mem::take(&mut pending.queued);
@@ -1792,15 +1736,8 @@ impl ClusterControlPlane {
             // (the ones that answered are gone from the set already).
             let target = *pending.waiting_on.iter().next().expect("set is non-empty");
             pending.deadline_ns = now_ns + timeout_ns * (1u64 << retries.min(16));
-            let xid = node.next_xid();
-            out.push(ClusterOutput::ToCtrl {
-                from: id,
-                to: target,
-                msg: Message::cluster(
-                    xid,
-                    ClusterMsg::LookupRequest(LookupRequestMsg { from: id, mac }),
-                ),
-            });
+            let req = LookupRequestMsg { from: id, mac };
+            node.send_peer(target, ClusterMsg::LookupRequest(req), out);
         }
     }
 
@@ -1905,45 +1842,56 @@ impl ClusterControlPlane {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let term = self.nodes[leader as usize].election.term;
         for (i, &g) in groups.iter().enumerate() {
             let target = survivors[i % survivors.len()];
-            let t = self
-                .ownership
-                .transfer(g, target, TransferReason::Failover, term);
-            self.transfers.push(t);
-            if target != leader {
-                // Track until the target acks; heartbeat ticks retransmit
-                // with capped exponential backoff.
-                let hb_ns = self.cfg.heartbeat_interval_ms as u64 * 1_000_000;
-                self.nodes[leader as usize]
-                    .write()
-                    .unacked_transfers
-                    .insert(
-                        t.epoch,
-                        UnackedTransfer {
-                            msg: t,
-                            attempts: 0,
-                            next_retry_ns: now_ns + hb_ns,
-                        },
-                    );
-            }
-            for &peer in &survivors {
-                if peer == leader {
-                    continue;
-                }
-                let xid = self.nodes[leader as usize].write().next_xid();
-                out.push(ClusterOutput::ToCtrl {
-                    from: leader,
-                    to: peer,
-                    msg: Message::cluster(xid, ClusterMsg::OwnershipTransfer(t)),
-                });
-            }
-            if target == leader {
-                self.seed_group(leader, now_ns, g, out);
-            }
+            self.transfer_group(
+                leader,
+                now_ns,
+                g,
+                target,
+                TransferReason::Failover,
+                &survivors,
+                out,
+            );
         }
         self.takeovers.push((dead, groups.len()));
+    }
+
+    /// The leader's half of an ownership transfer: moves `group` to
+    /// `target` in the authoritative map, tracks the move until the
+    /// target acks (heartbeat ticks retransmit it with capped exponential
+    /// backoff), announces it to every member of `peers` but the leader,
+    /// and seeds the leader's own shard when it is the target.
+    #[allow(clippy::too_many_arguments)]
+    fn transfer_group(
+        &mut self,
+        leader: u32,
+        now_ns: u64,
+        group: usize,
+        target: u32,
+        reason: TransferReason,
+        peers: &[u32],
+        out: &mut OutputSink<ClusterOutput>,
+    ) {
+        let term = self.nodes[leader as usize].election.term;
+        let t = self.ownership.transfer(group, target, reason, term);
+        self.transfers.push(t);
+        let next_retry_ns = now_ns + self.cfg.heartbeat_interval_ns();
+        let node = self.nodes[leader as usize].write();
+        if target != leader {
+            let unacked = UnackedTransfer {
+                msg: t,
+                attempts: 0,
+                next_retry_ns,
+            };
+            node.unacked_transfers.insert(t.epoch, unacked);
+        }
+        for &peer in peers.iter().filter(|&&p| p != leader) {
+            node.send_peer(peer, ClusterMsg::OwnershipTransfer(t), out);
+        }
+        if target == leader {
+            self.seed_group(leader, now_ns, group, out);
+        }
     }
 
     // ---- Timers --------------------------------------------------------
@@ -2016,26 +1964,14 @@ impl ClusterControlPlane {
             self.win_election(id, now_ns, out);
             return;
         }
-        let peers: Vec<u32> = self
-            .nodes
-            .iter()
-            .filter(|n| n.id != id && !self.confirmed_dead.contains(&n.id))
-            .map(|n| n.id)
-            .collect();
+        let peers = self.peers_of(id);
         let node = self.nodes[id as usize].write();
         for peer in peers {
-            let xid = node.next_xid();
-            out.push(ClusterOutput::ToCtrl {
-                from: id,
-                to: peer,
-                msg: Message::cluster(
-                    xid,
-                    ClusterMsg::VoteRequest(VoteRequestMsg {
-                        term,
-                        candidate: id,
-                    }),
-                ),
-            });
+            let req = VoteRequestMsg {
+                term,
+                candidate: id,
+            };
+            node.send_peer(peer, ClusterMsg::VoteRequest(req), out);
         }
     }
 
@@ -2062,23 +1998,11 @@ impl ClusterControlPlane {
                 self.term_leaders.insert(term, id);
             }
         }
-        let peers: Vec<u32> = self
-            .nodes
-            .iter()
-            .filter(|n| n.id != id && !self.confirmed_dead.contains(&n.id))
-            .map(|n| n.id)
-            .collect();
+        let peers = self.peers_of(id);
         let node = self.nodes[id as usize].write();
         for peer in peers {
-            let xid = node.next_xid();
-            out.push(ClusterOutput::ToCtrl {
-                from: id,
-                to: peer,
-                msg: Message::cluster(
-                    xid,
-                    ClusterMsg::LeaderClaim(LeaderClaimMsg { term, leader: id }),
-                ),
-            });
+            let claim = LeaderClaimMsg { term, leader: id };
+            node.send_peer(peer, ClusterMsg::LeaderClaim(claim), out);
         }
         let latched: Vec<u32> = self.nodes[id as usize]
             .detector
@@ -2099,8 +2023,8 @@ impl ClusterControlPlane {
 
     /// Drains the member's C-LIB delta outbox (plus any foreign chunks
     /// queued for relay) onto the dissemination overlay: per-peer
-    /// `PeerSync`s under flood, one `SyncRelay` bundle per overlay edge
-    /// under ring/tree — the bundling that turns a flush round from
+    /// `PeerSync`s under flood, one `SyncRelay` bundle to the ring
+    /// successor under ring — the bundling that turns a flush round from
     /// O(n²) messages into O(n).
     fn flush_replicas(
         &mut self,
@@ -2108,11 +2032,11 @@ impl ClusterControlPlane {
         timer: ClusterTimer,
         out: &mut OutputSink<ClusterOutput>,
     ) {
-        let mut alive = self.believed_alive();
+        let mut alive: Vec<u32> = self.believed_alive().collect();
         // A recovered member may flush before its comeback heartbeat
         // un-confirms it cluster-wide. It must still occupy its own
-        // overlay slot, or the ring route degenerates to Nowhere and the
-        // flush (outbox already drained, sequence already bumped) is
+        // overlay slot, or it has no ring successor and the flush
+        // (outbox already drained, sequence already bumped) is
         // silently lost until anti-entropy happens to repair it.
         if let Err(i) = alive.binary_search(&id) {
             alive.insert(i, id);
@@ -2150,132 +2074,79 @@ impl ClusterControlPlane {
             // interval accumulated.
             own_chunks =
                 PeerSyncMsg::chunked(id, node.sync_seq, entries, removed, SYNC_CHUNK_ENTRIES);
-            node.traffic.chunks_created += own_chunks.len() as u64;
+            node.count(MemberCounter::ChunksCreated, own_chunks.len() as u64);
             node.log_own_chunks(&own_chunks, self.cfg.delta_log_flushes);
         }
 
-        match self.strategy.flush_route(id, &alive) {
-            FlushRoute::DirectToAll(peers) => {
-                // Flood never queues relays, so only own chunks go out.
-                for peer in peers {
+        match self.cfg.dissemination {
+            // Flood never queues relays, so only own chunks go out.
+            DisseminationStrategy::Flood if !own_chunks.is_empty() => {
+                let node = member.write();
+                for &peer in alive.iter().filter(|&&p| p != id) {
                     for chunk in &own_chunks {
-                        let o = self.send_sync(id, peer, chunk.clone());
-                        out.push(o);
+                        let msg = ClusterMsg::peer_sync(chunk.clone());
+                        node.send_overlay(peer, chunk.wire_len(), msg, out);
                     }
                 }
             }
-            FlushRoute::BundleTo(peer) => {
-                let mut syncs = self.drain_relay_outbox(id);
-                syncs.extend(own_chunks);
-                if !syncs.is_empty() {
-                    let o = self.send_bundle(id, peer, syncs);
-                    out.push(o);
-                }
-            }
-            FlushRoute::BundleToEach(peers) => {
-                let mut syncs = self.drain_relay_outbox(id);
-                syncs.extend(own_chunks);
-                if !syncs.is_empty() {
-                    for peer in peers {
-                        let o = self.send_bundle(id, peer, syncs.clone());
-                        out.push(o);
+            DisseminationStrategy::Ring => {
+                if let Some((_, next)) = ring_neighbours(id, &alive) {
+                    if !member.relay_outbox.is_empty() || !own_chunks.is_empty() {
+                        let node = member.write();
+                        let mut syncs: Vec<PeerSyncMsg> = node.relay_outbox.drain(..).collect();
+                        syncs.extend(own_chunks);
+                        let bundle = SyncRelayMsg { from: id, syncs };
+                        let bytes = bundle.wire_len();
+                        node.send_overlay(next, bytes, ClusterMsg::sync_relay(bundle), out);
                     }
                 }
             }
-            FlushRoute::Nowhere => {}
+            DisseminationStrategy::Flood => {}
         }
         out.push(self.rearm(timer, self.cfg.replica_flush_interval_ms));
     }
 
-    /// Takes the foreign chunks a member has queued for its next overlay
-    /// hop. An idle flush tick — nothing queued — writes nothing.
-    fn drain_relay_outbox(&mut self, id: u32) -> Vec<PeerSyncMsg> {
-        let member = &mut self.nodes[id as usize];
-        if member.relay_outbox.is_empty() {
-            return Vec::new();
-        }
-        member.write().relay_outbox.drain(..).collect()
-    }
-
-    /// Builds (and counts) one direct peer-sync message.
-    fn send_sync(&mut self, from: u32, to: u32, sync: PeerSyncMsg) -> ClusterOutput {
-        let node = self.nodes[from as usize].write();
-        node.traffic.messages_sent += 1;
-        node.traffic.bytes_sent += sync.wire_len() as u64;
-        let xid = node.next_xid();
-        ClusterOutput::ToCtrl {
-            from,
-            to,
-            msg: Message::cluster(xid, ClusterMsg::peer_sync(sync)),
-        }
-    }
-
-    /// Builds (and counts) one relay bundle.
-    fn send_bundle(&mut self, from: u32, to: u32, syncs: Vec<PeerSyncMsg>) -> ClusterOutput {
-        let bundle = SyncRelayMsg { from, syncs };
-        let node = self.nodes[from as usize].write();
-        node.traffic.messages_sent += 1;
-        node.traffic.bytes_sent += bundle.wire_len() as u64;
-        let xid = node.next_xid();
-        ClusterOutput::ToCtrl {
-            from,
-            to,
-            msg: Message::cluster(xid, ClusterMsg::sync_relay(bundle)),
-        }
-    }
-
     /// Absorbs a relay bundle at `at`: applies every chunk not seen
-    /// before, queues survivors for the next overlay hop per the strategy,
-    /// and — on a tree down-path edge — re-fans the *fresh* chunks to the
-    /// children immediately. Chunks already in the dedup window (including
-    /// this member's own chunks completing a lap) are not re-fanned: a
-    /// duplicated bundle would otherwise multiply down the subtree, and
-    /// every extra copy costs a wire message even though receivers dedup —
-    /// the at-most-once forwarding property the model checker verifies.
-    fn absorb_relay(
-        &mut self,
-        at: u32,
-        bundle: &SyncRelayMsg,
-        out: &mut OutputSink<ClusterOutput>,
-    ) {
-        let alive = self.believed_alive();
-        let mut fresh_chunks: Vec<PeerSyncMsg> = Vec::new();
-        {
-            let node = self.nodes[at as usize].write();
-            for sync in &bundle.syncs {
-                #[cfg(not(feature = "mc-mutations"))]
-                let fresh = node.note_seen(sync);
-                // Deliberate protocol mutation for checker self-tests:
-                // treat every chunk as fresh, reintroducing the
-                // duplicate-refan bug the dedup window exists to prevent.
-                #[cfg(feature = "mc-mutations")]
-                let fresh = {
-                    let _ = node.note_seen(sync);
-                    true
-                };
-                if !fresh {
-                    node.traffic.duplicate_drops += 1;
-                    continue;
-                }
-                if sync.origin != at {
-                    // Foreign chunk: absorb it. (An own chunk completing a
-                    // lap is already applied locally — only its forwarding
-                    // freshness matters.)
-                    node.replica.apply(sync);
-                    node.traffic.relay_applies += 1;
-                    if self.strategy.should_queue_relay(at, sync.origin, &alive) {
-                        node.queue_relay(sync.clone());
-                    }
-                }
-                fresh_chunks.push(sync.clone());
+    /// before and, under ring, queues it for the next hop unless that hop
+    /// is the chunk's origin. Chunks already in the dedup window
+    /// (including this member's own chunks completing a lap) are not
+    /// queued again: a duplicated bundle would otherwise circulate twice,
+    /// and every extra copy costs a wire message even though receivers
+    /// dedup — the at-most-once forwarding property the model checker
+    /// verifies.
+    fn absorb_relay(&mut self, at: u32, bundle: &SyncRelayMsg) {
+        let next_hop = match self.cfg.dissemination {
+            DisseminationStrategy::Flood => None,
+            DisseminationStrategy::Ring => {
+                let alive: Vec<u32> = self.believed_alive().collect();
+                ring_neighbours(at, &alive).map(|(_, next)| next)
             }
-        }
-        // Tree down-path: push the fresh chunks to the children right away.
-        if !fresh_chunks.is_empty() {
-            let children = self.strategy.immediate_relay(at, bundle.from, &alive);
-            for child in children {
-                let o = self.send_bundle(at, child, fresh_chunks.clone());
-                out.push(o);
+        };
+        let node = self.nodes[at as usize].write();
+        for sync in &bundle.syncs {
+            #[cfg(not(feature = "mc-mutations"))]
+            let fresh = node.note_seen(sync);
+            // Deliberate protocol mutation for checker self-tests:
+            // treat every chunk as fresh, reintroducing the
+            // duplicate-forwarding bug the dedup window exists to prevent.
+            #[cfg(feature = "mc-mutations")]
+            let fresh = {
+                let _ = node.note_seen(sync);
+                true
+            };
+            if !fresh {
+                node.count(MemberCounter::DuplicateDrops, 1);
+                continue;
+            }
+            if sync.origin != at {
+                // Foreign chunk: absorb it. (An own chunk completing a
+                // lap is already applied locally — only its forwarding
+                // freshness matters.)
+                node.replica.apply(sync);
+                node.count(MemberCounter::RelayApplies, 1);
+                if next_hop.is_some_and(|next| next != sync.origin) {
+                    node.queue_relay(sync.clone());
+                }
             }
         }
     }
@@ -2283,30 +2154,19 @@ impl ClusterControlPlane {
     /// Sends this member's anti-entropy digest to one rotating
     /// believed-alive peer.
     fn anti_entropy(&mut self, id: u32, timer: ClusterTimer, out: &mut OutputSink<ClusterOutput>) {
-        let peers: Vec<u32> = self
-            .believed_alive()
-            .into_iter()
-            .filter(|&p| p != id)
-            .collect();
+        let peers = self.peers_of(id);
         if !peers.is_empty() {
             let node = self.nodes[id as usize].write();
             let target = peers[(node.ae_round % peers.len() as u64) as usize];
             node.ae_round += 1;
             let mut heads: BTreeMap<u32, u64> = node.replica.heads().into_iter().collect();
             heads.insert(id, node.sync_seq);
-            node.traffic.digests_sent += 1;
-            let xid = node.next_xid();
-            out.push(ClusterOutput::ToCtrl {
+            node.count(MemberCounter::DigestsSent, 1);
+            let digest = SyncDigestMsg {
                 from: id,
-                to: target,
-                msg: Message::cluster(
-                    xid,
-                    ClusterMsg::sync_digest(SyncDigestMsg {
-                        from: id,
-                        heads: heads.into_iter().collect(),
-                    }),
-                ),
-            });
+                heads: heads.into_iter().collect(),
+            };
+            node.send_peer(target, ClusterMsg::sync_digest(digest), out);
         }
         out.push(self.rearm(timer, self.cfg.anti_entropy_interval_ms));
     }
@@ -2418,18 +2278,13 @@ impl ClusterControlPlane {
         if to_send.is_empty() {
             return;
         }
-        // Catch-up rides direct syncs but is *repair* traffic, counted by
-        // `catchup_syncs_sent` — not in `messages_sent`, which measures
-        // the dissemination overlay's steady-state cost.
+        // Catch-up rides direct syncs but is *repair* traffic, counted as
+        // `CatchupSyncs` — not as `SyncMessages`, which measures the
+        // dissemination overlay's steady-state cost.
         let node = self.nodes[at as usize].write();
-        node.traffic.catchup_syncs_sent += to_send.len() as u64;
+        node.count(MemberCounter::CatchupSyncs, to_send.len() as u64);
         for sync in to_send {
-            let xid = node.next_xid();
-            out.push(ClusterOutput::ToCtrl {
-                from: at,
-                to: digest.from,
-                msg: Message::cluster(xid, ClusterMsg::peer_sync(sync)),
-            });
+            node.send_peer(digest.from, ClusterMsg::peer_sync(sync), out);
         }
     }
 
@@ -2455,12 +2310,7 @@ impl ClusterControlPlane {
         {
             self.step_down_read_only(id);
         }
-        let peers: Vec<u32> = self
-            .nodes
-            .iter()
-            .filter(|n| n.id != id && !self.confirmed_dead.contains(&n.id))
-            .map(|n| n.id)
-            .collect();
+        let peers = self.peers_of(id);
         let load = self.load_of(id, now_ns);
         let owned = self.ownership.groups_of(id).len() as u32;
         {
@@ -2468,23 +2318,16 @@ impl ClusterControlPlane {
             node.hb_seq += 1;
             let term = node.election.term;
             let is_leader = node.election.role == ElectionRole::Leader;
+            let hb = CtrlHeartbeatMsg {
+                from: id,
+                seq: node.hb_seq,
+                load_rps: load,
+                owned_groups: owned,
+                term,
+                leader: is_leader,
+            };
             for &peer in &peers {
-                let xid = node.next_xid();
-                out.push(ClusterOutput::ToCtrl {
-                    from: id,
-                    to: peer,
-                    msg: Message::cluster(
-                        xid,
-                        ClusterMsg::Heartbeat(CtrlHeartbeatMsg {
-                            from: id,
-                            seq: node.hb_seq,
-                            load_rps: load,
-                            owned_groups: owned,
-                            term,
-                            leader: is_leader,
-                        }),
-                    ),
-                });
+                node.send_peer(peer, ClusterMsg::Heartbeat(hb), out);
             }
             if is_leader {
                 // Repair the transfer in-flight-loss window: re-announce
@@ -2494,7 +2337,7 @@ impl ClusterControlPlane {
                 // retransmit per tick. (Targets already confirmed dead
                 // were pruned at takeover; an undetected crash just means
                 // the retransmit vanishes and a later tick retries.)
-                let hb_ns = self.cfg.heartbeat_interval_ms as u64 * 1_000_000;
+                let hb_ns = self.cfg.heartbeat_interval_ns();
                 let mut resend: Vec<OwnershipTransferMsg> = Vec::new();
                 for u in node.unacked_transfers.values_mut() {
                     if now_ns < u.next_retry_ns {
@@ -2508,23 +2351,17 @@ impl ClusterControlPlane {
                     u.next_retry_ns = now_ns + backoff * hb_ns;
                     resend.push(u.msg);
                 }
-                node.transfer_retransmits += resend.len() as u64;
+                node.count(MemberCounter::TransferRetransmits, resend.len() as u64);
                 for t in resend {
-                    let xid = node.next_xid();
-                    out.push(ClusterOutput::ToCtrl {
-                        from: id,
-                        to: t.to,
-                        msg: Message::cluster(xid, ClusterMsg::OwnershipTransfer(t)),
-                    });
+                    node.send_peer(t.to, ClusterMsg::OwnershipTransfer(t), out);
                 }
             }
         }
         // Silence detection on the ring: the reporter's position relative
         // to the missing member fixes the Table-I loss direction.
-        if let Some((prev, next)) = self.ring_neighbours(id) {
-            let deadline = self.cfg.heartbeat_miss_factor as u64
-                * self.cfg.heartbeat_interval_ms as u64
-                * 1_000_000;
+        let ring: Vec<u32> = self.believed_alive().collect();
+        if let Some((prev, next)) = ring_neighbours(id, &ring) {
+            let deadline = self.cfg.failure_deadline_ns();
             for (nb, loss) in [(prev, WheelLoss::Upstream), (next, WheelLoss::Downstream)] {
                 if nb == id {
                     continue;
@@ -2547,16 +2384,8 @@ impl ClusterControlPlane {
                 // both ring directions.
                 self.observe_ctrl_loss(id, now_ns, report, out);
                 let node = self.nodes[id as usize].write();
-                for &peer in &peers {
-                    if peer == nb {
-                        continue;
-                    }
-                    let xid = node.next_xid();
-                    out.push(ClusterOutput::ToCtrl {
-                        from: id,
-                        to: peer,
-                        msg: Message::lazy(xid, LazyMsg::WheelReport(report)),
-                    });
+                for &peer in peers.iter().filter(|&&p| p != nb) {
+                    node.send_peer(peer, LazyMsg::WheelReport(report), out);
                 }
             }
         }
@@ -2638,37 +2467,15 @@ impl ClusterControlPlane {
         let Some((_, group)) = pick else {
             return;
         };
-        let term = self.nodes[id as usize].election.term;
-        let t = self
-            .ownership
-            .transfer(group, cool, TransferReason::Rebalance, term);
-        self.transfers.push(t);
-        if cool != id {
-            let hb_ns = self.cfg.heartbeat_interval_ms as u64 * 1_000_000;
-            self.nodes[id as usize].write().unacked_transfers.insert(
-                t.epoch,
-                UnackedTransfer {
-                    msg: t,
-                    attempts: 0,
-                    next_retry_ns: now_ns + hb_ns,
-                },
-            );
-        }
-        let node = self.nodes[id as usize].write();
-        for &peer in &live {
-            if peer == id {
-                continue;
-            }
-            let xid = node.next_xid();
-            out.push(ClusterOutput::ToCtrl {
-                from: id,
-                to: peer,
-                msg: Message::cluster(xid, ClusterMsg::OwnershipTransfer(t)),
-            });
-        }
-        if cool == id {
-            self.seed_group(id, now_ns, group, out);
-        }
+        self.transfer_group(
+            id,
+            now_ns,
+            group,
+            cool,
+            TransferReason::Rebalance,
+            &live,
+            out,
+        );
     }
 
     // ---- Internals -----------------------------------------------------

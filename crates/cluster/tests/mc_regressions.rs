@@ -10,7 +10,7 @@
 mod common;
 
 use common::{test_config, MiniNet};
-use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy, ElectionRole};
+use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy, ElectionRole, MemberCounter};
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::{
     ClusterMsg, LazyMsg, LfibEntry, LfibSyncMsg, Message, MessageBody, OwnershipTransferMsg,
@@ -84,14 +84,14 @@ fn duplicated_relay_bundle_is_idempotent() {
     assert_eq!((from, to), (0, 1), "ring successor of 0");
 
     net.deliver(from, to, &msg);
-    let applies_once = net.plane.sync_traffic(to).relay_applies;
+    let applies_once = net.plane.counter(to, MemberCounter::RelayApplies);
     let fp_once = net.plane.state_fingerprint();
     assert!(applies_once > 0, "first copy must apply");
 
     // The duplicate: bit-identical bundle on the same link.
     net.deliver(from, to, &msg);
     assert_eq!(
-        net.plane.sync_traffic(to).relay_applies,
+        net.plane.counter(to, MemberCounter::RelayApplies),
         applies_once,
         "duplicate bundle was applied twice"
     );
@@ -117,7 +117,7 @@ fn duplicated_relay_bundle_is_idempotent() {
             "member {member} must converge on the single chunk"
         );
         assert!(
-            net.plane.sync_traffic(member).relay_applies <= 1,
+            net.plane.counter(member, MemberCounter::RelayApplies) <= 1,
             "member {member} applied the one chunk more than once"
         );
     }
@@ -148,10 +148,10 @@ fn mutated_relay_double_applies() {
         .steal("sync_relay")
         .expect("flush put a bundle in flight");
     net.deliver(from, to, &msg);
-    let applies_once = net.plane.sync_traffic(to).relay_applies;
+    let applies_once = net.plane.counter(to, MemberCounter::RelayApplies);
     net.deliver(from, to, &msg);
     assert!(
-        net.plane.sync_traffic(to).relay_applies > applies_once,
+        net.plane.counter(to, MemberCounter::RelayApplies) > applies_once,
         "mutation should bypass relay dedup — did the gate move?"
     );
 }

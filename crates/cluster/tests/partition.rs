@@ -14,7 +14,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::{test_config, MiniNet};
-use lazyctrl_cluster::{ElectionRole, LEADER_LEASE_MS};
+use lazyctrl_cluster::{ElectionRole, MemberCounter, LEADER_LEASE_MS};
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::HostEntry;
 use proptest::prelude::*;
@@ -87,7 +87,11 @@ fn minority_leader_steps_down_within_lease_window() {
         ElectionRole::Leader,
         "isolated leader still leading past its lease"
     );
-    assert_eq!(net.plane.lease_step_downs(0), 1, "exactly one step-down");
+    assert_eq!(
+        net.plane.counter(0, MemberCounter::LeaseStepDowns),
+        1,
+        "exactly one step-down"
+    );
 
     // Give the majority its detection deadline plus an election round.
     net.run_until(cut_at + 10 * SEC);

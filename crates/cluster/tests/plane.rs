@@ -5,7 +5,7 @@
 mod common;
 
 use common::{test_config, MiniNet};
-use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy};
+use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy, MemberCounter};
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::{HostEntry, LazyMsg, LfibEntry, LfibSyncMsg, Message, TransferReason};
 
@@ -27,17 +27,13 @@ fn config_with(strategy: DisseminationStrategy, n: usize) -> ClusterConfig {
 }
 
 /// Every strategy must replicate every member's deltas to every other
-/// member; under sustained load the overlays must do it with strictly
-/// fewer wire messages per chunk than flood's n−1.
+/// member; under sustained load the ring must do it with strictly fewer
+/// wire messages per chunk than flood's n−1.
 #[test]
 fn replicas_converge_under_every_strategy() {
     let n = 4u32;
     let mut costs = std::collections::BTreeMap::new();
-    for strategy in [
-        DisseminationStrategy::Flood,
-        DisseminationStrategy::Ring,
-        DisseminationStrategy::Tree { fanout: 2 },
-    ] {
+    for strategy in [DisseminationStrategy::Flood, DisseminationStrategy::Ring] {
         let mut cfg = config_with(strategy, n as usize);
         // No anti-entropy: convergence must come from the overlay itself.
         cfg.anti_entropy_interval_ms = 600_000;
@@ -73,12 +69,9 @@ fn replicas_converge_under_every_strategy() {
                 }
             }
         }
-        let chunks: u64 = (0..n)
-            .map(|i| net.plane.sync_traffic(i).chunks_created)
-            .sum();
-        let msgs: u64 = (0..n)
-            .map(|i| net.plane.sync_traffic(i).messages_sent)
-            .sum();
+        let total = |c| (0..n).map(|i| net.plane.counter(i, c)).sum::<u64>();
+        let chunks = total(MemberCounter::ChunksCreated);
+        let msgs = total(MemberCounter::SyncMessages);
         assert!(chunks >= 10 * n as u64, "every member must have flushed");
         costs.insert(strategy.label(), msgs as f64 / chunks as f64);
     }
@@ -87,52 +80,46 @@ fn replicas_converge_under_every_strategy() {
         (flood - (n as f64 - 1.0)).abs() < 0.01,
         "flood must pay n-1 messages per chunk, got {flood:.2}"
     );
-    for overlay in ["ring", "tree"] {
-        assert!(
-            costs[overlay] < flood / 1.5,
-            "{overlay} cost {:.2} must amortize well below flood's {flood:.2}",
-            costs[overlay]
-        );
-    }
+    let ring = costs["ring"];
+    assert!(
+        ring < flood / 1.5,
+        "ring cost {ring:.2} must amortize well below flood's {flood:.2}"
+    );
 }
 
-/// A relayed chunk is never applied twice: the dedup window drops the
-/// tree's re-fanned duplicates, and per-member applies never exceed the
-/// chunks the other members created.
+/// A relayed chunk is never applied twice: per-member applies never
+/// exceed the chunks the other members created.
 #[test]
 #[cfg_attr(
     feature = "mc-mutations",
     ignore = "the mutation deliberately breaks relay dedup"
 )]
 fn no_chunk_is_applied_twice() {
-    for strategy in [
-        DisseminationStrategy::Ring,
-        DisseminationStrategy::Tree { fanout: 2 },
-    ] {
-        let n = 5u32;
-        let mut net = MiniNet::new(n as usize, config_with(strategy, n as usize));
-        for tick in 0..6u64 {
-            for origin in 0..n {
-                net.plane
-                    .enqueue_delta(origin, vec![entry(100 * origin as u64 + tick, 0)], vec![]);
-            }
-            net.run_for(SEC);
+    let n = 5u32;
+    let mut net = MiniNet::new(
+        n as usize,
+        config_with(DisseminationStrategy::Ring, n as usize),
+    );
+    for tick in 0..6u64 {
+        for origin in 0..n {
+            net.plane
+                .enqueue_delta(origin, vec![entry(100 * origin as u64 + tick, 0)], vec![]);
         }
-        net.run_for(10 * SEC);
-        let chunks: Vec<u64> = (0..n)
-            .map(|i| net.plane.sync_traffic(i).chunks_created)
-            .collect();
-        let total: u64 = chunks.iter().sum();
-        for member in 0..n {
-            let t = net.plane.sync_traffic(member);
-            let foreign = total - chunks[member as usize];
-            assert!(
-                t.relay_applies + t.direct_applies <= foreign,
-                "{}: member {member} applied {} chunks but only {foreign} foreign exist",
-                strategy.label(),
-                t.relay_applies + t.direct_applies,
-            );
-        }
+        net.run_for(SEC);
+    }
+    net.run_for(10 * SEC);
+    let chunks: Vec<u64> = (0..n)
+        .map(|i| net.plane.counter(i, MemberCounter::ChunksCreated))
+        .collect();
+    let total: u64 = chunks.iter().sum();
+    for member in 0..n {
+        let foreign = total - chunks[member as usize];
+        let applied = net.plane.counter(member, MemberCounter::RelayApplies)
+            + net.plane.counter(member, MemberCounter::DirectApplies);
+        assert!(
+            applied <= foreign,
+            "member {member} applied {applied} chunks but only {foreign} foreign exist",
+        );
     }
 }
 
@@ -286,7 +273,7 @@ fn anti_entropy_catches_up_a_recovered_member() {
         "the withdrawal must reach the sleeper too (tombstone replay)"
     );
     let served: u64 = (0..n)
-        .map(|i| net.plane.sync_traffic(i).catchup_syncs_sent)
+        .map(|i| net.plane.counter(i, MemberCounter::CatchupSyncs))
         .sum();
     assert!(served > 0, "catch-up must actually have been served");
 }
@@ -410,49 +397,43 @@ fn recovered_member_first_flush_enters_the_ring() {
     }
 }
 
-/// Confirming a member dead heals the overlay around it: circulation
-/// keeps reaching every survivor.
+/// Confirming a member dead heals the ring around it: circulation keeps
+/// reaching every survivor.
 #[test]
 fn overlay_heals_around_a_confirmed_dead_member() {
-    for strategy in [
-        DisseminationStrategy::Ring,
-        DisseminationStrategy::Tree { fanout: 2 },
-    ] {
-        let n = 4u32;
-        let mut cfg = config_with(strategy, n as usize);
-        cfg.anti_entropy_interval_ms = 600_000; // overlay only
-        let mut net = MiniNet::new(n as usize, cfg);
-        net.run_for(SEC);
-        // Crash member 0 — under tree that is the root itself — and wait
-        // for confirmation so the overlay recomputes without it.
-        net.plane.crash(0);
-        net.run_for(10 * SEC);
-        assert_eq!(net.plane.confirmed_dead(), vec![0]);
+    let n = 4u32;
+    let mut cfg = config_with(DisseminationStrategy::Ring, n as usize);
+    cfg.anti_entropy_interval_ms = 600_000; // overlay only
+    let mut net = MiniNet::new(n as usize, cfg);
+    net.run_for(SEC);
+    // Crash member 0 and wait for confirmation so the ring closes
+    // around it.
+    net.plane.crash(0);
+    net.run_for(10 * SEC);
+    assert_eq!(net.plane.confirmed_dead(), vec![0]);
 
-        for tick in 0..6u64 {
-            for origin in 1..n {
-                net.plane.enqueue_delta(
-                    origin,
-                    vec![entry(900 + 10 * origin as u64 + tick, 3)],
-                    vec![],
-                );
-            }
-            net.run_for(SEC);
+    for tick in 0..6u64 {
+        for origin in 1..n {
+            net.plane.enqueue_delta(
+                origin,
+                vec![entry(900 + 10 * origin as u64 + tick, 3)],
+                vec![],
+            );
         }
-        net.run_for(8 * SEC);
-        for member in 1..n {
-            for origin in 1..n {
-                if member == origin {
-                    continue;
-                }
-                for tick in 0..6u64 {
-                    let mac = MacAddr::for_host(900 + 10 * origin as u64 + tick);
-                    assert!(
-                        net.plane.view_of(member, mac).is_some(),
-                        "{}: survivor {member} missing origin {origin}'s host {tick} after heal",
-                        strategy.label(),
-                    );
-                }
+        net.run_for(SEC);
+    }
+    net.run_for(8 * SEC);
+    for member in 1..n {
+        for origin in 1..n {
+            if member == origin {
+                continue;
+            }
+            for tick in 0..6u64 {
+                let mac = MacAddr::for_host(900 + 10 * origin as u64 + tick);
+                assert!(
+                    net.plane.view_of(member, mac).is_some(),
+                    "survivor {member} missing origin {origin}'s host {tick} after heal",
+                );
             }
         }
     }

@@ -20,7 +20,7 @@ mod common;
 use common::{clustered_graph, test_config};
 use lazyctrl_cluster::{
     ClusterConfig, ClusterControlPlane, ClusterOutput, ClusterTimer, DisseminationStrategy,
-    StepModel, SyncTraffic,
+    MemberCounter, StepModel,
 };
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::{HostEntry, Message, OutputSink};
@@ -140,7 +140,7 @@ impl Fabric {
 }
 
 /// The per-member counters a report reads, protocol state or not.
-type Counters = Vec<(bool, u64, SyncTraffic, usize, usize, u64, Vec<(u32, u64)>)>;
+type Counters = Vec<(bool, u64, Vec<u64>, usize, usize, u64, Vec<(u32, u64)>)>;
 
 fn counters(plane: &ClusterControlPlane) -> Counters {
     (0..plane.num_controllers() as u32)
@@ -148,7 +148,7 @@ fn counters(plane: &ClusterControlPlane) -> Counters {
             (
                 plane.is_crashed(m),
                 plane.sync_seq(m),
-                plane.sync_traffic(m),
+                MemberCounter::ALL.map(|c| plane.counter(m, c)).to_vec(),
                 plane.clib_len(m),
                 plane.replica_len(m),
                 plane.election_term(m),
@@ -186,7 +186,6 @@ proptest! {
         strategy in prop_oneof![
             Just(DisseminationStrategy::Flood),
             Just(DisseminationStrategy::Ring),
-            Just(DisseminationStrategy::Tree { fanout: 2 }),
         ],
         choices in proptest::collection::vec((0u8..16, any::<u16>()), 1..48),
     ) {

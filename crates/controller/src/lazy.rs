@@ -46,6 +46,9 @@ pub enum ControllerOutput {
 /// baseline's learned forwarding rules alike.
 pub(crate) const FLOW_IDLE_TIMEOUT_S: u16 = 30;
 
+/// Period (ms) of the [`ControllerTimer::RegroupCheck`] timer.
+pub const REGROUP_CHECK_INTERVAL_MS: u32 = 10_000;
+
 /// Configuration of the lazy controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LazyConfig {
@@ -215,7 +218,7 @@ impl LazyController {
         }
         for (timer, delay_ms) in [
             (ControllerTimer::KeepAlive, self.cfg.keepalive_interval_ms),
-            (ControllerTimer::RegroupCheck, 10_000),
+            (ControllerTimer::RegroupCheck, REGROUP_CHECK_INTERVAL_MS),
         ] {
             if self.armed.insert(timer) {
                 out.push(ControllerOutput::SetTimer(
@@ -333,7 +336,7 @@ impl LazyController {
                 }
                 out.push(ControllerOutput::SetTimer(
                     ControllerTimer::RegroupCheck,
-                    10_000_000_000,
+                    REGROUP_CHECK_INTERVAL_MS as u64 * 1_000_000,
                 ));
             }
         }

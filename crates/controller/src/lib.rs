@@ -36,6 +36,8 @@ pub use baseline::BaselineController;
 pub use clib::{Clib, HostLocation};
 pub use failover::{FailureDetector, FailureKind, RecoveryAction};
 pub use grouping::{FrozenGrouping, GroupingManager, RegroupDecision};
-pub use lazy::{ControllerOutput, ControllerTimer, LazyConfig, LazyController};
+pub use lazy::{
+    ControllerOutput, ControllerTimer, LazyConfig, LazyController, REGROUP_CHECK_INTERVAL_MS,
+};
 pub use tenant::TenantDirectory;
 pub use workload::WorkloadMeter;

@@ -78,14 +78,13 @@ pub struct ExperimentConfig {
     /// `None` keeps the classic single-controller paths untouched.
     pub cluster_controllers: Option<usize>,
     /// How cluster members disseminate C-LIB deltas to each other
-    /// (cluster runs only): direct flood (the O(n²) baseline), ring
-    /// circulation, or a leader-rooted relay tree — both O(n) messages
-    /// per flush round, the difference that makes paper-scale clusters
-    /// feasible. See [`DisseminationStrategy`].
+    /// (cluster runs only): direct flood (the O(n²) baseline) or ring
+    /// circulation — O(n) messages per flush round, the difference that
+    /// makes paper-scale clusters feasible. See [`DisseminationStrategy`].
     pub cluster_dissemination: DisseminationStrategy,
     /// Replication flush cadence between cluster members (ms), `None`
     /// for the cluster default (1 s). Longer intervals aggregate more
-    /// deltas per flush — what lets ring/tree bundling amortize towards
+    /// deltas per flush — what lets ring bundling amortize towards
     /// O(1) messages per delta — at the price of replica staleness (the
     /// synchronous lookup fallback covers the gap).
     pub cluster_flush_interval_ms: Option<u32>,

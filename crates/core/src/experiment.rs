@@ -1,5 +1,6 @@
 //! The experiment driver: trace in, report out.
 
+use lazyctrl_cluster::MemberCounter;
 use lazyctrl_obs::{EngineProfile, FlightRecorder, ObsConfig, PhaseTimings, RecorderStats};
 use lazyctrl_sim::{run, EventQueue, Scheduler, SimDuration, SimTime, TimeSeries};
 use lazyctrl_trace::{FlowRecord, Trace};
@@ -154,22 +155,26 @@ impl Experiment {
         let cluster = world.controller.cluster().map(|plane| {
             let n = plane.num_controllers();
             let horizon_secs = (horizon.as_nanos() as f64 / 1e9).max(1.0);
-            let requests: Vec<u64> = (0..n as u32).map(|i| plane.requests_of(i)).collect();
+            let per_member = |c| {
+                (0..n as u32)
+                    .map(|i| plane.counter(i, c))
+                    .collect::<Vec<u64>>()
+            };
+            let requests = per_member(MemberCounter::RequestsHandled);
             let per_rps = requests.iter().map(|&r| r as f64 / horizon_secs).collect();
             let transfers = plane.transfers();
-            let traffic: Vec<_> = (0..n as u32).map(|i| plane.sync_traffic(i)).collect();
             crate::report::ClusterReport {
                 controllers: n,
-                dissemination: plane.dissemination_label().to_owned(),
+                dissemination: plane.config().dissemination.label().to_owned(),
                 requests_per_controller: requests,
                 per_controller_rps: per_rps,
                 clib_sizes: (0..n as u32).map(|i| plane.clib_len(i)).collect(),
                 replica_sizes: (0..n as u32).map(|i| plane.replica_len(i)).collect(),
-                peer_sync_messages: traffic.iter().map(|t| t.messages_sent).collect(),
-                peer_sync_bytes: traffic.iter().map(|t| t.bytes_sent).collect(),
-                peer_sync_chunks: traffic.iter().map(|t| t.chunks_created).collect(),
-                anti_entropy_digests: traffic.iter().map(|t| t.digests_sent).collect(),
-                anti_entropy_catchups: traffic.iter().map(|t| t.catchup_syncs_sent).collect(),
+                peer_sync_messages: per_member(MemberCounter::SyncMessages),
+                peer_sync_bytes: per_member(MemberCounter::SyncBytes),
+                peer_sync_chunks: per_member(MemberCounter::ChunksCreated),
+                anti_entropy_digests: per_member(MemberCounter::DigestsSent),
+                anti_entropy_catchups: per_member(MemberCounter::CatchupSyncs),
                 rebalance_transfers: transfers
                     .iter()
                     .filter(|t| t.reason == lazyctrl_proto::TransferReason::Rebalance)
@@ -189,14 +194,12 @@ impl Experiment {
                 switch_groups: (0..world.topology.num_switches)
                     .map(|s| plane.group_of_switch(lazyctrl_net::SwitchId::new(s as u32)))
                     .collect(),
-                transfer_retransmits: (0..n as u32)
-                    .map(|i| plane.transfer_retransmits(i))
-                    .collect(),
-                lookup_timeouts: (0..n as u32).map(|i| plane.lookup_timeouts(i)).collect(),
-                lease_step_downs: (0..n as u32).map(|i| plane.lease_step_downs(i)).collect(),
-                setups_shed: (0..n as u32).map(|i| plane.setups_shed(i)).collect(),
-                queue_highwater: (0..n as u32).map(|i| plane.queue_highwater(i)).collect(),
-                congestion_signals: (0..n as u32).map(|i| plane.congestion_signals(i)).collect(),
+                transfer_retransmits: per_member(MemberCounter::TransferRetransmits),
+                lookup_timeouts: per_member(MemberCounter::LookupTimeouts),
+                lease_step_downs: per_member(MemberCounter::LeaseStepDowns),
+                setups_shed: per_member(MemberCounter::SetupsShed),
+                queue_highwater: per_member(MemberCounter::QueueHighwater),
+                congestion_signals: per_member(MemberCounter::CongestionSignals),
                 double_leader_events: plane.double_leader_events(),
                 state_fingerprint: plane.state_fingerprint(),
                 fingerprint_checkpoints: world.cluster_fingerprints.clone(),

@@ -61,8 +61,8 @@ pub struct ExperimentReport {
 pub struct ClusterReport {
     /// Number of controllers in the cluster.
     pub controllers: usize,
-    /// The peer-sync dissemination strategy in force ("flood", "ring",
-    /// "tree").
+    /// The peer-sync dissemination strategy in force ("flood" or
+    /// "ring").
     pub dissemination: String,
     /// Switch-originated requests handled per controller.
     pub requests_per_controller: Vec<u64>,
@@ -164,8 +164,8 @@ impl ClusterReport {
 
     /// Peer-sync wire messages per originated delta chunk — the
     /// dissemination fan-out cost. Flood pays ≈ n−1 here (every chunk
-    /// goes to every peer: O(n²) traffic per flush round); ring and tree
-    /// bundle relays, amortizing towards O(1) per chunk (O(n) per round).
+    /// goes to every peer: O(n²) traffic per flush round); the ring
+    /// bundles relays, amortizing towards O(1) per chunk (O(n) per round).
     pub fn messages_per_chunk(&self) -> f64 {
         let chunks: u64 = self.peer_sync_chunks.iter().sum();
         if chunks == 0 {

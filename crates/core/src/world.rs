@@ -992,11 +992,9 @@ impl DataCenterWorld {
             return CtrlRoute::Owner;
         };
         let now_ns = now.as_nanos();
-        let cfg = plane.config();
         // The switch-side detection deadline mirrors the cluster's own
         // failure detector (Table-I): miss_factor silent heartbeats.
-        let deadline_ns =
-            u64::from(cfg.heartbeat_miss_factor) * u64::from(cfg.heartbeat_interval_ms) * 1_000_000;
+        let deadline_ns = plane.config().failure_deadline_ns();
         let n = plane.num_controllers() as u32;
         let reachable_member =
             |links: &LinkState, m: u32| links.reachable(from.0, ctrl_pseudo_switch(m).0);

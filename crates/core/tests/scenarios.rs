@@ -2,10 +2,11 @@
 //! validates, its `check` passes, and same-seed runs are bit-identical —
 //! the contract `repro_scenario` and CI rely on. Cluster scenarios are
 //! additionally pinned bit-identical under *every* dissemination
-//! strategy, so the relay overlays cannot silently break determinism.
+//! strategy, so the relay overlay cannot silently break determinism.
 
+use lazyctrl_cluster::Fnv64;
 use lazyctrl_core::scenarios::{run_built, run_scenario, ScenarioRegistry};
-use lazyctrl_core::{DisseminationStrategy, ExperimentReport};
+use lazyctrl_core::{ClusterReport, DisseminationStrategy, ExperimentReport};
 
 /// Compares the cluster fingerprint checkpoints of two same-seed runs
 /// *before* the full reports, so a determinism break is localized to the
@@ -156,11 +157,7 @@ fn elephant_peer_sync_passes_deterministically() {
 fn assert_deterministic_under_every_strategy(name: &str) {
     let reg = ScenarioRegistry::builtin();
     let s = reg.get(name).unwrap_or_else(|| panic!("{name} registered"));
-    for strategy in [
-        DisseminationStrategy::Flood,
-        DisseminationStrategy::Ring,
-        DisseminationStrategy::tree(),
-    ] {
+    for strategy in [DisseminationStrategy::Flood, DisseminationStrategy::Ring] {
         let run_once = || {
             let (trace, cfg, plan) = s.build(0xC1);
             run_built(s, trace, cfg.with_dissemination(strategy), plan)
@@ -295,28 +292,56 @@ fn elephant_peer_sync_is_identical_across_workers() {
 // test without touching the table.
 
 /// One golden row: scenario name, `events_processed`,
-/// `controller_messages`, `packet_ins`, `delivered_flows`, and the
-/// end-of-run `cluster.state_fingerprint` (0 for a run with no cluster).
-type GoldenRow = (&'static str, u64, u64, u64, u64, u64);
+/// `controller_messages`, `packet_ins`, `delivered_flows`, the end-of-run
+/// `cluster.state_fingerprint`, and [`counter_hash`] of the cluster
+/// report (both 0 for a run with no cluster).
+type GoldenRow = (&'static str, u64, u64, u64, u64, u64, u64);
+
+/// FNV-1a over every per-member `u64` counter vector of a cluster report,
+/// in field order. The state fingerprint leaves observer counters out by
+/// design; this column is what catches a counter wired to the wrong slot.
+fn counter_hash(c: &ClusterReport) -> u64 {
+    let mut h = Fnv64::new();
+    for v in [
+        &c.requests_per_controller,
+        &c.peer_sync_messages,
+        &c.peer_sync_bytes,
+        &c.peer_sync_chunks,
+        &c.anti_entropy_digests,
+        &c.anti_entropy_catchups,
+        &c.transfer_retransmits,
+        &c.lookup_timeouts,
+        &c.lease_step_downs,
+        &c.setups_shed,
+        &c.queue_highwater,
+        &c.congestion_signals,
+    ] {
+        h.usize(v.len());
+        for &x in v {
+            h.u64(x);
+        }
+    }
+    h.finish()
+}
 
 #[rustfmt::skip] // a table: one scenario per line
 const GOLDEN_SEED_7: [GoldenRow; 16] = [
-    ("cold_cache", 28883, 275, 15, 273, 0),
-    ("crash_under_load", 164512, 3119, 72, 32480, 0x1755f81c2602e564),
-    ("crash_recover", 122774, 1967, 72, 19872, 0x32c3aba0bfcd95e0),
-    ("shard_rebalance", 116244, 944, 54, 16182, 0x34f9a36aec12343f),
-    ("peer_sync_storm", 203524, 1656, 103, 16732, 0x811c314407e2c048),
-    ("switch_failure", 820984, 390920, 12, 9141, 0),
-    ("degraded_control_net", 46982, 779, 12, 13986, 0),
-    ("host_migration_storm", 54543, 796, 18, 17430, 0),
-    ("traffic_burst", 47082, 788, 21, 14010, 0),
-    ("partition_split", 219983, 3251, 72, 30226, 0xce8016e1ecf65ffb),
-    ("partition_ctrl_island", 222499, 3119, 72, 32480, 0xea380e650bbe8b42),
-    ("partition_switch_orphan", 175645, 3185, 72, 32480, 0xff3a5d6e22a56519),
-    ("partition_flapping", 225570, 3119, 72, 32480, 0x15c06dcbeaef77fd),
-    ("flow_setup_storm", 144798, 1945, 569, 30972, 0xb39a12df3ecc31a5),
-    ("controller_incast", 124119, 1824, 217, 20320, 0xa5d2d1ac13bb9a99),
-    ("elephant_peer_sync", 206765, 1870, 247, 17920, 0xf3bcf720d702820f),
+    ("cold_cache", 28883, 275, 15, 273, 0, 0),
+    ("crash_under_load", 164512, 3119, 72, 32480, 0x1755f81c2602e564, 0x1457cab8c09c286e),
+    ("crash_recover", 122774, 1967, 72, 19872, 0x32c3aba0bfcd95e0, 0x6b38281e7f654892),
+    ("shard_rebalance", 116244, 944, 54, 16182, 0x34f9a36aec12343f, 0x14c9a63a305ce5f8),
+    ("peer_sync_storm", 203524, 1656, 103, 16732, 0x811c314407e2c048, 0x9bab7de680ad47ea),
+    ("switch_failure", 820984, 390920, 12, 9141, 0, 0),
+    ("degraded_control_net", 46982, 779, 12, 13986, 0, 0),
+    ("host_migration_storm", 54543, 796, 18, 17430, 0, 0),
+    ("traffic_burst", 47082, 788, 21, 14010, 0, 0),
+    ("partition_split", 219983, 3251, 72, 30226, 0xce8016e1ecf65ffb, 0x29c5549485342ad8),
+    ("partition_ctrl_island", 222499, 3119, 72, 32480, 0xea380e650bbe8b42, 0xf09cce7ffab86058),
+    ("partition_switch_orphan", 175645, 3185, 72, 32480, 0xff3a5d6e22a56519, 0xe8f5f78e2e6f697f),
+    ("partition_flapping", 225570, 3119, 72, 32480, 0x15c06dcbeaef77fd, 0x7b3cbd18fc3197f2),
+    ("flow_setup_storm", 144798, 1945, 569, 30972, 0xb39a12df3ecc31a5, 0xbda261a6300d10e0),
+    ("controller_incast", 124119, 1824, 217, 20320, 0xa5d2d1ac13bb9a99, 0x4df4404d2b5231c9),
+    ("elephant_peer_sync", 206765, 1870, 247, 17920, 0xf3bcf720d702820f, 0xdc3cd6f9cb12873b),
 ];
 
 #[test]
@@ -332,14 +357,15 @@ fn golden_scenario_table_at_seed_7() {
                 r.controller_messages,
                 r.packet_ins,
                 r.delivered_flows,
-                r.cluster.map_or(0, |c| c.state_fingerprint),
+                r.cluster.as_ref().map_or(0, |c| c.state_fingerprint),
+                r.cluster.as_ref().map_or(0, counter_hash),
             )
         })
         .collect();
     let table: String = actual
         .iter()
-        .map(|(name, ev, cm, pi, df, fp)| {
-            format!("    ({name:?}, {ev}, {cm}, {pi}, {df}, {fp:#x}),\n")
+        .map(|(name, ev, cm, pi, df, fp, ch)| {
+            format!("    ({name:?}, {ev}, {cm}, {pi}, {df}, {fp:#x}, {ch:#x}),\n")
         })
         .collect();
     assert!(

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use lazyctrl_cluster::{ClusterOutput, ElectionRole};
+use lazyctrl_cluster::{ClusterOutput, ElectionRole, MemberCounter};
 use lazyctrl_proto::{ClusterMsg, MessageBody};
 
 use crate::state::McState;
@@ -84,13 +84,13 @@ pub fn check_safety(state: &McState, ghost: &mut Ghost) -> Option<Violation> {
     // chunks than its peers ever created — counts applied twice show up
     // here no matter which path smuggled the duplicate in.
     let chunks: Vec<u64> = (0..n)
-        .map(|i| plane.sync_traffic(i).chunks_created)
+        .map(|i| plane.counter(i, MemberCounter::ChunksCreated))
         .collect();
     let total: u64 = chunks.iter().sum();
     for m in 0..n {
-        let t = plane.sync_traffic(m);
         let foreign = total - chunks[m as usize];
-        let applied = t.relay_applies + t.direct_applies;
+        let applied = plane.counter(m, MemberCounter::RelayApplies)
+            + plane.counter(m, MemberCounter::DirectApplies);
         if applied > foreign {
             return Some(Violation {
                 invariant: "no-double-apply",

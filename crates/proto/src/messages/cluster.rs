@@ -10,7 +10,7 @@
 //!   publishes its C-LIB shard's deltas so inter-shard flow setups usually
 //!   resolve against a local replica. *How* a delta reaches the other
 //!   members is the cluster's dissemination strategy: direct flood
-//!   (per-peer [`PeerSyncMsg`]), or relayed along a ring/tree overlay in
+//!   (per-peer [`PeerSyncMsg`]), or relayed around a ring overlay in
 //!   bundles ([`SyncRelayMsg`]), with a periodic anti-entropy digest
 //!   exchange ([`SyncDigestMsg`]) as the catch-up path for members that
 //!   missed deltas (crashed, partitioned, late-joining);
@@ -234,8 +234,8 @@ impl PeerSyncMsg {
 }
 
 /// A bundle of [`PeerSyncMsg`]s travelling the dissemination overlay
-/// (ring successor hop, or tree up/down edge). Bundling is what makes
-/// ring/tree dissemination O(n) messages per flush round: every member
+/// (one ring successor hop). Bundling is what makes ring dissemination
+/// O(n) messages per flush round: every member
 /// forwards *all* deltas it is relaying in one message per overlay edge,
 /// instead of one message per (delta, peer) pair as flooding does.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -425,7 +425,7 @@ pub enum ClusterMsg {
     LookupReply(LookupReplyMsg),
     /// Anti-entropy digest (boxed: bulk payload, repair cadence).
     SyncDigest(Box<SyncDigestMsg>),
-    /// Bundled deltas on a ring/tree dissemination edge (boxed: bulk
+    /// Bundled deltas on a ring dissemination edge (boxed: bulk
     /// payload, flush cadence).
     SyncRelay(Box<SyncRelayMsg>),
     /// Election: a candidate requests a vote.

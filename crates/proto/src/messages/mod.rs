@@ -107,6 +107,18 @@ pub enum MessageBody {
     Cluster(ClusterMsg),
 }
 
+impl From<LazyMsg> for MessageBody {
+    fn from(m: LazyMsg) -> Self {
+        MessageBody::Lazy(m)
+    }
+}
+
+impl From<ClusterMsg> for MessageBody {
+    fn from(m: ClusterMsg) -> Self {
+        MessageBody::Cluster(m)
+    }
+}
+
 impl Message {
     /// Wraps a standard message.
     pub fn of(xid: u32, msg: OfMessage) -> Self {

@@ -42,7 +42,7 @@
 /// sink.put_back(buf); // capacity survives for the next event
 /// assert!(sink.is_empty());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OutputSink<T> {
     buf: Vec<T>,
 }

@@ -270,7 +270,7 @@ fn arb_cluster() -> impl Strategy<Value = ClusterMsg> {
     prop_oneof![
         // Peer sync: C-LIB shard replication.
         arb_peer_sync().prop_map(ClusterMsg::peer_sync),
-        // Relay bundle on a ring/tree dissemination edge.
+        // Relay bundle on a ring dissemination edge.
         (
             any::<u32>(),
             proptest::collection::vec(arb_peer_sync(), 0..4)
