@@ -1,8 +1,8 @@
-//! Shared harness for the reproduction binaries (`repro-*`): trace
+//! Shared harness for the reproduction binaries (`repro_*`): trace
 //! construction at a chosen scale, and table rendering.
 //!
-//! Every binary honours the `LAZYCTRL_SCALE` environment variable (any
-//! other value is an error, not a silent fallback):
+//! `repro_paper` and `repro_cluster` read the `LAZYCTRL_SCALE` environment
+//! variable (any other value is an error, not a silent fallback):
 //!
 //! * `quick` (default) — laptop-scale versions of each experiment
 //!   (40–340 switches, 10⁵-ish flows); minutes end to end;
@@ -71,21 +71,25 @@ impl Scale {
             Scale::X10 => "x10",
         }
     }
+
+    /// The quick or the paper value. `X10` takes paper's: the ×10 tier
+    /// only exists for the synthetic topology.
+    pub fn pick<T>(self, quick: T, paper: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Paper | Scale::X10 => paper,
+        }
+    }
 }
 
-/// The "real" trace surrogate at the chosen scale. The ×10 tier only
-/// exists for the synthetic family (the real trace is pinned to the
-/// paper's measured topology), so `X10` falls back to paper here.
+/// The "real" trace surrogate at the chosen scale. The real trace is
+/// pinned to the paper's measured topology, so `X10` falls back to paper.
 pub fn real_trace(scale: Scale) -> Trace {
-    let cfg = match scale {
-        Scale::Quick => {
-            let mut cfg = RealTraceConfig::small();
-            cfg.num_flows = 120_000;
-            cfg
-        }
-        Scale::Paper | Scale::X10 => RealTraceConfig::default(),
+    let quick = RealTraceConfig {
+        num_flows: 120_000,
+        ..RealTraceConfig::small()
     };
-    generate_real(&cfg)
+    generate_real(&scale.pick(quick, RealTraceConfig::default()))
 }
 
 /// The §V-D expanded trace: +30% flows among fresh pairs in hours 8–24.
@@ -93,15 +97,20 @@ pub fn expanded_trace(base: &Trace) -> Trace {
     expand(base, 0.30, 8.0, 24.0, 0xE0A)
 }
 
+/// A synthetic trace family member at the chosen scale.
+fn synthetic_trace(cfg: SyntheticConfig, scale: Scale) -> Trace {
+    let cfg = match scale {
+        Scale::Quick => cfg.scaled_down(8),
+        Scale::Paper => cfg,
+        Scale::X10 => cfg.scaled_up(10),
+    };
+    generate_syn(&cfg)
+}
+
 /// Syn-A alone at the chosen scale (the perf/cluster workloads; cheaper
 /// than materializing the whole [`synthetic_traces`] family).
 pub fn syn_a_trace(scale: Scale) -> Trace {
-    let cfg = match scale {
-        Scale::Quick => SyntheticConfig::syn_a().scaled_down(8),
-        Scale::Paper => SyntheticConfig::syn_a(),
-        Scale::X10 => SyntheticConfig::syn_a().scaled_up(10),
-    };
-    generate_syn(&cfg)
+    synthetic_trace(SyntheticConfig::syn_a(), scale)
 }
 
 /// Syn-A/B/C at the chosen scale.
@@ -112,14 +121,7 @@ pub fn synthetic_traces(scale: Scale) -> Vec<Trace> {
         SyntheticConfig::syn_c(),
     ]
     .into_iter()
-    .map(|cfg| {
-        let cfg = match scale {
-            Scale::Quick => cfg.scaled_down(8),
-            Scale::Paper => cfg,
-            Scale::X10 => cfg.scaled_up(10),
-        };
-        generate_syn(&cfg)
-    })
+    .map(|cfg| synthetic_trace(cfg, scale))
     .collect()
 }
 
