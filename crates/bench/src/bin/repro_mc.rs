@@ -19,10 +19,17 @@
 //!    both split behavior (no double leader, no double apply) and
 //!    post-heal convergence. Must find zero violations.
 //!
+//! Each phase must also explore exactly the states it is pinned to (its
+//! [`CheckStats`]): a fingerprint collision, a stale state hash or a
+//! changed event order shows as a different count before it can hide a
+//! bug. The 400 000 states of the exhaustive phase are where a collision
+//! would show first.
+//!
 //! Compiled with `--features mc-mutations`, the phases invert into a
 //! self-test: the cluster crate's deliberate relay-dedup bypass is
 //! compiled in, and the checker must *find* it, print the counterexample
-//! schedule, and reproduce it by replay. Exits non-zero on any
+//! schedule, and reproduce it by replay (each phase stops at its first
+//! violation, so the pins do not apply). Exits non-zero on any
 //! unexpected outcome either way.
 //!
 //! ```sh
@@ -34,9 +41,35 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy};
-use lazyctrl_mc::{check, CheckOutcome, CheckerConfig, FaultBudget, McState, Mode};
+use lazyctrl_mc::{check, CheckOutcome, CheckStats, CheckerConfig, FaultBudget, McState, Mode};
 
 const SEC: u64 = 1_000_000_000;
+
+/// What each phase explores; a clean run must reproduce these exactly.
+const EXHAUSTIVE_3: CheckStats = CheckStats {
+    explored: 1_805_106,
+    distinct: 400_000,
+    deduped: 1_210_977,
+    leaves: 0,
+    settled: 829,
+    truncated: true,
+};
+const GUIDED_5: CheckStats = CheckStats {
+    explored: 132_000,
+    distinct: 127_887,
+    deduped: 4_114,
+    leaves: 600,
+    settled: 38,
+    truncated: false,
+};
+const GUIDED_PARTITION_3: CheckStats = CheckStats {
+    explored: 120_000,
+    distinct: 68_096,
+    deduped: 51_905,
+    leaves: 500,
+    settled: 32,
+    truncated: false,
+};
 
 /// The cluster configuration under check: 1 s flush/heartbeat ticks, 3 s
 /// anti-entropy, the default 3 s election timeout — the same shape the
@@ -92,10 +125,21 @@ fn expect_violation() -> bool {
     cfg!(feature = "mc-mutations")
 }
 
-fn run_phase(phase: &str, state: &McState, cfg: &CheckerConfig) -> Result<(), String> {
+fn run_phase(
+    phase: &str,
+    state: &McState,
+    cfg: &CheckerConfig,
+    pinned: CheckStats,
+) -> Result<(), String> {
     let t = Instant::now();
     let outcome = check(state, cfg);
     print_outcome(phase, &outcome, t.elapsed().as_secs_f64());
+    if !expect_violation() && outcome.stats != pinned {
+        return Err(format!(
+            "{phase}: explored {:?}, pinned {pinned:?}",
+            outcome.stats
+        ));
+    }
     match (&outcome.violation, expect_violation()) {
         (None, false) => Ok(()),
         (Some(cx), true) => {
@@ -150,7 +194,7 @@ fn main() -> ExitCode {
     };
     let state3 = initial_state(3);
     let mut failures = Vec::new();
-    if let Err(e) = run_phase("exhaustive-3", &state3, &exhaustive) {
+    if let Err(e) = run_phase("exhaustive-3", &state3, &exhaustive, EXHAUSTIVE_3) {
         failures.push(e);
     }
 
@@ -175,7 +219,7 @@ fn main() -> ExitCode {
         ..CheckerConfig::default()
     };
     let state5 = initial_state(5);
-    if let Err(e) = run_phase("guided-5", &state5, &guided) {
+    if let Err(e) = run_phase("guided-5", &state5, &guided, GUIDED_5) {
         failures.push(e);
     }
 
@@ -203,7 +247,12 @@ fn main() -> ExitCode {
         settle_every: 16,
         ..CheckerConfig::default()
     };
-    if let Err(e) = run_phase("guided-partition-3", &state3, &partitioned) {
+    if let Err(e) = run_phase(
+        "guided-partition-3",
+        &state3,
+        &partitioned,
+        GUIDED_PARTITION_3,
+    ) {
         failures.push(e);
     }
 

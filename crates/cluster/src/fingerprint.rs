@@ -17,12 +17,18 @@
 //!
 //! The hasher is byte-at-a-time and stays that way: its value for a given
 //! byte sequence is a published constant (`fnv_matches_reference_vector`),
-//! and every fingerprint in the repository is defined in terms of it.
-//! Fingerprinting is made cheap one level up instead, by hashing less —
-//! the plane's fingerprint is a hash of per-member sub-fingerprints that
-//! are cached until the member is next written (see
+//! and every *published* fingerprint in the repository — the plane's
+//! state fingerprint, report fingerprints, the golden scenario table —
+//! is defined in terms of it. Fingerprinting is made cheap one level up
+//! instead, by hashing less: the plane's fingerprint is a hash of
+//! per-member sub-fingerprints that are cached until the member is next
+//! written (see
 //! [`ClusterControlPlane::state_fingerprint`](crate::ClusterControlPlane::state_fingerprint)),
 //! and the checker hashes an in-flight message once, when it is sent.
+//! The checker's private dedup key takes its in-flight and armed-timer
+//! multisets as kept sums of element hashes spread by the splitmix64
+//! mixer, not through this hasher: a sum is order-free and can be
+//! updated as elements come and go.
 
 /// Streaming 64-bit FNV-1a hasher.
 ///

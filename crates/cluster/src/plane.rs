@@ -111,8 +111,8 @@ pub enum ClusterTimerKind {
 
 impl ClusterTimerKind {
     /// A stable one-byte identity of the kind, distinct per variant
-    /// (inner timers included) — what the model checker hashes and sorts
-    /// armed timers by. The match is exhaustive on purpose: a new kind
+    /// (inner timers included) — what the model checker hashes armed
+    /// timers by. The match is exhaustive on purpose: a new kind
     /// does not compile until it has a tag of its own.
     pub fn tag(self) -> u8 {
         match self {

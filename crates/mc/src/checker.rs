@@ -308,8 +308,9 @@ fn check_walks(
 }
 
 /// SplitMix64: a tiny, deterministic, well-mixed PRNG — the checker
-/// cannot use `rand` (wall-clock seeding would break replay).
-fn splitmix64(s: &mut u64) -> u64 {
+/// cannot use `rand` (wall-clock seeding would break replay). Its output
+/// function is also the mixer behind [`McState`]'s multiset sums.
+pub(crate) fn splitmix64(s: &mut u64) -> u64 {
     *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *s;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

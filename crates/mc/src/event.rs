@@ -73,30 +73,20 @@ impl FaultBudget {
 /// lead to identical successor states, so only the first enumerates
 /// Deliver/Drop/Duplicate branches.
 pub fn enabled_events(state: &McState, budget: FaultBudget, max_pending: usize) -> Vec<McEvent> {
-    let mut events = Vec::new();
-    let mut seen_wires: Vec<u64> = Vec::new();
-    let mut distinct: Vec<usize> = Vec::new();
-    for (i, p) in state.pending.iter().enumerate() {
-        let w = p.wire_hash();
-        if !seen_wires.contains(&w) {
-            seen_wires.push(w);
-            distinct.push(i);
-        }
-    }
-    for &i in &distinct {
-        events.push(McEvent::Deliver(i));
-    }
+    let pending = state.pending();
+    let first_of_its_wire = |&i: &usize| {
+        let w = pending[i].wire_hash();
+        pending[..i].iter().all(|p| p.wire_hash() != w)
+    };
+    let distinct = (0..pending.len()).filter(first_of_its_wire);
+    let mut events: Vec<McEvent> = distinct.clone().map(McEvent::Deliver).collect();
     if budget.drops > 0 {
-        for &i in &distinct {
-            events.push(McEvent::Drop(i));
-        }
+        events.extend(distinct.clone().map(McEvent::Drop));
     }
-    if budget.dups > 0 && state.pending.len() < max_pending {
-        for &i in &distinct {
-            events.push(McEvent::Duplicate(i));
-        }
+    if budget.dups > 0 && pending.len() < max_pending {
+        events.extend(distinct.map(McEvent::Duplicate));
     }
-    if !state.timers.is_empty() {
+    if !state.timers().is_empty() {
         events.push(McEvent::FireTimer);
     }
     let members = state.plane.num_controllers() as u32;

@@ -25,12 +25,12 @@ pub fn settle(state: &McState, horizon_ns: u64) -> McState {
     }
     let end = s.now_ns.saturating_add(horizon_ns);
     loop {
-        if !s.pending.is_empty() {
+        if !s.pending().is_empty() {
             s.apply(McEvent::Deliver(0));
             continue;
         }
         match s.min_timer() {
-            Some(i) if s.timers[i].0 <= end => {
+            Some(i) if s.timers()[i].0 <= end => {
                 s.apply(McEvent::FireTimer);
             }
             _ => break,

@@ -13,6 +13,7 @@ use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_partition::WeightedGraph;
 use lazyctrl_proto::{HostEntry, Message, OutputSink};
 
+use crate::checker::splitmix64;
 use crate::event::McEvent;
 
 /// A controller-peer message in flight, with the hash that identifies
@@ -20,7 +21,8 @@ use crate::event::McEvent;
 ///
 /// The fields are private and there is no mutable access: the hash is
 /// computed once, when the message enters the in-flight set, and can
-/// only stay true if link and message never change afterwards.
+/// only stay true if link and message never change afterwards. The same
+/// discipline keeps [`McState`]'s multiset sums true one level up.
 #[derive(Debug, Clone)]
 pub struct PendingMsg {
     from: u32,
@@ -67,6 +69,83 @@ impl PendingMsg {
     }
 }
 
+/// The splitmix64 output function: spreads a hash over all 64 bits, so
+/// that sums of mixed hashes behave like sums of random words.
+fn mix(x: u64) -> u64 {
+    let mut s = x;
+    splitmix64(&mut s)
+}
+
+/// What one element adds to its multiset's sum.
+trait Element {
+    fn element_hash(&self) -> u64;
+}
+
+impl Element for PendingMsg {
+    fn element_hash(&self) -> u64 {
+        mix(self.wire_hash)
+    }
+}
+
+impl Element for (u64, ClusterTimer) {
+    /// `(due, node, kind tag, gen)`, each folded in through the mixer.
+    fn element_hash(&self) -> u64 {
+        let (due, t) = *self;
+        let who = (u64::from(t.node) << 32) | u64::from(t.gen);
+        mix(mix(mix(due) ^ who) ^ u64::from(t.kind.tag()))
+    }
+}
+
+/// A multiset kept in arrival order (what events index), with the
+/// wrapping sum of its elements' hashes: an order-free hash of the
+/// multiset, updated by the only ways in and out, so it costs O(1) to
+/// read. A sum, not a xor, so that an element present twice counts twice.
+#[derive(Clone)]
+struct Bag<T> {
+    items: Vec<T>,
+    sum: u64,
+}
+
+impl<T> Default for Bag<T> {
+    fn default() -> Self {
+        Bag {
+            items: Vec::new(),
+            sum: 0,
+        }
+    }
+}
+
+impl<T: Element> Bag<T> {
+    fn push(&mut self, x: T) {
+        self.sum = self.sum.wrapping_add(x.element_hash());
+        self.items.push(x);
+    }
+
+    fn remove(&mut self, i: usize) -> T {
+        let x = self.items.remove(i);
+        self.sum = self.sum.wrapping_sub(x.element_hash());
+        x
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let sum = &mut self.sum;
+        self.items.retain(|x| {
+            let kept = keep(x);
+            if !kept {
+                *sum = sum.wrapping_sub(x.element_hash());
+            }
+            kept
+        });
+    }
+
+    /// The sum recomputed over every element, for the debug check.
+    fn recomputed(&self) -> u64 {
+        self.items
+            .iter()
+            .fold(0, |s, x| s.wrapping_add(x.element_hash()))
+    }
+}
+
 /// One state in the exploration: the plane, the in-flight messages, the
 /// armed timers, and the logical clock.
 ///
@@ -74,14 +153,16 @@ impl PendingMsg {
 /// message deliveries branch freely *between* timer ticks — the network
 /// can reorder anything that is concurrently in flight, which is exactly
 /// the asynchrony assumption of the protocols under test.
+///
+/// The in-flight and armed sets are private, behind [`McState::pending`]
+/// and [`McState::timers`]: each carries a hash sum that every change
+/// must update, and only the state's own transitions change them.
 #[derive(Clone)]
 pub struct McState {
     /// The cluster plane (all members).
     pub plane: ClusterControlPlane,
-    /// Controller-peer messages in flight, in emission order.
-    pub pending: Vec<PendingMsg>,
-    /// Armed timers: `(absolute due ns, timer)`.
-    pub timers: Vec<(u64, ClusterTimer)>,
+    pending: Bag<PendingMsg>,
+    timers: Bag<(u64, ClusterTimer)>,
     /// The logical clock (ns).
     pub now_ns: u64,
     /// Active network partition: `Some(m)` means member `m` is severed
@@ -97,8 +178,8 @@ impl std::fmt::Debug for McState {
         // state by its canonical hash instead of dumping internals.
         f.debug_struct("McState")
             .field("fingerprint", &format_args!("{:#018x}", self.fingerprint()))
-            .field("pending", &self.pending.len())
-            .field("timers", &self.timers.len())
+            .field("pending", &self.pending.items.len())
+            .field("timers", &self.timers.items.len())
             .field("now_ns", &self.now_ns)
             .finish()
     }
@@ -123,8 +204,8 @@ impl McState {
         plane.bootstrap(0, g, &mut sink);
         let mut state = McState {
             plane,
-            pending: Vec::new(),
-            timers: Vec::new(),
+            pending: Bag::default(),
+            timers: Bag::default(),
             now_ns: 0,
             partition: None,
         };
@@ -145,6 +226,37 @@ impl McState {
             }],
             vec![],
         );
+    }
+
+    /// Controller-peer messages in flight, in emission order — what
+    /// [`McEvent::Deliver`], [`McEvent::Drop`] and [`McEvent::Duplicate`]
+    /// index.
+    pub fn pending(&self) -> &[PendingMsg] {
+        &self.pending.items
+    }
+
+    /// Armed timers, `(absolute due ns, timer)`, in arm order.
+    pub fn timers(&self) -> &[(u64, ClusterTimer)] {
+        &self.timers.items
+    }
+
+    /// Recomputes both multiset sums over every element and compares them with
+    /// the ones kept incrementally. Debug builds run it after every
+    /// [`McState::apply`]; tests call it directly.
+    #[doc(hidden)]
+    pub fn check_multisets(&self) -> Result<(), String> {
+        let sums = [
+            ("in-flight", self.pending.sum, self.pending.recomputed()),
+            ("armed-timer", self.timers.sum, self.timers.recomputed()),
+        ];
+        for (name, kept, fresh) in sums {
+            if kept != fresh {
+                return Err(format!(
+                    "{name} sum is {kept:#018x}, a recompute gives {fresh:#018x}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// True if an active partition severs the `a`↔`b` pair.
@@ -186,7 +298,7 @@ impl McState {
     /// heartbeats too.
     pub fn advance_to(&mut self, t_ns: u64) {
         while let Some(i) = self.min_timer() {
-            if self.timers[i].0 > t_ns {
+            if self.timers.items[i].0 > t_ns {
                 break;
             }
             self.apply(McEvent::FireTimer);
@@ -198,7 +310,8 @@ impl McState {
     /// then arm order) — the only timer [`McEvent::FireTimer`] fires,
     /// which is what keeps the logical clock deterministic per schedule.
     pub fn min_timer(&self) -> Option<usize> {
-        (0..self.timers.len()).min_by_key(|&i| (self.timers[i].0, self.timers[i].1.node, i))
+        let timers = &self.timers.items;
+        (0..timers.len()).min_by_key(|&i| (timers[i].0, timers[i].1.node, i))
     }
 
     /// Applies one event, returning the outputs the step produced (the
@@ -217,7 +330,7 @@ impl McState {
                 self.pending.remove(i);
             }
             McEvent::Duplicate(i) => {
-                let m = &self.pending[i];
+                let m = &self.pending.items[i];
                 self.plane
                     .step_ctrl(self.now_ns, m.from, m.to, &m.msg, &mut sink);
             }
@@ -250,46 +363,33 @@ impl McState {
         }
         let outs = sink.take_buf();
         self.absorb(&outs);
+        debug_assert_eq!(self.check_multisets(), Ok(()), "after {ev:?}");
         outs
     }
 
     /// Canonical fingerprint of this state: the plane's protocol-state
-    /// hash plus the in-flight message multiset (each message's
-    /// [`PendingMsg::wire_hash`]), the armed-timer multiset, and the
-    /// clock. Two schedules reaching the same fingerprint are
+    /// hash, the clock, the partition, and the in-flight and armed-timer
+    /// multisets. Two schedules reaching the same fingerprint are
     /// indistinguishable to every future step, so the checker explores
-    /// from one of them only. No message is encoded here, and the plane
-    /// re-hashes only the members written since it was last asked (see
-    /// [`ClusterControlPlane::state_fingerprint`]); what is left is the
-    /// two small sorts.
+    /// from one of them only. It costs the same whatever is in flight:
+    /// the plane re-hashes only the members written since it was last
+    /// asked (see [`ClusterControlPlane::state_fingerprint`]), and each
+    /// multiset enters as its size and its kept sum — delivery order is
+    /// the checker's choice, not part of the state's identity, and a sum
+    /// is blind to order. The words are folded together through the same
+    /// mixer as the sums' elements.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.u64(self.plane.fingerprint());
-        h.u64(self.now_ns);
-        match self.partition {
-            Some(p) => h.u32(1).u32(p),
-            None => h.u32(0),
-        };
-        // In-flight messages as a multiset: delivery order is the
-        // checker's choice, not part of the state's identity.
-        let mut wires: Vec<u64> = self.pending.iter().map(PendingMsg::wire_hash).collect();
-        wires.sort_unstable();
-        h.usize(wires.len());
-        for w in wires {
-            h.u64(w);
-        }
-        // Armed timers, canonically ordered.
-        let mut arms: Vec<(u64, u32, u8, u32)> = self
-            .timers
-            .iter()
-            .map(|&(due, t)| (due, t.node, t.kind.tag(), t.gen))
-            .collect();
-        arms.sort_unstable();
-        h.usize(arms.len());
-        for (due, node, kind, gen) in arms {
-            h.u64(due).u32(node).u8(kind).u32(gen);
-        }
-        h.finish()
+        let partition = self.partition.map_or(0, |p| 1 + u64::from(p));
+        [
+            self.now_ns,
+            partition,
+            self.pending.items.len() as u64,
+            self.pending.sum,
+            self.timers.items.len() as u64,
+            self.timers.sum,
+        ]
+        .into_iter()
+        .fold(self.plane.fingerprint(), |h, word| mix(h ^ word))
     }
 
     /// Number of functioning (non-crashed) members.

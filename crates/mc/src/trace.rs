@@ -39,7 +39,7 @@ pub struct Counterexample {
 /// it refers to (must be called *before* the event is applied).
 fn label_event(state: &McState, ev: McEvent) -> String {
     let named = |i: usize| {
-        let p = &state.pending[i];
+        let p = &state.pending()[i];
         format!("{}→{} {}", p.from(), p.to(), kind_of(p.msg()))
     };
     match ev {
@@ -48,7 +48,7 @@ fn label_event(state: &McState, ev: McEvent) -> String {
         McEvent::Duplicate(i) => format!("duplicate {}", named(i)),
         McEvent::FireTimer => match state.min_timer() {
             Some(i) => {
-                let (due, t) = state.timers[i];
+                let (due, t) = state.timers()[i];
                 format!(
                     "fire timer {:?} of member {} at t={:.3}s",
                     t.kind,

@@ -2,32 +2,10 @@
 //! hold on the real protocols, and — with the `mc-mutations` bypass
 //! compiled in — the checker provably catches a real dedup bug.
 
-use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy};
-use lazyctrl_mc::{check, CheckOutcome, CheckStats, CheckerConfig, FaultBudget, McState, Mode};
+mod common;
 
-const SEC: u64 = 1_000_000_000;
-
-fn mc_config(n: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::with_controllers(n);
-    // Ring, not the flood default: relaying is what gives the checker a
-    // forwarding protocol to falsify (flood has no relay path at all).
-    cfg.dissemination = DisseminationStrategy::Ring;
-    cfg.lazy.group_size_limit = 3;
-    cfg.replica_flush_interval_ms = 1_000;
-    cfg.heartbeat_interval_ms = 1_000;
-    cfg.heartbeat_miss_factor = 3;
-    cfg.anti_entropy_interval_ms = 3_000;
-    cfg.delta_log_flushes = 10_000;
-    cfg
-}
-
-fn initial(n: usize) -> McState {
-    let mut state = McState::bootstrap(n, mc_config(n));
-    state.seed_host(0, 1_001);
-    state.seed_host(1, 2_001);
-    state.advance_to(SEC);
-    state
-}
+use common::initial;
+use lazyctrl_mc::{check, CheckOutcome, CheckStats, CheckerConfig, FaultBudget, Mode};
 
 /// Pins an exploration state for state: the counters below were recorded
 /// before the checker's fingerprinting and cloning were made incremental,
