@@ -31,7 +31,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lazyctrl_bench::{real_trace, render_table, syn_a_trace, Scale};
+use lazyctrl_bench::{real_trace, render_table, scale_from_env, syn_a_trace, Scale};
 use lazyctrl_core::scenarios::controller_crash;
 use lazyctrl_core::{
     run_scenario, ControlMode, DisseminationStrategy, Experiment, ExperimentConfig,
@@ -39,7 +39,7 @@ use lazyctrl_core::{
 };
 
 fn main() -> ExitCode {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     println!(
         "lazyctrl-cluster — control-plane scaling (scale: {})\n",
         scale.label()

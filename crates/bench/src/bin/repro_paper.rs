@@ -16,7 +16,9 @@ use std::iter::once;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lazyctrl_bench::{expanded_trace, real_trace, render_table, synthetic_traces, Scale};
+use lazyctrl_bench::{
+    expanded_trace, real_trace, render_table, scale_from_env, synthetic_traces, Scale,
+};
 use lazyctrl_bloom::BloomFilter;
 use lazyctrl_core::scenarios::{cold_cache, ColdCacheReport};
 use lazyctrl_core::{ControlMode, Experiment, ExperimentConfig, ExperimentReport, SeriesPoint};
@@ -70,7 +72,7 @@ fn render_claims(claims: &[Claim]) -> String {
 type Section = (String, Vec<Claim>);
 
 fn main() -> ExitCode {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let label = scale.label();
     println!("LazyCtrl paper scoreboard (scale: {label})\n");
     let real = real_trace(scale);

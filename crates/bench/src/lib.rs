@@ -1,8 +1,10 @@
 //! Shared harness for the reproduction binaries (`repro_*`): trace
 //! construction at a chosen scale, and table rendering.
 //!
-//! `repro_paper` and `repro_cluster` read the `LAZYCTRL_SCALE` environment
-//! variable (any other value is an error, not a silent fallback):
+//! `repro_paper` and `repro_cluster` size their traces by the
+//! `LAZYCTRL_SCALE` environment variable, parsed by [`Scale`] (the same
+//! parser sizes the scenario testbeds; any other value is an error, not a
+//! silent fallback):
 //!
 //! * `quick` (default) — laptop-scale versions of each experiment
 //!   (40–340 switches, 10⁵-ish flows); minutes end to end;
@@ -25,61 +27,15 @@ use lazyctrl_trace::realistic::{generate as generate_real, RealTraceConfig};
 use lazyctrl_trace::synthetic::{generate as generate_syn, SyntheticConfig};
 use lazyctrl_trace::Trace;
 
-/// Which scale the harness runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Laptop-scale (default).
-    Quick,
-    /// The paper's topology sizes.
-    Paper,
-    /// 10× the paper's synthetic topology (~27k switches, ~650k hosts) —
-    /// the multi-core stress tier. Flow count stays at the paper's 500k,
-    /// so the tier scales topology state, not trace length.
-    X10,
-}
+pub use lazyctrl_core::Scale;
 
-impl Scale {
-    /// Parses a `LAZYCTRL_SCALE` value: unset is quick, anything but
-    /// `quick`/`paper`/`x10` is an error naming the accepted values.
-    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
-        match value {
-            None | Some("quick") => Ok(Scale::Quick),
-            Some("paper") => Ok(Scale::Paper),
-            Some("x10") => Ok(Scale::X10),
-            Some(other) => Err(format!(
-                "LAZYCTRL_SCALE={other:?} is not a scale; accepted values: quick, paper, x10"
-            )),
-        }
-    }
-
-    /// Reads `LAZYCTRL_SCALE`; exits with status 2 on an unrecognised
-    /// value, so a typo cannot pass for a quick-scale run.
-    pub fn from_env() -> Scale {
-        let value = std::env::var_os("LAZYCTRL_SCALE");
-        let value = value.as_ref().map(|v| v.to_string_lossy());
-        Scale::parse(value.as_deref()).unwrap_or_else(|err| {
-            eprintln!("{err}");
-            std::process::exit(2);
-        })
-    }
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-            Scale::X10 => "x10",
-        }
-    }
-
-    /// The quick or the paper value. `X10` takes paper's: the ×10 tier
-    /// only exists for the synthetic topology.
-    pub fn pick<T>(self, quick: T, paper: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Paper | Scale::X10 => paper,
-        }
-    }
+/// Reads `LAZYCTRL_SCALE` ([`Scale::from_env`]); exits with status 2 on an
+/// unrecognised value, so a typo cannot pass for a quick-scale run.
+pub fn scale_from_env() -> Scale {
+    Scale::from_env().unwrap_or_else(|err| {
+        eprintln!("{err}");
+        std::process::exit(2);
+    })
 }
 
 /// The "real" trace surrogate at the chosen scale. The real trace is
@@ -159,27 +115,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_parse_accepts_only_the_named_scales() {
-        for (value, want) in [
-            (None, Some(Scale::Quick)),
-            (Some("quick"), Some(Scale::Quick)),
-            (Some("paper"), Some(Scale::Paper)),
-            (Some("x10"), Some(Scale::X10)),
-            (Some("Paper"), None),
-            (Some("x100"), None),
-            (Some(""), None),
-        ] {
-            let got = Scale::parse(value);
-            assert_eq!(got.as_ref().ok(), want.as_ref(), "{value:?}");
-            match got {
-                // Every accepted spelling is the scale's own label.
-                Ok(scale) => assert_eq!(value.unwrap_or("quick"), scale.label()),
-                Err(msg) => assert!(msg.contains("quick, paper, x10"), "{msg}"),
-            }
-        }
-    }
 
     #[test]
     fn scaled_up_grows_topology_but_not_flows() {

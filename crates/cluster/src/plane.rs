@@ -1071,12 +1071,6 @@ impl ClusterControlPlane {
             .collect()
     }
 
-    /// True while a member is in read-only partition degradation (lost
-    /// its majority lease as leader and has not regained quorum contact).
-    pub fn is_read_only(&self, id: u32) -> bool {
-        self.nodes[id as usize].read_only
-    }
-
     /// Election-safety monitor: times two distinct members led the same
     /// term. Cross-member ground truth (the plane holds every member);
     /// any nonzero value is a split-brain.
@@ -2096,6 +2090,9 @@ impl ClusterControlPlane {
                         let mut syncs: Vec<PeerSyncMsg> = node.relay_outbox.drain(..).collect();
                         syncs.extend(own_chunks);
                         let bundle = SyncRelayMsg { from: id, syncs };
+                        // Charged 2 bytes per bundled sync above the encoded
+                        // body (each sync counts its subtype), as
+                        // `peer_sync_bytes` has always reported.
                         let bytes = bundle.wire_len();
                         node.send_overlay(next, bytes, ClusterMsg::sync_relay(bundle), out);
                     }

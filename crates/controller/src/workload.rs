@@ -10,6 +10,13 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Unloaded service time of one request (ns).
+const BASE_SERVICE_NS: u64 = 500_000;
+
+/// Requests/sec at which the controller saturates. The paper cites ~30k
+/// flow setups/sec for a commodity OpenFlow controller [14].
+const CAPACITY_RPS: f64 = 30_000.0;
+
 /// Sliding-window request-rate meter plus service-time model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadMeter {
@@ -20,11 +27,6 @@ pub struct WorkloadMeter {
     recent: std::collections::VecDeque<u64>,
     /// Lifetime request count.
     total: u64,
-    /// Base (unloaded) service time in ns.
-    base_service_ns: u64,
-    /// Requests/sec at which the controller saturates. The paper cites
-    /// ~30k flow setups/sec for a commodity OpenFlow controller [14].
-    capacity_rps: f64,
 }
 
 impl WorkloadMeter {
@@ -35,26 +37,7 @@ impl WorkloadMeter {
             window_ns: 10_000_000_000,
             recent: std::collections::VecDeque::new(),
             total: 0,
-            base_service_ns: 500_000,
-            capacity_rps: 30_000.0,
         }
-    }
-
-    /// Overrides the capacity (requests/sec).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rps` is positive and finite.
-    pub fn with_capacity_rps(mut self, rps: f64) -> Self {
-        assert!(rps.is_finite() && rps > 0.0, "invalid capacity {rps}");
-        self.capacity_rps = rps;
-        self
-    }
-
-    /// Overrides the unloaded service time.
-    pub fn with_base_service_ns(mut self, ns: u64) -> Self {
-        self.base_service_ns = ns;
-        self
     }
 
     /// Records one handled request. Timestamps must arrive
@@ -102,9 +85,9 @@ impl WorkloadMeter {
     /// utilization `ρ = rate / capacity`, clamped at 50× base when
     /// saturated (requests queue, they don't vanish).
     pub fn service_time_ns(&self, now_ns: u64) -> u64 {
-        let rho = (self.rate_rps(now_ns) / self.capacity_rps).min(0.98);
+        let rho = (self.rate_rps(now_ns) / CAPACITY_RPS).min(0.98);
         let factor = 1.0 / (1.0 - rho);
-        ((self.base_service_ns as f64) * factor.min(50.0)) as u64
+        ((BASE_SERVICE_NS as f64) * factor.min(50.0)) as u64
     }
 }
 
@@ -141,15 +124,15 @@ mod tests {
 
     #[test]
     fn service_time_grows_with_load() {
-        let mut idle = WorkloadMeter::new().with_capacity_rps(1000.0);
+        let mut idle = WorkloadMeter::new();
         idle.record(0);
         let idle_t = idle.service_time_ns(1_000_000_000);
 
-        let mut busy = WorkloadMeter::new().with_capacity_rps(1000.0);
-        for i in 0..9000 {
-            busy.record(i * 1_000_000); // 900 rps ≈ 90% utilization
+        let mut busy = WorkloadMeter::new();
+        for i in 0..270_000 {
+            busy.record(i * 37_037); // 27 krps ≈ 90% utilization
         }
-        let busy_t = busy.service_time_ns(9_000_000_000);
+        let busy_t = busy.service_time_ns(10_000_000_000);
         assert!(
             busy_t > idle_t * 5,
             "expected clear M/M/1 blowup: idle {idle_t} vs busy {busy_t}"
@@ -204,11 +187,11 @@ mod tests {
 
     #[test]
     fn saturation_is_clamped() {
-        let mut m = WorkloadMeter::new().with_capacity_rps(10.0);
-        for i in 0..10_000 {
-            m.record(i * 100_000);
+        let mut m = WorkloadMeter::new();
+        for i in 0..400_000 {
+            m.record(i * 1_000); // 40 krps over the window: past capacity
         }
         let t = m.service_time_ns(1_000_000_000);
-        assert!(t <= m.base_service_ns * 51, "runaway service time {t}");
+        assert!(t <= BASE_SERVICE_NS * 51, "runaway service time {t}");
     }
 }

@@ -46,6 +46,7 @@
 mod config;
 mod experiment;
 mod report;
+mod scale;
 pub mod scenarios;
 mod shard;
 pub mod telemetry;
@@ -54,9 +55,10 @@ mod world;
 pub use config::{ControlMode, ExperimentConfig};
 pub use experiment::{DetailedRun, Experiment, ObsSnapshot};
 pub use report::{ClusterReport, ExperimentReport, SeriesPoint};
+pub use scale::Scale;
 pub use scenarios::{
     run_built, run_built_detailed, run_scenario, Scenario, ScenarioRegistry, ScenarioRun,
-    ScenarioScale, ScenarioVerdict,
+    ScenarioVerdict,
 };
 pub use world::{EVENT_KIND_NAMES, EVENT_KIND_SUBSYS};
 

@@ -9,7 +9,7 @@ use lazyctrl_sim::SimTime;
 use lazyctrl_trace::{FlowRecord, NominalParams, Topology, Trace};
 use serde::{Deserialize, Serialize};
 
-use super::{Scenario, ScenarioScale, ScenarioVerdict};
+use super::{testbed_clusters, Scenario, ScenarioVerdict};
 use crate::{ControlMode, Experiment, ExperimentConfig, ExperimentReport};
 
 /// When the crash-under-load scenario kills its victim (hours).
@@ -298,7 +298,7 @@ impl Scenario for CrashUnderLoad {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), CRASH_RUN_HOURS);
+        let trace = cluster_testbed(testbed_clusters(), CRASH_RUN_HOURS);
         let cfg = cluster_config(2, seed, CRASH_RUN_HOURS);
         let plan = EventPlan::new().crash_controller(CRASH_AT_HOURS, 1);
         (trace, cfg, plan)
@@ -347,7 +347,7 @@ impl Scenario for CrashRecover {
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
         let hours = 1.6;
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), hours);
+        let trace = cluster_testbed(testbed_clusters(), hours);
         let cfg = cluster_config(2, seed, hours);
         // Crash member 1 at 1.1 h; restart it at 1.4 h — long after the
         // takeover, so detection, takeover, and comeback all execute.
@@ -418,7 +418,7 @@ impl Scenario for PeerSyncStorm {
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
         let hours = 1.5;
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), hours);
+        let trace = cluster_testbed(testbed_clusters(), hours);
         let num_hosts = trace.topology.num_hosts() as u32;
         let cfg = cluster_config(4, seed, hours).with_dissemination(self.strategy);
         // Three migration waves (each wave withdraws and re-learns host
@@ -503,7 +503,7 @@ impl Scenario for ShardRebalance {
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
         let hours = 1.5;
-        let trace = asymmetric_skewed_testbed(ScenarioScale::from_env().clusters(), hours);
+        let trace = asymmetric_skewed_testbed(testbed_clusters(), hours);
         let cfg = cluster_config(2, seed, hours);
         (trace, cfg, EventPlan::new())
     }

@@ -15,7 +15,7 @@ use lazyctrl_sim::{BandwidthModel, ChannelClass};
 use lazyctrl_trace::Trace;
 
 use super::cluster::{cluster_config, cluster_testbed};
-use super::{Scenario, ScenarioScale, ScenarioVerdict};
+use super::{testbed_clusters, Scenario, ScenarioVerdict};
 use crate::{ExperimentConfig, ExperimentReport};
 
 /// Run length shared by the congestion scenarios (hours).
@@ -95,7 +95,7 @@ impl Scenario for FlowSetupStorm {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), HOURS);
+        let trace = cluster_testbed(testbed_clusters(), HOURS);
         let num_hosts = trace.topology.num_hosts() as u32;
         let cfg = cluster_config(2, seed, HOURS)
             .with_ingress_slots(STORM_SLOTS)
@@ -176,7 +176,7 @@ impl Scenario for ControllerIncast {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), HOURS);
+        let trace = cluster_testbed(testbed_clusters(), HOURS);
         let bw =
             BandwidthModel::unmodeled().with_capacity(ChannelClass::Control, INCAST_CONTROL_BPS);
         let cfg = cluster_config(2, seed, HOURS).with_bandwidth(bw);
@@ -248,7 +248,7 @@ impl Scenario for ElephantPeerSync {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), HOURS);
+        let trace = cluster_testbed(testbed_clusters(), HOURS);
         let num_hosts = trace.topology.num_hosts() as u32;
         let bw = BandwidthModel::unmodeled()
             .with_capacity(ChannelClass::CtrlPeer, ELEPHANT_CTRL_PEER_BPS)

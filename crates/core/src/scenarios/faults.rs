@@ -8,7 +8,7 @@ use lazyctrl_sim::ChannelClass;
 use lazyctrl_trace::Trace;
 
 use super::cluster::cluster_testbed;
-use super::{Scenario, ScenarioScale, ScenarioVerdict};
+use super::{testbed_clusters, Scenario, ScenarioVerdict};
 use crate::{ControlMode, ExperimentConfig, ExperimentReport};
 
 /// Single-controller config for the fault scenarios (same knobs as the
@@ -28,7 +28,7 @@ fn single_config(seed: u64, hours: f64) -> ExperimentConfig {
 /// Clusters for the single-controller fault testbeds (half the cluster
 /// scenarios' size; these runs don't shard load).
 fn fault_clusters() -> usize {
-    (ScenarioScale::from_env().clusters() / 2).max(2)
+    (testbed_clusters() / 2).max(2)
 }
 
 fn delivered_ratio(report: &ExperimentReport) -> f64 {

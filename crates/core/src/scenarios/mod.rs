@@ -19,7 +19,7 @@
 //! # Determinism
 //!
 //! `build(seed)` must be a pure function of the seed (and the
-//! [`ScenarioScale`] environment override), and every injected event rides
+//! [`Scale`](crate::Scale) read from `LAZYCTRL_SCALE`), and every injected event rides
 //! the simulation's event queue with the same insertion-order tie-breaks
 //! as organic traffic — so `run_scenario` with the same seed produces
 //! bit-identical reports, crash-and-burst scenarios included. The
@@ -48,34 +48,18 @@ pub use partition::{
     PartitionCtrlIsland, PartitionFlapping, PartitionSplit, PartitionSwitchOrphan,
 };
 
-/// Scenario testbed sizing, from the `LAZYCTRL_SCALE` environment
-/// variable. `ci` (the default, also used for unset/`quick`) keeps every
-/// scenario laptop-and-CI sized; `paper` grows the cluster testbeds
-/// towards the paper's topology scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioScale {
-    /// Small deterministic testbeds (seconds per scenario).
-    Ci,
-    /// Paper-shaped testbeds (minutes per scenario).
-    Paper,
-}
-
-impl ScenarioScale {
-    /// Reads `LAZYCTRL_SCALE` (`ci`/`quick` default, `paper` scales up).
-    pub fn from_env() -> Self {
-        match std::env::var("LAZYCTRL_SCALE").as_deref() {
-            Ok("paper") => ScenarioScale::Paper,
-            _ => ScenarioScale::Ci,
-        }
-    }
-
-    /// Number of switch-clusters in the shared cluster testbed.
-    pub(crate) fn clusters(self) -> usize {
-        match self {
-            ScenarioScale::Ci => 4,
-            ScenarioScale::Paper => 16,
-        }
-    }
+/// Number of switch-clusters in the shared cluster testbed at the
+/// `LAZYCTRL_SCALE` in force: 4 at quick scale (seconds per scenario), 16
+/// at paper or x10 scale (minutes per scenario).
+///
+/// # Panics
+///
+/// Panics on an unrecognised `LAZYCTRL_SCALE`, so a typo cannot pass for
+/// a quick-scale run.
+pub(crate) fn testbed_clusters() -> usize {
+    crate::Scale::from_env()
+        .unwrap_or_else(|err| panic!("{err}"))
+        .pick(4, 16)
 }
 
 /// One named, checkable experiment: input construction and acceptance
@@ -88,7 +72,7 @@ pub trait Scenario {
     fn summary(&self) -> &'static str;
 
     /// Builds the complete experiment input for `seed`. Must be a pure
-    /// function of the seed (plus [`ScenarioScale`]).
+    /// function of the seed (plus the [`Scale`](crate::Scale) in force).
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan);
 
     /// Judges a finished run against the scenario's contract.

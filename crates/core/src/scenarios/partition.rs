@@ -35,7 +35,7 @@ use lazyctrl_proto::EventPlan;
 use lazyctrl_trace::Trace;
 
 use super::cluster::{cluster_config, cluster_testbed};
-use super::{Scenario, ScenarioScale, ScenarioVerdict};
+use super::{testbed_clusters, Scenario, ScenarioVerdict};
 use crate::{ExperimentConfig, ExperimentReport};
 
 /// When the single-cut scenarios partition the fabric (hours).
@@ -95,7 +95,7 @@ impl Scenario for PartitionSplit {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let clusters = ScenarioScale::from_env().clusters();
+        let clusters = testbed_clusters();
         let trace = cluster_testbed(clusters, RUN_HOURS);
         let cfg = cluster_config(3, seed, RUN_HOURS);
         let half = clusters / 2;
@@ -150,7 +150,7 @@ impl Scenario for PartitionCtrlIsland {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), RUN_HOURS);
+        let trace = cluster_testbed(testbed_clusters(), RUN_HOURS);
         let cfg = cluster_config(3, seed, RUN_HOURS);
         // Member 0 leads from bootstrap; cut it from its peers only —
         // switches stay connected to everyone (ctrl-to-ctrl cut).
@@ -198,7 +198,7 @@ impl Scenario for PartitionSwitchOrphan {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), RUN_HOURS);
+        let trace = cluster_testbed(testbed_clusters(), RUN_HOURS);
         let cfg = cluster_config(2, seed, RUN_HOURS);
         let orphans = switches_of_clusters(0..1);
         let plan = EventPlan::new()
@@ -250,7 +250,7 @@ impl Scenario for PartitionFlapping {
     }
 
     fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
-        let trace = cluster_testbed(ScenarioScale::from_env().clusters(), RUN_HOURS);
+        let trace = cluster_testbed(testbed_clusters(), RUN_HOURS);
         let cfg = cluster_config(3, seed, RUN_HOURS);
         // Four 90 s flap cycles (45 s cut, 45 s healed), long enough per
         // phase for detection and lease machinery to engage each time.

@@ -543,11 +543,7 @@ impl DataCenterWorld {
         let obs = cfg.obs.enabled.then(|| {
             Box::new(WorldObs {
                 recorder: FlightRecorder::new(cfg.obs.ring_capacity),
-                profile: EngineProfile::new(
-                    EVENT_KIND_NAMES.len(),
-                    EVENT_KIND_SUBSYS.to_vec(),
-                    cfg.obs.profile_sample_every,
-                ),
+                profile: EngineProfile::new(EVENT_KIND_NAMES.len(), EVENT_KIND_SUBSYS.to_vec()),
             })
         });
         let mut metrics = MetricsSink::new();
@@ -1506,11 +1502,7 @@ impl DataCenterWorld {
             let obs = cfg.obs.enabled.then(|| {
                 Box::new(WorldObs {
                     recorder: FlightRecorder::new(cfg.obs.ring_capacity),
-                    profile: EngineProfile::new(
-                        EVENT_KIND_NAMES.len(),
-                        EVENT_KIND_SUBSYS.to_vec(),
-                        cfg.obs.profile_sample_every,
-                    ),
+                    profile: EngineProfile::new(EVENT_KIND_NAMES.len(), EVENT_KIND_SUBSYS.to_vec()),
                 })
             });
             let mut metrics = MetricsSink::new();
@@ -1799,8 +1791,8 @@ impl DataCenterWorld {
                 // output is dropped on the dark links, leaving a silent
                 // neighbour permanently unreported after a reboot. The
                 // chain is severed here and re-armed by `RecoverSwitch`.
-                // `LfibAge`/`EpochGrace` are internal bookkeeping and keep
-                // running, like a firmware clock.
+                // `LfibAge` is internal bookkeeping and keeps running, like
+                // a firmware clock.
                 if !self.links.is_node_up(switch.0)
                     && matches!(timer, SwitchTimer::KeepAlive | SwitchTimer::PeerSync)
                 {

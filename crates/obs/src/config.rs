@@ -16,14 +16,6 @@ pub struct ObsConfig {
     /// two; when full, the oldest records are overwritten (flight-recorder
     /// semantics: the *tail* of the run is what survives).
     pub ring_capacity: usize,
-    /// Take one wall-clock profiling sample every N dispatched events.
-    /// Engine-level trace records (event pops, handler outcomes) follow the
-    /// same stride — recording them on every dispatch streams a cache line
-    /// per event through the ring and costs double-digit throughput, while
-    /// flow-scoped records (the causal chains) are cheap enough to always
-    /// capture. `0` disables the sampling profiler *and* the engine-level
-    /// records (flow-scoped tracing still runs).
-    pub profile_sample_every: u32,
     /// Automatically dump the recorder (JSONL + chrome://tracing JSON) when
     /// a scenario verdict fails.
     pub dump_on_failure: bool,
@@ -37,7 +29,6 @@ impl Default for ObsConfig {
         Self {
             enabled: false,
             ring_capacity: 1 << 16,
-            profile_sample_every: 64,
             dump_on_failure: true,
             dump_dir: "target/obs".to_string(),
         }
@@ -56,12 +47,6 @@ impl ObsConfig {
     /// Tracing on with a specific ring capacity.
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
-        self
-    }
-
-    /// Override the profiling sample stride (`0` = profiler off).
-    pub fn with_sample_every(mut self, every: u32) -> Self {
-        self.profile_sample_every = every;
         self
     }
 

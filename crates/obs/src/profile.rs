@@ -2,8 +2,8 @@
 //!
 //! Per-event `Instant::now()` would dominate a 2.77 M events/sec dispatch
 //! loop, so the profiler samples: a countdown counter decides (branch + dec)
-//! whether this dispatch is timed; only one in `sample_every` events pays for
-//! two `Instant::now()` calls. The measured nanoseconds land in a fixed-size
+//! whether this dispatch is timed; only one in `SAMPLE_EVERY` events pays
+//! for two `Instant::now()` calls. The measured nanoseconds land in a fixed-size
 //! [`Log2Histogram`] per event kind — no per-sample allocation, bounded
 //! memory regardless of run length. Exact event *counts* are kept per kind
 //! (they're just increments), so throughput attribution stays precise even
@@ -11,6 +11,14 @@
 
 use lazyctrl_sim::Log2Histogram;
 use std::time::Instant;
+
+/// Take one wall-clock profiling sample every this many dispatched events.
+/// Engine-level trace records (event pops, handler outcomes) follow the
+/// same stride — recording them on every dispatch streams a cache line per
+/// event through the ring and costs double-digit throughput, while
+/// flow-scoped records (the causal chains) are cheap enough to always
+/// capture.
+const SAMPLE_EVERY: u32 = 64;
 
 /// Wall-clock phase timings for one experiment run, seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -49,7 +57,6 @@ pub struct KindProfile {
 /// `0..n` and registers a subsystem per kind up front.
 #[derive(Debug, Clone)]
 pub struct EngineProfile {
-    sample_every: u32,
     countdown: u32,
     pending: Option<(u32, Instant)>,
     counts: Vec<u64>,
@@ -60,13 +67,12 @@ pub struct EngineProfile {
 
 impl EngineProfile {
     /// Profiler over `kinds` dense event kinds, sampling one dispatch in
-    /// `sample_every` (`0` disables sampling; counts are still exact).
-    /// `subsys_of[kind]` attributes each kind to a subsystem.
-    pub fn new(kinds: usize, subsys_of: Vec<u16>, sample_every: u32) -> Self {
+    /// `SAMPLE_EVERY`. `subsys_of[kind]` attributes each kind to a
+    /// subsystem.
+    pub fn new(kinds: usize, subsys_of: Vec<u16>) -> Self {
         assert_eq!(subsys_of.len(), kinds, "one subsystem per kind");
         Self {
-            sample_every,
-            countdown: sample_every,
+            countdown: SAMPLE_EVERY,
             pending: None,
             counts: vec![0; kinds],
             subsys_of,
@@ -83,21 +89,18 @@ impl EngineProfile {
     /// [`dispatch_begin`]: EngineProfile::dispatch_begin
     #[inline]
     pub fn will_sample(&self) -> bool {
-        self.sample_every != 0 && self.countdown == 1
+        self.countdown == 1
     }
 
     /// Called just before an event of `kind` is dispatched. Cheap path is a
-    /// count increment plus one countdown decrement; every `sample_every`-th
-    /// call also takes a timestamp.
+    /// count increment plus one countdown decrement; every
+    /// `SAMPLE_EVERY`-th call also takes a timestamp.
     #[inline]
     pub fn dispatch_begin(&mut self, kind: u32) {
         self.counts[kind as usize] += 1;
-        if self.sample_every == 0 {
-            return;
-        }
         self.countdown -= 1;
         if self.countdown == 0 {
-            self.countdown = self.sample_every;
+            self.countdown = SAMPLE_EVERY;
             self.pending = Some((kind, Instant::now()));
         }
     }
@@ -180,9 +183,10 @@ mod tests {
 
     #[test]
     fn counts_are_exact_and_sampling_is_strided() {
-        let mut p = EngineProfile::new(3, vec![0, 1, 1], 4);
+        let n = 5 * SAMPLE_EVERY + 3;
+        let mut p = EngineProfile::new(3, vec![0, 1, 1]);
         let mut announced = 0;
-        for i in 0..20 {
+        for i in 0..n {
             let k = i % 3;
             if p.will_sample() {
                 announced += 1;
@@ -190,49 +194,38 @@ mod tests {
             p.dispatch_begin(k);
             p.dispatch_end();
         }
-        assert_eq!(p.total_events(), 20);
-        assert_eq!(p.samples(), 5); // every 4th of 20
+        assert_eq!(p.total_events(), n as u64);
+        assert_eq!(p.samples(), 5); // every SAMPLE_EVERY-th dispatch
         assert_eq!(announced, 5, "will_sample must agree with dispatch_begin");
         let rows = p.kind_profiles();
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].count, 7);
+        let kind0 = n.div_ceil(3) as u64;
+        assert_eq!(rows[0].count, kind0);
         let rollup = p.subsys_rollup();
         assert_eq!(rollup[0].0, 0);
-        assert_eq!(rollup[0].1, 7);
-        assert_eq!(rollup[1].1, 13);
+        assert_eq!(rollup[0].1, kind0);
+        assert_eq!(rollup[1].1, n as u64 - kind0);
     }
 
     #[test]
     fn merge_adds_counts_and_samples() {
-        let mut a = EngineProfile::new(2, vec![0, 1], 1);
-        let mut b = EngineProfile::new(2, vec![0, 1], 1);
-        for _ in 0..3 {
+        let mut a = EngineProfile::new(2, vec![0, 1]);
+        let mut b = EngineProfile::new(2, vec![0, 1]);
+        for _ in 0..3 * SAMPLE_EVERY {
             a.dispatch_begin(0);
             a.dispatch_end();
         }
-        for _ in 0..5 {
+        for _ in 0..5 * SAMPLE_EVERY {
             b.dispatch_begin(1);
             b.dispatch_end();
         }
         a.merge(&b);
-        assert_eq!(a.total_events(), 8);
+        assert_eq!(a.total_events(), 8 * SAMPLE_EVERY as u64);
         assert_eq!(a.samples(), 8);
         let rows = a.kind_profiles();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].count, 3);
-        assert_eq!(rows[1].count, 5);
+        assert_eq!(rows[0].count, 3 * SAMPLE_EVERY as u64);
+        assert_eq!(rows[1].count, 5 * SAMPLE_EVERY as u64);
         assert_eq!(rows[1].ns.len(), 5, "sampled histograms must merge");
-    }
-
-    #[test]
-    fn zero_stride_disables_sampling() {
-        let mut p = EngineProfile::new(1, vec![0], 0);
-        for _ in 0..100 {
-            assert!(!p.will_sample());
-            p.dispatch_begin(0);
-            p.dispatch_end();
-        }
-        assert_eq!(p.samples(), 0);
-        assert_eq!(p.total_events(), 100);
     }
 }

@@ -11,6 +11,9 @@ use crate::matching::heavy_edge_matching;
 use crate::refine::{enforce_limit, refine};
 use crate::{Partition, WeightedGraph};
 
+/// Refinement passes per uncoarsening level.
+const REFINE_PASSES: usize = 8;
+
 /// Configuration for [`mlkp`].
 ///
 /// # Example
@@ -30,11 +33,6 @@ pub struct MlkpConfig {
     pub num_parts: usize,
     /// Hard cap on a part's total vertex weight (`None` = unconstrained).
     pub max_part_weight: Option<f64>,
-    /// Stop coarsening when the graph has at most this many vertices
-    /// (`None` = `max(64, 8·k)`).
-    pub coarsen_until: Option<usize>,
-    /// Refinement passes per uncoarsening level.
-    pub refine_passes: usize,
     /// RNG seed (the algorithm is deterministic given the seed).
     pub seed: u64,
 }
@@ -45,8 +43,6 @@ impl MlkpConfig {
         MlkpConfig {
             num_parts,
             max_part_weight: None,
-            coarsen_until: None,
-            refine_passes: 8,
             seed: 0xC0FFEE,
         }
     }
@@ -61,17 +57,6 @@ impl MlkpConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Sets the refinement pass count.
-    pub fn with_refine_passes(mut self, passes: usize) -> Self {
-        self.refine_passes = passes;
-        self
-    }
-
-    fn effective_coarsen_until(&self) -> usize {
-        self.coarsen_until
-            .unwrap_or_else(|| (8 * self.num_parts).max(64))
     }
 }
 
@@ -104,9 +89,8 @@ pub fn mlkp(graph: &WeightedGraph, cfg: &MlkpConfig) -> Partition {
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cap = cfg.max_part_weight.unwrap_or(f64::INFINITY);
-    let coarsen_until = cfg.effective_coarsen_until();
-
-    // ---- Coarsening phase ----
+    // ---- Coarsening phase: down to max(64, 8·k) vertices ----
+    let coarsen_until = (8 * cfg.num_parts).max(64);
     let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut current = graph.clone();
     while current.num_vertices() > coarsen_until {
@@ -126,7 +110,7 @@ pub fn mlkp(graph: &WeightedGraph, cfg: &MlkpConfig) -> Partition {
     if cfg.max_part_weight.is_some() {
         enforce_limit(&current, &mut part, cap);
     }
-    refine(&current, &mut part, cap, cfg.refine_passes);
+    refine(&current, &mut part, cap, REFINE_PASSES);
 
     // ---- Uncoarsening + refinement ----
     for idx in (0..levels.len()).rev() {
@@ -144,12 +128,12 @@ pub fn mlkp(graph: &WeightedGraph, cfg: &MlkpConfig) -> Partition {
         } else {
             &levels[idx - 1].graph
         };
-        refine(fine_graph, &mut part, cap, cfg.refine_passes);
+        refine(fine_graph, &mut part, cap, REFINE_PASSES);
     }
 
     if cfg.max_part_weight.is_some() {
         enforce_limit(graph, &mut part, cap);
-        refine(graph, &mut part, cap, cfg.refine_passes);
+        refine(graph, &mut part, cap, REFINE_PASSES);
         enforce_limit(graph, &mut part, cap);
     }
     part.compact();

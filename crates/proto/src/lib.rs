@@ -7,10 +7,14 @@
 //! `FlowMod` gains an **Encap** action that makes a switch tunnel matching
 //! packets to a remote edge switch over the IP underlay.
 //!
-//! No maintained OpenFlow crate is available offline, so this crate
-//! hand-rolls the wire protocol (per the reproduction plan in `DESIGN.md`):
-//! every message has an exact binary encoding over [`bytes`], a streaming
-//! [`codec::MessageCodec`] for framing, and round-trip/fuzz tests.
+//! The simulator passes messages between state machines as Rust values, so
+//! bytes exist for two jobs only: [`Message::wire_len`] prices a message on
+//! a capacitated link, and [`Message::encode`] gives the model checker an
+//! exact image to hash. Every message has one binary encoding over
+//! [`bytes`]; the length is counted from the same encoder, so the two
+//! cannot drift. [`Message::decode`] is kept as the round-trip oracle for
+//! that encoding's injectivity, which the checker's in-flight hashes rely
+//! on.
 //!
 //! Three logical channels carry these messages (§III-B.3):
 //!
@@ -26,13 +30,12 @@
 //! ```
 //! # use std::error::Error;
 //! # fn main() -> Result<(), Box<dyn Error>> {
-//! use lazyctrl_proto::{codec::MessageCodec, Message, OfMessage};
+//! use lazyctrl_proto::{Message, OfMessage};
 //!
-//! let hello = Message::of(1, OfMessage::Hello);
-//! let mut codec = MessageCodec::new();
-//! codec.feed(&hello.encode());
-//! let decoded = codec.next_message()?.expect("one full frame fed");
-//! assert_eq!(decoded, hello);
+//! let echo = Message::of(1, OfMessage::EchoRequest(vec![1, 2, 3]));
+//! let wire = echo.encode();
+//! assert_eq!(wire.len(), echo.wire_len());
+//! assert_eq!(Message::decode(&wire)?, echo);
 //! # Ok(())
 //! # }
 //! ```
@@ -41,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod actions;
-pub mod codec;
 mod error;
 pub mod flow_match;
 mod header;

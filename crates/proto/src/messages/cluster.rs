@@ -25,7 +25,7 @@ use bytes::BufMut;
 use lazyctrl_net::{GroupId, MacAddr, PortNo, SwitchId, TenantId};
 use serde::{Deserialize, Serialize};
 
-use crate::wire::Reader;
+use crate::wire::{encoded_len, Reader};
 use crate::{ProtoError, Result};
 
 const SUB_PEER_SYNC: u16 = 1;
@@ -165,19 +165,10 @@ impl PeerSyncMsg {
         (self.origin, self.seq, self.chunk)
     }
 
-    /// Encoded size of this sync on the wire (body bytes), for peer-sync
-    /// traffic accounting without paying for an actual encode.
+    /// Encoded size of this sync as a [`ClusterMsg::PeerSync`] body: the
+    /// 2-byte subtype plus its fields (peer-sync traffic accounting).
     pub fn wire_len(&self) -> usize {
-        // subtype + origin + seq + chunk + summary flag + two count
-        // prefixes.
-        2 + 4
-            + 8
-            + 4
-            + 1
-            + 4
-            + self.entries.len() * HostEntry::WIRE_LEN
-            + 4
-            + self.removed.len() * 10
+        2 + encoded_len(|count| self.encode_fields(count))
     }
 
     fn encode_fields<B: BufMut>(&self, buf: &mut B) {
@@ -248,10 +239,12 @@ pub struct SyncRelayMsg {
 }
 
 impl SyncRelayMsg {
-    /// Encoded size of this bundle on the wire (body bytes).
+    /// Bytes this bundle is charged in peer-sync traffic accounting: its
+    /// subtype, sender and count, plus each bundled sync's
+    /// [`PeerSyncMsg::wire_len`]. The nested syncs carry no subtype on the
+    /// wire, so this is 2 bytes per sync above the encoded body; the
+    /// historical figure is kept because `peer_sync_bytes` reports it.
     pub fn wire_len(&self) -> usize {
-        // The nested syncs re-count their own subtype bytes; close enough
-        // for traffic accounting (within 2 bytes per sync).
         2 + 4 + 4 + self.syncs.iter().map(PeerSyncMsg::wire_len).sum::<usize>()
     }
 }
@@ -452,31 +445,6 @@ impl ClusterMsg {
     /// Wraps (and boxes) a relay bundle.
     pub fn sync_relay(m: SyncRelayMsg) -> Self {
         ClusterMsg::SyncRelay(Box::new(m))
-    }
-
-    /// Exact encoded body size (bytes after the common header), without
-    /// paying for an encode (see `LazyMsg::wire_body_len`). Unlike
-    /// [`SyncRelayMsg::wire_len`] (traffic accounting, 2 bytes high per
-    /// bundled sync), this is exact — the nested syncs' subtype bytes are
-    /// subtracted back out.
-    pub(crate) fn wire_body_len(&self) -> usize {
-        match self {
-            ClusterMsg::PeerSync(m) => m.wire_len(),
-            ClusterMsg::OwnershipTransfer(_) => 2 + 4 + 8 + 4 + 4 + 4 + 1,
-            ClusterMsg::Heartbeat(_) => 2 + 4 + 8 + 8 + 1 + 8 + 4,
-            ClusterMsg::LookupRequest(_) => 2 + 4 + 6,
-            ClusterMsg::LookupReply(m) => {
-                2 + 4 + 6 + 1 + m.location.map_or(0, |_| HostEntry::WIRE_LEN)
-            }
-            ClusterMsg::SyncDigest(m) => 2 + 4 + 4 + m.heads.len() * 12,
-            ClusterMsg::SyncRelay(m) => {
-                2 + 4 + 4 + m.syncs.iter().map(|s| s.wire_len() - 2).sum::<usize>()
-            }
-            ClusterMsg::VoteRequest(_) => 2 + 8 + 4,
-            ClusterMsg::VoteReply(_) => 2 + 8 + 4 + 1,
-            ClusterMsg::LeaderClaim(_) => 2 + 8 + 4,
-            ClusterMsg::TransferAck(_) => 2 + 4 + 4 + 4,
-        }
     }
 
     pub(crate) fn encode_body<B: BufMut>(&self, buf: &mut B) {
@@ -794,6 +762,14 @@ mod tests {
         let mut body = Vec::new();
         ClusterMsg::peer_sync(sync.clone()).encode_body(&mut body);
         assert_eq!(sync.wire_len(), body.len());
+        // A bundle is charged 2 bytes per sync above its encoded body.
+        let relay = SyncRelayMsg {
+            from: 2,
+            syncs: vec![sync.clone(), sync],
+        };
+        let mut body = Vec::new();
+        ClusterMsg::sync_relay(relay.clone()).encode_body(&mut body);
+        assert_eq!(relay.wire_len(), body.len() + 2 * 2);
     }
 
     #[test]

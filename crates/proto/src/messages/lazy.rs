@@ -337,30 +337,6 @@ impl LazyMsg {
         LazyMsg::StateReport(Box::new(m))
     }
 
-    /// Exact encoded body size (bytes after the common header), without
-    /// paying for an encode — the bandwidth model prices every message by
-    /// its wire size, so this must stay in lockstep with
-    /// [`encode_body`](Self::encode_body) (pinned by a round-trip test).
-    pub(crate) fn wire_body_len(&self) -> usize {
-        match self {
-            LazyMsg::GroupAssign(m) => {
-                2 + 4 + 4 + 4 + 4 * m.members.len() + 4 + 4 + 4 * m.backups.len() + 4 * 5
-            }
-            LazyMsg::LfibSync(m) => {
-                2 + 4 + 4 + 4 + m.entries.len() * LfibEntry::WIRE_LEN + 4 + m.removed.len() * 6
-            }
-            LazyMsg::GfibUpdate(m) => 2 + 4 + 4 + 1 + 4 + 4 + 4 + m.bits.len(),
-            LazyMsg::StateReport(m) => {
-                2 + 4 + 4 + 4 + m.intensity.len() * 16 + 4 + m.stats.len() * 36
-            }
-            LazyMsg::KeepAlive(_) => 2 + 4 + 8,
-            LazyMsg::Bargain(_) => 2 + 4 + 1 + 4 + 1,
-            LazyMsg::BlockArp { .. } => 2 + 2 + 1,
-            LazyMsg::WheelReport(_) => 2 + 4 + 4 + 1,
-            LazyMsg::CongestionNotice(_) => 2 + 4 + 1,
-        }
-    }
-
     pub(crate) fn encode_body<B: BufMut>(&self, buf: &mut B) {
         match self {
             LazyMsg::GroupAssign(m) => {

@@ -24,7 +24,7 @@ use bytes::BufMut;
 use serde::{Deserialize, Serialize};
 
 use crate::header::Header;
-use crate::wire::Reader;
+use crate::wire::{encoded_len, Reader};
 use crate::{MsgType, ProtoError, Result, OFP_HEADER_LEN, PROTO_VERSION};
 
 /// A complete control message: transaction id plus body.
@@ -177,17 +177,20 @@ impl Message {
         }
     }
 
-    /// Exact encoded size of this message on the wire (header + body),
-    /// without paying for an encode. The bandwidth model prices every
-    /// dispatched message by this; it must equal `self.encode().len()`
-    /// (pinned by a test over every variant).
+    /// Exact encoded size of this message on the wire (header + body):
+    /// the body encoder run into a byte counter, so it equals
+    /// `self.encode().len()` by construction. The bandwidth model prices
+    /// every dispatched message by this.
     pub fn wire_len(&self) -> usize {
-        OFP_HEADER_LEN
-            + match &self.body {
-                MessageBody::Of(m) => m.wire_body_len(),
-                MessageBody::Lazy(m) => m.wire_body_len(),
-                MessageBody::Cluster(m) => m.wire_body_len(),
-            }
+        OFP_HEADER_LEN + encoded_len(|count| self.encode_body(count))
+    }
+
+    fn encode_body<B: BufMut>(&self, buf: &mut B) {
+        match &self.body {
+            MessageBody::Of(m) => m.encode_body(buf),
+            MessageBody::Lazy(m) => m.encode_body(buf),
+            MessageBody::Cluster(m) => m.encode_body(buf),
+        }
     }
 
     /// The controller-ingress priority class of this message (see
@@ -221,13 +224,7 @@ impl Message {
     /// field is 16 bits, as in OpenFlow). Bulk payloads such as L-FIB syncs
     /// provide chunking helpers to stay under the limit.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        match &self.body {
-            MessageBody::Of(m) => m.encode_body(&mut body),
-            MessageBody::Lazy(m) => m.encode_body(&mut body),
-            MessageBody::Cluster(m) => m.encode_body(&mut body),
-        }
-        let total = OFP_HEADER_LEN + body.len();
+        let total = self.wire_len();
         assert!(
             total <= u16::MAX as usize,
             "message of {total} bytes exceeds 16-bit length field; chunk the payload"
@@ -240,15 +237,15 @@ impl Message {
             xid: self.xid,
         }
         .encode_into(&mut buf);
-        buf.put_slice(&body);
+        self.encode_body(&mut buf);
+        debug_assert_eq!(buf.len(), total);
         buf
     }
 
     /// Parses one complete message from `buf`.
     ///
-    /// `buf` must contain exactly one message (use
-    /// [`codec::MessageCodec`](crate::codec::MessageCodec) to frame a byte
-    /// stream first).
+    /// `buf` must contain exactly one message. Nothing in the simulator
+    /// decodes; this is the round-trip oracle for [`Message::encode`].
     ///
     /// # Errors
     ///
@@ -649,7 +646,7 @@ mod tests {
     }
 
     /// `wire_len` must be *exact* for every variant — the bandwidth model
-    /// prices messages by it, so a drifting estimate would silently skew
+    /// prices messages by it, so a drifting size would silently skew
     /// congestion results.
     #[test]
     fn wire_len_matches_encoded_size() {

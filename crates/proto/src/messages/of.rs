@@ -252,25 +252,6 @@ impl OfMessage {
         }
     }
 
-    /// Exact encoded body size (bytes after the common header), without
-    /// paying for an encode (see `LazyMsg::wire_body_len`).
-    pub(crate) fn wire_body_len(&self) -> usize {
-        match self {
-            OfMessage::Hello | OfMessage::FeaturesRequest | OfMessage::StatsRequest => 0,
-            OfMessage::Error { data, .. } => 2 + 4 + data.len(),
-            OfMessage::EchoRequest(data) | OfMessage::EchoReply(data) => 4 + data.len(),
-            OfMessage::FeaturesReply { .. } => 8 + 2,
-            OfMessage::PacketIn(m) => 4 + 2 + 1 + 4 + m.data.len(),
-            OfMessage::PacketOut(m) => {
-                4 + 2 + 4 + m.actions.len() * Action::WIRE_LEN + 4 + m.data.len()
-            }
-            OfMessage::FlowMod(m) => {
-                1 + FlowMatch::WIRE_LEN + 2 + 2 + 2 + 8 + 4 + m.actions.len() * Action::WIRE_LEN
-            }
-            OfMessage::StatsReply { .. } => 8 + 4 + 8,
-        }
-    }
-
     pub(crate) fn encode_body<B: BufMut>(&self, buf: &mut B) {
         match self {
             OfMessage::Hello | OfMessage::FeaturesRequest | OfMessage::StatsRequest => {}

@@ -1,5 +1,5 @@
-//! The fault-injection plan: an ordered, serializable schedule of events
-//! an experiment injects into the simulated data center.
+//! The fault-injection plan: an ordered schedule of events an experiment
+//! injects into the simulated data center.
 //!
 //! The paper's evaluation (§V) is a family of *scenarios* — cold caches,
 //! controller failures, regrouping under churn. Instead of growing one
@@ -11,41 +11,18 @@
 //! (host migration batches, traffic bursts), and composes freely: any
 //! subset of events can ride in one plan.
 //!
-//! Plans have an exact binary encoding ([`EventPlan::encode`] /
-//! [`EventPlan::decode`]) in the same style as the control messages, so a
-//! scenario's schedule can be persisted or shipped to a remote driver and
-//! replayed bit-identically.
+//! Plans are built in code (the builder methods on [`EventPlan`]) and
+//! printed with `Display`; a run replays its plan bit-identically because
+//! the plan is part of its configuration.
 
 use std::fmt;
 
-use bytes::BufMut;
 use lazyctrl_net::SwitchId;
 use lazyctrl_sim::{ChannelClass, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::wire::Reader;
-use crate::{ProtoError, Result};
-
-const PLAN_VERSION: u8 = 1;
-
-const TAG_CRASH_CONTROLLER: u8 = 1;
-const TAG_RECOVER_CONTROLLER: u8 = 2;
-const TAG_CRASH_SWITCH: u8 = 3;
-const TAG_RECOVER_SWITCH: u8 = 4;
-const TAG_LINK_DEGRADE: u8 = 5;
-const TAG_LINK_LOSS: u8 = 6;
-const TAG_MIGRATE_HOSTS: u8 = 7;
-const TAG_TRAFFIC_BURST: u8 = 8;
-const TAG_PARTITION_NETWORK: u8 = 9;
-const TAG_HEAL_PARTITION: u8 = 10;
-
-/// Upper bound on partition islands per event (wire sanity limit; the
-/// count rides in one byte).
+/// Upper bound on partition islands per event.
 pub const MAX_PARTITION_GROUPS: usize = 16;
-
-/// Smallest wire footprint of one scheduled event: 8-byte timestamp plus
-/// a 1-byte tag (used to bound decode-side allocation).
-const MIN_EVENT_WIRE_LEN: usize = 9;
 
 /// One fault or workload perturbation the driver can inject mid-run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,111 +150,6 @@ impl InjectedEvent {
             | InjectedEvent::HealPartition => {}
         }
     }
-
-    fn encode_into<B: BufMut>(&self, buf: &mut B) {
-        match *self {
-            InjectedEvent::CrashController(id) => {
-                buf.put_u8(TAG_CRASH_CONTROLLER);
-                buf.put_u32(id);
-            }
-            InjectedEvent::RecoverController(id) => {
-                buf.put_u8(TAG_RECOVER_CONTROLLER);
-                buf.put_u32(id);
-            }
-            InjectedEvent::CrashSwitch(s) => {
-                buf.put_u8(TAG_CRASH_SWITCH);
-                buf.put_u32(s.0);
-            }
-            InjectedEvent::RecoverSwitch(s) => {
-                buf.put_u8(TAG_RECOVER_SWITCH);
-                buf.put_u32(s.0);
-            }
-            InjectedEvent::LinkDegrade { class, factor } => {
-                buf.put_u8(TAG_LINK_DEGRADE);
-                buf.put_u8(encode_class(class));
-                buf.put_u64(factor.to_bits());
-            }
-            InjectedEvent::LinkLoss { class, loss } => {
-                buf.put_u8(TAG_LINK_LOSS);
-                buf.put_u8(encode_class(class));
-                buf.put_u64(loss.to_bits());
-            }
-            InjectedEvent::MigrateHosts { batch } => {
-                buf.put_u8(TAG_MIGRATE_HOSTS);
-                buf.put_u32(batch);
-            }
-            InjectedEvent::TrafficBurst { scale } => {
-                buf.put_u8(TAG_TRAFFIC_BURST);
-                buf.put_u64(scale.to_bits());
-            }
-            InjectedEvent::PartitionNetwork { ref groups } => {
-                buf.put_u8(TAG_PARTITION_NETWORK);
-                buf.put_u8(groups.len() as u8);
-                for g in groups {
-                    buf.put_u32(g.len() as u32);
-                    for &node in g {
-                        buf.put_u32(node);
-                    }
-                }
-            }
-            InjectedEvent::HealPartition => {
-                buf.put_u8(TAG_HEAL_PARTITION);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.u8()? {
-            TAG_CRASH_CONTROLLER => InjectedEvent::CrashController(r.u32()?),
-            TAG_RECOVER_CONTROLLER => InjectedEvent::RecoverController(r.u32()?),
-            TAG_CRASH_SWITCH => InjectedEvent::CrashSwitch(SwitchId::new(r.u32()?)),
-            TAG_RECOVER_SWITCH => InjectedEvent::RecoverSwitch(SwitchId::new(r.u32()?)),
-            TAG_LINK_DEGRADE => InjectedEvent::LinkDegrade {
-                class: decode_class(r.u8()?)?,
-                factor: r.f64()?,
-            },
-            TAG_LINK_LOSS => InjectedEvent::LinkLoss {
-                class: decode_class(r.u8()?)?,
-                loss: r.f64()?,
-            },
-            TAG_MIGRATE_HOSTS => InjectedEvent::MigrateHosts { batch: r.u32()? },
-            TAG_TRAFFIC_BURST => InjectedEvent::TrafficBurst { scale: r.f64()? },
-            TAG_PARTITION_NETWORK => {
-                let count = r.u8()? as usize;
-                if count == 0 || count > MAX_PARTITION_GROUPS {
-                    return Err(ProtoError::InvalidField {
-                        field: "partition group count",
-                        value: count as u64,
-                    });
-                }
-                let mut groups = Vec::with_capacity(count);
-                for _ in 0..count {
-                    // Each member costs 4 wire bytes; bound the claimed
-                    // length by what the buffer can still hold.
-                    let len = r.count_prefix(4)?;
-                    if len == 0 {
-                        return Err(ProtoError::InvalidField {
-                            field: "partition group size",
-                            value: 0,
-                        });
-                    }
-                    let mut group = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        group.push(r.u32()?);
-                    }
-                    groups.push(group);
-                }
-                InjectedEvent::PartitionNetwork { groups }
-            }
-            TAG_HEAL_PARTITION => InjectedEvent::HealPartition,
-            tag => {
-                return Err(ProtoError::InvalidField {
-                    field: "plan event tag",
-                    value: tag as u64,
-                })
-            }
-        })
-    }
 }
 
 impl fmt::Display for InjectedEvent {
@@ -305,32 +177,6 @@ impl fmt::Display for InjectedEvent {
             InjectedEvent::HealPartition => write!(f, "heal network partition"),
         }
     }
-}
-
-fn encode_class(class: ChannelClass) -> u8 {
-    match class {
-        ChannelClass::Data => 0,
-        ChannelClass::Control => 1,
-        ChannelClass::State => 2,
-        ChannelClass::Peer => 3,
-        ChannelClass::CtrlPeer => 4,
-    }
-}
-
-fn decode_class(raw: u8) -> Result<ChannelClass> {
-    Ok(match raw {
-        0 => ChannelClass::Data,
-        1 => ChannelClass::Control,
-        2 => ChannelClass::State,
-        3 => ChannelClass::Peer,
-        4 => ChannelClass::CtrlPeer,
-        _ => {
-            return Err(ProtoError::InvalidField {
-                field: "channel class",
-                value: raw as u64,
-            })
-        }
-    })
 }
 
 /// One event with its injection time.
@@ -464,42 +310,6 @@ impl EventPlan {
             "plan must stay sorted by construction"
         );
     }
-
-    /// Encodes the plan to its binary form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(2 + self.events.len() * 18);
-        buf.put_u8(PLAN_VERSION);
-        buf.put_u32(self.events.len() as u32);
-        for e in &self.events {
-            buf.put_u64(e.at.as_nanos());
-            e.event.encode_into(&mut buf);
-        }
-        buf
-    }
-
-    /// Decodes a plan produced by [`EventPlan::encode`]. Never panics on
-    /// malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes, "event plan");
-        let version = r.u8()?;
-        if version != PLAN_VERSION {
-            return Err(ProtoError::BadVersion(version));
-        }
-        let count = r.count_prefix(MIN_EVENT_WIRE_LEN)?;
-        let mut plan = EventPlan::new();
-        for _ in 0..count {
-            let at = SimTime::from_nanos(r.u64()?);
-            let event = InjectedEvent::decode(&mut r)?;
-            plan.schedule(at, event);
-        }
-        if r.remaining() != 0 {
-            return Err(ProtoError::LengthMismatch {
-                declared: bytes.len(),
-                actual: bytes.len() - r.remaining(),
-            });
-        }
-        Ok(plan)
-    }
 }
 
 #[cfg(test)]
@@ -532,34 +342,16 @@ mod tests {
             .crash_switch(1.0, SwitchId::new(3))
             .migrate_hosts(2.0, 4)
             .requires_cluster());
+        assert!(EventPlan::new().is_empty());
         assert!(!EventPlan::new().requires_cluster());
     }
 
     #[test]
-    fn encode_decode_round_trips() {
-        let plan = EventPlan::new()
-            .crash_controller(1.4, 1)
-            .recover_controller(1.9, 1)
-            .crash_switch(0.3, SwitchId::new(7))
-            .recover_switch(0.8, SwitchId::new(7))
-            .degrade_links(0.5, ChannelClass::Control, 10.0)
-            .link_loss(0.6, ChannelClass::Peer, 0.25)
-            .migrate_hosts(1.1, 16)
-            .traffic_burst(1.2, 2.5)
-            .partition_network(1.3, vec![vec![0, 1, 2], vec![0xC000_0003]])
-            .heal_partition(1.7);
-        let bytes = plan.encode();
-        let back = EventPlan::decode(&bytes).expect("well-formed plan");
-        assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn partition_round_trips_and_validates() {
+    fn partition_validates_and_displays() {
         let plan = EventPlan::new()
             .partition_network(0.5, vec![vec![7], vec![8, 9]])
             .heal_partition(0.9);
         plan.validate();
-        assert_eq!(EventPlan::decode(&plan.encode()).unwrap(), plan);
         assert!(!plan.requires_cluster());
         let shown = plan.events()[0].to_string();
         assert!(
@@ -582,55 +374,6 @@ mod tests {
         EventPlan::new()
             .partition_network(0.5, vec![vec![1], vec![]])
             .validate();
-    }
-
-    #[test]
-    fn partition_decode_rejects_malformed() {
-        // Zero groups.
-        let mut bytes = vec![PLAN_VERSION];
-        bytes.extend_from_slice(&1u32.to_be_bytes());
-        bytes.extend_from_slice(&0u64.to_be_bytes());
-        bytes.push(TAG_PARTITION_NETWORK);
-        bytes.push(0);
-        assert!(EventPlan::decode(&bytes).is_err());
-        // Group length bomb: claims 2^31 members with 4 bytes left.
-        let mut bytes = vec![PLAN_VERSION];
-        bytes.extend_from_slice(&1u32.to_be_bytes());
-        bytes.extend_from_slice(&0u64.to_be_bytes());
-        bytes.push(TAG_PARTITION_NETWORK);
-        bytes.push(1);
-        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(EventPlan::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn empty_plan_round_trips() {
-        let plan = EventPlan::new();
-        assert!(plan.is_empty());
-        assert_eq!(EventPlan::decode(&plan.encode()).unwrap(), plan);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(EventPlan::decode(&[]).is_err());
-        assert!(EventPlan::decode(&[99]).is_err(), "bad version");
-        // Claimed count larger than the buffer can hold.
-        let mut bytes = vec![PLAN_VERSION];
-        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(EventPlan::decode(&bytes).is_err());
-        // Valid header, bogus event tag.
-        let mut bytes = vec![PLAN_VERSION];
-        bytes.extend_from_slice(&1u32.to_be_bytes());
-        bytes.extend_from_slice(&0u64.to_be_bytes());
-        bytes.push(0xEE);
-        assert!(EventPlan::decode(&bytes).is_err());
-        // Trailing bytes after a well-formed plan.
-        let mut bytes = EventPlan::new().migrate_hosts(1.0, 2).encode();
-        bytes.push(0);
-        assert!(matches!(
-            EventPlan::decode(&bytes),
-            Err(ProtoError::LengthMismatch { .. })
-        ));
     }
 
     #[test]

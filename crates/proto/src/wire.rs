@@ -1,11 +1,32 @@
-//! Checked little helpers for reading binary fields.
+//! Checked little helpers for reading binary fields, and a byte counter
+//! for sizing an encoding.
 //!
 //! `bytes::Buf` panics on under-read; these wrappers convert that into
 //! `ProtoError::Truncated` so arbitrary input can never panic a decoder.
 
-use bytes::Buf;
+use bytes::{Buf, BufMut};
 
 use crate::{ProtoError, Result};
+
+/// A [`BufMut`] that keeps only the number of bytes put into it.
+#[derive(Default)]
+pub(crate) struct ByteCount(usize);
+
+impl BufMut for ByteCount {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// The exact number of bytes `encode` writes: the encoder itself is the
+/// length formula, so a size can never drift from the encoding.
+#[inline]
+pub(crate) fn encoded_len(encode: impl FnOnce(&mut ByteCount)) -> usize {
+    let mut count = ByteCount::default();
+    encode(&mut count);
+    count.0
+}
 
 /// A cursor over a received byte slice with checked reads.
 pub(crate) struct Reader<'a> {
@@ -140,6 +161,21 @@ mod tests {
         data.extend_from_slice(&[0, 0, 0]);
         let mut r = Reader::new(&data, "bomb");
         assert!(r.count_prefix(8).is_err());
+    }
+
+    #[test]
+    fn byte_count_matches_a_vec_encoding() {
+        let put = |b: &mut dyn BufMut| {
+            b.put_u8(1);
+            b.put_u16(2);
+            b.put_u32(3);
+            b.put_u64(4);
+            b.put_slice(&[5; 7]);
+        };
+        let mut v = Vec::new();
+        put(&mut v);
+        assert_eq!(encoded_len(|c| put(c)), v.len());
+        assert_eq!(v.len(), 1 + 2 + 4 + 8 + 7);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Property tests: all protocol messages round-trip, the codec refragments
-//! arbitrarily, and decoders never panic on fuzz input.
+//! Property tests: all protocol messages round-trip, `wire_len` equals
+//! the encoded length, and the decoder never panics on fuzz input.
 
 use lazyctrl_net::{GroupId, MacAddr, PortNo, SwitchId, TenantId};
-use lazyctrl_proto::codec::MessageCodec;
 use lazyctrl_proto::{
     Action, BargainMsg, ClusterMsg, CtrlHeartbeatMsg, FlowMatch, FlowModCommand, FlowModMsg,
     GroupAssignMsg, HostEntry, KeepAliveMsg, LazyMsg, LfibEntry, LfibSyncMsg, LookupReplyMsg,
@@ -372,41 +371,15 @@ fn has_nan(m: &Message) -> bool {
 proptest! {
     #[test]
     fn messages_round_trip(m in arb_message()) {
-        prop_assume!(!has_nan(&m));
         let wire = m.encode();
+        prop_assert_eq!(m.wire_len(), wire.len());
+        prop_assume!(!has_nan(&m));
         prop_assert_eq!(Message::decode(&wire).unwrap(), m);
     }
 
     #[test]
-    fn codec_survives_arbitrary_fragmentation(
-        msgs in proptest::collection::vec(arb_message(), 1..6),
-        cut in any::<prop::sample::Index>(),
-    ) {
-        prop_assume!(!msgs.iter().any(has_nan));
-        let mut stream = Vec::new();
-        for m in &msgs {
-            stream.extend(m.encode());
-        }
-        let cut = cut.index(stream.len().max(1));
-        let mut codec = MessageCodec::new();
-        codec.feed(&stream[..cut]);
-        let mut out = codec.drain().unwrap();
-        codec.feed(&stream[cut..]);
-        out.extend(codec.drain().unwrap());
-        prop_assert_eq!(out, msgs);
-    }
-
-    #[test]
     fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        // Errors are fine; panics are not.
         let _ = Message::decode(&bytes);
-        let mut codec = MessageCodec::new();
-        codec.feed(&bytes);
-        // Errors are fine; panics are not. Drain until quiescent.
-        for _ in 0..bytes.len() + 1 {
-            match codec.next_message() {
-                Ok(Some(_)) | Err(_) => continue,
-                Ok(None) => break,
-            }
-        }
     }
 }

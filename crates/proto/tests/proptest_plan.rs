@@ -1,6 +1,5 @@
-//! Property tests for the fault-injection plan: arbitrary plans
-//! round-trip through the binary encoding, stay sorted, and the decoder
-//! never panics on fuzz input.
+//! Property tests for the fault-injection plan: arbitrary well-formed
+//! plans validate and stay sorted by injection time.
 
 use lazyctrl_net::SwitchId;
 use lazyctrl_proto::{EventPlan, InjectedEvent};
@@ -71,31 +70,9 @@ fn arb_plan() -> impl Strategy<Value = EventPlan> {
 
 proptest! {
     #[test]
-    fn plans_round_trip(plan in arb_plan()) {
-        plan.validate();
-        let wire = plan.encode();
-        prop_assert_eq!(EventPlan::decode(&wire).unwrap(), plan);
-    }
-
-    #[test]
     fn plans_stay_sorted(plan in arb_plan()) {
+        plan.validate();
         let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_nanos()).collect();
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]), "{:?}", times);
-    }
-
-    #[test]
-    fn decoder_never_panics_on_fuzz(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = EventPlan::decode(&bytes);
-    }
-
-    #[test]
-    fn truncated_encodings_error_not_panic(plan in arb_plan(), cut in any::<prop::sample::Index>()) {
-        let wire = plan.encode();
-        if wire.len() > 1 {
-            let n = 1 + cut.index(wire.len() - 1);
-            if n < wire.len() {
-                prop_assert!(EventPlan::decode(&wire[..n]).is_err());
-            }
-        }
     }
 }

@@ -16,8 +16,8 @@
 //! * [`BandwidthModel`] — per-class link capacities pricing *load*:
 //!   closed-form serialization + queueing delay from message size and
 //!   per-link backlog, with no RNG draws;
-//! * [`LinkState`] — administrative up/down and loss injection per logical
-//!   link, the substrate for the failover experiments (§III-E);
+//! * [`LinkState`] — crashed nodes, per-class loss and network partitions,
+//!   the substrate for the failover experiments (§III-E);
 //! * [`MetricsSink`] — counters, time-bucketed series (the paper's per-2h
 //!   workload plots) and latency histograms.
 //!

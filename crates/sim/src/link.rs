@@ -1,11 +1,12 @@
-//! Administrative link state and loss injection.
+//! Reachability and loss injection.
 //!
 //! The failover design (§III-E) infers failures from *where keep-alives
-//! stop arriving* (Table I). This module gives experiments a switchboard to
-//! take individual logical links up/down and to inject probabilistic loss,
-//! so those inference rules can be exercised.
+//! stop arriving* (Table I). This module holds the faults a fault plan
+//! (`lazyctrl_proto::EventPlan`) can inject into the fabric — crashed
+//! nodes, per-class loss and a network partition — so those inference
+//! rules can be exercised.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -74,11 +75,10 @@ impl PartitionMap {
     }
 }
 
-/// Node ids below this are tracked in a dense `Vec<bool>`; ids at or
-/// above it (the controller sentinel `u32::MAX` and the cluster's
-/// pseudo-switch ids near it) fall back to a set that stays empty in
-/// practice. Topology node ids are small and dense, so the per-delivery
-/// up/down check is an array read, not a hash.
+/// Node ids below this are tracked in dense vectors; ids at or above it
+/// are the controller sentinel `u32::MAX` and the cluster's pseudo-switch
+/// ids near it. Only switches crash, and topology switch ids are small and
+/// dense, so the per-delivery up/down check is an array read, not a hash.
 const DENSE_NODE_LIMIT: u32 = 1 << 20;
 
 /// Identifies one directed logical link between two nodes on a channel
@@ -99,39 +99,27 @@ impl LinkId {
     pub fn new(from: u32, to: u32, class: ChannelClass) -> Self {
         LinkId { from, to, class }
     }
-
-    /// The same link in the opposite direction.
-    pub fn reversed(self) -> Self {
-        LinkId {
-            from: self.to,
-            to: self.from,
-            class: self.class,
-        }
-    }
 }
 
-/// Per-link administrative state: up/down plus a loss probability.
+/// The fabric's injected faults, as the link gate sees them: which nodes
+/// are down, the loss probability of each channel class, and the network
+/// partition in force.
 ///
-/// Links default to *up* with zero loss; only overrides are stored, and
-/// the per-delivery fast path is hash-free: node up/down is a dense
-/// bitset indexed by id, class-wide loss is a fixed array, and the
-/// per-link override maps are consulted only when non-empty (they are
-/// empty in every run that does not inject link faults).
+/// Everything defaults to up, lossless and whole, and the per-delivery
+/// check is hash-free: node up/down is a dense vector indexed by id,
+/// class loss is a fixed array, and a partition is consulted only while
+/// one is in force. These are exactly the faults an `EventPlan` can
+/// inject (`CrashSwitch` / `RecoverSwitch`, `LinkLoss`,
+/// `PartitionNetwork` / `HealPartition`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LinkState {
-    down: HashMap<LinkId, bool>,
-    loss: HashMap<LinkId, f64>,
     /// Loss probability applied to *every* link of a channel class (fault
-    /// injection: a degraded control network, a lossy underlay). Composes
-    /// with per-link loss: a message survives only if it dodges both.
+    /// injection: a degraded control network, a lossy underlay).
     /// Indexed by [`ChannelClass::index`]; `0.0` = no loss.
     class_loss: [f64; ChannelClass::COUNT],
     /// Nodes that are down drop everything to/from them (dense, indexed
     /// by node id; grows on demand). Nodes beyond the vector are up.
     node_down: Vec<bool>,
-    /// Down nodes with ids ≥ [`DENSE_NODE_LIMIT`] (reserved sentinel ids);
-    /// empty in practice.
-    node_down_high: BTreeSet<u32>,
     /// The network partition in force, if any. `None` (the norm) keeps
     /// the delivery fast path to a single branch.
     partition: Option<PartitionMap>,
@@ -143,56 +131,25 @@ impl LinkState {
         LinkState::default()
     }
 
-    /// Takes a directed link down or up.
-    pub fn set_link_down(&mut self, link: LinkId, down: bool) {
-        if down {
-            self.down.insert(link, true);
-        } else {
-            self.down.remove(&link);
-        }
-    }
-
-    /// Takes both directions of a link down or up.
-    pub fn set_link_down_bidir(&mut self, link: LinkId, down: bool) {
-        self.set_link_down(link, down);
-        self.set_link_down(link.reversed(), down);
-    }
-
     /// Takes a node down or up (a down node loses all its links).
-    pub fn set_node_down(&mut self, node: u32, down: bool) {
-        if node < DENSE_NODE_LIMIT {
-            let i = node as usize;
-            if i >= self.node_down.len() {
-                if !down {
-                    return; // already up
-                }
-                self.node_down.resize(i + 1, false);
-            }
-            self.node_down[i] = down;
-        } else if down {
-            self.node_down_high.insert(node);
-        } else {
-            self.node_down_high.remove(&node);
-        }
-    }
-
-    /// Sets a loss probability for a directed link.
     ///
     /// # Panics
     ///
-    /// Panics unless `p` is finite and in `[0, 1]` (NaN is rejected
-    /// explicitly — a NaN probability would silently disable loss in
-    /// comparisons downstream).
-    pub fn set_loss(&mut self, link: LinkId, p: f64) {
+    /// Panics if `node` is not a dense topology id (below 2²⁰): only
+    /// switches crash.
+    pub fn set_node_down(&mut self, node: u32, down: bool) {
         assert!(
-            p.is_finite() && (0.0..=1.0).contains(&p),
-            "loss probability {p} out of [0,1]"
+            node < DENSE_NODE_LIMIT,
+            "node {node} is not a switch id; only switches go down"
         );
-        if p == 0.0 {
-            self.loss.remove(&link);
-        } else {
-            self.loss.insert(link, p);
+        let i = node as usize;
+        if i >= self.node_down.len() {
+            if !down {
+                return; // already up
+            }
+            self.node_down.resize(i + 1, false);
         }
+        self.node_down[i] = down;
     }
 
     /// Sets the loss probability applied to every link of `class`
@@ -242,30 +199,19 @@ impl LinkState {
         }
     }
 
-    /// True if the link is administratively up, both endpoints are up,
-    /// and no partition separates them.
+    /// True if both endpoints are up and no partition separates them.
     pub fn is_up(&self, link: LinkId) -> bool {
-        (self.down.is_empty() || !self.down.get(&link).copied().unwrap_or(false))
-            && self.is_node_up(link.from)
-            && self.is_node_up(link.to)
-            && self.reachable(link.from, link.to)
+        self.is_node_up(link.from) && self.is_node_up(link.to) && self.reachable(link.from, link.to)
     }
 
     /// True if the node is up.
     #[inline]
     pub fn is_node_up(&self, node: u32) -> bool {
-        let i = node as usize;
-        if i < self.node_down.len() {
-            return !self.node_down[i];
-        }
-        if node >= DENSE_NODE_LIMIT && !self.node_down_high.is_empty() {
-            return !self.node_down_high.contains(&node);
-        }
-        true
+        self.node_down.get(node as usize).is_none_or(|&down| !down)
     }
 
-    /// Decides whether one message on `link` is delivered: checks admin
-    /// state, then samples loss.
+    /// Decides whether one message on `link` is delivered: checks
+    /// reachability, then samples the class loss.
     ///
     /// RNG discipline: a loss probability is sampled if and only if it is
     /// non-zero, so configurations without loss consume no randomness —
@@ -275,13 +221,6 @@ impl LinkState {
     pub fn delivers<R: Rng>(&self, link: LinkId, rng: &mut R) -> bool {
         if !self.is_up(link) {
             return false;
-        }
-        if !self.loss.is_empty() {
-            if let Some(&p) = self.loss.get(&link) {
-                if rng.gen_bool(p) {
-                    return false;
-                }
-            }
         }
         let p = self.class_loss[link.class.index()];
         p == 0.0 || !rng.gen_bool(p)
@@ -307,24 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn down_links_drop() {
-        let mut s = LinkState::new();
-        s.set_link_down(l(1, 2), true);
-        assert!(!s.is_up(l(1, 2)));
-        assert!(s.is_up(l(2, 1)), "reverse direction unaffected");
-        s.set_link_down(l(1, 2), false);
-        assert!(s.is_up(l(1, 2)));
-    }
-
-    #[test]
-    fn bidir_helper_hits_both_directions() {
-        let mut s = LinkState::new();
-        s.set_link_down_bidir(l(3, 4), true);
-        assert!(!s.is_up(l(3, 4)));
-        assert!(!s.is_up(l(4, 3)));
-    }
-
-    #[test]
     fn node_down_kills_all_its_links() {
         let mut s = LinkState::new();
         s.set_node_down(7, true);
@@ -337,27 +258,19 @@ mod tests {
     }
 
     #[test]
-    fn loss_probability_applies() {
-        let mut s = LinkState::new();
-        s.set_loss(l(1, 2), 1.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(!s.delivers(l(1, 2), &mut rng));
-        s.set_loss(l(1, 2), 0.0);
-        assert!(s.delivers(l(1, 2), &mut rng));
-    }
-
-    #[test]
     fn partial_loss_is_roughly_proportional() {
         let mut s = LinkState::new();
-        s.set_loss(l(1, 2), 0.3);
+        s.set_class_loss(ChannelClass::Peer, 0.3);
         let mut rng = StdRng::seed_from_u64(4);
         let delivered = (0..10_000)
-            .filter(|_| s.delivers(l(1, 2), &mut rng))
+            .filter(|i| s.delivers(l(i % 7, 7 + i % 5), &mut rng))
             .count();
         assert!(
             (6300..7700).contains(&delivered),
             "delivered {delivered}/10000"
         );
+        let control = LinkId::new(1, 2, ChannelClass::Control);
+        assert!((0..1000).all(|_| s.delivers(control, &mut rng)));
     }
 
     #[test]
@@ -376,23 +289,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of [0,1]")]
-    fn invalid_loss_panics() {
-        let mut s = LinkState::new();
-        s.set_loss(l(1, 2), 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of [0,1]")]
-    fn nan_loss_panics() {
-        let mut s = LinkState::new();
-        s.set_loss(l(1, 2), f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of [0,1]")]
     fn negative_loss_panics() {
         let mut s = LinkState::new();
-        s.set_loss(l(1, 2), -0.1);
+        s.set_class_loss(ChannelClass::Peer, -0.1);
     }
 
     #[test]
@@ -455,13 +354,5 @@ mod tests {
         s.set_class_loss(ChannelClass::Peer, 1.0);
         let mut rng = StdRng::seed_from_u64(6);
         assert!(!s.delivers(l(1, 9), &mut rng), "loss still applies");
-    }
-
-    #[test]
-    fn class_distinguishes_links() {
-        let mut s = LinkState::new();
-        s.set_link_down(LinkId::new(1, 2, ChannelClass::Control), true);
-        assert!(s.is_up(LinkId::new(1, 2, ChannelClass::Peer)));
-        assert!(!s.is_up(LinkId::new(1, 2, ChannelClass::Control)));
     }
 }

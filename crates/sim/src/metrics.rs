@@ -441,16 +441,6 @@ impl MetricsSink {
             .filter(|c| c.written)
             .map(|c| (c.name, c.value))
     }
-
-    /// All named time series, sorted by name.
-    pub fn all_series(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
-        self.series.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// All named log2 histograms, sorted by name.
-    pub fn all_log2_histograms(&self) -> impl Iterator<Item = (&str, &Log2Histogram)> {
-        self.log2s.iter().map(|(&k, v)| (k, v))
-    }
 }
 
 #[cfg(test)]

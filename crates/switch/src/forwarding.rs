@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! plain packet:        flow table → L-FIB → G-FIB → controller
-//! encapsulated packet: epoch check → decap → L-FIB → drop (false positive)
+//! encapsulated packet: decap → L-FIB → drop (false positive)
 //! ```
 //!
 //! Keeping this a function from `(packet, tables)` to a
@@ -15,16 +15,6 @@ use lazyctrl_proto::Action;
 
 use crate::flow_table::PacketFields;
 use crate::{FlowTable, Gfib, Lfib};
-
-/// Why a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// Mis-forwarded to us by a peer's G-FIB false positive (Fig. 5 line
-    /// 28).
-    FalsePositive,
-    /// Encapsulated under a grouping epoch we no longer accept.
-    StaleEpoch,
-}
 
 /// The outcome of the forwarding routine for one packet.
 ///
@@ -45,15 +35,12 @@ pub enum ForwardingDecision {
     /// No group knowledge: punt to the controller for inter-group handling
     /// (lines 14–16).
     PuntToController,
-    /// Drop (lines 27–28).
-    Drop(DropReason),
+    /// Drop: the packet was mis-forwarded to us by a peer's G-FIB false
+    /// positive (lines 27–28).
+    FalsePositive,
 }
 
 /// Runs the Fig. 5 routine over the switch's tables.
-///
-/// `epoch_accepted` decides whether an encapsulated packet's grouping epoch
-/// is still valid (current epoch, or an old one within the preload grace
-/// window of Appendix B).
 ///
 /// `actions_out` and `targets_out` are caller-owned scratch buffers: they
 /// are cleared on entry, and filled exactly when the returned decision is
@@ -67,7 +54,6 @@ pub fn forward_packet(
     flow_table: &mut FlowTable,
     lfib: &Lfib,
     gfib: &Gfib,
-    epoch_accepted: impl Fn(u32) -> bool,
     now_ns: u64,
     actions_out: &mut Vec<Action>,
     targets_out: &mut Vec<SwitchId>,
@@ -102,17 +88,11 @@ pub fn forward_packet(
                 ForwardingDecision::EncapTo
             }
         }
-        Packet::Encapsulated(encap) => {
-            // Epoch gate (regrouping consistency; Appendix B preload).
-            if !epoch_accepted(encap.header.key) {
-                return ForwardingDecision::Drop(DropReason::StaleEpoch);
-            }
-            // Lines 24–29.
-            match lfib.lookup(encap.inner.dst) {
-                Some(port) => ForwardingDecision::DeliverLocal(port),
-                None => ForwardingDecision::Drop(DropReason::FalsePositive),
-            }
-        }
+        // Lines 24–29.
+        Packet::Encapsulated(encap) => match lfib.lookup(encap.inner.dst) {
+            Some(port) => ForwardingDecision::DeliverLocal(port),
+            None => ForwardingDecision::FalsePositive,
+        },
     }
 }
 
@@ -166,21 +146,10 @@ mod tests {
         ft: &mut FlowTable,
         lfib: &Lfib,
         gfib: &Gfib,
-        accept: impl Fn(u32) -> bool,
     ) -> (ForwardingDecision, Vec<Action>, Vec<SwitchId>) {
         let mut actions = vec![Action::Drop]; // stale junk: must be cleared
         let mut targets = vec![SwitchId::new(99)];
-        let d = forward_packet(
-            pkt,
-            in_port,
-            ft,
-            lfib,
-            gfib,
-            accept,
-            0,
-            &mut actions,
-            &mut targets,
-        );
+        let d = forward_packet(pkt, in_port, ft, lfib, gfib, 0, &mut actions, &mut targets);
         (d, actions, targets)
     }
 
@@ -206,7 +175,6 @@ mod tests {
             &mut ft,
             &lfib,
             &gfib,
-            |_| true,
         );
         assert_eq!(d, ForwardingDecision::FlowRule);
         assert_eq!(actions, vec![Action::Drop]);
@@ -222,7 +190,6 @@ mod tests {
             &mut ft,
             &lfib,
             &gfib,
-            |_| true,
         );
         assert_eq!(d, ForwardingDecision::DeliverLocal(PortNo::new(4)));
     }
@@ -236,7 +203,6 @@ mod tests {
             &mut ft,
             &lfib,
             &gfib,
-            |_| true,
         );
         assert_eq!(d, ForwardingDecision::EncapTo);
         assert_eq!(targets, vec![SwitchId::new(7)]);
@@ -252,7 +218,6 @@ mod tests {
             &mut ft,
             &lfib,
             &gfib,
-            |_| true,
         );
         assert_eq!(d, ForwardingDecision::PuntToController);
         assert!(targets.is_empty());
@@ -261,43 +226,15 @@ mod tests {
     #[test]
     fn encapsulated_delivers_locally() {
         let (mut ft, lfib, gfib) = setup();
-        let (d, _, _) = forward(
-            &encap(100, 1),
-            PortNo::new(9),
-            &mut ft,
-            &lfib,
-            &gfib,
-            |_| true,
-        );
+        let (d, _, _) = forward(&encap(100, 1), PortNo::new(9), &mut ft, &lfib, &gfib);
         assert_eq!(d, ForwardingDecision::DeliverLocal(PortNo::new(4)));
     }
 
     #[test]
     fn false_positive_drops() {
         let (mut ft, lfib, gfib) = setup();
-        let (d, _, _) = forward(
-            &encap(555, 1),
-            PortNo::new(9),
-            &mut ft,
-            &lfib,
-            &gfib,
-            |_| true,
-        );
-        assert_eq!(d, ForwardingDecision::Drop(DropReason::FalsePositive));
-    }
-
-    #[test]
-    fn stale_epoch_drops_before_lfib() {
-        let (mut ft, lfib, gfib) = setup();
-        let (d, _, _) = forward(
-            &encap(100, 42),
-            PortNo::new(9),
-            &mut ft,
-            &lfib,
-            &gfib,
-            |e| e == 1,
-        );
-        assert_eq!(d, ForwardingDecision::Drop(DropReason::StaleEpoch));
+        let (d, _, _) = forward(&encap(555, 1), PortNo::new(9), &mut ft, &lfib, &gfib);
+        assert_eq!(d, ForwardingDecision::FalsePositive);
     }
 
     #[test]
@@ -314,7 +251,6 @@ mod tests {
             &mut ft,
             &lfib,
             &gfib,
-            |_| true,
         );
         assert_eq!(d, ForwardingDecision::EncapTo);
         assert_eq!(targets, vec![SwitchId::new(7), SwitchId::new(9)]);

@@ -24,20 +24,16 @@ use lazyctrl_proto::{
     PacketInReason, PacketOutMsg,
 };
 
-use crate::forwarding::{forward_packet, DropReason, ForwardingDecision};
+use crate::forwarding::{forward_packet, ForwardingDecision};
 use crate::gfib::build_update;
 use crate::wheel::{WheelAction, WheelPosition};
 use crate::{DesignatedRole, FlowTable, Gfib, Lfib, StateAdvertiser};
 
-/// How long a superseded epoch stays accepted after a regroup when preload
-/// is enabled (Appendix B, "preload for seamless grouping update"). Long
-/// enough for in-flight packets and already-punted flows to settle.
-const EPOCH_GRACE_NS: u64 = 10_000_000_000;
-
-/// Default L-FIB aging horizon. Hosts refresh their entry whenever they
-/// send; without periodic gratuitous ARP a quiet VM must not be forgotten,
-/// so the default is a full day (VM removal is signalled explicitly).
-const DEFAULT_LFIB_MAX_IDLE_NS: u64 = 86_400_000_000_000; // 24 h
+/// L-FIB aging horizon: entries idle longer than this age out. Hosts
+/// refresh their entry whenever they send; without periodic gratuitous ARP
+/// a quiet VM must not be forgotten, so this is a full day (VM removal is
+/// signalled explicitly).
+const LFIB_MAX_IDLE_NS: u64 = 86_400_000_000_000; // 24 h
 
 /// Base congestion-pace window. One controller pressure notice defers
 /// NoMatch punts for at least this long; repeated pressure doubles it up
@@ -112,8 +108,6 @@ pub enum SwitchTimer {
     KeepAlive,
     /// Periodic L-FIB aging sweep.
     LfibAge,
-    /// One-shot: stop accepting the given superseded epoch.
-    EpochGrace(u32),
     /// One-shot: the congestion-pace window closed — flush deferred
     /// NoMatch punts and decay the backoff. Unlike `KeepAlive`/
     /// `PeerSync` this must keep firing on a switch whose control link
@@ -153,26 +147,15 @@ pub struct EdgeSwitch {
     group: Option<GroupConfig>,
     designated_role: Option<DesignatedRole>,
     wheel: Option<WheelPosition>,
-    accepted_epochs: BTreeSet<u32>,
     blocked_arp: BTreeSet<TenantId>,
     armed_timers: BTreeSet<SwitchTimer>,
     /// Report bloom-filter mis-deliveries to the controller (Fig. 5's
     /// optional corrective path).
     pub report_false_positives: bool,
-    /// Preload grace for superseded epochs (Appendix B). When disabled,
-    /// in-flight packets from the old epoch drop at regrouping.
-    pub preload_enabled: bool,
-    /// Enforce the tunnel-key epoch gate on received packets. Off by
-    /// default: misdelivery is already caught by the L-FIB false-positive
-    /// path, so the gate only adds transient drops around regroupings.
-    /// The preload ablation turns it on to measure exactly that cost.
-    pub epoch_gating: bool,
     /// When false the datapath behaves like a plain OpenFlow 1.0 switch:
     /// flow-table lookup, then punt — no L-FIB/G-FIB resolution. This is
     /// the paper's "normal mode" baseline (§V-A).
     pub datapath_learning: bool,
-    /// L-FIB entries idle longer than this age out.
-    pub lfib_max_idle_ns: u64,
     /// Congestion pacing: virtual time until which NoMatch punts are
     /// deferred (an ECN-style `CongestionNotice` from the controller
     /// opens/extends the window under capped exponential backoff).
@@ -215,14 +198,10 @@ impl EdgeSwitch {
             group: None,
             designated_role: None,
             wheel: None,
-            accepted_epochs: BTreeSet::new(),
             blocked_arp: BTreeSet::new(),
             armed_timers: BTreeSet::new(),
             report_false_positives: false,
-            preload_enabled: true,
-            epoch_gating: false,
             datapath_learning: true,
-            lfib_max_idle_ns: DEFAULT_LFIB_MAX_IDLE_NS,
             pace_until_ns: 0,
             pace_attempts: 0,
             paced_punts: VecDeque::new(),
@@ -461,8 +440,6 @@ impl EdgeSwitch {
         tenant: TenantId,
         out: &mut OutputSink<SwitchOutput>,
     ) {
-        let current = self.current_epoch();
-        let gating = self.epoch_gating;
         // Plain-OpenFlow datapath: consult only the flow table. The
         // empty tables are built only on that (cold) path.
         let empties;
@@ -472,7 +449,6 @@ impl EdgeSwitch {
             empties = (Lfib::new(), Gfib::new());
             (&empties.0, &empties.1)
         };
-        let epochs = &self.accepted_epochs;
         let pkt = Packet::Plain(frame);
         let decision = forward_packet(
             &pkt,
@@ -480,7 +456,6 @@ impl EdgeSwitch {
             &mut self.flow_table,
             lfib,
             gfib,
-            |e| !gating || epochs.is_empty() || e >= current || epochs.contains(&e),
             now_ns,
             &mut self.scratch_actions,
             &mut self.scratch_targets,
@@ -519,7 +494,7 @@ impl EdgeSwitch {
                 self.note_flow(now_ns, frame.src, frame.dst, None);
                 self.punt_no_match(now_ns, in_port, frame.encode(), out);
             }
-            ForwardingDecision::Drop(_) => {}
+            ForwardingDecision::FalsePositive => {}
         }
     }
 
@@ -536,13 +511,6 @@ impl EdgeSwitch {
             out.push(SwitchOutput::FloodLocal(encap.into_inner()));
             return;
         }
-        // Epoch gate (only when enabled): packets from this switch's
-        // current epoch, from a *newer* epoch (the controller's view is
-        // ahead mid-update), or from a superseded epoch still within the
-        // preload grace window are valid; anything older is dropped.
-        let current = self.current_epoch();
-        let gating = self.epoch_gating;
-        let epochs = &self.accepted_epochs;
         let pkt = Packet::Encapsulated(encap);
         let decision = forward_packet(
             &pkt,
@@ -550,7 +518,6 @@ impl EdgeSwitch {
             &mut self.flow_table,
             &self.lfib,
             &self.gfib,
-            |e| !gating || epochs.is_empty() || e >= current || epochs.contains(&e),
             now_ns,
             &mut self.scratch_actions,
             &mut self.scratch_targets,
@@ -562,7 +529,7 @@ impl EdgeSwitch {
             ForwardingDecision::DeliverLocal(port) => {
                 out.push(SwitchOutput::DeliverLocal(port, encap.into_inner()));
             }
-            ForwardingDecision::Drop(DropReason::FalsePositive) if self.report_false_positives => {
+            ForwardingDecision::FalsePositive if self.report_false_positives => {
                 // Ship the full encapsulated packet so the controller can
                 // identify the mis-forwarding sender from the outer header
                 // and install a corrective rule there (Fig. 5, line 28+).
@@ -760,15 +727,11 @@ impl EdgeSwitch {
             SwitchTimer::PeerSync => self.run_peer_sync(now_ns, out),
             SwitchTimer::KeepAlive => self.run_keepalive(now_ns, out),
             SwitchTimer::LfibAge => {
-                self.lfib.age(now_ns, self.lfib_max_idle_ns);
+                self.lfib.age(now_ns, LFIB_MAX_IDLE_NS);
                 out.push(SwitchOutput::SetTimer(
                     SwitchTimer::LfibAge,
-                    self.lfib_max_idle_ns / 2,
+                    LFIB_MAX_IDLE_NS / 2,
                 ));
-            }
-            SwitchTimer::EpochGrace(epoch) => {
-                self.accepted_epochs.remove(&epoch);
-                self.armed_timers.remove(&SwitchTimer::EpochGrace(epoch));
             }
             SwitchTimer::PaceFlush => {
                 self.armed_timers.remove(&SwitchTimer::PaceFlush);
@@ -924,22 +887,7 @@ impl EdgeSwitch {
         ga: &GroupAssignMsg,
         out: &mut OutputSink<SwitchOutput>,
     ) {
-        let old_epoch = self.group.as_ref().map(|g| g.epoch);
         let config = GroupConfig::from(ga);
-
-        self.accepted_epochs.insert(ga.epoch);
-        if let Some(old) = old_epoch {
-            if old != ga.epoch {
-                if self.preload_enabled {
-                    let t = SwitchTimer::EpochGrace(old);
-                    if self.armed_timers.insert(t) {
-                        out.push(SwitchOutput::SetTimer(t, EPOCH_GRACE_NS));
-                    }
-                } else {
-                    self.accepted_epochs.remove(&old);
-                }
-            }
-        }
 
         self.wheel = Some(WheelPosition::new(
             self.id,
@@ -1012,7 +960,7 @@ impl EdgeSwitch {
         for (timer, delay) in [
             (SwitchTimer::PeerSync, config.sync_interval_ns),
             (SwitchTimer::KeepAlive, config.keepalive_interval_ns),
-            (SwitchTimer::LfibAge, self.lfib_max_idle_ns / 2),
+            (SwitchTimer::LfibAge, LFIB_MAX_IDLE_NS / 2),
         ] {
             if self.armed_timers.insert(timer) {
                 out.push(SwitchOutput::SetTimer(timer, delay));

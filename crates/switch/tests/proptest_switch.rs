@@ -322,7 +322,6 @@ proptest! {
             &mut table,
             &lfib,
             &gfib,
-            |_| true,
             0,
             &mut actions_scratch,
             &mut targets_scratch,

@@ -399,42 +399,6 @@ fn keepalive_timer_probes_ring() {
 }
 
 #[test]
-fn stale_epoch_tunnel_drops_after_grace() {
-    let mut sw = configured_switch(false);
-    sw.epoch_gating = true;
-    // Learn a host so delivery would otherwise succeed.
-    let _ = collect(|s| sw.handle_local_frame(0, PortNo::new(2), host_frame(30, 99, 1), s));
-
-    // Regroup to epoch 2; epoch 1 stays valid through the grace window.
-    let mut ga = group_assign(false);
-    ga.epoch = 2;
-    let regroup = Message::lazy(8, LazyMsg::group_assign(ga));
-    let _ = collect(|s| sw.handle_control_message(1, &regroup, s));
-
-    let encap = |key: u32| {
-        lazyctrl_net::EncapsulatedFrame::new(
-            lazyctrl_net::EncapHeader::new(
-                SwitchId::new(2).underlay_ip(),
-                SwitchId::new(1).underlay_ip(),
-                TenantId::new(1),
-                key,
-            ),
-            host_frame(10, 30, 1),
-        )
-    };
-    // Old-epoch packet within grace: delivered.
-    let out = collect(|s| sw.handle_tunnel_packet(2, encap(1), s));
-    assert!(matches!(out.as_slice(), [SwitchOutput::DeliverLocal(_, _)]));
-    // Grace expires.
-    let _ = collect(|s| sw.on_timer(3_000_000_000, SwitchTimer::EpochGrace(1), s));
-    let out = collect(|s| sw.handle_tunnel_packet(4, encap(1), s));
-    assert!(out.is_empty(), "stale epoch must drop: {out:?}");
-    // Current epoch still flows.
-    let out = collect(|s| sw.handle_tunnel_packet(5, encap(2), s));
-    assert!(matches!(out.as_slice(), [SwitchOutput::DeliverLocal(_, _)]));
-}
-
-#[test]
 fn wheel_report_relay_goes_up_the_control_link() {
     let mut sw = configured_switch(false);
     let report = lazyctrl_proto::WheelReportMsg {
