@@ -110,8 +110,10 @@ impl Experiment {
             }
             None => {
                 run(&mut world, &mut queue, arrivals, horizon);
-                let popped = queue.popped_total();
-                (world, popped)
+                // Flood copies counted instead of scheduled are events
+                // too (DESIGN §7.6).
+                let counted = world.metrics.counter("flood_copies_counted");
+                (world, queue.popped_total() + counted)
             }
         };
         let t_report = Instant::now();
@@ -285,7 +287,7 @@ pub struct DetailedRun {
 
 /// The virtual-time end of a run: the configured horizon, or the trace's
 /// duration plus an hour of drain time.
-fn run_horizon(trace: &Trace, cfg: &ExperimentConfig) -> SimTime {
+pub(crate) fn run_horizon(trace: &Trace, cfg: &ExperimentConfig) -> SimTime {
     cfg.horizon_hours
         .map(SimTime::from_hours)
         .unwrap_or(SimTime::from_nanos(trace.duration_ns) + SimDuration::from_secs(3600))

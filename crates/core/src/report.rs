@@ -32,8 +32,11 @@ pub struct ExperimentReport {
     pub flows_started: u64,
     /// First packets confirmed delivered.
     pub delivered_flows: u64,
-    /// Simulation events processed (scheduler pops) over the run — the
-    /// benchmark's `sim.events`.
+    /// Simulation events processed over the run — the benchmark's
+    /// `sim.events`: scheduler pops, plus the flooded `PacketOut` copies
+    /// that reach no host and land by the horizon, which the sequential
+    /// engine counts instead of scheduling (DESIGN §7.6). Either way the
+    /// number is what scheduling every copy would pop.
     pub events_processed: u64,
     /// Overall mean first-packet latency (ms).
     pub mean_latency_ms: f64,

@@ -19,12 +19,12 @@ use lazyctrl_obs::{
     intern::{kind as tk, subsys as ts},
     pair_trace_id, EngineProfile, FlightRecorder,
 };
-use lazyctrl_proto::{InjectedEvent, LazyMsg, Message, OfMessage, OutputSink};
+use lazyctrl_proto::{InjectedEvent, LazyMsg, Message, OfMessage, OutputSink, PacketOutMsg};
 use lazyctrl_sim::{
     BandwidthModel, ChannelClass, CounterId, LatencyModel, LinkId, LinkState, MetricsSink,
     Scheduler, SimDuration, SimTime, World,
 };
-use lazyctrl_switch::{EdgeSwitch, SwitchOutput, SwitchTimer};
+use lazyctrl_switch::{floods_only, EdgeSwitch, SwitchOutput, SwitchTimer};
 use lazyctrl_trace::{FlowRecord, IntensityMatrix, Topology, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -137,6 +137,7 @@ world_counters!(
     ctrl_peer_messages,
     ctrl_unreachable_drops,
     delivered_flows,
+    flood_copies_counted,
     flows_started,
     fp_reports,
     frames_emitted,
@@ -196,6 +197,10 @@ pub const EVENT_KIND_SUBSYS: [u16; 11] = [
     ts::WORLD,      // synthetic_flow
 ];
 
+/// `Ev::MsgToSwitch`'s dense kind index, under which a counted flood
+/// copy (DESIGN §7.6) lands in the profile.
+const KIND_MSG_TO_SWITCH: u32 = 3;
+
 impl Ev {
     /// Dense kind index for profiling/tracing (see [`EVENT_KIND_NAMES`]).
     fn kind_idx(&self) -> u32 {
@@ -203,7 +208,7 @@ impl Ev {
             Ev::FlowArrival(_) => 0,
             Ev::LocalFrame { .. } => 1,
             Ev::TunnelArrive { .. } => 2,
-            Ev::MsgToSwitch { .. } => 3,
+            Ev::MsgToSwitch { .. } => KIND_MSG_TO_SWITCH,
             Ev::MsgToController { .. } => 4,
             Ev::SwitchTimer { .. } => 5,
             Ev::ControllerTimer(_) => 6,
@@ -393,6 +398,18 @@ enum CtrlRoute {
     Standin(u32),
 }
 
+/// What a local flood does at its frame's effective switch (see
+/// [`DataCenterWorld::flood_effect`]).
+enum FloodEffect {
+    /// A unicast IPv4 frame reaches its destination host.
+    Deliver,
+    /// An ARP request draws a reply from its target host.
+    ArpReply {
+        target: HostId,
+        request: lazyctrl_net::ArpPacket,
+    },
+}
+
 /// The composed simulation state.
 pub(crate) struct DataCenterWorld {
     pub(crate) cfg: ExperimentConfig,
@@ -457,6 +474,21 @@ pub(crate) struct DataCenterWorld {
     /// Sharded-engine partition context; `None` on the single-threaded
     /// path, where every routing helper degenerates to a local schedule.
     pub(crate) part: Option<Box<PartitionCtx>>,
+    /// The run's virtual end. A flood copy counted instead of scheduled
+    /// (DESIGN §7.6) counts as an event only if it lands by then, as the
+    /// wheel pops only those.
+    horizon: SimTime,
+    /// Fire times of the plan's `MigrateHosts` events, sorted, and the
+    /// index of the first not yet in the past. A migration can move a
+    /// flood's effective switch under copies in flight, so copies that
+    /// land at or after one stay eager.
+    migrations: Vec<SimTime>,
+    next_migration: usize,
+    /// The last flooded `PacketOut` the current dispatch batch sent, with
+    /// its frame's effective switch. Every copy of a fan-out carries the
+    /// same bytes, so a batch decodes and looks up each distinct payload
+    /// once. Compared by content and cleared per batch, so exact.
+    flood_memo: Option<(PacketOutMsg, Option<SwitchId>)>,
 }
 
 impl DataCenterWorld {
@@ -465,6 +497,14 @@ impl DataCenterWorld {
         // Checked once here so the per-message latency sampling can skip
         // the assertion.
         cfg.latency.validate();
+        let horizon = crate::experiment::run_horizon(&trace, &cfg);
+        let migrations = cfg
+            .plan
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, InjectedEvent::MigrateHosts { .. }))
+            .map(|e| e.at)
+            .collect();
         let Trace {
             topology, flows, ..
         } = trace;
@@ -580,6 +620,10 @@ impl DataCenterWorld {
             rehome: std::collections::BTreeMap::new(),
             obs,
             part: None,
+            horizon,
+            migrations,
+            next_migration: 0,
+            flood_memo: None,
         }
     }
 
@@ -769,8 +813,38 @@ impl DataCenterWorld {
         self.switch_sink.put_back(buf);
     }
 
-    /// A local flood: unicast frames reach their host if it lives here;
-    /// ARP requests draw a reply from the target host if it lives here.
+    /// The one switch where a local flood of `frame` does anything, and
+    /// what it does there: the switch hosting a unicast IPv4 frame's
+    /// destination, or an ARP request's target. `None` for every other
+    /// frame, whose floods do nothing anywhere. [`Self::handle_flood`]
+    /// applies the answer, and the flood-copy count (DESIGN §7.6) asks
+    /// the same question, so the two cannot disagree.
+    fn flood_effect(&self, frame: &EthernetFrame) -> Option<(SwitchId, FloodEffect)> {
+        let switch_of = |host: HostId| {
+            (host.index() < self.topology.num_hosts()).then(|| self.topology.switch_of(host))
+        };
+        if frame.dst.is_unicast() {
+            // Both the delivery and the response it may draw take IPv4
+            // frames only.
+            if frame.ethertype != EtherType::IPV4 {
+                return None;
+            }
+            let host = HostId::new(frame.dst.host_id()? as u32);
+            return Some((switch_of(host)?, FloodEffect::Deliver));
+        }
+        let request = frame
+            .as_arp()
+            .filter(|arp| arp.op == lazyctrl_net::ArpOp::Request)?;
+        let target = HostId::from_ip(request.target_ip)?;
+        Some((
+            switch_of(target)?,
+            FloodEffect::ArpReply { target, request },
+        ))
+    }
+
+    /// A local flood at `at`: a unicast frame reaches its host if it
+    /// lives here; an ARP request draws a reply from its target if it
+    /// lives here.
     fn handle_flood(
         &mut self,
         now: SimTime,
@@ -778,34 +852,24 @@ impl DataCenterWorld {
         frame: EthernetFrame,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        if frame.dst.is_unicast() {
-            if let Some(h) = frame.dst.host_id() {
-                let host = HostId::new(h as u32);
-                if (host.index()) < self.topology.num_hosts() && self.topology.switch_of(host) == at
-                {
-                    self.note_delivery(now, &frame);
-                    self.maybe_respond(now, &frame, sched);
-                }
+        let Some((here, effect)) = self.flood_effect(&frame) else {
+            return;
+        };
+        if here != at {
+            return;
+        }
+        let (target, request) = match effect {
+            FloodEffect::Deliver => {
+                self.note_delivery(now, &frame);
+                self.maybe_respond(now, &frame, sched);
+                return;
             }
-            return;
-        }
-        // Broadcast: ARP requests get answered by a local target.
-        let Some(arp) = frame.as_arp() else {
-            return;
+            FloodEffect::ArpReply { target, request } => (target, request),
         };
-        if arp.op != lazyctrl_net::ArpOp::Request {
-            return;
-        }
-        let Some(target) = HostId::from_ip(arp.target_ip) else {
-            return;
-        };
-        if target.index() >= self.topology.num_hosts() || self.topology.switch_of(target) != at {
-            return;
-        }
-        let reply = lazyctrl_net::ArpPacket::reply_to(&arp, target.mac());
+        let reply = lazyctrl_net::ArpPacket::reply_to(&request, target.mac());
         let reply_frame = EthernetFrame::tagged(
             target.mac(),
-            arp.sender_mac,
+            request.sender_mac,
             VlanTag::for_tenant(self.topology.tenant_of(target)),
             EtherType::ARP,
             reply.encode(),
@@ -868,7 +932,9 @@ impl DataCenterWorld {
 
     /// Sends a control-plane message down the control link to switch `to`:
     /// from the single controller (`member` = `None`), or from one cluster
-    /// member. It leaves after the sender's current `service` time.
+    /// member. It leaves after the sender's current `service` time. A
+    /// flood copy that provably does nothing where it lands is counted
+    /// instead of scheduled (DESIGN §7.6).
     fn send_to_switch(
         &mut self,
         now: SimTime,
@@ -892,6 +958,11 @@ impl DataCenterWorld {
             (id, kind, subsys, to.0, member.unwrap_or(0))
         };
         if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
+            let lands = now + service + delay;
+            if self.reaches_no_host(now, lands, to, &msg) {
+                self.count_flood_copy(lands);
+                return;
+            }
             let ev = Ev::MsgToSwitch {
                 to,
                 from: SwitchId::CONTROLLER,
@@ -901,10 +972,70 @@ impl DataCenterWorld {
         }
     }
 
+    /// True when the controller's `msg`, sent at `now` and landing at
+    /// switch `to` at `lands`, provably does nothing there: a `PacketOut`
+    /// that only floods (`floods_only`), to a switch other than its
+    /// frame's effective switch, with no host migration due before it
+    /// lands. The sharded engine schedules every copy.
+    fn reaches_no_host(
+        &mut self,
+        now: SimTime,
+        lands: SimTime,
+        to: SwitchId,
+        msg: &Message,
+    ) -> bool {
+        let Some(OfMessage::PacketOut(po)) = msg.as_of() else {
+            return false;
+        };
+        if !floods_only(&po.actions) || self.part.is_some() || self.migration_due(now, lands) {
+            return false;
+        }
+        let effective = match &self.flood_memo {
+            Some((last, at)) if last.data == po.data => *at,
+            _ => {
+                // Bytes that do not decode: the switch drops them.
+                let frame = EthernetFrame::decode(&po.data).ok();
+                let at = frame.and_then(|f| self.flood_effect(&f)).map(|(at, _)| at);
+                self.flood_memo = Some((po.clone(), at));
+                at
+            }
+        };
+        effective != Some(to)
+    }
+
+    /// True when a `MigrateHosts` plan event fires in `[now, lands]`.
+    /// `now` never decreases, so the cursor only moves forward.
+    fn migration_due(&mut self, now: SimTime, lands: SimTime) -> bool {
+        while self
+            .migrations
+            .get(self.next_migration)
+            .is_some_and(|&at| at < now)
+        {
+            self.next_migration += 1;
+        }
+        self.migrations
+            .get(self.next_migration)
+            .is_some_and(|&at| at <= lands)
+    }
+
+    /// Accounts for a flood copy that reaches no host as the event it
+    /// would have been: one `events_processed` and one `msg_to_switch`
+    /// dispatch in the profile, if it lands by the horizon.
+    fn count_flood_copy(&mut self, lands: SimTime) {
+        if lands > self.horizon {
+            return;
+        }
+        self.metrics.bump(self.ctr.flood_copies_counted, 1);
+        if let Some(obs) = &mut self.obs {
+            obs.profile.count_unsampled(KIND_MSG_TO_SWITCH);
+        }
+    }
+
     fn dispatch_controller_outputs(&mut self, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         // Model controller processing: outputs leave after the current
         // service time, the same for the whole batch.
         let service = self.controller.service_time(None, now);
+        self.flood_memo = None;
         let mut buf = self.ctrl_sink.take_buf();
         for out in buf.drain(..) {
             match out {
@@ -941,6 +1072,7 @@ impl DataCenterWorld {
                 service
             }
         };
+        self.flood_memo = None;
         for out in buf.drain(..) {
             match out {
                 ClusterOutput::ToSwitch { from, to, msg } => {
@@ -1547,6 +1679,11 @@ impl DataCenterWorld {
                     staged: Vec::new(),
                     global_rng: StdRng::seed_from_u64(global_seed),
                 })),
+                // A partition never counts flood copies.
+                horizon: self.horizon,
+                migrations: Vec::new(),
+                next_migration: 0,
+                flood_memo: None,
                 cfg,
             });
         }
@@ -2007,6 +2144,133 @@ mod tests {
             b: 1,
         };
         assert_eq!(recorder.iter().copied().collect::<Vec<_>>(), [want; 2]);
+    }
+
+    /// Three switches with two hosts each (host `h` on switch `h / 2`),
+    /// plain OpenFlow, no traffic and no plan.
+    fn flood_world() -> DataCenterWorld {
+        let trace = Trace {
+            name: "flood".to_owned(),
+            topology: lazyctrl_trace::Topology {
+                num_switches: 3,
+                host_switch: (0..6).map(|h| SwitchId::new(h / 2)).collect(),
+                host_tenant: vec![TenantId::new(1); 6],
+            },
+            flows: Vec::new(),
+            duration_ns: 0,
+            nominal: Default::default(),
+        };
+        DataCenterWorld::new(trace, ExperimentConfig::new(ControlMode::Baseline))
+    }
+
+    /// A controller `PacketOut` of `data` with these actions.
+    fn packet_out(actions: &[lazyctrl_proto::Action], data: Vec<u8>) -> Message {
+        let po = PacketOutMsg {
+            buffer_id: u32::MAX,
+            in_port: PortNo::NONE,
+            actions: actions.into(),
+            data: data.into(),
+        };
+        Message::of(0, OfMessage::PacketOut(po))
+    }
+
+    /// The counting rule against the eager path. Every kind of frame the
+    /// controller may flood goes as a `PacketOut` to every switch: a copy
+    /// is counted exactly when delivering it for real — the switch, then
+    /// `handle_flood` — schedules nothing and bumps no counter. One world
+    /// judges every copy in turn, so a stale memo would show too.
+    #[test]
+    fn counted_flood_copies_are_exactly_those_that_do_nothing() {
+        let host = HostId::new;
+        let tagged = |src: HostId, dst: MacAddr, ethertype, payload: Vec<u8>| {
+            EthernetFrame::tagged(
+                src.mac(),
+                dst,
+                VlanTag::for_tenant(TenantId::new(1)),
+                ethertype,
+                payload,
+            )
+            .encode()
+        };
+        let request = |target: HostId| {
+            let arp = lazyctrl_net::ArpPacket::request(host(0).mac(), host(0).ip(), target.ip());
+            tagged(host(0), MacAddr::BROADCAST, EtherType::ARP, arp.encode())
+        };
+        let reply = {
+            let arp = lazyctrl_net::ArpPacket::request(host(0).mac(), host(0).ip(), host(3).ip());
+            let arp = lazyctrl_net::ArpPacket::reply_to(&arp, host(3).mac());
+            tagged(host(3), host(0).mac(), EtherType::ARP, arp.encode())
+        };
+        let judge = &mut flood_world();
+        let unicast = |dst: u32| judge.frame_for_flow(host(0), host(dst), 0).encode();
+        // (frame, the one switch where its flood does something)
+        let frames: [(&str, Vec<u8>, Option<u32>); 7] = [
+            ("ARP request", request(host(3)), Some(1)),
+            ("ARP request for an absent host", request(host(40)), None),
+            ("ARP reply", reply, None),
+            ("unicast to a present host", unicast(5), Some(2)),
+            ("unicast to an absent host", unicast(40), None),
+            (
+                "non-ARP broadcast",
+                tagged(host(0), MacAddr::BROADCAST, EtherType::IPV4, vec![0; 8]),
+                None,
+            ),
+            ("undecodable bytes", vec![0xff; 5], None),
+        ];
+        let (sent, lands) = (
+            SimTime::from_secs(1),
+            SimTime::from_secs(1) + SimDuration::from_millis(1),
+        );
+        let flood = lazyctrl_proto::Action::Output(PortNo::FLOOD);
+        for (name, bytes, effective) in frames {
+            let msg = packet_out(&[flood], bytes);
+            for to in (0..3).map(SwitchId::new) {
+                let counted = judge.reaches_no_host(sent, lands, to, &msg);
+                let mut eager = flood_world();
+                let before: Vec<_> = eager.metrics.counters().collect();
+                let mut queue = lazyctrl_sim::EventQueue::new();
+                let ev = Ev::MsgToSwitch {
+                    to,
+                    from: SwitchId::CONTROLLER,
+                    msg: msg.clone(),
+                };
+                eager.dispatch_event(lands, ev, &mut Scheduler::over(&mut queue));
+                let did_nothing = queue.is_empty() && eager.metrics.counters().eq(before);
+                assert_eq!(counted, did_nothing, "{name} at switch {to}");
+                assert_eq!(counted, effective != Some(to.0), "{name} at switch {to}");
+            }
+        }
+        // Any other message stays eager, even where it does nothing.
+        for other in [
+            packet_out(&[flood, flood], vec![0xff; 5]),
+            Message::of(0, OfMessage::Hello),
+        ] {
+            assert!(!judge.reaches_no_host(sent, lands, SwitchId::new(0), &other));
+        }
+    }
+
+    /// A host migration due while a copy is in flight can move its
+    /// flood's effective switch, so such a copy stays eager; a migration
+    /// in the past or after the landing does not matter.
+    #[test]
+    fn flood_copies_landing_across_a_migration_stay_eager() {
+        let mut world = flood_world();
+        let frame = world.frame_for_flow(HostId::new(0), HostId::new(5), 0);
+        let msg = packet_out(
+            &[lazyctrl_proto::Action::Output(PortNo::ALL)],
+            frame.encode(),
+        );
+        let t = SimTime::from_millis;
+        world.migrations = vec![t(5), t(20)];
+        let counted = |w: &mut DataCenterWorld, sent, lands| {
+            w.reaches_no_host(t(sent), t(lands), SwitchId::new(0), &msg)
+        };
+        assert!(counted(&mut world, 1, 4), "lands before the migration");
+        assert!(!counted(&mut world, 4, 5), "lands as it fires");
+        assert!(!counted(&mut world, 5, 6), "sent as it fires");
+        assert!(counted(&mut world, 6, 19), "between the two");
+        assert!(!counted(&mut world, 19, 25), "across the second");
+        assert!(counted(&mut world, 21, 30), "after both");
     }
 
     /// Regression for the sharded engine's replicated-RNG lockstep:

@@ -104,23 +104,43 @@ fn flow_chain_reconstructs_packet_in_to_delivery() {
     );
 }
 
-/// The profiler's exact event counts must equal the kernel's pop count,
-/// and phase walls must be populated.
+/// The profiler's exact event counts must equal the kernel's event
+/// count, and phase walls must be populated. Plain OpenFlow floods, so
+/// its run counts flood copies instead of scheduling them (DESIGN §7.6):
+/// its event total, pinned from a run that scheduled every copy, fails
+/// when counted copies go missing from `events_processed`, and the
+/// equality with the profiler when they go missing there.
 #[test]
 fn profile_counts_match_events_and_phases_are_positive() {
-    let run = traced_run(ControlMode::LazyDynamic);
-    let obs = run.obs.as_ref().expect("obs enabled");
-    assert_eq!(
-        obs.profile.total_events(),
-        run.report.events_processed,
-        "profiler count diverged from kernel pop count"
-    );
-    assert!(
-        obs.profile.samples() > 0,
-        "sampling profiler took no samples"
-    );
-    assert!(run.phases.run_s > 0.0);
-    assert!(run.phases.total_s() >= run.phases.run_s);
+    for (mode, pinned_events) in [
+        (ControlMode::LazyDynamic, None),
+        (ControlMode::Baseline, Some(11_563)),
+    ] {
+        let run = traced_run(mode);
+        let obs = run.obs.as_ref().expect("obs enabled");
+        assert_eq!(
+            obs.profile.total_events(),
+            run.report.events_processed,
+            "{mode:?}: profiler count diverged from the kernel's event count"
+        );
+        if let Some(events) = pinned_events {
+            assert_eq!(run.report.events_processed, events, "{mode:?}");
+            let counted = run
+                .counters
+                .iter()
+                .find(|(k, _)| k == "flood_copies_counted");
+            assert!(
+                counted.is_some_and(|&(_, n)| n > 0),
+                "{mode:?}: no flood copy was counted"
+            );
+        }
+        assert!(
+            obs.profile.samples() > 0,
+            "{mode:?}: sampling profiler took no samples"
+        );
+        assert!(run.phases.run_s > 0.0);
+        assert!(run.phases.total_s() >= run.phases.run_s);
+    }
 }
 
 /// Test-only wrapper: a real scenario's build, a verdict that always

@@ -373,3 +373,52 @@ fn golden_scenario_table_at_seed_7() {
         "scenario reports moved at seed 7; the table now reads:\n{table}"
     );
 }
+
+// ---- Flood copies across migrations -----------------------------------
+//
+// A flooded `PacketOut` copy that reaches no host is counted instead of
+// scheduled (DESIGN §7.6), unless a host migration fires while it is in
+// flight: the move can put the flood's target under a copy that was
+// headed for a switch without it. This run floods for every fresh pair
+// (plain OpenFlow with ARP) and moves every host 1.5 ms after each of the
+// first 300 flow arrivals, while their floods are on the control links.
+// The pin was recorded with every copy scheduled; counting the copies in
+// flight across a migration moves it.
+
+/// FNV-1a of the report's `Debug` form, as the benchmark fingerprints it.
+fn report_fingerprint(report: &ExperimentReport) -> u64 {
+    let mut h = Fnv64::new();
+    h.bytes(format!("{report:?}").as_bytes());
+    h.finish()
+}
+
+#[test]
+fn baseline_floods_across_host_migrations_match_the_eager_run() {
+    use lazyctrl_core::{ControlMode, EventPlan, Experiment, InjectedEvent};
+    use lazyctrl_sim::{SimDuration, SimTime};
+    let reg = ScenarioRegistry::builtin();
+    let (trace, mut cfg, _) = reg
+        .get("host_migration_storm")
+        .expect("registered")
+        .build(7);
+    cfg.mode = ControlMode::Baseline;
+    cfg.emit_arp = true;
+    let batch = trace.topology.num_hosts() as u32;
+    let mut plan = EventPlan::new();
+    for flow in trace.flows.iter().take(300) {
+        let at = SimTime::from_nanos(flow.time_ns) + SimDuration::from_micros(1500);
+        plan.schedule(at, InjectedEvent::MigrateHosts { batch });
+    }
+    let run = Experiment::new(trace, cfg.with_plan(plan)).run_detailed();
+    let counted = run
+        .counters
+        .iter()
+        .find(|(k, _)| k == "flood_copies_counted");
+    assert!(counted.is_some_and(|&(_, n)| n > 0), "no copy was counted");
+    let report = run.report;
+    assert_eq!(
+        (report.events_processed, report_fingerprint(&report)),
+        (57679, 0x99e0_71dd_e783_160e),
+        "{report:?}"
+    );
+}

@@ -116,6 +116,14 @@ impl EngineProfile {
         }
     }
 
+    /// Counts one event of `kind` that the world settled without
+    /// dispatching it (a flood copy that reaches no host): the exact
+    /// count moves, the sampling stride and the timings do not.
+    #[inline]
+    pub fn count_unsampled(&mut self, kind: u32) {
+        self.counts[kind as usize] += 1;
+    }
+
     /// Total sampled dispatches.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -205,6 +213,23 @@ mod tests {
         assert_eq!(rollup[0].0, 0);
         assert_eq!(rollup[0].1, kind0);
         assert_eq!(rollup[1].1, n as u64 - kind0);
+    }
+
+    #[test]
+    fn unsampled_counts_move_neither_stride_nor_samples() {
+        let mut p = EngineProfile::new(2, vec![0, 1]);
+        for _ in 0..SAMPLE_EVERY - 1 {
+            p.dispatch_begin(0);
+            p.dispatch_end();
+        }
+        p.count_unsampled(1);
+        assert!(p.will_sample(), "a counted event must not step the stride");
+        p.dispatch_begin(0);
+        p.dispatch_end();
+        assert_eq!(p.samples(), 1);
+        assert_eq!(p.total_events(), SAMPLE_EVERY as u64 + 1);
+        assert_eq!(p.kind_profiles()[1].count, 1);
+        assert!(p.kind_profiles()[1].ns.is_empty());
     }
 
     #[test]

@@ -174,7 +174,8 @@ impl LatencyModel {
             return base;
         }
         let factor = 1.0 + rng.gen_range(-self.jitter_frac..=self.jitter_frac);
-        base.mul_f64(factor)
+        // A valid jitter keeps the factor in (0, 2): no check needed.
+        base.scaled(factor)
     }
 }
 

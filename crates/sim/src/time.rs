@@ -128,6 +128,13 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "invalid factor {factor}"
         );
+        self.scaled(factor)
+    }
+
+    /// [`mul_f64`](SimDuration::mul_f64) without the check, for a caller
+    /// that validated its factors once up front (the per-message latency
+    /// draw).
+    pub(crate) fn scaled(self, factor: f64) -> Self {
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
 }

@@ -41,4 +41,4 @@ pub use forwarding::ForwardingDecision;
 pub use gfib::{build_update as build_gfib_update, Gfib};
 pub use lfib::{Lfib, LfibDelta};
 pub use state_adv::StateAdvertiser;
-pub use switch::{EdgeSwitch, GroupConfig, SwitchOutput, SwitchTimer};
+pub use switch::{floods_only, EdgeSwitch, GroupConfig, SwitchOutput, SwitchTimer};

@@ -582,6 +582,10 @@ impl EdgeSwitch {
                     let Ok(frame) = EthernetFrame::decode(&po.data) else {
                         return;
                     };
+                    if floods_only(&po.actions) {
+                        out.push(SwitchOutput::FloodLocal(frame));
+                        return;
+                    }
                     let tenant = frame.vlan.map(|t| t.vid()).unwrap_or(TenantId::NONE);
                     self.apply_actions(now_ns, po.in_port, frame, tenant, &po.actions, out);
                 }
@@ -1090,6 +1094,16 @@ impl EdgeSwitch {
             out.push(emit.with(frame.clone()));
         }
     }
+}
+
+/// True when a controller `PacketOut` with these actions is one
+/// `Output(FLOOD)` or `Output(ALL)`: the switch turns it into exactly one
+/// [`SwitchOutput::FloodLocal`] of the decoded frame (nothing for bytes
+/// that do not decode) and changes no state of its own. The simulator
+/// relies on this to count such copies instead of delivering them
+/// (DESIGN §7.6).
+pub fn floods_only(actions: &[Action]) -> bool {
+    matches!(actions, [Action::Output(port)] if *port == PortNo::FLOOD || *port == PortNo::ALL)
 }
 
 /// Where an output action sends the frame (see `EdgeSwitch::apply_actions`).
