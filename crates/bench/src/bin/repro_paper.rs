@@ -231,7 +231,8 @@ fn fig6b(graphs: &[WeightedGraph]) -> Section {
         let cfg = SgiConfig::new(limit).with_thresholds(0.0, 0.0).with_seed(1);
         let (ini_ms, mut sgi) = time_ms(|| Sgi::ini_group(g.clone(), cfg));
         sgi.set_intensity(shifted.clone());
-        let (inc_ms, _) = time_ms(|| sgi.inc_update(f64::INFINITY));
+        let max_pairs = sgi.config().max_merge_rounds;
+        let (inc_ms, _) = time_ms(|| sgi.par_inc_update(f64::INFINITY, max_pairs));
         (ini, inc) = (ini.min(ini_ms), inc.min(inc_ms));
     }
     let speedup = ini / inc.max(1e-6);

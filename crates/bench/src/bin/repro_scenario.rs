@@ -13,6 +13,7 @@
 
 use std::process::ExitCode;
 
+use lazyctrl_bench::parse_seed;
 use lazyctrl_core::{run_built, Scenario, ScenarioRegistry, ScenarioRun};
 
 const DEFAULT_SEED: u64 = 0xC1;
@@ -66,6 +67,8 @@ fn run_one(scenario: &dyn Scenario, seed: u64) -> ScenarioRun {
     run
 }
 
+const USAGE: &str = "usage: repro_scenario [--list] [--seed N] <name>|all";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let reg = ScenarioRegistry::builtin();
@@ -82,12 +85,13 @@ fn main() -> ExitCode {
             "--seed" => match it.next().and_then(|s| parse_seed(s)) {
                 Some(s) => seed = s,
                 None => {
-                    eprintln!("--seed needs a number");
+                    eprintln!("--seed needs a number (decimal or 0x hex)");
+                    eprintln!("{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
             "--help" | "-h" => {
-                println!("usage: repro_scenario [--list] [--seed N] <name>|all");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             name => targets.push(name.to_string()),
@@ -128,13 +132,5 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-fn parse_seed(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
     }
 }

@@ -20,7 +20,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lazyctrl_bench::{syn_a_trace, Scale};
+use lazyctrl_bench::{parse_seed, syn_a_trace, Scale};
 use lazyctrl_core::scenarios::run_built_detailed;
 use lazyctrl_core::telemetry::{telemetry_json, validate_telemetry};
 use lazyctrl_core::{
@@ -32,6 +32,8 @@ use lazyctrl_obs::{chrome_trace_json, json, jsonl_dump, trace_id_dst, TraceRecor
 
 const DEFAULT_SEED: u64 = 0xC1;
 
+const USAGE: &str = "usage: repro_trace <scenario> [--seed N] [--always] [--out-dir DIR]\n       repro_trace --smoke";
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut scenario_name: Option<String> = None;
@@ -41,15 +43,24 @@ fn main() -> ExitCode {
     let mut out_dir = String::from("target/obs");
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs a number");
-            }
+            "--seed" => match args.next().as_deref().and_then(parse_seed) {
+                Some(s) => seed = s,
+                None => {
+                    eprintln!("--seed needs a number (decimal or 0x hex)");
+                    eprintln!("{USAGE}");
+                    return ExitCode::from(2);
+                }
+            },
             "--always" => always = true,
             "--smoke" => smoke = true,
-            "--out-dir" => out_dir = args.next().expect("--out-dir needs a path"),
+            "--out-dir" => match args.next() {
+                Some(dir) => out_dir = dir,
+                None => {
+                    eprintln!("--out-dir needs a path");
+                    eprintln!("{USAGE}");
+                    return ExitCode::from(2);
+                }
+            },
             other if !other.starts_with('-') => scenario_name = Some(other.to_owned()),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -62,8 +73,7 @@ fn main() -> ExitCode {
         return run_smoke(&out_dir);
     }
     let Some(name) = scenario_name else {
-        eprintln!("usage: repro_trace <scenario> [--seed N] [--always] [--out-dir DIR]");
-        eprintln!("       repro_trace --smoke");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     run_traced_scenario(&name, seed, always, &out_dir)

@@ -1,5 +1,5 @@
 //! Shared harness for the reproduction binaries (`repro_*`): trace
-//! construction at a chosen scale, and table rendering.
+//! construction at a chosen scale, `--seed` parsing, and table rendering.
 //!
 //! `repro_paper` and `repro_cluster` size their traces by the
 //! `LAZYCTRL_SCALE` environment variable, parsed by [`Scale`] (the same
@@ -112,9 +112,30 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Parses a `--seed` value: decimal, or hexadecimal after `0x` (the form
+/// the bins print seeds in, e.g. `seed 0xc1`). `None` on anything else.
+pub fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_seed_accepts_decimal_and_hex() {
+        assert_eq!(parse_seed("7"), Some(7));
+        assert_eq!(parse_seed("0xc1"), Some(0xc1));
+        assert_eq!(parse_seed("0xC1"), Some(0xc1));
+        assert_eq!(parse_seed(""), None);
+        assert_eq!(parse_seed("0x"), None);
+        assert_eq!(parse_seed("seven"), None);
+        assert_eq!(parse_seed("0xzz"), None);
+        assert_eq!(parse_seed("-1"), None);
+    }
 
     #[test]
     fn scaled_up_grows_topology_but_not_flows() {

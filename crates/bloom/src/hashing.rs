@@ -13,7 +13,7 @@
 /// compare, and successive probes are guaranteed distinct (the property
 /// the classic `h1 + i·h2 mod m` with odd `h2` provides).
 #[derive(Debug, Clone)]
-pub struct IndexIter {
+pub(crate) struct IndexIter {
     /// Next probe index, already in `[0, m)`.
     idx: u64,
     /// Probe stride in `[1, m)` (`[0, 1)` collapses to 1 when `m == 1`).

@@ -28,7 +28,7 @@
 
 mod hashing;
 
-pub use hashing::{base_hashes, IndexIter};
+pub use hashing::base_hashes;
 
 use serde::{Deserialize, Serialize};
 
@@ -134,18 +134,6 @@ impl BloomFilter {
         hashing::indexes_from_base(base, self.k, self.m).all(|idx| self.get_bit(idx))
     }
 
-    /// Removes all items.
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.items = 0;
-    }
-
-    /// Fraction of bits set, in `[0, 1]`.
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.m as f64
-    }
-
     /// Expected false-positive rate for the current load:
     /// `(1 − e^(−k·n/m))^k`.
     pub fn estimated_fp_rate(&self) -> f64 {
@@ -241,7 +229,6 @@ mod tests {
         for i in 0u32..1000 {
             assert!(!bf.contains(i.to_be_bytes()));
         }
-        assert_eq!(bf.fill_ratio(), 0.0);
         assert_eq!(bf.estimated_fp_rate(), 0.0);
     }
 
@@ -271,16 +258,6 @@ mod tests {
         let bf = BloomFilter::with_capacity(1000, 0.001);
         assert!((14_000..15_000).contains(&bf.num_bits()));
         assert_eq!(bf.num_hashes(), 10);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut bf = BloomFilter::new(256, 3);
-        bf.insert(b"x");
-        assert!(bf.contains(b"x"));
-        bf.clear();
-        assert!(!bf.contains(b"x"));
-        assert!(bf.is_empty());
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl ClusterConfig {
     }
 
     /// The heartbeat interval in nanoseconds.
-    pub fn heartbeat_interval_ns(&self) -> u64 {
+    pub(crate) fn heartbeat_interval_ns(&self) -> u64 {
         u64::from(self.heartbeat_interval_ms) * 1_000_000
     }
 
@@ -96,7 +96,7 @@ impl ClusterConfig {
     /// # Panics
     ///
     /// Panics on nonsensical values.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.num_controllers > 0,
             "cluster needs at least one controller"

@@ -38,28 +38,28 @@ pub enum ElectionRole {
 
 /// Per-member election bookkeeping (term, role, votes).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ElectionState {
+pub(crate) struct ElectionState {
     /// Highest term this member has seen.
-    pub term: u64,
+    pub(crate) term: u64,
     /// Current role within [`term`](Self::term).
-    pub role: ElectionRole,
+    pub(crate) role: ElectionRole,
     /// Who received this member's vote in the current term, if anyone.
-    pub voted_for: Option<u32>,
+    pub(crate) voted_for: Option<u32>,
     /// Members that granted us a vote this term (candidates only).
-    pub votes: BTreeSet<u32>,
+    pub(crate) votes: BTreeSet<u32>,
     /// The leader this member currently believes in, if any.
-    pub known_leader: Option<u32>,
+    pub(crate) known_leader: Option<u32>,
     /// When a heartbeat (or claim) from a *leader* was last heard (ns).
     /// Follower heartbeats do not refresh this — only evidence that a
     /// leader is actually alive suppresses candidacy.
-    pub last_leader_hb_ns: u64,
+    pub(crate) last_leader_hb_ns: u64,
 }
 
 impl ElectionState {
     /// The agreed bootstrap state: every member starts term 1 believing
     /// member 0 leads (bootstrap is a synchronous, fault-free step, so
     /// assuming consensus there is sound — the checker starts after it).
-    pub fn bootstrap_consensus(id: u32, now_ns: u64) -> Self {
+    pub(crate) fn bootstrap_consensus(id: u32, now_ns: u64) -> Self {
         ElectionState {
             term: 1,
             role: if id == 0 {
@@ -76,7 +76,7 @@ impl ElectionState {
 
     /// Adopts a newer term, stepping down to follower. Returns true if the
     /// term advanced (the caller's per-term state is then stale).
-    pub fn observe_term(&mut self, term: u64) -> bool {
+    pub(crate) fn observe_term(&mut self, term: u64) -> bool {
         if term <= self.term {
             return false;
         }
@@ -89,7 +89,7 @@ impl ElectionState {
     }
 
     /// Opens a new term with this member as candidate (votes for itself).
-    pub fn start_candidacy(&mut self, id: u32) {
+    pub(crate) fn start_candidacy(&mut self, id: u32) {
         self.term += 1;
         self.role = ElectionRole::Candidate;
         self.voted_for = Some(id);
@@ -100,7 +100,7 @@ impl ElectionState {
     /// Whether to grant `candidate` a vote in `term` (at most one grant
     /// per term; repeat requests from the same candidate re-grant, so a
     /// duplicated or retried request cannot deadlock an election).
-    pub fn grant_vote(&mut self, term: u64, candidate: u32) -> bool {
+    pub(crate) fn grant_vote(&mut self, term: u64, candidate: u32) -> bool {
         self.observe_term(term);
         if term < self.term {
             return false;
@@ -115,19 +115,19 @@ impl ElectionState {
     }
 
     /// Records a granted vote from `from` in the current term.
-    pub fn record_grant(&mut self, from: u32) {
+    pub(crate) fn record_grant(&mut self, from: u32) {
         if self.role == ElectionRole::Candidate {
             self.votes.insert(from);
         }
     }
 
     /// Strict majority of the static cluster size.
-    pub fn has_majority(&self, cluster_size: usize) -> bool {
+    pub(crate) fn has_majority(&self, cluster_size: usize) -> bool {
         self.votes.len() * 2 > cluster_size
     }
 
     /// Assumes leadership of the current term.
-    pub fn become_leader(&mut self, id: u32) {
+    pub(crate) fn become_leader(&mut self, id: u32) {
         self.role = ElectionRole::Leader;
         self.known_leader = Some(id);
     }
@@ -137,7 +137,7 @@ impl ElectionState {
     /// claim is ignored while we are leader ourselves: with majority
     /// elections that situation is unreachable, and silently deferring
     /// would mask the very violation the model checker watches for.
-    pub fn accept_leader(&mut self, term: u64, leader: u32, now_ns: u64) -> bool {
+    pub(crate) fn accept_leader(&mut self, term: u64, leader: u32, now_ns: u64) -> bool {
         if term < self.term || (term == self.term && self.role == ElectionRole::Leader) {
             return false;
         }
@@ -153,7 +153,7 @@ impl ElectionState {
     /// term or the per-term vote (granting twice in one term would break
     /// safety). `last_leader_hb_ns` stays stale, so once majority
     /// contact resumes the ordinary election machinery takes over.
-    pub fn relinquish_leadership(&mut self) {
+    pub(crate) fn relinquish_leadership(&mut self) {
         self.role = ElectionRole::Follower;
         self.votes.clear();
         self.known_leader = None;
@@ -164,7 +164,7 @@ impl ElectionState {
     /// vote is kept (granting twice in one term would break safety), and
     /// `last_leader_hb_ns` is kept stale so the election timer fires if no
     /// live leader is heard.
-    pub fn step_down_after_restart(&mut self) {
+    pub(crate) fn step_down_after_restart(&mut self) {
         self.role = ElectionRole::Follower;
         self.votes.clear();
         self.known_leader = None;

@@ -76,7 +76,7 @@ impl Fnv64 {
     }
 
     /// Absorbs a `u16` (little-endian).
-    pub fn u16(&mut self, v: u16) -> &mut Self {
+    pub(crate) fn u16(&mut self, v: u16) -> &mut Self {
         self.bytes(&v.to_le_bytes())
     }
 
@@ -98,7 +98,7 @@ impl Fnv64 {
 
     /// Absorbs an optional `u32` with a presence tag (so `None` and
     /// `Some(0)` hash differently).
-    pub fn opt_u32(&mut self, v: Option<u32>) -> &mut Self {
+    pub(crate) fn opt_u32(&mut self, v: Option<u32>) -> &mut Self {
         match v {
             None => self.u8(0),
             Some(x) => self.u8(1).u32(x),

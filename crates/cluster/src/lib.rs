@@ -44,7 +44,7 @@ mod replica;
 
 pub use config::ClusterConfig;
 pub use dissemination::DisseminationStrategy;
-pub use election::{ElectionRole, ElectionState};
+pub use election::ElectionRole;
 pub use fingerprint::{hash_wire_ignoring_xid, Fnv64};
 pub use model::StepModel;
 pub use ownership::OwnershipMap;

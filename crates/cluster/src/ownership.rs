@@ -24,13 +24,13 @@ pub struct OwnershipMap {
 
 impl OwnershipMap {
     /// Creates an empty map (epoch 0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OwnershipMap::default()
     }
 
     /// Assigns `num_groups` groups round-robin across `controllers`
     /// (in the given order), bumping the epoch once.
-    pub fn assign_round_robin(&mut self, num_groups: usize, controllers: &[u32]) {
+    pub(crate) fn assign_round_robin(&mut self, num_groups: usize, controllers: &[u32]) {
         assert!(!controllers.is_empty(), "no controllers to assign to");
         self.owner = (0..num_groups)
             .map(|g| (g, controllers[g % controllers.len()]))
@@ -39,7 +39,7 @@ impl OwnershipMap {
     }
 
     /// The current epoch.
-    pub fn epoch(&self) -> u32 {
+    pub(crate) fn epoch(&self) -> u32 {
         self.epoch
     }
 
@@ -75,7 +75,7 @@ impl OwnershipMap {
     /// # Panics
     ///
     /// Panics if the group is unmapped.
-    pub fn transfer(
+    pub(crate) fn transfer(
         &mut self,
         group: usize,
         to: u32,
@@ -95,19 +95,8 @@ impl OwnershipMap {
         }
     }
 
-    /// Applies a transfer received from a peer, if it is newer than the
-    /// local view. Returns true when applied.
-    pub fn apply(&mut self, msg: &OwnershipTransferMsg) -> bool {
-        if msg.epoch <= self.epoch {
-            return false;
-        }
-        self.owner.insert(msg.group.index(), msg.to);
-        self.epoch = msg.epoch;
-        true
-    }
-
     /// Iterates `(group, owner)` pairs, ascending by group.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.owner.iter().map(|(&g, &c)| (g, c))
     }
 }
@@ -138,16 +127,5 @@ mod tests {
         assert_eq!(msg.epoch, 2);
         assert_eq!(m.owner_of(2), Some(1));
         assert_eq!(m.groups_of(1), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn stale_transfers_rejected() {
-        let mut a = OwnershipMap::new();
-        a.assign_round_robin(2, &[0, 1]);
-        let mut b = a.clone();
-        let t1 = a.transfer(0, 1, TransferReason::Failover, 1);
-        assert!(b.apply(&t1));
-        assert!(!b.apply(&t1), "replay must not apply twice");
-        assert_eq!(b, a);
     }
 }

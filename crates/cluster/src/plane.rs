@@ -256,7 +256,7 @@ impl MemberCounter {
     ];
 
     /// Number of counters (the width of a member's counter table).
-    pub const COUNT: usize = MemberCounter::ALL.len();
+    pub(crate) const COUNT: usize = MemberCounter::ALL.len();
 }
 
 /// One cluster member.
@@ -845,7 +845,7 @@ impl ClusterControlPlane {
     }
 
     /// A member's measured request rate (its meter window).
-    pub fn load_of(&self, id: u32, now_ns: u64) -> f64 {
+    pub(crate) fn load_of(&self, id: u32, now_ns: u64) -> f64 {
         self.nodes[id as usize].ctrl.meter().rate_rps(now_ns)
     }
 

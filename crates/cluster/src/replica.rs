@@ -133,7 +133,6 @@ pub struct ReplicaStore {
     progress: BTreeMap<u32, OriginProgress>,
     /// Monotonic tombstone insertion stamp (for oldest-first eviction).
     tomb_stamp: u64,
-    syncs_applied: u64,
     /// The catch-up index (module docs): per origin, `(seq, mac)`
     /// references ascending by `seq`. Invariant: every entry of `hosts`
     /// and `tombstones` is referenced under its own `(origin, seq)`;
@@ -184,15 +183,10 @@ impl ReplicaStore {
         self.hosts.is_empty()
     }
 
-    /// Total peer syncs absorbed.
-    pub fn syncs_applied(&self) -> u64 {
-        self.syncs_applied
-    }
-
     /// Highest contiguous flush sequence fully seen from `origin` — the
     /// digest-exchange basis. Deltas received beyond a gap do not advance
     /// it, which is what keeps holes visible to anti-entropy.
-    pub fn seen_through(&self, origin: u32) -> u64 {
+    pub(crate) fn seen_through(&self, origin: u32) -> u64 {
         self.progress
             .get(&origin)
             .map(|p| p.seen_through)
@@ -302,7 +296,6 @@ impl ReplicaStore {
         } else {
             progress.note_delta(sync.seq);
         }
-        self.syncs_applied += 1;
     }
 
     /// Replaces the index by exactly one reference per entry and
@@ -393,7 +386,7 @@ impl ReplicaStore {
     }
 
     /// Looks up a replicated host location.
-    pub fn lookup(&self, mac: MacAddr) -> Option<HostEntry> {
+    pub(crate) fn lookup(&self, mac: MacAddr) -> Option<HostEntry> {
         self.hosts.get(&mac).map(|(e, _, _)| *e)
     }
 
@@ -437,7 +430,7 @@ impl ReplicaStore {
 
     /// All replicated hosts attached to one of the given switches, grouped
     /// by switch (ascending). Used to seed a C-LIB on ownership takeover.
-    pub fn hosts_behind(&self, switches: &[SwitchId]) -> Vec<(SwitchId, Vec<HostEntry>)> {
+    pub(crate) fn hosts_behind(&self, switches: &[SwitchId]) -> Vec<(SwitchId, Vec<HostEntry>)> {
         let mut by_switch: BTreeMap<SwitchId, Vec<HostEntry>> = BTreeMap::new();
         for (e, _, _) in self.hosts.values() {
             if switches.contains(&e.switch) {
@@ -493,7 +486,6 @@ mod tests {
         assert!(r.lookup(MacAddr::for_host(99)).is_none());
         assert_eq!(r.seen_through(1), 1);
         assert_eq!(r.heads(), vec![(1, 1)]);
-        assert_eq!(r.syncs_applied(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ enum Ev {
 }
 
 /// The mini network around one cluster plane.
-pub struct MiniNet {
+pub(crate) struct MiniNet {
     pub plane: ClusterControlPlane,
     queue: BTreeMap<(u64, u64), Ev>,
     seq: u64,
@@ -41,7 +41,7 @@ pub struct MiniNet {
 
 /// A weighted graph of `groups` disjoint cliques of `size` switches —
 /// SGI reliably groups each clique into one LCG.
-pub fn clustered_graph(groups: usize, size: usize) -> WeightedGraph {
+pub(crate) fn clustered_graph(groups: usize, size: usize) -> WeightedGraph {
     let mut g = WeightedGraph::new(groups * size);
     for c in 0..groups {
         let base = c * size;
@@ -57,7 +57,7 @@ pub fn clustered_graph(groups: usize, size: usize) -> WeightedGraph {
 /// A cluster config sized for these tests: `n` members over 3-switch
 /// groups, 1 s flush/heartbeat ticks, large delta log (exact anti-entropy
 /// replay throughout).
-pub fn test_config(n: usize) -> ClusterConfig {
+pub(crate) fn test_config(n: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::with_controllers(n);
     cfg.lazy.group_size_limit = 3;
     cfg.replica_flush_interval_ms = 1_000;
@@ -70,7 +70,7 @@ pub fn test_config(n: usize) -> ClusterConfig {
 
 impl MiniNet {
     /// Builds and bootstraps a plane over `groups` cliques of 3 switches.
-    pub fn new(groups: usize, cfg: ClusterConfig) -> Self {
+    pub(crate) fn new(groups: usize, cfg: ClusterConfig) -> Self {
         let num_switches = groups * 3;
         let mut plane = ClusterControlPlane::new(num_switches, cfg);
         let mut sink = OutputSink::new();
@@ -89,7 +89,7 @@ impl MiniNet {
     }
 
     /// Current virtual time (ns).
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.now
     }
 
@@ -97,12 +97,12 @@ impl MiniNet {
     /// between members of *different* listed islands are destroyed at
     /// delivery time (in-flight traffic included). Replaces any
     /// previous partition.
-    pub fn set_partition(&mut self, groups: &[Vec<u32>]) {
+    pub(crate) fn set_partition(&mut self, groups: &[Vec<u32>]) {
         self.partition = groups.to_vec();
     }
 
     /// Restores full reachability.
-    pub fn heal_partition(&mut self) {
+    pub(crate) fn heal_partition(&mut self) {
         self.partition.clear();
     }
 
@@ -122,7 +122,7 @@ impl MiniNet {
 
     /// Queues the plane's outputs (ctrl-peer sends with fixed latency,
     /// timers at their delay; switch-bound messages dropped).
-    pub fn dispatch(&mut self, outs: Vec<ClusterOutput>) {
+    pub(crate) fn dispatch(&mut self, outs: Vec<ClusterOutput>) {
         for out in outs {
             match out {
                 ClusterOutput::ToCtrl { from, to, msg } => {
@@ -137,7 +137,7 @@ impl MiniNet {
     }
 
     /// Runs the network until virtual time `t_ns`.
-    pub fn run_until(&mut self, t_ns: u64) {
+    pub(crate) fn run_until(&mut self, t_ns: u64) {
         while let Some((&(at, key), _)) = self.queue.iter().next() {
             if at > t_ns {
                 break;
@@ -163,12 +163,12 @@ impl MiniNet {
     }
 
     /// Runs `dur_ns` more virtual time.
-    pub fn run_for(&mut self, dur_ns: u64) {
+    pub(crate) fn run_for(&mut self, dur_ns: u64) {
         self.run_until(self.now + dur_ns);
     }
 
     /// Delivers one switch-originated message to the plane at `now`.
-    pub fn send_switch(&mut self, from: SwitchId, msg: &Message) {
+    pub(crate) fn send_switch(&mut self, from: SwitchId, msg: &Message) {
         let mut sink = OutputSink::new();
         self.plane
             .handle_switch_message(self.now, from, msg, &mut sink);
@@ -176,14 +176,14 @@ impl MiniNet {
     }
 
     /// Recovers a crashed member and dispatches its fresh timer arms.
-    pub fn recover(&mut self, id: u32) {
+    pub(crate) fn recover(&mut self, id: u32) {
         let mut sink = OutputSink::new();
         self.plane.recover(id, &mut sink);
         self.dispatch(sink.take_buf());
     }
 
     /// Count of delivered ctrl-peer messages of one kind.
-    pub fn count(&self, kind: &str) -> u64 {
+    pub(crate) fn count(&self, kind: &str) -> u64 {
         self.delivered.get(kind).copied().unwrap_or(0)
     }
 
@@ -196,7 +196,7 @@ impl MiniNet {
     /// Removes and returns the earliest in-flight ctrl-peer message of
     /// `kind` (an adversarial drop; re-inject it with [`MiniNet::deliver`]
     /// to model reordering or duplication instead).
-    pub fn steal(&mut self, kind: &str) -> Option<(u32, u32, Message)> {
+    pub(crate) fn steal(&mut self, kind: &str) -> Option<(u32, u32, Message)> {
         let key = self.queue.iter().find_map(|(&k, ev)| match ev {
             Ev::Ctrl { msg, .. } if kind_of(msg) == kind => Some(k),
             _ => None,
@@ -208,7 +208,7 @@ impl MiniNet {
     }
 
     /// Count of ctrl-peer messages of `kind` currently in flight.
-    pub fn queued(&self, kind: &str) -> usize {
+    pub(crate) fn queued(&self, kind: &str) -> usize {
         self.queue
             .values()
             .filter(|ev| matches!(ev, Ev::Ctrl { msg, .. } if kind_of(msg) == kind))
@@ -217,7 +217,7 @@ impl MiniNet {
 
     /// Delivers a ctrl-peer message to the plane immediately (bypassing
     /// the queue — used to replay stolen messages, duplicates included).
-    pub fn deliver(&mut self, from: u32, to: u32, msg: &Message) {
+    pub(crate) fn deliver(&mut self, from: u32, to: u32, msg: &Message) {
         *self.delivered.entry(kind_of(msg)).or_insert(0) += 1;
         let mut sink = OutputSink::new();
         self.plane

@@ -45,11 +45,6 @@ impl BaselineController {
         &self.meter
     }
 
-    /// Number of learned host locations.
-    pub fn known_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
     fn next_xid(&mut self) -> u32 {
         self.xid = self.xid.wrapping_add(1);
         self.xid
@@ -226,7 +221,7 @@ mod tests {
                 lazyctrl_proto::MessageBody::Of(OfMessage::PacketOut(_))
             ));
         }
-        assert_eq!(c.known_hosts(), 1, "source learned");
+        assert_eq!(c.hosts.len(), 1, "source learned");
     }
 
     #[test]

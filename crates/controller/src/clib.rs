@@ -32,7 +32,7 @@ pub struct Clib {
 
 impl Clib {
     /// Creates an empty C-LIB.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Clib::default()
     }
 
@@ -72,7 +72,7 @@ impl Clib {
     }
 
     /// Absorbs an L-FIB sync relayed up a state link.
-    pub fn apply_sync(&mut self, sync: &LfibSyncMsg) {
+    pub(crate) fn apply_sync(&mut self, sync: &LfibSyncMsg) {
         for e in &sync.entries {
             self.insert_host(
                 e.mac,
@@ -96,7 +96,7 @@ impl Clib {
     }
 
     /// Records a single host directly (bootstrap / PacketIn learning).
-    pub fn learn(&mut self, mac: MacAddr, location: HostLocation) {
+    pub(crate) fn learn(&mut self, mac: MacAddr, location: HostLocation) {
         self.insert_host(mac, location);
     }
 
@@ -108,7 +108,7 @@ impl Clib {
     /// Every known host grouped by the switch it is attached to, in MAC
     /// order within a switch: one pass for a caller that asks about many
     /// switches at once (the regrouping preload).
-    pub fn hosts_by_switch(&self) -> BTreeMap<SwitchId, Vec<MacAddr>> {
+    pub(crate) fn hosts_by_switch(&self) -> BTreeMap<SwitchId, Vec<MacAddr>> {
         let mut by_switch: BTreeMap<SwitchId, Vec<MacAddr>> = BTreeMap::new();
         for (&mac, loc) in &self.hosts {
             by_switch.entry(loc.switch).or_default().push(mac);
@@ -117,7 +117,7 @@ impl Clib {
     }
 
     /// All switches hosting at least one VM of `tenant` (sorted).
-    pub fn switches_of_tenant(&self, tenant: TenantId) -> Vec<SwitchId> {
+    pub(crate) fn switches_of_tenant(&self, tenant: TenantId) -> Vec<SwitchId> {
         self.tenant_switches
             .range((tenant, SwitchId::new(0))..=(tenant, SwitchId::new(u32::MAX)))
             .map(|(&(_, s), _)| s)

@@ -34,7 +34,7 @@ pub enum FailureKind {
 
 /// Recovery steps per §III-E.2 and §III-E.3.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecoveryAction {
+pub(crate) enum RecoveryAction {
     /// Ask the upstream neighbour to relay control traffic for a switch
     /// whose control link is down.
     RelayControlVia {
@@ -60,12 +60,6 @@ pub enum RecoveryAction {
     /// comeback.
     RebootSwitch {
         /// The dead switch.
-        switch: SwitchId,
-    },
-    /// Proactively trigger a state re-synchronization in the group when a
-    /// rebooted switch returns.
-    Resync {
-        /// The recovered switch.
         switch: SwitchId,
     },
 }
@@ -95,7 +89,7 @@ impl FailureDetector {
     /// of at least two deadlines guarantees that a genuinely dead switch's
     /// two ring directions eventually land in one window, whatever the
     /// reporters' phase offsets (e.g. one of them rebooted mid-outage).
-    pub fn with_window(window_ns: u64) -> Self {
+    pub(crate) fn with_window(window_ns: u64) -> Self {
         FailureDetector {
             observations: BTreeMap::new(),
             window_ns,
@@ -173,7 +167,7 @@ impl FailureDetector {
     ///
     /// `ring_prev` is the failed switch's upstream neighbour;
     /// `is_designated` and `group` describe its role.
-    pub fn plan_recovery(
+    pub(crate) fn plan_recovery(
         kind: FailureKind,
         ring_prev: SwitchId,
         is_designated: bool,

@@ -66,12 +66,12 @@ pub struct FrozenGrouping {
 
 impl FrozenGrouping {
     /// Number of switches covered.
-    pub fn num_switches(&self) -> usize {
+    pub(crate) fn num_switches(&self) -> usize {
         self.group_of.len()
     }
 
     /// Number of groups.
-    pub fn num_groups(&self) -> usize {
+    pub(crate) fn num_groups(&self) -> usize {
         self.members.len()
     }
 }
@@ -121,7 +121,7 @@ impl GroupingManager {
     /// # Panics
     ///
     /// Panics if `group_size_limit` is zero.
-    pub fn new(num_switches: usize, group_size_limit: usize, seed: u64) -> Self {
+    pub(crate) fn new(num_switches: usize, group_size_limit: usize, seed: u64) -> Self {
         assert!(group_size_limit > 0, "group size limit must be positive");
         GroupingManager {
             sgi: None,
@@ -147,7 +147,7 @@ impl GroupingManager {
     }
 
     /// The epoch at which `group` last changed composition.
-    pub fn epoch_of_group(&self, group: usize) -> u32 {
+    pub(crate) fn epoch_of_group(&self, group: usize) -> u32 {
         if let Some(f) = &self.frozen {
             return f.group_epochs.get(&group).copied().unwrap_or(f.epoch);
         }
@@ -155,7 +155,7 @@ impl GroupingManager {
     }
 
     /// The epoch governing traffic towards `switch` (its group's epoch).
-    pub fn epoch_of_switch(&self, switch: SwitchId) -> u32 {
+    pub(crate) fn epoch_of_switch(&self, switch: SwitchId) -> u32 {
         self.group_of(switch)
             .map(|g| self.epoch_of_group(g))
             .unwrap_or(self.epoch)
@@ -209,11 +209,6 @@ impl GroupingManager {
         self.sgi.as_ref().map(|s| s.partition().num_groups())
     }
 
-    /// True when this manager answers from a shared frozen snapshot.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
     /// The designated switch of a group under the controller's selection
     /// principle (lowest switch id — "some given principle", §III-D.1).
     pub fn designated_of(&self, group: usize) -> Option<SwitchId> {
@@ -223,7 +218,7 @@ impl GroupingManager {
     /// Absorbs a designated switch's aggregated state report. A frozen
     /// grouping can never regroup, so the samples would only accumulate
     /// unbounded memory — they are dropped.
-    pub fn absorb_report(&mut self, report: &StateReportMsg) {
+    pub(crate) fn absorb_report(&mut self, report: &StateReportMsg) {
         if self.frozen.is_some() {
             return;
         }
@@ -253,7 +248,7 @@ impl GroupingManager {
     /// [`absorb_report`]: GroupingManager::absorb_report
     /// [`note_punt`]: GroupingManager::note_punt
     /// [`update`]: GroupingManager::update
-    pub fn freeze_shared(&mut self) -> Option<Arc<FrozenGrouping>> {
+    pub(crate) fn freeze_shared(&mut self) -> Option<Arc<FrozenGrouping>> {
         if let Some(f) = &self.frozen {
             return Some(f.clone());
         }
@@ -289,7 +284,7 @@ impl GroupingManager {
     /// this manager already bootstrapped on its own.
     ///
     /// [`bootstrap`]: GroupingManager::bootstrap
-    pub fn adopt_shared(
+    pub(crate) fn adopt_shared(
         &mut self,
         now_ns: u64,
         snapshot: Arc<FrozenGrouping>,
@@ -319,7 +314,7 @@ impl GroupingManager {
     /// # Panics
     ///
     /// Panics if the graph's vertex count differs from `num_switches`.
-    pub fn bootstrap(
+    pub(crate) fn bootstrap(
         &mut self,
         now_ns: u64,
         graph: WeightedGraph,
@@ -366,7 +361,7 @@ impl GroupingManager {
     }
 
     /// The trigger check (call periodically with the measured workload).
-    pub fn check(&mut self, now_ns: u64, workload_rps: f64) -> RegroupDecision {
+    pub(crate) fn check(&mut self, now_ns: u64, workload_rps: f64) -> RegroupDecision {
         if self.sgi.is_none() {
             return RegroupDecision::None;
         }
@@ -490,14 +485,8 @@ impl GroupingManager {
     }
 
     /// Drains the switches moved by the most recent update (for preload).
-    pub fn take_last_moves(&mut self) -> Vec<(SwitchId, usize, usize)> {
+    pub(crate) fn take_last_moves(&mut self) -> Vec<(SwitchId, usize, usize)> {
         std::mem::take(&mut self.last_moves)
-    }
-
-    /// Records the workload baseline without regrouping (used right after
-    /// bootstrap when the meter warms up).
-    pub fn set_workload_baseline(&mut self, workload_rps: f64) {
-        self.workload_at_last_update = workload_rps;
     }
 
     fn history_graph(&self) -> WeightedGraph {
@@ -615,7 +604,7 @@ mod tests {
         let winter = m.winter();
         let epoch = m.epoch();
         let snap = m.freeze_shared().expect("bootstrapped");
-        assert!(m.is_frozen());
+        assert!(m.frozen.is_some());
         assert_eq!(snap.num_switches(), 12);
         assert_eq!(snap.num_groups(), groups);
         for (s, expected) in before.iter().enumerate() {
@@ -675,7 +664,7 @@ mod tests {
     fn triggers_respect_min_interval() {
         let mut m = manager(8, 4);
         let _ = m.bootstrap(0, clustered_graph(2, 4), 1000, 500);
-        m.set_workload_baseline(100.0);
+        m.workload_at_last_update = 100.0;
         // 1 minute in, even huge growth must wait.
         assert_eq!(m.check(60_000_000_000, 1000.0), RegroupDecision::None);
         // Past 2 minutes, 30% growth triggers an incremental update.

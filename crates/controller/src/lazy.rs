@@ -197,7 +197,7 @@ impl LazyController {
     }
 
     /// Freezes this controller's grouping into a shared immutable
-    /// snapshot (see [`GroupingManager::freeze_shared`]); `None` before
+    /// snapshot (see `GroupingManager::freeze_shared`); `None` before
     /// bootstrap.
     pub fn freeze_grouping(&mut self) -> Option<std::sync::Arc<FrozenGrouping>> {
         self.grouping.freeze_shared()
@@ -344,7 +344,7 @@ impl LazyController {
 
     /// Re-evaluates tenant confinement and pushes `BlockArp` deltas
     /// (§III-D.3).
-    pub fn refresh_arp_blocking(&mut self, out: &mut OutputSink<ControllerOutput>) {
+    pub(crate) fn refresh_arp_blocking(&mut self, out: &mut OutputSink<ControllerOutput>) {
         let grouping = &self.grouping;
         self.tenants.rebuild(&self.clib, |s| grouping.group_of(s));
         let (to_block, to_unblock) = self.tenants.block_delta();

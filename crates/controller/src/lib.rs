@@ -26,7 +26,7 @@
 
 mod baseline;
 mod clib;
-pub mod failover;
+mod failover;
 mod grouping;
 mod lazy;
 mod tenant;
@@ -34,10 +34,9 @@ mod workload;
 
 pub use baseline::BaselineController;
 pub use clib::{Clib, HostLocation};
-pub use failover::{FailureDetector, FailureKind, RecoveryAction};
+pub use failover::{FailureDetector, FailureKind};
 pub use grouping::{FrozenGrouping, GroupingManager, RegroupDecision};
 pub use lazy::{
     ControllerOutput, ControllerTimer, LazyConfig, LazyController, REGROUP_CHECK_INTERVAL_MS,
 };
-pub use tenant::TenantDirectory;
 pub use workload::WorkloadMeter;

@@ -10,7 +10,7 @@ use crate::Clib;
 
 /// Tenant directory derived from the C-LIB plus the current grouping.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TenantDirectory {
+pub(crate) struct TenantDirectory {
     /// Tenant → groups currently hosting it.
     groups_of: BTreeMap<TenantId, BTreeSet<usize>>,
     /// Tenants whose ARP is currently blocked from reaching the controller.
@@ -19,13 +19,17 @@ pub struct TenantDirectory {
 
 impl TenantDirectory {
     /// Creates an empty directory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TenantDirectory::default()
     }
 
     /// Rebuilds the tenant → group map from the C-LIB and a switch → group
     /// assignment.
-    pub fn rebuild(&mut self, clib: &Clib, group_of_switch: impl Fn(SwitchId) -> Option<usize>) {
+    pub(crate) fn rebuild(
+        &mut self,
+        clib: &Clib,
+        group_of_switch: impl Fn(SwitchId) -> Option<usize>,
+    ) {
         self.groups_of.clear();
         for (_, loc) in clib.iter() {
             if let Some(g) = group_of_switch(loc.switch) {
@@ -35,25 +39,16 @@ impl TenantDirectory {
     }
 
     /// Groups hosting the tenant.
-    pub fn groups_of(&self, tenant: TenantId) -> Vec<usize> {
+    pub(crate) fn groups_of(&self, tenant: TenantId) -> Vec<usize> {
         self.groups_of
             .get(&tenant)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
 
-    /// True when every host of the tenant sits in one group — the §III-D.3
-    /// condition for blocking its ARP from the controller.
-    pub fn is_single_group(&self, tenant: TenantId) -> bool {
-        self.groups_of
-            .get(&tenant)
-            .map(|s| s.len() == 1)
-            .unwrap_or(false)
-    }
-
     /// Tenants whose blocked-state must change: returns `(to_block,
     /// to_unblock)` given the current confinement facts.
-    pub fn block_delta(&mut self) -> (Vec<TenantId>, Vec<TenantId>) {
+    pub(crate) fn block_delta(&mut self) -> (Vec<TenantId>, Vec<TenantId>) {
         let mut to_block = Vec::new();
         let mut to_unblock = Vec::new();
         for (&tenant, groups) in &self.groups_of {
@@ -71,16 +66,6 @@ impl TenantDirectory {
             self.blocked.remove(t);
         }
         (to_block, to_unblock)
-    }
-
-    /// Currently blocked tenants.
-    pub fn blocked(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.blocked.iter().copied()
-    }
-
-    /// Known tenants.
-    pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.groups_of.keys().copied()
     }
 }
 
@@ -114,9 +99,7 @@ mod tests {
         assert_eq!(dir.groups_of(TenantId::new(7)), vec![0]);
         assert_eq!(dir.groups_of(TenantId::new(8)), vec![1]);
         assert_eq!(dir.groups_of(TenantId::new(9)), vec![0, 1]);
-        assert!(dir.is_single_group(TenantId::new(7)));
-        assert!(!dir.is_single_group(TenantId::new(9)));
-        assert!(!dir.is_single_group(TenantId::new(99)));
+        assert!(dir.groups_of(TenantId::new(99)).is_empty());
     }
 
     #[test]
@@ -136,7 +119,7 @@ mod tests {
         let (block, unblock) = dir.block_delta();
         assert!(block.is_empty());
         assert_eq!(unblock, vec![TenantId::new(7)]);
-        assert_eq!(dir.blocked().count(), 0);
+        assert!(dir.blocked.is_empty());
     }
 
     #[test]

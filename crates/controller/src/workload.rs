@@ -32,7 +32,7 @@ pub struct WorkloadMeter {
 impl WorkloadMeter {
     /// Creates a meter with the paper-calibrated defaults: 10 s rate
     /// window, 0.5 ms unloaded service time, 30 krps capacity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WorkloadMeter {
             window_ns: 10_000_000_000,
             recent: std::collections::VecDeque::new(),
@@ -45,7 +45,7 @@ impl WorkloadMeter {
     /// runs backwards — because both the pruning below and the window
     /// count in [`rate_rps`](WorkloadMeter::rate_rps) rely on `recent`
     /// being time-ordered.
-    pub fn record(&mut self, now_ns: u64) {
+    pub(crate) fn record(&mut self, now_ns: u64) {
         debug_assert!(
             self.newest_ns() <= now_ns,
             "request at {now_ns} ns recorded after one at {} ns",
@@ -64,7 +64,7 @@ impl WorkloadMeter {
     }
 
     /// Time of the newest recorded request (0 before the first): the
-    /// earliest timestamp [`record`](WorkloadMeter::record) still accepts.
+    /// earliest timestamp `record` still accepts.
     pub fn newest_ns(&self) -> u64 {
         self.recent.back().copied().unwrap_or(0)
     }

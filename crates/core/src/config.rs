@@ -21,12 +21,12 @@ pub enum ControlMode {
 
 impl ControlMode {
     /// True for the two LazyCtrl variants.
-    pub fn is_lazy(self) -> bool {
+    pub(crate) fn is_lazy(self) -> bool {
         !matches!(self, ControlMode::Baseline)
     }
 
     /// Short label used in reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ControlMode::Baseline => "openflow",
             ControlMode::LazyStatic => "lazyctrl-static",
@@ -53,7 +53,7 @@ pub struct ExperimentConfig {
     pub emit_arp: bool,
     /// Destination hosts send one response frame per fresh pair (drives
     /// reverse-path learning, as real hosts would).
-    pub responses: bool,
+    pub(crate) responses: bool,
     /// Latency model for all four channel classes.
     pub latency: LatencyModel,
     /// Per-class link bandwidth model. Unmodeled (the default) prices no
@@ -68,26 +68,26 @@ pub struct ExperimentConfig {
     pub record_flow_latencies: bool,
     /// Stop the run after this many hours of virtual time (None = whole
     /// trace).
-    pub horizon_hours: Option<f64>,
+    pub(crate) horizon_hours: Option<f64>,
     /// Workload/latency series bucket width in hours (paper plots use 2 h).
-    pub bucket_hours: f64,
+    pub(crate) bucket_hours: f64,
     /// Deterministic seed.
     pub seed: u64,
     /// Run the control plane as a `lazyctrl-cluster` of this many
     /// controllers instead of a single controller. Requires a lazy mode.
     /// `None` keeps the classic single-controller paths untouched.
-    pub cluster_controllers: Option<usize>,
+    pub(crate) cluster_controllers: Option<usize>,
     /// How cluster members disseminate C-LIB deltas to each other
     /// (cluster runs only): direct flood (the O(n²) baseline) or ring
     /// circulation — O(n) messages per flush round, the difference that
     /// makes paper-scale clusters feasible. See [`DisseminationStrategy`].
-    pub cluster_dissemination: DisseminationStrategy,
+    pub(crate) cluster_dissemination: DisseminationStrategy,
     /// Replication flush cadence between cluster members (ms), `None`
     /// for the cluster default (1 s). Longer intervals aggregate more
     /// deltas per flush — what lets ring bundling amortize towards
     /// O(1) messages per delta — at the price of replica staleness (the
     /// synchronous lookup fallback covers the gap).
-    pub cluster_flush_interval_ms: Option<u32>,
+    pub(crate) cluster_flush_interval_ms: Option<u32>,
     /// Bounded prioritized ingress queues on cluster members: `Some(n)`
     /// gives each member an `n`-slot leaky bucket that sheds work by
     /// priority class under overload — flow setups first, lookups next,
@@ -95,18 +95,18 @@ pub struct ExperimentConfig {
     /// ECN-style pressure notices toward the shedding switch. `None`
     /// (the default) keeps admission unbounded and reports bit-identical
     /// to earlier versions. Requires a cluster.
-    pub cluster_ingress_slots: Option<usize>,
+    pub(crate) cluster_ingress_slots: Option<usize>,
     /// Virtual per-message service cost (ns) charged to the ingress
     /// bucket; `None` uses the cluster default (20 µs).
-    pub cluster_ingress_cost_ns: Option<u64>,
+    pub(crate) cluster_ingress_cost_ns: Option<u64>,
     /// Fault/workload events injected during the run (controller and
     /// switch crashes, link degradation, host migration, traffic bursts —
     /// see [`EventPlan`]). Empty by default: nothing is injected.
-    pub plan: EventPlan,
+    pub(crate) plan: EventPlan,
     /// Observability layer (flight recorder + sampling profiler). Off by
     /// default; the layer is strictly read-only, so reports are
     /// bit-identical with it on or off (see `lazyctrl_obs`).
-    pub obs: ObsConfig,
+    pub(crate) obs: ObsConfig,
     /// Worker threads for the sharded simulation engine. `None` (the
     /// default) runs the original single-threaded engine; `Some(n)` — n
     /// included `Some(1)` — runs the conservative sharded engine with
@@ -114,13 +114,13 @@ pub struct ExperimentConfig {
     /// counts (for a fixed window) but are a *different* deterministic
     /// run than the single-threaded engine: the world is split into
     /// partitions with independent RNG streams (see DESIGN.md §10).
-    pub workers: Option<usize>,
+    pub(crate) workers: Option<usize>,
     /// Synchronization window for the sharded engine, in microseconds.
     /// `None` (the default) uses the model's cross-partition lookahead
     /// floor, which keeps event timing exact; larger values trade
     /// cross-partition timing precision for fewer synchronization rounds
     /// (a throughput knob for perf runs).
-    pub shard_window_us: Option<u64>,
+    pub(crate) shard_window_us: Option<u64>,
 }
 
 impl ExperimentConfig {

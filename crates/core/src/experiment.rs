@@ -261,7 +261,7 @@ impl Experiment {
 #[derive(Debug, Clone)]
 pub struct ObsSnapshot {
     /// The observability config the run used.
-    pub config: ObsConfig,
+    pub(crate) config: ObsConfig,
     /// Flight-recorder occupancy statistics.
     pub stats: RecorderStats,
     /// The flight recorder itself (retained tail of the trace).

@@ -5,9 +5,11 @@
 //! This crate is the equivalent of the paper's prototype testbed (§V-A):
 //! where the authors replayed their trace across 272 virtual Open vSwitch
 //! instances and a Floodlight controller, [`Experiment`] replays a
-//! [`Trace`](lazyctrl_trace::Trace) through [`EdgeSwitch`] state machines
-//! and a [`BaselineController`]/[`LazyController`], measuring exactly what
-//! the paper measures:
+//! [`Trace`](lazyctrl_trace::Trace) through
+//! [`EdgeSwitch`](lazyctrl_switch::EdgeSwitch) state machines and a
+//! [`BaselineController`](lazyctrl_controller::BaselineController) /
+//! [`LazyController`](lazyctrl_controller::LazyController), measuring
+//! exactly what the paper measures:
 //!
 //! * controller workload over time (Fig. 7),
 //! * grouping update frequency (Fig. 8),
@@ -60,11 +62,9 @@ pub use scenarios::{
     run_built, run_built_detailed, run_scenario, Scenario, ScenarioRegistry, ScenarioRun,
     ScenarioVerdict,
 };
-pub use world::{EVENT_KIND_NAMES, EVENT_KIND_SUBSYS};
+pub use world::EVENT_KIND_NAMES;
 
 pub use lazyctrl_cluster::DisseminationStrategy;
-pub use lazyctrl_controller::{BaselineController, LazyController};
 pub use lazyctrl_obs::ObsConfig;
 pub use lazyctrl_proto::{EventPlan, InjectedEvent, ScheduledEvent};
 pub use lazyctrl_sim::{BandwidthModel, ChannelClass};
-pub use lazyctrl_switch::EdgeSwitch;

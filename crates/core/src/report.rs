@@ -42,10 +42,10 @@ pub struct ExperimentReport {
     pub mean_latency_ms: f64,
     /// 99th-percentile first-packet latency (ms), from the log2 latency
     /// histogram (upper bucket edge — a conservative estimate).
-    pub p99_latency_ms: f64,
+    pub(crate) p99_latency_ms: f64,
     /// 99.9th-percentile first-packet latency (ms) — the tail the
     /// congestion scenarios bound.
-    pub p999_latency_ms: f64,
+    pub(crate) p999_latency_ms: f64,
     /// Final normalized inter-group intensity (lazy modes).
     pub final_winter: Option<f64>,
     /// Largest per-switch G-FIB footprint at end of run (bytes).
@@ -101,7 +101,7 @@ pub struct ClusterReport {
     /// member's former shard).
     pub failover_groups: Vec<usize>,
     /// Final switch → group mapping (frozen at bootstrap in cluster runs).
-    pub switch_groups: Vec<Option<usize>>,
+    pub(crate) switch_groups: Vec<Option<usize>>,
     /// Ownership-transfer retransmissions per controller (unacked
     /// announcements re-sent under the capped backoff; nonzero means the
     /// first announcement was lost to a crash window or partition).

@@ -21,7 +21,7 @@ pub enum Scale {
 impl Scale {
     /// Parses a `LAZYCTRL_SCALE` value: unset is quick, anything but
     /// `quick`/`paper`/`x10` is an error naming the accepted values.
-    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+    pub(crate) fn parse(value: Option<&str>) -> Result<Scale, String> {
         match value {
             None | Some("quick") => Ok(Scale::Quick),
             Some("paper") => Ok(Scale::Paper),
@@ -32,14 +32,14 @@ impl Scale {
         }
     }
 
-    /// Reads and parses `LAZYCTRL_SCALE` (see [`Scale::parse`]).
+    /// Reads and parses `LAZYCTRL_SCALE` (see `Scale::parse`).
     pub fn from_env() -> Result<Scale, String> {
         let value = std::env::var_os("LAZYCTRL_SCALE");
         let value = value.as_ref().map(|v| v.to_string_lossy());
         Scale::parse(value.as_deref())
     }
 
-    /// Human-readable label (the spelling [`Scale::parse`] accepts).
+    /// Human-readable label (the spelling `Scale::parse` accepts).
     pub fn label(self) -> &'static str {
         match self {
             Scale::Quick => "quick",

@@ -192,7 +192,7 @@ pub struct ClusterCrashReport {
 /// replicas). Reachability of the failed shard's traffic must return
 /// after takeover.
 ///
-/// The registry entry [`CrashUnderLoad`] runs the same plan with
+/// The registry entry `CrashUnderLoad` runs the same plan with
 /// report-level checks; this function additionally splits delivered flows
 /// by shard and crash phase, which needs the per-flow latency log.
 pub fn controller_crash(controllers: usize, seed: u64) -> ClusterCrashReport {
@@ -255,7 +255,7 @@ pub fn controller_crash(controllers: usize, seed: u64) -> ClusterCrashReport {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterRebalanceReport {
     /// The full run report (cluster section populated).
-    pub report: crate::ExperimentReport,
+    pub(crate) report: crate::ExperimentReport,
     /// Requests handled per controller.
     pub requests_per_controller: Vec<u64>,
     /// Rebalancing transfers executed.
@@ -286,7 +286,7 @@ pub fn shard_rebalance(seed: u64) -> ClusterRebalanceReport {
 /// Controller-crash-under-load as a registry entry: kill a non-leader
 /// member of a two-controller cluster mid-run; the Table-I ring detector
 /// must declare it dead and fail its groups over to the survivor.
-pub struct CrashUnderLoad;
+pub(crate) struct CrashUnderLoad;
 
 impl Scenario for CrashUnderLoad {
     fn name(&self) -> &'static str {
@@ -334,7 +334,7 @@ impl Scenario for CrashUnderLoad {
 
 /// Crash + recovery: the victim restarts long after the takeover, so
 /// detection, takeover and comeback all execute in one run.
-pub struct CrashRecover;
+pub(crate) struct CrashRecover;
 
 impl Scenario for CrashRecover {
     fn name(&self) -> &'static str {
@@ -392,11 +392,11 @@ impl Scenario for CrashRecover {
 /// (bundling, dedup, anti-entropy) under the workload it exists for, and
 /// whose report carries the per-member peer-sync accounting the
 /// O(n²)→O(n) comparison reads.
-pub struct PeerSyncStorm {
+pub(crate) struct PeerSyncStorm {
     /// The dissemination strategy under test. The registry entry runs
     /// Ring (the overlay path); tests construct the other variants
     /// directly or override `ExperimentConfig::cluster_dissemination`.
-    pub strategy: DisseminationStrategy,
+    pub(crate) strategy: DisseminationStrategy,
 }
 
 impl Default for PeerSyncStorm {
@@ -490,7 +490,7 @@ impl Scenario for PeerSyncStorm {
 }
 
 /// Shard-rebalance-under-churn as a registry entry.
-pub struct ShardRebalance;
+pub(crate) struct ShardRebalance;
 
 impl Scenario for ShardRebalance {
     fn name(&self) -> &'static str {

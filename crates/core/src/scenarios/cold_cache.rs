@@ -22,7 +22,7 @@ pub struct ColdCacheReport {
     /// 5.38 ms (LazyCtrl).
     pub inter_group_ms: f64,
     /// Flows measured.
-    pub flows: u64,
+    pub(crate) flows: u64,
 }
 
 /// The cold-cache micro-topology and trace: two groups of switches with
@@ -152,7 +152,7 @@ pub fn cold_cache(mode: ControlMode, seed: u64) -> ColdCacheReport {
 }
 
 /// The §V-E cold-cache scenario under LazyCtrl, as a registry entry.
-pub struct ColdCache;
+pub(crate) struct ColdCache;
 
 impl Scenario for ColdCache {
     fn name(&self) -> &'static str {

@@ -83,7 +83,7 @@ fn require_critical_class_untouched(v: &mut ScenarioVerdict, report: &Experiment
 /// leaky-bucket admission sheds the excess `PacketIn`s, congestion
 /// notices pace the switches' punts, and the critical class sails
 /// through untouched.
-pub struct FlowSetupStorm;
+pub(crate) struct FlowSetupStorm;
 
 impl Scenario for FlowSetupStorm {
     fn name(&self) -> &'static str {
@@ -158,7 +158,7 @@ impl Scenario for FlowSetupStorm {
 /// a flash crowd serializes through them. With *unbounded* ingress queues
 /// nothing may ever be shed — contention shows up purely as queueing
 /// delay in the tail, and the cluster's liveness machinery rides it out.
-pub struct ControllerIncast;
+pub(crate) struct ControllerIncast;
 
 /// Control-class capacity (bytes/sec of virtual time) for the incast
 /// scenario: low enough that a punt storm queues behind itself on each
@@ -231,7 +231,7 @@ impl Scenario for ControllerIncast {
 /// through the ctrl-peer channel, contending with the heartbeats and
 /// elections that share it. Replication must still converge and the
 /// liveness machinery must ride out the backlog.
-pub struct ElephantPeerSync;
+pub(crate) struct ElephantPeerSync;
 
 /// Ctrl-peer capacity (bytes/sec): elephant sync bundles take visible
 /// wall-clock to serialize, but the backlog stays well under the 3 s

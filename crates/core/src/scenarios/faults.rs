@@ -42,7 +42,7 @@ fn delivered_ratio(report: &ExperimentReport) -> f64 {
 /// neighbours must report the silence, the controller's Table-I inference
 /// must take exactly the still-dead switch out of its group, and the
 /// §III-E.3 comeback must clear the rebooted one.
-pub struct SwitchFailure;
+pub(crate) struct SwitchFailure;
 
 /// The switch that stays dead.
 const PERMANENT_VICTIM: u32 = 1;
@@ -110,7 +110,7 @@ impl Scenario for SwitchFailure {
 /// The control network browns out: control/state latency ×20 plus 5%
 /// control-message loss for a quarter hour. Devolved intra-group control
 /// must keep the traffic flowing.
-pub struct DegradedControlNet;
+pub(crate) struct DegradedControlNet;
 
 impl Scenario for DegradedControlNet {
     fn name(&self) -> &'static str {
@@ -159,7 +159,7 @@ impl Scenario for DegradedControlNet {
 /// VM-migration churn: two batches of hosts move to other switches
 /// mid-run, re-announce themselves, and keep communicating. Learning and
 /// C-LIB state must converge on the new locations.
-pub struct HostMigrationStorm;
+pub(crate) struct HostMigrationStorm;
 
 impl Scenario for HostMigrationStorm {
     fn name(&self) -> &'static str {
@@ -205,7 +205,7 @@ impl Scenario for HostMigrationStorm {
 /// A flash crowd: a burst of fresh-pair flows lands on top of the steady
 /// trace. Every burst flow must be driven (counted as started) and the
 /// fabric must absorb it.
-pub struct TrafficBurstScenario;
+pub(crate) struct TrafficBurstScenario;
 
 /// Burst size as a multiple of the host count.
 const BURST_SCALE: f64 = 2.0;

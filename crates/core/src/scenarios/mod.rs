@@ -37,16 +37,8 @@ use lazyctrl_trace::Trace;
 use crate::experiment::DetailedRun;
 use crate::{Experiment, ExperimentConfig, ExperimentReport};
 
-pub use cluster::{
-    controller_crash, shard_rebalance, ClusterCrashReport, ClusterRebalanceReport, CrashRecover,
-    CrashUnderLoad, PeerSyncStorm, ShardRebalance,
-};
-pub use cold_cache::{cold_cache, ColdCache, ColdCacheReport};
-pub use congestion::{ControllerIncast, ElephantPeerSync, FlowSetupStorm};
-pub use faults::{DegradedControlNet, HostMigrationStorm, SwitchFailure, TrafficBurstScenario};
-pub use partition::{
-    PartitionCtrlIsland, PartitionFlapping, PartitionSplit, PartitionSwitchOrphan,
-};
+pub use cluster::{controller_crash, shard_rebalance, ClusterCrashReport, ClusterRebalanceReport};
+pub use cold_cache::{cold_cache, ColdCacheReport};
 
 /// Number of switch-clusters in the shared cluster testbed at the
 /// `LAZYCTRL_SCALE` in force: 4 at quick scale (seconds per scenario), 16
@@ -103,7 +95,7 @@ impl ScenarioVerdict {
     }
 
     /// Adds an informational note.
-    pub fn note(&mut self, note: impl Into<String>) {
+    pub(crate) fn note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
     }
 
@@ -116,8 +108,6 @@ impl ScenarioVerdict {
 /// A finished scenario run: the report plus its verdict.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
-    /// The scenario's registry name.
-    pub name: &'static str,
     /// The full experiment report.
     pub report: ExperimentReport,
     /// The scenario's judgement of that report.
@@ -171,7 +161,6 @@ pub fn run_built_detailed(
     }
     (
         ScenarioRun {
-            name: scenario.name(),
             report: detailed.report.clone(),
             verdict,
         },
@@ -221,7 +210,7 @@ pub struct ScenarioRegistry {
 
 impl ScenarioRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ScenarioRegistry::default()
     }
 
@@ -252,7 +241,7 @@ impl ScenarioRegistry {
     /// # Panics
     ///
     /// Panics if a scenario with the same name is already registered.
-    pub fn register(&mut self, scenario: Box<dyn Scenario>) {
+    pub(crate) fn register(&mut self, scenario: Box<dyn Scenario>) {
         assert!(
             self.get(scenario.name()).is_none(),
             "duplicate scenario name {:?}",

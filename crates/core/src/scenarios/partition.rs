@@ -83,7 +83,7 @@ fn require_partition_invariants(v: &mut ScenarioVerdict, report: &ExperimentRepo
 
 /// Clean split: majority island {members 0,1 + first half of the
 /// switches}, minority island {member 2 + the rest}.
-pub struct PartitionSplit;
+pub(crate) struct PartitionSplit;
 
 impl Scenario for PartitionSplit {
     fn name(&self) -> &'static str {
@@ -138,7 +138,7 @@ impl Scenario for PartitionSplit {
 }
 
 /// The leader alone on one side of a controller-ring-only cut.
-pub struct PartitionCtrlIsland;
+pub(crate) struct PartitionCtrlIsland;
 
 impl Scenario for PartitionCtrlIsland {
     fn name(&self) -> &'static str {
@@ -186,7 +186,7 @@ impl Scenario for PartitionCtrlIsland {
 
 /// One switch-cluster cut from every controller; the control plane
 /// itself stays whole.
-pub struct PartitionSwitchOrphan;
+pub(crate) struct PartitionSwitchOrphan;
 
 impl Scenario for PartitionSwitchOrphan {
     fn name(&self) -> &'static str {
@@ -238,7 +238,7 @@ impl Scenario for PartitionSwitchOrphan {
 }
 
 /// The controller-island cut applied and healed in rapid cycles.
-pub struct PartitionFlapping;
+pub(crate) struct PartitionFlapping;
 
 impl Scenario for PartitionFlapping {
     fn name(&self) -> &'static str {

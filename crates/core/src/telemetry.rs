@@ -14,7 +14,7 @@ use crate::experiment::DetailedRun;
 use crate::world::EVENT_KIND_NAMES;
 
 /// Telemetry document schema version. Bump on breaking shape changes.
-pub const TELEMETRY_SCHEMA: u64 = 1;
+pub(crate) const TELEMETRY_SCHEMA: u64 = 1;
 
 fn num(n: f64) -> Value {
     Value::Num(n)

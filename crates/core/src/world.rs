@@ -183,7 +183,7 @@ pub const EVENT_KIND_NAMES: [&str; 11] = [
 
 /// Subsystem attribution per dense event kind (same order as
 /// [`EVENT_KIND_NAMES`]), using `lazyctrl_obs::intern::subsys` IDs.
-pub const EVENT_KIND_SUBSYS: [u16; 11] = [
+pub(crate) const EVENT_KIND_SUBSYS: [u16; 11] = [
     ts::WORLD,      // flow_arrival
     ts::SWITCH,     // local_frame
     ts::SWITCH,     // tunnel_arrive
@@ -2287,10 +2287,11 @@ mod tests {
     /// compares the partitions' replicated state directly.
     #[test]
     fn recover_controller_keeps_global_rng_lockstep() {
-        use crate::scenarios::{CrashRecover, Scenario};
+        use crate::scenarios::ScenarioRegistry;
         use lazyctrl_sim::EventQueue;
 
-        let (trace, cfg, _plan) = CrashRecover.build(0x1C);
+        let registry = ScenarioRegistry::builtin();
+        let (trace, cfg, _plan) = registry.get("crash_recover").unwrap().build(0x1C);
         let mut queue: EventQueue<Ev> = EventQueue::new();
         let mut world = DataCenterWorld::new(trace, cfg);
         {

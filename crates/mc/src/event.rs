@@ -46,7 +46,7 @@ pub struct FaultBudget {
     /// peer until healed).
     pub partitions: u32,
     /// Partition heals available. Liveness does not depend on the
-    /// adversary spending these: [`crate::settle`] heals unconditionally
+    /// adversary spending these: `crate::settle` heals unconditionally
     /// before the terminal invariants are checked — the standard
     /// "partitions eventually heal" fairness assumption.
     pub heals: u32,
@@ -72,7 +72,11 @@ impl FaultBudget {
 /// the same link (xid blinded — equal [`crate::PendingMsg::wire_hash`])
 /// lead to identical successor states, so only the first enumerates
 /// Deliver/Drop/Duplicate branches.
-pub fn enabled_events(state: &McState, budget: FaultBudget, max_pending: usize) -> Vec<McEvent> {
+pub(crate) fn enabled_events(
+    state: &McState,
+    budget: FaultBudget,
+    max_pending: usize,
+) -> Vec<McEvent> {
     let pending = state.pending();
     let first_of_its_wire = |&i: &usize| {
         let w = pending[i].wire_hash();
@@ -124,7 +128,7 @@ pub fn enabled_events(state: &McState, budget: FaultBudget, max_pending: usize) 
 }
 
 /// Deducts the cost of `ev` from `budget`.
-pub fn spend(budget: &mut FaultBudget, ev: McEvent) {
+pub(crate) fn spend(budget: &mut FaultBudget, ev: McEvent) {
     match ev {
         McEvent::Drop(_) => budget.drops -= 1,
         McEvent::Duplicate(_) => budget.dups -= 1,

@@ -20,7 +20,7 @@ pub struct Violation {
     /// Short invariant name (stable, used by tests and the repro binary).
     pub invariant: &'static str,
     /// Human-readable account of the violating observation.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl std::fmt::Display for Violation {
@@ -33,20 +33,20 @@ impl std::fmt::Display for Violation {
 /// Cloned with the path, never part of the state fingerprint: it records
 /// what *happened*, not what *is*.
 #[derive(Debug, Clone, Default)]
-pub struct Ghost {
+pub(crate) struct Ghost {
     /// `term -> the one member seen leading it`. A second member leading
     /// the same term — even at a different point of the schedule — is a
     /// split brain.
-    pub leaders_by_term: BTreeMap<u64, u32>,
+    pub(crate) leaders_by_term: BTreeMap<u64, u32>,
     /// `(forwarder, dest, origin, seq, chunk) -> times forwarded` on the
     /// relay overlay. The dedup window must hold every count at one.
-    pub relay_forwards: BTreeMap<(u32, u32, u32, u64, u32), u32>,
+    pub(crate) relay_forwards: BTreeMap<(u32, u32, u32, u64, u32), u32>,
 }
 
 impl Ghost {
     /// Observes one step's outputs, updating the relay-forwarding ledger
     /// and reporting an at-most-once violation immediately.
-    pub fn note_outputs(&mut self, outs: &[ClusterOutput]) -> Option<Violation> {
+    pub(crate) fn note_outputs(&mut self, outs: &[ClusterOutput]) -> Option<Violation> {
         for out in outs {
             let ClusterOutput::ToCtrl { from, to, msg } = out else {
                 continue;
@@ -76,7 +76,7 @@ impl Ghost {
 
 /// Checks the always-invariants in `state`, updating the ghost's
 /// leadership ledger.
-pub fn check_safety(state: &McState, ghost: &mut Ghost) -> Option<Violation> {
+pub(crate) fn check_safety(state: &McState, ghost: &mut Ghost) -> Option<Violation> {
     let plane = &state.plane;
     let n = plane.num_controllers() as u32;
 
@@ -137,7 +137,7 @@ pub fn check_safety(state: &McState, ghost: &mut Ghost) -> Option<Violation> {
 /// Checks the terminal invariants on a settled state: replica
 /// convergence, live ownership, and an elected leader. Call this on the
 /// output of [`crate::settle::settle`], not on a raw exploration state.
-pub fn check_terminal(state: &McState) -> Option<Violation> {
+pub(crate) fn check_terminal(state: &McState) -> Option<Violation> {
     let plane = &state.plane;
     let functioning = state.functioning();
     if functioning.len() < 2 {

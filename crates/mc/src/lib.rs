@@ -25,7 +25,7 @@
 //! Exploration is exhaustive iterative-deepening DFS with
 //! state-fingerprint deduplication by default ([`Mode::Exhaustive`]), or
 //! guided random walks for larger clusters ([`Mode::RandomWalk`]).
-//! A violation yields a [`Counterexample`]: the exact event
+//! A violation yields a `Counterexample`: the exact event
 //! schedule, replayable step-for-step, with its crash/recovery skeleton
 //! exportable as a [`lazyctrl_proto::EventPlan`] for the full simulator.
 //!
@@ -42,7 +42,4 @@ mod trace;
 
 pub use checker::{check, CheckOutcome, CheckStats, CheckerConfig, Mode};
 pub use event::{FaultBudget, McEvent};
-pub use invariants::{Ghost, Violation};
-pub use settle::settle;
 pub use state::{McState, PendingMsg};
-pub use trace::{Counterexample, TraceStep};

@@ -18,7 +18,7 @@ use crate::state::McState;
 /// partitions eventually heal (a permanently split cluster can neither
 /// converge nor keep a quorum leader, by design, not by bug), so the
 /// terminal check always judges the *post-heal* behavior.
-pub fn settle(state: &McState, horizon_ns: u64) -> McState {
+pub(crate) fn settle(state: &McState, horizon_ns: u64) -> McState {
     let mut s = state.clone();
     if s.partition.is_some() {
         s.apply(McEvent::Heal);

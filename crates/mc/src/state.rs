@@ -34,7 +34,7 @@ pub struct PendingMsg {
 impl PendingMsg {
     /// A message from `from` to `to`, hashed over its link and its wire
     /// bytes with the xid blinded.
-    pub fn new(from: u32, to: u32, msg: Message) -> PendingMsg {
+    pub(crate) fn new(from: u32, to: u32, msg: Message) -> PendingMsg {
         let mut h = Fnv64::new();
         h.u32(from).u32(to);
         hash_wire_ignoring_xid(&mut h, &msg.encode());
@@ -47,7 +47,7 @@ impl PendingMsg {
     }
 
     /// Link-level sender.
-    pub fn from(&self) -> u32 {
+    pub(crate) fn from(&self) -> u32 {
         self.from
     }
 
@@ -57,7 +57,7 @@ impl PendingMsg {
     }
 
     /// The message.
-    pub fn msg(&self) -> &Message {
+    pub(crate) fn msg(&self) -> &Message {
         &self.msg
     }
 
@@ -309,7 +309,7 @@ impl McState {
     /// Index of the earliest-due armed timer (ties broken by node id,
     /// then arm order) — the only timer [`McEvent::FireTimer`] fires,
     /// which is what keeps the logical clock deterministic per schedule.
-    pub fn min_timer(&self) -> Option<usize> {
+    pub(crate) fn min_timer(&self) -> Option<usize> {
         let timers = &self.timers.items;
         (0..timers.len()).min_by_key(|&i| (timers[i].0, timers[i].1.node, i))
     }

@@ -10,15 +10,15 @@ use crate::state::McState;
 
 /// One step of a counterexample schedule.
 #[derive(Debug, Clone)]
-pub struct TraceStep {
+pub(crate) struct TraceStep {
     /// The adversarial choice taken.
-    pub event: McEvent,
+    pub(crate) event: McEvent,
     /// Readable rendering ("deliver 0→1 heartbeat", "crash member 2").
-    pub label: String,
+    pub(crate) label: String,
     /// The clock after the step (ns).
-    pub now_ns: u64,
+    pub(crate) now_ns: u64,
     /// The state fingerprint after the step.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
 }
 
 /// A schedule that violates an invariant, with enough provenance to
@@ -26,13 +26,13 @@ pub struct TraceStep {
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// The adversarial schedule, in order.
-    pub steps: Vec<TraceStep>,
+    pub(crate) steps: Vec<TraceStep>,
     /// What broke.
     pub violation: Violation,
     /// Nonzero when the violation is a *terminal* invariant, observed
     /// after settling the final state for this many virtual ns; zero for
     /// safety violations, which reproduce from the steps alone.
-    pub settle_horizon_ns: u64,
+    pub(crate) settle_horizon_ns: u64,
 }
 
 /// Renders the event for trace display, peeking at the in-flight message

@@ -21,7 +21,7 @@ fn mc_config(n: usize) -> ClusterConfig {
 
 /// `n` members with replication work seeded on two of them, rolled
 /// through the first flush / heartbeat round.
-pub fn initial(n: usize) -> McState {
+pub(crate) fn initial(n: usize) -> McState {
     let mut state = McState::bootstrap(n, mc_config(n));
     state.seed_host(0, 1_001);
     state.seed_host(1, 2_001);

@@ -104,7 +104,7 @@ impl ArpPacket {
     }
 
     /// Serializes into an existing buffer.
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
+    pub(crate) fn encode_into<B: BufMut>(&self, buf: &mut B) {
         buf.put_u16(1); // htype: Ethernet
         buf.put_u16(0x0800); // ptype: IPv4
         buf.put_u8(6); // hlen

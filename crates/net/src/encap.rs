@@ -16,7 +16,7 @@ use crate::{EthernetFrame, NetError, Result, TenantId};
 ///  +-------+-------+-------+----+----+------------------+
 ///   4 bytes 4 bytes 4 bytes 2 bytes  4 bytes  = 18 bytes
 /// ```
-pub const ENCAP_HEADER_LEN: usize = 18;
+pub(crate) const ENCAP_HEADER_LEN: usize = 18;
 
 const ENCAP_MAGIC: u32 = 0x4c5a_4354; // "LZCT"
 
@@ -33,7 +33,7 @@ pub struct EncapHeader {
     /// Underlay IPv4 address of the egress edge switch.
     pub dst: Ipv4Addr,
     /// Tenant owning the inner frame.
-    pub tenant: TenantId,
+    pub(crate) tenant: TenantId,
     /// Grouping epoch under which the forwarding decision was made; the
     /// egress switch drops frames from stale epochs during regrouping unless
     /// preload rules are installed.
@@ -52,7 +52,7 @@ impl EncapHeader {
     }
 
     /// Serializes into an existing buffer.
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
+    pub(crate) fn encode_into<B: BufMut>(&self, buf: &mut B) {
         buf.put_u32(ENCAP_MAGIC);
         buf.put_slice(&self.src.octets());
         buf.put_slice(&self.dst.octets());
@@ -67,7 +67,7 @@ impl EncapHeader {
     ///
     /// Returns [`NetError::Truncated`] for short buffers and
     /// [`NetError::InvalidField`] if the magic does not match.
-    pub fn decode(mut buf: &[u8]) -> Result<(Self, usize)> {
+    pub(crate) fn decode(mut buf: &[u8]) -> Result<(Self, usize)> {
         if buf.len() < ENCAP_HEADER_LEN {
             return Err(NetError::Truncated {
                 what: "encap header",

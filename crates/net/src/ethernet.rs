@@ -6,11 +6,11 @@ use serde::{Deserialize, Serialize};
 use crate::{ArpPacket, MacAddr, NetError, Result, VlanTag, VLAN_TAG_LEN};
 
 /// Length of an untagged Ethernet header (dst + src + ethertype).
-pub const ETHERNET_HEADER_LEN: usize = 14;
+pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
 
 /// Maximum frame length accepted by the simulated switches (standard MTU
 /// payload plus headers plus one VLAN tag plus the LazyCtrl encap header).
-pub const MAX_FRAME_LEN: usize = 1600;
+pub(crate) const MAX_FRAME_LEN: usize = 1600;
 
 /// An EtherType value.
 ///
@@ -25,10 +25,10 @@ impl EtherType {
     /// ARP, `0x0806`.
     pub const ARP: EtherType = EtherType(0x0806);
     /// 802.1Q VLAN tag, `0x8100`.
-    pub const VLAN: EtherType = EtherType(0x8100);
+    pub(crate) const VLAN: EtherType = EtherType(0x8100);
     /// LazyCtrl GRE-like encapsulation (local experimental ethertype,
     /// `0x88B5` per IEEE 802 local experimental 1).
-    pub const LAZYCTRL_ENCAP: EtherType = EtherType(0x88b5);
+    pub(crate) const LAZYCTRL_ENCAP: EtherType = EtherType(0x88b5);
 
     /// Raw 16-bit value.
     pub const fn as_u16(self) -> u16 {
@@ -147,7 +147,7 @@ impl EthernetFrame {
     }
 
     /// Encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         ETHERNET_HEADER_LEN
             + if self.vlan.is_some() { VLAN_TAG_LEN } else { 0 }
             + self.payload.len()
@@ -161,7 +161,7 @@ impl EthernetFrame {
     }
 
     /// Serializes the frame into an existing buffer.
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
+    pub(crate) fn encode_into<B: BufMut>(&self, buf: &mut B) {
         buf.put_slice(&self.dst.octets());
         buf.put_slice(&self.src.octets());
         if let Some(tag) = self.vlan {
@@ -180,7 +180,7 @@ impl EthernetFrame {
     ///
     /// Returns [`NetError::Truncated`] if the buffer is shorter than the
     /// (possibly VLAN-tagged) header, and [`NetError::Oversized`] if it
-    /// exceeds [`MAX_FRAME_LEN`].
+    /// exceeds `MAX_FRAME_LEN`.
     pub fn decode(bytes: &Bytes) -> Result<Self> {
         let mut buf: &[u8] = bytes;
         let total = buf.len();
@@ -266,7 +266,6 @@ mod tests {
         let back = EthernetFrame::decode(&wire.into()).unwrap();
         assert_eq!(back, f);
         assert_eq!(back.vlan.unwrap().vid().as_u16(), 42);
-        assert_eq!(back.vlan.unwrap().pcp(), 3);
     }
 
     #[test]

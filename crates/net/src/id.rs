@@ -172,7 +172,7 @@ impl PortNo {
     /// Send to the controller over the control link (`0xfffd`).
     pub const CONTROLLER: PortNo = PortNo(0xfffd);
     /// The switch's local networking stack (`0xfffe`).
-    pub const LOCAL: PortNo = PortNo(0xfffe);
+    pub(crate) const LOCAL: PortNo = PortNo(0xfffe);
     /// Not a port (`0xffff`).
     pub const NONE: PortNo = PortNo(0xffff);
 

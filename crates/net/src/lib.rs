@@ -38,19 +38,20 @@ mod arp;
 mod encap;
 mod error;
 mod ethernet;
-pub mod id;
+mod id;
 mod mac;
 mod packet;
 mod vlan;
 
 pub use arp::{ArpOp, ArpPacket};
-pub use encap::{EncapHeader, EncapsulatedFrame, ENCAP_HEADER_LEN};
+pub use encap::{EncapHeader, EncapsulatedFrame};
 pub use error::NetError;
-pub use ethernet::{EtherType, EthernetFrame, ETHERNET_HEADER_LEN, MAX_FRAME_LEN};
+pub use ethernet::{EtherType, EthernetFrame};
 pub use id::{GroupId, HostId, PortNo, SwitchId};
 pub use mac::MacAddr;
 pub use packet::{Packet, PacketKind};
-pub use vlan::{TenantId, VlanTag, VLAN_TAG_LEN};
+use vlan::VLAN_TAG_LEN;
+pub use vlan::{TenantId, VlanTag};
 
 /// Result alias used across the packet model.
-pub type Result<T> = std::result::Result<T, NetError>;
+type Result<T> = std::result::Result<T, NetError>;

@@ -86,36 +86,13 @@ impl MacAddr {
         self.0
     }
 
-    /// Builds an address from the low 48 bits of `v`.
-    pub const fn from_u64(v: u64) -> Self {
-        MacAddr([
-            (v >> 40) as u8,
-            (v >> 32) as u8,
-            (v >> 24) as u8,
-            (v >> 16) as u8,
-            (v >> 8) as u8,
-            v as u8,
-        ])
-    }
-
-    /// Returns the address as a 48-bit integer (in the high-to-low octet
-    /// order used for display).
-    pub const fn to_u64(self) -> u64 {
-        ((self.0[0] as u64) << 40)
-            | ((self.0[1] as u64) << 32)
-            | ((self.0[2] as u64) << 24)
-            | ((self.0[3] as u64) << 16)
-            | ((self.0[4] as u64) << 8)
-            | self.0[5] as u64
-    }
-
     /// True if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
+    pub(crate) fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
 
     /// True if the group bit (I/G) is set and the address is not broadcast.
-    pub fn is_multicast(&self) -> bool {
+    pub(crate) fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0 && !self.is_broadcast()
     }
 
@@ -206,16 +183,6 @@ mod tests {
         assert!("0:11:22:33:44:55".parse::<MacAddr>().is_err());
         assert!("gg:11:22:33:44:55".parse::<MacAddr>().is_err());
         assert!("001122334455".parse::<MacAddr>().is_err());
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let mac = MacAddr::new([1, 2, 3, 4, 5, 6]);
-        assert_eq!(MacAddr::from_u64(mac.to_u64()), mac);
-        assert_eq!(
-            MacAddr::from_u64(0x0102_0304_0506).octets(),
-            [1, 2, 3, 4, 5, 6]
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{ArpPacket, EncapsulatedFrame, EthernetFrame, NetError, Result};
+use crate::{EncapsulatedFrame, EthernetFrame, NetError, Result};
 
 /// What kind of traffic a decoded packet turned out to be.
 ///
@@ -53,26 +53,6 @@ impl Packet {
         match self {
             Packet::Plain(_) => PacketKind::Plain,
             Packet::Encapsulated(_) => PacketKind::Encapsulated,
-        }
-    }
-
-    /// The Ethernet frame this packet carries (the inner frame for
-    /// encapsulated packets).
-    pub fn frame(&self) -> &EthernetFrame {
-        match self {
-            Packet::Plain(f) => f,
-            Packet::Encapsulated(e) => &e.inner,
-        }
-    }
-
-    /// If this is a plain ARP frame, decodes and returns the ARP body.
-    ///
-    /// Returns `None` for non-ARP or encapsulated packets, or if the ARP body
-    /// fails to parse.
-    pub fn as_arp(&self) -> Option<ArpPacket> {
-        match self {
-            Packet::Plain(f) => f.as_arp(),
-            _ => None,
         }
     }
 
@@ -155,25 +135,6 @@ mod tests {
         let back = Packet::decode(&pkt.encode()).unwrap();
         assert_eq!(back, pkt);
         assert_eq!(back.kind(), PacketKind::Encapsulated);
-        assert_eq!(back.frame(), &frame());
-    }
-
-    #[test]
-    fn arp_extraction() {
-        let arp = ArpPacket::request(
-            MacAddr::for_host(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-        );
-        let f = EthernetFrame::new(
-            MacAddr::for_host(1),
-            MacAddr::BROADCAST,
-            EtherType::ARP,
-            arp.encode(),
-        );
-        let pkt = Packet::Plain(f);
-        assert_eq!(pkt.as_arp(), Some(arp));
-        assert_eq!(Packet::Plain(frame()).as_arp(), None);
     }
 
     #[test]

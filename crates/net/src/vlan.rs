@@ -3,7 +3,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 /// Length in bytes of an 802.1Q tag on the wire (TPID + TCI).
-pub const VLAN_TAG_LEN: usize = 4;
+pub(crate) const VLAN_TAG_LEN: usize = 4;
 
 /// A tenant identifier.
 ///
@@ -17,9 +17,6 @@ pub struct TenantId(u16);
 impl TenantId {
     /// The reserved "no tenant" id.
     pub const NONE: TenantId = TenantId(0);
-
-    /// Maximum representable tenant id (12 bits, like a VLAN ID).
-    pub const MAX: TenantId = TenantId(0x0fff);
 
     /// Creates a tenant id.
     ///
@@ -86,7 +83,7 @@ impl VlanTag {
     }
 
     /// Parses a tag from a raw 16-bit TCI field.
-    pub fn from_tci(tci: u16) -> Self {
+    pub(crate) fn from_tci(tci: u16) -> Self {
         VlanTag {
             vid: TenantId(tci & 0x0fff),
             pcp: (tci >> 13) as u8,
@@ -94,18 +91,13 @@ impl VlanTag {
     }
 
     /// Encodes the tag into a raw 16-bit TCI field.
-    pub fn tci(&self) -> u16 {
+    pub(crate) fn tci(&self) -> u16 {
         ((self.pcp as u16) << 13) | self.vid.0
     }
 
     /// The VLAN id (the tenant id in this system).
     pub fn vid(&self) -> TenantId {
         self.vid
-    }
-
-    /// The 3-bit priority code point.
-    pub fn pcp(&self) -> u8 {
-        self.pcp
     }
 }
 
@@ -127,7 +119,6 @@ mod tests {
                 let back = VlanTag::from_tci(tag.tci());
                 assert_eq!(back, tag);
                 assert_eq!(back.vid().as_u16(), vid);
-                assert_eq!(back.pcp(), pcp);
             }
         }
     }
@@ -154,8 +145,7 @@ mod tests {
     #[test]
     fn from_tci_ignores_cfi_bit() {
         let tag = VlanTag::from_tci(0x1000 | 42); // CFI bit set
-        assert_eq!(tag.vid().as_u16(), 42);
-        assert_eq!(tag.pcp(), 0);
+        assert_eq!(tag, VlanTag::for_tenant(TenantId::new(42)));
     }
 
     #[test]

@@ -97,8 +97,8 @@ mod tests {
     #[test]
     fn jsonl_is_one_record_per_line() {
         let mut fr = FlightRecorder::new(16);
-        fr.record(1, 0, kind::EVENT_POP, subsys::SIM, 0, 0);
-        fr.record(2, 0, kind::HANDLER_DONE, subsys::SIM, 0, 3);
+        fr.record(1, 0, kind::EVENT_POP, subsys::WORLD, 0, 0);
+        fr.record(2, 0, kind::HANDLER_DONE, subsys::WORLD, 0, 3);
         let dump = jsonl_dump(&fr);
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -1,14 +1,10 @@
 //! Interned identifiers for trace records.
 //!
 //! Records store `u16` IDs, never strings. The engine's vocabulary is known
-//! at compile time, so the common path uses fixed constants and static name
-//! tables; the dynamic [`Interner`] exists for ad-hoc extension (and to pin
-//! interning stability under test).
+//! at compile time, so records use fixed constants and static name tables.
 
 /// Subsystem IDs (the `subsys` field of a record).
 pub mod subsys {
-    /// Simulation kernel (scheduler pops, timer churn).
-    pub const SIM: u16 = 0;
     /// Switch datapath (frames, table lookups, PacketIn emission).
     pub const SWITCH: u16 = 1;
     /// Controller logic (lazy/baseline handlers, FlowMod emission).
@@ -18,7 +14,8 @@ pub mod subsys {
     /// World glue (injected faults, bookkeeping).
     pub const WORLD: u16 = 4;
 
-    /// Display names, indexed by subsystem ID.
+    /// Display names, indexed by subsystem ID. ID 0 (`"sim"`) belongs to
+    /// the simulation kernel, which records nothing under its own ID.
     pub const NAMES: [&str; 5] = ["sim", "switch", "controller", "cluster", "world"];
 
     /// Name for a subsystem ID (`"?"` if out of range).
@@ -119,51 +116,6 @@ pub mod kind {
     }
 }
 
-/// A tiny append-only string interner: stable IDs in insertion order.
-///
-/// Not used on the hot path (the engine's vocabulary is static); this is the
-/// extension point for dynamically named record sources, and the unit tests
-/// pin its stability guarantee (same insertion sequence → same IDs).
-#[derive(Debug, Default, Clone)]
-pub struct Interner {
-    names: Vec<String>,
-}
-
-impl Interner {
-    /// New empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Return the ID for `name`, inserting it if unseen.
-    ///
-    /// IDs are assigned densely in first-seen order, so an identical
-    /// insertion sequence always yields identical IDs.
-    pub fn intern(&mut self, name: &str) -> u16 {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return i as u16;
-        }
-        assert!(self.names.len() < u16::MAX as usize, "interner full");
-        self.names.push(name.to_string());
-        (self.names.len() - 1) as u16
-    }
-
-    /// Resolve an ID back to its name.
-    pub fn resolve(&self, id: u16) -> Option<&str> {
-        self.names.get(id as usize).map(|s| s.as_str())
-    }
-
-    /// Number of interned names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the interner is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,18 +125,5 @@ mod tests {
         assert_eq!(subsys::name(subsys::CLUSTER), "cluster");
         assert_eq!(kind::name(kind::FLOW_MOD_RECV), "flow_mod_recv");
         assert_eq!(kind::name(999), "?");
-    }
-
-    #[test]
-    fn interner_is_stable_across_identical_sequences() {
-        let seq = ["alpha", "beta", "alpha", "gamma", "beta"];
-        let mut a = Interner::new();
-        let mut b = Interner::new();
-        let ids_a: Vec<u16> = seq.iter().map(|s| a.intern(s)).collect();
-        let ids_b: Vec<u16> = seq.iter().map(|s| b.intern(s)).collect();
-        assert_eq!(ids_a, ids_b);
-        assert_eq!(ids_a, vec![0, 1, 0, 2, 1]);
-        assert_eq!(a.resolve(2), Some("gamma"));
-        assert_eq!(a.len(), 3);
     }
 }

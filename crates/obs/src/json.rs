@@ -15,7 +15,7 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (written via [`write_number`]).
+    /// Any number (written via `write_number`).
     Num(f64),
     /// A string.
     Str(String),
@@ -136,7 +136,7 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 /// Write a number the way the rest of the repo's hand-rolled JSON does:
 /// integers without a fraction, everything else via `{:?}` (shortest
 /// round-trip float formatting). Non-finite values become `null`.
-pub fn write_number(out: &mut String, n: f64) {
+pub(crate) fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 {

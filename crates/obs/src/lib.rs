@@ -11,7 +11,7 @@
 //!   subsystem using a sampling countdown (one `Instant::now()` pair per N
 //!   dispatches, never per event), plus [`PhaseTimings`] for build/run/report
 //!   phase walls;
-//! * [`json`]/[`chrome`] — a small self-contained JSON tree with writer *and*
+//! * [`json`]/`chrome` — a small self-contained JSON tree with writer *and*
 //!   parser (the vendored serde is a no-op stub) backing `telemetry.json`,
 //!   JSONL trace dumps and chrome://tracing exports.
 //!
@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chrome;
+mod chrome;
 mod config;
 pub mod intern;
 pub mod json;
@@ -33,7 +33,6 @@ mod recorder;
 
 pub use chrome::{chrome_trace_json, jsonl_dump};
 pub use config::ObsConfig;
-pub use intern::Interner;
 pub use profile::{EngineProfile, KindProfile, PhaseTimings};
 pub use recorder::{
     dst_trace_id, pair_trace_id, trace_id_dst, FlightRecorder, RecorderStats, TraceRecord,

@@ -89,7 +89,7 @@ impl FlightRecorder {
 
     /// Push a record, overwriting the oldest if the ring is full.
     #[inline]
-    pub fn push(&mut self, rec: TraceRecord) {
+    pub(crate) fn push(&mut self, rec: TraceRecord) {
         let slot = (self.recorded as usize) & self.mask;
         self.ring[slot] = rec;
         self.recorded += 1;
@@ -108,19 +108,9 @@ impl FlightRecorder {
         });
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Number of records currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.recorded.min(self.ring.len() as u64) as usize
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.recorded == 0
     }
 
     /// Total records ever pushed (hot-path counter read; see [`stats`]
@@ -160,11 +150,6 @@ impl FlightRecorder {
             .filter(|r| r.trace_id == pair || r.trace_id == dst_only)
             .copied()
             .collect()
-    }
-
-    /// Clear all records (capacity is kept).
-    pub fn clear(&mut self) {
-        self.recorded = 0;
     }
 
     /// Fold another recorder's retained records into this ring, interleaved
@@ -222,9 +207,9 @@ mod tests {
 
     #[test]
     fn capacity_rounds_up_to_power_of_two() {
-        assert_eq!(FlightRecorder::new(0).capacity(), 8);
-        assert_eq!(FlightRecorder::new(9).capacity(), 16);
-        assert_eq!(FlightRecorder::new(16).capacity(), 16);
+        assert_eq!(FlightRecorder::new(0).stats().capacity, 8);
+        assert_eq!(FlightRecorder::new(9).stats().capacity, 16);
+        assert_eq!(FlightRecorder::new(16).stats().capacity, 16);
     }
 
     #[test]

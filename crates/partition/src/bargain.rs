@@ -20,16 +20,16 @@ use serde::{Deserialize, Serialize};
 pub struct BargainConfig {
     /// Smallest group size the controller would accept (from capacity
     /// planning; going lower overloads the controller).
-    pub min_limit: u32,
+    pub(crate) min_limit: u32,
     /// Largest group size the switches can hold state for (TCAM budget).
-    pub max_limit: u32,
+    pub(crate) max_limit: u32,
     /// Controller's per-round discount factor `δ_c ∈ (0, 1)`; higher means
     /// more patient (an idle controller can wait out the switches).
-    pub controller_discount: f64,
+    pub(crate) controller_discount: f64,
     /// Switches' per-round discount factor `δ_s ∈ (0, 1)`.
-    pub switch_discount: f64,
+    pub(crate) switch_discount: f64,
     /// Hard cap on rounds before the analytic agreement is imposed.
-    pub max_rounds: u32,
+    pub(crate) max_rounds: u32,
 }
 
 impl BargainConfig {
@@ -49,34 +49,19 @@ impl BargainConfig {
             max_rounds: 16,
         }
     }
-
-    /// Sets the discount factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both factors are in `(0, 1)`.
-    pub fn with_discounts(mut self, controller: f64, switch: f64) -> Self {
-        assert!(
-            controller > 0.0 && controller < 1.0 && switch > 0.0 && switch < 1.0,
-            "discount factors must be in (0, 1)"
-        );
-        self.controller_discount = controller;
-        self.switch_discount = switch;
-        self
-    }
 }
 
 /// One offer in the transcript.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Offer {
     /// Round number (0-based).
-    pub round: u32,
+    pub(crate) round: u32,
     /// True when the controller made the offer.
-    pub from_controller: bool,
+    pub(crate) from_controller: bool,
     /// The proposed group size limit.
-    pub proposed_limit: u32,
+    pub(crate) proposed_limit: u32,
     /// True when this offer closes the deal.
-    pub accept: bool,
+    pub(crate) accept: bool,
 }
 
 /// The result of a negotiation.
@@ -85,14 +70,14 @@ pub struct BargainOutcome {
     /// The agreed group size limit.
     pub agreed_limit: u32,
     /// Rounds taken until acceptance.
-    pub rounds: u32,
+    pub(crate) rounds: u32,
     /// Full offer transcript.
     pub transcript: Vec<Offer>,
 }
 
 /// The analytic Rubinstein split: the controller (first mover) captures the
 /// share `x* = (1 − δ_s) / (1 − δ_c·δ_s)` of the surplus.
-pub fn rubinstein_share(controller_discount: f64, switch_discount: f64) -> f64 {
+pub(crate) fn rubinstein_share(controller_discount: f64, switch_discount: f64) -> f64 {
     (1.0 - switch_discount) / (1.0 - controller_discount * switch_discount)
 }
 
@@ -193,10 +178,18 @@ pub fn negotiate(cfg: &BargainConfig) -> BargainOutcome {
 mod tests {
     use super::*;
 
+    fn discounted(cfg: BargainConfig, controller: f64, switch: f64) -> BargainConfig {
+        BargainConfig {
+            controller_discount: controller,
+            switch_discount: switch,
+            ..cfg
+        }
+    }
+
     #[test]
     fn symmetric_patience_lands_near_midpoint_or_above() {
         // With δ_c = δ_s = δ, the first mover's share is 1/(1+δ) > 1/2.
-        let cfg = BargainConfig::new(20, 100).with_discounts(0.9, 0.9);
+        let cfg = discounted(BargainConfig::new(20, 100), 0.9, 0.9);
         let out = negotiate(&cfg);
         assert!(out.agreed_limit >= 55, "limit {} too low", out.agreed_limit);
         assert!(out.agreed_limit <= 100);
@@ -205,8 +198,8 @@ mod tests {
 
     #[test]
     fn patient_controller_extracts_larger_groups() {
-        let patient = negotiate(&BargainConfig::new(20, 100).with_discounts(0.99, 0.5));
-        let impatient = negotiate(&BargainConfig::new(20, 100).with_discounts(0.5, 0.99));
+        let patient = negotiate(&discounted(BargainConfig::new(20, 100), 0.99, 0.5));
+        let impatient = negotiate(&discounted(BargainConfig::new(20, 100), 0.5, 0.99));
         assert!(
             patient.agreed_limit > impatient.agreed_limit,
             "patient {} <= impatient {}",
@@ -218,7 +211,7 @@ mod tests {
     #[test]
     fn agreement_is_within_bounds() {
         for (dc, ds) in [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9), (0.99, 0.99)] {
-            let out = negotiate(&BargainConfig::new(30, 600).with_discounts(dc, ds));
+            let out = negotiate(&discounted(BargainConfig::new(30, 600), dc, ds));
             assert!(
                 (30..=600).contains(&out.agreed_limit),
                 "limit {} out of bounds for ({dc},{ds})",
@@ -255,7 +248,7 @@ mod tests {
 
     #[test]
     fn transcript_alternates() {
-        let out = negotiate(&BargainConfig::new(10, 1000).with_discounts(0.95, 0.95));
+        let out = negotiate(&discounted(BargainConfig::new(10, 1000), 0.95, 0.95));
         for (i, offer) in out.transcript.iter().enumerate() {
             assert_eq!(offer.round as usize, i.min(out.transcript.len() - 1));
         }

@@ -30,7 +30,7 @@ const SW_MAX_VERTICES: usize = 192;
 ///
 /// Panics if `2 * max_side_weight` is less than the total vertex weight
 /// (no feasible bisection) or if the graph has fewer than 2 vertices.
-pub fn min_bisection(graph: &WeightedGraph, max_side_weight: f64, seed: u64) -> Partition {
+pub(crate) fn min_bisection(graph: &WeightedGraph, max_side_weight: f64, seed: u64) -> Partition {
     let n = graph.num_vertices();
     assert!(n >= 2, "cannot bisect a graph with {n} vertices");
     let total = graph.total_vertex_weight();

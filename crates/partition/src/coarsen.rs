@@ -8,9 +8,9 @@ use crate::WeightedGraph;
 #[derive(Debug, Clone)]
 pub(crate) struct CoarseLevel {
     /// The contracted graph.
-    pub graph: WeightedGraph,
+    pub(crate) graph: WeightedGraph,
     /// Mapping from fine vertex id to coarse vertex id.
-    pub fine_to_coarse: Vec<usize>,
+    pub(crate) fine_to_coarse: Vec<usize>,
 }
 
 /// Contracts matched pairs into single vertices.

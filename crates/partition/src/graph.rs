@@ -107,7 +107,7 @@ impl WeightedGraph {
     }
 
     /// The weight of vertex `u` (number of original vertices it represents).
-    pub fn vertex_weight(&self, u: usize) -> f64 {
+    pub(crate) fn vertex_weight(&self, u: usize) -> f64 {
         self.vwgt[u]
     }
 
@@ -116,13 +116,13 @@ impl WeightedGraph {
     /// # Panics
     ///
     /// Panics on non-finite or non-positive weights.
-    pub fn set_vertex_weight(&mut self, u: usize, w: f64) {
+    pub(crate) fn set_vertex_weight(&mut self, u: usize, w: f64) {
         assert!(w.is_finite() && w > 0.0, "invalid vertex weight {w}");
         self.vwgt[u] = w;
     }
 
     /// Total vertex weight.
-    pub fn total_vertex_weight(&self) -> f64 {
+    pub(crate) fn total_vertex_weight(&self) -> f64 {
         self.vwgt.iter().sum()
     }
 
@@ -141,7 +141,7 @@ impl WeightedGraph {
     /// # Panics
     ///
     /// Panics if `vertices` contains duplicates or out-of-range ids.
-    pub fn subgraph(&self, vertices: &[usize]) -> (WeightedGraph, Vec<usize>) {
+    pub(crate) fn subgraph(&self, vertices: &[usize]) -> (WeightedGraph, Vec<usize>) {
         let mut index_of: HashMap<usize, usize> = HashMap::with_capacity(vertices.len());
         for (new, &old) in vertices.iter().enumerate() {
             assert!(old < self.num_vertices(), "vertex {old} out of range");

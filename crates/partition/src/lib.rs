@@ -13,7 +13,7 @@
 //!   wrapper (groups are capped, the number of groups is variable);
 //! * [`mincut`] — the Stoer–Wagner global minimum cut used by the
 //!   incremental update's merge-and-split step;
-//! * [`bisect`] — size-capped minimum bisection (Stoer–Wagner when the cut
+//! * `bisect` — size-capped minimum bisection (Stoer–Wagner when the cut
 //!   is balanced enough, Fiduccia–Mattheyses-style refinement otherwise);
 //! * [`Sgi`] — the paper's **SGI** algorithm (Fig. 3): `IniGroup` for the
 //!   initial grouping and `IncUpdate` for threshold-driven incremental
@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod bargain;
-pub mod bisect;
+mod bisect;
 mod coarsen;
 mod graph;
 mod initial;
@@ -54,7 +54,7 @@ pub mod mincut;
 mod mlkp;
 mod partition;
 mod refine;
-pub mod sgi;
+mod sgi;
 
 pub use graph::WeightedGraph;
 pub use mlkp::{mlkp, MlkpConfig};

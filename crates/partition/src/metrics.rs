@@ -39,7 +39,11 @@ pub fn normalized_inter_group_intensity(graph: &WeightedGraph, part: &Partition)
 /// traffic involving the group's vertices, in `[0, 1]`.
 ///
 /// Returns `None` for groups with no incident traffic.
-pub fn group_centrality(graph: &WeightedGraph, part: &Partition, group: usize) -> Option<f64> {
+pub(crate) fn group_centrality(
+    graph: &WeightedGraph,
+    part: &Partition,
+    group: usize,
+) -> Option<f64> {
     let mut intra = 0.0;
     let mut incident = 0.0;
     for u in 0..graph.num_vertices() {
@@ -76,21 +80,6 @@ pub fn average_centrality(graph: &WeightedGraph, part: &Partition) -> f64 {
     } else {
         vals.iter().sum::<f64>() / vals.len() as f64
     }
-}
-
-/// Imbalance factor: max group weight divided by mean group weight (1.0 is
-/// perfectly balanced). Returns 0 when there are no groups.
-pub fn imbalance(graph: &WeightedGraph, part: &Partition) -> f64 {
-    let weights = part.group_weights(graph);
-    if weights.is_empty() {
-        return 0.0;
-    }
-    let total: f64 = weights.iter().sum();
-    let mean = total / weights.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    weights.iter().cloned().fold(0.0, f64::max) / mean
 }
 
 #[cfg(test)]
@@ -150,14 +139,5 @@ mod tests {
         assert_eq!(normalized_inter_group_intensity(&g, &p), 0.0);
         assert_eq!(group_centrality(&g, &p, 0), None);
         assert_eq!(average_centrality(&g, &p), 0.0);
-    }
-
-    #[test]
-    fn imbalance_of_even_split_is_one() {
-        let g = WeightedGraph::new(4);
-        let p = Partition::from_assignment(vec![0, 0, 1, 1], 2);
-        assert!((imbalance(&g, &p) - 1.0).abs() < 1e-12);
-        let p2 = Partition::from_assignment(vec![0, 0, 0, 1], 2);
-        assert!((imbalance(&g, &p2) - 1.5).abs() < 1e-12);
     }
 }

@@ -27,7 +27,7 @@ impl Partition {
     ///
     /// Panics if an assignment refers to a group `>= num_groups` (other than
     /// [`CONTROLLER_GROUP`]).
-    pub fn from_assignment(assignment: Vec<usize>, num_groups: usize) -> Self {
+    pub(crate) fn from_assignment(assignment: Vec<usize>, num_groups: usize) -> Self {
         for (v, &g) in assignment.iter().enumerate() {
             assert!(
                 g < num_groups || g == CONTROLLER_GROUP,
@@ -41,7 +41,7 @@ impl Partition {
     }
 
     /// Puts every vertex in one group.
-    pub fn single_group(n: usize) -> Self {
+    pub(crate) fn single_group(n: usize) -> Self {
         Partition {
             assignment: vec![0; n],
             num_groups: 1,
@@ -58,7 +58,7 @@ impl Partition {
     /// # Panics
     ///
     /// Panics on out-of-range group ids (other than [`CONTROLLER_GROUP`]).
-    pub fn assign(&mut self, v: usize, group: usize) {
+    pub(crate) fn assign(&mut self, v: usize, group: usize) {
         assert!(
             group < self.num_groups || group == CONTROLLER_GROUP,
             "group {group} out of range"
@@ -71,18 +71,13 @@ impl Partition {
         self.num_groups
     }
 
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.assignment.len()
-    }
-
     /// Raw assignment slice.
     pub fn assignment(&self) -> &[usize] {
         &self.assignment
     }
 
     /// Grows the group space by one and returns the new group id.
-    pub fn add_group(&mut self) -> usize {
+    pub(crate) fn add_group(&mut self) -> usize {
         self.num_groups += 1;
         self.num_groups - 1
     }
@@ -109,13 +104,8 @@ impl Partition {
             .collect()
     }
 
-    /// Vertices excluded from grouping (controller-handled).
-    pub fn excluded(&self) -> Vec<usize> {
-        self.members(CONTROLLER_GROUP)
-    }
-
     /// Weighted size of each group under `graph`'s vertex weights.
-    pub fn group_weights(&self, graph: &WeightedGraph) -> Vec<f64> {
+    pub(crate) fn group_weights(&self, graph: &WeightedGraph) -> Vec<f64> {
         let mut w = vec![0.0; self.num_groups];
         for (v, &g) in self.assignment.iter().enumerate() {
             if g != CONTROLLER_GROUP {
@@ -131,7 +121,7 @@ impl Partition {
     }
 
     /// Drops empty groups and renumbers densely, preserving relative order.
-    pub fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         let mut used = vec![false; self.num_groups];
         for &g in &self.assignment {
             if g != CONTROLLER_GROUP {
@@ -163,10 +153,10 @@ mod tests {
     fn construction_and_queries() {
         let p = Partition::from_assignment(vec![0, 1, 0, 2, CONTROLLER_GROUP], 3);
         assert_eq!(p.num_groups(), 3);
-        assert_eq!(p.num_vertices(), 5);
+        assert_eq!(p.assignment().len(), 5);
         assert_eq!(p.group_of(2), 0);
         assert_eq!(p.members(0), vec![0, 2]);
-        assert_eq!(p.excluded(), vec![4]);
+        assert_eq!(p.members(CONTROLLER_GROUP), vec![4]);
         assert_eq!(p.groups(), vec![vec![0, 2], vec![1], vec![3]]);
     }
 

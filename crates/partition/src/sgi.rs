@@ -4,18 +4,20 @@
 //! * `IniGroup` ([`Sgi::ini_group`]): build the intensity graph from history
 //!   and produce an initial feasible grouping with size-constrained MLkP
 //!   (`k` estimated as *switches / group-size-limit*).
-//! * `IncUpdate` ([`Sgi::inc_update`]): while the controller is overloaded,
-//!   find the two groups between which traffic increased the most, merge
-//!   them, and re-split along a minimum (size-capped) bisection; stop when
-//!   the estimated load falls below the low threshold.
+//! * `IncUpdate` ([`Sgi::par_inc_update`], Appendix B's parallel form):
+//!   when the controller is overloaded, pick up to `max_pairs` disjoint
+//!   group pairs whose mutual traffic grew the most, merge each pair and
+//!   re-split it along a minimum (size-capped) bisection, and keep a
+//!   re-split only if it cuts `W_inter` by `min_improvement`. The pairs are
+//!   disjoint, so each re-split is a pure function of its pair's subgraph
+//!   and a pair-derived seed; they run one after another on the calling
+//!   thread and are applied in selection order.
 //!
-//! Appendix-B extensions are included: host/switch **exclusion** (excluded
-//! vertices are pinned to [`CONTROLLER_GROUP`] and handled centrally) and
-//! the **parallel** merge/split over disjoint group pairs
-//! ([`Sgi::par_inc_update`]). The pairs are disjoint, so each re-split is
-//! a pure function of its pair's subgraph and a pair-derived seed; they
-//! run one after another on the calling thread and are applied in
-//! selection order.
+//! Fig. 3's serial loop (one merge/split per round until the load falls
+//! below the low threshold) lives in this module's tests, as the oracle
+//! the parallel form is checked against: no simulation runs it. Host and
+//! switch **exclusion** (Appendix B) is included: excluded vertices are
+//! pinned to [`CONTROLLER_GROUP`] and handled centrally.
 
 use std::collections::BTreeMap;
 
@@ -29,24 +31,25 @@ use crate::{mlkp, MlkpConfig, Partition, WeightedGraph, CONTROLLER_GROUP};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SgiConfig {
     /// Hard cap on switches per group (the paper's TCAM-driven limit).
-    pub group_size_limit: usize,
+    pub(crate) group_size_limit: usize,
     /// Controller load (requests/sec) above which `IncUpdate` keeps
     /// merging/splitting (`threshold.high` in Fig. 3).
-    pub high_threshold: f64,
+    pub(crate) high_threshold: f64,
     /// Load below which `IncUpdate` stops early (`threshold.low`).
-    pub low_threshold: f64,
+    pub(crate) low_threshold: f64,
     /// RNG seed for all randomized sub-steps.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Vertices excluded from grouping and pinned to the controller
     /// (Appendix B, host exclusion).
-    pub excluded: Vec<usize>,
-    /// Safety bound on merge/split rounds per `inc_update` call.
+    pub(crate) excluded: Vec<usize>,
+    /// Upper bound on the disjoint group pairs one `IncUpdate` merges and
+    /// re-splits (the `max_pairs` callers pass to [`Sgi::par_inc_update`]).
     pub max_merge_rounds: usize,
     /// Minimum *relative* W_inter improvement a merge/split must deliver to
     /// be accepted (e.g. 0.02 = 2%). Marginal reshuffles are rejected: in a
     /// live network every accepted update costs reassignments, G-FIB
     /// rebuilds and transient punts, so it must earn its keep.
-    pub min_improvement: f64,
+    pub(crate) min_improvement: f64,
 }
 
 impl SgiConfig {
@@ -110,14 +113,14 @@ pub struct IncUpdateReport {
     /// Merge/split rounds performed.
     pub rounds: usize,
     /// The group pairs that were merged and re-split.
-    pub merged_pairs: Vec<(usize, usize)>,
+    pub(crate) merged_pairs: Vec<(usize, usize)>,
     /// Normalized inter-group intensity before the update.
     pub winter_before: f64,
     /// Normalized inter-group intensity after the update.
     pub winter_after: f64,
     /// Estimated controller load after the update (input load scaled by the
     /// inter-group intensity ratio).
-    pub estimated_load_after: f64,
+    pub(crate) estimated_load_after: f64,
 }
 
 /// The SGI state machine: a grouping, the intensity graph it was built
@@ -131,7 +134,6 @@ pub struct Sgi {
     /// picks the pair with the largest *increase* relative to this.
     baseline_pairs: BTreeMap<(usize, usize), f64>,
     epoch: u32,
-    updates_applied: u64,
 }
 
 impl Sgi {
@@ -152,7 +154,6 @@ impl Sgi {
             partition,
             baseline_pairs,
             epoch: 1,
-            updates_applied: 0,
         }
     }
 
@@ -203,11 +204,6 @@ impl Sgi {
         self.epoch
     }
 
-    /// Total incremental updates applied so far (Fig. 8's quantity).
-    pub fn updates_applied(&self) -> u64 {
-        self.updates_applied
-    }
-
     /// Current normalized inter-group traffic intensity `W_inter`.
     pub fn winter(&self) -> f64 {
         normalized_inter_group_intensity(&self.graph, &self.partition)
@@ -234,53 +230,6 @@ impl Sgi {
         self.partition = Self::full_partition(&self.graph, &self.cfg);
         self.baseline_pairs = pair_weights(&self.graph, &self.partition);
         self.epoch += 1;
-        self.updates_applied += 1;
-    }
-
-    /// `IncUpdate`: greedy merge/split refinement driven by controller load
-    /// (Fig. 3 lines 5–16).
-    ///
-    /// `current_load` is the controller's measured request rate. The load
-    /// estimate after each round scales with the inter-group intensity
-    /// (punts are proportional to inter-group traffic), and the loop exits
-    /// as soon as it drops below `low_threshold`, no pair improves, or
-    /// `max_merge_rounds` is hit.
-    pub fn inc_update(&mut self, current_load: f64) -> IncUpdateReport {
-        let winter_before = self.winter();
-        let mut report = IncUpdateReport {
-            rounds: 0,
-            merged_pairs: Vec::new(),
-            winter_before,
-            winter_after: winter_before,
-            estimated_load_after: current_load,
-        };
-        if current_load <= self.cfg.high_threshold {
-            return report;
-        }
-        let mut load_est = current_load;
-        while load_est > self.cfg.high_threshold && report.rounds < self.cfg.max_merge_rounds {
-            let Some((g1, g2)) = self.find_candidate_pair() else {
-                break;
-            };
-            let improved = self.merge_and_split(g1, g2);
-            report.rounds += 1;
-            report.merged_pairs.push((g1, g2));
-            let winter_now = self.winter();
-            if winter_before > 0.0 {
-                load_est = current_load * (winter_now / winter_before);
-            }
-            report.winter_after = winter_now;
-            report.estimated_load_after = load_est;
-            if !improved || load_est < self.cfg.low_threshold {
-                break;
-            }
-        }
-        if report.rounds > 0 {
-            self.baseline_pairs = pair_weights(&self.graph, &self.partition);
-            self.epoch += 1;
-            self.updates_applied += 1;
-        }
-        report
     }
 
     /// Parallel `IncUpdate` (Appendix B): merges and re-splits several
@@ -353,32 +302,7 @@ impl Sgi {
         report.rounds = 1;
         self.baseline_pairs = pair_weights(&self.graph, &self.partition);
         self.epoch += 1;
-        self.updates_applied += 1;
         report
-    }
-
-    /// `FindGroups`: the pair of groups whose mutual traffic grew the most
-    /// since the last accepted grouping; falls back to the heaviest current
-    /// pair when nothing grew.
-    fn find_candidate_pair(&self) -> Option<(usize, usize)> {
-        let current = pair_weights(&self.graph, &self.partition);
-        if current.is_empty() {
-            return None;
-        }
-        let by_delta = current
-            .iter()
-            .map(|(&pair, &w)| {
-                let base = self.baseline_pairs.get(&pair).copied().unwrap_or(0.0);
-                (pair, w - base, w)
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weights"))?;
-        if by_delta.1 > 1e-12 {
-            return Some(by_delta.0);
-        }
-        current
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite weights"))
-            .map(|(&pair, _)| pair)
     }
 
     /// Greedy selection of up to `max_pairs` disjoint pairs by delta.
@@ -406,39 +330,6 @@ impl Sgi {
             out.push((g1, g2));
         }
         out
-    }
-
-    /// `MergeGroups` + `SplitGroup`: returns true if the cut improved.
-    fn merge_and_split(&mut self, g1: usize, g2: usize) -> bool {
-        let mut members = self.partition.members(g1);
-        members.extend(self.partition.members(g2));
-        if members.len() < 2 {
-            return false;
-        }
-        let before = self.winter();
-        let (sub, map) = self.graph.subgraph(&members);
-        let split = min_bisection(
-            &sub,
-            self.cfg.group_size_limit as f64,
-            self.cfg.seed ^ ((g1 as u64) << 16) ^ g2 as u64 ^ ((self.epoch as u64) << 32),
-        );
-        let old: Vec<usize> = map.iter().map(|&v| self.partition.group_of(v)).collect();
-        for (sub_v, &orig_v) in map.iter().enumerate() {
-            let target = if split.group_of(sub_v) == 0 { g1 } else { g2 };
-            self.partition.assign(orig_v, target);
-        }
-        let after = self.winter();
-        let required = before * (1.0 - self.cfg.min_improvement);
-        if after >= required - 1e-12 {
-            // Revert: not enough improvement. Lateral or marginal moves
-            // would churn the data plane (reassignments, G-FIB rebuilds,
-            // transient punts) for less than they cost.
-            for (&orig_v, &g) in map.iter().zip(&old) {
-                self.partition.assign(orig_v, g);
-            }
-            return false;
-        }
-        true
     }
 }
 
@@ -472,6 +363,113 @@ pub(crate) fn pair_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The serial `IncUpdate` of Fig. 3: one merge/split per round. No
+    /// simulation runs it; it is the quality oracle the parallel form
+    /// is checked against.
+    impl Sgi {
+        /// `IncUpdate`: greedy merge/split refinement driven by controller load
+        /// (Fig. 3 lines 5–16).
+        ///
+        /// `current_load` is the controller's measured request rate. The load
+        /// estimate after each round scales with the inter-group intensity
+        /// (punts are proportional to inter-group traffic), and the loop exits
+        /// as soon as it drops below `low_threshold`, no pair improves, or
+        /// `max_merge_rounds` is hit.
+        fn inc_update(&mut self, current_load: f64) -> IncUpdateReport {
+            let winter_before = self.winter();
+            let mut report = IncUpdateReport {
+                rounds: 0,
+                merged_pairs: Vec::new(),
+                winter_before,
+                winter_after: winter_before,
+                estimated_load_after: current_load,
+            };
+            if current_load <= self.cfg.high_threshold {
+                return report;
+            }
+            let mut load_est = current_load;
+            while load_est > self.cfg.high_threshold && report.rounds < self.cfg.max_merge_rounds {
+                let Some((g1, g2)) = self.find_candidate_pair() else {
+                    break;
+                };
+                let improved = self.merge_and_split(g1, g2);
+                report.rounds += 1;
+                report.merged_pairs.push((g1, g2));
+                let winter_now = self.winter();
+                if winter_before > 0.0 {
+                    load_est = current_load * (winter_now / winter_before);
+                }
+                report.winter_after = winter_now;
+                report.estimated_load_after = load_est;
+                if !improved || load_est < self.cfg.low_threshold {
+                    break;
+                }
+            }
+            if report.rounds > 0 {
+                self.baseline_pairs = pair_weights(&self.graph, &self.partition);
+                self.epoch += 1;
+            }
+            report
+        }
+
+        /// `FindGroups`: the pair of groups whose mutual traffic grew the most
+        /// since the last accepted grouping; falls back to the heaviest current
+        /// pair when nothing grew.
+        fn find_candidate_pair(&self) -> Option<(usize, usize)> {
+            let current = pair_weights(&self.graph, &self.partition);
+            if current.is_empty() {
+                return None;
+            }
+            let by_delta = current
+                .iter()
+                .map(|(&pair, &w)| {
+                    let base = self.baseline_pairs.get(&pair).copied().unwrap_or(0.0);
+                    (pair, w - base, w)
+                })
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weights"))?;
+            if by_delta.1 > 1e-12 {
+                return Some(by_delta.0);
+            }
+            current
+                .iter()
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite weights"))
+                .map(|(&pair, _)| pair)
+        }
+
+        /// `MergeGroups` + `SplitGroup`: returns true if the cut improved.
+        fn merge_and_split(&mut self, g1: usize, g2: usize) -> bool {
+            let mut members = self.partition.members(g1);
+            members.extend(self.partition.members(g2));
+            if members.len() < 2 {
+                return false;
+            }
+            let before = self.winter();
+            let (sub, map) = self.graph.subgraph(&members);
+            let split = min_bisection(
+                &sub,
+                self.cfg.group_size_limit as f64,
+                self.cfg.seed ^ ((g1 as u64) << 16) ^ g2 as u64 ^ ((self.epoch as u64) << 32),
+            );
+            let old: Vec<usize> = map.iter().map(|&v| self.partition.group_of(v)).collect();
+            for (sub_v, &orig_v) in map.iter().enumerate() {
+                let target = if split.group_of(sub_v) == 0 { g1 } else { g2 };
+                self.partition.assign(orig_v, target);
+            }
+            let after = self.winter();
+            let required = before * (1.0 - self.cfg.min_improvement);
+            if after >= required - 1e-12 {
+                // Revert: not enough improvement. Lateral or marginal moves
+                // would churn the data plane (reassignments, G-FIB rebuilds,
+                // transient punts) for less than they cost.
+                for (&orig_v, &g) in map.iter().zip(&old) {
+                    self.partition.assign(orig_v, g);
+                }
+                return false;
+            }
+            true
+        }
+    }
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -515,16 +513,16 @@ mod tests {
         let sgi = Sgi::ini_group(g, SgiConfig::new(8).with_excluded(vec![0, 5]).with_seed(1));
         assert_eq!(sgi.partition().group_of(0), CONTROLLER_GROUP);
         assert_eq!(sgi.partition().group_of(5), CONTROLLER_GROUP);
-        assert_eq!(sgi.partition().excluded(), vec![0, 5]);
+        assert_eq!(sgi.partition().members(CONTROLLER_GROUP), vec![0, 5]);
     }
 
     #[test]
     fn inc_update_noops_when_underloaded() {
         let g = clustered_graph(4, 8, 7);
         let mut sgi = Sgi::ini_group(g, SgiConfig::new(8).with_thresholds(10.0, 100.0));
-        let report = sgi.inc_update(50.0); // below high threshold
+        let report = sgi.par_inc_update(50.0, 16); // below high threshold
         assert_eq!(report.rounds, 0);
-        assert_eq!(sgi.updates_applied(), 0);
+        assert_eq!(sgi.epoch(), 1);
     }
 
     #[test]
@@ -555,7 +553,7 @@ mod tests {
         let w1 = sgi.winter();
         assert!(w1 > 0.2, "shift should raise winter, got {w1}");
 
-        let report = sgi.inc_update(100.0);
+        let report = sgi.par_inc_update(100.0, 16);
         assert!(report.rounds >= 1);
         assert!(
             report.winter_after < w1,
@@ -563,7 +561,6 @@ mod tests {
             report.winter_after
         );
         assert!(sgi.partition().respects_limit(&shifted, 4.0));
-        assert_eq!(sgi.updates_applied(), 1);
         assert_eq!(sgi.epoch(), 2);
     }
 
@@ -611,7 +608,6 @@ mod tests {
         assert!(sgi.winter() <= winter0 + 1e-9);
         if report.merged_pairs.is_empty() {
             assert_eq!(sgi.epoch(), epoch0, "no accepted pair must not bump epoch");
-            assert_eq!(sgi.updates_applied(), 0);
         }
     }
 
@@ -622,7 +618,6 @@ mod tests {
         let e0 = sgi.epoch();
         sgi.regroup();
         assert_eq!(sgi.epoch(), e0 + 1);
-        assert_eq!(sgi.updates_applied(), 1);
     }
 
     #[test]
@@ -631,7 +626,7 @@ mod tests {
         let mut sgi = Sgi::ini_group(g, SgiConfig::new(6).with_thresholds(0.0, 0.0).with_seed(9));
         for round in 0..5 {
             let before = sgi.winter();
-            sgi.inc_update(f64::INFINITY);
+            sgi.par_inc_update(f64::INFINITY, 16);
             let after = sgi.winter();
             assert!(
                 after <= before + 1e-9,
@@ -656,7 +651,7 @@ mod tests {
     fn all_excluded_graph_degenerates_gracefully() {
         let g = WeightedGraph::new(3);
         let sgi = Sgi::ini_group(g, SgiConfig::new(2).with_excluded(vec![0, 1, 2]));
-        assert_eq!(sgi.partition().excluded().len(), 3);
+        assert_eq!(sgi.partition().members(CONTROLLER_GROUP).len(), 3);
         assert_eq!(sgi.winter(), 0.0);
     }
 }

@@ -101,7 +101,7 @@ proptest! {
         prop_assert!(sgi.partition().respects_limit(&g, limit as f64));
         let mut winter = sgi.winter();
         for _ in 0..3 {
-            sgi.inc_update(f64::INFINITY);
+            sgi.par_inc_update(f64::INFINITY, sgi.config().max_merge_rounds);
             let now = sgi.winter();
             prop_assert!(now <= winter + 1e-9, "winter increased {winter} -> {now}");
             winter = now;
@@ -122,7 +122,7 @@ proptest! {
                 .with_thresholds(0.0, 0.0)
                 .with_seed(seed),
         );
-        sgi.inc_update(f64::INFINITY);
+        sgi.par_inc_update(f64::INFINITY, sgi.config().max_merge_rounds);
         for &v in &excluded {
             prop_assert_eq!(sgi.partition().group_of(v), CONTROLLER_GROUP);
         }

@@ -85,17 +85,8 @@ impl FlowMatch {
             && field_ok(self.dl_type, dl_type)
     }
 
-    /// Number of specified (non-wildcard) fields; higher is more specific.
-    pub fn specificity(&self) -> u32 {
-        self.in_port.is_some() as u32
-            + self.dl_src.is_some() as u32
-            + self.dl_dst.is_some() as u32
-            + self.dl_vlan.is_some() as u32
-            + self.dl_type.is_some() as u32
-    }
-
-    /// Wire length of the encoded match.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Wire length of the encoded match (the encoder's test oracle).
+    #[cfg(test)]
     pub(crate) const WIRE_LEN: usize = 1 + 2 + 6 + 6 + 2 + 2;
 
     pub(crate) fn encode_into<B: BufMut>(&self, buf: &mut B) {
@@ -163,7 +154,6 @@ mod tests {
             Some(TenantId::new(9)),
             Some(EtherType::IPV4)
         ));
-        assert_eq!(m.specificity(), 0);
     }
 
     #[test]
@@ -176,7 +166,6 @@ mod tests {
             dl_type: Some(EtherType::ARP),
         };
         assert_eq!(round_trip(m), m);
-        assert_eq!(m.specificity(), 5);
     }
 
     #[test]
@@ -204,7 +193,6 @@ mod tests {
     #[test]
     fn to_dst_matches_only_dst() {
         let m = FlowMatch::to_dst(MacAddr::for_host(5));
-        assert_eq!(m.specificity(), 1);
         assert!(m.matches(
             None,
             Some(MacAddr::for_host(9)),

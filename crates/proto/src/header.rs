@@ -7,16 +7,16 @@ use crate::{ProtoError, Result};
 /// Protocol version byte. OpenFlow 1.0 uses `0x01`; the LazyCtrl extension
 /// keeps that version and adds vendor messages, exactly as the paper's
 /// prototype extends OpenFlow v1.0 (§IV-B).
-pub const PROTO_VERSION: u8 = 0x01;
+pub(crate) const PROTO_VERSION: u8 = 0x01;
 
 /// Length of the fixed message header: version, type, length, xid.
-pub const OFP_HEADER_LEN: usize = 8;
+pub(crate) const OFP_HEADER_LEN: usize = 8;
 
 /// Message type discriminants, following OpenFlow 1.0 numbering for the
 /// standard subset and reserving `0xf0` for the LazyCtrl extension envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]
-pub enum MsgType {
+pub(crate) enum MsgType {
     /// Connection handshake.
     Hello = 0,
     /// Error report.
@@ -49,7 +49,7 @@ pub enum MsgType {
 
 impl MsgType {
     /// Parses a raw type byte.
-    pub fn from_u8(v: u8) -> Result<Self> {
+    pub(crate) fn from_u8(v: u8) -> Result<Self> {
         Ok(match v {
             0 => MsgType::Hello,
             1 => MsgType::Error,
@@ -72,12 +72,12 @@ impl MsgType {
 /// The fixed 8-byte header preceding every message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct Header {
-    pub version: u8,
-    pub msg_type: MsgType,
+    pub(crate) version: u8,
+    pub(crate) msg_type: MsgType,
     /// Total message length including this header.
-    pub length: u16,
+    pub(crate) length: u16,
     /// Transaction id, echoed in replies.
-    pub xid: u32,
+    pub(crate) xid: u32,
 }
 
 impl Header {

@@ -43,29 +43,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actions;
+mod actions;
 mod error;
-pub mod flow_match;
+mod flow_match;
 mod header;
-pub mod messages;
-pub mod plan;
-pub mod sink;
+mod messages;
+mod plan;
+mod sink;
 mod wire;
 
 pub use actions::Action;
 pub use error::ProtoError;
 pub use flow_match::FlowMatch;
-pub use header::{MsgType, OFP_HEADER_LEN, PROTO_VERSION};
+use header::{MsgType, OFP_HEADER_LEN, PROTO_VERSION};
 pub use messages::{
-    BargainMsg, ClusterMsg, CongestionNoticeMsg, CtrlHeartbeatMsg, EchoKind, ErrorCode,
-    FlowModCommand, FlowModMsg, GfibUpdateMsg, GroupAssignMsg, HostEntry, KeepAliveMsg, LazyMsg,
-    LeaderClaimMsg, LfibEntry, LfibSyncMsg, LookupReplyMsg, LookupRequestMsg, Message, MessageBody,
-    MsgPriority, OfMessage, OwnershipTransferMsg, PacketInMsg, PacketInReason, PacketOutMsg,
-    PeerSyncMsg, StateReportMsg, SwitchStats, SyncDigestMsg, SyncRelayMsg, TransferAckMsg,
-    TransferReason, VoteReplyMsg, VoteRequestMsg, WheelLoss, WheelReportMsg, WHEEL_MISS_THRESHOLD,
+    BargainMsg, ClusterMsg, CongestionNoticeMsg, CtrlHeartbeatMsg, ErrorCode, FlowModCommand,
+    FlowModMsg, GfibUpdateMsg, GroupAssignMsg, HostEntry, KeepAliveMsg, LazyMsg, LeaderClaimMsg,
+    LfibEntry, LfibSyncMsg, LookupReplyMsg, LookupRequestMsg, Message, MessageBody, MsgPriority,
+    OfMessage, OwnershipTransferMsg, PacketInMsg, PacketInReason, PacketOutMsg, PeerSyncMsg,
+    StateReportMsg, SwitchStats, SyncDigestMsg, SyncRelayMsg, TransferAckMsg, TransferReason,
+    VoteReplyMsg, VoteRequestMsg, WheelLoss, WheelReportMsg, WHEEL_MISS_THRESHOLD,
 };
 pub use plan::{EventPlan, InjectedEvent, ScheduledEvent};
 pub use sink::OutputSink;
 
 /// Result alias used across the protocol layer.
-pub type Result<T> = std::result::Result<T, ProtoError>;
+type Result<T> = std::result::Result<T, ProtoError>;

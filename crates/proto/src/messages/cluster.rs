@@ -160,11 +160,6 @@ impl PeerSyncMsg {
         out
     }
 
-    /// The relay/anti-entropy dedup key of this chunk.
-    pub fn key(&self) -> (u32, u64, u32) {
-        (self.origin, self.seq, self.chunk)
-    }
-
     /// Encoded size of this sync as a [`ClusterMsg::PeerSync`] body: the
     /// 2-byte subtype plus its fields (peer-sync traffic accounting).
     pub fn wire_len(&self) -> usize {

@@ -102,44 +102,6 @@ pub struct LfibSyncMsg {
     pub removed: Vec<MacAddr>,
 }
 
-impl LfibSyncMsg {
-    /// Splits a large sync into messages whose encoded size stays under the
-    /// 16-bit length field, `max_entries` entries at a time.
-    pub fn chunked(
-        origin: SwitchId,
-        epoch: u32,
-        entries: Vec<LfibEntry>,
-        removed: Vec<MacAddr>,
-        max_entries: usize,
-    ) -> Vec<LfibSyncMsg> {
-        assert!(max_entries > 0, "max_entries must be positive");
-        if entries.len() <= max_entries && removed.len() <= max_entries {
-            return vec![LfibSyncMsg {
-                origin,
-                epoch,
-                entries,
-                removed,
-            }];
-        }
-        let mut out = Vec::new();
-        let mut entries = entries.as_slice();
-        let mut removed = removed.as_slice();
-        while !entries.is_empty() || !removed.is_empty() {
-            let take_e = entries.len().min(max_entries);
-            let take_r = removed.len().min(max_entries);
-            out.push(LfibSyncMsg {
-                origin,
-                epoch,
-                entries: entries[..take_e].to_vec(),
-                removed: removed[..take_r].to_vec(),
-            });
-            entries = &entries[take_e..];
-            removed = &removed[take_r..];
-        }
-        out
-    }
-}
-
 /// A bloom-filter snapshot of one switch's L-FIB, used to refresh peers'
 /// G-FIBs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -694,32 +656,5 @@ mod tests {
             LazyMsg::decode_body(&body).unwrap_err(),
             ProtoError::UnknownLazySubtype(0x7777)
         ));
-    }
-
-    #[test]
-    fn chunking_splits_large_syncs() {
-        let entries: Vec<LfibEntry> = (0..2500)
-            .map(|i| LfibEntry {
-                mac: MacAddr::for_host(i),
-                tenant: TenantId::new(1),
-                port: PortNo::new(1),
-            })
-            .collect();
-        let chunks = LfibSyncMsg::chunked(SwitchId::new(1), 4, entries.clone(), vec![], 1000);
-        assert_eq!(chunks.len(), 3);
-        let reassembled: Vec<LfibEntry> = chunks.iter().flat_map(|c| c.entries.clone()).collect();
-        assert_eq!(reassembled, entries);
-        for c in &chunks {
-            assert_eq!(c.epoch, 4);
-            assert!(c.entries.len() <= 1000);
-        }
-    }
-
-    #[test]
-    fn chunking_handles_removed_only() {
-        let removed: Vec<MacAddr> = (0..10).map(MacAddr::for_host).collect();
-        let chunks = LfibSyncMsg::chunked(SwitchId::new(1), 1, vec![], removed.clone(), 4);
-        let reassembled: Vec<MacAddr> = chunks.iter().flat_map(|c| c.removed.clone()).collect();
-        assert_eq!(reassembled, removed);
     }
 }

@@ -16,8 +16,7 @@ pub use lazy::{
     WHEEL_MISS_THRESHOLD,
 };
 pub use of::{
-    EchoKind, ErrorCode, FlowModCommand, FlowModMsg, OfMessage, PacketInMsg, PacketInReason,
-    PacketOutMsg,
+    ErrorCode, FlowModCommand, FlowModMsg, OfMessage, PacketInMsg, PacketInReason, PacketOutMsg,
 };
 
 use bytes::BufMut;
@@ -68,21 +67,6 @@ pub enum MsgPriority {
     Lookup,
     /// PacketIn-driven flow setups — the elastic load, first to shed.
     FlowSetup,
-}
-
-impl MsgPriority {
-    /// Number of priority classes (for dense per-class tables).
-    pub const COUNT: usize = 4;
-
-    /// Dense index of this class in `0..COUNT`, highest priority first.
-    pub const fn index(self) -> usize {
-        match self {
-            MsgPriority::Critical => 0,
-            MsgPriority::OwnershipSync => 1,
-            MsgPriority::Lookup => 2,
-            MsgPriority::FlowSetup => 3,
-        }
-    }
 }
 
 /// Either a standard OpenFlow-style message or a LazyCtrl extension.
@@ -169,7 +153,7 @@ impl Message {
     }
 
     /// The wire-level message type.
-    pub fn msg_type(&self) -> MsgType {
+    pub(crate) fn msg_type(&self) -> MsgType {
         match &self.body {
             MessageBody::Of(m) => m.msg_type(),
             MessageBody::Lazy(_) => MsgType::Lazy,
@@ -686,7 +670,6 @@ mod tests {
                 }
                 _ => assert_eq!(p, MsgPriority::OwnershipSync),
             }
-            assert!(p.index() < MsgPriority::COUNT);
         }
     }
 

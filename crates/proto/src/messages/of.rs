@@ -172,15 +172,6 @@ impl ErrorCode {
     }
 }
 
-/// Distinguishes the two echo directions (they share an encoding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EchoKind {
-    /// `EchoRequest`.
-    Request,
-    /// `EchoReply`.
-    Reply,
-}
-
 /// The standard message subset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum OfMessage {
@@ -236,7 +227,7 @@ impl OfMessage {
     }
 
     /// The wire-level message type for this body.
-    pub fn msg_type(&self) -> MsgType {
+    pub(crate) fn msg_type(&self) -> MsgType {
         match self {
             OfMessage::Hello => MsgType::Hello,
             OfMessage::Error { .. } => MsgType::Error,

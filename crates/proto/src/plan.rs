@@ -22,7 +22,7 @@ use lazyctrl_sim::{ChannelClass, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Upper bound on partition islands per event.
-pub const MAX_PARTITION_GROUPS: usize = 16;
+pub(crate) const MAX_PARTITION_GROUPS: usize = 16;
 
 /// One fault or workload perturbation the driver can inject mid-run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,7 +91,7 @@ pub enum InjectedEvent {
 
 impl InjectedEvent {
     /// True for events that only make sense on a multi-controller run.
-    pub fn requires_cluster(&self) -> bool {
+    pub(crate) fn requires_cluster(&self) -> bool {
         matches!(
             self,
             InjectedEvent::CrashController(_) | InjectedEvent::RecoverController(_)
@@ -103,7 +103,7 @@ impl InjectedEvent {
     /// # Panics
     ///
     /// Panics on non-finite or out-of-range parameters.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         match *self {
             InjectedEvent::PartitionNetwork { ref groups } => {
                 assert!(
@@ -234,7 +234,7 @@ impl EventPlan {
 
     /// Builder form of [`EventPlan::schedule`] taking hours of virtual
     /// time (the unit scenarios are written in).
-    pub fn at_hours(mut self, hours: f64, event: InjectedEvent) -> Self {
+    pub(crate) fn at_hours(mut self, hours: f64, event: InjectedEvent) -> Self {
         self.schedule(SimTime::from_hours(hours), event);
         self
     }

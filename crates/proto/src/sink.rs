@@ -72,12 +72,6 @@ impl<T> OutputSink<T> {
         self.buf.push(item);
     }
 
-    /// Number of buffered outputs.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// True when nothing is buffered.
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -40,7 +40,7 @@ use crate::{ChannelClass, LinkId, SimDuration, SimTime};
 /// hasher is a fraction of the cost. Hash order never reaches any
 /// observable output, so determinism is unaffected.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LinkTableHash;
+pub(crate) struct LinkTableHash;
 
 impl BuildHasher for LinkTableHash {
     type Hasher = LinkHasher;
@@ -52,7 +52,7 @@ impl BuildHasher for LinkTableHash {
 
 /// Accumulates writes with cheap mixing; [`Hasher::finish`] applies the
 /// splitmix64 finalizer for avalanche.
-pub struct LinkHasher(u64);
+pub(crate) struct LinkHasher(u64);
 
 impl LinkHasher {
     #[inline]
@@ -144,11 +144,6 @@ impl BandwidthModel {
     pub fn with_capacity(mut self, class: ChannelClass, bytes_per_sec: u64) -> Self {
         self.set_capacity(class, Some(bytes_per_sec));
         self
-    }
-
-    /// The configured capacity of `class`, if any.
-    pub fn capacity(&self, class: ChannelClass) -> Option<u64> {
-        self.capacity[class.index()]
     }
 
     /// True if `class` carries a capacity — the one-array-read gate the
@@ -293,7 +288,7 @@ mod tests {
                     m.delay(
                         link(i % 7, 99),
                         64 + i as u64 * 13,
-                        SimTime::from_micros(i as u64 * 37),
+                        SimTime::from_nanos(i as u64 * 37_000),
                     )
                 })
                 .collect::<Vec<_>>()

@@ -139,13 +139,6 @@ impl<E> EventQueue<E> {
         EventQueue::default()
     }
 
-    /// Size in bytes of the record a wheel slot stores per pending event
-    /// (the quantity the park/cascade/sort churn moves; the payload
-    /// itself stays in the slab).
-    pub const fn slot_entry_size() -> usize {
-        std::mem::size_of::<Key>()
-    }
-
     #[inline]
     fn tick_of(at: SimTime) -> u64 {
         at.as_nanos() >> TICK_SHIFT
@@ -359,7 +352,7 @@ impl<E> EventQueue<E> {
     /// Takes `&mut self`: the wheel may advance its cursor (and cascade
     /// slots) to locate the minimum — pending events and their order are
     /// unaffected.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         self.prime();
         if self.extra_first() {
             self.ready_extra.peek().map(|Reverse(k)| k.at)
@@ -466,15 +459,14 @@ pub fn run<W: World>(
     last
 }
 
-/// Runs until the queue is completely empty (use with care: worlds that
-/// reschedule forever will not terminate).
-pub fn run_until_idle<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>) -> SimTime {
-    run(world, queue, std::iter::empty(), SimTime::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs until the queue is completely empty.
+    fn run_until_idle<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>) -> SimTime {
+        run(world, queue, std::iter::empty(), SimTime::MAX)
+    }
 
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
@@ -602,12 +594,9 @@ mod tests {
     /// keeps the scheduler's per-event cost independent of `E`.
     #[test]
     fn wheel_slot_entries_stay_small() {
-        assert_eq!(EventQueue::<u64>::slot_entry_size(), 24);
-        // The key size must not scale with the payload.
-        assert_eq!(
-            EventQueue::<[u8; 512]>::slot_entry_size(),
-            EventQueue::<u8>::slot_entry_size()
-        );
+        // `Key` is not generic over the payload, so its size cannot
+        // scale with it.
+        assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
     /// The slab recycles cells LIFO: steady-state schedule/pop traffic

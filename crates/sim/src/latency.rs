@@ -26,19 +26,10 @@ pub enum ChannelClass {
 
 impl ChannelClass {
     /// Number of channel classes (for dense per-class tables).
-    pub const COUNT: usize = 5;
-
-    /// Every channel class, in dense-index order.
-    pub const ALL: [ChannelClass; Self::COUNT] = [
-        ChannelClass::Data,
-        ChannelClass::Control,
-        ChannelClass::State,
-        ChannelClass::Peer,
-        ChannelClass::CtrlPeer,
-    ];
+    pub(crate) const COUNT: usize = 5;
 
     /// Dense index of this class in `0..COUNT`.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             ChannelClass::Data => 0,
             ChannelClass::Control => 1,
@@ -60,18 +51,18 @@ impl ChannelClass {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
     /// One-way datapath latency between two edge switches.
-    pub data: SimDuration,
+    pub(crate) data: SimDuration,
     /// One-way control link latency.
     pub control: SimDuration,
     /// One-way state link latency.
-    pub state: SimDuration,
+    pub(crate) state: SimDuration,
     /// One-way peer link latency.
-    pub peer: SimDuration,
+    pub(crate) peer: SimDuration,
     /// One-way controller-to-controller peer link latency.
-    pub ctrl_peer: SimDuration,
+    pub(crate) ctrl_peer: SimDuration,
     /// Uniform jitter amplitude as a fraction of the base latency
     /// (0.1 = ±10%). Zero for fully deterministic latencies.
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
 }
 
 impl Default for LatencyModel {
@@ -89,14 +80,8 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
-    /// A jitter-free copy (for byte-exact latency assertions in tests).
-    pub fn deterministic(mut self) -> Self {
-        self.jitter_frac = 0.0;
-        self
-    }
-
     /// Base latency for a class.
-    pub fn base(&self, class: ChannelClass) -> SimDuration {
+    pub(crate) fn base(&self, class: ChannelClass) -> SimDuration {
         match class {
             ChannelClass::Data => self.data,
             ChannelClass::Control => self.control,
@@ -184,21 +169,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn deterministic_model_returns_base() {
-        let m = LatencyModel::default().deterministic();
-        let mut rng = StdRng::seed_from_u64(1);
-        for class in [
-            ChannelClass::Data,
-            ChannelClass::Control,
-            ChannelClass::State,
-            ChannelClass::Peer,
-            ChannelClass::CtrlPeer,
-        ] {
-            assert_eq!(m.sample(class, &mut rng), m.base(class));
-        }
-    }
 
     #[test]
     fn jitter_stays_in_band() {

@@ -67,9 +67,9 @@ mod shard;
 mod time;
 
 pub use bandwidth::BandwidthModel;
-pub use event::{run, run_until_idle, EventQueue, Scheduler, World};
+pub use event::{run, EventQueue, Scheduler, World};
 pub use latency::{ChannelClass, LatencyModel};
 pub use link::{LinkId, LinkState};
-pub use metrics::{CounterId, Log2Histogram, MetricsSink, TimeSeries, LOG2_BUCKETS};
+pub use metrics::{CounterId, Log2Histogram, MetricsSink, TimeSeries};
 pub use shard::{run_sharded, Outbox, ShardOpts, ShardStats, ShardWorld};
 pub use time::{SimDuration, SimTime};

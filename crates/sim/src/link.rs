@@ -166,11 +166,6 @@ impl LinkState {
         self.class_loss[class.index()] = p;
     }
 
-    /// The class-wide loss probability currently in force for `class`.
-    pub fn class_loss(&self, class: ChannelClass) -> f64 {
-        self.class_loss[class.index()]
-    }
-
     /// Splits the network into the given islands, replacing any partition
     /// already in force (see [`LinkState::reachable`] for the semantics).
     pub fn set_partition(&mut self, groups: &[Vec<u32>]) {
@@ -200,7 +195,7 @@ impl LinkState {
     }
 
     /// True if both endpoints are up and no partition separates them.
-    pub fn is_up(&self, link: LinkId) -> bool {
+    pub(crate) fn is_up(&self, link: LinkId) -> bool {
         self.is_node_up(link.from) && self.is_node_up(link.to) && self.reachable(link.from, link.to)
     }
 
@@ -281,10 +276,8 @@ mod tests {
         assert!(!s.delivers(l(1, 2), &mut rng));
         assert!(!s.delivers(l(5, 6), &mut rng));
         assert!(s.delivers(LinkId::new(1, 2, ChannelClass::Control), &mut rng));
-        assert_eq!(s.class_loss(ChannelClass::Peer), 1.0);
         s.set_class_loss(ChannelClass::Peer, 0.0);
         assert!(s.delivers(l(1, 2), &mut rng));
-        assert_eq!(s.class_loss(ChannelClass::Peer), 0.0);
     }
 
     #[test]

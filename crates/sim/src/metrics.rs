@@ -26,7 +26,7 @@ impl TimeSeries {
     /// # Panics
     ///
     /// Panics on a zero bucket width.
-    pub fn new(bucket_width: SimDuration) -> Self {
+    pub(crate) fn new(bucket_width: SimDuration) -> Self {
         assert!(bucket_width.as_nanos() > 0, "bucket width must be positive");
         TimeSeries {
             bucket_width,
@@ -49,14 +49,6 @@ impl TimeSeries {
     /// Convenience: records a single occurrence (value 1).
     pub fn increment(&mut self, at: SimTime) {
         self.record(at, 1.0);
-    }
-
-    /// Sum accumulated in the bucket containing `at`.
-    pub fn bucket_sum(&self, at: SimTime) -> f64 {
-        self.buckets
-            .get(&self.bucket_of(at))
-            .copied()
-            .unwrap_or(0.0)
     }
 
     /// All buckets as `(bucket_start_time, sum)` in time order, including
@@ -100,18 +92,13 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Total across all buckets.
-    pub fn total(&self) -> f64 {
-        self.buckets.values().sum()
-    }
-
     /// Folds another series into this one bucket-by-bucket (used when
     /// merging per-partition metrics after a sharded run).
     ///
     /// # Panics
     ///
     /// Panics if the bucket widths differ.
-    pub fn merge(&mut self, other: &TimeSeries) {
+    pub(crate) fn merge(&mut self, other: &TimeSeries) {
         assert_eq!(
             self.bucket_width, other.bucket_width,
             "cannot merge series with different bucket widths"
@@ -127,11 +114,11 @@ impl TimeSeries {
 
 /// Number of buckets in a [`Log2Histogram`] (power-of-two widths covering
 /// `2^-32 .. 2^32`, i.e. sub-nanosecond to decades at millisecond units).
-pub const LOG2_BUCKETS: usize = 64;
+pub(crate) const LOG2_BUCKETS: usize = 64;
 
 /// A fixed-footprint histogram with power-of-two bucket boundaries.
 ///
-/// Folds each sample into one of [`LOG2_BUCKETS`] buckets keyed by
+/// Folds each sample into one of `LOG2_BUCKETS` buckets keyed by
 /// `floor(log2(value))` instead of storing it — constant memory regardless of
 /// how many samples arrive, which is what unbounded per-event sites (the
 /// 67 M-event paper runs, the engine self-profiler's dispatch timings)
@@ -221,16 +208,6 @@ impl Log2Histogram {
         self.sum
     }
 
-    /// Exact minimum sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Exact maximum sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Estimated `q`-quantile (0 ≤ q ≤ 1) by nearest rank over the bucket
     /// counts, or `None` when empty. The estimate is the matched bucket's
     /// upper edge clamped into `[min, max]`, so it is exact at the
@@ -273,16 +250,6 @@ impl Log2Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(bucket_upper_edge, count)`, in value order —
-    /// the export shape telemetry consumers read.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_upper(i), c))
-    }
 }
 
 /// Handle to one counter of the [`MetricsSink`] that issued it (or of a
@@ -304,7 +271,7 @@ struct Counter {
 ///
 /// Metric names are `&'static str` literals, so nothing allocates a
 /// `String` per event. A counter is found by name with a binary search
-/// that compares strings ([`MetricsSink::count`], [`MetricsSink::counter`],
+/// that compares strings (`MetricsSink::count`, [`MetricsSink::counter`],
 /// [`MetricsSink::merge`]); code that bumps the same counters once per
 /// event — the simulation loop touches several per event —
 /// [registers](MetricsSink::register) them once and bumps by
@@ -363,7 +330,7 @@ impl MetricsSink {
     }
 
     /// Adds `n` to a named counter.
-    pub fn count(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn count(&mut self, name: &'static str, n: u64) {
         let id = self.register(name);
         self.bump(id, n);
     }
@@ -460,8 +427,6 @@ mod tests {
         assert_eq!(sums[2], (SimTime::from_secs(20), 1.0));
         let rates = ts.rates();
         assert_eq!(rates[0].1, 0.2);
-        assert_eq!(ts.total(), 3.0);
-        assert_eq!(ts.bucket_sum(SimTime::from_secs(5)), 2.0);
     }
 
     #[test]
@@ -477,7 +442,6 @@ mod tests {
     fn empty_series() {
         let ts = TimeSeries::new(SimDuration::from_secs(1));
         assert!(ts.sums().is_empty());
-        assert_eq!(ts.total(), 0.0);
     }
 
     #[test]
@@ -494,15 +458,12 @@ mod tests {
         }
         assert_eq!(h.len(), 5);
         assert_eq!(h.mean(), Some(1007.5 / 5.0));
-        assert_eq!(h.min(), Some(0.5));
-        assert_eq!(h.max(), Some(1000.0));
         assert_eq!(h.sum(), 1007.5);
         // Extremes are exact; the middle is bucket-resolution.
         assert_eq!(h.quantile(0.0), Some(0.5));
         assert_eq!(h.quantile(1.0), Some(1000.0));
         let p50 = h.quantile(0.5).unwrap();
         assert!((2.0..=4.0).contains(&p50), "p50 estimate {p50}");
-        assert_eq!(h.nonzero_buckets().map(|(_, c)| c).sum::<u64>(), 5);
     }
 
     #[test]
@@ -513,13 +474,12 @@ mod tests {
         h.record(f64::MAX);
         h.record(1e-300); // subnormal-adjacent tiny value
         assert_eq!(h.len(), 4);
-        assert_eq!(h.min(), Some(-3.0));
-        assert_eq!(h.max(), Some(f64::MAX));
+        assert_eq!(h.quantile(0.0), Some(-3.0));
+        assert_eq!(h.quantile(1.0), Some(f64::MAX));
         assert!(h.quantile(0.5).is_some());
         let empty = Log2Histogram::new();
         assert_eq!(empty.mean(), None);
         assert_eq!(empty.quantile(0.5), None);
-        assert_eq!(empty.max(), None);
     }
 
     #[test]
@@ -532,7 +492,10 @@ mod tests {
 
         sink.series_mut("workload", SimDuration::from_secs(2))
             .increment(SimTime::from_secs(1));
-        assert_eq!(sink.series("workload").unwrap().total(), 1.0);
+        assert_eq!(
+            sink.series("workload").unwrap().sums(),
+            vec![(SimTime::ZERO, 1.0)]
+        );
 
         sink.log2_histogram_mut("latency").record(0.8);
         assert_eq!(sink.log2_histogram("latency").unwrap().len(), 1);
@@ -631,9 +594,8 @@ mod tests {
         b.record(SimTime::from_secs(1), 3.0);
         b.record(SimTime::from_secs(25), 5.0);
         a.merge(&b);
-        assert_eq!(a.bucket_sum(SimTime::from_secs(5)), 5.0);
-        assert_eq!(a.bucket_sum(SimTime::from_secs(25)), 5.0);
-        assert_eq!(a.total(), 10.0);
+        let sums: Vec<f64> = a.sums().iter().map(|&(_, s)| s).collect();
+        assert_eq!(sums, vec![5.0, 0.0, 5.0]);
         // Means use merged counts: bucket 0 holds 2 records summing 5.
         assert_eq!(a.means()[0].1, 2.5);
     }
@@ -686,8 +648,14 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("flows"), 5);
         assert_eq!(a.counter("drops"), 1);
-        assert_eq!(a.series("workload").unwrap().total(), 2.0);
-        assert_eq!(a.series("extra").unwrap().total(), 1.0);
+        assert_eq!(
+            a.series("workload").unwrap().sums(),
+            vec![(SimTime::ZERO, 2.0)]
+        );
+        assert_eq!(
+            a.series("extra").unwrap().sums(),
+            vec![(SimTime::ZERO, 1.0)]
+        );
         assert_eq!(a.log2_histogram("ns").unwrap().len(), 2);
     }
 }

@@ -86,7 +86,7 @@ pub trait ShardWorld: Send {
 
 /// One partition's world paired with its event queue — the unit
 /// [`run_sharded`] takes in and hands back.
-pub type Shard<W> = (W, EventQueue<<W as ShardWorld>::Event>);
+pub(crate) type Shard<W> = (W, EventQueue<<W as ShardWorld>::Event>);
 
 /// Cross-partition sends staged during one epoch, merged deterministically
 /// by the coordinator after the round's barrier.
@@ -107,16 +107,6 @@ impl<E> Outbox<E> {
     /// forwards, never to latency-delayed sends.
     pub fn send(&mut self, dst: usize, at: SimTime, event: E) {
         self.sends.push((dst, at, event));
-    }
-
-    /// Number of staged sends.
-    pub fn len(&self) -> usize {
-        self.sends.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.sends.is_empty()
     }
 }
 
@@ -141,7 +131,7 @@ pub struct ShardStats {
     /// Synchronization epochs executed (including global-event rounds).
     pub rounds: u64,
     /// Epochs that fanned out to the worker pool (≥ 2 active partitions).
-    pub parallel_rounds: u64,
+    pub(crate) parallel_rounds: u64,
     /// Cross-partition events exchanged through outboxes.
     pub cross_events: u64,
     /// Cross-partition events deferred to an epoch horizon because their
@@ -691,7 +681,7 @@ mod tests {
     fn globals_fan_out_to_every_partition() {
         let delay = SimDuration::from_millis(1);
         let (shards, _) = ring(3, delay, 10);
-        let at = SimTime::from_micros(4500);
+        let at = SimTime::from_nanos(4_500_000);
         let globals = vec![(at, 7u64)];
         let (parts, stats) = run_sharded(
             shards,

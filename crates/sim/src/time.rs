@@ -22,11 +22,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates a time from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Creates a time from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
@@ -61,11 +56,6 @@ impl SimTime {
     /// Seconds since the epoch as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Time elapsed since `earlier`; saturates at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -114,7 +104,7 @@ impl SimDuration {
     }
 
     /// Seconds in this span as a float.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -123,7 +113,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics on NaN or negative factors.
-    pub fn mul_f64(self, factor: f64) -> Self {
+    pub(crate) fn mul_f64(self, factor: f64) -> Self {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "invalid factor {factor}"
@@ -204,7 +194,6 @@ mod tests {
     fn conversions() {
         assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimTime::from_millis(1).as_nanos(), 1_000_000);
-        assert_eq!(SimTime::from_micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
         assert_eq!(SimDuration::from_millis(3).as_millis_f64(), 3.0);
     }

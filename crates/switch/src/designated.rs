@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// State held while a switch serves as its group's designated switch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DesignatedRole {
+pub(crate) struct DesignatedRole {
     group: GroupId,
     members: Vec<SwitchId>,
     me: SwitchId,
@@ -22,7 +22,7 @@ pub struct DesignatedRole {
 
 impl DesignatedRole {
     /// Assumes the role for `group` with the given membership.
-    pub fn new(group: GroupId, me: SwitchId, members: Vec<SwitchId>) -> Self {
+    pub(crate) fn new(group: GroupId, me: SwitchId, members: Vec<SwitchId>) -> Self {
         DesignatedRole {
             group,
             members,
@@ -32,18 +32,8 @@ impl DesignatedRole {
         }
     }
 
-    /// The group being served.
-    pub fn group(&self) -> GroupId {
-        self.group
-    }
-
-    /// Group members (including the designated switch itself).
-    pub fn members(&self) -> &[SwitchId] {
-        &self.members
-    }
-
     /// Absorbs a member's windowed report (or the designated switch's own).
-    pub fn absorb_report(&mut self, report: &StateReportMsg) {
+    pub(crate) fn absorb_report(&mut self, report: &StateReportMsg) {
         for &(a, b, w) in &report.intensity {
             self.intensity.insert((a, b), w);
         }
@@ -55,7 +45,7 @@ impl DesignatedRole {
     /// Fan-out targets for relaying a message from `origin` to the rest of
     /// the group ("multiple unicast messages" in lieu of multicast,
     /// §III-B.3).
-    pub fn relay_targets(&self, origin: SwitchId) -> Vec<SwitchId> {
+    pub(crate) fn relay_targets(&self, origin: SwitchId) -> Vec<SwitchId> {
         self.members
             .iter()
             .copied()
@@ -65,7 +55,7 @@ impl DesignatedRole {
 
     /// Builds the aggregated report for the controller and clears the
     /// accumulation (state link, asynchronous).
-    pub fn make_controller_report(&mut self, epoch: u32) -> StateReportMsg {
+    pub(crate) fn make_controller_report(&mut self, epoch: u32) -> StateReportMsg {
         let intensity: Vec<(SwitchId, SwitchId, f64)> = self
             .intensity
             .iter()
@@ -85,14 +75,14 @@ impl DesignatedRole {
 
     /// True when nothing has been absorbed since the last controller
     /// report.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.intensity.is_empty() && self.stats.is_empty()
     }
 }
 
 /// Validates that a relayed G-FIB update targets this group's epoch
 /// space.
-pub fn gfib_is_relevant(msg: &GfibUpdateMsg, current_epoch: u32) -> bool {
+pub(crate) fn gfib_is_relevant(msg: &GfibUpdateMsg, current_epoch: u32) -> bool {
     msg.epoch <= current_epoch
 }
 

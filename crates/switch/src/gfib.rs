@@ -88,24 +88,8 @@ impl Gfib {
         self.cache.get_mut().clear();
     }
 
-    /// Installs a locally-built filter (used by tests and by designated
-    /// switches seeding a fresh group).
-    pub fn install(&mut self, origin: SwitchId, bloom: BloomFilter, epoch: u32) {
-        self.peers.insert(origin, PeerFilter { bloom, epoch });
-        self.invalidate();
-    }
-
-    /// Removes a peer (left the group). Returns true if present.
-    pub fn remove_peer(&mut self, origin: SwitchId) -> bool {
-        let removed = self.peers.remove(&origin).is_some();
-        if removed {
-            self.invalidate();
-        }
-        removed
-    }
-
     /// Drops every peer not in `keep` (after a regrouping).
-    pub fn retain_peers(&mut self, keep: &[SwitchId]) {
+    pub(crate) fn retain_peers(&mut self, keep: &[SwitchId]) {
         let before = self.peers.len();
         self.peers.retain(|s, _| keep.contains(s));
         if self.peers.len() != before {
@@ -113,19 +97,19 @@ impl Gfib {
         }
     }
 
-    /// The Fig. 5 query: all peers whose filter claims the address.
-    ///
-    /// An empty vector means "definitely not in this group" — the packet
-    /// must go to the controller.
-    pub fn query(&self, mac: MacAddr) -> Vec<SwitchId> {
+    /// The Fig. 5 query: all peers whose filter claims the address (the
+    /// test oracle of [`Gfib::query_into`]).
+    #[cfg(test)]
+    fn query(&self, mac: MacAddr) -> Vec<SwitchId> {
         let mut out = Vec::new();
         self.query_into(mac, &mut out);
         out
     }
 
-    /// Allocation-free form of [`Gfib::query`]: appends the candidates to
-    /// `out` (a caller-owned scratch buffer) instead of returning a fresh
-    /// `Vec`. A memo-cache hit is a `extend_from_slice`, not a clone —
+    /// The Fig. 5 query: appends every peer whose filter claims the
+    /// address to `out` (a caller-owned scratch buffer). Nothing appended
+    /// means "definitely not in this group" — the packet must go to the
+    /// controller. A memo-cache hit is a `extend_from_slice`, not a clone —
     /// this is the per-packet path of the forwarding routine.
     pub fn query_into(&self, mac: MacAddr, out: &mut Vec<SwitchId>) {
         {
@@ -154,11 +138,6 @@ impl Gfib {
     /// Total storage held by the filter bank in bytes (§V-D's quantity).
     pub fn storage_bytes(&self) -> usize {
         self.peers.values().map(|f| f.bloom.storage_bytes()).sum()
-    }
-
-    /// The held epoch for a peer, if any.
-    pub fn peer_epoch(&self, origin: SwitchId) -> Option<u32> {
-        self.peers.get(&origin).map(|f| f.epoch)
     }
 }
 
@@ -222,7 +201,6 @@ mod tests {
         // Epoch 5 content still in force.
         assert_eq!(g.query(mac(1)), vec![SwitchId::new(3)]);
         assert!(g.query(mac(2)).is_empty());
-        assert_eq!(g.peer_epoch(SwitchId::new(3)), Some(5));
     }
 
     #[test]
@@ -244,8 +222,6 @@ mod tests {
         assert_eq!(g.num_peers(), 2);
         assert!(g.query(mac(1)).is_empty());
         assert_eq!(g.query(mac(2)), vec![SwitchId::new(2)]);
-        assert!(g.remove_peer(SwitchId::new(2)));
-        assert!(!g.remove_peer(SwitchId::new(2)));
     }
 
     #[test]

@@ -24,16 +24,16 @@ struct Binding {
 
 /// Changes accumulated since the last [`Lfib::take_delta`] call.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct LfibDelta {
+pub(crate) struct LfibDelta {
     /// Entries added or re-learned on a different port.
-    pub added: Vec<LfibEntry>,
+    pub(crate) added: Vec<LfibEntry>,
     /// Addresses withdrawn.
-    pub removed: Vec<MacAddr>,
+    pub(crate) removed: Vec<MacAddr>,
 }
 
 impl LfibDelta {
     /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
     }
 }
@@ -52,13 +52,8 @@ impl Lfib {
         Lfib::default()
     }
 
-    /// Number of learned hosts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True when nothing has been learned.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -89,18 +84,13 @@ impl Lfib {
     }
 
     /// Looks up the local port for a destination.
-    pub fn lookup(&self, mac: MacAddr) -> Option<PortNo> {
+    pub(crate) fn lookup(&self, mac: MacAddr) -> Option<PortNo> {
         self.entries.get(&mac).map(|b| b.port)
-    }
-
-    /// The tenant of a learned host.
-    pub fn tenant_of(&self, mac: MacAddr) -> Option<TenantId> {
-        self.entries.get(&mac).map(|b| b.tenant)
     }
 
     /// Withdraws a host (VM migrated away or torn down). Returns true if
     /// it was present.
-    pub fn remove(&mut self, mac: MacAddr) -> bool {
+    pub(crate) fn remove(&mut self, mac: MacAddr) -> bool {
         if self.entries.remove(&mac).is_some() {
             self.pending_added.remove(&mac);
             self.pending_removed.insert(mac, ());
@@ -112,7 +102,7 @@ impl Lfib {
 
     /// Ages out entries not refreshed within `max_idle_ns`. Returns the
     /// withdrawn addresses.
-    pub fn age(&mut self, now_ns: u64, max_idle_ns: u64) -> Vec<MacAddr> {
+    pub(crate) fn age(&mut self, now_ns: u64, max_idle_ns: u64) -> Vec<MacAddr> {
         let dead: Vec<MacAddr> = self
             .entries
             .iter()
@@ -125,20 +115,8 @@ impl Lfib {
         dead
     }
 
-    /// Full snapshot as wire entries (for initial group sync).
-    pub fn snapshot(&self) -> Vec<LfibEntry> {
-        self.entries
-            .iter()
-            .map(|(&mac, b)| LfibEntry {
-                mac,
-                tenant: b.tenant,
-                port: b.port,
-            })
-            .collect()
-    }
-
     /// Drains the changes since the previous call.
-    pub fn take_delta(&mut self) -> LfibDelta {
+    pub(crate) fn take_delta(&mut self) -> LfibDelta {
         let added = std::mem::take(&mut self.pending_added)
             .into_values()
             .collect();
@@ -149,7 +127,7 @@ impl Lfib {
     }
 
     /// Iterates over all learned MACs.
-    pub fn macs(&self) -> impl Iterator<Item = MacAddr> + '_ {
+    pub(crate) fn macs(&self) -> impl Iterator<Item = MacAddr> + '_ {
         self.entries.keys().copied()
     }
 }
@@ -169,7 +147,6 @@ mod tests {
         assert!(l.learn(mac(1), T1, PortNo::new(3), 0));
         assert_eq!(l.lookup(mac(1)), Some(PortNo::new(3)));
         assert_eq!(l.lookup(mac(2)), None);
-        assert_eq!(l.len(), 1);
     }
 
     #[test]
@@ -219,27 +196,7 @@ mod tests {
         l.learn(mac(2), T1, PortNo::new(2), 5_000_000_000); // refresh
         let dead = l.age(6_000_000_000, 2_000_000_000);
         assert_eq!(dead, vec![mac(1)]);
-        assert_eq!(l.len(), 1);
+        assert!(l.lookup(mac(1)).is_none());
         assert!(l.lookup(mac(2)).is_some());
-    }
-
-    #[test]
-    fn snapshot_covers_all() {
-        let mut l = Lfib::new();
-        l.learn(mac(1), TenantId::new(7), PortNo::new(1), 0);
-        l.learn(mac(2), TenantId::new(8), PortNo::new(2), 0);
-        let snap = l.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(snap
-            .iter()
-            .any(|e| e.mac == mac(1) && e.tenant == TenantId::new(7)));
-    }
-
-    #[test]
-    fn tenant_lookup() {
-        let mut l = Lfib::new();
-        l.learn(mac(1), TenantId::new(9), PortNo::new(1), 0);
-        assert_eq!(l.tenant_of(mac(1)), Some(TenantId::new(9)));
-        assert_eq!(l.tenant_of(mac(2)), None);
     }
 }

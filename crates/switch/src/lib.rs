@@ -11,9 +11,9 @@
 //!   control group (§III-D.2);
 //! * [`forwarding`] — the packet forwarding routine of Fig. 5, as a pure
 //!   function from switch state to a [`ForwardingDecision`];
-//! * [`StateAdvertiser`] — collects L-FIB deltas and traffic statistics and
+//! * `StateAdvertiser` — collects L-FIB deltas and traffic statistics and
 //!   emits peer-link sync messages (§IV-A "state advertisement module");
-//! * [`DesignatedRole`] — aggregation/relay duties of the designated switch
+//! * `DesignatedRole` — aggregation/relay duties of the designated switch
 //!   (state link reports, group-wide dissemination);
 //! * [`wheel`] — the failure-detection wheel participant (§III-E.1);
 //! * [`EdgeSwitch`] — the composed switch: consumes packets, control
@@ -35,10 +35,10 @@ mod state_adv;
 mod switch;
 pub mod wheel;
 
-pub use designated::DesignatedRole;
+use designated::DesignatedRole;
 pub use flow_table::{FlowRule, FlowTable, PacketFields};
 pub use forwarding::ForwardingDecision;
 pub use gfib::{build_update as build_gfib_update, Gfib};
-pub use lfib::{Lfib, LfibDelta};
-pub use state_adv::StateAdvertiser;
+pub use lfib::Lfib;
+use state_adv::StateAdvertiser;
 pub use switch::{floods_only, EdgeSwitch, GroupConfig, SwitchOutput, SwitchTimer};

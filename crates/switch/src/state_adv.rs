@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Accumulates one switch's traffic observations between sync rounds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StateAdvertiser {
+pub(crate) struct StateAdvertiser {
     origin: SwitchId,
     /// New flows observed towards each destination edge switch in the
     /// current window (the raw material of the intensity matrix).
@@ -23,7 +23,7 @@ pub struct StateAdvertiser {
 
 impl StateAdvertiser {
     /// Creates an empty accumulator for `origin`.
-    pub fn new(origin: SwitchId) -> Self {
+    pub(crate) fn new(origin: SwitchId) -> Self {
         StateAdvertiser {
             origin,
             new_flows: BTreeMap::new(),
@@ -35,27 +35,27 @@ impl StateAdvertiser {
     }
 
     /// Records a fresh flow headed to a (resolved) destination switch.
-    pub fn record_flow_to(&mut self, dst: SwitchId) {
+    pub(crate) fn record_flow_to(&mut self, dst: SwitchId) {
         *self.new_flows.entry(dst).or_insert(0) += 1;
     }
 
     /// Records an L-FIB hit (packet stayed local).
-    pub fn record_local_hit(&mut self) {
+    pub(crate) fn record_local_hit(&mut self) {
         self.local_hits += 1;
     }
 
     /// Records a G-FIB hit (packet tunnelled inside the group).
-    pub fn record_group_hit(&mut self) {
+    pub(crate) fn record_group_hit(&mut self) {
         self.group_hits += 1;
     }
 
     /// Records a punt to the controller.
-    pub fn record_punt(&mut self) {
+    pub(crate) fn record_punt(&mut self) {
         self.controller_punts += 1;
     }
 
     /// Current counters (without resetting).
-    pub fn stats(&self, window_end_ns: u64) -> SwitchStats {
+    pub(crate) fn stats(&self, window_end_ns: u64) -> SwitchStats {
         let secs = (window_end_ns.saturating_sub(self.window_start_ns)) as f64 / 1e9;
         let flows: u64 = self.new_flows.values().sum();
         SwitchStats {
@@ -68,7 +68,12 @@ impl StateAdvertiser {
 
     /// Produces this switch's per-window report (sent to the designated
     /// switch over the peer link) and resets the window.
-    pub fn take_report(&mut self, group: GroupId, epoch: u32, now_ns: u64) -> StateReportMsg {
+    pub(crate) fn take_report(
+        &mut self,
+        group: GroupId,
+        epoch: u32,
+        now_ns: u64,
+    ) -> StateReportMsg {
         let secs = ((now_ns.saturating_sub(self.window_start_ns)) as f64 / 1e9).max(1e-9);
         let intensity: Vec<(SwitchId, SwitchId, f64)> = self
             .new_flows

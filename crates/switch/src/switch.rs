@@ -70,19 +70,19 @@ fn pace_jitter_ns(switch: SwitchId, attempts: u32, window_ns: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupConfig {
     /// The group this switch belongs to.
-    pub group: GroupId,
+    pub(crate) group: GroupId,
     /// Current grouping epoch.
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// All members (ring order).
-    pub members: Vec<SwitchId>,
+    pub(crate) members: Vec<SwitchId>,
     /// The designated switch.
-    pub designated: SwitchId,
+    pub(crate) designated: SwitchId,
     /// Backup designated switches.
-    pub backups: Vec<SwitchId>,
+    pub(crate) backups: Vec<SwitchId>,
     /// Peer-sync period (ns).
-    pub sync_interval_ns: u64,
+    pub(crate) sync_interval_ns: u64,
     /// Keep-alive period (ns).
-    pub keepalive_interval_ns: u64,
+    pub(crate) keepalive_interval_ns: u64,
 }
 
 impl From<&GroupAssignMsg> for GroupConfig {
@@ -229,11 +229,6 @@ impl EdgeSwitch {
     /// True while this switch serves as its group's designated switch.
     pub fn is_designated(&self) -> bool {
         self.designated_role.is_some()
-    }
-
-    /// Direct read access to the L-FIB.
-    pub fn lfib(&self) -> &Lfib {
-        &self.lfib
     }
 
     /// Direct read access to the G-FIB.

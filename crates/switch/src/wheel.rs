@@ -98,16 +98,6 @@ impl WheelPosition {
         }
     }
 
-    /// The upstream neighbour.
-    pub fn prev(&self) -> SwitchId {
-        self.prev
-    }
-
-    /// The downstream neighbour.
-    pub fn next(&self) -> SwitchId {
-        self.next
-    }
-
     /// Records a keep-alive heard from a ring neighbour.
     pub fn on_peer_keepalive(&mut self, from: SwitchId, now_ns: u64) {
         if from == self.prev {
@@ -130,7 +120,7 @@ impl WheelPosition {
     /// sources that have gone silent past the miss threshold. Actions are
     /// handed to the visitor in emission order — the tick fires once per
     /// interval on *every* switch, so this path must not allocate.
-    pub fn tick_each(&mut self, now_ns: u64, mut f: impl FnMut(WheelAction)) {
+    pub(crate) fn tick_each(&mut self, now_ns: u64, mut f: impl FnMut(WheelAction)) {
         self.seq += 1;
         f(WheelAction::SendKeepAlive {
             to: self.prev,
@@ -181,7 +171,7 @@ impl WheelPosition {
         }
     }
 
-    /// [`WheelPosition::tick_each`], collected (test/inspection
+    /// `WheelPosition::tick_each`, collected (test/inspection
     /// convenience).
     pub fn tick(&mut self, now_ns: u64) -> Vec<WheelAction> {
         let mut out = Vec::new();

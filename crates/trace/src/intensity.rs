@@ -21,14 +21,6 @@ pub struct IntensityMatrix {
 }
 
 impl IntensityMatrix {
-    /// An empty matrix over `num_switches` switches.
-    pub fn new(num_switches: usize) -> Self {
-        IntensityMatrix {
-            num_switches,
-            entries: HashMap::new(),
-        }
-    }
-
     /// Builds the matrix from all flows in `[start_ns, end_ns)` of `trace`.
     ///
     /// Intra-switch flows (both hosts on one edge switch) don't appear: they
@@ -80,18 +72,15 @@ impl IntensityMatrix {
         Self::from_trace_window(trace, 0, trace.duration_ns.max(1))
     }
 
-    /// Number of switches (vertex count of [`Self::to_graph`]).
-    pub fn num_switches(&self) -> usize {
-        self.num_switches
-    }
-
     /// Number of switch pairs with non-zero intensity.
-    pub fn num_pairs(&self) -> usize {
+    #[cfg(test)]
+    fn num_pairs(&self) -> usize {
         self.entries.len()
     }
 
     /// Intensity between two switches (0 when absent, symmetric).
-    pub fn intensity(&self, a: u32, b: u32) -> f64 {
+    #[cfg(test)]
+    fn intensity(&self, a: u32, b: u32) -> f64 {
         if a == b {
             return 0.0;
         }
@@ -100,31 +89,13 @@ impl IntensityMatrix {
     }
 
     /// Sum of all pairwise intensities.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    fn total(&self) -> f64 {
         self.entries.values().sum()
     }
 
-    /// Adds intensity between two switches.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range switches, `a == b`, or invalid weights.
-    pub fn add(&mut self, a: u32, b: u32, flows_per_sec: f64) {
-        assert!(
-            (a as usize) < self.num_switches && (b as usize) < self.num_switches,
-            "switch out of range"
-        );
-        assert_ne!(a, b, "self-intensity");
-        assert!(
-            flows_per_sec.is_finite() && flows_per_sec >= 0.0,
-            "invalid intensity"
-        );
-        let key = if a < b { (a, b) } else { (b, a) };
-        *self.entries.entry(key).or_insert(0.0) += flows_per_sec;
-    }
-
     /// Iterates over `(switch_a, switch_b, flows_per_sec)` triplets.
-    pub fn triplets(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+    pub(crate) fn triplets(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
         self.entries.iter().map(|(&(a, b), &w)| (a, b, w))
     }
 
@@ -206,14 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_adds_accumulate() {
-        let mut m = IntensityMatrix::new(4);
-        m.add(0, 1, 1.5);
-        m.add(1, 0, 0.5);
-        assert_eq!(m.intensity(0, 1), 2.0);
-    }
-
-    #[test]
     fn realistic_trace_matrix_is_localized() {
         // Tenant locality must show up as a sparse, clustered matrix.
         let trace = generate(&RealTraceConfig::small());
@@ -237,12 +200,5 @@ mod tests {
             top20 / total
         );
         assert!(m.total() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-intensity")]
-    fn self_add_panics() {
-        let mut m = IntensityMatrix::new(2);
-        m.add(1, 1, 1.0);
     }
 }

@@ -8,7 +8,7 @@
 //! statistical surrogates that match every aggregate the paper reports
 //! (see `DESIGN.md` for the substitution argument):
 //!
-//! * [`TenantModel`] — multi-tenant host placement: tenant sizes in the
+//! * `TenantModel` — multi-tenant host placement: tenant sizes in the
 //!   20–100 VM band (§II-B), hosts placed on a window of nearby switches;
 //! * [`realistic`] — the "real" trace surrogate: skewed pair popularity
 //!   (≈90% of flows from ≈10% of communicating pairs), strong tenant
@@ -17,7 +17,7 @@
 //!   scale (Syn-A/B/C);
 //! * [`expand`] — the "+30% flows among previously non-communicating hosts
 //!   during hours 8–24" variant used in Fig. 7/8;
-//! * [`intensity`] — switch-pair intensity matrices (new flows/sec), the
+//! * [`IntensityMatrix`] — switch-pair intensity matrices (new flows/sec), the
 //!   input to switch grouping;
 //! * [`stats`] — Table II statistics (flow counts, centrality via k-way
 //!   partitioning) computed *from the generated trace itself*.
@@ -28,7 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod expand;
-pub mod intensity;
+mod intensity;
 mod model;
 pub mod realistic;
 pub mod stats;
@@ -39,5 +39,3 @@ mod zipf;
 pub use intensity::IntensityMatrix;
 pub use model::{FlowRecord, NominalParams, Topology, Trace};
 pub use stats::TraceStats;
-pub use tenant::{TenantModel, TenantModelConfig};
-pub use zipf::Zipf;

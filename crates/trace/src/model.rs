@@ -19,15 +19,6 @@ impl Topology {
         self.host_switch.len()
     }
 
-    /// Number of distinct tenants.
-    pub fn num_tenants(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        for t in &self.host_tenant {
-            seen.insert(*t);
-        }
-        seen.len()
-    }
-
     /// The switch a host is attached to.
     pub fn switch_of(&self, host: HostId) -> SwitchId {
         self.host_switch[host.index()]
@@ -39,7 +30,7 @@ impl Topology {
     }
 
     /// Hosts attached to each switch.
-    pub fn hosts_by_switch(&self) -> Vec<Vec<HostId>> {
+    pub(crate) fn hosts_by_switch(&self) -> Vec<Vec<HostId>> {
         let mut out = vec![Vec::new(); self.num_switches];
         for (h, s) in self.host_switch.iter().enumerate() {
             out[s.index()].push(HostId::new(h as u32));
@@ -53,7 +44,7 @@ impl Topology {
     ///
     /// Panics if the tenant vector length differs from the switch vector,
     /// or any switch index is out of range.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert_eq!(
             self.host_switch.len(),
             self.host_tenant.len(),
@@ -87,9 +78,9 @@ pub struct FlowRecord {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct NominalParams {
     /// Percentage of flows drawn from the hot pair set.
-    pub p: Option<f64>,
+    pub(crate) p: Option<f64>,
     /// Hot pair set size as a percentage of all host pairs.
-    pub q: Option<f64>,
+    pub(crate) q: Option<f64>,
 }
 
 /// A complete traffic trace: topology plus time-ordered flow arrivals.
@@ -144,8 +135,9 @@ impl Trace {
         }
     }
 
-    /// Distinct communicating (unordered) host pairs.
-    pub fn distinct_pairs(&self) -> usize {
+    /// Distinct communicating (unordered) host pairs (a test oracle).
+    #[cfg(test)]
+    pub(crate) fn distinct_pairs(&self) -> usize {
         let mut pairs = std::collections::HashSet::new();
         for f in &self.flows {
             let key = if f.src.0 < f.dst.0 {
@@ -205,7 +197,6 @@ mod tests {
         let t = toy_topology();
         t.validate();
         assert_eq!(t.num_hosts(), 3);
-        assert_eq!(t.num_tenants(), 2);
         assert_eq!(t.switch_of(HostId::new(2)), SwitchId::new(1));
         assert_eq!(t.tenant_of(HostId::new(0)), TenantId::new(1));
         let by_switch = t.hosts_by_switch();

@@ -19,7 +19,8 @@ use crate::{FlowRecord, NominalParams, Trace};
 
 /// Per-2-hour activity multipliers over the day, shaped like the Fig. 7
 /// OpenFlow workload curve (quiet nights, mid-day peak).
-pub const DIURNAL_PROFILE: [f64; 12] = [3.2, 3.0, 3.4, 4.3, 5.4, 6.3, 7.2, 7.6, 7.1, 6.2, 5.2, 4.2];
+pub(crate) const DIURNAL_PROFILE: [f64; 12] =
+    [3.2, 3.0, 3.4, 4.3, 5.4, 6.3, 7.2, 7.6, 7.1, 6.2, 5.2, 4.2];
 
 /// Configuration for the real-trace surrogate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,7 +89,7 @@ impl RealTraceConfig {
     /// # Panics
     ///
     /// Panics on empty flows/pairs, bad fractions, or zero duration.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.tenants.validate();
         assert!(self.num_flows > 0, "no flows requested");
         assert!(self.communicating_pairs > 0, "no communicating pairs");

@@ -33,7 +33,7 @@ pub struct TraceStats {
 
 /// Builds the host-level communication graph: vertices are hosts, edge
 /// weights are flow counts between the pair.
-pub fn host_graph(trace: &Trace) -> WeightedGraph {
+pub(crate) fn host_graph(trace: &Trace) -> WeightedGraph {
     let n = trace.topology.num_hosts();
     let mut counts: std::collections::HashMap<(u32, u32), f64> = std::collections::HashMap::new();
     for f in &trace.flows {

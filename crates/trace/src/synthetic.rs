@@ -33,7 +33,7 @@ use crate::{FlowRecord, NominalParams, Trace};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyntheticConfig {
     /// Name stamped on the trace ("syn-a" ...).
-    pub name: String,
+    pub(crate) name: String,
     /// Tenant/placement model (defaults to the paper's ×10 scale).
     pub tenants: TenantModelConfig,
     /// Flow arrivals to generate.
@@ -41,9 +41,9 @@ pub struct SyntheticConfig {
     /// Trace length in hours.
     pub duration_hours: u64,
     /// Percentage of flows drawn from the hot pair set (Table II's p).
-    pub p: f64,
+    pub(crate) p: f64,
     /// Nominal hot-set size as a percentage of all pairs (Table II's q).
-    pub q: f64,
+    pub(crate) q: f64,
     /// Materialized hot-set size (a scaled stand-in for q% of the >10⁹
     /// pair universe; grows with q).
     pub hot_pairs: usize,
@@ -123,7 +123,7 @@ impl SyntheticConfig {
     /// # Panics
     ///
     /// Panics on invalid p/q/hot set parameters.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.tenants.validate();
         assert!(self.num_flows > 0, "no flows requested");
         assert!(self.duration_hours > 0, "zero duration");

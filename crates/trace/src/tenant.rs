@@ -20,18 +20,18 @@ pub struct TenantModelConfig {
     /// Total edge switches.
     pub num_switches: usize,
     /// Smallest tenant (VM count).
-    pub min_tenant_size: usize,
+    pub(crate) min_tenant_size: usize,
     /// Largest tenant (VM count).
-    pub max_tenant_size: usize,
+    pub(crate) max_tenant_size: usize,
     /// How many hosts of a tenant share one switch on average; the tenant's
     /// switch window is `ceil(size / hosts_per_switch)` wide.
-    pub hosts_per_switch: usize,
+    pub(crate) hosts_per_switch: usize,
 }
 
 impl TenantModelConfig {
     /// The paper's real-trace shape: 6509 hosts on 272 switches, tenants of
     /// 20–100 VMs (Amazon EC2 numbers, §II-B).
-    pub fn paper_real() -> Self {
+    pub(crate) fn paper_real() -> Self {
         TenantModelConfig {
             num_hosts: 6509,
             num_switches: 272,
@@ -42,7 +42,7 @@ impl TenantModelConfig {
     }
 
     /// The ×10 synthetic scale: 65090 hosts on 2713 switches.
-    pub fn paper_synthetic() -> Self {
+    pub(crate) fn paper_synthetic() -> Self {
         TenantModelConfig {
             num_hosts: 65_090,
             num_switches: 2713,
@@ -58,7 +58,7 @@ impl TenantModelConfig {
     ///
     /// Panics on zero hosts/switches, an inverted size band, or a zero
     /// `hosts_per_switch`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.num_hosts > 0, "no hosts");
         assert!(self.num_switches > 0, "no switches");
         assert!(
@@ -75,11 +75,11 @@ impl TenantModelConfig {
 /// The generated tenant structure (wraps a [`Topology`] plus membership
 /// lists).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenantModel {
+pub(crate) struct TenantModel {
     /// The topology: host → switch, host → tenant.
-    pub topology: Topology,
+    pub(crate) topology: Topology,
     /// Hosts of each tenant, indexed by tenant id − 1.
-    pub members: Vec<Vec<u32>>,
+    pub(crate) members: Vec<Vec<u32>>,
 }
 
 impl TenantModel {
@@ -89,7 +89,7 @@ impl TenantModel {
     /// wrap modulo the 12-bit VLAN space if there are more than 4095
     /// tenants, mirroring how real deployments re-use VLAN ids across
     /// isolation domains.
-    pub fn generate<R: Rng>(cfg: &TenantModelConfig, rng: &mut R) -> Self {
+    pub(crate) fn generate<R: Rng>(cfg: &TenantModelConfig, rng: &mut R) -> Self {
         cfg.validate();
         let mut host_switch = Vec::with_capacity(cfg.num_hosts);
         let mut host_tenant = Vec::with_capacity(cfg.num_hosts);
@@ -127,14 +127,9 @@ impl TenantModel {
         TenantModel { topology, members }
     }
 
-    /// Number of tenants generated.
-    pub fn num_tenants(&self) -> usize {
-        self.members.len()
-    }
-
     /// Samples an intra-tenant host pair (two distinct hosts of one
     /// tenant), or `None` if every tenant has a single host.
-    pub fn sample_intra_pair<R: Rng>(&self, rng: &mut R) -> Option<(u32, u32)> {
+    pub(crate) fn sample_intra_pair<R: Rng>(&self, rng: &mut R) -> Option<(u32, u32)> {
         for _ in 0..32 {
             let t = rng.gen_range(0..self.members.len());
             let m = &self.members[t];
@@ -156,7 +151,7 @@ impl TenantModel {
     }
 
     /// Samples a uniformly random distinct host pair.
-    pub fn sample_any_pair<R: Rng>(&self, rng: &mut R) -> (u32, u32) {
+    pub(crate) fn sample_any_pair<R: Rng>(&self, rng: &mut R) -> (u32, u32) {
         let n = self.topology.num_hosts() as u32;
         debug_assert!(n >= 2, "need at least two hosts");
         let a = rng.gen_range(0..n);

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 /// A Zipf(α) sampler over `n` ranks with a precomputed inverse-CDF table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -19,7 +19,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n` is zero or `alpha` is negative/non-finite.
-    pub fn new(n: usize, alpha: f64) -> Self {
+    pub(crate) fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "zipf over zero ranks");
         assert!(alpha.is_finite() && alpha >= 0.0, "invalid alpha {alpha}");
         let mut cdf = Vec::with_capacity(n);
@@ -35,24 +35,15 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when there is exactly one rank (never empty by construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Samples a rank in `0..n`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 
     /// Probability mass of the given rank.
-    pub fn pmf(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, rank: usize) -> f64 {
         if rank == 0 {
             self.cdf[0]
         } else {
@@ -61,7 +52,7 @@ impl Zipf {
     }
 
     /// Fraction of total mass held by the top `k` ranks.
-    pub fn top_k_mass(&self, k: usize) -> f64 {
+    pub(crate) fn top_k_mass(&self, k: usize) -> f64 {
         if k == 0 {
             0.0
         } else {
@@ -78,7 +69,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics unless both fractions are in `(0, 1)`.
-    pub fn fit_alpha(n: usize, top_frac: f64, mass_frac: f64) -> f64 {
+    pub(crate) fn fit_alpha(n: usize, top_frac: f64, mass_frac: f64) -> f64 {
         assert!((0.0..1.0).contains(&top_frac) && top_frac > 0.0);
         assert!((0.0..1.0).contains(&mass_frac) && mass_frac > 0.0);
         let k = ((n as f64 * top_frac).round() as usize).max(1);

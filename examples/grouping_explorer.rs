@@ -100,9 +100,9 @@ fn main() {
     sgi.set_intensity(shifted);
     println!("after shift:      W_inter {:.2}%", sgi.winter() * 100.0);
     let start = Instant::now();
-    let report = sgi.inc_update(f64::INFINITY);
+    let report = sgi.par_inc_update(f64::INFINITY, sgi.config().max_merge_rounds);
     println!(
-        "IncUpdate: {} merge/split rounds in {:.2?}, W_inter {:.2}% → {:.2}%",
+        "IncUpdate: {} round(s) in {:.2?}, W_inter {:.2}% → {:.2}%",
         report.rounds,
         start.elapsed(),
         report.winter_before * 100.0,

@@ -23,6 +23,7 @@
 //! | [`trace`] | `lazyctrl-trace` | real-trace surrogate, Syn-A/B/C generators, intensity matrices |
 //! | [`switch`] | `lazyctrl-switch` | the edge switch: flow table, L-FIB, G-FIB, Fig. 5 forwarding, failure wheel |
 //! | [`controller`] | `lazyctrl-controller` | baseline OpenFlow + LazyCtrl controllers, C-LIB, failover |
+//! | [`mc`] | `lazyctrl-mc` | bounded model checker for the cluster protocols: schedule exploration, invariants, replayable counterexamples |
 //! | [`core`] | `lazyctrl-core` | end-to-end experiments over traces |
 //!
 //! # Quickstart
