@@ -5,8 +5,8 @@
 //! Every trace is built once at `LAZYCTRL_SCALE` and every simulation runs
 //! once: Fig. 7's five runs at seed 7 also feed Figs. 8 and 9, and §V-E
 //! adds two cold-cache runs. Each claim states the outcome expected at the
-//! running scale (`x10` expects paper's); the binary exits 1 when any
-//! outcome differs, a known deviation that starts to hold included.
+//! running scale; the binary exits 1 when any outcome differs, a known
+//! deviation that starts to hold included.
 //!
 //! ```sh
 //! cargo run --release -p lazyctrl-bench --bin repro_paper

@@ -10,11 +10,23 @@
 //! Runs are deterministic: the same scenario at the same seed (and
 //! `LAZYCTRL_SCALE`) reproduces the report bit-identically. Exits
 //! non-zero if any executed scenario's verdict fails.
+//!
+//! Every run is fully traced (a 2¹⁸-record flight recorder plus the
+//! sampling profiler), which by contract leaves the report bit-identical
+//! to an untraced run. A failed verdict dumps the recorder to
+//! `target/obs/<name>.trace.jsonl` (+ `.chrome.json`, `.telemetry.json`)
+//! and prints the per-kind engine profile and one reconstructed
+//! PacketIn → FlowMod → delivery chain.
 
 use std::process::ExitCode;
 
 use lazyctrl_bench::parse_seed;
-use lazyctrl_core::{run_built, Scenario, ScenarioRegistry, ScenarioRun};
+use lazyctrl_core::{
+    run_built_detailed, DetailedRun, ObsConfig, Scenario, ScenarioRegistry, ScenarioRun,
+    EVENT_KIND_NAMES,
+};
+use lazyctrl_obs::intern::{kind, subsys};
+use lazyctrl_obs::{dst_trace_id, trace_id_dst, TraceRecord};
 
 const DEFAULT_SEED: u64 = 0xC1;
 
@@ -40,7 +52,8 @@ fn run_one(scenario: &dyn Scenario, seed: u64) -> ScenarioRun {
             println!("      {e}");
         }
     }
-    let run = run_built(scenario, trace, cfg, plan);
+    let cfg = cfg.with_obs(ObsConfig::full().with_ring_capacity(1 << 18));
+    let (run, detailed) = run_built_detailed(scenario, trace, cfg, plan);
     let r = &run.report;
     println!(
         "    ran `{}` over trace `{}`: {} flows started, {} delivered, mean latency {:.3} ms",
@@ -62,9 +75,95 @@ fn run_one(scenario: &dyn Scenario, seed: u64) -> ScenarioRun {
         for f in &run.verdict.failures {
             println!("      ✗ {f}");
         }
+        print_profile(&detailed);
+        print_sample_chain(&detailed);
         println!();
     }
     run
+}
+
+/// The engine's self-profile: per event kind, then per subsystem.
+fn print_profile(detailed: &DetailedRun) {
+    let obs = detailed.obs.as_ref().expect("tracing enabled");
+    println!(
+        "    self-profile ({} sampled dispatches of {}):",
+        obs.profile.samples(),
+        obs.profile.total_events()
+    );
+    println!(
+        "      {:<18} {:<11} {:>12} {:>9} {:>11} {:>11}",
+        "event kind", "subsystem", "count", "sampled", "mean ns", "p99 ns"
+    );
+    for k in obs.profile.kind_profiles() {
+        println!(
+            "      {:<18} {:<11} {:>12} {:>9} {:>11} {:>11}",
+            EVENT_KIND_NAMES[k.kind as usize],
+            subsys::name(k.subsys),
+            k.count,
+            k.ns.len(),
+            k.ns.mean().map_or("-".into(), |v| format!("{v:.0}")),
+            k.ns.quantile(0.99)
+                .map_or("-".into(), |v| format!("{v:.0}")),
+        );
+    }
+    for (s, count, sampled_ns) in obs.profile.subsys_rollup() {
+        println!(
+            "      {:<11} {:>12} events, {:>12.0} sampled ns",
+            subsys::name(s),
+            count,
+            sampled_ns
+        );
+    }
+}
+
+/// PacketIns tried as chain starts before giving up, so a failed run
+/// whose punts were never answered costs a bounded scan of the ring.
+const CHAIN_CANDIDATES: usize = 1000;
+
+/// Reconstructs and prints one causal chain from the recorder: the
+/// oldest retained PacketIn whose flow also has a FlowMod install and a
+/// delivery in the ring. FlowMods match on the destination only, so the
+/// chain is the pair's records plus the destination's.
+fn print_sample_chain(detailed: &DetailedRun) {
+    let recorder = &detailed.obs.as_ref().expect("tracing enabled").recorder;
+    let chain_of = |pair: u64| -> Vec<TraceRecord> {
+        let dst_only = dst_trace_id(trace_id_dst(pair));
+        recorder
+            .iter()
+            .filter(|r| r.trace_id == pair || r.trace_id == dst_only)
+            .copied()
+            .collect()
+    };
+    let complete = |chain: &[TraceRecord]| {
+        let has = |k: u16| chain.iter().any(|r| r.kind == k);
+        has(kind::PACKET_IN_SENT) && has(kind::FLOW_MOD_RECV) && has(kind::FRAME_DELIVERED)
+    };
+    let found = recorder
+        .iter()
+        // ARP broadcasts carry trace ID 0 and join no flow.
+        .filter(|r| r.kind == kind::PACKET_IN_SENT && r.trace_id != 0)
+        .take(CHAIN_CANDIDATES)
+        .map(|r| chain_of(r.trace_id))
+        .find(|chain| complete(chain));
+    let Some(chain) = found else {
+        println!("    no complete PacketIn → FlowMod → delivery chain retained");
+        return;
+    };
+    println!(
+        "    causal chain to host {} ({} records):",
+        trace_id_dst(chain[0].trace_id),
+        chain.len()
+    );
+    for r in &chain {
+        println!(
+            "      t={:>12} ns  {:<18} [{}]  a={} b={}",
+            r.t_ns,
+            kind::name(r.kind),
+            subsys::name(r.subsys),
+            r.a,
+            r.b,
+        );
+    }
 }
 
 const USAGE: &str = "usage: repro_scenario [--list] [--seed N] <name>|all";

@@ -1,19 +1,16 @@
 //! Shared harness for the reproduction binaries (`repro_*`): trace
 //! construction at a chosen scale, `--seed` parsing, and table rendering.
 //!
-//! `repro_paper` and `repro_cluster` size their traces by the
-//! `LAZYCTRL_SCALE` environment variable, parsed by [`Scale`] (the same
-//! parser sizes the scenario testbeds; any other value is an error, not a
-//! silent fallback):
+//! `repro_paper` sizes its traces by the `LAZYCTRL_SCALE` environment
+//! variable, parsed by [`Scale`] (the same parser sizes the scenario
+//! testbeds that `repro_scenario` runs; any other value is an error, not
+//! a silent fallback):
 //!
 //! * `quick` (default) — laptop-scale versions of each experiment
 //!   (40–340 switches, 10⁵-ish flows); minutes end to end;
 //! * `paper` — the paper's full topology sizes (272 switches / 6509 hosts
 //!   for the real trace, 2713 / 65090 for Syn-A/B/C); slower but the same
-//!   code path;
-//! * `x10` — 10× the paper's synthetic topology (~27k switches / ~650k
-//!   hosts, flow count unchanged): the multi-core stress tier for the
-//!   sharded engine.
+//!   code path.
 //!
 //! Absolute numbers scale with flow counts; the *shapes* the paper reports
 //! (orderings, ratios, crossovers) are the reproduction target — see
@@ -38,8 +35,7 @@ pub fn scale_from_env() -> Scale {
     })
 }
 
-/// The "real" trace surrogate at the chosen scale. The real trace is
-/// pinned to the paper's measured topology, so `X10` falls back to paper.
+/// The "real" trace surrogate at the chosen scale.
 pub fn real_trace(scale: Scale) -> Trace {
     let quick = RealTraceConfig {
         num_flows: 120_000,
@@ -58,15 +54,8 @@ fn synthetic_trace(cfg: SyntheticConfig, scale: Scale) -> Trace {
     let cfg = match scale {
         Scale::Quick => cfg.scaled_down(8),
         Scale::Paper => cfg,
-        Scale::X10 => cfg.scaled_up(10),
     };
     generate_syn(&cfg)
-}
-
-/// Syn-A alone at the chosen scale (the perf/cluster workloads; cheaper
-/// than materializing the whole [`synthetic_traces`] family).
-pub fn syn_a_trace(scale: Scale) -> Trace {
-    synthetic_trace(SyntheticConfig::syn_a(), scale)
 }
 
 /// Syn-A/B/C at the chosen scale.
@@ -135,16 +124,6 @@ mod tests {
         assert_eq!(parse_seed("seven"), None);
         assert_eq!(parse_seed("0xzz"), None);
         assert_eq!(parse_seed("-1"), None);
-    }
-
-    #[test]
-    fn scaled_up_grows_topology_but_not_flows() {
-        let base = SyntheticConfig::syn_a();
-        let big = SyntheticConfig::syn_a().scaled_up(10);
-        assert_eq!(big.tenants.num_switches, base.tenants.num_switches * 10);
-        assert_eq!(big.tenants.num_hosts, base.tenants.num_hosts * 10);
-        assert_eq!(big.hot_pairs, base.hot_pairs * 10);
-        assert_eq!(big.num_flows, base.num_flows);
     }
 
     #[test]

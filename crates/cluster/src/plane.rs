@@ -197,7 +197,7 @@ struct UnackedTransfer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberCounter {
     /// Switch-originated messages handled (the sharded workload quantity
-    /// `repro_cluster` reports).
+    /// behind `ClusterReport::requests_per_controller`).
     RequestsHandled,
     /// Peer-sync wire messages sent on the dissemination overlay (direct
     /// flood syncs + relay bundles). Anti-entropy digests and catch-up
@@ -1128,7 +1128,7 @@ impl ClusterControlPlane {
     /// [`recover`] can re-arm without creating duplicates.
     ///
     /// [`recover`]: ClusterControlPlane::recover
-    pub fn crash(&mut self, id: u32) {
+    pub(crate) fn crash(&mut self, id: u32) {
         let node = self.nodes[id as usize].write();
         node.crashed = true;
         node.timer_gen = node.timer_gen.wrapping_add(1);
@@ -1139,7 +1139,7 @@ impl ClusterControlPlane {
     /// by a `RecoverController` plan event in experiments. Peers un-mark
     /// it as it heartbeats again; pushes fresh timer arms (the pre-crash
     /// chains were invalidated by the generation bump).
-    pub fn recover(&mut self, id: u32, out: &mut OutputSink<ClusterOutput>) {
+    pub(crate) fn recover(&mut self, id: u32, out: &mut OutputSink<ClusterOutput>) {
         if !self.nodes[id as usize].crashed {
             return;
         }
@@ -1285,7 +1285,7 @@ impl ClusterControlPlane {
     /// Handles a message arriving from a switch. The driver routes it here
     /// after consulting [`Self::owner_of_switch`]; messages to a crashed
     /// member vanish (that is the outage the failover scenario measures).
-    pub fn handle_switch_message(
+    pub(crate) fn handle_switch_message(
         &mut self,
         now_ns: u64,
         from: SwitchId,
@@ -1503,7 +1503,7 @@ impl ClusterControlPlane {
     /// the link-level sender; the protocol carries origins in the message
     /// bodies, which is what the handlers trust — except transfer acks,
     /// which go back to whoever delivered the announcement.)
-    pub fn handle_ctrl_message(
+    pub(crate) fn handle_ctrl_message(
         &mut self,
         now_ns: u64,
         from: u32,
@@ -1891,7 +1891,7 @@ impl ClusterControlPlane {
     // ---- Timers --------------------------------------------------------
 
     /// Handles a cluster timer.
-    pub fn handle_timer(
+    pub(crate) fn handle_timer(
         &mut self,
         now_ns: u64,
         timer: ClusterTimer,

@@ -10,7 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use lazyctrl_cluster::{ClusterConfig, ClusterControlPlane, ClusterOutput, ClusterTimer};
+use lazyctrl_cluster::{
+    ClusterConfig, ClusterControlPlane, ClusterOutput, ClusterTimer, StepModel,
+};
 use lazyctrl_net::SwitchId;
 use lazyctrl_partition::WeightedGraph;
 use lazyctrl_proto::{ClusterMsg, Message, MessageBody, OutputSink};
@@ -152,10 +154,9 @@ impl MiniNet {
                         continue;
                     }
                     *self.delivered.entry(kind_of(&msg)).or_insert(0) += 1;
-                    self.plane
-                        .handle_ctrl_message(self.now, from, to, &msg, &mut sink);
+                    self.plane.step_ctrl(self.now, from, to, &msg, &mut sink);
                 }
-                Ev::Timer(timer) => self.plane.handle_timer(self.now, timer, &mut sink),
+                Ev::Timer(timer) => self.plane.step_timer(self.now, timer, &mut sink),
             }
             self.dispatch(sink.take_buf());
         }
@@ -170,15 +171,14 @@ impl MiniNet {
     /// Delivers one switch-originated message to the plane at `now`.
     pub(crate) fn send_switch(&mut self, from: SwitchId, msg: &Message) {
         let mut sink = OutputSink::new();
-        self.plane
-            .handle_switch_message(self.now, from, msg, &mut sink);
+        self.plane.step_switch(self.now, from, msg, &mut sink);
         self.dispatch(sink.take_buf());
     }
 
     /// Recovers a crashed member and dispatches its fresh timer arms.
     pub(crate) fn recover(&mut self, id: u32) {
         let mut sink = OutputSink::new();
-        self.plane.recover(id, &mut sink);
+        self.plane.step_recover(id, &mut sink);
         self.dispatch(sink.take_buf());
     }
 
@@ -220,8 +220,7 @@ impl MiniNet {
     pub(crate) fn deliver(&mut self, from: u32, to: u32, msg: &Message) {
         *self.delivered.entry(kind_of(msg)).or_insert(0) += 1;
         let mut sink = OutputSink::new();
-        self.plane
-            .handle_ctrl_message(self.now, from, to, msg, &mut sink);
+        self.plane.step_ctrl(self.now, from, to, msg, &mut sink);
         self.dispatch(sink.take_buf());
     }
 }

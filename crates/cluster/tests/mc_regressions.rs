@@ -10,7 +10,9 @@
 mod common;
 
 use common::{test_config, MiniNet};
-use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy, ElectionRole, MemberCounter};
+use lazyctrl_cluster::{
+    ClusterConfig, DisseminationStrategy, ElectionRole, MemberCounter, StepModel,
+};
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::{
     ClusterMsg, LazyMsg, LfibEntry, LfibSyncMsg, Message, MessageBody, OwnershipTransferMsg,
@@ -168,7 +170,7 @@ fn dropped_handoff_announcement_is_retransmitted() {
     // Load member 0 (the leader) so the takeover targets member 1.
     load_member(&mut net, 0, 10);
 
-    net.plane.crash(2);
+    net.plane.step_crash(2);
     // Step until the takeover's handoff announcement is in flight.
     // Step at half the link latency so the announcement is observable
     // while in flight (it spends exactly one 1 ms hop in the queue).
@@ -224,7 +226,7 @@ fn duplicated_handoff_announcement_applies_once() {
     net.run_for(2 * SEC);
     load_member(&mut net, 0, 10);
 
-    net.plane.crash(2);
+    net.plane.step_crash(2);
     // Step at half the link latency so the announcement is observable
     // while in flight (it spends exactly one 1 ms hop in the queue).
     let deadline = net.now() + 20 * SEC;
@@ -275,7 +277,7 @@ fn leader_crash_elects_exactly_one_successor() {
     );
     assert_eq!(net.plane.election_term(0), 1);
 
-    net.plane.crash(0);
+    net.plane.step_crash(0);
     // Sample the whole election window densely, maintaining the ghost
     // ledger the checker keeps: term -> the one leader seen in it.
     let mut leaders_by_term: BTreeMap<u64, u32> = BTreeMap::new();

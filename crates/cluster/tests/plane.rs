@@ -5,7 +5,7 @@
 mod common;
 
 use common::{test_config, MiniNet};
-use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy, MemberCounter};
+use lazyctrl_cluster::{ClusterConfig, DisseminationStrategy, MemberCounter, StepModel};
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::{HostEntry, LazyMsg, LfibEntry, LfibSyncMsg, Message, TransferReason};
 
@@ -134,7 +134,7 @@ fn heartbeat_failover_and_comeback() {
     let owned_before = net.plane.ownership().groups_of(victim).len();
     assert!(owned_before > 0, "victim must own groups to lose");
 
-    net.plane.crash(victim);
+    net.plane.step_crash(victim);
     // Detection: miss_factor (3) × heartbeat (1 s), plus report gossip
     // and takeover propagation.
     net.run_for(8 * SEC);
@@ -231,7 +231,7 @@ fn anti_entropy_catches_up_a_recovered_member() {
     net.run_for(SEC);
 
     let sleeper = 2u32;
-    net.plane.crash(sleeper);
+    net.plane.step_crash(sleeper);
     // While the sleeper is dark, the others learn and replicate hosts —
     // including a withdrawal, which only an exact catch-up can replay.
     for tick in 0..8u64 {
@@ -323,7 +323,7 @@ fn snapshot_fallback_serves_entries_and_withdrawals() {
     );
     // …then the sleeper goes dark and misses both the later learns and
     // the withdrawal of 700.
-    net.plane.crash(sleeper);
+    net.plane.step_crash(sleeper);
     for tick in 1..6u64 {
         net.send_switch(origin_switch, &learn(700 + tick, tick as u32));
         net.run_for(SEC);
@@ -371,7 +371,7 @@ fn recovered_member_first_flush_enters_the_ring() {
     net.run_for(SEC);
 
     let victim = 2u32;
-    net.plane.crash(victim);
+    net.plane.step_crash(victim);
     net.run_for(10 * SEC);
     assert_eq!(net.plane.confirmed_dead(), vec![victim]);
 
@@ -408,7 +408,7 @@ fn overlay_heals_around_a_confirmed_dead_member() {
     net.run_for(SEC);
     // Crash member 0 and wait for confirmation so the ring closes
     // around it.
-    net.plane.crash(0);
+    net.plane.step_crash(0);
     net.run_for(10 * SEC);
     assert_eq!(net.plane.confirmed_dead(), vec![0]);
 

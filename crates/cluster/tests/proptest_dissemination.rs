@@ -8,7 +8,7 @@
 mod common;
 
 use common::{test_config, MiniNet};
-use lazyctrl_cluster::{DisseminationStrategy, MemberCounter};
+use lazyctrl_cluster::{DisseminationStrategy, MemberCounter, StepModel};
 use lazyctrl_net::{MacAddr, PortNo, SwitchId, TenantId};
 use lazyctrl_proto::HostEntry;
 use proptest::prelude::*;
@@ -50,7 +50,7 @@ fn run_case(n: u32, strategy: DisseminationStrategy, crashed: Vec<u32>, withdraw
     for tick in 0..TICKS {
         if tick == 1 {
             for &c in &crashed {
-                net.plane.crash(c);
+                net.plane.step_crash(c);
             }
         }
         if tick == 4 {

@@ -62,7 +62,7 @@ impl BaselineController {
         self.meter.record(now_ns);
         match &msg.body {
             lazyctrl_proto::MessageBody::Of(OfMessage::PacketIn(pi)) => {
-                self.handle_packet_in(now_ns, from, pi, out);
+                self.handle_packet_in(from, pi, out);
             }
             lazyctrl_proto::MessageBody::Of(OfMessage::Hello) => {
                 let xid = self.next_xid();
@@ -84,7 +84,6 @@ impl BaselineController {
 
     fn handle_packet_in(
         &mut self,
-        _now_ns: u64,
         from: SwitchId,
         pi: &PacketInMsg,
         out: &mut OutputSink<ControllerOutput>,

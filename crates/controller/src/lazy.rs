@@ -246,7 +246,7 @@ impl LazyController {
         }
         match &msg.body {
             MessageBody::Of(OfMessage::PacketIn(pi)) => {
-                self.handle_packet_in(now_ns, from, pi, out);
+                self.handle_packet_in(from, pi, out);
             }
             MessageBody::Of(OfMessage::Hello) => {
                 let xid = self.next_xid();
@@ -368,7 +368,6 @@ impl LazyController {
 
     fn handle_packet_in(
         &mut self,
-        _now_ns: u64,
         from: SwitchId,
         pi: &PacketInMsg,
         out: &mut OutputSink<ControllerOutput>,

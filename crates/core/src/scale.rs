@@ -12,22 +12,17 @@ pub enum Scale {
     Quick,
     /// The paper's topology sizes.
     Paper,
-    /// 10× the paper's synthetic topology (~27k switches, ~650k hosts) —
-    /// the multi-core stress tier. Flow count stays at the paper's 500k,
-    /// so the tier scales topology state, not trace length.
-    X10,
 }
 
 impl Scale {
     /// Parses a `LAZYCTRL_SCALE` value: unset is quick, anything but
-    /// `quick`/`paper`/`x10` is an error naming the accepted values.
+    /// `quick`/`paper` is an error naming the accepted values.
     pub(crate) fn parse(value: Option<&str>) -> Result<Scale, String> {
         match value {
             None | Some("quick") => Ok(Scale::Quick),
             Some("paper") => Ok(Scale::Paper),
-            Some("x10") => Ok(Scale::X10),
             Some(other) => Err(format!(
-                "LAZYCTRL_SCALE={other:?} is not a scale; accepted values: quick, paper, x10"
+                "LAZYCTRL_SCALE={other:?} is not a scale; accepted values: quick, paper"
             )),
         }
     }
@@ -44,16 +39,14 @@ impl Scale {
         match self {
             Scale::Quick => "quick",
             Scale::Paper => "paper",
-            Scale::X10 => "x10",
         }
     }
 
-    /// The quick or the paper value. `X10` takes paper's: the ×10 tier
-    /// only exists for the synthetic topology.
+    /// The quick or the paper value.
     pub fn pick<T>(self, quick: T, paper: T) -> T {
         match self {
             Scale::Quick => quick,
-            Scale::Paper | Scale::X10 => paper,
+            Scale::Paper => paper,
         }
     }
 }
@@ -68,7 +61,7 @@ mod tests {
             (None, Some(Scale::Quick)),
             (Some("quick"), Some(Scale::Quick)),
             (Some("paper"), Some(Scale::Paper)),
-            (Some("x10"), Some(Scale::X10)),
+            (Some("x10"), None),
             (Some("Paper"), None),
             (Some("papr"), None),
             (Some("ci"), None),
@@ -80,15 +73,14 @@ mod tests {
             match got {
                 // Every accepted spelling is the scale's own label.
                 Ok(scale) => assert_eq!(value.unwrap_or("quick"), scale.label()),
-                Err(msg) => assert!(msg.contains("quick, paper, x10"), "{msg}"),
+                Err(msg) => assert!(msg.contains("quick, paper"), "{msg}"),
             }
         }
     }
 
     #[test]
-    fn x10_picks_the_paper_value() {
+    fn pick_follows_the_scale() {
         assert_eq!(Scale::Quick.pick(4, 16), 4);
         assert_eq!(Scale::Paper.pick(4, 16), 16);
-        assert_eq!(Scale::X10.pick(4, 16), 16);
     }
 }

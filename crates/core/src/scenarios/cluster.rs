@@ -1,15 +1,16 @@
 //! Cluster scenarios: the `lazyctrl-cluster` control plane under crash,
-//! recovery, skewed-load churn and replication storms, plus the shared
-//! cluster testbeds.
+//! recovery, skewed-load churn, replication storms and Syn-A at the
+//! paper's scale, plus the shared cluster testbeds.
 
 use lazyctrl_cluster::DisseminationStrategy;
 use lazyctrl_net::{HostId, SwitchId, TenantId};
 use lazyctrl_proto::EventPlan;
 use lazyctrl_sim::SimTime;
+use lazyctrl_trace::synthetic::{generate, SyntheticConfig};
 use lazyctrl_trace::{FlowRecord, NominalParams, Topology, Trace};
 use serde::{Deserialize, Serialize};
 
-use super::{testbed_clusters, Scenario, ScenarioVerdict};
+use super::{scale, testbed_clusters, Scenario, ScenarioVerdict};
 use crate::{ControlMode, Experiment, ExperimentConfig, ExperimentReport};
 
 /// When the crash-under-load scenario kills its victim (hours).
@@ -531,6 +532,84 @@ impl Scenario for ShardRebalance {
         v.note(format!(
             "{} rebalance transfers, requests/controller {:?}",
             cluster.rebalance_transfers, cluster.requests_per_controller
+        ));
+        v
+    }
+}
+
+/// Syn-A under a devolved control plane, at the scale in force: 4 members
+/// over Syn-A/8 (first [`SYN_A_QUICK_HOURS`] hours) at quick scale, 16
+/// over the full 24 h Syn-A (2713 switches, 65 090 hosts) at paper scale,
+/// replicating over the ring overlay. The paper-scale run is the scale
+/// claim behind sharding the control plane: the whole trace completes
+/// under the full cluster with sub-flood peer-sync cost.
+pub(crate) struct SynACluster;
+
+/// Run length of the quick-scale `syn_a_cluster` (hours).
+const SYN_A_QUICK_HOURS: f64 = 3.0;
+
+impl Scenario for SynACluster {
+    fn name(&self) -> &'static str {
+        "syn_a_cluster"
+    }
+
+    fn summary(&self) -> &'static str {
+        "Syn-A under a 4-member (quick) or 16-member (paper) ring cluster; replication must beat flood"
+    }
+
+    fn build(&self, seed: u64) -> (Trace, ExperimentConfig, EventPlan) {
+        let scale = scale();
+        let syn_a = SyntheticConfig::syn_a();
+        let trace = generate(&scale.pick(syn_a.clone().scaled_down(8), syn_a));
+        // A 20 s flush cadence lets the ring bundles aggregate.
+        let mut cfg = ExperimentConfig::new(ControlMode::LazyStatic)
+            .with_group_size_limit(46)
+            .with_seed(seed)
+            .with_cluster(scale.pick(4, 16))
+            .with_horizon_hours(scale.pick(SYN_A_QUICK_HOURS, 24.0))
+            .with_dissemination(DisseminationStrategy::Ring)
+            .with_cluster_flush_ms(20_000);
+        cfg.sync_interval_ms = 10_000;
+        (trace, cfg, EventPlan::new())
+    }
+
+    fn check(&self, report: &ExperimentReport) -> ScenarioVerdict {
+        let mut v = ScenarioVerdict::new();
+        let Some(cluster) = report.cluster.as_ref() else {
+            v.require(false, "cluster run must produce a cluster report");
+            return v;
+        };
+        v.require(report.delivered_flows > 0, "no traffic delivered");
+        // Flood pays exactly n−1 messages per chunk; the ring must stay
+        // below it (and must have disseminated something to be judged).
+        let n = cluster.controllers as f64;
+        let cost = cluster.messages_per_chunk();
+        v.require(
+            cluster.peer_sync_chunks.iter().sum::<u64>() > 0 && cost < n - 1.0,
+            format!(
+                "ring fan-out cost {cost:.2} msgs/chunk should beat flood's {:.2}",
+                n - 1.0
+            ),
+        );
+        v.require(
+            cluster.double_leader_events == 0,
+            format!(
+                "{} double-leader events in a fault-free run",
+                cluster.double_leader_events
+            ),
+        );
+        v.require(
+            cluster.confirmed_dead.is_empty(),
+            format!(
+                "members confirmed dead in a fault-free run: {:?}",
+                cluster.confirmed_dead
+            ),
+        );
+        v.note(format!(
+            "{} controllers, {} flows delivered, max ctrl rps {:.2}, {cost:.2} msgs per delta chunk",
+            cluster.controllers,
+            report.delivered_flows,
+            cluster.max_controller_rps(),
         ));
         v
     }

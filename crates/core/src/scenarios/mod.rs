@@ -40,18 +40,21 @@ use crate::{Experiment, ExperimentConfig, ExperimentReport};
 pub use cluster::{controller_crash, shard_rebalance, ClusterCrashReport, ClusterRebalanceReport};
 pub use cold_cache::{cold_cache, ColdCacheReport};
 
-/// Number of switch-clusters in the shared cluster testbed at the
-/// `LAZYCTRL_SCALE` in force: 4 at quick scale (seconds per scenario), 16
-/// at paper or x10 scale (minutes per scenario).
+/// The `LAZYCTRL_SCALE` in force.
 ///
 /// # Panics
 ///
 /// Panics on an unrecognised `LAZYCTRL_SCALE`, so a typo cannot pass for
 /// a quick-scale run.
+pub(crate) fn scale() -> crate::Scale {
+    crate::Scale::from_env().unwrap_or_else(|err| panic!("{err}"))
+}
+
+/// Number of switch-clusters in the shared cluster testbed at the
+/// [`scale`] in force: 4 at quick scale (seconds per scenario), 16 at
+/// paper scale (minutes per scenario).
 pub(crate) fn testbed_clusters() -> usize {
-    crate::Scale::from_env()
-        .unwrap_or_else(|err| panic!("{err}"))
-        .pick(4, 16)
+    scale().pick(4, 16)
 }
 
 /// One named, checkable experiment: input construction and acceptance
@@ -143,7 +146,9 @@ pub fn run_built(
 ///
 /// When observability is on with `dump_on_failure` and the verdict fails,
 /// the recorder is dumped automatically to `<dump_dir>/<scenario>.trace.jsonl`
-/// (+ `.chrome.json` + `.telemetry.json`) — the dumps `repro_trace` reads.
+/// (+ `.chrome.json` + `.telemetry.json`). `repro_scenario` runs every
+/// scenario this way and, on a failed verdict, also prints the engine
+/// profile and one reconstructed PacketIn → FlowMod → delivery chain.
 pub fn run_built_detailed(
     scenario: &dyn Scenario,
     trace: Trace,
@@ -233,6 +238,7 @@ impl ScenarioRegistry {
         reg.register(Box::new(congestion::FlowSetupStorm));
         reg.register(Box::new(congestion::ControllerIncast));
         reg.register(Box::new(congestion::ElephantPeerSync));
+        reg.register(Box::new(cluster::SynACluster));
         reg
     }
 

@@ -670,7 +670,7 @@ impl DataCenterWorld {
         )
     }
 
-    fn note_emission(&mut self, _now: SimTime, _frame: &EthernetFrame) {
+    fn note_emission(&mut self) {
         self.metrics.bump(self.ctr.frames_emitted, 1);
     }
 
@@ -916,7 +916,7 @@ impl DataCenterWorld {
         let response = self.frame_for_flow(dst_host, HostId::new(s as u32), emit.as_nanos());
         let at = self.topology.switch_of(dst_host);
         let port = self.port_of(dst_host);
-        self.note_emission(emit, &response);
+        self.note_emission();
         self.route_to_switch(
             now,
             SimDuration::from_micros(200),
@@ -1494,7 +1494,7 @@ impl DataCenterWorld {
             // The data packet follows shortly after resolution.
             let emit = now + SimDuration::from_millis(1);
             let frame = self.frame_for_flow(src, dst, emit.as_nanos());
-            self.note_emission(emit, &frame);
+            self.note_emission();
             sched.schedule_in(
                 now,
                 SimDuration::from_millis(1),
@@ -1506,7 +1506,7 @@ impl DataCenterWorld {
             );
         } else {
             let frame = self.frame_for_flow(src, dst, now.as_nanos());
-            self.note_emission(now, &frame);
+            self.note_emission();
             self.switches[at.index()]
                 .as_mut()
                 .expect("flow starts at an owned switch")

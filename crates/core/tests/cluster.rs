@@ -144,8 +144,8 @@ fn crashed_controller_can_recover() {
 /// across n members), while the ring amortizes bundled relays to a
 /// per-chunk cost that stays flat in n (O(n) per round) — and still
 /// converges end-to-end. Run at n = 8 with a flush cadence long enough
-/// for bundling to aggregate, which is exactly how the paper-scale
-/// `repro_cluster` configuration operates.
+/// for bundling to aggregate, which is exactly how the `syn_a_cluster`
+/// scenario operates.
 #[test]
 fn ring_cuts_peer_sync_traffic_to_linear() {
     let n = 8usize;

@@ -1,0 +1,51 @@
+//! The tracing-overhead gate: a fully traced run may cost at most 10 %
+//! more wall time than the same run untraced, and must report the same.
+//!
+//! A single-test binary, so no other test competes for the cores while it
+//! times. Debug builds skip it (their timings say nothing about the
+//! release build); run it with
+//! `cargo test --release -p lazyctrl-core --test obs_overhead`.
+
+use std::time::Instant;
+
+use lazyctrl_core::{ControlMode, DetailedRun, Experiment, ExperimentConfig, ObsConfig};
+use lazyctrl_trace::synthetic::{generate, SyntheticConfig};
+use lazyctrl_trace::Trace;
+
+/// One timed run of quick-scale Syn-A under a lazy controller with ARP,
+/// traced as `repro_scenario` traces (2¹⁸-record ring) or untraced.
+fn timed_run(trace: &Trace, traced: bool) -> (f64, DetailedRun) {
+    let mut cfg = ExperimentConfig::new(ControlMode::LazyStatic)
+        .with_group_size_limit(46)
+        .with_seed(7);
+    cfg.emit_arp = true;
+    if traced {
+        let mut obs = ObsConfig::full().with_ring_capacity(1 << 18);
+        obs.dump_on_failure = false;
+        cfg = cfg.with_obs(obs);
+    }
+    let t0 = Instant::now();
+    let run = Experiment::new(trace.clone(), cfg).run_detailed();
+    (t0.elapsed().as_secs_f64(), run)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn tracing_costs_at_most_ten_percent() {
+    let trace = generate(&SyntheticConfig::syn_a().scaled_down(8));
+    // Interleaved untraced / traced / untraced / traced, best of two on
+    // each side, so machine drift during the test hits both alike.
+    let (plain_a, plain) = timed_run(&trace, false);
+    let (traced_a, traced) = timed_run(&trace, true);
+    let (plain_b, _) = timed_run(&trace, false);
+    let (traced_b, _) = timed_run(&trace, true);
+    assert_eq!(plain.report, traced.report, "tracing changed the report");
+    let ratio = traced_a.min(traced_b) / plain_a.min(plain_b);
+    assert!(
+        ratio <= 1.10,
+        "tracing overhead {:.1}% exceeds 10% (untraced {:.3} s, traced {:.3} s)",
+        (ratio - 1.0) * 100.0,
+        plain_a.min(plain_b),
+        traced_a.min(traced_b)
+    );
+}

@@ -151,6 +151,11 @@ fn elephant_peer_sync_passes_deterministically() {
     assert_passes_deterministically("elephant_peer_sync");
 }
 
+#[test]
+fn syn_a_cluster_passes_deterministically() {
+    assert_passes_deterministically("syn_a_cluster");
+}
+
 /// The cluster scenarios must produce bit-identical reports at a fixed
 /// seed under each dissemination strategy — crash/recovery interleaved
 /// with relay circulation and anti-entropy included.
@@ -325,7 +330,7 @@ fn counter_hash(c: &ClusterReport) -> u64 {
 }
 
 #[rustfmt::skip] // a table: one scenario per line
-const GOLDEN_SEED_7: [GoldenRow; 16] = [
+const GOLDEN_SEED_7: [GoldenRow; 17] = [
     ("cold_cache", 28883, 275, 15, 273, 0, 0),
     ("crash_under_load", 164512, 3119, 72, 32480, 0x1755f81c2602e564, 0x1457cab8c09c286e),
     ("crash_recover", 122774, 1967, 72, 19872, 0x32c3aba0bfcd95e0, 0x6b38281e7f654892),
@@ -342,6 +347,7 @@ const GOLDEN_SEED_7: [GoldenRow; 16] = [
     ("flow_setup_storm", 144798, 1945, 569, 30972, 0xb39a12df3ecc31a5, 0xbda261a6300d10e0),
     ("controller_incast", 124119, 1824, 217, 20320, 0xa5d2d1ac13bb9a99, 0x4df4404d2b5231c9),
     ("elephant_peer_sync", 206765, 1870, 247, 17920, 0xf3bcf720d702820f, 0xdc3cd6f9cb12873b),
+    ("syn_a_cluster", 864269, 7307, 2873, 8449, 0x37201add4a5168a9, 0xee98b7b311b7b95f),
 ];
 
 #[test]

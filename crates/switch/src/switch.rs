@@ -16,7 +16,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use lazyctrl_net::{
-    ArpOp, EncapHeader, EncapsulatedFrame, EthernetFrame, GroupId, HostId, MacAddr, Packet, PortNo,
+    ArpOp, EncapHeader, EncapsulatedFrame, EthernetFrame, GroupId, HostId, Packet, PortNo,
     SwitchId, TenantId,
 };
 use lazyctrl_proto::{
@@ -383,7 +383,7 @@ impl EdgeSwitch {
             candidates.clear();
             self.gfib.query_into(mac, &mut candidates);
             if !candidates.is_empty() {
-                self.note_flow(now_ns, frame.src, mac, candidates.first().copied());
+                self.note_flow(candidates.first().copied());
                 self.tunnel_to(&candidates, frame, tenant, out);
                 self.scratch_targets = candidates;
                 return;
@@ -468,25 +468,25 @@ impl EdgeSwitch {
                     Action::Output(p) if p.is_physical() => Some(self.id),
                     _ => None,
                 });
-                self.note_flow(now_ns, frame.src, frame.dst, dst_switch);
-                self.apply_actions(now_ns, in_port, frame, tenant, &actions, out);
+                self.note_flow(dst_switch);
+                self.apply_actions(frame, tenant, &actions, out);
                 self.scratch_actions = actions;
             }
             ForwardingDecision::DeliverLocal(port) => {
                 self.adv.record_local_hit();
-                self.note_flow(now_ns, frame.src, frame.dst, Some(self.id));
+                self.note_flow(Some(self.id));
                 out.push(SwitchOutput::DeliverLocal(port, frame));
             }
             ForwardingDecision::EncapTo => {
                 let candidates = std::mem::take(&mut self.scratch_targets);
                 self.adv.record_group_hit();
-                self.note_flow(now_ns, frame.src, frame.dst, candidates.first().copied());
+                self.note_flow(candidates.first().copied());
                 self.tunnel_to(&candidates, frame, tenant, out);
                 self.scratch_targets = candidates;
             }
             ForwardingDecision::PuntToController => {
                 self.adv.record_punt();
-                self.note_flow(now_ns, frame.src, frame.dst, None);
+                self.note_flow(None);
                 self.punt_no_match(now_ns, in_port, frame.encode(), out);
             }
             ForwardingDecision::FalsePositive => {}
@@ -582,7 +582,7 @@ impl EdgeSwitch {
                         return;
                     }
                     let tenant = frame.vlan.map(|t| t.vid()).unwrap_or(TenantId::NONE);
-                    self.apply_actions(now_ns, po.in_port, frame, tenant, &po.actions, out);
+                    self.apply_actions(frame, tenant, &po.actions, out);
                 }
                 _ => {}
             },
@@ -603,12 +603,11 @@ impl EdgeSwitch {
                 LazyMsg::GfibUpdate(gu) => {
                     self.gfib.apply_update(gu);
                 }
-                LazyMsg::LfibSync(sync) => {
-                    // Controller pushing other switches' L-FIBs after a
-                    // regroup goes through the designated switch; accepting
-                    // it here too keeps small setups simple.
-                    self.absorb_lfib_sync(sync);
-                }
+                // A switch keeps no exact entries for other switches'
+                // hosts, so an L-FIB sync from the controller is ignored:
+                // the G-FIB refreshes from the `GfibUpdate` that
+                // accompanies every sync.
+                LazyMsg::LfibSync(_) => {}
                 LazyMsg::CongestionNotice(cn) => {
                     // ECN-style pressure from an overloaded controller:
                     // deepen the pace window under capped exponential
@@ -664,17 +663,14 @@ impl EdgeSwitch {
                         }
                     }
                 }
-                LazyMsg::LfibSync(sync) => {
-                    self.absorb_lfib_sync(sync);
-                    // Designated switch relays exact entries up the state
-                    // link for the controller's C-LIB.
-                    if self.designated_role.is_some() {
-                        let xid = self.next_xid();
-                        out.push(SwitchOutput::ToState(Message::lazy(
-                            xid,
-                            LazyMsg::LfibSync(sync.clone()),
-                        )));
-                    }
+                // Designated switch relays exact entries up the state link
+                // for the controller's C-LIB; members keep none.
+                LazyMsg::LfibSync(sync) if self.designated_role.is_some() => {
+                    let xid = self.next_xid();
+                    out.push(SwitchOutput::ToState(Message::lazy(
+                        xid,
+                        LazyMsg::LfibSync(sync.clone()),
+                    )));
                 }
                 LazyMsg::StateReport(report) => {
                     if let Some(role) = &mut self.designated_role {
@@ -967,23 +963,10 @@ impl EdgeSwitch {
         }
     }
 
-    /// Deliberate no-op: exact entries are only tracked by the
-    /// controller. A member's G-FIB is refreshed by the periodic
-    /// `GfibUpdate` that accompanies every sync (removals cannot clear
-    /// bloom bits, so incremental absorption would buy nothing — the
-    /// full filter push is the refresh).
-    fn absorb_lfib_sync(&mut self, _sync: &LfibSyncMsg) {}
-
     /// Records one flow arrival towards the destination switch when known.
     /// Every first packet counts: the paper's intensity unit is *new flows
     /// per second* (§III-C.1), not distinct pairs.
-    fn note_flow(
-        &mut self,
-        _now_ns: u64,
-        _src: MacAddr,
-        _dst: MacAddr,
-        dst_switch: Option<SwitchId>,
-    ) {
+    fn note_flow(&mut self, dst_switch: Option<SwitchId>) {
         if let Some(s) = dst_switch {
             self.adv.record_flow_to(s);
         }
@@ -1043,8 +1026,6 @@ impl EdgeSwitch {
 
     fn apply_actions(
         &mut self,
-        _now_ns: u64,
-        _in_port: PortNo,
         frame: EthernetFrame,
         tenant: TenantId,
         actions: &[Action],

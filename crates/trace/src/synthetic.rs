@@ -102,22 +102,6 @@ impl SyntheticConfig {
         self
     }
 
-    /// Grows the *topology* for stress tiers: multiplies hosts, switches
-    /// and the hot pair set by `factor`. The flow count is deliberately
-    /// kept, so the tier stresses topology scale (G-FIB size, grouping
-    /// breadth, per-switch state) rather than just replaying more events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn scaled_up(mut self, factor: usize) -> Self {
-        assert!(factor > 0, "factor must be positive");
-        self.tenants.num_hosts *= factor;
-        self.tenants.num_switches *= factor;
-        self.hot_pairs *= factor;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
