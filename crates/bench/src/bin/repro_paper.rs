@@ -8,6 +8,21 @@
 //! running scale; the binary exits 1 when any outcome differs, a known
 //! deviation that starts to hold included.
 //!
+//! Traces are sized by the `LAZYCTRL_SCALE` environment variable, parsed
+//! by [`Scale`] (the parser that also sizes the scenario testbeds
+//! `repro_scenario` runs; any other value is an error, not a silent
+//! fallback):
+//!
+//! * `quick` (default) — laptop-scale versions of each experiment
+//!   (40–340 switches, 10⁵-ish flows);
+//! * `paper` — the paper's full topology sizes (272 switches / 6509 hosts
+//!   for the real trace, 2713 / 65090 for Syn-A/B/C); slower but the same
+//!   code path.
+//!
+//! Absolute numbers scale with flow counts; the *shapes* the paper reports
+//! (orderings, ratios, crossovers) are the reproduction target — see
+//! `DESIGN.md` §1.
+//!
 //! ```sh
 //! cargo run --release -p lazyctrl-bench --bin repro_paper
 //! ```
@@ -16,16 +31,88 @@ use std::iter::once;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lazyctrl_bench::{
-    expanded_trace, real_trace, render_table, scale_from_env, synthetic_traces, Scale,
-};
 use lazyctrl_bloom::BloomFilter;
 use lazyctrl_core::scenarios::{cold_cache, ColdCacheReport};
-use lazyctrl_core::{ControlMode, Experiment, ExperimentConfig, ExperimentReport, SeriesPoint};
+use lazyctrl_core::{
+    ControlMode, Experiment, ExperimentConfig, ExperimentReport, Scale, SeriesPoint,
+};
 use lazyctrl_net::{MacAddr, SwitchId};
 use lazyctrl_partition::{metrics, mlkp, MlkpConfig, Sgi, SgiConfig, WeightedGraph};
 use lazyctrl_switch::{build_gfib_update, Gfib};
+use lazyctrl_trace::expand::expand;
+use lazyctrl_trace::realistic::{generate as generate_real, RealTraceConfig};
+use lazyctrl_trace::synthetic::{generate as generate_syn, SyntheticConfig};
 use lazyctrl_trace::{stats, IntensityMatrix, Trace};
+
+/// Reads `LAZYCTRL_SCALE` ([`Scale::from_env`]); exits with status 2 on an
+/// unrecognised value, so a typo cannot pass for a quick-scale run.
+fn scale_from_env() -> Scale {
+    Scale::from_env().unwrap_or_else(|err| {
+        eprintln!("{err}");
+        std::process::exit(2);
+    })
+}
+
+/// The "real" trace surrogate at the chosen scale.
+fn real_trace(scale: Scale) -> Trace {
+    let quick = RealTraceConfig {
+        num_flows: 120_000,
+        ..RealTraceConfig::small()
+    };
+    generate_real(&scale.pick(quick, RealTraceConfig::default()))
+}
+
+/// The §V-D expanded trace: +30% flows among fresh pairs in hours 8–24.
+fn expanded_trace(base: &Trace) -> Trace {
+    expand(base, 0.30, 8.0, 24.0, 0xE0A)
+}
+
+/// Syn-A/B/C at the chosen scale.
+fn synthetic_traces(scale: Scale) -> Vec<Trace> {
+    [
+        SyntheticConfig::syn_a(),
+        SyntheticConfig::syn_b(),
+        SyntheticConfig::syn_c(),
+    ]
+    .into_iter()
+    .map(|cfg| match scale {
+        Scale::Quick => cfg.scaled_down(8),
+        Scale::Paper => cfg,
+    })
+    .map(|cfg| generate_syn(&cfg))
+    .collect()
+}
+
+/// Renders an aligned text table.
+fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (i, cell) in row.iter().enumerate() {
+            if i < widths.len() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+    }
+    let mut out = String::new();
+    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        cells
+            .iter()
+            .zip(widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect::<Vec<_>>()
+            .join("  ")
+    };
+    let header_cells: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    out.push_str(&fmt_row(&header_cells, &widths));
+    out.push('\n');
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&fmt_row(row, &widths));
+        out.push('\n');
+    }
+    out
+}
 
 /// Timing claims take the best of this many repeats.
 const REPEATS: usize = 3;
@@ -476,5 +563,32 @@ mod tests {
         assert_eq!(mismatches(&claims), [&fixed, &broken]);
         assert!(mismatches(&claims[..1]).is_empty());
         assert_eq!(render_claims(&claims).matches("MISMATCH").count(), 2);
+    }
+
+    #[test]
+    fn table_renders_aligned() {
+        let t = render_table(
+            &["name", "value"],
+            &[
+                vec!["a".into(), "1".into()],
+                vec!["long-name".into(), "2".into()],
+            ],
+        );
+        assert!(t.contains("name"));
+        assert!(t.contains("long-name"));
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn quick_traces_have_expected_shape() {
+        let real = real_trace(Scale::Quick);
+        assert_eq!(real.topology.num_switches, 40);
+        assert_eq!(real.num_flows(), 120_000);
+        let syn = synthetic_traces(Scale::Quick);
+        assert_eq!(syn.len(), 3);
+        assert_eq!(syn[0].name, "syn-a");
+        let exp = expanded_trace(&real);
+        assert!(exp.num_flows() > real.num_flows());
     }
 }

@@ -20,7 +20,6 @@
 
 use std::process::ExitCode;
 
-use lazyctrl_bench::parse_seed;
 use lazyctrl_core::{
     run_built_detailed, DetailedRun, ObsConfig, Scenario, ScenarioRegistry, ScenarioRun,
     EVENT_KIND_NAMES,
@@ -29,6 +28,15 @@ use lazyctrl_obs::intern::{kind, subsys};
 use lazyctrl_obs::{dst_trace_id, trace_id_dst, TraceRecord};
 
 const DEFAULT_SEED: u64 = 0xC1;
+
+/// Parses a `--seed` value: decimal, or hexadecimal after `0x` (the form
+/// the run prints seeds in, e.g. `seed 0xc1`). `None` on anything else.
+fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
 
 fn print_list(reg: &ScenarioRegistry) {
     println!("available scenarios ({}):\n", reg.len());
@@ -231,5 +239,22 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_seed_accepts_decimal_and_hex() {
+        assert_eq!(parse_seed("7"), Some(7));
+        assert_eq!(parse_seed("0xc1"), Some(0xc1));
+        assert_eq!(parse_seed("0xC1"), Some(0xc1));
+        assert_eq!(parse_seed(""), None);
+        assert_eq!(parse_seed("0x"), None);
+        assert_eq!(parse_seed("seven"), None);
+        assert_eq!(parse_seed("0xzz"), None);
+        assert_eq!(parse_seed("-1"), None);
     }
 }

@@ -1,7 +1,7 @@
 //! The experiment driver: trace in, report out.
 
 use lazyctrl_cluster::MemberCounter;
-use lazyctrl_obs::{EngineProfile, FlightRecorder, ObsConfig, PhaseTimings, RecorderStats};
+use lazyctrl_obs::{EngineProfile, FlightRecorder, PhaseTimings, RecorderStats};
 use lazyctrl_sim::{run, EventQueue, Scheduler, SimDuration, SimTime, TimeSeries};
 use lazyctrl_trace::{FlowRecord, Trace};
 use std::sync::Arc;
@@ -110,9 +110,9 @@ impl Experiment {
             }
             None => {
                 run(&mut world, &mut queue, arrivals, horizon);
-                // Flood copies counted instead of scheduled are events
-                // too (DESIGN §7.6).
-                let counted = world.metrics.counter("flood_copies_counted");
+                // Deliveries counted instead of scheduled are events too
+                // (DESIGN §7.6).
+                let counted = world.counted_events();
                 (world, queue.popped_total() + counted)
             }
         };
@@ -231,7 +231,6 @@ impl Experiment {
         let obs = world.obs.take().map(|o| {
             let o = *o;
             ObsSnapshot {
-                config: world.cfg.obs.clone(),
                 stats: o.recorder.stats(),
                 recorder: o.recorder,
                 profile: o.profile,
@@ -257,11 +256,9 @@ impl Experiment {
 }
 
 /// The observability state carried out of a finished run (present only
-/// when the config's [`ObsConfig`] was enabled).
+/// when the config's [`ObsConfig`](lazyctrl_obs::ObsConfig) was enabled).
 #[derive(Debug, Clone)]
 pub struct ObsSnapshot {
-    /// The observability config the run used.
-    pub(crate) config: ObsConfig,
     /// Flight-recorder occupancy statistics.
     pub stats: RecorderStats,
     /// The flight recorder itself (retained tail of the trace).
@@ -296,7 +293,7 @@ pub(crate) fn run_horizon(trace: &Trace, cfg: &ExperimentConfig) -> SimTime {
 /// The trace's flow arrivals up to `horizon`, in trace order (sorted by
 /// time, which `Trace::validate` asserts) — the source the run loop merges
 /// with the queue. The only place an `Ev::FlowArrival` is made.
-fn flow_arrivals(
+pub(crate) fn flow_arrivals(
     flows: &[FlowRecord],
     horizon: SimTime,
 ) -> impl Iterator<Item = (SimTime, Ev)> + '_ {

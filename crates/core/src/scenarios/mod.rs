@@ -144,8 +144,8 @@ pub fn run_built(
 /// latencies, phase timings, and — when the config enables observability —
 /// the flight recorder and engine profile).
 ///
-/// When observability is on with `dump_on_failure` and the verdict fails,
-/// the recorder is dumped automatically to `<dump_dir>/<scenario>.trace.jsonl`
+/// When observability is on and the verdict fails, the recorder is
+/// dumped automatically to `<DUMP_DIR>/<scenario>.trace.jsonl`
 /// (+ `.chrome.json` + `.telemetry.json`). `repro_scenario` runs every
 /// scenario this way and, on a failed verdict, also prints the engine
 /// profile and one reconstructed PacketIn → FlowMod → delivery chain.
@@ -158,11 +158,7 @@ pub fn run_built_detailed(
     let detailed = Experiment::new(trace, cfg.with_plan(plan)).run_detailed();
     let verdict = scenario.check(&detailed.report);
     if !verdict.passed() {
-        if let Some(obs) = &detailed.obs {
-            if obs.config.dump_on_failure {
-                dump_on_failure(scenario.name(), &detailed);
-            }
-        }
+        dump_on_failure(scenario.name(), &detailed);
     }
     (
         ScenarioRun {
@@ -178,7 +174,7 @@ pub fn run_built_detailed(
 /// scenario failure into a crash.
 fn dump_on_failure(name: &str, detailed: &DetailedRun) {
     let Some(obs) = &detailed.obs else { return };
-    let dir = std::path::Path::new(&obs.config.dump_dir);
+    let dir = std::path::Path::new(lazyctrl_obs::DUMP_DIR);
     let write = |file: String, contents: String| {
         let path = dir.join(file);
         if let Err(e) = std::fs::write(&path, contents) {

@@ -19,7 +19,9 @@ use lazyctrl_obs::{
     intern::{kind as tk, subsys as ts},
     pair_trace_id, EngineProfile, FlightRecorder,
 };
-use lazyctrl_proto::{InjectedEvent, LazyMsg, Message, OfMessage, OutputSink, PacketOutMsg};
+use lazyctrl_proto::{
+    EventPlan, InjectedEvent, LazyMsg, Message, OfMessage, OutputSink, PacketOutMsg,
+};
 use lazyctrl_sim::{
     BandwidthModel, ChannelClass, CounterId, LatencyModel, LinkId, LinkState, MetricsSink,
     Scheduler, SimDuration, SimTime, World,
@@ -143,6 +145,7 @@ world_counters!(
     frames_emitted,
     host_migrations,
     ingress_down_drops,
+    keepalives_counted,
     lfib_syncs,
     link_degrades,
     link_loss_changes,
@@ -198,7 +201,7 @@ pub(crate) const EVENT_KIND_SUBSYS: [u16; 11] = [
 ];
 
 /// `Ev::MsgToSwitch`'s dense kind index, under which a counted flood
-/// copy (DESIGN §7.6) lands in the profile.
+/// copy or keep-alive (DESIGN §7.6) lands in the profile.
 const KIND_MSG_TO_SWITCH: u32 = 3;
 
 impl Ev {
@@ -410,6 +413,37 @@ enum FloodEffect {
     },
 }
 
+/// The sorted fire times of some of the plan's events, and the index of
+/// the first not yet in the past: asks whether one fires while a counted
+/// delivery (DESIGN §7.6) is in flight.
+#[derive(Debug, Default)]
+struct PlanCursor {
+    times: Vec<SimTime>,
+    next: usize,
+}
+
+impl PlanCursor {
+    /// The fire times of the plan's events that `pick` selects.
+    fn new(plan: &EventPlan, pick: impl Fn(&InjectedEvent) -> bool) -> Self {
+        let times = plan
+            .events()
+            .iter()
+            .filter(|e| pick(&e.event))
+            .map(|e| e.at)
+            .collect();
+        PlanCursor { times, next: 0 }
+    }
+
+    /// True when one fires in `[now, lands]`. `now` never decreases, so
+    /// the cursor only moves forward.
+    fn due(&mut self, now: SimTime, lands: SimTime) -> bool {
+        while self.times.get(self.next).is_some_and(|&at| at < now) {
+            self.next += 1;
+        }
+        self.times.get(self.next).is_some_and(|&at| at <= lands)
+    }
+}
+
 /// The composed simulation state.
 pub(crate) struct DataCenterWorld {
     pub(crate) cfg: ExperimentConfig,
@@ -474,16 +508,33 @@ pub(crate) struct DataCenterWorld {
     /// Sharded-engine partition context; `None` on the single-threaded
     /// path, where every routing helper degenerates to a local schedule.
     pub(crate) part: Option<Box<PartitionCtx>>,
-    /// The run's virtual end. A flood copy counted instead of scheduled
+    /// The run's virtual end. A delivery counted instead of scheduled
     /// (DESIGN §7.6) counts as an event only if it lands by then, as the
     /// wheel pops only those.
     horizon: SimTime,
-    /// Fire times of the plan's `MigrateHosts` events, sorted, and the
-    /// index of the first not yet in the past. A migration can move a
-    /// flood's effective switch under copies in flight, so copies that
-    /// land at or after one stay eager.
-    migrations: Vec<SimTime>,
-    next_migration: usize,
+    /// Deliveries counted instead of scheduled, of every kind.
+    counted_events: u64,
+    /// The plan's `MigrateHosts` events. A migration can move a flood's
+    /// effective switch under copies in flight, so copies that land at
+    /// or after one stay eager.
+    migrations: PlanCursor,
+    /// The plan's `CrashSwitch` / `RecoverSwitch` events. They decide
+    /// whether a keep-alive's receiver is up when it lands, and
+    /// `RecoverSwitch` re-arms ticks, so keep-alives in flight across
+    /// one stay eager.
+    power_changes: PlanCursor,
+    /// Per switch: the keep-alives counted instead of scheduled that it
+    /// has not heard yet, as `(sender, landing time)` in landing order.
+    /// The switch hears those that have landed before its next wheel
+    /// event (DESIGN §7.6).
+    keepalive_inbox: Vec<Vec<(SwitchId, SimTime)>>,
+    /// Per switch: when its armed `KeepAlive` tick fires (a switch has
+    /// at most one armed).
+    next_tick: Vec<SimTime>,
+    /// Schedules every keep-alive: the eager oracle the counted path is
+    /// tested against.
+    #[cfg(test)]
+    eager_keepalives: bool,
     /// The last flooded `PacketOut` the current dispatch batch sent, with
     /// its frame's effective switch. Every copy of a fan-out carries the
     /// same bytes, so a batch decodes and looks up each distinct payload
@@ -498,13 +549,15 @@ impl DataCenterWorld {
         // the assertion.
         cfg.latency.validate();
         let horizon = crate::experiment::run_horizon(&trace, &cfg);
-        let migrations = cfg
-            .plan
-            .events()
-            .iter()
-            .filter(|e| matches!(e.event, InjectedEvent::MigrateHosts { .. }))
-            .map(|e| e.at)
-            .collect();
+        let migrations = PlanCursor::new(&cfg.plan, |e| {
+            matches!(e, InjectedEvent::MigrateHosts { .. })
+        });
+        let power_changes = PlanCursor::new(&cfg.plan, |e| {
+            matches!(
+                e,
+                InjectedEvent::CrashSwitch(_) | InjectedEvent::RecoverSwitch(_)
+            )
+        });
         let Trace {
             topology, flows, ..
         } = trace;
@@ -621,8 +674,13 @@ impl DataCenterWorld {
             obs,
             part: None,
             horizon,
+            counted_events: 0,
             migrations,
-            next_migration: 0,
+            power_changes,
+            keepalive_inbox: vec![Vec::new(); n],
+            next_tick: vec![SimTime::ZERO; n],
+            #[cfg(test)]
+            eager_keepalives: false,
             flood_memo: None,
         }
     }
@@ -776,6 +834,11 @@ impl DataCenterWorld {
                     let link = LinkId::new(from.0, to.0, ChannelClass::Peer);
                     let record = || (0, tk::MSG_TO_SWITCH, ts::SWITCH, from.0, to.0);
                     if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
+                        if let Some(LazyMsg::KeepAlive(ka)) = msg.as_lazy() {
+                            if self.count_keepalive(now, now + delay, to, ka.from) {
+                                continue;
+                            }
+                        }
                         let ev = Ev::MsgToSwitch { to, from, msg };
                         self.route_to_switch(now, delay, to, ev, sched);
                     }
@@ -799,9 +862,13 @@ impl DataCenterWorld {
                     self.handle_flood(now, from, frame, sched);
                 }
                 SwitchOutput::SetTimer(timer, delay_ns) => {
+                    let delay = SimDuration::from_nanos(delay_ns);
+                    if timer == SwitchTimer::KeepAlive {
+                        self.next_tick[from.index()] = now + delay;
+                    }
                     sched.schedule_in(
                         now,
-                        SimDuration::from_nanos(delay_ns),
+                        delay,
                         Ev::SwitchTimer {
                             switch: from,
                             timer,
@@ -933,7 +1000,8 @@ impl DataCenterWorld {
     /// Sends a control-plane message down the control link to switch `to`:
     /// from the single controller (`member` = `None`), or from one cluster
     /// member. It leaves after the sender's current `service` time. A
-    /// flood copy that provably does nothing where it lands is counted
+    /// flood copy that provably does nothing where it lands, and a
+    /// keep-alive nothing can tell from a scheduled one, are counted
     /// instead of scheduled (DESIGN §7.6).
     fn send_to_switch(
         &mut self,
@@ -960,8 +1028,13 @@ impl DataCenterWorld {
         if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
             let lands = now + service + delay;
             if self.reaches_no_host(now, lands, to, &msg) {
-                self.count_flood_copy(lands);
+                self.count_unscheduled(self.ctr.flood_copies_counted, lands);
                 return;
+            }
+            if let Some(LazyMsg::KeepAlive(_)) = msg.as_lazy() {
+                if self.count_keepalive(now, lands, to, SwitchId::CONTROLLER) {
+                    return;
+                }
             }
             let ev = Ev::MsgToSwitch {
                 to,
@@ -987,7 +1060,7 @@ impl DataCenterWorld {
         let Some(OfMessage::PacketOut(po)) = msg.as_of() else {
             return false;
         };
-        if !floods_only(&po.actions) || self.part.is_some() || self.migration_due(now, lands) {
+        if !floods_only(&po.actions) || self.part.is_some() || self.migrations.due(now, lands) {
             return false;
         }
         let effective = match &self.flood_memo {
@@ -1003,32 +1076,75 @@ impl DataCenterWorld {
         effective != Some(to)
     }
 
-    /// True when a `MigrateHosts` plan event fires in `[now, lands]`.
-    /// `now` never decreases, so the cursor only moves forward.
-    fn migration_due(&mut self, now: SimTime, lands: SimTime) -> bool {
-        while self
-            .migrations
-            .get(self.next_migration)
-            .is_some_and(|&at| at < now)
-        {
-            self.next_migration += 1;
+    /// Counts a wheel keep-alive from `from` (`SwitchId::CONTROLLER` for
+    /// the controller's), sent at `now` and landing at switch `to` at
+    /// `lands`, instead of scheduling it, and queues it for `to` to hear
+    /// before its next wheel event (DESIGN §7.6). False — schedule it —
+    /// when that order could differ from the scheduled delivery's: on
+    /// the sharded engine, with a `CrashSwitch` / `RecoverSwitch` due in
+    /// `[now, lands]`, or when `to`'s armed tick fires at exactly `lands`
+    /// (armed first, it fires first).
+    fn count_keepalive(
+        &mut self,
+        now: SimTime,
+        lands: SimTime,
+        to: SwitchId,
+        from: SwitchId,
+    ) -> bool {
+        #[cfg(test)]
+        if self.eager_keepalives {
+            return false;
         }
-        self.migrations
-            .get(self.next_migration)
-            .is_some_and(|&at| at <= lands)
+        let s = to.index();
+        if self.part.is_some() || self.next_tick[s] == lands || self.power_changes.due(now, lands) {
+            return false;
+        }
+        if self.count_unscheduled(self.ctr.keepalives_counted, lands) {
+            let inbox = &mut self.keepalive_inbox[s];
+            let at = inbox.partition_point(|&(_, t)| t <= lands);
+            inbox.insert(at, (from, lands));
+        }
+        true
     }
 
-    /// Accounts for a flood copy that reaches no host as the event it
-    /// would have been: one `events_processed` and one `msg_to_switch`
-    /// dispatch in the profile, if it lands by the horizon.
-    fn count_flood_copy(&mut self, lands: SimTime) {
-        if lands > self.horizon {
+    /// Switch `s` hears, in landing order, the counted keep-alives that
+    /// have landed by `now`: called before each of its wheel events.
+    fn hear_landed_keepalives(&mut self, s: SwitchId, now: SimTime) {
+        let inbox = &mut self.keepalive_inbox[s.index()];
+        let landed = inbox.partition_point(|&(_, lands)| lands <= now);
+        if landed == 0 {
             return;
         }
-        self.metrics.bump(self.ctr.flood_copies_counted, 1);
+        let sw = self.switches[s.index()]
+            .as_mut()
+            .expect("wheel event routed to its owner");
+        for (from, lands) in inbox.drain(..landed) {
+            sw.hear_keepalive(from, lands.as_nanos());
+        }
+    }
+
+    /// Accounts for a delivery settled without scheduling it as the
+    /// event it would have been, under its kind's `counter`: one
+    /// `events_processed` and one `msg_to_switch` dispatch in the
+    /// profile — if it lands by the horizon, as the wheel pops only
+    /// those. Returns whether it does.
+    fn count_unscheduled(&mut self, counter: CounterId, lands: SimTime) -> bool {
+        if lands > self.horizon {
+            return false;
+        }
+        self.metrics.bump(counter, 1);
+        self.counted_events += 1;
         if let Some(obs) = &mut self.obs {
             obs.profile.count_unsampled(KIND_MSG_TO_SWITCH);
         }
+        true
+    }
+
+    /// The events this world counted instead of scheduling, of every
+    /// kind (DESIGN §7.6): `events_processed` adds them to the queue's
+    /// pops.
+    pub(crate) fn counted_events(&self) -> u64 {
+        self.counted_events
     }
 
     fn dispatch_controller_outputs(&mut self, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
@@ -1291,11 +1407,11 @@ impl DataCenterWorld {
                 // moment after power-on (the handlers re-arm themselves).
                 for timer in [SwitchTimer::KeepAlive, SwitchTimer::PeerSync] {
                     if self.severed_timers.remove(&(s.0, timer)) {
-                        sched.schedule_in(
-                            now,
-                            SimDuration::from_millis(2),
-                            Ev::SwitchTimer { switch: s, timer },
-                        );
+                        let delay = SimDuration::from_millis(2);
+                        if timer == SwitchTimer::KeepAlive {
+                            self.next_tick[s.index()] = now + delay;
+                        }
+                        sched.schedule_in(now, delay, Ev::SwitchTimer { switch: s, timer });
                     }
                 }
                 // §III-E.3 comeback: the rebooted switch pings the
@@ -1627,6 +1743,9 @@ impl DataCenterWorld {
     pub(crate) fn split(mut self, owner: Arc<Vec<u16>>, nparts: u16) -> Vec<DataCenterWorld> {
         assert!(nparts >= 1, "need at least the hub partition");
         assert_eq!(owner.len(), self.switches.len(), "owner map size mismatch");
+        // The sharded engine's event total is its executor's pops: a
+        // delivery counted before the split would go missing from it.
+        assert_eq!(self.counted_events, 0, "split after a counted delivery");
         let global_seed = self.cfg.seed ^ 0x610ba1;
         let mut parts: Vec<DataCenterWorld> = Vec::with_capacity(nparts as usize);
         for p in 1..nparts {
@@ -1679,10 +1798,15 @@ impl DataCenterWorld {
                     staged: Vec::new(),
                     global_rng: StdRng::seed_from_u64(global_seed),
                 })),
-                // A partition never counts flood copies.
+                // A partition counts no delivery (DESIGN §7.6).
                 horizon: self.horizon,
-                migrations: Vec::new(),
-                next_migration: 0,
+                counted_events: 0,
+                migrations: PlanCursor::default(),
+                power_changes: PlanCursor::default(),
+                keepalive_inbox: vec![Vec::new(); self.switches.len()],
+                next_tick: vec![SimTime::ZERO; self.switches.len()],
+                #[cfg(test)]
+                eager_keepalives: false,
                 flood_memo: None,
                 cfg,
             });
@@ -1797,6 +1921,7 @@ impl DataCenterWorld {
                 self.dispatch_switch_outputs(now, to, sched);
             }
             Ev::MsgToSwitch { to, from, msg } => {
+                self.hear_landed_keepalives(to, now);
                 if !self.links.is_node_up(to.0) {
                     return;
                 }
@@ -1922,6 +2047,9 @@ impl DataCenterWorld {
                 self.start_flow(now, src, dst, Ev::SyntheticFlow { src, dst }, sched);
             }
             Ev::SwitchTimer { switch, timer } => {
+                if timer == SwitchTimer::KeepAlive {
+                    self.hear_landed_keepalives(switch, now);
+                }
                 // A powered-off switch cannot probe the wheel or sync its
                 // peers: letting those timers run would latch the wheel's
                 // reported-flags (and swallow the L-FIB delta) while every
@@ -2261,7 +2389,10 @@ mod tests {
             frame.encode(),
         );
         let t = SimTime::from_millis;
-        world.migrations = vec![t(5), t(20)];
+        world.migrations = PlanCursor {
+            times: vec![t(5), t(20)],
+            next: 0,
+        };
         let counted = |w: &mut DataCenterWorld, sent, lands| {
             w.reaches_no_host(t(sent), t(lands), SwitchId::new(0), &msg)
         };
@@ -2373,5 +2504,307 @@ mod tests {
                 "partition {i}: replicated host-port map diverged"
             );
         }
+    }
+
+    /// A small lazy fabric driven as a run drives it, logging each
+    /// switch's whole state right after each of its keep-alive ticks.
+    struct Fabric {
+        world: DataCenterWorld,
+        queue: lazyctrl_sim::EventQueue<Ev>,
+        /// Everything up to this time has been run.
+        ran_to: Option<SimTime>,
+        /// `(tick time, switch, its state after the tick)`.
+        ticks: Vec<(SimTime, SwitchId, String)>,
+        /// Keep-alives dispatched as events.
+        dispatched_keepalives: u64,
+    }
+
+    impl Fabric {
+        /// `n` switches with one host each under one lazy controller in
+        /// one group, the wheel ticking every 10 ms, `flows` as `(src
+        /// host, dst host, ms)`, the run ending at `end`; `tune` adjusts
+        /// the config. Bootstrapped, with the plan queued as a run queues
+        /// it. `eager` makes it the oracle that schedules every keep-alive.
+        fn new(
+            n: usize,
+            flows: &[(u32, u32, u64)],
+            end: SimTime,
+            tune: impl Fn(ExperimentConfig) -> ExperimentConfig,
+            eager: bool,
+        ) -> Self {
+            let trace = Trace {
+                name: "wheel".to_owned(),
+                topology: lazyctrl_trace::Topology {
+                    num_switches: n,
+                    host_switch: (0..n as u32).map(SwitchId::new).collect(),
+                    host_tenant: vec![TenantId::new(1); n],
+                },
+                flows: flows
+                    .iter()
+                    .map(|&(src, dst, ms)| FlowRecord {
+                        time_ns: ms * 1_000_000,
+                        src: HostId::new(src),
+                        dst: HostId::new(dst),
+                        bytes: 100,
+                    })
+                    .collect(),
+                duration_ns: 0,
+                nominal: Default::default(),
+            };
+            let mut cfg = ExperimentConfig::new(ControlMode::LazyStatic).with_group_size_limit(n);
+            cfg.keepalive_interval_ms = 10;
+            let mut world = DataCenterWorld::new(trace, tune(cfg));
+            world.horizon = end;
+            world.eager_keepalives = eager;
+            let mut queue = lazyctrl_sim::EventQueue::new();
+            for e in world.cfg.plan.events() {
+                queue.schedule(e.at, Ev::Injected(e.event.clone()));
+            }
+            world.bootstrap(&mut Scheduler::over(&mut queue));
+            Fabric {
+                world,
+                queue,
+                ran_to: None,
+                ticks: Vec::new(),
+                dispatched_keepalives: 0,
+            }
+        }
+
+        /// Runs every event up to and including `until`.
+        fn run_to(&mut self, until: SimTime) {
+            let flows = Arc::clone(&self.world.flows);
+            let ran_to = self.ran_to;
+            let mut arrivals = crate::experiment::flow_arrivals(&flows, until)
+                .filter(|&(at, _)| ran_to.is_none_or(|ran_to| at > ran_to))
+                .peekable();
+            while let Some((now, ev)) = self.queue.pop_merged(&mut arrivals, until) {
+                let ticked = match &ev {
+                    Ev::SwitchTimer {
+                        switch,
+                        timer: SwitchTimer::KeepAlive,
+                    } => Some(*switch),
+                    Ev::MsgToSwitch { msg, .. } => {
+                        let keepalive = matches!(msg.as_lazy(), Some(LazyMsg::KeepAlive(_)));
+                        self.dispatched_keepalives += u64::from(keepalive);
+                        None
+                    }
+                    _ => None,
+                };
+                self.world
+                    .handle(now, ev, &mut Scheduler::over(&mut self.queue));
+                if let Some(s) = ticked {
+                    let state = format!("{:?}", self.world.switches[s.index()]);
+                    self.ticks.push((now, s, state));
+                }
+            }
+            self.ran_to = Some(until);
+        }
+
+        /// Switch `from` sends a wheel keep-alive to `to` at `now`.
+        fn send_keepalive(&mut self, now: SimTime, from: u32, to: u32) {
+            let ka = lazyctrl_proto::KeepAliveMsg {
+                from: SwitchId::new(from),
+                seq: u64::MAX,
+            };
+            let msg = Message::lazy(0, LazyMsg::KeepAlive(ka));
+            self.world
+                .switch_sink
+                .push(SwitchOutput::ToPeer(SwitchId::new(to), msg));
+            let sched = &mut Scheduler::over(&mut self.queue);
+            self.world
+                .dispatch_switch_outputs(now, SwitchId::new(from), sched);
+        }
+
+        /// The controller regroups at `now`: one `GroupAssign` per
+        /// switch, turning the ring around. Returns when they land.
+        fn reverse_ring(&mut self, now: SimTime) -> SimTime {
+            let n = self.world.switches.len() as u32;
+            let at = |i: u32| SwitchId::new(i % n);
+            for s in 0..n {
+                let ga = lazyctrl_proto::GroupAssignMsg {
+                    group: lazyctrl_net::GroupId(0),
+                    epoch: 7,
+                    members: (0..n).rev().map(SwitchId::new).collect(),
+                    designated: at(0),
+                    backups: Vec::new(),
+                    ring_prev: at(s + 1),
+                    ring_next: at(s + n - 1),
+                    sync_interval_ms: self.world.cfg.sync_interval_ms,
+                    keepalive_interval_ms: self.world.cfg.keepalive_interval_ms,
+                    group_size_limit: n,
+                };
+                let msg = Message::lazy(0, LazyMsg::group_assign(ga));
+                self.world
+                    .ctrl_sink
+                    .push(ControllerOutput::ToSwitch(at(s), msg));
+            }
+            let service = self.world.controller.service_time(None, now);
+            let sched = &mut Scheduler::over(&mut self.queue);
+            self.world.dispatch_controller_outputs(now, sched);
+            now + service + self.world.latency.control
+        }
+    }
+
+    /// Runs `script` on a counted fabric and on its eager oracle, then
+    /// both to `end`, and checks that every switch's state after every
+    /// tick is the same in both, and so are the event totals and every
+    /// other counter. Returns the counted fabric.
+    fn counted_matches_eager(
+        n: usize,
+        flows: &[(u32, u32, u64)],
+        end: SimTime,
+        tune: impl Fn(ExperimentConfig) -> ExperimentConfig,
+        script: impl Fn(&mut Fabric),
+    ) -> Fabric {
+        let [mut counted, mut eager] =
+            [false, true].map(|oracle| Fabric::new(n, flows, end, &tune, oracle));
+        for fabric in [&mut counted, &mut eager] {
+            script(fabric);
+            fabric.run_to(end);
+        }
+        assert!(!eager.ticks.is_empty(), "the wheel never ticked");
+        assert_eq!(counted.ticks.len(), eager.ticks.len(), "tick counts differ");
+        for (c, e) in counted.ticks.iter().zip(&eager.ticks) {
+            assert_eq!(c, e, "first differing tick");
+        }
+        let counted_total = counted.queue.popped_total() + counted.world.counted_events();
+        assert_eq!(
+            counted_total,
+            eager.queue.popped_total(),
+            "event totals differ"
+        );
+        assert_eq!(eager.world.counted_events(), 0);
+        let others = |f: &Fabric| -> Vec<(&'static str, u64)> {
+            let skip = |(k, _): &(&str, u64)| *k != "keepalives_counted";
+            f.world.metrics.counters().filter(skip).collect()
+        };
+        assert_eq!(others(&counted), others(&eager));
+        counted
+    }
+
+    const MS: u64 = 1_000_000;
+
+    /// The oracle run: traffic, peer loss, a switch that crashes long
+    /// enough to be reported and comes back, and a regroup while
+    /// keep-alives are in flight. Counting changes no switch's state at
+    /// any tick, and most keep-alives are counted.
+    #[test]
+    fn counted_keepalives_leave_every_tick_as_the_eager_run_does() {
+        let t = |ms: u64| SimTime::from_nanos(ms * MS);
+        let flows: Vec<_> = (0..60)
+            .map(|i| (i % 6, (i * 5 + 1) % 6, 20 + 37 * i as u64))
+            .collect();
+        let mut plan = EventPlan::new();
+        plan.schedule(
+            t(300),
+            InjectedEvent::LinkLoss {
+                class: ChannelClass::Peer,
+                loss: 0.3,
+            },
+        );
+        plan.schedule(t(700), InjectedEvent::CrashSwitch(SwitchId::new(2)));
+        plan.schedule(t(1_100), InjectedEvent::RecoverSwitch(SwitchId::new(2)));
+        plan.schedule(
+            t(1_900),
+            InjectedEvent::LinkLoss {
+                class: ChannelClass::Peer,
+                loss: 0.0,
+            },
+        );
+        let counted = counted_matches_eager(
+            6,
+            &flows,
+            t(2_500),
+            |cfg| cfg.with_plan(plan.clone()),
+            |fabric| {
+                fabric.run_to(t(1_503));
+                fabric.reverse_ring(t(1_503));
+            },
+        );
+        let keepalives = counted.world.counted_events() + counted.dispatched_keepalives;
+        assert!(
+            counted.world.counted_events() > keepalives * 9 / 10,
+            "{} of {keepalives} keep-alives counted",
+            counted.world.counted_events()
+        );
+    }
+
+    /// Zero-jitter latencies, so a test can aim a landing at a tick.
+    fn fixed_latency(mut cfg: ExperimentConfig) -> ExperimentConfig {
+        cfg.latency = std::mem::take(&mut cfg.latency).without_jitter();
+        cfg
+    }
+
+    /// Every keep-alive lands exactly as its receiver ticks: zero
+    /// jitter, a peer latency equal to the 15 ms interval, and every
+    /// switch ticking in phase. A tick armed before the keep-alive was
+    /// sent fires first, so that keep-alive stays eager; one armed after
+    /// it is counted and heard just before the tick.
+    #[test]
+    fn keepalive_landing_on_an_armed_tick_stays_eager() {
+        let tune = |cfg: ExperimentConfig| {
+            let mut cfg = fixed_latency(cfg);
+            cfg.keepalive_interval_ms = 15;
+            cfg.latency.degrade(ChannelClass::Peer, 100.0);
+            cfg
+        };
+        assert_eq!(
+            tune(ExperimentConfig::new(ControlMode::LazyStatic))
+                .latency
+                .sample(ChannelClass::Peer, &mut StdRng::seed_from_u64(0)),
+            SimDuration::from_millis(15)
+        );
+        let end = SimTime::from_millis(400);
+        let counted = counted_matches_eager(4, &[], end, tune, |_| {});
+        assert!(counted.dispatched_keepalives > 0, "no tie stayed eager");
+        assert!(counted.world.counted_events() > 0, "no tie was counted");
+    }
+
+    /// A regroup's `GroupAssign` replaces the receiver's wheel while
+    /// keep-alives are in flight: one sent after it that lands with it,
+    /// and one sent before it lands that lands after it. The first
+    /// writes what the new wheel starts with anyway; the second must
+    /// reach the new wheel, which hearing it at send time would miss.
+    #[test]
+    fn keepalives_across_a_regroup_reach_the_wheel_the_eager_run_does() {
+        let end = SimTime::from_millis(300);
+        let counted = counted_matches_eager(3, &[], end, fixed_latency, |fabric| {
+            fabric.run_to(SimTime::from_millis(100));
+            let regroup = fabric.world.next_tick[0] + SimDuration::from_millis(1);
+            fabric.run_to(regroup);
+            let lands = fabric.reverse_ring(regroup);
+            let peer = fabric
+                .world
+                .latency
+                .sample(ChannelClass::Peer, &mut fabric.world.rng);
+            let half = SimDuration::from_nanos(peer.as_nanos() / 2);
+            for (before, from) in [(peer, 1), (half, 2)] {
+                let sent = SimTime::from_nanos(lands.as_nanos() - before.as_nanos());
+                fabric.run_to(sent);
+                fabric.send_keepalive(sent, from, 0);
+            }
+        });
+        assert!(counted.world.counted_events() > 0);
+    }
+
+    /// A switch crashes while keep-alives to it are in flight, and comes
+    /// back later. They land on a switch that is down, which drops them,
+    /// so they stay eager.
+    #[test]
+    fn keepalives_in_flight_across_a_crash_stay_eager() {
+        let end = SimTime::from_millis(300);
+        let mut probe = Fabric::new(3, &[], end, fixed_latency, false);
+        probe.run_to(SimTime::from_millis(100));
+        let tick = probe.world.next_tick[1];
+        let crash = tick + SimDuration::from_micros(100);
+        let recover = tick + SimDuration::from_millis(51);
+        let mut plan = EventPlan::new();
+        plan.schedule(crash, InjectedEvent::CrashSwitch(SwitchId::new(0)));
+        plan.schedule(recover, InjectedEvent::RecoverSwitch(SwitchId::new(0)));
+        let tune = |cfg: ExperimentConfig| fixed_latency(cfg).with_plan(plan.clone());
+        let counted = counted_matches_eager(3, &[], end, tune, |_| {});
+        assert!(counted.dispatched_keepalives > 0, "nothing stayed eager");
+        assert!(counted.world.counted_events() > 0);
+        assert_eq!(counted.world.metrics.counter("switch_crashes"), 1);
     }
 }

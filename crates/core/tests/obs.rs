@@ -13,13 +13,6 @@ use lazyctrl_obs::intern::kind;
 use lazyctrl_trace::realistic::{generate, RealTraceConfig};
 use lazyctrl_trace::Trace;
 
-/// Full tracing, but no dump side-effects from a test run.
-fn test_obs() -> ObsConfig {
-    let mut obs = ObsConfig::full();
-    obs.dump_on_failure = false;
-    obs
-}
-
 /// The regression matrix from the issue: `cold_cache`, `crash_under_load`
 /// and `peer_sync_storm` reports must be bit-identical with the flight
 /// recorder enabled vs disabled.
@@ -32,7 +25,7 @@ fn reports_bit_identical_with_recorder_on_vs_off() {
         let (trace, cfg, plan) = scenario.build(seed);
         let off = run_built(scenario, trace, cfg, plan);
         let (trace, cfg, plan) = scenario.build(seed);
-        let on = run_built(scenario, trace, cfg.with_obs(test_obs()), plan);
+        let on = run_built(scenario, trace, cfg.with_obs(ObsConfig::full()), plan);
         assert_eq!(
             off.report, on.report,
             "{name}: report diverged with tracing enabled"
@@ -46,7 +39,7 @@ fn traced_run(mode: ControlMode) -> lazyctrl_core::DetailedRun {
     let trace = generate(&tc);
     let mut cfg = ExperimentConfig::new(mode)
         .with_group_size_limit(10)
-        .with_obs(test_obs().with_ring_capacity(1 << 18));
+        .with_obs(ObsConfig::full().with_ring_capacity(1 << 18));
     cfg.record_flow_latencies = true;
     Experiment::new(trace, cfg).run_detailed()
 }
@@ -105,16 +98,17 @@ fn flow_chain_reconstructs_packet_in_to_delivery() {
 }
 
 /// The profiler's exact event counts must equal the kernel's event
-/// count, and phase walls must be populated. Plain OpenFlow floods, so
-/// its run counts flood copies instead of scheduling them (DESIGN §7.6):
-/// its event total, pinned from a run that scheduled every copy, fails
-/// when counted copies go missing from `events_processed`, and the
-/// equality with the profiler when they go missing there.
+/// count, and phase walls must be populated. Each run counts deliveries
+/// instead of scheduling them (DESIGN §7.6) — plain OpenFlow its flood
+/// copies, the lazy mode its wheel keep-alives: its event total, pinned
+/// from a run that scheduled every one, fails when counted deliveries go
+/// missing from `events_processed`, and the equality with the profiler
+/// when they go missing there.
 #[test]
 fn profile_counts_match_events_and_phases_are_positive() {
-    for (mode, pinned_events) in [
-        (ControlMode::LazyDynamic, None),
-        (ControlMode::Baseline, Some(11_563)),
+    for (mode, pinned_events, counter) in [
+        (ControlMode::LazyDynamic, 1_615_984, "keepalives_counted"),
+        (ControlMode::Baseline, 11_563, "flood_copies_counted"),
     ] {
         let run = traced_run(mode);
         let obs = run.obs.as_ref().expect("obs enabled");
@@ -123,17 +117,12 @@ fn profile_counts_match_events_and_phases_are_positive() {
             run.report.events_processed,
             "{mode:?}: profiler count diverged from the kernel's event count"
         );
-        if let Some(events) = pinned_events {
-            assert_eq!(run.report.events_processed, events, "{mode:?}");
-            let counted = run
-                .counters
-                .iter()
-                .find(|(k, _)| k == "flood_copies_counted");
-            assert!(
-                counted.is_some_and(|&(_, n)| n > 0),
-                "{mode:?}: no flood copy was counted"
-            );
-        }
+        assert_eq!(run.report.events_processed, pinned_events, "{mode:?}");
+        let counted = run.counters.iter().find(|(k, _)| k == counter);
+        assert!(
+            counted.is_some_and(|&(_, n)| n > 0),
+            "{mode:?}: nothing counted under {counter}"
+        );
         assert!(
             obs.profile.samples() > 0,
             "{mode:?}: sampling profiler took no samples"
@@ -170,17 +159,15 @@ impl Scenario for AlwaysFails<'_> {
 /// `.trace.jsonl` artifact itself, not from in-memory state.
 #[test]
 fn failed_verdict_dumps_recorder_and_chain_survives_round_trip() {
-    let dir = "target/obs-test-dump";
-    let _ = std::fs::remove_dir_all(dir);
+    let dir = lazyctrl_obs::DUMP_DIR;
+    for suffix in ["trace.jsonl", "chrome.json", "telemetry.json"] {
+        let _ = std::fs::remove_file(format!("{dir}/always_fails_obs.{suffix}"));
+    }
 
     let reg = ScenarioRegistry::builtin();
     let scenario = AlwaysFails(reg.get("cold_cache").expect("built-in"));
     let (trace, cfg, plan) = scenario.build(7);
-    let cfg = cfg.with_obs(
-        ObsConfig::full()
-            .with_ring_capacity(1 << 18)
-            .with_dump_dir(dir),
-    );
+    let cfg = cfg.with_obs(ObsConfig::full().with_ring_capacity(1 << 18));
     let (run, _detailed) = run_built_detailed(&scenario, trace, cfg, plan);
     assert!(!run.verdict.passed(), "wrapper must fail its verdict");
 

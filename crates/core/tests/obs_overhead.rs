@@ -20,9 +20,7 @@ fn timed_run(trace: &Trace, traced: bool) -> (f64, DetailedRun) {
         .with_seed(7);
     cfg.emit_arp = true;
     if traced {
-        let mut obs = ObsConfig::full().with_ring_capacity(1 << 18);
-        obs.dump_on_failure = false;
-        cfg = cfg.with_obs(obs);
+        cfg = cfg.with_obs(ObsConfig::full().with_ring_capacity(1 << 18));
     }
     let t0 = Instant::now();
     let run = Experiment::new(trace.clone(), cfg).run_detailed();

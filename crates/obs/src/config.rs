@@ -2,11 +2,16 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Where a scenario whose verdict fails under tracing dumps its flight
+/// recorder (`<scenario>.trace.jsonl`, `.chrome.json`, `.telemetry.json`).
+pub const DUMP_DIR: &str = "target/obs";
+
 /// Master switch + knobs for the observability layer.
 ///
 /// The default is **fully off**: every hook in the hot path sees
 /// `enabled == false` and returns immediately, so a run with the default
 /// config behaves (and performs) exactly like a build without the layer.
+/// An enabled run whose scenario verdict fails dumps to [`DUMP_DIR`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsConfig {
     /// Master switch. When `false` no records are captured, no profiling
@@ -16,12 +21,6 @@ pub struct ObsConfig {
     /// two; when full, the oldest records are overwritten (flight-recorder
     /// semantics: the *tail* of the run is what survives).
     pub ring_capacity: usize,
-    /// Automatically dump the recorder (JSONL + chrome://tracing JSON) when
-    /// a scenario verdict fails.
-    pub dump_on_failure: bool,
-    /// Directory for automatic dumps (`<scenario>.trace.jsonl`,
-    /// `<scenario>.chrome.json`).
-    pub dump_dir: String,
 }
 
 impl Default for ObsConfig {
@@ -29,14 +28,12 @@ impl Default for ObsConfig {
         Self {
             enabled: false,
             ring_capacity: 1 << 16,
-            dump_on_failure: true,
-            dump_dir: "target/obs".to_string(),
         }
     }
 }
 
 impl ObsConfig {
-    /// Everything on: tracing, sampling profiler, dump-on-failure.
+    /// Everything on: tracing, sampling profiler, dump on a failed verdict.
     pub fn full() -> Self {
         Self {
             enabled: true,
@@ -47,12 +44,6 @@ impl ObsConfig {
     /// Tracing on with a specific ring capacity.
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
-        self
-    }
-
-    /// Override the automatic dump directory.
-    pub fn with_dump_dir(mut self, dir: impl Into<String>) -> Self {
-        self.dump_dir = dir.into();
         self
     }
 }

@@ -32,7 +32,7 @@ mod profile;
 mod recorder;
 
 pub use chrome::{chrome_trace_json, jsonl_dump};
-pub use config::ObsConfig;
+pub use config::{ObsConfig, DUMP_DIR};
 pub use profile::{EngineProfile, KindProfile, PhaseTimings};
 pub use recorder::{
     dst_trace_id, pair_trace_id, trace_id_dst, FlightRecorder, RecorderStats, TraceRecord,

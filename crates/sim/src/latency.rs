@@ -114,6 +114,15 @@ impl LatencyModel {
         *slot = slot.mul_f64(factor);
     }
 
+    /// The same base latencies with no jitter: every sample is its
+    /// class's base, and sampling draws nothing.
+    pub fn without_jitter(self) -> Self {
+        LatencyModel {
+            jitter_frac: 0.0,
+            ..self
+        }
+    }
+
     /// Validates the jitter configuration.
     ///
     /// # Panics

@@ -595,11 +595,7 @@ impl EdgeSwitch {
                         self.blocked_arp.remove(tenant);
                     }
                 }
-                LazyMsg::KeepAlive(_) => {
-                    if let Some(w) = &mut self.wheel {
-                        w.on_controller_keepalive(now_ns);
-                    }
-                }
+                LazyMsg::KeepAlive(_) => self.hear_keepalive(SwitchId::CONTROLLER, now_ns),
                 LazyMsg::GfibUpdate(gu) => {
                     self.gfib.apply_update(gu);
                 }
@@ -643,11 +639,7 @@ impl EdgeSwitch {
     ) {
         match &msg.body {
             lazyctrl_proto::MessageBody::Lazy(lazy) => match lazy {
-                LazyMsg::KeepAlive(ka) => {
-                    if let Some(w) = &mut self.wheel {
-                        w.on_peer_keepalive(ka.from, now_ns);
-                    }
-                }
+                LazyMsg::KeepAlive(ka) => self.hear_keepalive(ka.from, now_ns),
                 LazyMsg::GfibUpdate(gu)
                     if crate::designated::gfib_is_relevant(gu, self.current_epoch()) =>
                 {
@@ -708,6 +700,22 @@ impl EdgeSwitch {
                 }
             }
             _ => {}
+        }
+    }
+
+    /// Records a wheel keep-alive from `from` (`SwitchId::CONTROLLER` for
+    /// the controller's) that landed at `at_ns`. Receiving one calls
+    /// this; a driver that counts keep-alives instead of scheduling them
+    /// calls it directly, in landing order, before the switch's next
+    /// keep-alive tick or control message.
+    pub fn hear_keepalive(&mut self, from: SwitchId, at_ns: u64) {
+        let Some(w) = &mut self.wheel else {
+            return;
+        };
+        if from == SwitchId::CONTROLLER {
+            w.on_controller_keepalive(at_ns);
+        } else {
+            w.on_peer_keepalive(from, at_ns);
         }
     }
 
