@@ -90,7 +90,9 @@ fn run_one(scenario: &dyn Scenario, seed: u64) -> ScenarioRun {
     run
 }
 
-/// The engine's self-profile: per event kind, then per subsystem.
+/// The engine's self-profile: per event kind, then per subsystem. A
+/// kind's `counted` events were settled without a dispatch; `est ms`
+/// charges the sampled mean only to the dispatched rest.
 fn print_profile(detailed: &DetailedRun) {
     let obs = detailed.obs.as_ref().expect("tracing enabled");
     println!(
@@ -99,19 +101,21 @@ fn print_profile(detailed: &DetailedRun) {
         obs.profile.total_events()
     );
     println!(
-        "      {:<18} {:<11} {:>12} {:>9} {:>11} {:>11}",
-        "event kind", "subsystem", "count", "sampled", "mean ns", "p99 ns"
+        "      {:<18} {:<11} {:>12} {:>12} {:>9} {:>11} {:>11} {:>9}",
+        "event kind", "subsystem", "count", "counted", "sampled", "mean ns", "p99 ns", "est ms"
     );
     for k in obs.profile.kind_profiles() {
         println!(
-            "      {:<18} {:<11} {:>12} {:>9} {:>11} {:>11}",
+            "      {:<18} {:<11} {:>12} {:>12} {:>9} {:>11} {:>11} {:>9.1}",
             EVENT_KIND_NAMES[k.kind as usize],
             subsys::name(k.subsys),
             k.count,
+            k.counted,
             k.ns.len(),
             k.ns.mean().map_or("-".into(), |v| format!("{v:.0}")),
             k.ns.quantile(0.99)
                 .map_or("-".into(), |v| format!("{v:.0}")),
+            k.est_ns() / 1e6,
         );
     }
     for (s, count, sampled_ns) in obs.profile.subsys_rollup() {

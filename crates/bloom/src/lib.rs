@@ -122,16 +122,7 @@ impl BloomFilter {
     /// Tests membership: false means *definitely absent*; true means
     /// *probably present*.
     pub fn contains<K: AsRef<[u8]>>(&self, key: K) -> bool {
-        self.contains_prehashed(hashing::base_hashes(key.as_ref()))
-    }
-
-    /// Membership test from precomputed [`base_hashes`] — callers probing
-    /// a bank of filters for one key (the G-FIB hot path) hash the key
-    /// once and probe each filter with its own `(k, m)`.
-    ///
-    /// [`base_hashes`]: hashing::base_hashes
-    pub fn contains_prehashed(&self, base: (u64, u64)) -> bool {
-        hashing::indexes_from_base(base, self.k, self.m).all(|idx| self.get_bit(idx))
+        probe(&self.bits, self.m, self.k, base_hashes(key.as_ref()))
     }
 
     /// Expected false-positive rate for the current load:
@@ -176,21 +167,9 @@ impl BloomFilter {
     /// Panics if `bytes` is empty or not a multiple of 8 long, is too short
     /// for `m_bits`, or if `k` is zero.
     pub fn from_bytes(bytes: &[u8], m_bits: u64, k: u32, items: u64) -> Self {
-        assert!(
-            !bytes.is_empty() && bytes.len().is_multiple_of(8),
-            "bit array must be whole words"
-        );
         assert!(k > 0, "bloom filter must use at least one hash");
-        assert!(
-            bytes.len() as u64 * 8 >= m_bits,
-            "byte array too short for declared bit count"
-        );
-        let bits: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
         BloomFilter {
-            bits,
+            bits: wire_words(bytes, m_bits).collect(),
             m: m_bits,
             k,
             items,
@@ -200,10 +179,44 @@ impl BloomFilter {
     fn set_bit(&mut self, idx: u64) {
         self.bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
     }
+}
 
-    fn get_bit(&self, idx: u64) -> bool {
-        self.bits[(idx / 64) as usize] & (1u64 << (idx % 64)) != 0
-    }
+/// The membership probe every filter shares: whether all `k` bits the key
+/// with [`base_hashes`] `base` maps to are set in the `m`-bit array
+/// `words`. [`BloomFilter::contains`] calls it on its own bits; a bank of
+/// filters for one key (the G-FIB hot path) hashes the key once and calls
+/// it on each filter's words with that filter's `(m, k)`.
+///
+/// # Panics
+///
+/// Panics if `words` holds fewer than `m` bits.
+#[inline]
+pub fn probe(words: &[u64], m: u64, k: u32, base: (u64, u64)) -> bool {
+    hashing::indexes_from_base(base, k, m)
+        .all(|idx| words[(idx / 64) as usize] & (1u64 << (idx % 64)) != 0)
+}
+
+/// Decodes a transported bit array (big-endian 64-bit words, as
+/// [`BloomFilter::to_bytes`] writes them) one word at a time, so a caller
+/// can copy a filter into storage of its own without an intermediate
+/// `Vec`.
+///
+/// # Panics
+///
+/// Panics if `bytes` is empty or not a multiple of 8 long, or is too
+/// short for `m_bits`.
+pub fn wire_words(bytes: &[u8], m_bits: u64) -> impl ExactSizeIterator<Item = u64> + '_ {
+    assert!(
+        !bytes.is_empty() && bytes.len().is_multiple_of(8),
+        "bit array must be whole words"
+    );
+    assert!(
+        bytes.len() as u64 * 8 >= m_bits,
+        "byte array too short for declared bit count"
+    );
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_be_bytes(c.try_into().expect("chunk of 8")))
 }
 
 #[cfg(test)]

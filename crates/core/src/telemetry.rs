@@ -139,7 +139,9 @@ pub fn telemetry_json(run: &DetailedRun) -> Value {
                     ),
                     ("subsys", Value::Str(subsys::name(k.subsys).to_string())),
                     ("count", num(k.count as f64)),
+                    ("counted", num(k.counted as f64)),
                     ("sampled", num(k.ns.len() as f64)),
+                    ("est_ns", num(k.est_ns())),
                     ("mean_ns", k.ns.mean().map_or(Value::Null, num)),
                     ("p99_ns", k.ns.quantile(0.99).map_or(Value::Null, num)),
                 ])
@@ -205,10 +207,25 @@ pub fn validate_telemetry(doc: &Value) -> Result<(), String> {
                 .ok_or_else(|| format!("missing numeric `recorder.{key}`"))?;
         }
         let profile = doc.get("profile").ok_or("recorder without `profile`")?;
-        profile
+        let kinds = profile
             .get("kinds")
             .and_then(|v| v.as_arr())
             .ok_or("missing array `profile.kinds`")?;
+        for kind in kinds {
+            let field = |key: &str| {
+                kind.get(key)
+                    .and_then(|v| v.as_f64())
+                    .ok_or_else(|| format!("missing numeric `profile.kinds[].{key}`"))
+            };
+            let (count, counted) = (field("count")?, field("counted")?);
+            field("sampled")?;
+            field("est_ns")?;
+            if counted > count {
+                return Err(format!(
+                    "`profile.kinds[]` counts {counted} counted events of {count}"
+                ));
+            }
+        }
     }
     Ok(())
 }
@@ -253,6 +270,16 @@ mod tests {
         let parsed = json::parse(&doc.to_json()).unwrap();
         validate_telemetry(&parsed).expect("validates without recorder");
         assert!(parsed.get("recorder").is_none());
+    }
+
+    #[test]
+    fn validate_rejects_kind_without_counted() {
+        let run = tiny_run(ObsConfig::full());
+        let text = telemetry_json(&run).to_json();
+        assert!(text.contains("\"counted\""), "kinds export `counted`");
+        let doc = json::parse(&text.replace("\"counted\"", "\"renamed\"")).unwrap();
+        let err = validate_telemetry(&doc).expect_err("a kind without `counted`");
+        assert!(err.contains("counted"), "{err}");
     }
 
     #[test]

@@ -118,10 +118,24 @@ fn profile_counts_match_events_and_phases_are_positive() {
             "{mode:?}: profiler count diverged from the kernel's event count"
         );
         assert_eq!(run.report.events_processed, pinned_events, "{mode:?}");
-        let counted = run.counters.iter().find(|(k, _)| k == counter);
+        let counter_value = |name: &str| {
+            run.counters
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|&(_, n)| n)
+        };
         assert!(
-            counted.is_some_and(|&(_, n)| n > 0),
+            counter_value(counter).is_some_and(|n| n > 0),
             "{mode:?}: nothing counted under {counter}"
+        );
+        let world_counted: u64 = ["keepalives_counted", "flood_copies_counted"]
+            .into_iter()
+            .filter_map(counter_value)
+            .sum();
+        let profile_counted: u64 = obs.profile.kind_profiles().iter().map(|k| k.counted).sum();
+        assert_eq!(
+            profile_counted, world_counted,
+            "{mode:?}: the profile's counted events diverged from the world's"
         );
         assert!(
             obs.profile.samples() > 0,

@@ -45,10 +45,23 @@ pub struct KindProfile {
     pub kind: u32,
     /// Subsystem the kind is attributed to ([`crate::intern::subsys`]).
     pub subsys: u16,
-    /// Exact number of dispatches of this kind.
+    /// Exact number of events of this kind: dispatches plus `counted`.
     pub count: u64,
+    /// Of `count`, the events the world settled without dispatching them
+    /// (see [`EngineProfile::count_unsampled`]); they cost no handler time.
+    pub counted: u64,
     /// Sampled dispatch-time distribution, nanoseconds.
     pub ns: Log2Histogram,
+}
+
+impl KindProfile {
+    /// Estimated handler time of this kind, nanoseconds: the dispatched
+    /// events (`count − counted`) times the sampled mean dispatch time.
+    /// Charging the counted events the mean too would bill them the cost
+    /// of the dispatches that remain.
+    pub fn est_ns(&self) -> f64 {
+        (self.count - self.counted) as f64 * self.ns.mean().unwrap_or(0.0)
+    }
 }
 
 /// Sampling dispatch-time profiler.
@@ -60,6 +73,8 @@ pub struct EngineProfile {
     countdown: u32,
     pending: Option<(u32, Instant)>,
     counts: Vec<u64>,
+    /// Per kind, how many of `counts` were counted, not dispatched.
+    counted: Vec<u64>,
     subsys_of: Vec<u16>,
     ns: Vec<Log2Histogram>,
     samples: u64,
@@ -75,6 +90,7 @@ impl EngineProfile {
             countdown: SAMPLE_EVERY,
             pending: None,
             counts: vec![0; kinds],
+            counted: vec![0; kinds],
             subsys_of,
             ns: vec![Log2Histogram::new(); kinds],
             samples: 0,
@@ -117,11 +133,13 @@ impl EngineProfile {
     }
 
     /// Counts one event of `kind` that the world settled without
-    /// dispatching it (a flood copy that reaches no host): the exact
-    /// count moves, the sampling stride and the timings do not.
+    /// dispatching it (a flood copy that reaches no host, a wheel
+    /// keep-alive): the exact count and the kind's `counted` move, the
+    /// sampling stride and the timings do not.
     #[inline]
     pub fn count_unsampled(&mut self, kind: u32) {
         self.counts[kind as usize] += 1;
+        self.counted[kind as usize] += 1;
     }
 
     /// Total sampled dispatches.
@@ -129,7 +147,7 @@ impl EngineProfile {
         self.samples
     }
 
-    /// Total dispatches (exact).
+    /// Total events (exact), dispatched or counted.
     pub fn total_events(&self) -> u64 {
         self.counts.iter().sum()
     }
@@ -142,6 +160,7 @@ impl EngineProfile {
                 kind: k as u32,
                 subsys: self.subsys_of[k],
                 count: self.counts[k],
+                counted: self.counted[k],
                 ns: self.ns[k].clone(),
             })
             .collect()
@@ -162,6 +181,9 @@ impl EngineProfile {
             "profiles must agree on the kind→subsystem mapping"
         );
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        for (c, o) in self.counted.iter_mut().zip(&other.counted) {
             *c += o;
         }
         for (h, o) in self.ns.iter_mut().zip(&other.ns) {
@@ -229,7 +251,26 @@ mod tests {
         assert_eq!(p.samples(), 1);
         assert_eq!(p.total_events(), SAMPLE_EVERY as u64 + 1);
         assert_eq!(p.kind_profiles()[1].count, 1);
+        assert_eq!(p.kind_profiles()[1].counted, 1);
+        assert_eq!(p.kind_profiles()[0].counted, 0);
         assert!(p.kind_profiles()[1].ns.is_empty());
+    }
+
+    #[test]
+    fn estimate_charges_only_dispatched_events() {
+        let mut p = EngineProfile::new(1, vec![0]);
+        for _ in 0..2 * SAMPLE_EVERY {
+            p.dispatch_begin(0);
+            p.dispatch_end();
+        }
+        for _ in 0..1_000 * SAMPLE_EVERY {
+            p.count_unsampled(0);
+        }
+        let row = &p.kind_profiles()[0];
+        assert_eq!(row.count, 1_002 * SAMPLE_EVERY as u64);
+        assert_eq!(row.counted, 1_000 * SAMPLE_EVERY as u64);
+        let mean = row.ns.mean().expect("two samples");
+        assert_eq!(row.est_ns(), 2.0 * SAMPLE_EVERY as f64 * mean);
     }
 
     #[test]
@@ -244,13 +285,15 @@ mod tests {
             b.dispatch_begin(1);
             b.dispatch_end();
         }
+        b.count_unsampled(1);
         a.merge(&b);
-        assert_eq!(a.total_events(), 8 * SAMPLE_EVERY as u64);
+        assert_eq!(a.total_events(), 8 * SAMPLE_EVERY as u64 + 1);
         assert_eq!(a.samples(), 8);
         let rows = a.kind_profiles();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].count, 3 * SAMPLE_EVERY as u64);
-        assert_eq!(rows[1].count, 5 * SAMPLE_EVERY as u64);
+        assert_eq!(rows[1].count, 5 * SAMPLE_EVERY as u64 + 1);
+        assert_eq!(rows[1].counted, 1, "counted events must merge");
         assert_eq!(rows[1].ns.len(), 5, "sampled histograms must merge");
     }
 }

@@ -7,39 +7,45 @@
 //! of this address." False positives are possible (handled in Fig. 5 by
 //! sending copies to all candidates and dropping at mis-forwarded
 //! switches); false negatives are not.
+//!
+//! The bank is one contiguous store: a 16-byte header per peer, ascending
+//! by peer id, and one `Vec<u64>` holding every filter's words back to
+//! back in header order, decoded straight from each `GfibUpdate`'s bits.
+//! A query hashes the address once and walks the headers with a running
+//! word offset, probing each filter through [`lazyctrl_bloom::probe`]. An
+//! update splices the peer's words into the store: in place when it is as
+//! wide as the filter it replaces (a re-advertisement under the same
+//! geometry, the common case), moving the later filters' words only when
+//! the width changes. Nothing is cached between queries (DESIGN §7.7).
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-
-use lazyctrl_bloom::BloomFilter;
+use lazyctrl_bloom::{base_hashes, probe, wire_words, BloomFilter};
 use lazyctrl_net::{MacAddr, SwitchId};
 use lazyctrl_proto::GfibUpdateMsg;
-use serde::{Deserialize, Serialize};
 
-/// One peer's filter plus the epoch it was built under.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct PeerFilter {
-    bloom: BloomFilter,
+/// One peer's filter: who, under which epoch, its geometry and how many
+/// words of the bank it occupies. Its words start where the previous
+/// header's end, so the header carries no offset.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    peer: SwitchId,
+    /// Epoch the filter was built under; an update from an older one is
+    /// ignored.
     epoch: u32,
+    /// Addressable bits; probe indexes are taken modulo this.
+    m: u32,
+    /// Words the filter occupies in the bank.
+    width: u16,
+    /// Number of hash functions.
+    k: u8,
 }
 
-/// The per-peer Bloom filter bank.
-///
-/// Queries are memoized per destination MAC: flows repeat destinations
-/// constantly (the traces' hot pair sets), while the filter bank itself
-/// only changes on peer-sync updates — so each (MAC, bank-generation)
-/// pair probes the filters once and every repeat is a hash-map hit. The
-/// cache is invalidated wholesale by bumping `generation` on any filter
-/// mutation, and is transparent: results are identical with or without
-/// it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The per-peer Bloom filter bank (see the module docs for its layout).
+#[derive(Debug, Clone, Default)]
 pub struct Gfib {
-    peers: BTreeMap<SwitchId, PeerFilter>,
-    /// Bumped on every mutation of `peers`.
-    generation: u64,
-    /// `mac → (generation, candidates)`; entries from older generations
-    /// are recomputed on access.
-    cache: RefCell<HashMap<MacAddr, (u64, Vec<SwitchId>)>>,
+    /// One header per peer, ascending by peer id.
+    filters: Vec<Header>,
+    /// Every filter's words, in `filters` order.
+    words: Vec<u64>,
 }
 
 impl Gfib {
@@ -50,7 +56,7 @@ impl Gfib {
 
     /// Number of peer filters held.
     pub fn num_peers(&self) -> usize {
-        self.peers.len()
+        self.filters.len()
     }
 
     /// Installs or replaces the filter for `origin` from a wire update.
@@ -59,42 +65,56 @@ impl Gfib {
     /// (regrouping races); same-or-newer epochs replace.
     ///
     /// Returns true if the filter was installed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the update's bits are not whole words, are too short for
+    /// its `m_bits`, or span more than `u16::MAX` words (4 Mbit; the
+    /// §V-D sizing reaches that at ≈290 000 hosts behind one switch).
     pub fn apply_update(&mut self, msg: &GfibUpdateMsg) -> bool {
-        if let Some(existing) = self.peers.get(&msg.origin) {
-            if msg.epoch < existing.epoch {
-                return false;
-            }
+        let slot = self.filters.binary_search_by_key(&msg.origin, |f| f.peer);
+        if matches!(slot, Ok(i) if msg.epoch < self.filters[i].epoch) {
+            return false;
         }
-        let bloom = BloomFilter::from_bytes(
-            &msg.bits,
-            msg.m_bits as u64,
-            msg.num_hashes.max(1) as u32,
-            msg.entries as u64,
-        );
-        self.peers.insert(
-            msg.origin,
-            PeerFilter {
-                bloom,
-                epoch: msg.epoch,
-            },
-        );
-        self.invalidate();
+        let new = wire_words(&msg.bits, msg.m_bits as u64);
+        let header = Header {
+            peer: msg.origin,
+            epoch: msg.epoch,
+            m: msg.m_bits,
+            width: u16::try_from(new.len()).expect("G-FIB filter wider than u16::MAX words"),
+            k: msg.num_hashes.max(1),
+        };
+        let i = slot.unwrap_or_else(|i| {
+            self.filters.insert(i, Header { width: 0, ..header });
+            i
+        });
+        let start: usize = self.filters[..i].iter().map(|f| f.width as usize).sum();
+        // In place when the width is unchanged (a re-advertisement under
+        // the same geometry, the common case): `splice` moves the later
+        // filters' words only when the widths differ, and needs no
+        // scratch vector since `new` knows its exact length.
+        let held = start..start + self.filters[i].width as usize;
+        self.words.splice(held, new);
+        self.filters[i] = header;
         true
     }
 
-    /// Invalidates memoized query results (any filter-bank mutation).
-    fn invalidate(&mut self) {
-        self.generation += 1;
-        self.cache.get_mut().clear();
-    }
-
-    /// Drops every peer not in `keep` (after a regrouping).
+    /// Drops every peer not in `keep` (after a regrouping), moving the
+    /// kept filters' words down over the dropped ones.
     pub(crate) fn retain_peers(&mut self, keep: &[SwitchId]) {
-        let before = self.peers.len();
-        self.peers.retain(|s, _| keep.contains(s));
-        if self.peers.len() != before {
-            self.invalidate();
-        }
+        let (mut read, mut write) = (0, 0);
+        let words = &mut self.words;
+        self.filters.retain(|f| {
+            let width = f.width as usize;
+            let kept = keep.contains(&f.peer);
+            if kept {
+                words.copy_within(read..read + width, write);
+                write += width;
+            }
+            read += width;
+            kept
+        });
+        self.words.truncate(write);
     }
 
     /// The Fig. 5 query: all peers whose filter claims the address (the
@@ -107,37 +127,26 @@ impl Gfib {
     }
 
     /// The Fig. 5 query: appends every peer whose filter claims the
-    /// address to `out` (a caller-owned scratch buffer). Nothing appended
-    /// means "definitely not in this group" — the packet must go to the
-    /// controller. A memo-cache hit is a `extend_from_slice`, not a clone —
-    /// this is the per-packet path of the forwarding routine.
+    /// address to `out` (a caller-owned scratch buffer), in ascending peer
+    /// order. Nothing appended means "definitely not in this group" — the
+    /// packet must go to the controller. This is the per-packet path of
+    /// the forwarding routine: one hash of the address, one probe per
+    /// filter, no allocation once `out` has room.
     pub fn query_into(&self, mac: MacAddr, out: &mut Vec<SwitchId>) {
-        {
-            let cache = self.cache.borrow();
-            if let Some((gen, hit)) = cache.get(&mac) {
-                if *gen == self.generation {
-                    out.extend_from_slice(hit);
-                    return;
-                }
+        let base = base_hashes(&mac.octets());
+        let mut start = 0;
+        for f in &self.filters {
+            let end = start + f.width as usize;
+            if probe(&self.words[start..end], f.m as u64, f.k as u32, base) {
+                out.push(f.peer);
             }
+            start = end;
         }
-        // Hash the key once; probe every peer filter with its own (k, m).
-        let base = lazyctrl_bloom::base_hashes(&mac.octets());
-        let start = out.len();
-        out.extend(
-            self.peers
-                .iter()
-                .filter(|(_, f)| f.bloom.contains_prehashed(base))
-                .map(|(&s, _)| s),
-        );
-        self.cache
-            .borrow_mut()
-            .insert(mac, (self.generation, out[start..].to_vec()));
     }
 
     /// Total storage held by the filter bank in bytes (§V-D's quantity).
     pub fn storage_bytes(&self) -> usize {
-        self.peers.values().map(|f| f.bloom.storage_bytes()).sum()
+        self.words.len() * 8
     }
 }
 
@@ -168,9 +177,115 @@ pub fn build_update(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn mac(n: u64) -> MacAddr {
         MacAddr::for_host(n)
+    }
+
+    #[test]
+    fn header_fits_sixteen_bytes() {
+        assert!(std::mem::size_of::<Header>() <= 16);
+    }
+
+    /// The bank this one replaced: one separately allocated
+    /// `BloomFilter` per peer in an ordered map. The contiguous bank must
+    /// agree with it after every step.
+    #[derive(Default)]
+    struct MapBank(BTreeMap<SwitchId, (u32, BloomFilter)>);
+
+    impl MapBank {
+        fn apply_update(&mut self, msg: &GfibUpdateMsg) -> bool {
+            if matches!(self.0.get(&msg.origin), Some((epoch, _)) if msg.epoch < *epoch) {
+                return false;
+            }
+            let bloom = BloomFilter::from_bytes(
+                &msg.bits,
+                msg.m_bits as u64,
+                msg.num_hashes.max(1) as u32,
+                msg.entries as u64,
+            );
+            self.0.insert(msg.origin, (msg.epoch, bloom));
+            true
+        }
+
+        fn retain_peers(&mut self, keep: &[SwitchId]) {
+            self.0.retain(|s, _| keep.contains(s));
+        }
+
+        fn query(&self, mac: MacAddr) -> Vec<SwitchId> {
+            self.0
+                .iter()
+                .filter(|(_, (_, bloom))| bloom.contains(mac.octets()))
+                .map(|(&s, _)| s)
+                .collect()
+        }
+
+        fn storage_bytes(&self) -> usize {
+            self.0.values().map(|(_, b)| b.storage_bytes()).sum()
+        }
+    }
+
+    /// One step of a bank's life.
+    #[derive(Debug, Clone)]
+    enum BankOp {
+        /// Peer, epoch, and the hosts its filter advertises: more than 16
+        /// hosts widens the filter, so a replace can change word count.
+        Update(u32, u32, Vec<u64>),
+        Retain(Vec<u32>),
+    }
+
+    fn arb_bank_op() -> impl Strategy<Value = BankOp> {
+        let update = || {
+            let hosts = prop_oneof![
+                proptest::collection::vec(0u64..96, 0..16),
+                proptest::collection::vec(0u64..96, 16..90),
+            ];
+            (0u32..8, 0u32..4, hosts).prop_map(|(p, e, h)| BankOp::Update(p, e, h))
+        };
+        prop_oneof![
+            update(),
+            update(),
+            update(),
+            proptest::collection::vec(0u32..8, 0..8).prop_map(BankOp::Retain),
+        ]
+    }
+
+    proptest! {
+        /// New peers, same-epoch replaces of either width, stale updates
+        /// and regroupings leave the bank and the map of filters with the
+        /// same candidates, in the same order, for members (hosts 0..96)
+        /// and non-members alike, and the same size.
+        #[test]
+        fn bank_agrees_with_map_of_filters(
+            ops in proptest::collection::vec(arb_bank_op(), 1..40),
+        ) {
+            let mut bank = Gfib::new();
+            let mut oracle = MapBank::default();
+            for op in &ops {
+                match op {
+                    BankOp::Update(peer, epoch, hosts) => {
+                        let upd = build_update(
+                            SwitchId::new(*peer),
+                            *epoch,
+                            hosts.iter().copied().map(mac),
+                        );
+                        prop_assert_eq!(bank.apply_update(&upd), oracle.apply_update(&upd));
+                    }
+                    BankOp::Retain(keep) => {
+                        let keep: Vec<SwitchId> = keep.iter().copied().map(SwitchId::new).collect();
+                        bank.retain_peers(&keep);
+                        oracle.retain_peers(&keep);
+                    }
+                }
+                prop_assert_eq!(bank.num_peers(), oracle.0.len());
+                prop_assert_eq!(bank.storage_bytes(), oracle.storage_bytes());
+                for host in (0..96).chain(10_000..10_064) {
+                    prop_assert_eq!(bank.query(mac(host)), oracle.query(mac(host)), "host {} after {:?}", host, op);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,113 @@
+//! Allocation budget of the G-FIB bank's per-packet and re-advertisement
+//! paths.
+//!
+//! A counting global allocator over `System` counts every heap allocation
+//! in this test binary. The file holds a single test so no other test's
+//! allocations land in the count.
+//!
+//! A query runs on every fresh ARP and every first packet that misses the
+//! L-FIB: it must probe the bank without allocating once the caller's
+//! scratch has room. A peer re-advertising its filter under the same
+//! geometry must overwrite the words it already holds in place.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use lazyctrl_net::{MacAddr, SwitchId};
+use lazyctrl_switch::{build_gfib_update, Gfib};
+
+/// Heap allocations (and reallocations) made by this process so far.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `realloc`'s contract: `ptr` came from
+        // this allocator with `layout`, and `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `dealloc`'s contract: `ptr` came from
+        // this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const PEERS: u32 = 40;
+const HOSTS_PER_PEER: u64 = 24;
+const QUERIES: u64 = 10_000;
+
+/// Allocations `f` makes.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn gfib_queries_and_same_width_updates_do_not_allocate() {
+    let hosts = |peer: u32, shift: u64| {
+        let first = peer as u64 * HOSTS_PER_PEER + shift;
+        (first..first + HOSTS_PER_PEER).map(MacAddr::for_host)
+    };
+    let mut gfib = Gfib::new();
+    for peer in 0..PEERS {
+        assert!(gfib.apply_update(&build_gfib_update(SwitchId::new(peer), 1, hosts(peer, 0))));
+    }
+    assert_eq!(gfib.num_peers(), PEERS as usize);
+
+    // Members of every filter and addresses no peer holds, into a scratch
+    // with room for every peer.
+    let mut scratch = Vec::with_capacity(PEERS as usize);
+    let mut claimed = 0;
+    let queries = allocations(|| {
+        for i in 0..QUERIES {
+            scratch.clear();
+            gfib.query_into(MacAddr::for_host(i % 2_000), &mut scratch);
+            claimed += scratch.len();
+        }
+    });
+    assert_eq!(
+        queries, 0,
+        "{QUERIES} G-FIB queries allocated {queries} times"
+    );
+    assert!(claimed as u64 >= (PEERS as u64 * HOSTS_PER_PEER).min(QUERIES));
+
+    // A re-advertisement under the same geometry: same host count, so the
+    // same width, different contents.
+    let peer = SwitchId::new(PEERS / 2);
+    let moved = build_gfib_update(peer, 2, hosts(PEERS / 2, HOSTS_PER_PEER / 2));
+    let bytes = gfib.storage_bytes();
+    let update = allocations(|| assert!(gfib.apply_update(&moved)));
+    assert_eq!(
+        update, 0,
+        "a same-width G-FIB update allocated {update} times"
+    );
+    assert_eq!(gfib.storage_bytes(), bytes);
+    scratch.clear();
+    gfib.query_into(
+        MacAddr::for_host((PEERS / 2) as u64 * HOSTS_PER_PEER + HOSTS_PER_PEER),
+        &mut scratch,
+    );
+    assert!(scratch.contains(&peer), "the update did not land");
+}
