@@ -16,9 +16,9 @@ pub struct ClusterConfig {
     pub dissemination: DisseminationStrategy,
     /// Per-member inner controller configuration. `dynamic_updates` is
     /// forced off: in a cluster, load is balanced by moving *group
-    /// ownership* between controllers, not by regrouping switches — this
-    /// keeps every member's grouping state identical, which is what makes
-    /// group ownership a well-defined unit of transfer.
+    /// ownership* between controllers, not by regrouping switches — so
+    /// every member shares one grouping, which is what makes group
+    /// ownership a well-defined unit of transfer.
     pub lazy: LazyConfig,
     /// How often each member flushes its C-LIB deltas to its peers (ms).
     pub replica_flush_interval_ms: u32,

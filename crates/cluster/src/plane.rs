@@ -4,9 +4,11 @@
 //! # Architecture
 //!
 //! Every cluster member runs a full [`LazyController`] configured
-//! identically (same switch id space, same seed, dynamic regrouping off),
-//! so all members deterministically compute the *same* switch grouping at
-//! bootstrap. The [`OwnershipMap`] then shards those groups across
+//! identically (same switch id space, same seed, dynamic regrouping off).
+//! Member 0 computes the switch grouping at bootstrap and every other
+//! member starts as a clone of its controller, so all members — and the
+//! plane, which routes switches by it — share one immutable
+//! [`GroupView`]. The [`OwnershipMap`] then shards those groups across
 //! members: a member only receives (and answers) control traffic from
 //! switches in groups it owns, so its workload, C-LIB shard and failure
 //! detector all naturally cover just its shard.
@@ -49,7 +51,7 @@ use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use lazyctrl_controller::{
-    ControllerOutput, ControllerTimer, FailureDetector, FailureKind, LazyController,
+    ControllerOutput, ControllerTimer, FailureDetector, FailureKind, GroupView, LazyController,
     REGROUP_CHECK_INTERVAL_MS,
 };
 use lazyctrl_net::{EthernetFrame, MacAddr, SwitchId, TenantId};
@@ -685,9 +687,9 @@ pub struct ClusterControlPlane {
     /// The members, copy-on-write and sub-fingerprinted (see [`Member`]).
     nodes: Vec<Member>,
     ownership: OwnershipMap,
-    /// Dense switch → group mapping, frozen at bootstrap (all members
-    /// share it; dynamic regrouping is off in cluster mode).
-    group_of_switch: Vec<Option<usize>>,
+    /// The grouping every member reads, shared with them; `None` until
+    /// bootstrap (dynamic regrouping is off in cluster mode).
+    grouping: Option<Arc<GroupView>>,
     /// Members every functioning node currently believes dead.
     confirmed_dead: BTreeSet<u32>,
     /// Per-group message counts since the last rebalance check.
@@ -705,7 +707,6 @@ pub struct ClusterControlPlane {
     double_leader_events: u64,
     /// Takeovers executed: `(dead member, groups moved)`.
     takeovers: Vec<(u32, usize)>,
-    bootstrapped: bool,
     /// Reusable scratch for inner-controller outputs awaiting conversion
     /// to [`ClusterOutput`]s — one allocation for the plane's lifetime
     /// instead of one per handled message.
@@ -769,7 +770,7 @@ impl ClusterControlPlane {
             cfg,
             nodes,
             ownership: OwnershipMap::new(),
-            group_of_switch: vec![None; num_switches],
+            grouping: None,
             confirmed_dead: BTreeSet::new(),
             group_window: BTreeMap::new(),
             transfers: Vec::new(),
@@ -777,7 +778,6 @@ impl ClusterControlPlane {
             term_leaders: BTreeMap::from([(1, 0)]),
             double_leader_events: 0,
             takeovers: Vec::new(),
-            bootstrapped: false,
             ctrl_scratch: OutputSink::new(),
             #[cfg(debug_assertions)]
             last_step_ns: 0,
@@ -820,7 +820,7 @@ impl ClusterControlPlane {
 
     /// The group a switch belongs to.
     pub fn group_of_switch(&self, s: SwitchId) -> Option<usize> {
-        self.group_of_switch.get(s.index()).copied().flatten()
+        self.grouping.as_ref()?.group_of(s)
     }
 
     /// The member a switch's control link currently terminates on.
@@ -1219,10 +1219,10 @@ impl ClusterControlPlane {
     // ---- Bootstrap -----------------------------------------------------
 
     /// Bootstraps the cluster: member 0 computes the grouping (one SGI
-    /// run), freezes it into a shared immutable snapshot, and every other
-    /// member adopts the `Arc` — identical assignments, one copy of the
-    /// grouping state cluster-wide. Shards the groups round-robin and
-    /// emits the initial `GroupAssign`s (each switch hears exactly one:
+    /// run) and every other member starts as a clone of its controller,
+    /// so all members and the plane share one grouping view. Shards the
+    /// groups round-robin and emits the initial `GroupAssign`s (member 0's,
+    /// filtered per member by ownership: each switch hears exactly one,
     /// its owner's) plus all timers.
     pub fn bootstrap(
         &mut self,
@@ -1230,33 +1230,17 @@ impl ClusterControlPlane {
         graph: WeightedGraph,
         out: &mut OutputSink<ClusterOutput>,
     ) {
-        assert!(!self.bootstrapped, "cluster already bootstrapped");
-        self.bootstrapped = true;
-        // Raw outputs are buffered per member: conversion must wait for
-        // the ownership assignment below (one-time cost, not a hot path).
-        let mut raw: Vec<(u32, Vec<ControllerOutput>)> = Vec::new();
-        let mut scratch = OutputSink::new();
+        assert!(self.grouping.is_none(), "cluster already bootstrapped");
+        let mut sink = OutputSink::new();
         let first = self.nodes[0].write();
-        first.ctrl.bootstrap(now_ns, graph, &mut scratch);
-        raw.push((0, scratch.take_buf()));
-        let snapshot = first
-            .ctrl
-            .freeze_grouping()
-            .expect("member 0 just bootstrapped");
+        first.ctrl.bootstrap(now_ns, graph, &mut sink);
+        let ctrl = first.ctrl.clone();
         for member in self.nodes.iter_mut().skip(1) {
-            let mut sink = OutputSink::new();
-            member
-                .write()
-                .ctrl
-                .bootstrap_shared(now_ns, snapshot.clone(), &mut sink);
-            raw.push((member.id, sink.take_buf()));
+            member.write().ctrl = ctrl.clone();
         }
-        // Freeze the plane's dense switch → group view from the snapshot.
-        let grouping = self.nodes[0].ctrl.grouping();
+        let grouping = ctrl.grouping();
+        self.grouping = grouping.view().cloned();
         let num_groups = grouping.num_groups().unwrap_or(0);
-        for s in 0..self.group_of_switch.len() {
-            self.group_of_switch[s] = grouping.group_of(SwitchId::new(s as u32));
-        }
         let members: Vec<u32> = self.nodes.iter().map(|n| n.id).collect();
         self.ownership.assign_round_robin(num_groups, &members);
         // Peers start "heard from" at bootstrap so silence is measured
@@ -1271,8 +1255,10 @@ impl ClusterControlPlane {
             node.election = ElectionState::bootstrap_consensus(node.id, now_ns);
         }
 
-        for (id, mut outs) in raw {
-            self.convert_outputs(id, &mut outs, true, out);
+        // Conversion waits for the ownership assignment above.
+        let outs = sink.take_buf();
+        for &id in &members {
+            self.convert_outputs(id, &mut outs.clone(), true, out);
         }
         let arms: Vec<(u32, u32)> = self.nodes.iter().map(|n| (n.id, n.timer_gen)).collect();
         for (id, gen) in arms {
@@ -2489,7 +2475,7 @@ impl ClusterControlPlane {
         let members = self.nodes[id as usize].ctrl.grouping().members(group);
         let entries: Vec<HostEntry> = self.nodes[id as usize]
             .replica
-            .hosts_behind(&members)
+            .hosts_behind(members)
             .into_iter()
             .flat_map(|(_, hosts)| hosts)
             .collect();
@@ -2642,4 +2628,73 @@ fn unresolved_unicast_dst(ctrl: &LazyController, msg: &Message) -> Option<MacAdd
         return None;
     }
     Some(frame.dst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `groups` disjoint 3-switch cliques: SGI makes each one group.
+    fn cliques(groups: usize) -> WeightedGraph {
+        let edges = (0..3 * groups).step_by(3);
+        let edges = edges.flat_map(|b| [(b, b + 1, 1.0), (b, b + 2, 1.0), (b + 1, b + 2, 1.0)]);
+        WeightedGraph::from_triplets(3 * groups, edges)
+    }
+
+    /// A plane of `members` controllers bootstrapped over `cliques(groups)`,
+    /// and the switch-bound messages it sent, by sender.
+    fn bootstrapped(
+        members: usize,
+        groups: usize,
+    ) -> (ClusterControlPlane, Vec<Vec<(SwitchId, Message)>>) {
+        let mut cfg = ClusterConfig::with_controllers(members);
+        cfg.lazy.group_size_limit = 3;
+        let mut plane = ClusterControlPlane::new(groups * 3, cfg);
+        let mut out = OutputSink::new();
+        plane.bootstrap(0, cliques(groups), &mut out);
+        let mut sent = vec![Vec::new(); members];
+        for o in out.take_buf() {
+            if let ClusterOutput::ToSwitch { from, to, msg } = o {
+                sent[from as usize].push((to, msg));
+            }
+        }
+        (plane, sent)
+    }
+
+    #[test]
+    fn members_and_plane_share_one_grouping_view() {
+        let (plane, _) = bootstrapped(4, 4);
+        let view = plane.grouping.as_ref().expect("bootstrapped");
+        assert_eq!(plane.nodes[3].ctrl.grouping().num_groups(), Some(4));
+        for member in &plane.nodes {
+            let theirs = member.ctrl.grouping().view().expect("bootstrapped");
+            assert!(Arc::ptr_eq(view, theirs), "member {}", member.id);
+        }
+    }
+
+    /// Each member sends the switches it owns exactly the `GroupAssign`s a
+    /// member bootstrapping on its own would send them.
+    #[test]
+    fn each_member_sends_its_own_bootstrap_assignments() {
+        for (members, groups) in [(2, 4), (4, 4), (3, 2)] {
+            let (plane, sent) = bootstrapped(members, groups);
+            let ids: Vec<SwitchId> = (0..groups as u32 * 3).map(SwitchId::new).collect();
+            let mut lazy_cfg = plane.cfg.lazy.clone();
+            lazy_cfg.dynamic_updates = false;
+            for (id, sent) in sent.iter().enumerate() {
+                let mut alone = LazyController::new(ids.clone(), lazy_cfg.clone());
+                let mut out = OutputSink::new();
+                alone.bootstrap(0, cliques(groups), &mut out);
+                let owned = out.take_buf().into_iter().filter_map(|o| match o {
+                    ControllerOutput::ToSwitch(to, msg) => Some((to, msg)),
+                    ControllerOutput::SetTimer(..) => None,
+                });
+                let owned: Vec<_> = owned
+                    .filter(|(to, _)| plane.owner_of_switch(*to) == Some(id as u32))
+                    .collect();
+                assert_eq!(sent, &owned, "member {id} of {members}");
+            }
+            assert_eq!(sent.concat().len(), groups * 3, "each switch hears once");
+        }
+    }
 }

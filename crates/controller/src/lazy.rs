@@ -6,20 +6,26 @@
 //! group-size bargaining. The goal is to *stay lazy*: every message
 //! processed here is counted by the workload meter — the quantity Fig. 7
 //! shows dropping 61–82% below the baseline controller.
+//!
+//! Every grouping question is answered by the [`GroupingManager`]'s one
+//! shared view. Only a controller configured with `dynamic_updates`
+//! carries regrouping state; a static one — and every cluster member,
+//! each started as a clone of one bootstrapped controller — holds the
+//! view alone.
 
 use std::sync::Arc;
 
-use lazyctrl_net::{EthernetFrame, Packet, PortNo, SwitchId, TenantId};
+use lazyctrl_net::{EthernetFrame, MacAddr, Packet, PortNo, SwitchId, TenantId};
 use lazyctrl_partition::bargain::{negotiate, BargainConfig, BargainOutcome};
 use lazyctrl_partition::WeightedGraph;
 use lazyctrl_proto::{
-    Action, BargainMsg, FlowMatch, FlowModCommand, FlowModMsg, LazyMsg, Message, MessageBody,
-    OfMessage, OutputSink, PacketInMsg, PacketInReason, PacketOutMsg,
+    Action, BargainMsg, FlowMatch, FlowModCommand, FlowModMsg, GroupAssignMsg, LazyMsg, Message,
+    MessageBody, OfMessage, OutputSink, PacketInMsg, PacketInReason, PacketOutMsg,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::failover::{FailureDetector, FailureKind, RecoveryAction};
-use crate::grouping::{FrozenGrouping, GroupingManager, RegroupDecision};
+use crate::grouping::{GroupingManager, RegroupDecision};
 use crate::tenant::TenantDirectory;
 use crate::{Clib, HostLocation, WorkloadMeter};
 
@@ -59,7 +65,8 @@ pub struct LazyConfig {
     /// Group size limit (switches per LCG).
     pub group_size_limit: usize,
     /// Enable incremental regrouping ("dynamic" in Fig. 7); when false the
-    /// bootstrap grouping stays frozen ("static").
+    /// bootstrap grouping stays frozen ("static") and the grouping
+    /// manager keeps none of the state regrouping needs.
     pub dynamic_updates: bool,
     /// Deterministic seed.
     pub seed: u64,
@@ -94,7 +101,12 @@ pub struct LazyController {
 impl LazyController {
     /// Creates a controller for the given switches.
     pub fn new(switches: Vec<SwitchId>, cfg: LazyConfig) -> Self {
-        let grouping = GroupingManager::new(switches.len(), cfg.group_size_limit, cfg.seed);
+        let grouping = GroupingManager::new(
+            switches.len(),
+            cfg.group_size_limit,
+            cfg.seed,
+            cfg.dynamic_updates,
+        );
         // Correlation window ≥ 2 wheel deadlines (interval × the shared
         // miss threshold), so persistent losses from both ring directions
         // are guaranteed to overlap — see `FailureDetector::with_window`.
@@ -150,6 +162,7 @@ impl LazyController {
             self.switches.len(),
             self.cfg.group_size_limit,
             self.cfg.seed,
+            self.cfg.dynamic_updates,
         );
         outcome
     }
@@ -169,53 +182,7 @@ impl LazyController {
             self.cfg.sync_interval_ms,
             self.cfg.keepalive_interval_ms,
         );
-        self.emit_bootstrap(assignments, out);
-    }
-
-    /// Like [`bootstrap`], but adopts a peer's shared immutable grouping
-    /// snapshot instead of running SGI. Cluster members all compute the
-    /// *same* grouping from the same graph, so one member computes it,
-    /// [`freeze_grouping`] hands out the snapshot, and the rest bootstrap
-    /// from the shared `Arc` — identical `GroupAssign` output, one copy of
-    /// the grouping state cluster-wide, one SGI run instead of N.
-    ///
-    /// [`bootstrap`]: LazyController::bootstrap
-    /// [`freeze_grouping`]: LazyController::freeze_grouping
-    pub fn bootstrap_shared(
-        &mut self,
-        now_ns: u64,
-        snapshot: std::sync::Arc<FrozenGrouping>,
-        out: &mut OutputSink<ControllerOutput>,
-    ) {
-        let assignments = self.grouping.adopt_shared(
-            now_ns,
-            snapshot,
-            self.cfg.sync_interval_ms,
-            self.cfg.keepalive_interval_ms,
-        );
-        self.emit_bootstrap(assignments, out);
-    }
-
-    /// Freezes this controller's grouping into a shared immutable
-    /// snapshot (see `GroupingManager::freeze_shared`); `None` before
-    /// bootstrap.
-    pub fn freeze_grouping(&mut self) -> Option<std::sync::Arc<FrozenGrouping>> {
-        self.grouping.freeze_shared()
-    }
-
-    /// Converts bootstrap assignments into outputs and arms the timers.
-    fn emit_bootstrap(
-        &mut self,
-        assignments: Vec<(SwitchId, lazyctrl_proto::GroupAssignMsg)>,
-        out: &mut OutputSink<ControllerOutput>,
-    ) {
-        for (s, ga) in assignments {
-            let xid = self.next_xid();
-            out.push(ControllerOutput::ToSwitch(
-                s,
-                Message::lazy(xid, LazyMsg::group_assign(ga)),
-            ));
-        }
+        self.push_assignments(assignments, out);
         for (timer, delay_ms) in [
             (ControllerTimer::KeepAlive, self.cfg.keepalive_interval_ms),
             (ControllerTimer::RegroupCheck, REGROUP_CHECK_INTERVAL_MS),
@@ -249,18 +216,11 @@ impl LazyController {
                 self.handle_packet_in(from, pi, out);
             }
             MessageBody::Of(OfMessage::Hello) => {
-                let xid = self.next_xid();
-                out.push(ControllerOutput::ToSwitch(
-                    from,
-                    Message::of(xid, OfMessage::Hello),
-                ));
+                self.send(from, MessageBody::Of(OfMessage::Hello), out);
             }
             MessageBody::Of(OfMessage::EchoRequest(data)) => {
-                let xid = self.next_xid();
-                out.push(ControllerOutput::ToSwitch(
-                    from,
-                    Message::of(xid, OfMessage::EchoReply(data.clone())),
-                ));
+                let reply = OfMessage::EchoReply(data.clone());
+                self.send(from, MessageBody::Of(reply), out);
             }
             MessageBody::Lazy(lazy) => match lazy {
                 LazyMsg::LfibSync(sync) => {
@@ -312,27 +272,20 @@ impl LazyController {
                 ));
             }
             ControllerTimer::RegroupCheck => {
-                if self.cfg.dynamic_updates {
-                    let rate = self.meter.rate_rps(now_ns);
-                    let decision = self.grouping.check(now_ns, rate);
-                    if decision != RegroupDecision::None {
-                        let assignments = self.grouping.update(
-                            now_ns,
-                            decision,
-                            rate,
-                            self.cfg.sync_interval_ms,
-                            self.cfg.keepalive_interval_ms,
-                        );
-                        for (s, ga) in assignments {
-                            let xid = self.next_xid();
-                            out.push(ControllerOutput::ToSwitch(
-                                s,
-                                Message::lazy(xid, LazyMsg::group_assign(ga)),
-                            ));
-                        }
-                        self.preload_for_moves(out);
-                        self.refresh_arp_blocking(out);
-                    }
+                // A static grouping always answers `None` here.
+                let rate = self.meter.rate_rps(now_ns);
+                let decision = self.grouping.check(now_ns, rate);
+                if decision != RegroupDecision::None {
+                    let assignments = self.grouping.update(
+                        now_ns,
+                        decision,
+                        rate,
+                        self.cfg.sync_interval_ms,
+                        self.cfg.keepalive_interval_ms,
+                    );
+                    self.push_assignments(assignments, out);
+                    self.preload_for_moves(out);
+                    self.refresh_arp_blocking(out);
                 }
                 out.push(ControllerOutput::SetTimer(
                     ControllerTimer::RegroupCheck,
@@ -355,12 +308,12 @@ impl LazyController {
         {
             // Blocking applies on the switches of the single hosting group.
             for group in self.tenants.groups_of(tenant) {
-                for s in self.grouping.members(group) {
-                    let xid = self.next_xid();
-                    out.push(ControllerOutput::ToSwitch(
+                for s in self.grouping.members(group).to_vec() {
+                    self.send(
                         s,
-                        Message::lazy(xid, LazyMsg::BlockArp { tenant, block }),
-                    ));
+                        MessageBody::Lazy(LazyMsg::BlockArp { tenant, block }),
+                        out,
+                    );
                 }
             }
         }
@@ -406,19 +359,13 @@ impl LazyController {
             Some(loc) => {
                 // Same-switch destination the switch failed to resolve
                 // (e.g. right after migration): point it back locally.
-                let xid = self.next_xid();
-                out.push(ControllerOutput::ToSwitch(
-                    from,
-                    Message::of(
-                        xid,
-                        OfMessage::PacketOut(PacketOutMsg {
-                            buffer_id: pi.buffer_id,
-                            in_port: pi.in_port,
-                            actions: Arc::new([Action::Output(loc.port)]),
-                            data: pi.data.clone(),
-                        }),
-                    ),
-                ));
+                let release = PacketOutMsg {
+                    buffer_id: pi.buffer_id,
+                    in_port: pi.in_port,
+                    actions: Arc::new([Action::Output(loc.port)]),
+                    data: pi.data.clone(),
+                };
+                self.send(from, MessageBody::Of(OfMessage::PacketOut(release)), out);
             }
             None => {
                 // Unknown destination: scoped relay, like the ARP path.
@@ -430,48 +377,30 @@ impl LazyController {
     fn install_intergroup_rule(
         &mut self,
         from: SwitchId,
-        dst: lazyctrl_net::MacAddr,
+        dst: MacAddr,
         loc: HostLocation,
         pi: &PacketInMsg,
         out: &mut OutputSink<ControllerOutput>,
     ) {
-        // Tunnel keys carry the *receiver's* group epoch so untouched
-        // groups keep accepting the traffic across global regroupings.
-        let epoch = self.grouping.epoch_of_switch(loc.switch);
         // One list for the FlowMod and the PacketOut.
-        let actions: Arc<[Action]> = Arc::new([Action::Encap {
-            remote: loc.switch.underlay_ip(),
-            key: epoch,
-        }]);
-        let xid = self.next_xid();
-        out.push(ControllerOutput::ToSwitch(
-            from,
-            Message::of(
-                xid,
-                OfMessage::flow_mod(FlowModMsg {
-                    command: FlowModCommand::Add,
-                    flow_match: FlowMatch::to_dst(dst),
-                    priority: 10,
-                    idle_timeout: FLOW_IDLE_TIMEOUT_S,
-                    hard_timeout: 0,
-                    cookie: epoch as u64,
-                    actions: Arc::clone(&actions),
-                }),
-            ),
-        ));
-        let xid = self.next_xid();
-        out.push(ControllerOutput::ToSwitch(
-            from,
-            Message::of(
-                xid,
-                OfMessage::PacketOut(PacketOutMsg {
-                    buffer_id: pi.buffer_id,
-                    in_port: pi.in_port,
-                    actions,
-                    data: pi.data.clone(),
-                }),
-            ),
-        ));
+        let (key, actions) = self.tunnel_to(loc.switch);
+        self.send(from, tunnel_rule(dst, 10, key, Arc::clone(&actions)), out);
+        let release = PacketOutMsg {
+            buffer_id: pi.buffer_id,
+            in_port: pi.in_port,
+            actions,
+            data: pi.data.clone(),
+        };
+        self.send(from, MessageBody::Of(OfMessage::PacketOut(release)), out);
+    }
+
+    /// The action list tunnelling to `towards`, with its key. Tunnel keys
+    /// carry the *receiver's* group epoch, so untouched groups keep
+    /// accepting the traffic across global regroupings.
+    fn tunnel_to(&self, towards: SwitchId) -> (u32, Arc<[Action]>) {
+        let key = self.grouping.epoch_of_switch(towards);
+        let remote = towards.underlay_ip();
+        (key, Arc::new([Action::Encap { remote, key }]))
     }
 
     fn handle_false_positive(&mut self, pi: &PacketInMsg, out: &mut OutputSink<ControllerOutput>) {
@@ -484,26 +413,9 @@ impl LazyController {
         let Some(loc) = self.clib.locate(encap.inner.dst) else {
             return;
         };
-        let epoch = self.grouping.epoch_of_switch(loc.switch);
-        let xid = self.next_xid();
-        out.push(ControllerOutput::ToSwitch(
-            sender,
-            Message::of(
-                xid,
-                OfMessage::flow_mod(FlowModMsg {
-                    command: FlowModCommand::Add,
-                    flow_match: FlowMatch::to_dst(encap.inner.dst),
-                    priority: 20, // outranks the G-FIB path
-                    idle_timeout: FLOW_IDLE_TIMEOUT_S,
-                    hard_timeout: 0,
-                    cookie: epoch as u64,
-                    actions: Arc::new([Action::Encap {
-                        remote: loc.switch.underlay_ip(),
-                        key: epoch,
-                    }]),
-                }),
-            ),
-        ));
+        let (key, actions) = self.tunnel_to(loc.switch);
+        // Priority 20 outranks the G-FIB path.
+        self.send(sender, tunnel_rule(encap.inner.dst, 20, key, actions), out);
     }
 
     /// Relays an unresolved (typically ARP) frame to the designated
@@ -543,22 +455,16 @@ impl LazyController {
         }
         let flood: Arc<[Action]> = Arc::new([Action::Output(PortNo::FLOOD)]);
         for s in targets {
-            let xid = self.next_xid();
-            out.push(ControllerOutput::ToSwitch(
-                s,
-                Message::of(
-                    xid,
-                    OfMessage::PacketOut(PacketOutMsg {
-                        buffer_id: u32::MAX,
-                        in_port: PortNo::NONE,
-                        // Shared handles: one relayed ARP broadcast to
-                        // n designated switches is n refcount bumps,
-                        // not n action-list or payload copies.
-                        actions: Arc::clone(&flood),
-                        data: data.clone(),
-                    }),
-                ),
-            ));
+            let relay = PacketOutMsg {
+                buffer_id: u32::MAX,
+                in_port: PortNo::NONE,
+                // Shared handles: one relayed ARP broadcast to n
+                // designated switches is n refcount bumps, not n
+                // action-list or payload copies.
+                actions: Arc::clone(&flood),
+                data: data.clone(),
+            };
+            self.send(s, MessageBody::Of(OfMessage::PacketOut(relay)), out);
         }
     }
 
@@ -576,8 +482,7 @@ impl LazyController {
             .unwrap_or(false);
         let ring_prev = group
             .map(|g| {
-                let mut members = self.grouping.members(g);
-                members.sort_unstable();
+                let members = self.grouping.members(g);
                 let i = members.iter().position(|&s| s == failed).unwrap_or(0);
                 members[(i + members.len() - 1) % members.len().max(1)]
             })
@@ -586,38 +491,15 @@ impl LazyController {
             FailureDetector::plan_recovery(kind, ring_prev, is_designated, group.unwrap_or(0));
         for action in plan {
             if let RecoveryAction::ReselectDesignated { group, old } = action {
-                // Push fresh assignments with the next-lowest member as
-                // designated (the backup takes over).
-                let mut members = self.grouping.members(group);
-                members.sort_unstable();
-                members.retain(|&s| s != old);
-                if members.is_empty() {
-                    continue;
-                }
-                let designated = members[0];
-                let epoch = self.grouping.epoch_of_group(group);
-                let n = members.len();
-                for (i, &me) in members.iter().enumerate() {
-                    let xid = self.next_xid();
-                    out.push(ControllerOutput::ToSwitch(
-                        me,
-                        Message::lazy(
-                            xid,
-                            LazyMsg::group_assign(lazyctrl_proto::GroupAssignMsg {
-                                group: lazyctrl_net::GroupId::new(group as u32),
-                                epoch,
-                                members: members.clone(),
-                                designated,
-                                backups: members.iter().copied().skip(1).take(1).collect(),
-                                ring_prev: members[(i + n - 1) % n],
-                                ring_next: members[(i + 1) % n],
-                                sync_interval_ms: self.cfg.sync_interval_ms,
-                                keepalive_interval_ms: self.cfg.keepalive_interval_ms,
-                                group_size_limit: self.cfg.group_size_limit as u32,
-                            }),
-                        ),
-                    ));
-                }
+                // Fresh assignments without the old designated switch: the
+                // backup (next-lowest member) takes over.
+                let assignments = self.grouping.assignments(
+                    [group],
+                    Some(old),
+                    self.cfg.sync_interval_ms,
+                    self.cfg.keepalive_interval_ms,
+                );
+                self.push_assignments(assignments, out);
             }
         }
     }
@@ -628,34 +510,30 @@ impl LazyController {
         let Some(group) = self.grouping.group_of(switch) else {
             return;
         };
-        let mut members = self.grouping.members(group);
-        members.sort_unstable();
-        let Some(designated) = members.first().copied() else {
-            return;
-        };
-        let epoch = self.grouping.epoch_of_group(group);
-        let n = members.len();
-        for (i, &me) in members.iter().enumerate() {
-            let xid = self.next_xid();
-            out.push(ControllerOutput::ToSwitch(
-                me,
-                Message::lazy(
-                    xid,
-                    LazyMsg::group_assign(lazyctrl_proto::GroupAssignMsg {
-                        group: lazyctrl_net::GroupId::new(group as u32),
-                        epoch,
-                        members: members.clone(),
-                        designated,
-                        backups: members.iter().copied().skip(1).take(1).collect(),
-                        ring_prev: members[(i + n - 1) % n],
-                        ring_next: members[(i + 1) % n],
-                        sync_interval_ms: self.cfg.sync_interval_ms,
-                        keepalive_interval_ms: self.cfg.keepalive_interval_ms,
-                        group_size_limit: self.cfg.group_size_limit as u32,
-                    }),
-                ),
-            ));
+        let assignments = self.grouping.assignments(
+            [group],
+            None,
+            self.cfg.sync_interval_ms,
+            self.cfg.keepalive_interval_ms,
+        );
+        self.push_assignments(assignments, out);
+    }
+
+    /// Sends each switch its `GroupAssign`.
+    fn push_assignments(
+        &mut self,
+        assignments: Vec<(SwitchId, GroupAssignMsg)>,
+        out: &mut OutputSink<ControllerOutput>,
+    ) {
+        for (s, ga) in assignments {
+            self.send(s, MessageBody::Lazy(LazyMsg::group_assign(ga)), out);
         }
+    }
+
+    /// Sends `body` to switch `to` under the next transaction id.
+    fn send(&mut self, to: SwitchId, body: MessageBody, out: &mut OutputSink<ControllerOutput>) {
+        let xid = self.next_xid();
+        out.push(ControllerOutput::ToSwitch(to, Message { xid, body }));
     }
 
     /// Appendix B preload: for every switch moved between groups, install
@@ -672,7 +550,7 @@ impl LazyController {
         let hosts_on = |s: SwitchId| hosts.get(&s).map_or(&[][..], Vec::as_slice);
         for (moved, old_group, _new_group) in moves {
             // Former peers = current members of the old group.
-            let former_peers = self.grouping.members(old_group);
+            let former_peers = self.grouping.members(old_group).to_vec();
             for peer in former_peers {
                 if peer == moved {
                     continue;
@@ -680,31 +558,12 @@ impl LazyController {
                 // Rules on the former peer towards the moved switch's
                 // hosts, then on the moved switch towards the peer's.
                 for (at, towards) in [(peer, moved), (moved, peer)] {
-                    let epoch = self.grouping.epoch_of_switch(towards);
                     // Every rule of the pair tunnels the same way: one
                     // list, shared by its FlowMods and the rules they
                     // install.
-                    let actions: Arc<[Action]> = Arc::new([Action::Encap {
-                        remote: towards.underlay_ip(),
-                        key: epoch,
-                    }]);
+                    let (key, actions) = self.tunnel_to(towards);
                     for &mac in hosts_on(towards) {
-                        let xid = self.next_xid();
-                        out.push(ControllerOutput::ToSwitch(
-                            at,
-                            Message::of(
-                                xid,
-                                OfMessage::flow_mod(FlowModMsg {
-                                    command: FlowModCommand::Add,
-                                    flow_match: FlowMatch::to_dst(mac),
-                                    priority: 10,
-                                    idle_timeout: FLOW_IDLE_TIMEOUT_S,
-                                    hard_timeout: 0,
-                                    cookie: epoch as u64,
-                                    actions: Arc::clone(&actions),
-                                }),
-                            ),
-                        ));
+                        self.send(at, tunnel_rule(mac, 10, key, Arc::clone(&actions)), out);
                     }
                 }
             }
@@ -721,7 +580,6 @@ impl LazyController {
         // counters below it (the full alternating-offers game runs in
         // `negotiate_group_size`; this is the online responder).
         let floor = (self.cfg.group_size_limit / 2).max(1) as u32;
-        let xid = self.next_xid();
         let reply = if offer.proposed_limit >= floor {
             BargainMsg {
                 round: offer.round + 1,
@@ -737,9 +595,19 @@ impl LazyController {
                 accept: false,
             }
         };
-        out.push(ControllerOutput::ToSwitch(
-            from,
-            Message::lazy(xid, LazyMsg::Bargain(reply)),
-        ));
+        self.send(from, MessageBody::Lazy(LazyMsg::Bargain(reply)), out);
     }
+}
+
+/// A rule sending traffic for `dst` down the tunnel `actions`, keyed `key`.
+fn tunnel_rule(dst: MacAddr, priority: u16, key: u32, actions: Arc<[Action]>) -> MessageBody {
+    MessageBody::Of(OfMessage::flow_mod(FlowModMsg {
+        command: FlowModCommand::Add,
+        flow_match: FlowMatch::to_dst(dst),
+        priority,
+        idle_timeout: FLOW_IDLE_TIMEOUT_S,
+        hard_timeout: 0,
+        cookie: key as u64,
+        actions,
+    }))
 }

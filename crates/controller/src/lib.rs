@@ -35,7 +35,7 @@ mod workload;
 pub use baseline::BaselineController;
 pub use clib::{Clib, HostLocation};
 pub use failover::{FailureDetector, FailureKind};
-pub use grouping::{FrozenGrouping, GroupingManager, RegroupDecision};
+pub use grouping::{GroupView, GroupingManager, RegroupDecision};
 pub use lazy::{
     ControllerOutput, ControllerTimer, LazyConfig, LazyController, REGROUP_CHECK_INTERVAL_MS,
 };

@@ -33,10 +33,10 @@ pub struct ExperimentReport {
     /// First packets confirmed delivered.
     pub delivered_flows: u64,
     /// Simulation events processed over the run — the benchmark's
-    /// `sim.events`: scheduler pops, plus the flooded `PacketOut` copies
-    /// that reach no host and land by the horizon, which the sequential
-    /// engine counts instead of scheduling (DESIGN §7.6). Either way the
-    /// number is what scheduling every copy would pop.
+    /// `sim.events`: scheduler pops, plus every delivery counted instead
+    /// of scheduled (DESIGN §7.6: wheel keep-alives, and flooded
+    /// `PacketOut` copies that reach no host, landing by the horizon).
+    /// Either way the number is what scheduling every delivery would pop.
     pub events_processed: u64,
     /// Overall mean first-packet latency (ms).
     pub mean_latency_ms: f64,

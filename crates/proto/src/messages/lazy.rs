@@ -451,7 +451,15 @@ impl LazyMsg {
                 let m_bits = r.u32()?;
                 let entries = r.u32()?;
                 let n = r.len_prefix()?;
-                if m_bits as u64 > n as u64 * 8 {
+                // A switch holds the bits as whole 64-bit words, at most
+                // `u16::MAX` of them, and probes modulo `m_bits`.
+                if n == 0 || !n.is_multiple_of(8) || n / 8 > u16::MAX as usize {
+                    return Err(ProtoError::InvalidField {
+                        field: "gfib.bits",
+                        value: n as u64,
+                    });
+                }
+                if m_bits == 0 || m_bits as u64 > n as u64 * 8 {
                     return Err(ProtoError::InvalidField {
                         field: "gfib.m_bits",
                         value: m_bits as u64,
@@ -599,6 +607,33 @@ mod tests {
             entries: 128,
             bits: vec![0xaa; 256],
         }));
+    }
+
+    #[test]
+    fn gfib_update_a_switch_cannot_hold_is_rejected() {
+        let decode = |m_bits, len| {
+            let (origin, epoch, num_hashes, bits) = (SwitchId::new(12), 3, 4, vec![0xaa; len]);
+            let update = GfibUpdateMsg {
+                origin,
+                epoch,
+                num_hashes,
+                m_bits,
+                entries: 2,
+                bits,
+            };
+            let mut body = Vec::new();
+            LazyMsg::gfib_update(update).encode_body(&mut body);
+            match LazyMsg::decode_body(&body) {
+                Err(ProtoError::InvalidField { field, .. }) => field,
+                other => panic!("{m_bits} bits in {len} bytes decoded to {other:?}"),
+            }
+        };
+        // A 3-byte, 24-bit filter is not whole words.
+        assert_eq!(decode(24, 3), "gfib.bits");
+        assert_eq!(decode(0, 0), "gfib.bits");
+        assert_eq!(decode(64, (u16::MAX as usize + 1) * 8), "gfib.bits");
+        assert_eq!(decode(0, 8), "gfib.m_bits");
+        assert_eq!(decode(65, 8), "gfib.m_bits");
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Property tests for the switch substrates: flow-table semantics (also
 //! differentially, against the push-and-sort table it replaced) and the
-//! Fig. 5 forwarding routine's exhaustiveness.
+//! Fig. 5 forwarding routine's exhaustiveness, and that no G-FIB update
+//! the decoder accepts can panic the switch applying it.
 
 use lazyctrl_net::{EtherType, EthernetFrame, MacAddr, Packet, PortNo, SwitchId, TenantId};
-use lazyctrl_proto::{Action, FlowMatch, FlowModCommand, FlowModMsg};
+use lazyctrl_proto::{
+    Action, FlowMatch, FlowModCommand, FlowModMsg, GfibUpdateMsg, LazyMsg, Message, OutputSink,
+};
 use lazyctrl_switch::forwarding::{forward_packet, ForwardingDecision};
-use lazyctrl_switch::{build_gfib_update, FlowRule, FlowTable, Gfib, Lfib, PacketFields};
+use lazyctrl_switch::{
+    build_gfib_update, EdgeSwitch, FlowRule, FlowTable, Gfib, Lfib, PacketFields,
+};
 use proptest::prelude::*;
 
 /// The flow table as it stood before ordered insert and deadline-gated
@@ -345,6 +350,37 @@ proptest! {
                 prop_assert!(!local_hosts.contains(&dst));
             }
             other => prop_assert!(false, "unexpected decision {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    /// Whatever G-FIB update fields a sender puts on the wire, the decoder
+    /// either rejects them or the switch applies and probes the filter
+    /// without panicking.
+    #[test]
+    fn decoded_gfib_updates_never_panic_a_switch(
+        (epoch, num_hashes, entries, fill) in (0u32..4, any::<u8>(), any::<u32>(), any::<u8>()),
+        (words, stray) in (0usize..24, prop_oneof![Just(0usize), 1usize..8]),
+        // An `m_bits` of 0, of any value, or up to 10 % past the array.
+        (m_per_mille, wild_m) in (prop_oneof![Just(0u64), Just(1100), 1u64..1100], any::<u32>()),
+    ) {
+        let len = words * 8 + stray;
+        let m_bits = match m_per_mille {
+            1100 => wild_m,
+            m => (len as u64 * 8 * m / 1000) as u32,
+        };
+        let (origin, bits) = (SwitchId::new(2), vec![fill; len]);
+        let update = GfibUpdateMsg { origin, epoch, num_hashes, m_bits, entries, bits };
+        let wire = Message::lazy(1, LazyMsg::gfib_update(update)).encode();
+        let Ok(decoded) = Message::decode(&wire) else {
+            return Ok(());
+        };
+        let mut sw = EdgeSwitch::new(SwitchId::new(1));
+        sw.handle_control_message(0, &decoded, &mut OutputSink::new());
+        prop_assert_eq!(sw.gfib().num_peers(), 1);
+        for h in 0..8 {
+            sw.gfib().query_into(MacAddr::for_host(h), &mut Vec::new());
         }
     }
 }
