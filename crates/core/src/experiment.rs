@@ -110,8 +110,10 @@ impl Experiment {
             }
             None => {
                 run(&mut world, &mut queue, arrivals, horizon);
-                // Deliveries counted instead of scheduled are events too
-                // (DESIGN §7.6).
+                // Deliveries counted instead of scheduled are events too,
+                // and every switch hears those it has not yet (DESIGN
+                // §7.6).
+                world.hear_all_landed();
                 let counted = world.counted_events();
                 (world, queue.popped_total() + counted)
             }

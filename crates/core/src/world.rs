@@ -1,7 +1,8 @@
 //! The simulated data center: switches + controller + links as one
 //! [`World`] for the discrete-event kernel.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
 use lazyctrl_cluster::{
@@ -20,7 +21,8 @@ use lazyctrl_obs::{
     pair_trace_id, EngineProfile, FlightRecorder,
 };
 use lazyctrl_proto::{
-    EventPlan, InjectedEvent, LazyMsg, Message, OfMessage, OutputSink, PacketOutMsg,
+    EventPlan, FlowModMsg, InjectedEvent, LazyMsg, Message, MessageBody, OfMessage, OutputSink,
+    PacketOutMsg,
 };
 use lazyctrl_sim::{
     BandwidthModel, ChannelClass, CounterId, LatencyModel, LinkId, LinkState, MetricsSink,
@@ -140,6 +142,7 @@ world_counters!(
     ctrl_unreachable_drops,
     delivered_flows,
     flood_copies_counted,
+    flow_mods_counted,
     flows_started,
     fp_reports,
     frames_emitted,
@@ -201,7 +204,7 @@ pub(crate) const EVENT_KIND_SUBSYS: [u16; 11] = [
 ];
 
 /// `Ev::MsgToSwitch`'s dense kind index, under which a counted flood
-/// copy or keep-alive (DESIGN §7.6) lands in the profile.
+/// copy, keep-alive or `FlowMod` (DESIGN §7.6) lands in the profile.
 const KIND_MSG_TO_SWITCH: u32 = 3;
 
 impl Ev {
@@ -260,15 +263,18 @@ fn message_trace_id(msg: &Message) -> u64 {
     match msg.as_of() {
         Some(OfMessage::PacketIn(pi)) => packet_bytes_trace_id(&pi.data),
         Some(OfMessage::PacketOut(po)) => packet_bytes_trace_id(&po.data),
-        Some(OfMessage::FlowMod(fm)) => {
-            let src = fm.flow_match.dl_src.and_then(|m| m.host_id());
-            let dst = fm.flow_match.dl_dst.and_then(|m| m.host_id());
-            match (src, dst) {
-                (Some(s), Some(d)) => pair_trace_id(s, d),
-                (_, Some(d)) => dst_trace_id(d),
-                _ => 0,
-            }
-        }
+        Some(OfMessage::FlowMod(fm)) => flow_mod_trace_id(fm),
+        _ => 0,
+    }
+}
+
+/// A `FlowMod`'s flow-correlation ID, from its match fields.
+fn flow_mod_trace_id(fm: &FlowModMsg) -> u64 {
+    let src = fm.flow_match.dl_src.and_then(|m| m.host_id());
+    let dst = fm.flow_match.dl_dst.and_then(|m| m.host_id());
+    match (src, dst) {
+        (Some(s), Some(d)) => pair_trace_id(s, d),
+        (_, Some(d)) => dst_trace_id(d),
         _ => 0,
     }
 }
@@ -444,6 +450,90 @@ impl PlanCursor {
     }
 }
 
+/// What a delivery counted instead of scheduled (DESIGN §7.6) writes on
+/// the switch it reaches.
+#[derive(Debug, Clone)]
+enum Delivery {
+    /// A wheel keep-alive from this sender (`SwitchId::CONTROLLER` for
+    /// the controller's).
+    KeepAlive(SwitchId),
+    /// A controller's `FlowMod`: the message's xid and body, unwrapped
+    /// so that an inbox entry stays small.
+    FlowMod(u32, Box<FlowModMsg>),
+}
+
+impl Delivery {
+    /// The delivery a controller's `msg` makes, if it is a kind the
+    /// inbox takes; otherwise `msg` back.
+    fn from_controller(msg: Message) -> Result<Self, Message> {
+        match msg.body {
+            MessageBody::Lazy(LazyMsg::KeepAlive(_)) => {
+                Ok(Delivery::KeepAlive(SwitchId::CONTROLLER))
+            }
+            MessageBody::Of(OfMessage::FlowMod(fm)) => Ok(Delivery::FlowMod(msg.xid, fm)),
+            body => Err(Message { xid: msg.xid, body }),
+        }
+    }
+
+    /// Writes the delivery on `sw` as it landed there at `lands`, as its
+    /// scheduled event would have. Neither kind answers anything.
+    fn apply(self, sw: &mut EdgeSwitch, lands: SimTime, sink: &mut OutputSink<SwitchOutput>) {
+        match self {
+            Delivery::KeepAlive(from) => sw.hear_keepalive(from, lands.as_nanos()),
+            Delivery::FlowMod(xid, fm) => {
+                let msg = Message::of(xid, OfMessage::FlowMod(fm));
+                sw.handle_control_message(lands.as_nanos(), &msg, sink);
+            }
+        }
+        debug_assert!(sink.is_empty(), "a counted delivery answered");
+    }
+}
+
+/// A counted delivery in its receiver's inbox. Its seq mark is the
+/// queue's next seq when it was sent, which orders it against scheduled
+/// events at its landing time. Entries order as their scheduled events
+/// would have fired: by landing time, then in send order, which orders
+/// their marks too.
+#[derive(Debug, Clone)]
+struct Landed {
+    lands: SimTime,
+    mark: u64,
+    order: u64,
+    delivery: Delivery,
+}
+
+impl Landed {
+    /// True when it fires before an event popped at `now` with `seq`
+    /// (`None` for a merged arrival, which wins every tie).
+    fn before(&self, now: SimTime, seq: Option<u64>) -> bool {
+        self.lands < now || (self.lands == now && seq.is_some_and(|seq| self.mark <= seq))
+    }
+
+    fn key(&self) -> (SimTime, u64) {
+        (self.lands, self.order)
+    }
+}
+
+impl PartialEq for Landed {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Landed {}
+
+impl PartialOrd for Landed {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Landed {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
 /// The composed simulation state.
 pub(crate) struct DataCenterWorld {
     pub(crate) cfg: ExperimentConfig,
@@ -519,22 +609,20 @@ pub(crate) struct DataCenterWorld {
     /// or after one stay eager.
     migrations: PlanCursor,
     /// The plan's `CrashSwitch` / `RecoverSwitch` events. They decide
-    /// whether a keep-alive's receiver is up when it lands, and
-    /// `RecoverSwitch` re-arms ticks, so keep-alives in flight across
-    /// one stay eager.
+    /// whether a delivery's receiver is up when it lands, and
+    /// `RecoverSwitch` re-arms ticks, so keep-alives and `FlowMod`s in
+    /// flight across one stay eager.
     power_changes: PlanCursor,
-    /// Per switch: the keep-alives counted instead of scheduled that it
-    /// has not heard yet, as `(sender, landing time)` in landing order.
-    /// The switch hears those that have landed before its next wheel
-    /// event (DESIGN §7.6).
-    keepalive_inbox: Vec<Vec<(SwitchId, SimTime)>>,
-    /// Per switch: when its armed `KeepAlive` tick fires (a switch has
-    /// at most one armed).
-    next_tick: Vec<SimTime>,
-    /// Schedules every keep-alive: the eager oracle the counted path is
-    /// tested against.
-    #[cfg(test)]
-    eager_keepalives: bool,
+    /// Per switch: the keep-alives and `FlowMod`s counted instead of
+    /// scheduled that it has not heard yet, earliest first. The switch
+    /// hears those that fire before each event bound for it, just
+    /// before that event, and all of them at the end of the run (DESIGN
+    /// §7.6).
+    inbox: Vec<BinaryHeap<Reverse<Landed>>>,
+    /// Schedules every delivery instead of counting any: the sharded
+    /// engine, whose partitions schedule everything, and the eager
+    /// oracle the counted path is tested against.
+    eager: bool,
     /// The last flooded `PacketOut` the current dispatch batch sent, with
     /// its frame's effective switch. Every copy of a fan-out carries the
     /// same bytes, so a batch decodes and looks up each distinct payload
@@ -641,6 +729,7 @@ impl DataCenterWorld {
         });
         let mut metrics = MetricsSink::new();
         let ctr = WorldCounters::register(&mut metrics);
+        let eager = cfg.workers.is_some();
         DataCenterWorld {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x57a7e),
             // The live (fault-degradable) latency model moves out of the
@@ -677,10 +766,8 @@ impl DataCenterWorld {
             counted_events: 0,
             migrations,
             power_changes,
-            keepalive_inbox: vec![Vec::new(); n],
-            next_tick: vec![SimTime::ZERO; n],
-            #[cfg(test)]
-            eager_keepalives: false,
+            inbox: (0..n).map(|_| BinaryHeap::new()).collect(),
+            eager,
             flood_memo: None,
         }
     }
@@ -835,7 +922,10 @@ impl DataCenterWorld {
                     let record = || (0, tk::MSG_TO_SWITCH, ts::SWITCH, from.0, to.0);
                     if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
                         if let Some(LazyMsg::KeepAlive(ka)) = msg.as_lazy() {
-                            if self.count_keepalive(now, now + delay, to, ka.from) {
+                            let lands = now + delay;
+                            if self.countable(now, lands) {
+                                let delivery = Delivery::KeepAlive(ka.from);
+                                self.count_delivery(lands, to, sched.next_seq(), delivery);
                                 continue;
                             }
                         }
@@ -862,13 +952,9 @@ impl DataCenterWorld {
                     self.handle_flood(now, from, frame, sched);
                 }
                 SwitchOutput::SetTimer(timer, delay_ns) => {
-                    let delay = SimDuration::from_nanos(delay_ns);
-                    if timer == SwitchTimer::KeepAlive {
-                        self.next_tick[from.index()] = now + delay;
-                    }
                     sched.schedule_in(
                         now,
-                        delay,
+                        SimDuration::from_nanos(delay_ns),
                         Ev::SwitchTimer {
                             switch: from,
                             timer,
@@ -1000,16 +1086,16 @@ impl DataCenterWorld {
     /// Sends a control-plane message down the control link to switch `to`:
     /// from the single controller (`member` = `None`), or from one cluster
     /// member. It leaves after the sender's current `service` time. A
-    /// flood copy that provably does nothing where it lands, and a
-    /// keep-alive nothing can tell from a scheduled one, are counted
-    /// instead of scheduled (DESIGN §7.6).
+    /// flood copy that provably does nothing where it lands is counted
+    /// instead of scheduled, and so are a keep-alive and a `FlowMod`,
+    /// which `to` hears before its next event (DESIGN §7.6).
     fn send_to_switch(
         &mut self,
         now: SimTime,
         member: Option<u32>,
         service: SimDuration,
         to: SwitchId,
-        msg: Message,
+        mut msg: Message,
         sched: &mut Scheduler<'_, Ev>,
     ) {
         // A cluster member sends from its own pseudo-id, not the
@@ -1027,13 +1113,17 @@ impl DataCenterWorld {
         };
         if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
             let lands = now + service + delay;
-            if self.reaches_no_host(now, lands, to, &msg) {
+            if !self.eager && self.reaches_no_host(now, lands, to, &msg) {
                 self.count_unscheduled(self.ctr.flood_copies_counted, lands);
                 return;
             }
-            if let Some(LazyMsg::KeepAlive(_)) = msg.as_lazy() {
-                if self.count_keepalive(now, lands, to, SwitchId::CONTROLLER) {
-                    return;
+            if self.countable(now, lands) {
+                match Delivery::from_controller(msg) {
+                    Ok(delivery) => {
+                        self.count_delivery(lands, to, sched.next_seq(), delivery);
+                        return;
+                    }
+                    Err(other) => msg = other,
                 }
             }
             let ev = Ev::MsgToSwitch {
@@ -1049,7 +1139,7 @@ impl DataCenterWorld {
     /// switch `to` at `lands`, provably does nothing there: a `PacketOut`
     /// that only floods (`floods_only`), to a switch other than its
     /// frame's effective switch, with no host migration due before it
-    /// lands. The sharded engine schedules every copy.
+    /// lands.
     fn reaches_no_host(
         &mut self,
         now: SimTime,
@@ -1060,7 +1150,7 @@ impl DataCenterWorld {
         let Some(OfMessage::PacketOut(po)) = msg.as_of() else {
             return false;
         };
-        if !floods_only(&po.actions) || self.part.is_some() || self.migrations.due(now, lands) {
+        if !floods_only(&po.actions) || self.migrations.due(now, lands) {
             return false;
         }
         let effective = match &self.flood_memo {
@@ -1076,50 +1166,66 @@ impl DataCenterWorld {
         effective != Some(to)
     }
 
-    /// Counts a wheel keep-alive from `from` (`SwitchId::CONTROLLER` for
-    /// the controller's), sent at `now` and landing at switch `to` at
-    /// `lands`, instead of scheduling it, and queues it for `to` to hear
-    /// before its next wheel event (DESIGN §7.6). False — schedule it —
-    /// when that order could differ from the scheduled delivery's: on
-    /// the sharded engine, with a `CrashSwitch` / `RecoverSwitch` due in
-    /// `[now, lands]`, or when `to`'s armed tick fires at exactly `lands`
-    /// (armed first, it fires first).
-    fn count_keepalive(
-        &mut self,
-        now: SimTime,
-        lands: SimTime,
-        to: SwitchId,
-        from: SwitchId,
-    ) -> bool {
-        #[cfg(test)]
-        if self.eager_keepalives {
-            return false;
-        }
-        let s = to.index();
-        if self.part.is_some() || self.next_tick[s] == lands || self.power_changes.due(now, lands) {
-            return false;
-        }
-        if self.count_unscheduled(self.ctr.keepalives_counted, lands) {
-            let inbox = &mut self.keepalive_inbox[s];
-            let at = inbox.partition_point(|&(_, t)| t <= lands);
-            inbox.insert(at, (from, lands));
-        }
-        true
+    /// True when a keep-alive or `FlowMod` sent at `now` that lands at
+    /// `lands` may be counted instead of scheduled: not on the sharded
+    /// engine, and with no `CrashSwitch` / `RecoverSwitch` due in `[now,
+    /// lands]`. A delivery that lands on a switch that is down is
+    /// dropped, so the receiver's power at landing must be its power at
+    /// send, which the gate checked; `RecoverSwitch` also re-arms ticks.
+    fn countable(&mut self, now: SimTime, lands: SimTime) -> bool {
+        !self.eager && !self.power_changes.due(now, lands)
     }
 
-    /// Switch `s` hears, in landing order, the counted keep-alives that
-    /// have landed by `now`: called before each of its wheel events.
-    fn hear_landed_keepalives(&mut self, s: SwitchId, now: SimTime) {
-        let inbox = &mut self.keepalive_inbox[s.index()];
-        let landed = inbox.partition_point(|&(_, lands)| lands <= now);
-        if landed == 0 {
-            return;
+    /// Counts `delivery`, landing at switch `to` at `lands` and marked
+    /// with the queue's next seq `mark`, instead of scheduling it, and
+    /// queues it for `to` to hear (DESIGN §7.6) — if it lands by the
+    /// horizon: the wheel would never have popped it otherwise.
+    fn count_delivery(&mut self, lands: SimTime, to: SwitchId, mark: u64, delivery: Delivery) {
+        let counter = match delivery {
+            Delivery::KeepAlive(_) => self.ctr.keepalives_counted,
+            Delivery::FlowMod(..) => self.ctr.flow_mods_counted,
+        };
+        if self.count_unscheduled(counter, lands) {
+            self.inbox[to.index()].push(Reverse(Landed {
+                lands,
+                mark,
+                order: self.counted_events,
+                delivery,
+            }));
         }
-        let sw = self.switches[s.index()]
-            .as_mut()
-            .expect("wheel event routed to its owner");
-        for (from, lands) in inbox.drain(..landed) {
-            sw.hear_keepalive(from, lands.as_nanos());
+    }
+
+    /// Switch `s` hears, in firing order, the counted deliveries that
+    /// fire before the event popped at `now` with `seq` (`None` for a
+    /// merged arrival): called at the head of every event bound for `s`.
+    fn hear_landed(&mut self, s: SwitchId, now: SimTime, seq: Option<u64>) {
+        let i = s.index();
+        while self.inbox[i]
+            .peek()
+            .is_some_and(|Reverse(next)| next.before(now, seq))
+        {
+            let Reverse(landed) = self.inbox[i].pop().expect("peeked");
+            if let Delivery::FlowMod(_, fm) = &landed.delivery {
+                self.trace(landed.lands, || {
+                    let id = flow_mod_trace_id(fm);
+                    (id, tk::FLOW_MOD_RECV, ts::SWITCH, s.0, 0)
+                });
+            }
+            let sw = self.switches[i]
+                .as_mut()
+                .expect("counted delivery bound for its owner");
+            landed
+                .delivery
+                .apply(sw, landed.lands, &mut self.switch_sink);
+        }
+    }
+
+    /// Every switch hears everything left in its inbox: the end of a run,
+    /// whose switch state is then what scheduling every delivery leaves.
+    /// Everything queued landed by the horizon.
+    pub(crate) fn hear_all_landed(&mut self) {
+        for s in 0..self.inbox.len() {
+            self.hear_landed(SwitchId::new(s as u32), SimTime::MAX, None);
         }
     }
 
@@ -1408,9 +1514,6 @@ impl DataCenterWorld {
                 for timer in [SwitchTimer::KeepAlive, SwitchTimer::PeerSync] {
                     if self.severed_timers.remove(&(s.0, timer)) {
                         let delay = SimDuration::from_millis(2);
-                        if timer == SwitchTimer::KeepAlive {
-                            self.next_tick[s.index()] = now + delay;
-                        }
                         sched.schedule_in(now, delay, Ev::SwitchTimer { switch: s, timer });
                     }
                 }
@@ -1573,6 +1676,7 @@ impl DataCenterWorld {
             self.route_to_switch(now, SimDuration::ZERO, at, arrival, sched);
             return;
         }
+        self.hear_landed(at, now, sched.popped_seq());
         self.metrics.bump(self.ctr.flows_started, 1);
         if matches!(arrival, Ev::SyntheticFlow { .. }) {
             self.metrics.bump(self.ctr.burst_flows, 1);
@@ -1803,10 +1907,10 @@ impl DataCenterWorld {
                 counted_events: 0,
                 migrations: PlanCursor::default(),
                 power_changes: PlanCursor::default(),
-                keepalive_inbox: vec![Vec::new(); self.switches.len()],
-                next_tick: vec![SimTime::ZERO; self.switches.len()],
-                #[cfg(test)]
-                eager_keepalives: false,
+                inbox: (0..self.switches.len())
+                    .map(|_| BinaryHeap::new())
+                    .collect(),
+                eager: true,
                 flood_memo: None,
                 cfg,
             });
@@ -1824,6 +1928,7 @@ impl DataCenterWorld {
             staged: Vec::new(),
             global_rng: StdRng::seed_from_u64(global_seed),
         }));
+        self.eager = true;
         parts.insert(0, self);
         parts
     }
@@ -1887,6 +1992,15 @@ impl DataCenterWorld {
     /// The event dispatch proper (the body of [`World::handle`], split out
     /// so the observability wrapper can bracket it without touching it).
     fn dispatch_event(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<'_, Ev>) {
+        // Every event bound for a switch first has it hear what landed
+        // before it (DESIGN §7.6); `start_flow` does so for its ingress.
+        if let Ev::LocalFrame { switch: s, .. }
+        | Ev::TunnelArrive { to: s, .. }
+        | Ev::MsgToSwitch { to: s, .. }
+        | Ev::SwitchTimer { switch: s, .. } = &event
+        {
+            self.hear_landed(*s, now, sched.popped_seq());
+        }
         match event {
             arrival @ Ev::FlowArrival(i) => {
                 let flow = self.flows[i];
@@ -1921,7 +2035,6 @@ impl DataCenterWorld {
                 self.dispatch_switch_outputs(now, to, sched);
             }
             Ev::MsgToSwitch { to, from, msg } => {
-                self.hear_landed_keepalives(to, now);
                 if !self.links.is_node_up(to.0) {
                     return;
                 }
@@ -2047,9 +2160,6 @@ impl DataCenterWorld {
                 self.start_flow(now, src, dst, Ev::SyntheticFlow { src, dst }, sched);
             }
             Ev::SwitchTimer { switch, timer } => {
-                if timer == SwitchTimer::KeepAlive {
-                    self.hear_landed_keepalives(switch, now);
-                }
                 // A powered-off switch cannot probe the wheel or sync its
                 // peers: letting those timers run would latch the wheel's
                 // reported-flags (and swallow the L-FIB delta) while every
@@ -2136,6 +2246,14 @@ mod tests {
             "Ev grew to {} bytes; check Message and frame layouts",
             size_of::<Ev>()
         );
+    }
+
+    /// A preload queues thousands of counted rules on one switch's inbox
+    /// and the heap moves its entries on every push and pop, so an entry
+    /// holds a boxed `FlowMod`, not a whole `Message`.
+    #[test]
+    fn inbox_entries_stay_small() {
+        assert_eq!(std::mem::size_of::<Landed>(), 40);
     }
 
     /// A two-switch world with no traffic — all the link gate needs.
@@ -2506,27 +2624,63 @@ mod tests {
         }
     }
 
-    /// A small lazy fabric driven as a run drives it, logging each
-    /// switch's whole state right after each of its keep-alive ticks.
+    /// A small lazy fabric driven as a run drives it. After every event
+    /// but a keep-alive or `FlowMod` delivery (the counted run does not
+    /// have those as events) it logs a hash of every switch's whole state
+    /// as of that event: as the switch stands, with the counted
+    /// deliveries that fired before the event and that it has not heard
+    /// yet applied to a copy.
     struct Fabric {
         world: DataCenterWorld,
         queue: lazyctrl_sim::EventQueue<Ev>,
         /// Everything up to this time has been run.
         ran_to: Option<SimTime>,
-        /// `(tick time, switch, its state after the tick)`.
-        ticks: Vec<(SimTime, SwitchId, String)>,
+        /// `(time, kind, hash of every switch's state)` per logged event.
+        log: Vec<(SimTime, u32, u64)>,
+        /// Per switch: when its last keep-alive tick fired.
+        last_tick: Vec<Option<SimTime>>,
+        /// `(time, flows)` of every `StatsReply` the controller received.
+        stats_replies: Vec<(SimTime, u32)>,
         /// Keep-alives dispatched as events.
         dispatched_keepalives: u64,
+        /// `FlowMod`s dispatched as events.
+        dispatched_flow_mods: u64,
+    }
+
+    /// Switch `s`'s whole state once it has heard every counted delivery
+    /// that fires before an event popped at `now` with `seq`, read
+    /// without changing the world; and how many of those it had not
+    /// heard yet.
+    fn view(world: &DataCenterWorld, s: usize, now: SimTime, seq: Option<u64>) -> (String, usize) {
+        let sw = world.switches[s].as_ref().expect("one partition");
+        let mut unheard: Vec<&Landed> = world.inbox[s]
+            .iter()
+            .map(|Reverse(landed)| landed)
+            .filter(|landed| landed.before(now, seq))
+            .collect();
+        if unheard.is_empty() {
+            return (format!("{sw:?}"), 0);
+        }
+        unheard.sort();
+        let mut sw = sw.clone();
+        let mut sink = OutputSink::new();
+        for landed in &unheard {
+            let landed = Landed::clone(landed);
+            landed.delivery.apply(&mut sw, landed.lands, &mut sink);
+        }
+        (format!("{sw:?}"), unheard.len())
     }
 
     impl Fabric {
-        /// `n` switches with one host each under one lazy controller in
-        /// one group, the wheel ticking every 10 ms, `flows` as `(src
-        /// host, dst host, ms)`, the run ending at `end`; `tune` adjusts
-        /// the config. Bootstrapped, with the plan queued as a run queues
-        /// it. `eager` makes it the oracle that schedules every keep-alive.
+        /// `n` switches with `hosts` hosts (host `h` on switch `h % n`)
+        /// under one lazy controller in one group, the wheel ticking every
+        /// 10 ms, `flows` as `(src host, dst host, ms)`, the run ending at
+        /// `end`; `tune` adjusts the config. Bootstrapped, with the plan
+        /// queued as a run queues it. `eager` makes it the oracle that
+        /// schedules every delivery.
         fn new(
             n: usize,
+            hosts: usize,
             flows: &[(u32, u32, u64)],
             end: SimTime,
             tune: impl Fn(ExperimentConfig) -> ExperimentConfig,
@@ -2536,8 +2690,8 @@ mod tests {
                 name: "wheel".to_owned(),
                 topology: lazyctrl_trace::Topology {
                     num_switches: n,
-                    host_switch: (0..n as u32).map(SwitchId::new).collect(),
-                    host_tenant: vec![TenantId::new(1); n],
+                    host_switch: (0..hosts).map(|h| SwitchId::new((h % n) as u32)).collect(),
+                    host_tenant: vec![TenantId::new(1); hosts],
                 },
                 flows: flows
                     .iter()
@@ -2555,7 +2709,7 @@ mod tests {
             cfg.keepalive_interval_ms = 10;
             let mut world = DataCenterWorld::new(trace, tune(cfg));
             world.horizon = end;
-            world.eager_keepalives = eager;
+            world.eager = eager;
             let mut queue = lazyctrl_sim::EventQueue::new();
             for e in world.cfg.plan.events() {
                 queue.schedule(e.at, Ev::Injected(e.event.clone()));
@@ -2565,12 +2719,31 @@ mod tests {
                 world,
                 queue,
                 ran_to: None,
-                ticks: Vec::new(),
+                log: Vec::new(),
+                last_tick: vec![None; n],
+                stats_replies: Vec::new(),
                 dispatched_keepalives: 0,
+                dispatched_flow_mods: 0,
             }
         }
 
-        /// Runs every event up to and including `until`.
+        /// The switch an event is bound for, if any.
+        fn bound_for(&self, ev: &Ev) -> Option<usize> {
+            let ingress = |src: HostId| self.world.topology.switch_of(src).index();
+            match ev {
+                Ev::LocalFrame { switch, .. } | Ev::SwitchTimer { switch, .. } => {
+                    Some(switch.index())
+                }
+                Ev::TunnelArrive { to, .. } | Ev::MsgToSwitch { to, .. } => Some(to.index()),
+                Ev::FlowArrival(i) => Some(ingress(self.world.flows[*i].src)),
+                Ev::SyntheticFlow { src, .. } => Some(ingress(*src)),
+                _ => None,
+            }
+        }
+
+        /// Runs every event up to and including `until`. A switch an
+        /// event is bound for must have heard, by the end of it, every
+        /// delivery that fired before it.
         fn run_to(&mut self, until: SimTime) {
             let flows = Arc::clone(&self.world.flows);
             let ran_to = self.ran_to;
@@ -2578,26 +2751,56 @@ mod tests {
                 .filter(|&(at, _)| ran_to.is_none_or(|ran_to| at > ran_to))
                 .peekable();
             while let Some((now, ev)) = self.queue.pop_merged(&mut arrivals, until) {
-                let ticked = match &ev {
+                let seq = self.queue.popped_seq();
+                let kind = ev.kind_idx();
+                let bound = self.bound_for(&ev);
+                match &ev {
                     Ev::SwitchTimer {
                         switch,
                         timer: SwitchTimer::KeepAlive,
-                    } => Some(*switch),
-                    Ev::MsgToSwitch { msg, .. } => {
-                        let keepalive = matches!(msg.as_lazy(), Some(LazyMsg::KeepAlive(_)));
-                        self.dispatched_keepalives += u64::from(keepalive);
-                        None
+                    } => self.last_tick[switch.index()] = Some(now),
+                    Ev::MsgToController { msg, .. } => {
+                        if let Some(OfMessage::StatsReply { flows, .. }) = msg.as_of() {
+                            self.stats_replies.push((now, *flows));
+                        }
                     }
+                    _ => {}
+                }
+                let delivery = match &ev {
+                    Ev::MsgToSwitch { msg, .. } => match (msg.as_lazy(), msg.as_of()) {
+                        (Some(LazyMsg::KeepAlive(_)), _) => Some(&mut self.dispatched_keepalives),
+                        (_, Some(OfMessage::FlowMod(_))) => Some(&mut self.dispatched_flow_mods),
+                        _ => None,
+                    },
                     _ => None,
                 };
+                let delivery = delivery.map(|dispatched| *dispatched += 1).is_some();
                 self.world
                     .handle(now, ev, &mut Scheduler::over(&mut self.queue));
-                if let Some(s) = ticked {
-                    let state = format!("{:?}", self.world.switches[s.index()]);
-                    self.ticks.push((now, s, state));
+                if delivery {
+                    continue;
                 }
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                for s in 0..self.world.switches.len() {
+                    let (state, unheard) = view(&self.world, s, now, seq);
+                    assert!(
+                        bound != Some(s) || unheard == 0,
+                        "switch {s} handled an event at {now} before hearing \
+                         {unheard} deliveries that fired before it"
+                    );
+                    std::hash::Hash::hash(&state, &mut hasher);
+                }
+                self.log
+                    .push((now, kind, std::hash::Hasher::finish(&hasher)));
             }
             self.ran_to = Some(until);
+        }
+
+        /// When switch `s`'s armed keep-alive tick fires: its last tick
+        /// re-armed it one interval later.
+        fn next_tick(&self, s: usize) -> SimTime {
+            let interval = SimDuration::from_millis(self.world.cfg.keepalive_interval_ms.into());
+            self.last_tick[s].expect("the switch has ticked") + interval
         }
 
         /// Switch `from` sends a wheel keep-alive to `to` at `now`.
@@ -2615,58 +2818,106 @@ mod tests {
                 .dispatch_switch_outputs(now, SwitchId::new(from), sched);
         }
 
+        /// When what the controller sends at `now` lands, under
+        /// zero-jitter latencies.
+        fn controller_lands(&self, now: SimTime) -> SimTime {
+            now + self.world.controller.service_time(None, now) + self.world.latency.control
+        }
+
+        /// The controller sends `msgs` at `now`, as one batch. Returns
+        /// when they land, under zero-jitter latencies.
+        fn send_from_controller(
+            &mut self,
+            now: SimTime,
+            msgs: impl IntoIterator<Item = (SwitchId, Message)>,
+        ) -> SimTime {
+            let lands = self.controller_lands(now);
+            for (to, msg) in msgs {
+                self.world
+                    .ctrl_sink
+                    .push(ControllerOutput::ToSwitch(to, msg));
+            }
+            let sched = &mut Scheduler::over(&mut self.queue);
+            self.world.dispatch_controller_outputs(now, sched);
+            lands
+        }
+
         /// The controller regroups at `now`: one `GroupAssign` per
         /// switch, turning the ring around. Returns when they land.
         fn reverse_ring(&mut self, now: SimTime) -> SimTime {
             let n = self.world.switches.len() as u32;
             let at = |i: u32| SwitchId::new(i % n);
-            for s in 0..n {
-                let ga = lazyctrl_proto::GroupAssignMsg {
-                    group: lazyctrl_net::GroupId(0),
-                    epoch: 7,
-                    members: (0..n).rev().map(SwitchId::new).collect(),
-                    designated: at(0),
-                    backups: Vec::new(),
-                    ring_prev: at(s + 1),
-                    ring_next: at(s + n - 1),
-                    sync_interval_ms: self.world.cfg.sync_interval_ms,
-                    keepalive_interval_ms: self.world.cfg.keepalive_interval_ms,
-                    group_size_limit: n,
-                };
-                let msg = Message::lazy(0, LazyMsg::group_assign(ga));
-                self.world
-                    .ctrl_sink
-                    .push(ControllerOutput::ToSwitch(at(s), msg));
-            }
-            let service = self.world.controller.service_time(None, now);
-            let sched = &mut Scheduler::over(&mut self.queue);
-            self.world.dispatch_controller_outputs(now, sched);
-            now + service + self.world.latency.control
+            let assigns: Vec<_> = (0..n)
+                .map(|s| {
+                    let ga = lazyctrl_proto::GroupAssignMsg {
+                        group: lazyctrl_net::GroupId(0),
+                        epoch: 7,
+                        members: (0..n).rev().map(SwitchId::new).collect(),
+                        designated: at(0),
+                        backups: Vec::new(),
+                        ring_prev: at(s + 1),
+                        ring_next: at(s + n - 1),
+                        sync_interval_ms: self.world.cfg.sync_interval_ms,
+                        keepalive_interval_ms: self.world.cfg.keepalive_interval_ms,
+                        group_size_limit: n,
+                    };
+                    (at(s), Message::lazy(0, LazyMsg::group_assign(ga)))
+                })
+                .collect();
+            self.send_from_controller(now, assigns)
         }
+    }
+
+    /// A `FlowMod` installing a priority-10 rule that sends frames for
+    /// `dst` out of `port`.
+    fn flow_mod(dst: HostId, port: u16) -> Message {
+        let fm = lazyctrl_proto::FlowModMsg {
+            command: lazyctrl_proto::FlowModCommand::Add,
+            flow_match: lazyctrl_proto::FlowMatch::to_dst(dst.mac()),
+            priority: 10,
+            idle_timeout: 30,
+            hard_timeout: 0,
+            cookie: 0,
+            actions: [lazyctrl_proto::Action::Output(PortNo::new(port))].into(),
+        };
+        Message::of(0, OfMessage::flow_mod(fm))
     }
 
     /// Runs `script` on a counted fabric and on its eager oracle, then
     /// both to `end`, and checks that every switch's state after every
-    /// tick is the same in both, and so are the event totals and every
-    /// other counter. Returns the counted fabric.
+    /// event is the same in both, and at the end of the run; so are the
+    /// event totals, the `StatsReply`s and every counter but the
+    /// `*_counted` ones. Returns the counted fabric.
     fn counted_matches_eager(
         n: usize,
+        hosts: usize,
         flows: &[(u32, u32, u64)],
         end: SimTime,
         tune: impl Fn(ExperimentConfig) -> ExperimentConfig,
         script: impl Fn(&mut Fabric),
     ) -> Fabric {
         let [mut counted, mut eager] =
-            [false, true].map(|oracle| Fabric::new(n, flows, end, &tune, oracle));
+            [false, true].map(|oracle| Fabric::new(n, hosts, flows, end, &tune, oracle));
         for fabric in [&mut counted, &mut eager] {
             script(fabric);
             fabric.run_to(end);
         }
-        assert!(!eager.ticks.is_empty(), "the wheel never ticked");
-        assert_eq!(counted.ticks.len(), eager.ticks.len(), "tick counts differ");
-        for (c, e) in counted.ticks.iter().zip(&eager.ticks) {
-            assert_eq!(c, e, "first differing tick");
+        assert!(!eager.log.is_empty(), "nothing ran");
+        for (c, e) in counted.log.iter().zip(&eager.log) {
+            assert_eq!(c, e, "first event after which a switch differs");
         }
+        assert_eq!(counted.log.len(), eager.log.len(), "event counts differ");
+        counted.world.hear_all_landed();
+        for (s, (c, e)) in counted
+            .world
+            .switches
+            .iter()
+            .zip(&eager.world.switches)
+            .enumerate()
+        {
+            assert_eq!(format!("{c:?}"), format!("{e:?}"), "switch {s} at the end");
+        }
+        assert_eq!(counted.stats_replies, eager.stats_replies);
         let counted_total = counted.queue.popped_total() + counted.world.counted_events();
         assert_eq!(
             counted_total,
@@ -2675,7 +2926,7 @@ mod tests {
         );
         assert_eq!(eager.world.counted_events(), 0);
         let others = |f: &Fabric| -> Vec<(&'static str, u64)> {
-            let skip = |(k, _): &(&str, u64)| *k != "keepalives_counted";
+            let skip = |(k, _): &(&str, u64)| !k.ends_with("_counted");
             f.world.metrics.counters().filter(skip).collect()
         };
         assert_eq!(others(&counted), others(&eager));
@@ -2686,8 +2937,8 @@ mod tests {
 
     /// The oracle run: traffic, peer loss, a switch that crashes long
     /// enough to be reported and comes back, and a regroup while
-    /// keep-alives are in flight. Counting changes no switch's state at
-    /// any tick, and most keep-alives are counted.
+    /// keep-alives are in flight. Counting changes no switch's state
+    /// after any event, and most keep-alives are counted.
     #[test]
     fn counted_keepalives_leave_every_tick_as_the_eager_run_does() {
         let t = |ms: u64| SimTime::from_nanos(ms * MS);
@@ -2713,6 +2964,7 @@ mod tests {
         );
         let counted = counted_matches_eager(
             6,
+            6,
             &flows,
             t(2_500),
             |cfg| cfg.with_plan(plan.clone()),
@@ -2721,11 +2973,11 @@ mod tests {
                 fabric.reverse_ring(t(1_503));
             },
         );
-        let keepalives = counted.world.counted_events() + counted.dispatched_keepalives;
+        let counted_keepalives = counted.world.metrics.counter("keepalives_counted");
+        let keepalives = counted_keepalives + counted.dispatched_keepalives;
         assert!(
-            counted.world.counted_events() > keepalives * 9 / 10,
-            "{} of {keepalives} keep-alives counted",
-            counted.world.counted_events()
+            counted_keepalives > keepalives * 9 / 10,
+            "{counted_keepalives} of {keepalives} keep-alives counted"
         );
     }
 
@@ -2737,11 +2989,12 @@ mod tests {
 
     /// Every keep-alive lands exactly as its receiver ticks: zero
     /// jitter, a peer latency equal to the 15 ms interval, and every
-    /// switch ticking in phase. A tick armed before the keep-alive was
-    /// sent fires first, so that keep-alive stays eager; one armed after
-    /// it is counted and heard just before the tick.
+    /// switch ticking in phase. Each is counted. A tick armed before the
+    /// keep-alive was sent has the lower seq and fires first, so the
+    /// switch hears the keep-alive after it; one armed after it is heard
+    /// just before the tick.
     #[test]
-    fn keepalive_landing_on_an_armed_tick_stays_eager() {
+    fn keepalives_landing_on_an_armed_tick_are_heard_in_seq_order() {
         let tune = |cfg: ExperimentConfig| {
             let mut cfg = fixed_latency(cfg);
             cfg.keepalive_interval_ms = 15;
@@ -2755,8 +3008,8 @@ mod tests {
             SimDuration::from_millis(15)
         );
         let end = SimTime::from_millis(400);
-        let counted = counted_matches_eager(4, &[], end, tune, |_| {});
-        assert!(counted.dispatched_keepalives > 0, "no tie stayed eager");
+        let counted = counted_matches_eager(4, 4, &[], end, tune, |_| {});
+        assert_eq!(counted.dispatched_keepalives, 0, "a tie stayed eager");
         assert!(counted.world.counted_events() > 0, "no tie was counted");
     }
 
@@ -2768,9 +3021,9 @@ mod tests {
     #[test]
     fn keepalives_across_a_regroup_reach_the_wheel_the_eager_run_does() {
         let end = SimTime::from_millis(300);
-        let counted = counted_matches_eager(3, &[], end, fixed_latency, |fabric| {
+        let counted = counted_matches_eager(3, 3, &[], end, fixed_latency, |fabric| {
             fabric.run_to(SimTime::from_millis(100));
-            let regroup = fabric.world.next_tick[0] + SimDuration::from_millis(1);
+            let regroup = fabric.next_tick(0) + SimDuration::from_millis(1);
             fabric.run_to(regroup);
             let lands = fabric.reverse_ring(regroup);
             let peer = fabric
@@ -2793,18 +3046,169 @@ mod tests {
     #[test]
     fn keepalives_in_flight_across_a_crash_stay_eager() {
         let end = SimTime::from_millis(300);
-        let mut probe = Fabric::new(3, &[], end, fixed_latency, false);
+        let mut probe = Fabric::new(3, 3, &[], end, fixed_latency, false);
         probe.run_to(SimTime::from_millis(100));
-        let tick = probe.world.next_tick[1];
+        let tick = probe.next_tick(1);
         let crash = tick + SimDuration::from_micros(100);
         let recover = tick + SimDuration::from_millis(51);
         let mut plan = EventPlan::new();
         plan.schedule(crash, InjectedEvent::CrashSwitch(SwitchId::new(0)));
         plan.schedule(recover, InjectedEvent::RecoverSwitch(SwitchId::new(0)));
         let tune = |cfg: ExperimentConfig| fixed_latency(cfg).with_plan(plan.clone());
-        let counted = counted_matches_eager(3, &[], end, tune, |_| {});
+        let counted = counted_matches_eager(3, 3, &[], end, tune, |_| {});
         assert!(counted.dispatched_keepalives > 0, "nothing stayed eager");
         assert!(counted.world.counted_events() > 0);
         assert_eq!(counted.world.metrics.counter("switch_crashes"), 1);
+    }
+
+    /// A dynamic fabric regroups with rules in flight: two cliques of
+    /// four switches, four hosts each, talk inside themselves, and
+    /// switches 3 and 7 keep talking across. The first regroup check
+    /// after two minutes moves 3 and 7, and the Appendix-B preload sends
+    /// a burst of tunnel rules whose jitter lands them in random order.
+    /// Counting every `FlowMod` changes no switch's state after any
+    /// event, and none stays eager.
+    #[test]
+    fn counted_flow_mods_leave_every_switch_as_the_eager_run_does() {
+        let t = |ms: u64| SimTime::from_nanos(ms * MS);
+        let mut flows = Vec::new();
+        for i in 0..80u64 {
+            let a = (i % 4) as u32;
+            flows.push((a, (a + 1) % 4, 1_000 + 700 * i));
+            flows.push((4 + a, 4 + (a + 1) % 4, 1_250 + 700 * i));
+        }
+        for round in 0..4u64 {
+            for a in 0..3u32 {
+                flows.push((3, 4 + a, 5_000 + 35_000 * round + 100 * a as u64));
+                flows.push((7, a, 5_050 + 35_000 * round + 100 * a as u64));
+            }
+        }
+        flows.sort_by_key(|&(.., ms)| ms);
+        let tune = |mut cfg: ExperimentConfig| {
+            cfg.mode = ControlMode::LazyDynamic;
+            cfg.group_size_limit = 4;
+            cfg.keepalive_interval_ms = 1_000;
+            cfg
+        };
+        let groups = |f: &Fabric| -> Vec<Option<usize>> {
+            let lazy = f.world.controller.lazy().expect("lazy");
+            (0..8)
+                .map(|s| lazy.grouping().group_of(SwitchId::new(s)))
+                .collect()
+        };
+        let counted = counted_matches_eager(8, 32, &flows, t(125_000), tune, |fabric| {
+            assert_eq!(groups(fabric)[3], groups(fabric)[0]);
+        });
+        let lazy = counted.world.controller.lazy().expect("lazy");
+        assert_eq!(lazy.grouping().updates_applied(), 2, "no regroup");
+        assert_eq!(groups(&counted)[3], groups(&counted)[4], "3 did not move");
+        let flow_mods = counted.world.metrics.counter("flow_mods_counted");
+        assert!(flow_mods > 60, "{flow_mods} FlowMods counted");
+        assert_eq!(counted.dispatched_flow_mods, 0);
+    }
+
+    /// A rule lands at the same instant as two frames to its destination
+    /// at its switch, under zero jitter: one scheduled before the rule
+    /// was sent, which fires first and misses it, and one scheduled
+    /// after, which fires after it and hits it.
+    #[test]
+    fn flow_mods_landing_with_a_frame_are_heard_in_seq_order() {
+        let (src, dst) = (HostId::new(0), HostId::new(2));
+        let sent = SimTime::from_millis(50);
+        let counted = counted_matches_eager(
+            3,
+            3,
+            &[],
+            SimTime::from_millis(80),
+            fixed_latency,
+            |fabric| {
+                fabric.run_to(sent);
+                let lands = fabric.controller_lands(sent);
+                let frame = |world: &DataCenterWorld| Ev::LocalFrame {
+                    switch: SwitchId::new(0),
+                    port: world.port_of(src),
+                    frame: world.frame_for_flow(src, dst, lands.as_nanos()),
+                };
+                fabric.queue.schedule(lands, frame(&fabric.world));
+                fabric.send_from_controller(sent, [(SwitchId::new(0), flow_mod(dst, 7))]);
+                fabric.queue.schedule(lands, frame(&fabric.world));
+            },
+        );
+        let sw = counted.world.switches[0].as_ref().expect("one partition");
+        let hits: Vec<u64> = sw.flow_table().iter().map(|rule| rule.packets).collect();
+        assert_eq!(hits, [1], "exactly the later frame hits the rule");
+        assert_eq!(counted.world.metrics.counter("flow_mods_counted"), 1);
+    }
+
+    /// A switch crashes while a rule to it is in flight, and comes back
+    /// later. The rule lands on a switch that is down, which drops it, so
+    /// it stays eager, as does one to another switch landing across the
+    /// crash; one sent after the recovery is counted.
+    #[test]
+    fn flow_mods_in_flight_across_a_crash_stay_eager() {
+        let sent = SimTime::from_millis(50);
+        let mut plan = EventPlan::new();
+        let crash = sent + SimDuration::from_micros(100);
+        plan.schedule(crash, InjectedEvent::CrashSwitch(SwitchId::new(1)));
+        let recover = sent + SimDuration::from_millis(20);
+        plan.schedule(recover, InjectedEvent::RecoverSwitch(SwitchId::new(1)));
+        let tune = |cfg: ExperimentConfig| fixed_latency(cfg).with_plan(plan.clone());
+        let end = SimTime::from_millis(100);
+        let rule = |s: u32, h: u32| (SwitchId::new(s), flow_mod(HostId::new(h), 7));
+        let counted = counted_matches_eager(3, 3, &[], end, tune, |fabric| {
+            fabric.run_to(sent);
+            fabric.send_from_controller(sent, [rule(1, 0), rule(2, 0)]);
+            let after = recover + SimDuration::from_millis(10);
+            fabric.run_to(after);
+            fabric.send_from_controller(after, [rule(1, 2)]);
+        });
+        assert_eq!(
+            counted.dispatched_flow_mods, 2,
+            "the rules across the crash"
+        );
+        assert_eq!(counted.world.metrics.counter("flow_mods_counted"), 1);
+        let rules = |s: usize| {
+            let sw = counted.world.switches[s].as_ref().expect("one partition");
+            sw.flow_table().len()
+        };
+        assert_eq!(
+            (rules(1), rules(2)),
+            (1, 1),
+            "the crashed switch dropped one"
+        );
+    }
+
+    /// A `StatsRequest` sent right behind a burst of rules reads `flows`
+    /// as its scheduled delivery would: jitter lands some rules of the
+    /// burst after it. A second one, later, sees the whole burst.
+    #[test]
+    fn stats_request_after_a_burst_counts_the_rules_landed_before_it() {
+        let sent = SimTime::from_millis(50);
+        let to = SwitchId::new(1);
+        let counted = counted_matches_eager(
+            3,
+            3,
+            &[],
+            SimTime::from_millis(100),
+            |cfg| cfg,
+            |fabric| {
+                fabric.run_to(sent);
+                let stats = || (to, Message::of(0, OfMessage::StatsRequest));
+                let burst = (100..400).map(|h| (to, flow_mod(HostId::new(h), 7)));
+                fabric.send_from_controller(sent, burst.chain([stats()]));
+                let later = sent + SimDuration::from_millis(10);
+                fabric.run_to(later);
+                fabric.send_from_controller(later, [stats()]);
+            },
+        );
+        let flows: Vec<u32> = counted
+            .stats_replies
+            .iter()
+            .map(|&(_, flows)| flows)
+            .collect();
+        assert!(
+            matches!(flows[..], [first, 300] if 0 < first && first < 300),
+            "replies {flows:?}"
+        );
     }
 }

@@ -8,6 +8,7 @@ use lazyctrl_core::scenarios::{
 };
 use lazyctrl_core::{
     ControlMode, EventPlan, Experiment, ExperimentConfig, ExperimentReport, ObsConfig,
+    EVENT_KIND_NAMES,
 };
 use lazyctrl_obs::intern::kind;
 use lazyctrl_trace::realistic::{generate, RealTraceConfig};
@@ -33,15 +34,36 @@ fn reports_bit_identical_with_recorder_on_vs_off() {
     }
 }
 
-fn traced_run(mode: ControlMode) -> lazyctrl_core::DetailedRun {
+/// The counters of the deliveries a run counts instead of scheduling
+/// (DESIGN §7.6).
+const COUNTED: [&str; 3] = [
+    "keepalives_counted",
+    "flood_copies_counted",
+    "flow_mods_counted",
+];
+
+fn run(mode: ControlMode, obs: ObsConfig) -> lazyctrl_core::DetailedRun {
     let mut tc = RealTraceConfig::small();
     tc.num_flows = 800;
     let trace = generate(&tc);
     let mut cfg = ExperimentConfig::new(mode)
         .with_group_size_limit(10)
-        .with_obs(ObsConfig::full().with_ring_capacity(1 << 18));
+        .with_obs(obs);
     cfg.record_flow_latencies = true;
     Experiment::new(trace, cfg).run_detailed()
+}
+
+fn traced_run(mode: ControlMode) -> lazyctrl_core::DetailedRun {
+    run(mode, ObsConfig::full().with_ring_capacity(1 << 18))
+}
+
+/// The sum of the `COUNTED` counters of a run.
+fn counted(run: &lazyctrl_core::DetailedRun) -> u64 {
+    run.counters
+        .iter()
+        .filter(|(k, _)| COUNTED.contains(&k.as_str()))
+        .map(|&(_, n)| n)
+        .sum()
 }
 
 /// Acceptance check: from a traced run, `flow_chain` reconstructs a
@@ -100,7 +122,8 @@ fn flow_chain_reconstructs_packet_in_to_delivery() {
 /// The profiler's exact event counts must equal the kernel's event
 /// count, and phase walls must be populated. Each run counts deliveries
 /// instead of scheduling them (DESIGN §7.6) — plain OpenFlow its flood
-/// copies, the lazy mode its wheel keep-alives: its event total, pinned
+/// copies and `FlowMod`s, the lazy mode its wheel keep-alives and
+/// `FlowMod`s: its event total, pinned
 /// from a run that scheduled every one, fails when counted deliveries go
 /// missing from `events_processed`, and the equality with the profiler
 /// when they go missing there.
@@ -128,13 +151,10 @@ fn profile_counts_match_events_and_phases_are_positive() {
             counter_value(counter).is_some_and(|n| n > 0),
             "{mode:?}: nothing counted under {counter}"
         );
-        let world_counted: u64 = ["keepalives_counted", "flood_copies_counted"]
-            .into_iter()
-            .filter_map(counter_value)
-            .sum();
         let profile_counted: u64 = obs.profile.kind_profiles().iter().map(|k| k.counted).sum();
         assert_eq!(
-            profile_counted, world_counted,
+            profile_counted,
+            counted(&run),
             "{mode:?}: the profile's counted events diverged from the world's"
         );
         assert!(
@@ -144,6 +164,32 @@ fn profile_counts_match_events_and_phases_are_positive() {
         assert!(run.phases.run_s > 0.0);
         assert!(run.phases.total_s() >= run.phases.run_s);
     }
+}
+
+/// A traced run takes the path an untraced one takes: it counts the
+/// same deliveries instead of scheduling them, installs counted
+/// `FlowMod`s the same way (writing their receipt records as it does),
+/// and so has the same event total. Its `msg_to_switch` count is pinned
+/// from a run that scheduled every `FlowMod`.
+#[test]
+fn traced_dynamic_run_counts_what_the_untraced_run_counts() {
+    let traced = traced_run(ControlMode::LazyDynamic);
+    let untraced = run(ControlMode::LazyDynamic, ObsConfig::default());
+    assert_eq!(traced.report, untraced.report);
+    assert_eq!(traced.counters, untraced.counters);
+    let profile = &traced.obs.as_ref().expect("obs enabled").profile;
+    let kinds = profile.kind_profiles();
+    let msg_to_switch = kinds
+        .iter()
+        .find(|k| EVENT_KIND_NAMES[k.kind as usize] == "msg_to_switch")
+        .expect("a msg_to_switch row");
+    assert_eq!(msg_to_switch.count, 1_530_636);
+    assert_eq!(msg_to_switch.counted, counted(&untraced));
+    let flow_mods = traced
+        .counters
+        .iter()
+        .find(|(k, _)| k == "flow_mods_counted");
+    assert!(flow_mods.is_some_and(|&(_, n)| n > 0), "no FlowMod counted");
 }
 
 /// Test-only wrapper: a real scenario's build, a verdict that always

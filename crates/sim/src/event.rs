@@ -113,6 +113,9 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     next_seq: u64,
     popped: u64,
+    /// The seq of the event the last pop took from the wheel; `None`
+    /// after a merged arrival, which has none.
+    popped_seq: Option<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -129,6 +132,7 @@ impl<E> Default for EventQueue<E> {
             free: Vec::new(),
             next_seq: 0,
             popped: 0,
+            popped_seq: None,
         }
     }
 }
@@ -185,6 +189,7 @@ impl<E> EventQueue<E> {
             .expect("every parked key owns a live slab cell");
         self.free.push(key.idx);
         self.popped += 1;
+        self.popped_seq = Some(key.seq);
         (key.at, event)
     }
 
@@ -341,6 +346,7 @@ impl<E> EventQueue<E> {
             .is_some_and(|&(at, _)| at <= until && self.peek_time().is_none_or(|t| at <= t));
         if arrival_first {
             self.popped += 1;
+            self.popped_seq = None;
             arrivals.next()
         } else {
             self.pop_until(until)
@@ -382,6 +388,13 @@ impl<E> EventQueue<E> {
     pub fn popped_total(&self) -> u64 {
         self.popped
     }
+
+    /// The insertion seq of the most recently popped event: `None` before
+    /// the first pop and after [`EventQueue::pop_merged`] hands out an
+    /// arrival, which was never scheduled and so has no seq.
+    pub fn popped_seq(&self) -> Option<u64> {
+        self.popped_seq
+    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -414,6 +427,20 @@ impl<'a, E> Scheduler<'a, E> {
     /// Schedules an event `delay` after `now`.
     pub fn schedule_in(&mut self, now: SimTime, delay: SimDuration, event: E) {
         self.queue.schedule(now + delay, event);
+    }
+
+    /// The seq the next scheduled event will get, read without taking it.
+    /// Of two events at one time the lower seq fires first, so an event
+    /// fires after something marked with this value at an equal time
+    /// exactly when its own seq is at least the mark.
+    pub fn next_seq(&self) -> u64 {
+        self.queue.next_seq
+    }
+
+    /// The seq of the event being handled ([`EventQueue::popped_seq`]):
+    /// `None` for a merged arrival.
+    pub fn popped_seq(&self) -> Option<u64> {
+        self.queue.popped_seq
     }
 }
 

@@ -5,7 +5,9 @@
 //! included, with pops interleaved between schedules so the wheel's
 //! cursor advances mid-stream. A second property pins the run loop's
 //! merge: a sorted arrival source handed to `run` fires exactly what
-//! scheduling the source first and then running fires.
+//! scheduling the source first and then running fires. Both also check
+//! the seqs the queue exposes: the popped event's, which a merged
+//! arrival does not have, and the next one `schedule` hands out.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,6 +23,8 @@ struct HeapModel {
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     scheduled: u64,
     popped: u64,
+    /// The seq of the event the last pop returned.
+    popped_seq: Option<u64>,
 }
 
 impl HeapModel {
@@ -39,7 +43,9 @@ impl HeapModel {
             return None;
         }
         self.popped += 1;
-        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+        let Reverse((at, seq, event)) = self.heap.pop()?;
+        self.popped_seq = Some(seq);
+        Some((at, event))
     }
 
     fn len(&self) -> usize {
@@ -80,6 +86,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Asserts that the wheel's popped seq and next seq are the model's.
+fn seqs_agree(wheel: &mut EventQueue<u32>, heap: &HeapModel) {
+    assert_eq!(wheel.popped_seq(), heap.popped_seq, "popped seqs differ");
+    assert_eq!(Scheduler::over(wheel).next_seq(), heap.scheduled);
+}
+
 fn drive(ops: &[Op]) {
     let mut wheel: EventQueue<u32> = EventQueue::new();
     let mut heap = HeapModel::default();
@@ -106,6 +118,7 @@ fn drive(ops: &[Op]) {
                     if a.is_none() {
                         break;
                     }
+                    seqs_agree(&mut wheel, &heap);
                 }
             }
             Op::PopUntil(t, n) => {
@@ -117,10 +130,12 @@ fn drive(ops: &[Op]) {
                     if a.is_none() {
                         break;
                     }
+                    seqs_agree(&mut wheel, &heap);
                 }
             }
         }
         assert_eq!(wheel.len(), heap.len());
+        seqs_agree(&mut wheel, &heap);
     }
     // Drain what remains; the full tail must agree too.
     loop {
@@ -175,6 +190,8 @@ const MAX_EVENTS: u32 = 600;
 struct Chain {
     next_id: u32,
     fired: Vec<(SimTime, u32)>,
+    /// The popped seq of each fired event.
+    seqs: Vec<Option<u64>>,
 }
 
 impl Chain {
@@ -198,6 +215,7 @@ impl Chain {
 impl World for Chain {
     type Event = u32;
     fn handle(&mut self, now: SimTime, payload: u32, sched: &mut Scheduler<'_, u32>) {
+        self.seqs.push(sched.popped_seq());
         for (at, follow_up) in self.react(now, payload) {
             sched.schedule_at(at, follow_up);
         }
@@ -231,6 +249,7 @@ fn merge_matches_prefill(source: &[u64], scheduled: &[u64], until: u64) -> Vec<(
     let mut merged = Chain {
         next_id: n,
         fired: Vec::new(),
+        seqs: Vec::new(),
     };
     let mut wheel: EventQueue<u32> = EventQueue::new();
     for (at, payload) in plan() {
@@ -241,18 +260,33 @@ fn merge_matches_prefill(source: &[u64], scheduled: &[u64], until: u64) -> Vec<(
     let mut prefilled = Chain {
         next_id: n,
         fired: Vec::new(),
+        seqs: Vec::new(),
     };
     let mut heap = HeapModel::default();
-    for (at, payload) in arrivals().filter(|&(at, _)| at <= until).chain(plan()) {
+    for (at, payload) in arrivals().filter(|&(at, _)| at <= until) {
+        heap.schedule(at, payload);
+    }
+    // The prefill scheduled the arrivals first; the wheel never saw them,
+    // so its seqs are the model's less that many, and an arrival has none.
+    let prefilled_arrivals = heap.scheduled;
+    for (at, payload) in plan() {
         heap.schedule(at, payload);
     }
     while let Some((now, payload)) = heap.pop_until(until) {
+        let seq = heap.popped_seq.expect("just popped");
+        prefilled.seqs.push(seq.checked_sub(prefilled_arrivals));
         for (at, follow_up) in prefilled.react(now, payload) {
             heap.schedule(at, follow_up);
         }
     }
 
     assert_eq!(merged.fired, prefilled.fired, "merge diverged from prefill");
+    assert_eq!(merged.seqs, prefilled.seqs, "popped seqs differ");
+    assert_eq!(
+        Scheduler::over(&mut wheel).next_seq() + prefilled_arrivals,
+        heap.scheduled,
+        "next seqs differ"
+    );
     assert_eq!(wheel.popped_total(), heap.popped, "events processed differ");
     assert_eq!(wheel.len(), heap.len(), "pending past the horizon differ");
     merged.fired

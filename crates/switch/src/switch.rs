@@ -137,7 +137,7 @@ pub enum SwitchOutput {
 }
 
 /// The edge switch state machine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EdgeSwitch {
     id: SwitchId,
     flow_table: FlowTable,
