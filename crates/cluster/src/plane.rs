@@ -2555,6 +2555,9 @@ impl ClusterControlPlane {
                         delay_ns,
                     ));
                 }
+                ControllerOutput::Flood { .. } => {
+                    unreachable!("a member runs the lazy controller, which never floods")
+                }
             }
         }
     }
@@ -2687,7 +2690,7 @@ mod tests {
                 alone.bootstrap(0, cliques(groups), &mut out);
                 let owned = out.take_buf().into_iter().filter_map(|o| match o {
                     ControllerOutput::ToSwitch(to, msg) => Some((to, msg)),
-                    ControllerOutput::SetTimer(..) => None,
+                    ControllerOutput::SetTimer(..) | ControllerOutput::Flood { .. } => None,
                 });
                 let owned: Vec<_> = owned
                     .filter(|(to, _)| plane.owner_of_switch(*to) == Some(id as u32))

@@ -140,28 +140,24 @@ impl BaselineController {
             }
             None => {
                 // Unknown destination: flood. The learning switch relays
-                // the packet to every other switch for local flooding —
-                // one action list and one packet buffer for all of them.
-                let flood: Arc<[Action]> = Arc::new([Action::Output(PortNo::FLOOD)]);
-                for i in 0..self.switches.len() {
-                    let s = self.switches[i];
-                    if s == from {
-                        continue;
-                    }
-                    let xid = self.next_xid();
-                    out.push(ControllerOutput::ToSwitch(
-                        s,
-                        Message::of(
-                            xid,
-                            OfMessage::PacketOut(PacketOutMsg {
-                                buffer_id: u32::MAX,
-                                in_port: PortNo::NONE,
-                                actions: Arc::clone(&flood),
-                                data: pi.data.clone(),
-                            }),
-                        ),
-                    ));
-                }
+                // the packet to every other switch for local flooding. One
+                // output stands for every copy, and the counter moves past
+                // the xids the copies carry.
+                let copies = self.switches.len() - usize::from(self.switches.contains(&from));
+                let first = self.xid.wrapping_add(1);
+                self.xid = self.xid.wrapping_add(copies as u32);
+                out.push(ControllerOutput::Flood {
+                    except: from,
+                    msg: Message::of(
+                        first,
+                        OfMessage::PacketOut(PacketOutMsg {
+                            buffer_id: u32::MAX,
+                            in_port: PortNo::NONE,
+                            actions: Arc::new([Action::Output(PortNo::FLOOD)]),
+                            data: pi.data.clone(),
+                        }),
+                    ),
+                });
             }
         }
     }
@@ -206,21 +202,32 @@ mod tests {
     #[test]
     fn unknown_destination_floods_everywhere_else() {
         let mut c = BaselineController::new(switches(4));
+        let first = c.xid + 1;
         let msg = Message::of(1, OfMessage::PacketIn(packet_in(10, 20)));
         let out = handle(&mut c, 0, SwitchId::new(0), &msg);
-        // Flood relayed to the 3 other switches.
-        assert_eq!(out.len(), 3);
-        for o in &out {
-            let ControllerOutput::ToSwitch(s, m) = o else {
-                panic!("unexpected output {o:?}")
-            };
-            assert_ne!(*s, SwitchId::new(0));
-            assert!(matches!(
-                &m.body,
-                lazyctrl_proto::MessageBody::Of(OfMessage::PacketOut(_))
-            ));
-        }
+        // One flood, relayed to the 3 other switches.
+        let [ControllerOutput::Flood { except, msg }] = &out[..] else {
+            panic!("expected one flood, got {out:?}")
+        };
+        assert_eq!(*except, SwitchId::new(0));
+        assert_eq!(msg.xid, first, "the first copy's xid");
+        let lazyctrl_proto::MessageBody::Of(OfMessage::PacketOut(po)) = &msg.body else {
+            panic!("expected a PacketOut, got {msg:?}")
+        };
+        assert_eq!(*po.actions, [Action::Output(PortNo::FLOOD)]);
+        assert_eq!(po.data, packet_in(10, 20).data);
         assert_eq!(c.hosts.len(), 1, "source learned");
+        // The copies used three xids, as three `next_xid`s would have.
+        let out = handle(
+            &mut c,
+            1,
+            SwitchId::new(1),
+            &Message::of(2, OfMessage::Hello),
+        );
+        let [ControllerOutput::ToSwitch(_, hello)] = &out[..] else {
+            panic!("expected a Hello, got {out:?}")
+        };
+        assert_eq!(hello.xid, first + 3);
     }
 
     #[test]

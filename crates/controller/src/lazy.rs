@@ -45,6 +45,17 @@ pub enum ControllerOutput {
     ToSwitch(SwitchId, Message),
     /// Arm a timer after the given delay (ns).
     SetTimer(ControllerTimer, u64),
+    /// Send a copy of `msg` to every switch the controller manages but
+    /// `except`, in id order, copy `i` stamped with xid `msg.xid + i`
+    /// (wrapping): the baseline's flood of an unknown destination. The
+    /// world expands it without a message per copy (DESIGN §7.6). The
+    /// lazy controller never floods.
+    Flood {
+        /// The switch that punted the frame.
+        except: SwitchId,
+        /// The first copy.
+        msg: Message,
+    },
 }
 
 /// Idle timeout (s) of every rule a controller installs: inter-group

@@ -22,7 +22,6 @@ use lazyctrl_obs::{
 };
 use lazyctrl_proto::{
     EventPlan, FlowModMsg, InjectedEvent, LazyMsg, Message, MessageBody, OfMessage, OutputSink,
-    PacketOutMsg,
 };
 use lazyctrl_sim::{
     BandwidthModel, ChannelClass, CounterId, LatencyModel, LinkId, LinkState, MetricsSink,
@@ -623,11 +622,6 @@ pub(crate) struct DataCenterWorld {
     /// engine, whose partitions schedule everything, and the eager
     /// oracle the counted path is tested against.
     eager: bool,
-    /// The last flooded `PacketOut` the current dispatch batch sent, with
-    /// its frame's effective switch. Every copy of a fan-out carries the
-    /// same bytes, so a batch decodes and looks up each distinct payload
-    /// once. Compared by content and cleared per batch, so exact.
-    flood_memo: Option<(PacketOutMsg, Option<SwitchId>)>,
 }
 
 impl DataCenterWorld {
@@ -768,7 +762,6 @@ impl DataCenterWorld {
             power_changes,
             inbox: (0..n).map(|_| BinaryHeap::new()).collect(),
             eager,
-            flood_memo: None,
         }
     }
 
@@ -1135,11 +1128,83 @@ impl DataCenterWorld {
         }
     }
 
+    /// Sends the baseline controller's flood (`ControllerOutput::Flood`):
+    /// a copy of `msg` to every switch of the fabric but `except`, in id
+    /// order, copy `i` with xid `msg.xid + i`. Every copy passes the link
+    /// gate as `send_to_switch` passes it, but the frame is decoded and
+    /// its effective switch found once per flood, and a copy that does
+    /// nothing where it lands is counted without a `Message` being built
+    /// for it (DESIGN §7.6). The eager path sends every copy as its own
+    /// message.
+    fn send_flood(
+        &mut self,
+        now: SimTime,
+        service: SimDuration,
+        except: SwitchId,
+        msg: Message,
+        sched: &mut Scheduler<'_, Ev>,
+    ) {
+        let target = if self.eager {
+            None
+        } else {
+            self.flood_target(&msg)
+        };
+        let copy = |xid| Message {
+            xid,
+            body: msg.body.clone(),
+        };
+        let mut next_xid = msg.xid;
+        for to in (0..self.switches.len() as u32).map(SwitchId::new) {
+            if to == except {
+                continue;
+            }
+            let xid = next_xid;
+            next_xid = next_xid.wrapping_add(1);
+            let Some(effective) = target else {
+                self.send_to_switch(now, None, service, to, copy(xid), sched);
+                continue;
+            };
+            let link = LinkId::new(SwitchId::CONTROLLER.0, to.0, ChannelClass::Control);
+            let record = || {
+                let (id, kind) = (message_trace_id(&msg), to_switch_kind(&msg));
+                (id, kind, ts::CONTROLLER, to.0, 0)
+            };
+            let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) else {
+                continue;
+            };
+            let lands = now + service + delay;
+            if self.idle_copy(now, lands, to, effective) {
+                self.count_unscheduled(self.ctr.flood_copies_counted, lands);
+                continue;
+            }
+            let ev = Ev::MsgToSwitch {
+                to,
+                from: SwitchId::CONTROLLER,
+                msg: copy(xid),
+            };
+            self.route_to_switch(now, service + delay, to, ev, sched);
+        }
+    }
+
+    /// For a `PacketOut` that only floods (`floods_only`): the one switch
+    /// where a copy of it does anything, its frame's effective switch,
+    /// or `Some(None)` when there is none — bytes that do not decode
+    /// included, as the switch drops them. `None` for any other message.
+    fn flood_target(&self, msg: &Message) -> Option<Option<SwitchId>> {
+        let Some(OfMessage::PacketOut(po)) = msg.as_of() else {
+            return None;
+        };
+        if !floods_only(&po.actions) {
+            return None;
+        }
+        let frame = EthernetFrame::decode(&po.data).ok();
+        Some(frame.and_then(|f| self.flood_effect(&f)).map(|(at, _)| at))
+    }
+
     /// True when the controller's `msg`, sent at `now` and landing at
     /// switch `to` at `lands`, provably does nothing there: a `PacketOut`
-    /// that only floods (`floods_only`), to a switch other than its
-    /// frame's effective switch, with no host migration due before it
-    /// lands.
+    /// that only floods, to a switch other than its frame's effective
+    /// switch, with no host migration due before it lands.
     fn reaches_no_host(
         &mut self,
         now: SimTime,
@@ -1147,23 +1212,22 @@ impl DataCenterWorld {
         to: SwitchId,
         msg: &Message,
     ) -> bool {
-        let Some(OfMessage::PacketOut(po)) = msg.as_of() else {
-            return false;
-        };
-        if !floods_only(&po.actions) || self.migrations.due(now, lands) {
-            return false;
-        }
-        let effective = match &self.flood_memo {
-            Some((last, at)) if last.data == po.data => *at,
-            _ => {
-                // Bytes that do not decode: the switch drops them.
-                let frame = EthernetFrame::decode(&po.data).ok();
-                let at = frame.and_then(|f| self.flood_effect(&f)).map(|(at, _)| at);
-                self.flood_memo = Some((po.clone(), at));
-                at
-            }
-        };
-        effective != Some(to)
+        self.flood_target(msg)
+            .is_some_and(|effective| self.idle_copy(now, lands, to, effective))
+    }
+
+    /// True when a flood copy sent at `now` that lands at switch `to` at
+    /// `lands` does nothing there: `to` is not the flood's `effective`
+    /// switch, and no host migration, which could move that switch, is
+    /// due in `[now, lands]`.
+    fn idle_copy(
+        &mut self,
+        now: SimTime,
+        lands: SimTime,
+        to: SwitchId,
+        effective: Option<SwitchId>,
+    ) -> bool {
+        effective != Some(to) && !self.migrations.due(now, lands)
     }
 
     /// True when a keep-alive or `FlowMod` sent at `now` that lands at
@@ -1257,12 +1321,14 @@ impl DataCenterWorld {
         // Model controller processing: outputs leave after the current
         // service time, the same for the whole batch.
         let service = self.controller.service_time(None, now);
-        self.flood_memo = None;
         let mut buf = self.ctrl_sink.take_buf();
         for out in buf.drain(..) {
             match out {
                 ControllerOutput::ToSwitch(to, msg) => {
                     self.send_to_switch(now, None, service, to, msg, sched);
+                }
+                ControllerOutput::Flood { except, msg } => {
+                    self.send_flood(now, service, except, msg, sched);
                 }
                 ControllerOutput::SetTimer(timer, delay_ns) => {
                     sched.schedule_in(
@@ -1294,7 +1360,6 @@ impl DataCenterWorld {
                 service
             }
         };
-        self.flood_memo = None;
         for out in buf.drain(..) {
             match out {
                 ClusterOutput::ToSwitch { from, to, msg } => {
@@ -1911,7 +1976,6 @@ impl DataCenterWorld {
                     .map(|_| BinaryHeap::new())
                     .collect(),
                 eager: true,
-                flood_memo: None,
                 cfg,
             });
         }
@@ -2232,6 +2296,7 @@ impl World for DataCenterWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazyctrl_proto::PacketOutMsg;
 
     /// The driver-level layout contract: a scheduled `Ev` is copied into
     /// and out of the payload slab once per event, so its inline size is
@@ -2420,13 +2485,9 @@ mod tests {
         Message::of(0, OfMessage::PacketOut(po))
     }
 
-    /// The counting rule against the eager path. Every kind of frame the
-    /// controller may flood goes as a `PacketOut` to every switch: a copy
-    /// is counted exactly when delivering it for real — the switch, then
-    /// `handle_flood` — schedules nothing and bumps no counter. One world
-    /// judges every copy in turn, so a stale memo would show too.
-    #[test]
-    fn counted_flood_copies_are_exactly_those_that_do_nothing() {
+    /// Every kind of frame a controller may flood, encoded, with the one
+    /// switch of `flood_world` where its flood does something.
+    fn flood_frames(world: &DataCenterWorld) -> [(&'static str, Vec<u8>, Option<u32>); 7] {
         let host = HostId::new;
         let tagged = |src: HostId, dst: MacAddr, ethertype, payload: Vec<u8>| {
             EthernetFrame::tagged(
@@ -2447,10 +2508,8 @@ mod tests {
             let arp = lazyctrl_net::ArpPacket::reply_to(&arp, host(3).mac());
             tagged(host(3), host(0).mac(), EtherType::ARP, arp.encode())
         };
-        let judge = &mut flood_world();
-        let unicast = |dst: u32| judge.frame_for_flow(host(0), host(dst), 0).encode();
-        // (frame, the one switch where its flood does something)
-        let frames: [(&str, Vec<u8>, Option<u32>); 7] = [
+        let unicast = |dst: u32| world.frame_for_flow(host(0), host(dst), 0).encode();
+        [
             ("ARP request", request(host(3)), Some(1)),
             ("ARP request for an absent host", request(host(40)), None),
             ("ARP reply", reply, None),
@@ -2462,13 +2521,24 @@ mod tests {
                 None,
             ),
             ("undecodable bytes", vec![0xff; 5], None),
-        ];
+        ]
+    }
+
+    /// The counting rule against the eager path. Every kind of frame the
+    /// controller may flood goes as a `PacketOut` to every switch: a copy
+    /// is counted exactly when delivering it for real — the switch, then
+    /// `handle_flood` — schedules nothing and bumps no counter. One world
+    /// judges every copy in turn, so state left by one judgement would
+    /// show in the next.
+    #[test]
+    fn counted_flood_copies_are_exactly_those_that_do_nothing() {
+        let judge = &mut flood_world();
         let (sent, lands) = (
             SimTime::from_secs(1),
             SimTime::from_secs(1) + SimDuration::from_millis(1),
         );
         let flood = lazyctrl_proto::Action::Output(PortNo::FLOOD);
-        for (name, bytes, effective) in frames {
+        for (name, bytes, effective) in flood_frames(judge) {
             let msg = packet_out(&[flood], bytes);
             for to in (0..3).map(SwitchId::new) {
                 let counted = judge.reaches_no_host(sent, lands, to, &msg);
@@ -2520,6 +2590,116 @@ mod tests {
         assert!(counted(&mut world, 6, 19), "between the two");
         assert!(!counted(&mut world, 19, 25), "across the second");
         assert!(counted(&mut world, 21, 30), "after both");
+    }
+
+    /// A baseline flood expands to exactly what its copies did when the
+    /// controller sent each as its own `ToSwitch` output, in id order
+    /// with consecutive xids: the same next RNG draw, counters and
+    /// scheduled events, the effective switch's copy carrying its own
+    /// xid and the flood's bytes. It holds on the counted path, with a
+    /// migration due while the copies are in flight, and on the eager
+    /// path. The first xid wraps within the flood.
+    #[test]
+    fn a_flood_expands_to_the_copies_it_stands_for() {
+        const NOW: SimTime = SimTime::from_secs(1);
+        let run = |setup: &str, outputs: Vec<ControllerOutput>| {
+            let mut world = flood_world();
+            world.horizon = SimTime::MAX;
+            match setup {
+                "migration due" => {
+                    world.migrations = PlanCursor {
+                        times: vec![NOW],
+                        next: 0,
+                    }
+                }
+                "eager" => world.eager = true,
+                _ => {}
+            }
+            for out in outputs {
+                world.ctrl_sink.push(out);
+            }
+            let mut queue = lazyctrl_sim::EventQueue::new();
+            world.dispatch_controller_outputs(NOW, &mut Scheduler::over(&mut queue));
+            let events: Vec<_> = std::iter::from_fn(|| queue.pop())
+                .map(|ev| format!("{ev:?}"))
+                .collect();
+            let counters: Vec<_> = world.metrics.counters().collect();
+            let scheduled = events
+                .iter()
+                .filter(|ev| ev.contains("MsgToSwitch"))
+                .count();
+            (world.rng.gen::<u64>(), counters, events, scheduled)
+        };
+        let flood = lazyctrl_proto::Action::Output(PortNo::FLOOD);
+        for setup in ["counted", "migration due", "eager"] {
+            for (name, bytes, effective) in flood_frames(&flood_world()) {
+                for except in (0..3).map(SwitchId::new) {
+                    let mut msg = packet_out(&[flood], bytes.clone());
+                    msg.xid = u32::MAX;
+                    let copies = (0..3)
+                        .map(SwitchId::new)
+                        .filter(|&to| to != except)
+                        .zip(0..)
+                        .map(|(to, i)| {
+                            let copy = Message {
+                                xid: msg.xid.wrapping_add(i),
+                                body: msg.body.clone(),
+                            };
+                            ControllerOutput::ToSwitch(to, copy)
+                        })
+                        .collect();
+                    let expanded = run(setup, vec![ControllerOutput::Flood { except, msg }]);
+                    let context = format!("{setup}: {name}, except switch {except}");
+                    assert_eq!(expanded, run(setup, copies), "{context}");
+                    let acts = effective.is_some_and(|at| at != except.0);
+                    let want = if setup == "counted" {
+                        usize::from(acts)
+                    } else {
+                        2
+                    };
+                    assert_eq!(expanded.3, want, "{context}: copies scheduled");
+                }
+            }
+        }
+    }
+
+    /// The world's baseline controller and its expansion agree on the
+    /// copies: a punt from switch 0 floods to switches 1 and 2 in that
+    /// order, with consecutive xids, and the controller's next message
+    /// takes the xid after the last copy's.
+    #[test]
+    fn a_baseline_flood_spends_exactly_the_xids_its_copies_carry() {
+        let mut world = flood_world();
+        world.eager = true;
+        let frame = world.frame_for_flow(HostId::new(0), HostId::new(5), 0);
+        let punt = lazyctrl_proto::PacketInMsg {
+            buffer_id: u32::MAX,
+            in_port: PortNo::new(1),
+            reason: lazyctrl_proto::PacketInReason::NoMatch,
+            data: frame.encode().into(),
+        };
+        let mut queue = lazyctrl_sim::EventQueue::new();
+        for (from, msg) in [
+            (0, Message::of(1, OfMessage::PacketIn(punt))),
+            (1, Message::of(2, OfMessage::Hello)),
+        ] {
+            let ev = Ev::MsgToController {
+                from: SwitchId::new(from),
+                msg,
+            };
+            world.dispatch_event(SimTime::from_secs(1), ev, &mut Scheduler::over(&mut queue));
+        }
+        // (xid, to, is a Hello) of everything sent to a switch.
+        let mut sent: Vec<_> = std::iter::from_fn(|| queue.pop())
+            .filter_map(|(_, ev)| match ev {
+                Ev::MsgToSwitch { to, msg, .. } => {
+                    Some((msg.xid, to.0, matches!(msg.as_of(), Some(OfMessage::Hello))))
+                }
+                _ => None,
+            })
+            .collect();
+        sent.sort();
+        assert_eq!(sent, [(1, 1, false), (2, 2, false), (3, 1, true)]);
     }
 
     /// Regression for the sharded engine's replicated-RNG lockstep:

@@ -2,8 +2,9 @@
 //! paths.
 //!
 //! A counting global allocator over `System` counts every heap allocation
-//! in this test binary. The file holds a single test so no other test's
-//! allocations land in the count.
+//! the test's own thread makes, so the harness's other threads cannot
+//! charge the code being measured. The file holds a single test so no
+//! other test's allocations land in the count.
 //!
 //! A query runs on every fresh ARP and every first packet that misses the
 //! L-FIB: it must probe the bank without allocating once the caller's
@@ -11,13 +12,28 @@
 //! geometry must overwrite the words it already holds in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lazyctrl_net::{MacAddr, SwitchId};
 use lazyctrl_switch::{build_gfib_update, Gfib};
 
-/// Heap allocations (and reallocations) made by this process so far.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations (and reallocations) made by this thread so far.
+    /// Const-initialised and without a destructor, so reading it never
+    /// allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread.
+fn count() {
+    // Fails only while the thread's locals are torn down, after the test.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocated() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct Counting;
 
@@ -25,19 +41,19 @@ struct Counting;
 // upholds the `GlobalAlloc` contract; counting touches no allocation.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `realloc`'s contract: `ptr` came from
         // this allocator with `layout`, and `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -59,9 +75,9 @@ const QUERIES: u64 = 10_000;
 
 /// Allocations `f` makes.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated();
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocated() - before
 }
 
 #[test]
