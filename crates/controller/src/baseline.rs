@@ -8,6 +8,8 @@
 //! both endpoints are known installs an `Encap` rule on the ingress switch
 //! so the flow's remaining packets ride the underlay directly.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use lazyctrl_net::{EthernetFrame, MacAddr, PortNo, SwitchId};
@@ -20,11 +22,59 @@ use serde::{Deserialize, Serialize};
 use crate::lazy::{ControllerOutput, FLOW_IDLE_TIMEOUT_S};
 use crate::WorkloadMeter;
 
+/// Build-hasher for the controller's tables. Their keys are a MAC's six
+/// octets or a switch id, taken from frames and ids the simulator itself
+/// generates, so the standard library's collision-resistant SipHash is
+/// pure overhead on the per-`PacketIn` path; this one packs the bytes
+/// into a word and applies the splitmix64 finalizer, as the simulator's
+/// bandwidth table does in a crate this one does not depend on. Nothing
+/// iterates the tables, so hash order reaches no output.
+#[derive(Debug, Clone, Copy, Default)]
+struct TableHash;
+
+impl BuildHasher for TableHash {
+    type Hasher = TableHasher;
+
+    fn build_hasher(&self) -> TableHasher {
+        TableHasher(0)
+    }
+}
+
+/// Rotates everything written into one word; [`Hasher::finish`] mixes it.
+struct TableHasher(u64);
+
+impl Hasher for TableHasher {
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.0 = self.0.rotate_left(32) ^ v as u64;
+    }
+}
+
 /// Floodlight-style reactive learning controller.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BaselineController {
-    switches: Vec<SwitchId>,
-    hosts: std::collections::BTreeMap<MacAddr, (SwitchId, PortNo)>,
+    /// The switches it manages: a flood goes to each of them but the one
+    /// that punted.
+    switches: HashSet<SwitchId, TableHash>,
+    /// Where each learned source MAC was last seen. It grows by one
+    /// entry per distinct MAC, whatever the MAC's bytes say.
+    hosts: HashMap<MacAddr, (SwitchId, PortNo), TableHash>,
     meter: WorkloadMeter,
     xid: u32,
 }
@@ -33,8 +83,8 @@ impl BaselineController {
     /// Creates the controller managing the given switches.
     pub fn new(switches: Vec<SwitchId>) -> Self {
         BaselineController {
-            switches,
-            hosts: std::collections::BTreeMap::new(),
+            switches: switches.into_iter().collect(),
+            hosts: HashMap::default(),
             meter: WorkloadMeter::new(),
             xid: 0,
         }
@@ -228,6 +278,162 @@ mod tests {
             panic!("expected a Hello, got {out:?}")
         };
         assert_eq!(hello.xid, first + 3);
+    }
+
+    /// A punt from a switch the controller does not manage floods to
+    /// every managed switch, so the flood spends n xids, not n − 1.
+    #[test]
+    fn a_flood_from_an_unmanaged_switch_spends_every_xid() {
+        let mut c = BaselineController::new(switches(4));
+        let first = c.xid + 1;
+        let msg = Message::of(1, OfMessage::PacketIn(packet_in(10, 20)));
+        let out = handle(&mut c, 0, SwitchId::new(9), &msg);
+        assert!(
+            matches!(&out[..], [ControllerOutput::Flood { except, msg }]
+                if *except == SwitchId::new(9) && msg.xid == first),
+            "{out:?}"
+        );
+        let out = handle(
+            &mut c,
+            1,
+            SwitchId::new(1),
+            &Message::of(2, OfMessage::Hello),
+        );
+        let [ControllerOutput::ToSwitch(_, hello)] = &out[..] else {
+            panic!("expected a Hello, got {out:?}")
+        };
+        assert_eq!(hello.xid, first + 4);
+    }
+
+    /// The learning rule over a `BTreeMap` host table and a scanned
+    /// switch list: the oracle for the hashed tables.
+    struct Reference {
+        switches: Vec<SwitchId>,
+        hosts: std::collections::BTreeMap<MacAddr, (SwitchId, PortNo)>,
+        xid: u32,
+    }
+
+    impl Reference {
+        fn next_xid(&mut self) -> u32 {
+            self.xid = self.xid.wrapping_add(1);
+            self.xid
+        }
+
+        fn handle(&mut self, from: SwitchId, msg: &Message) -> Vec<ControllerOutput> {
+            let to = |xid, body| ControllerOutput::ToSwitch(from, Message::of(xid, body));
+            let pi = match msg.as_of() {
+                Some(OfMessage::PacketIn(pi)) => pi,
+                Some(OfMessage::Hello) => return vec![to(self.next_xid(), OfMessage::Hello)],
+                Some(OfMessage::EchoRequest(data)) => {
+                    return vec![to(self.next_xid(), OfMessage::EchoReply(data.clone()))]
+                }
+                _ => return Vec::new(),
+            };
+            let Ok(frame) = EthernetFrame::decode(&pi.data) else {
+                return Vec::new();
+            };
+            self.hosts.insert(frame.src, (from, pi.in_port));
+            let Some(&(at, port)) = self.hosts.get(&frame.dst) else {
+                let copies = self.switches.iter().filter(|&&s| s != from).count();
+                let first = self.xid.wrapping_add(1);
+                self.xid = self.xid.wrapping_add(copies as u32);
+                let po = PacketOutMsg {
+                    buffer_id: u32::MAX,
+                    in_port: PortNo::NONE,
+                    actions: Arc::new([Action::Output(PortNo::FLOOD)]),
+                    data: pi.data.clone(),
+                };
+                let msg = Message::of(first, OfMessage::PacketOut(po));
+                return vec![ControllerOutput::Flood { except: from, msg }];
+            };
+            let actions: Arc<[Action]> = if at == from {
+                Arc::new([Action::Output(port)])
+            } else {
+                Arc::new([Action::Encap {
+                    remote: at.underlay_ip(),
+                    key: 0,
+                }])
+            };
+            let fm = FlowModMsg {
+                command: FlowModCommand::Add,
+                flow_match: FlowMatch::to_dst(frame.dst),
+                priority: 10,
+                idle_timeout: FLOW_IDLE_TIMEOUT_S,
+                hard_timeout: 0,
+                cookie: 0,
+                actions: Arc::clone(&actions),
+            };
+            let po = PacketOutMsg {
+                buffer_id: pi.buffer_id,
+                in_port: pi.in_port,
+                actions,
+                data: pi.data.clone(),
+            };
+            vec![
+                to(self.next_xid(), OfMessage::flow_mod(fm)),
+                to(self.next_xid(), OfMessage::PacketOut(po)),
+            ]
+        }
+    }
+
+    /// The MACs a punted frame may carry: simulator hosts, broadcast,
+    /// multicast, the zero address and a foreign unicast address.
+    fn mac(i: usize) -> MacAddr {
+        match i {
+            0..=5 => HostId::new(i as u32).mac(),
+            6 => MacAddr::BROADCAST,
+            7 => MacAddr::new([0x01, 0x00, 0x5e, 0, 0, 1]),
+            8 => MacAddr::ZERO,
+            _ => MacAddr::new([0x00, 0x1b, 0x21, 0xab, 0xcd, 0xef]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over random message sequences — hosts seen, re-learned at
+        /// another switch, broadcast and foreign MACs, punts from a
+        /// switch it does not manage, undecodable bytes, Hellos and
+        /// echoes — the hashed tables answer what the `BTreeMap` ones do.
+        #[test]
+        fn hashed_tables_match_the_btreemap_reference(
+            steps in proptest::collection::vec(
+                (0u8..10, 0u32..6, 0usize..10, 0usize..10, 1u16..4),
+                1..60,
+            ),
+        ) {
+            let mut c = BaselineController::new(switches(5));
+            let mut reference = Reference {
+                switches: switches(5),
+                hosts: Default::default(),
+                xid: 0,
+            };
+            for (i, &(kind, from, src, dst, port)) in steps.iter().enumerate() {
+                let body = match kind {
+                    0 => OfMessage::Hello,
+                    1 => OfMessage::EchoRequest(vec![kind, port as u8]),
+                    2 => OfMessage::PacketIn(PacketInMsg {
+                        buffer_id: u32::MAX,
+                        in_port: PortNo::new(port),
+                        reason: PacketInReason::NoMatch,
+                        data: vec![0xff; 5].into(),
+                    }),
+                    _ => {
+                        let frame = EthernetFrame::new(mac(src), mac(dst), EtherType::IPV4, vec![0; 20]);
+                        OfMessage::PacketIn(PacketInMsg {
+                            buffer_id: i as u32,
+                            in_port: PortNo::new(port),
+                            reason: PacketInReason::NoMatch,
+                            data: frame.encode().into(),
+                        })
+                    }
+                };
+                let (from, msg) = (SwitchId::new(from), Message::of(i as u32, body));
+                let out = handle(&mut c, i as u64, from, &msg);
+                proptest::prop_assert_eq!(out, reference.handle(from, &msg), "step {}", i);
+            }
+            proptest::prop_assert_eq!(c.hosts.len(), reference.hosts.len());
+        }
     }
 
     #[test]

@@ -1134,7 +1134,8 @@ impl DataCenterWorld {
     /// gate as `send_to_switch` passes it, but the frame is decoded and
     /// its effective switch found once per flood, and a copy that does
     /// nothing where it lands is counted without a `Message` being built
-    /// for it (DESIGN §7.6). The eager path sends every copy as its own
+    /// for it — in one batch when [`Self::flood_batch_lands_by`] allows
+    /// it (DESIGN §7.6). The eager path sends every copy as its own
     /// message.
     fn send_flood(
         &mut self,
@@ -1153,6 +1154,34 @@ impl DataCenterWorld {
             xid,
             body: msg.body.clone(),
         };
+        if let Some(effective) = target.filter(|_| self.flood_batch_lands_by(now, service)) {
+            // Every copy that passes the gate lands by the horizon with
+            // no migration due, so the idle ones are counted together:
+            // each advances the stream by its latency draw's steps, and
+            // only the effective switch's copy, if it is reached, is
+            // sampled and built, at its own place in the stream.
+            let n = self.switches.len() as u32;
+            let at = effective.filter(|&e| e != except && e.0 < n && self.reaches(e));
+            let before = self.flood_copies_reached(0..at.map_or(n, |e| e.0), except);
+            self.latency.skip(before, &mut self.rng);
+            let mut after = 0;
+            if let Some(to) = at {
+                let delay = self.latency.sample(ChannelClass::Control, &mut self.rng);
+                let position = to.0 - u32::from(except.0 < to.0);
+                let ev = Ev::MsgToSwitch {
+                    to,
+                    from: SwitchId::CONTROLLER,
+                    msg: copy(msg.xid.wrapping_add(position)),
+                };
+                self.route_to_switch(now, service + delay, to, ev, sched);
+                after = self.flood_copies_reached(to.0 + 1..n, except);
+                self.latency.skip(after, &mut self.rng);
+            }
+            self.metrics
+                .bump(self.ctr.flood_copies_counted, before + after);
+            self.counted_events += before + after;
+            return;
+        }
         let mut next_xid = msg.xid;
         for to in (0..self.switches.len() as u32).map(SwitchId::new) {
             if to == except {
@@ -1184,6 +1213,44 @@ impl DataCenterWorld {
             };
             self.route_to_switch(now, service + delay, to, ev, sched);
         }
+    }
+
+    /// True when a flood the controller sends at `now` after `service`
+    /// may count its idle copies in one batch: every copy's gate is then
+    /// its reachability and one latency draw, and every copy it passes
+    /// lands by the horizon with no host migration due, so is counted
+    /// exactly as the per-copy path counts it. That needs tracing off (no
+    /// record per copy), a lossless (no loss draw) and uncapacitated (no
+    /// watermark) Control class, and the latest landing the latency model
+    /// allows, `now + service + max_sample`, by the horizon and before
+    /// any migration.
+    fn flood_batch_lands_by(&mut self, now: SimTime, service: SimDuration) -> bool {
+        if self.obs.is_some()
+            || !self.links.lossless(ChannelClass::Control)
+            || self.bandwidth.class_enabled(ChannelClass::Control)
+        {
+            return false;
+        }
+        let latest = now + service + self.latency.max_sample(ChannelClass::Control);
+        latest <= self.horizon && !self.migrations.due(now, latest)
+    }
+
+    /// True when the controller's Control link to `to` is up.
+    fn reaches(&self, to: SwitchId) -> bool {
+        let link = LinkId::new(SwitchId::CONTROLLER.0, to.0, ChannelClass::Control);
+        self.links.is_up(link)
+    }
+
+    /// How many of the switches `ids` but `except` the controller
+    /// reaches: each one's reachability, decided at once while every
+    /// node is up and no partition is in force.
+    fn flood_copies_reached(&self, ids: std::ops::Range<u32>, except: SwitchId) -> u64 {
+        if self.links.all_up() {
+            return (ids.len() - usize::from(ids.contains(&except.0))) as u64;
+        }
+        ids.map(SwitchId::new)
+            .filter(|&to| to != except && self.reaches(to))
+            .count() as u64
     }
 
     /// For a `PacketOut` that only floods (`floods_only`): the one switch
@@ -2460,10 +2527,16 @@ mod tests {
     /// Three switches with two hosts each (host `h` on switch `h / 2`),
     /// plain OpenFlow, no traffic and no plan.
     fn flood_world() -> DataCenterWorld {
+        wide_flood_world(3, ExperimentConfig::new(ControlMode::Baseline))
+    }
+
+    /// [`flood_world`] with `num_switches` switches, those past the
+    /// third without hosts, under `cfg`.
+    fn wide_flood_world(num_switches: usize, cfg: ExperimentConfig) -> DataCenterWorld {
         let trace = Trace {
             name: "flood".to_owned(),
             topology: lazyctrl_trace::Topology {
-                num_switches: 3,
+                num_switches,
                 host_switch: (0..6).map(|h| SwitchId::new(h / 2)).collect(),
                 host_tenant: vec![TenantId::new(1); 6],
             },
@@ -2471,7 +2544,7 @@ mod tests {
             duration_ns: 0,
             nominal: Default::default(),
         };
-        DataCenterWorld::new(trace, ExperimentConfig::new(ControlMode::Baseline))
+        DataCenterWorld::new(trace, cfg)
     }
 
     /// A controller `PacketOut` of `data` with these actions.
@@ -2594,27 +2667,58 @@ mod tests {
 
     /// A baseline flood expands to exactly what its copies did when the
     /// controller sent each as its own `ToSwitch` output, in id order
-    /// with consecutive xids: the same next RNG draw, counters and
-    /// scheduled events, the effective switch's copy carrying its own
-    /// xid and the flood's bytes. It holds on the counted path, with a
-    /// migration due while the copies are in flight, and on the eager
-    /// path. The first xid wraps within the flood.
+    /// with consecutive xids: the same next RNG draw, counters, counted
+    /// events, trace records and scheduled events, the effective switch's
+    /// copy carrying its own xid and the flood's bytes. It holds where the
+    /// idle copies are counted in one batch, also with crashed receivers
+    /// (an idle one, the effective one) among them; under each condition
+    /// that sends the flood down the per-copy gate instead; and on the
+    /// eager path. Twelve switches, so that some of the eleven copies
+    /// land after the base latency and the two bounds set there — a
+    /// horizon, a migration — split the copies. The first xid wraps
+    /// within the flood.
     #[test]
     fn a_flood_expands_to_the_copies_it_stands_for() {
         const NOW: SimTime = SimTime::from_secs(1);
-        let run = |setup: &str, outputs: Vec<ControllerOutput>| {
-            let mut world = flood_world();
+        const SWITCHES: u32 = 12;
+        let control = ChannelClass::Control;
+        // Just past the latest landing at the base latency, and so before
+        // the latest the jitter allows.
+        let past_base = {
+            let w = flood_world();
+            let service = w.controller.service_time(None, NOW);
+            assert!(w.latency.max_sample(control) > w.latency.control);
+            NOW + service + w.latency.control
+        };
+        let world_for = |setup: &str| {
+            let mut cfg = ExperimentConfig::new(ControlMode::Baseline);
+            if setup == "tracing on" {
+                cfg = cfg.with_obs(lazyctrl_obs::ObsConfig::full());
+            }
+            let mut world = wide_flood_world(SWITCHES as usize, cfg);
             world.horizon = SimTime::MAX;
             match setup {
-                "migration due" => {
+                "batch" | "tracing on" => {}
+                "receivers down" => {
+                    world.links.set_node_down(1, true);
+                    world.links.set_node_down(4, true);
+                }
+                "lossy Control" => world.links.set_class_loss(control, 0.25),
+                "capacitated Control" => world.bandwidth.set_capacity(control, Some(1_000_000)),
+                "horizon before the latest landing" => world.horizon = past_base,
+                "migration before the latest landing" => {
                     world.migrations = PlanCursor {
-                        times: vec![NOW],
+                        times: vec![past_base + SimDuration::from_nanos(1)],
                         next: 0,
                     }
                 }
                 "eager" => world.eager = true,
-                _ => {}
+                other => unreachable!("{other}"),
             }
+            world
+        };
+        let run = |setup: &str, outputs: Vec<ControllerOutput>| {
+            let mut world = world_for(setup);
             for out in outputs {
                 world.ctrl_sink.push(out);
             }
@@ -2624,19 +2728,45 @@ mod tests {
                 .map(|ev| format!("{ev:?}"))
                 .collect();
             let counters: Vec<_> = world.metrics.counters().collect();
+            let records: Vec<_> = world
+                .obs
+                .iter()
+                .flat_map(|obs| obs.recorder.iter().copied())
+                .collect();
             let scheduled = events
                 .iter()
                 .filter(|ev| ev.contains("MsgToSwitch"))
                 .count();
-            (world.rng.gen::<u64>(), counters, events, scheduled)
+            let counted = world.counted_events;
+            (
+                world.rng.gen::<u64>(),
+                counters,
+                counted,
+                records,
+                events,
+                scheduled,
+            )
         };
         let flood = lazyctrl_proto::Action::Output(PortNo::FLOOD);
-        for setup in ["counted", "migration due", "eager"] {
+        for (setup, batch) in [
+            ("batch", true),
+            ("receivers down", true),
+            ("tracing on", false),
+            ("lossy Control", false),
+            ("capacitated Control", false),
+            ("horizon before the latest landing", false),
+            ("migration before the latest landing", false),
+            ("eager", false),
+        ] {
+            let mut world = world_for(setup);
+            let service = world.controller.service_time(None, NOW);
+            let batched = !world.eager && world.flood_batch_lands_by(NOW, service);
+            assert_eq!(batched, batch, "{setup}: batch taken");
             for (name, bytes, effective) in flood_frames(&flood_world()) {
-                for except in (0..3).map(SwitchId::new) {
+                for except in [0, 1, 2, 4, SWITCHES - 1].map(SwitchId::new) {
                     let mut msg = packet_out(&[flood], bytes.clone());
-                    msg.xid = u32::MAX;
-                    let copies = (0..3)
+                    msg.xid = u32::MAX - 3;
+                    let copies = (0..SWITCHES)
                         .map(SwitchId::new)
                         .filter(|&to| to != except)
                         .zip(0..)
@@ -2651,13 +2781,29 @@ mod tests {
                     let expanded = run(setup, vec![ControllerOutput::Flood { except, msg }]);
                     let context = format!("{setup}: {name}, except switch {except}");
                     assert_eq!(expanded, run(setup, copies), "{context}");
-                    let acts = effective.is_some_and(|at| at != except.0);
-                    let want = if setup == "counted" {
-                        usize::from(acts)
-                    } else {
-                        2
-                    };
-                    assert_eq!(expanded.3, want, "{context}: copies scheduled");
+                    let down = |to| setup == "receivers down" && [1, 4].contains(&to);
+                    let reached = (0..SWITCHES).filter(|&to| to != except.0 && !down(to));
+                    let acts = effective.is_some_and(|at| at != except.0 && !down(at));
+                    let (scheduled, counted) = (expanded.5, expanded.2);
+                    match setup {
+                        "batch" | "receivers down" => {
+                            assert_eq!(scheduled, usize::from(acts), "{context}: scheduled");
+                            let idle = reached.count() - usize::from(acts);
+                            assert_eq!(counted as usize, idle, "{context}: counted");
+                        }
+                        "eager" => assert_eq!(scheduled, reached.count(), "{context}"),
+                        // Some idle copies land after the horizon, so
+                        // are not counted…
+                        "horizon before the latest landing" => {
+                            let idle = reached.count() - usize::from(acts);
+                            assert!((counted as usize) < idle, "{context}: {counted}");
+                        }
+                        // …or after the migration, so are scheduled.
+                        "migration before the latest landing" => {
+                            assert!(scheduled > usize::from(acts), "{context}: {scheduled}");
+                        }
+                        _ => {}
+                    }
                 }
             }
         }

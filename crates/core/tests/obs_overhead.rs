@@ -1,5 +1,7 @@
 //! The tracing-overhead gate: a fully traced run may cost at most 10 %
 //! more wall time than the same run untraced, and must report the same.
+//! Each side is timed five times, alternating, and judged by its fastest
+//! run.
 //!
 //! A single-test binary, so no other test competes for the cores while it
 //! times. Debug builds skip it (their timings say nothing about the
@@ -27,23 +29,30 @@ fn timed_run(trace: &Trace, traced: bool) -> (f64, DetailedRun) {
     (t0.elapsed().as_secs_f64(), run)
 }
 
+/// Untraced and traced runs, alternated, on each side.
+const RUNS_PER_SIDE: usize = 5;
+
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn tracing_costs_at_most_ten_percent() {
     let trace = generate(&SyntheticConfig::syn_a().scaled_down(8));
-    // Interleaved untraced / traced / untraced / traced, best of two on
-    // each side, so machine drift during the test hits both alike.
-    let (plain_a, plain) = timed_run(&trace, false);
-    let (traced_a, traced) = timed_run(&trace, true);
-    let (plain_b, _) = timed_run(&trace, false);
-    let (traced_b, _) = timed_run(&trace, true);
-    assert_eq!(plain.report, traced.report, "tracing changed the report");
-    let ratio = traced_a.min(traced_b) / plain_a.min(plain_b);
+    // Alternated untraced / traced runs, so machine drift during the test
+    // hits both sides alike, and the fastest of each side compared: on a
+    // shared host a run is slowed by what else runs, never sped up, so the
+    // best of a sample is its least disturbed run — the benchmark's own
+    // rule for a host-time metric.
+    let (mut plain_best, mut traced_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..RUNS_PER_SIDE {
+        let (plain_s, plain) = timed_run(&trace, false);
+        let (traced_s, traced) = timed_run(&trace, true);
+        assert_eq!(plain.report, traced.report, "tracing changed the report");
+        plain_best = plain_best.min(plain_s);
+        traced_best = traced_best.min(traced_s);
+    }
+    let ratio = traced_best / plain_best;
     assert!(
         ratio <= 1.10,
-        "tracing overhead {:.1}% exceeds 10% (untraced {:.3} s, traced {:.3} s)",
+        "tracing overhead {:.1}% exceeds 10% (fastest of {RUNS_PER_SIDE}: untraced {plain_best:.3} s, traced {traced_best:.3} s)",
         (ratio - 1.0) * 100.0,
-        plain_a.min(plain_b),
-        traced_a.min(traced_b)
     );
 }

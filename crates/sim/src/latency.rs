@@ -1,6 +1,6 @@
 //! Delivery-latency model for the four logical channel classes.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::SimDuration;
@@ -171,6 +171,27 @@ impl LatencyModel {
         // A valid jitter keeps the factor in (0, 2): no check needed.
         base.scaled(factor)
     }
+
+    /// The largest latency [`sample`](LatencyModel::sample) can return
+    /// for `class`: the base scaled by `1 + jitter_frac`. Every step of a
+    /// draw — the uniform offset, the factor, the product and the round
+    /// — is monotone, so no sample exceeds it.
+    pub fn max_sample(&self, class: ChannelClass) -> SimDuration {
+        self.base(class).scaled(1.0 + self.jitter_frac)
+    }
+
+    /// Advances `rng` past the draws `samples` calls to
+    /// [`sample`](LatencyModel::sample) would take, without computing
+    /// any of them: one step each under jitter, none without. The
+    /// stream is then where those samples would have left it.
+    pub fn skip<R: RngCore>(&self, samples: u64, rng: &mut R) {
+        if self.jitter_frac == 0.0 {
+            return;
+        }
+        for _ in 0..samples {
+            rng.next_u64();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +215,30 @@ mod tests {
                 "sample {s} out of band"
             );
         }
+    }
+
+    /// Skipping n samples leaves the stream where drawing them does,
+    /// with and without jitter, and no sample exceeds the maximum.
+    #[test]
+    fn skip_matches_sampling_and_max_bounds_every_sample() {
+        for m in [
+            LatencyModel::default(),
+            LatencyModel::default().without_jitter(),
+        ] {
+            for n in [0, 1, 2, 7] {
+                let (mut drawn, mut skipped) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+                for _ in 0..n {
+                    m.sample(ChannelClass::Control, &mut drawn);
+                }
+                m.skip(n, &mut skipped);
+                assert_eq!(drawn, skipped, "n = {n}, jitter {}", m.jitter_frac);
+            }
+            let mut rng = StdRng::seed_from_u64(6);
+            let max = m.max_sample(ChannelClass::Control);
+            assert!((0..10_000).all(|_| m.sample(ChannelClass::Control, &mut rng) <= max));
+        }
+        let m = LatencyModel::default();
+        assert!(m.max_sample(ChannelClass::Control) > m.base(ChannelClass::Control));
     }
 
     #[test]

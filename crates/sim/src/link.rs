@@ -195,14 +195,28 @@ impl LinkState {
     }
 
     /// True if both endpoints are up and no partition separates them.
-    pub(crate) fn is_up(&self, link: LinkId) -> bool {
+    #[inline]
+    pub fn is_up(&self, link: LinkId) -> bool {
         self.is_node_up(link.from) && self.is_node_up(link.to) && self.reachable(link.from, link.to)
+    }
+
+    /// True while every node is up and no partition is in force: then
+    /// every link [`is_up`](LinkState::is_up).
+    pub fn all_up(&self) -> bool {
+        self.partition.is_none() && !self.node_down.contains(&true)
     }
 
     /// True if the node is up.
     #[inline]
     pub fn is_node_up(&self, node: u32) -> bool {
         self.node_down.get(node as usize).is_none_or(|&down| !down)
+    }
+
+    /// True when no message of `class` is lost: then
+    /// [`delivers`](LinkState::delivers) is [`is_up`](LinkState::is_up)
+    /// and draws nothing.
+    pub fn lossless(&self, class: ChannelClass) -> bool {
+        self.class_loss[class.index()] == 0.0
     }
 
     /// Decides whether one message on `link` is delivered: checks
@@ -250,6 +264,21 @@ mod tests {
         assert!(!s.is_node_up(7));
         s.set_node_down(7, false);
         assert!(s.is_up(l(7, 1)));
+    }
+
+    #[test]
+    fn all_up_until_a_node_is_down_or_a_partition_is_in_force() {
+        let mut s = LinkState::new();
+        assert!(s.all_up());
+        s.set_node_down(3, true);
+        assert!(!s.all_up());
+        s.set_node_down(3, false);
+        assert!(s.all_up(), "a recovered node is up again");
+        s.set_partition(&[vec![1], vec![2]]);
+        assert!(!s.all_up());
+        s.heal_partition();
+        s.set_class_loss(ChannelClass::Peer, 1.0);
+        assert!(s.all_up(), "loss is not reachability");
     }
 
     #[test]
