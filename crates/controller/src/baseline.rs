@@ -75,6 +75,9 @@ pub struct BaselineController {
     /// Where each learned source MAC was last seen. It grows by one
     /// entry per distinct MAC, whatever the MAC's bytes say.
     hosts: HashMap<MacAddr, (SwitchId, PortNo), TableHash>,
+    /// The action list of every flood `PacketOut`, one `Output(FLOOD)`:
+    /// built once, and each flood holds a clone of the `Arc`.
+    flood_actions: Arc<[Action]>,
     meter: WorkloadMeter,
     xid: u32,
 }
@@ -85,6 +88,7 @@ impl BaselineController {
         BaselineController {
             switches: switches.into_iter().collect(),
             hosts: HashMap::default(),
+            flood_actions: Arc::new([Action::Output(PortNo::FLOOD)]),
             meter: WorkloadMeter::new(),
             xid: 0,
         }
@@ -203,7 +207,7 @@ impl BaselineController {
                         OfMessage::PacketOut(PacketOutMsg {
                             buffer_id: u32::MAX,
                             in_port: PortNo::NONE,
-                            actions: Arc::new([Action::Output(PortNo::FLOOD)]),
+                            actions: Arc::clone(&self.flood_actions),
                             data: pi.data.clone(),
                         }),
                     ),
@@ -278,6 +282,17 @@ mod tests {
             panic!("expected a Hello, got {out:?}")
         };
         assert_eq!(hello.xid, first + 3);
+        // A second flood holds the same action list, not a fresh one.
+        let msg = Message::of(3, OfMessage::PacketIn(packet_in(11, 21)));
+        let out = handle(&mut c, 2, SwitchId::new(2), &msg);
+        let flood_actions = |out: &[ControllerOutput]| match out {
+            [ControllerOutput::Flood { msg, .. }] => match msg.as_of() {
+                Some(OfMessage::PacketOut(po)) => Arc::clone(&po.actions),
+                other => panic!("expected a PacketOut, got {other:?}"),
+            },
+            other => panic!("expected one flood, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&flood_actions(&out), &po.actions));
     }
 
     /// A punt from a switch the controller does not manage floods to

@@ -24,7 +24,7 @@ use lazyctrl_proto::{
     EventPlan, FlowModMsg, InjectedEvent, LazyMsg, Message, MessageBody, OfMessage, OutputSink,
 };
 use lazyctrl_sim::{
-    BandwidthModel, ChannelClass, CounterId, LatencyModel, LinkId, LinkState, MetricsSink,
+    BandwidthModel, ChannelClass, CounterId, IdHash, LatencyModel, LinkId, LinkState, MetricsSink,
     Scheduler, SimDuration, SimTime, World,
 };
 use lazyctrl_switch::{floods_only, EdgeSwitch, SwitchOutput, SwitchTimer};
@@ -141,6 +141,7 @@ world_counters!(
     ctrl_unreachable_drops,
     delivered_flows,
     flood_copies_counted,
+    flood_tunnels_counted,
     flow_mods_counted,
     flows_started,
     fp_reports,
@@ -202,6 +203,10 @@ pub(crate) const EVENT_KIND_SUBSYS: [u16; 11] = [
     ts::WORLD,      // synthetic_flow
 ];
 
+/// `Ev::TunnelArrive`'s dense kind index, under which a counted flood
+/// tunnel copy (DESIGN §7.6) lands in the profile.
+const KIND_TUNNEL_ARRIVE: u32 = 2;
+
 /// `Ev::MsgToSwitch`'s dense kind index, under which a counted flood
 /// copy, keep-alive or `FlowMod` (DESIGN §7.6) lands in the profile.
 const KIND_MSG_TO_SWITCH: u32 = 3;
@@ -212,7 +217,7 @@ impl Ev {
         match self {
             Ev::FlowArrival(_) => 0,
             Ev::LocalFrame { .. } => 1,
-            Ev::TunnelArrive { .. } => 2,
+            Ev::TunnelArrive { .. } => KIND_TUNNEL_ARRIVE,
             Ev::MsgToSwitch { .. } => KIND_MSG_TO_SWITCH,
             Ev::MsgToController { .. } => 4,
             Ev::SwitchTimer { .. } => 5,
@@ -501,11 +506,17 @@ struct Landed {
     delivery: Delivery,
 }
 
+/// True when a counted delivery landing at `lands` with seq mark `mark`
+/// fires before an event popped at `now` with `seq` (`None` for a merged
+/// arrival, which wins every tie).
+fn fires_before(lands: SimTime, mark: u64, now: SimTime, seq: Option<u64>) -> bool {
+    lands < now || (lands == now && seq.is_some_and(|seq| mark <= seq))
+}
+
 impl Landed {
-    /// True when it fires before an event popped at `now` with `seq`
-    /// (`None` for a merged arrival, which wins every tie).
+    /// True when it fires before an event popped at `now` with `seq`.
     fn before(&self, now: SimTime, seq: Option<u64>) -> bool {
-        self.lands < now || (self.lands == now && seq.is_some_and(|seq| self.mark <= seq))
+        fires_before(self.lands, self.mark, now, seq)
     }
 
     fn key(&self) -> (SimTime, u64) {
@@ -530,6 +541,76 @@ impl PartialOrd for Landed {
 impl Ord for Landed {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key().cmp(&other.key())
+    }
+}
+
+/// What one switch has not heard yet of the deliveries counted instead
+/// of scheduled (DESIGN §7.6).
+#[derive(Debug)]
+struct Unheard {
+    /// No later than the earliest landing of anything below, and
+    /// `SimTime::MAX` while nothing is queued: an event before it finds
+    /// nothing to hear, at the cost of one comparison.
+    due: SimTime,
+    /// Keep-alives and `FlowMod`s, earliest first.
+    inbox: BinaryHeap<Reverse<Landed>>,
+    /// Flood tunnel copies known to have landed.
+    copies_landed: u64,
+    /// `(lands, mark)` of the flood tunnel copies that may still be in
+    /// flight. A copy's only write, one packet processed, commutes with
+    /// every other delivery, so they need no order.
+    copies_in_flight: Vec<(SimTime, u64)>,
+    /// No earlier than the latest `lands` in `copies_in_flight`.
+    latest: SimTime,
+}
+
+impl Default for Unheard {
+    fn default() -> Self {
+        Unheard {
+            due: SimTime::MAX,
+            inbox: BinaryHeap::new(),
+            copies_landed: 0,
+            copies_in_flight: Vec::new(),
+            latest: SimTime::ZERO,
+        }
+    }
+}
+
+impl Unheard {
+    /// Queues a flood tunnel copy sent at `now`. The copies in flight
+    /// all landed before `now` when the latest did, and then move to
+    /// the landed count, so the list holds only copies sent since the
+    /// last of them landed.
+    fn push_copy(&mut self, now: SimTime, lands: SimTime, mark: u64) {
+        if self.latest < now {
+            self.copies_landed += self.copies_in_flight.len() as u64;
+            self.copies_in_flight.clear();
+        }
+        self.copies_in_flight.push((lands, mark));
+        self.latest = self.latest.max(lands);
+        self.due = self.due.min(lands);
+    }
+
+    /// Takes the flood tunnel copies that fire before an event popped at
+    /// `now` with `seq`, and returns how many.
+    fn take_copies(&mut self, now: SimTime, seq: Option<u64>) -> u64 {
+        let mut copies = std::mem::take(&mut self.copies_landed);
+        self.copies_in_flight.retain(|&(lands, mark)| {
+            let landed = fires_before(lands, mark, now, seq);
+            copies += u64::from(landed);
+            !landed
+        });
+        if self.copies_in_flight.is_empty() {
+            self.latest = SimTime::ZERO;
+        }
+        copies
+    }
+
+    /// Recomputes `due` once everything that fired has been taken.
+    fn settle(&mut self) {
+        let inbox = self.inbox.peek().map_or(SimTime::MAX, |Reverse(l)| l.lands);
+        let copies = self.copies_in_flight.iter().map(|&(lands, _)| lands);
+        self.due = copies.fold(inbox, SimTime::min);
     }
 }
 
@@ -564,9 +645,9 @@ pub(crate) struct DataCenterWorld {
     /// their new switch, as a re-plugged VM would).
     next_port: Vec<u16>,
     /// Host-level pairs that have exchanged traffic (for fresh-pair logic).
-    seen_pairs: HashSet<(u32, u32)>,
+    seen_pairs: HashSet<(u32, u32), IdHash>,
     /// Pairs whose response frame has been generated.
-    responded: HashSet<(u32, u32)>,
+    responded: HashSet<(u32, u32), IdHash>,
     workload_bucket: SimDuration,
     /// Periodic switch-timer chains severed while a switch was powered
     /// off (the firing was dropped); re-armed on recovery.
@@ -612,12 +693,12 @@ pub(crate) struct DataCenterWorld {
     /// `RecoverSwitch` re-arms ticks, so keep-alives and `FlowMod`s in
     /// flight across one stay eager.
     power_changes: PlanCursor,
-    /// Per switch: the keep-alives and `FlowMod`s counted instead of
-    /// scheduled that it has not heard yet, earliest first. The switch
+    /// Per switch: the keep-alives, `FlowMod`s and flood tunnel copies
+    /// counted instead of scheduled that it has not heard yet. The switch
     /// hears those that fire before each event bound for it, just
     /// before that event, and all of them at the end of the run (DESIGN
     /// §7.6).
-    inbox: Vec<BinaryHeap<Reverse<Landed>>>,
+    unheard: Vec<Unheard>,
     /// Schedules every delivery instead of counting any: the sharded
     /// engine, whose partitions schedule everything, and the eager
     /// oracle the counted path is tested against.
@@ -743,8 +824,8 @@ impl DataCenterWorld {
             ctr,
             host_port,
             next_port,
-            seen_pairs: HashSet::new(),
-            responded: HashSet::new(),
+            seen_pairs: HashSet::default(),
+            responded: HashSet::default(),
             workload_bucket,
             severed_timers: std::collections::BTreeSet::new(),
             last_updates_applied: 0,
@@ -760,7 +841,7 @@ impl DataCenterWorld {
             counted_events: 0,
             migrations,
             power_changes,
-            inbox: (0..n).map(|_| BinaryHeap::new()).collect(),
+            unheard: (0..n).map(|_| Unheard::default()).collect(),
             eager,
         }
     }
@@ -891,6 +972,10 @@ impl DataCenterWorld {
         sched: &mut Scheduler<'_, Ev>,
     ) {
         let mut buf = self.switch_sink.take_buf();
+        // The copies of one broadcast are consecutive outputs of one
+        // drain sharing one frame, so its effective switch is found once
+        // per broadcast: the last flood frame asked about, and its answer.
+        let mut flood_memo: Option<(EthernetFrame, Option<SwitchId>)> = None;
         for out in buf.drain(..) {
             match out {
                 SwitchOutput::ToController(msg) => {
@@ -933,6 +1018,21 @@ impl DataCenterWorld {
                         (id, tk::TUNNEL_SENT, ts::SWITCH, from.0, to.0)
                     };
                     if let Some(delay) = self.transmit(now, link, || packet.wire_len(), record) {
+                        let lands = now + delay;
+                        if packet.inner.is_flood() && self.countable(now, lands) {
+                            let effective = match &flood_memo {
+                                Some((frame, at)) if *frame == packet.inner => *at,
+                                _ => {
+                                    let at = self.flood_effect(&packet.inner).map(|(at, _)| at);
+                                    flood_memo = Some((packet.inner.clone(), at));
+                                    at
+                                }
+                            };
+                            if self.idle_copy(now, lands, to, effective) {
+                                self.count_tunnel_copy(now, lands, to, sched.next_seq());
+                                continue;
+                            }
+                        }
                         let ev = Ev::TunnelArrive { to, packet };
                         self.route_to_switch(now, delay, to, ev, sched);
                     }
@@ -1107,7 +1207,7 @@ impl DataCenterWorld {
         if let Some(delay) = self.transmit(now, link, || msg.wire_len(), record) {
             let lands = now + service + delay;
             if !self.eager && self.reaches_no_host(now, lands, to, &msg) {
-                self.count_unscheduled(self.ctr.flood_copies_counted, lands);
+                self.count_unscheduled(self.ctr.flood_copies_counted, KIND_MSG_TO_SWITCH, lands);
                 return;
             }
             if self.countable(now, lands) {
@@ -1203,7 +1303,7 @@ impl DataCenterWorld {
             };
             let lands = now + service + delay;
             if self.idle_copy(now, lands, to, effective) {
-                self.count_unscheduled(self.ctr.flood_copies_counted, lands);
+                self.count_unscheduled(self.ctr.flood_copies_counted, KIND_MSG_TO_SWITCH, lands);
                 continue;
             }
             let ev = Ev::MsgToSwitch {
@@ -1316,26 +1416,58 @@ impl DataCenterWorld {
             Delivery::KeepAlive(_) => self.ctr.keepalives_counted,
             Delivery::FlowMod(..) => self.ctr.flow_mods_counted,
         };
-        if self.count_unscheduled(counter, lands) {
-            self.inbox[to.index()].push(Reverse(Landed {
+        if self.count_unscheduled(counter, KIND_MSG_TO_SWITCH, lands) {
+            let unheard = &mut self.unheard[to.index()];
+            unheard.inbox.push(Reverse(Landed {
                 lands,
                 mark,
                 order: self.counted_events,
                 delivery,
             }));
+            unheard.due = unheard.due.min(lands);
+        }
+    }
+
+    /// Counts a flood tunnel copy sent at `now` that lands at switch `to`
+    /// at `lands`, where it does nothing but bump `packets_processed`,
+    /// instead of scheduling it. `mark` is the queue's next seq, which
+    /// orders it as an inbox entry is ordered; `to` hears it as it hears
+    /// those (DESIGN §7.6) — if it lands by the horizon.
+    fn count_tunnel_copy(&mut self, now: SimTime, lands: SimTime, to: SwitchId, mark: u64) {
+        let counter = self.ctr.flood_tunnels_counted;
+        if self.count_unscheduled(counter, KIND_TUNNEL_ARRIVE, lands) {
+            self.unheard[to.index()].push_copy(now, lands, mark);
         }
     }
 
     /// Switch `s` hears, in firing order, the counted deliveries that
     /// fire before the event popped at `now` with `seq` (`None` for a
     /// merged arrival): called at the head of every event bound for `s`.
+    #[inline]
     fn hear_landed(&mut self, s: SwitchId, now: SimTime, seq: Option<u64>) {
+        if self.unheard[s.index()].due <= now {
+            self.hear_due(s, now, seq);
+        }
+    }
+
+    /// [`Self::hear_landed`] once something queued for `s` may have
+    /// fired.
+    #[inline(never)]
+    fn hear_due(&mut self, s: SwitchId, now: SimTime, seq: Option<u64>) {
         let i = s.index();
-        while self.inbox[i]
+        let copies = self.unheard[i].take_copies(now, seq);
+        if copies > 0 {
+            self.switches[i]
+                .as_mut()
+                .expect("counted copy bound for its owner")
+                .hear_flood_copies(copies);
+        }
+        while self.unheard[i]
+            .inbox
             .peek()
             .is_some_and(|Reverse(next)| next.before(now, seq))
         {
-            let Reverse(landed) = self.inbox[i].pop().expect("peeked");
+            let Reverse(landed) = self.unheard[i].inbox.pop().expect("peeked");
             if let Delivery::FlowMod(_, fm) = &landed.delivery {
                 self.trace(landed.lands, || {
                     let id = flow_mod_trace_id(fm);
@@ -1349,30 +1481,31 @@ impl DataCenterWorld {
                 .delivery
                 .apply(sw, landed.lands, &mut self.switch_sink);
         }
+        self.unheard[i].settle();
     }
 
-    /// Every switch hears everything left in its inbox: the end of a run,
-    /// whose switch state is then what scheduling every delivery leaves.
-    /// Everything queued landed by the horizon.
+    /// Every switch hears everything it has not heard yet: the end of a
+    /// run, whose switch state is then what scheduling every delivery
+    /// leaves. Everything queued landed by the horizon.
     pub(crate) fn hear_all_landed(&mut self) {
-        for s in 0..self.inbox.len() {
-            self.hear_landed(SwitchId::new(s as u32), SimTime::MAX, None);
+        for s in 0..self.unheard.len() {
+            self.hear_due(SwitchId::new(s as u32), SimTime::MAX, None);
         }
     }
 
     /// Accounts for a delivery settled without scheduling it as the
-    /// event it would have been, under its kind's `counter`: one
-    /// `events_processed` and one `msg_to_switch` dispatch in the
-    /// profile — if it lands by the horizon, as the wheel pops only
-    /// those. Returns whether it does.
-    fn count_unscheduled(&mut self, counter: CounterId, lands: SimTime) -> bool {
+    /// event it would have been, under its `counter`: one
+    /// `events_processed` and one dispatch of `kind` in the profile — if
+    /// it lands by the horizon, as the wheel pops only those. Returns
+    /// whether it does.
+    fn count_unscheduled(&mut self, counter: CounterId, kind: u32, lands: SimTime) -> bool {
         if lands > self.horizon {
             return false;
         }
         self.metrics.bump(counter, 1);
         self.counted_events += 1;
         if let Some(obs) = &mut self.obs {
-            obs.profile.count_unsampled(KIND_MSG_TO_SWITCH);
+            obs.profile.count_unsampled(kind);
         }
         true
     }
@@ -2016,8 +2149,8 @@ impl DataCenterWorld {
                 ctr,
                 host_port: self.host_port.clone(),
                 next_port: self.next_port.clone(),
-                seen_pairs: HashSet::new(),
-                responded: HashSet::new(),
+                seen_pairs: HashSet::default(),
+                responded: HashSet::default(),
                 workload_bucket: self.workload_bucket,
                 severed_timers: std::collections::BTreeSet::new(),
                 last_updates_applied: 0,
@@ -2039,8 +2172,8 @@ impl DataCenterWorld {
                 counted_events: 0,
                 migrations: PlanCursor::default(),
                 power_changes: PlanCursor::default(),
-                inbox: (0..self.switches.len())
-                    .map(|_| BinaryHeap::new())
+                unheard: (0..self.switches.len())
+                    .map(|_| Unheard::default())
                     .collect(),
                 eager: true,
                 cfg,
@@ -2951,11 +3084,11 @@ mod tests {
     }
 
     /// A small lazy fabric driven as a run drives it. After every event
-    /// but a keep-alive or `FlowMod` delivery (the counted run does not
-    /// have those as events) it logs a hash of every switch's whole state
-    /// as of that event: as the switch stands, with the counted
-    /// deliveries that fired before the event and that it has not heard
-    /// yet applied to a copy.
+    /// but a keep-alive, `FlowMod` or flood tunnel copy delivery (the
+    /// counted run does not have most of those as events) it logs a hash
+    /// of every switch's whole state as of that event: as the switch
+    /// stands, with the counted deliveries that fired before the event
+    /// and that it has not heard yet applied to a copy.
     struct Fabric {
         world: DataCenterWorld,
         queue: lazyctrl_sim::EventQueue<Ev>,
@@ -2965,12 +3098,17 @@ mod tests {
         log: Vec<(SimTime, u32, u64)>,
         /// Per switch: when its last keep-alive tick fired.
         last_tick: Vec<Option<SimTime>>,
-        /// `(time, flows)` of every `StatsReply` the controller received.
-        stats_replies: Vec<(SimTime, u32)>,
+        /// `(time, packets, flows)` of every `StatsReply` the controller
+        /// received.
+        stats_replies: Vec<(SimTime, u64, u32)>,
         /// Keep-alives dispatched as events.
         dispatched_keepalives: u64,
         /// `FlowMod`s dispatched as events.
         dispatched_flow_mods: u64,
+        /// Flood tunnel copies dispatched as events.
+        dispatched_flood_copies: u64,
+        /// Peer `PacketOut`s asking a designated switch to broadcast.
+        broadcast_requests: u64,
     }
 
     /// Switch `s`'s whole state once it has heard every counted delivery
@@ -2979,12 +3117,20 @@ mod tests {
     /// heard yet.
     fn view(world: &DataCenterWorld, s: usize, now: SimTime, seq: Option<u64>) -> (String, usize) {
         let sw = world.switches[s].as_ref().expect("one partition");
-        let mut unheard: Vec<&Landed> = world.inbox[s]
+        let pending = &world.unheard[s];
+        let mut unheard: Vec<&Landed> = pending
+            .inbox
             .iter()
             .map(|Reverse(landed)| landed)
             .filter(|landed| landed.before(now, seq))
             .collect();
-        if unheard.is_empty() {
+        let copies = pending.copies_landed as usize
+            + pending
+                .copies_in_flight
+                .iter()
+                .filter(|&&(lands, mark)| fires_before(lands, mark, now, seq))
+                .count();
+        if unheard.is_empty() && copies == 0 {
             return (format!("{sw:?}"), 0);
         }
         unheard.sort();
@@ -2994,7 +3140,8 @@ mod tests {
             let landed = Landed::clone(landed);
             landed.delivery.apply(&mut sw, landed.lands, &mut sink);
         }
-        (format!("{sw:?}"), unheard.len())
+        sw.hear_flood_copies(copies as u64);
+        (format!("{sw:?}"), unheard.len() + copies)
     }
 
     impl Fabric {
@@ -3050,6 +3197,8 @@ mod tests {
                 stats_replies: Vec::new(),
                 dispatched_keepalives: 0,
                 dispatched_flow_mods: 0,
+                dispatched_flood_copies: 0,
+                broadcast_requests: 0,
             }
         }
 
@@ -3086,8 +3235,13 @@ mod tests {
                         timer: SwitchTimer::KeepAlive,
                     } => self.last_tick[switch.index()] = Some(now),
                     Ev::MsgToController { msg, .. } => {
-                        if let Some(OfMessage::StatsReply { flows, .. }) = msg.as_of() {
-                            self.stats_replies.push((now, *flows));
+                        if let Some(OfMessage::StatsReply { packets, flows, .. }) = msg.as_of() {
+                            self.stats_replies.push((now, *packets, *flows));
+                        }
+                    }
+                    Ev::MsgToSwitch { from, msg, .. } if *from != SwitchId::CONTROLLER => {
+                        if let Some(OfMessage::PacketOut(_)) = msg.as_of() {
+                            self.broadcast_requests += 1;
                         }
                     }
                     _ => {}
@@ -3098,6 +3252,9 @@ mod tests {
                         (_, Some(OfMessage::FlowMod(_))) => Some(&mut self.dispatched_flow_mods),
                         _ => None,
                     },
+                    Ev::TunnelArrive { packet, .. } if packet.inner.is_flood() => {
+                        Some(&mut self.dispatched_flood_copies)
+                    }
                     _ => None,
                 };
                 let delivery = delivery.map(|dispatched| *dispatched += 1).is_some();
@@ -3142,6 +3299,30 @@ mod tests {
             let sched = &mut Scheduler::over(&mut self.queue);
             self.world
                 .dispatch_switch_outputs(now, SwitchId::new(from), sched);
+        }
+
+        /// Switch `from` tunnels `frame` to switch `to` at `now`, as one
+        /// copy of a group broadcast.
+        fn send_flood_copy(&mut self, now: SimTime, from: u32, to: u32, frame: EthernetFrame) {
+            let (from, to) = (SwitchId::new(from), SwitchId::new(to));
+            let header = lazyctrl_net::EncapHeader::new(
+                from.underlay_ip(),
+                to.underlay_ip(),
+                TenantId::new(1),
+                0,
+            );
+            let packet = EncapsulatedFrame::new(header, frame);
+            self.world
+                .switch_sink
+                .push(SwitchOutput::Tunnel(to, packet));
+            let sched = &mut Scheduler::over(&mut self.queue);
+            self.world.dispatch_switch_outputs(now, from, sched);
+        }
+
+        /// A tunnel's latency, under zero jitter.
+        fn data_latency(&self) -> SimDuration {
+            let rng = &mut StdRng::seed_from_u64(0);
+            self.world.latency.sample(ChannelClass::Data, rng)
         }
 
         /// When what the controller sends at `now` lands, under
@@ -3530,11 +3711,215 @@ mod tests {
         let flows: Vec<u32> = counted
             .stats_replies
             .iter()
-            .map(|&(_, flows)| flows)
+            .map(|&(.., flows)| flows)
             .collect();
         assert!(
             matches!(flows[..], [first, 300] if 0 < first && first < 300),
             "replies {flows:?}"
+        );
+    }
+
+    /// `src`'s ARP request for `target`, broadcast.
+    fn arp_request(src: HostId, target: HostId) -> EthernetFrame {
+        let arp = lazyctrl_net::ArpPacket::request(src.mac(), src.ip(), target.ip());
+        EthernetFrame::tagged(
+            src.mac(),
+            MacAddr::BROADCAST,
+            VlanTag::for_tenant(TenantId::new(1)),
+            EtherType::ARP,
+            arp.encode(),
+        )
+    }
+
+    /// Eight switches in one group resolve every fresh pair's ARP by an
+    /// in-group broadcast: the controller empties every G-FIB before
+    /// the first flow, and none relearns a remote host before the first
+    /// peer sync, five minutes in. The broadcasts are the designated
+    /// switch's own requests, and those it runs for a member's peer
+    /// `PacketOut` (`group_broadcast_except`). Counting every copy that
+    /// lands away from the target's switch changes no switch's state
+    /// after any event, and each target's switch still answers.
+    #[test]
+    fn counted_group_broadcast_copies_leave_every_switch_as_the_eager_run_does() {
+        let t = |ms: u64| SimTime::from_nanos(ms * MS);
+        let flows: Vec<_> = (0..40u32)
+            .map(|i| (i % 16, (i * 7 + 3) % 16, 20 + 23 * u64::from(i)))
+            .collect();
+        let tune = |mut cfg: ExperimentConfig| {
+            cfg.emit_arp = true;
+            cfg
+        };
+        let forget_every_peer = |fabric: &mut Fabric| {
+            fabric.run_to(t(10));
+            let lazy = fabric.world.controller.lazy().expect("lazy");
+            let epoch = lazy.grouping().epoch();
+            let ids = (0..8).map(SwitchId::new);
+            let updates: Vec<_> = ids
+                .clone()
+                .flat_map(|to| {
+                    ids.clone()
+                        .filter(move |&peer| peer != to)
+                        .map(move |peer| (to, peer))
+                })
+                .map(|(to, peer)| {
+                    let empty = lazyctrl_switch::build_gfib_update(peer, epoch, []);
+                    (to, Message::lazy(0, LazyMsg::gfib_update(empty)))
+                })
+                .collect();
+            fabric.send_from_controller(t(10), updates);
+        };
+        let counted = counted_matches_eager(8, 16, &flows, t(1_500), tune, forget_every_peer);
+        let copies = counted.world.metrics.counter("flood_tunnels_counted");
+        assert!(copies >= 50, "{copies} copies counted");
+        assert!(counted.broadcast_requests > 0, "no member asked");
+        // A member's request reaches six members, the designated
+        // switch's own seven: more copies than six per request means the
+        // designated switch broadcast for itself too.
+        let sent = copies + counted.dispatched_flood_copies;
+        assert!(sent > 6 * counted.broadcast_requests, "{sent} copies");
+        // The target's switch got its copy as an event, and replied.
+        assert!(counted.dispatched_flood_copies > 0);
+    }
+
+    /// A `StatsRequest` lands while two counted copies to its switch are
+    /// in flight, the second sent before the first landed, and a second
+    /// request lands after both, under zero jitter: the first reply
+    /// counts neither copy, the second both.
+    #[test]
+    fn stats_request_counts_flood_copies_only_once_they_land() {
+        let to = SwitchId::new(1);
+        let counted = counted_matches_eager(
+            3,
+            3,
+            &[],
+            SimTime::from_millis(100),
+            fixed_latency,
+            |fabric| {
+                let sent = SimTime::from_millis(50);
+                fabric.run_to(sent);
+                let lands = fabric.controller_lands(sent);
+                let stats = || (to, Message::of(0, OfMessage::StatsRequest));
+                fabric.send_from_controller(sent, [stats()]);
+                let data = fabric.data_latency().as_nanos();
+                for before in [data * 3 / 4, data / 4] {
+                    let at = SimTime::from_nanos(lands.as_nanos() - before);
+                    fabric.run_to(at);
+                    let frame = arp_request(HostId::new(0), HostId::new(2));
+                    fabric.send_flood_copy(at, 0, to.0, frame);
+                }
+                let later = lands + SimDuration::from_millis(5);
+                fabric.run_to(later);
+                fabric.send_from_controller(later, [stats()]);
+            },
+        );
+        let packets: Vec<u64> = counted
+            .stats_replies
+            .iter()
+            .map(|&(_, packets, _)| packets)
+            .collect();
+        assert!(
+            matches!(packets[..], [first, second] if second == first + 2),
+            "replies {packets:?}"
+        );
+        assert_eq!(counted.world.metrics.counter("flood_tunnels_counted"), 2);
+    }
+
+    /// A copy lands at the same instant as two frames at its switch,
+    /// under zero jitter: one scheduled before the copy was sent, which
+    /// fires first, and one scheduled after, which fires after it.
+    #[test]
+    fn flood_copies_landing_with_a_frame_are_heard_in_seq_order() {
+        let counted = counted_matches_eager(
+            3,
+            3,
+            &[],
+            SimTime::from_millis(80),
+            fixed_latency,
+            |fabric| {
+                let sent = SimTime::from_millis(50);
+                fabric.run_to(sent);
+                let lands = sent + fabric.data_latency();
+                let (src, dst) = (HostId::new(1), HostId::new(2));
+                let frame = |world: &DataCenterWorld| Ev::LocalFrame {
+                    switch: SwitchId::new(1),
+                    port: world.port_of(src),
+                    frame: world.frame_for_flow(src, dst, lands.as_nanos()),
+                };
+                fabric.queue.schedule(lands, frame(&fabric.world));
+                let copy = arp_request(HostId::new(0), dst);
+                fabric.send_flood_copy(sent, 0, 1, copy);
+                fabric.queue.schedule(lands, frame(&fabric.world));
+            },
+        );
+        assert_eq!(counted.world.metrics.counter("flood_tunnels_counted"), 1);
+        assert_eq!(counted.dispatched_flood_copies, 0);
+    }
+
+    /// Copies in flight as their receiver crashes, and as a host
+    /// migrates, stay eager: the crashed switch drops its copy, and a
+    /// migration could move the broadcast's target. A copy to another
+    /// switch landing across the crash stays eager too; one sent after
+    /// both is counted.
+    #[test]
+    fn flood_copies_in_flight_across_a_crash_or_a_migration_stay_eager() {
+        let sent = SimTime::from_millis(50);
+        let half = SimDuration::from_micros(60);
+        let mut plan = EventPlan::new();
+        plan.schedule(sent + half, InjectedEvent::CrashSwitch(SwitchId::new(1)));
+        let recover = sent + SimDuration::from_millis(20);
+        plan.schedule(recover, InjectedEvent::RecoverSwitch(SwitchId::new(1)));
+        let moved = sent + SimDuration::from_millis(30);
+        plan.schedule(moved + half, InjectedEvent::MigrateHosts { batch: 1 });
+        let tune = |cfg: ExperimentConfig| fixed_latency(cfg).with_plan(plan.clone());
+        let end = SimTime::from_millis(100);
+        let counted = counted_matches_eager(3, 3, &[], end, tune, |fabric| {
+            assert!(
+                fabric.data_latency() > half,
+                "the copies land across the plan"
+            );
+            let copy = || arp_request(HostId::new(0), HostId::new(4));
+            fabric.run_to(sent);
+            fabric.send_flood_copy(sent, 0, 1, copy());
+            fabric.send_flood_copy(sent, 0, 2, copy());
+            fabric.run_to(moved);
+            fabric.send_flood_copy(moved, 0, 2, copy());
+            let after = moved + SimDuration::from_millis(10);
+            fabric.run_to(after);
+            fabric.send_flood_copy(after, 0, 2, copy());
+        });
+        assert_eq!(
+            counted.dispatched_flood_copies, 3,
+            "the copies across the plan"
+        );
+        assert_eq!(counted.world.metrics.counter("flood_tunnels_counted"), 1);
+        assert_eq!(counted.world.metrics.counter("host_migrations"), 1);
+        let packets = |s: usize| {
+            let sw = counted.world.switches[s].as_ref().expect("one partition");
+            sw.packets_processed()
+        };
+        assert_eq!(packets(1), 1, "the crashed switch dropped its copy");
+    }
+
+    /// A copy that lands after the run ends is neither counted nor
+    /// heard, as the wheel never pops it; one that lands before is.
+    #[test]
+    fn flood_copies_landing_past_the_horizon_are_not_counted() {
+        let end = SimTime::from_millis(100);
+        let counted = counted_matches_eager(3, 3, &[], end, fixed_latency, |fabric| {
+            let data = fabric.data_latency().as_nanos();
+            for before in [2 * data, data / 2] {
+                let at = SimTime::from_nanos(end.as_nanos() - before);
+                fabric.run_to(at);
+                let frame = arp_request(HostId::new(0), HostId::new(2));
+                fabric.send_flood_copy(at, 0, 1, frame);
+            }
+        });
+        assert_eq!(counted.world.metrics.counter("flood_tunnels_counted"), 1);
+        let sw = counted.world.switches[1].as_ref().expect("one partition");
+        assert_eq!(
+            sw.packets_processed(),
+            2,
+            "its host's boot announcement and one copy"
         );
     }
 }

@@ -36,13 +36,23 @@ fn reports_bit_identical_with_recorder_on_vs_off() {
 
 /// The counters of the deliveries a run counts instead of scheduling
 /// (DESIGN §7.6).
-const COUNTED: [&str; 3] = [
+const COUNTED: [&str; 4] = [
     "keepalives_counted",
     "flood_copies_counted",
+    "flood_tunnels_counted",
     "flow_mods_counted",
 ];
 
 fn run(mode: ControlMode, obs: ObsConfig) -> lazyctrl_core::DetailedRun {
+    run_with(mode, obs, |_| {})
+}
+
+/// [`run`] with `tune` applied to the configuration.
+fn run_with(
+    mode: ControlMode,
+    obs: ObsConfig,
+    tune: impl FnOnce(&mut ExperimentConfig),
+) -> lazyctrl_core::DetailedRun {
     let mut tc = RealTraceConfig::small();
     tc.num_flows = 800;
     let trace = generate(&tc);
@@ -50,6 +60,7 @@ fn run(mode: ControlMode, obs: ObsConfig) -> lazyctrl_core::DetailedRun {
         .with_group_size_limit(10)
         .with_obs(obs);
     cfg.record_flow_latencies = true;
+    tune(&mut cfg);
     Experiment::new(trace, cfg).run_detailed()
 }
 
@@ -190,6 +201,47 @@ fn traced_dynamic_run_counts_what_the_untraced_run_counts() {
         .iter()
         .find(|(k, _)| k == "flow_mods_counted");
     assert!(flow_mods.is_some_and(|&(_, n)| n > 0), "no FlowMod counted");
+}
+
+/// A traced lazy run with ARP counts the flood tunnel copies that land
+/// away from their frame's target (DESIGN §7.6) as the untraced run
+/// does, with the same report and counters. Its `tunnel_arrive` count
+/// and its event total are pinned from a run that scheduled every copy,
+/// and the counted share of it is the untraced run's
+/// `flood_tunnels_counted`.
+#[test]
+fn traced_static_run_counts_the_flood_tunnel_copies_the_untraced_run_counts() {
+    let arp = |cfg: &mut ExperimentConfig| cfg.emit_arp = true;
+    let traced = run_with(
+        ControlMode::LazyStatic,
+        ObsConfig::full().with_ring_capacity(1 << 18),
+        arp,
+    );
+    let untraced = run_with(ControlMode::LazyStatic, ObsConfig::default(), arp);
+    assert_eq!(traced.report, untraced.report);
+    assert_eq!(traced.counters, untraced.counters);
+    let counter = |name: &str| {
+        untraced
+            .counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |&(_, n)| n)
+    };
+    let copies = counter("flood_tunnels_counted");
+    assert!(copies > 0, "no flood tunnel copy counted");
+    let kinds = traced
+        .obs
+        .as_ref()
+        .expect("obs enabled")
+        .profile
+        .kind_profiles();
+    let tunnel_arrive = kinds
+        .iter()
+        .find(|k| EVENT_KIND_NAMES[k.kind as usize] == "tunnel_arrive")
+        .expect("a tunnel_arrive row");
+    assert_eq!(tunnel_arrive.count, 2_241);
+    assert_eq!(tunnel_arrive.counted, copies);
+    assert_eq!(untraced.report.events_processed, 270_100);
 }
 
 /// Test-only wrapper: a real scenario's build, a verdict that always

@@ -28,77 +28,10 @@
 //! watermark is only ever touched by one partition.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ChannelClass, LinkId, SimDuration, SimTime};
-
-/// Build-hasher for the watermark table. [`LinkId`] keys are 9 bytes of
-/// plain integers, so the standard library's DoS-resistant SipHash is
-/// pure overhead on the dispatch hot path; this splitmix64-finalizer
-/// hasher is a fraction of the cost. Hash order never reaches any
-/// observable output, so determinism is unaffected.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct LinkTableHash;
-
-impl BuildHasher for LinkTableHash {
-    type Hasher = LinkHasher;
-
-    fn build_hasher(&self) -> LinkHasher {
-        LinkHasher(0x9E37_79B9_7F4A_7C15)
-    }
-}
-
-/// Accumulates writes with cheap mixing; [`Hasher::finish`] applies the
-/// splitmix64 finalizer for avalanche.
-pub(crate) struct LinkHasher(u64);
-
-impl LinkHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(29) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-impl Hasher for LinkHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-}
+use crate::{ChannelClass, IdHash, LinkId, SimDuration, SimTime};
 
 /// Per-class link capacities plus per-link transmit-queue watermarks.
 ///
@@ -116,7 +49,7 @@ pub struct BandwidthModel {
     ser_consts: [(u64, u64); ChannelClass::COUNT],
     /// Virtual-time instant each directed link's transmit queue drains.
     /// Only links that carried traffic on a capacitated class appear.
-    busy_until_ns: HashMap<LinkId, u64, LinkTableHash>,
+    busy_until_ns: HashMap<LinkId, u64, IdHash>,
 }
 
 impl BandwidthModel {

@@ -60,6 +60,7 @@
 
 mod bandwidth;
 mod event;
+mod hash;
 mod latency;
 mod link;
 mod metrics;
@@ -68,6 +69,7 @@ mod time;
 
 pub use bandwidth::BandwidthModel;
 pub use event::{run, EventQueue, Scheduler, World};
+pub use hash::{IdHash, IdHasher};
 pub use latency::{ChannelClass, LatencyModel};
 pub use link::{LinkId, LinkState};
 pub use metrics::{CounterId, Log2Histogram, MetricsSink, TimeSeries};

@@ -719,6 +719,15 @@ impl EdgeSwitch {
         }
     }
 
+    /// Records `copies` tunnel packets with a flooded inner frame that
+    /// landed here, as [`Self::handle_tunnel_packet`] records each: a
+    /// packet processed, and nothing else of this switch's own. A
+    /// simulator that counts such copies instead of delivering them
+    /// calls it before the switch's next event.
+    pub fn hear_flood_copies(&mut self, copies: u64) {
+        self.packets_processed += copies;
+    }
+
     /// Handles a timer the driver armed earlier.
     pub fn on_timer(
         &mut self,
