@@ -8,10 +8,11 @@
 /// Iterator over the `k` probe indexes for a key.
 ///
 /// The base hashes are reduced into `[0, m)` once (multiply-shift, no
-/// division), and subsequent probes step by a fixed non-zero increment
-/// with a conditional subtract — so the per-probe cost is an add and a
-/// compare, and successive probes are guaranteed distinct (the property
-/// the classic `h1 + i·h2 mod m` with odd `h2` provides).
+/// division, [`first_probe`]), and subsequent probes step by a fixed
+/// non-zero increment with a conditional subtract ([`next_probe`]) — so
+/// the per-probe cost is an add and a compare, and successive probes are
+/// guaranteed distinct (the property the classic `h1 + i·h2 mod m` with
+/// odd `h2` provides).
 #[derive(Debug, Clone)]
 pub(crate) struct IndexIter {
     /// Next probe index, already in `[0, m)`.
@@ -32,10 +33,7 @@ impl Iterator for IndexIter {
         }
         let idx = self.idx;
         self.i += 1;
-        self.idx += self.step;
-        if self.idx >= self.m {
-            self.idx -= self.m;
-        }
+        self.idx = next_probe(idx, self.step, self.m);
         Some(idx)
     }
 
@@ -64,15 +62,33 @@ fn reduce(h: u64, m: u64) -> u64 {
     (((h as u128) * (m as u128)) >> 64) as u64
 }
 
+/// A key's first probe index in an `m`-bit filter, from its
+/// [`base_hashes`] `base`, and the stride its later probes step by
+/// ([`next_probe`]). Both are in `[0, m)`, the stride at least 1.
+#[inline]
+pub fn first_probe(base: (u64, u64), m: u64) -> (u64, u64) {
+    // A stride of zero would collapse every probe onto one bit; clamping
+    // to ≥1 restores "successive probes differ" for every key and filter
+    // size (m = 1 degenerates harmlessly: all probes hit the only bit
+    // there is).
+    (reduce(base.0, m), reduce(base.1, m).max(1))
+}
+
+/// The probe index after `idx` in an `m`-bit filter whose probes step by
+/// `step`: one add and a wrap by conditional subtract, both operands
+/// being in `[0, m)`.
+#[inline]
+pub fn next_probe(idx: u64, step: u64, m: u64) -> u64 {
+    let next = idx + step;
+    next - if next >= m { m } else { 0 }
+}
+
 /// Probe indexes from precomputed base hashes, `k` probes over `m` bits.
 pub(crate) fn indexes_from_base(base: (u64, u64), k: u32, m: u64) -> IndexIter {
+    let (idx, step) = first_probe(base, m);
     IndexIter {
-        idx: reduce(base.0, m),
-        // A stride of zero would collapse every probe onto one bit;
-        // clamping to ≥1 restores "successive probes differ" for every
-        // key and filter size (m = 1 degenerates harmlessly: all probes
-        // hit the only bit there is).
-        step: reduce(base.1, m).max(1),
+        idx,
+        step,
         m,
         i: 0,
         k,

@@ -28,7 +28,7 @@
 
 mod hashing;
 
-pub use hashing::base_hashes;
+pub use hashing::{base_hashes, first_probe, next_probe};
 
 use serde::{Deserialize, Serialize};
 
@@ -183,9 +183,10 @@ impl BloomFilter {
 
 /// The membership probe every filter shares: whether all `k` bits the key
 /// with [`base_hashes`] `base` maps to are set in the `m`-bit array
-/// `words`. [`BloomFilter::contains`] calls it on its own bits; a bank of
-/// filters for one key (the G-FIB hot path) hashes the key once and calls
-/// it on each filter's words with that filter's `(m, k)`.
+/// `words`. [`BloomFilter::contains`] calls it on its own bits. A bank of
+/// filters for one key (the G-FIB hot path) hashes the key once and steps
+/// every filter's probes itself through [`first_probe`] and
+/// [`next_probe`], which this loop is made of too.
 ///
 /// # Panics
 ///

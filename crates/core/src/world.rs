@@ -454,56 +454,19 @@ impl PlanCursor {
     }
 }
 
-/// What a delivery counted instead of scheduled (DESIGN §7.6) writes on
-/// the switch it reaches.
-#[derive(Debug, Clone)]
-enum Delivery {
-    /// A wheel keep-alive from this sender (`SwitchId::CONTROLLER` for
-    /// the controller's).
-    KeepAlive(SwitchId),
-    /// A controller's `FlowMod`: the message's xid and body, unwrapped
-    /// so that an inbox entry stays small.
-    FlowMod(u32, Box<FlowModMsg>),
-}
-
-impl Delivery {
-    /// The delivery a controller's `msg` makes, if it is a kind the
-    /// inbox takes; otherwise `msg` back.
-    fn from_controller(msg: Message) -> Result<Self, Message> {
-        match msg.body {
-            MessageBody::Lazy(LazyMsg::KeepAlive(_)) => {
-                Ok(Delivery::KeepAlive(SwitchId::CONTROLLER))
-            }
-            MessageBody::Of(OfMessage::FlowMod(fm)) => Ok(Delivery::FlowMod(msg.xid, fm)),
-            body => Err(Message { xid: msg.xid, body }),
-        }
-    }
-
-    /// Writes the delivery on `sw` as it landed there at `lands`, as its
-    /// scheduled event would have. Neither kind answers anything.
-    fn apply(self, sw: &mut EdgeSwitch, lands: SimTime, sink: &mut OutputSink<SwitchOutput>) {
-        match self {
-            Delivery::KeepAlive(from) => sw.hear_keepalive(from, lands.as_nanos()),
-            Delivery::FlowMod(xid, fm) => {
-                let msg = Message::of(xid, OfMessage::FlowMod(fm));
-                sw.handle_control_message(lands.as_nanos(), &msg, sink);
-            }
-        }
-        debug_assert!(sink.is_empty(), "a counted delivery answered");
-    }
-}
-
-/// A counted delivery in its receiver's inbox. Its seq mark is the
-/// queue's next seq when it was sent, which orders it against scheduled
-/// events at its landing time. Entries order as their scheduled events
-/// would have fired: by landing time, then in send order, which orders
-/// their marks too.
+/// A counted `FlowMod` in its receiver's inbox (DESIGN §7.6). Its seq
+/// mark is the queue's next seq when it was sent, which orders it
+/// against scheduled events at its landing time. Entries order as their
+/// scheduled events would have fired: by landing time, then in send
+/// order, which orders their marks too. The rule is boxed and the xid
+/// kept apart, not a whole `Message`, so an entry stays small.
 #[derive(Debug, Clone)]
 struct Landed {
     lands: SimTime,
     mark: u64,
     order: u64,
-    delivery: Delivery,
+    xid: u32,
+    rule: Box<FlowModMsg>,
 }
 
 /// True when a counted delivery landing at `lands` with seq mark `mark`
@@ -517,6 +480,14 @@ impl Landed {
     /// True when it fires before an event popped at `now` with `seq`.
     fn before(&self, now: SimTime, seq: Option<u64>) -> bool {
         fires_before(self.lands, self.mark, now, seq)
+    }
+
+    /// Installs the rule on `sw` as it landed there, as its scheduled
+    /// delivery would have. It answers nothing.
+    fn apply(self, sw: &mut EdgeSwitch, sink: &mut OutputSink<SwitchOutput>) {
+        let msg = Message::of(self.xid, OfMessage::FlowMod(self.rule));
+        sw.handle_control_message(self.lands.as_nanos(), &msg, sink);
+        debug_assert!(sink.is_empty(), "a counted FlowMod answered");
     }
 
     fn key(&self) -> (SimTime, u64) {
@@ -552,8 +523,13 @@ struct Unheard {
     /// `SimTime::MAX` while nothing is queued: an event before it finds
     /// nothing to hear, at the cost of one comparison.
     due: SimTime,
-    /// Keep-alives and `FlowMod`s, earliest first.
+    /// `FlowMod`s, earliest first.
     inbox: BinaryHeap<Reverse<Landed>>,
+    /// `(lands, mark, sender)` of the keep-alives not heard yet, in send
+    /// order. The wheel keeps each source's latest landing, so those that
+    /// fired may be heard in any order, and a keep-alive's write touches
+    /// nothing a `FlowMod` or tunnel copy does: they need no heap.
+    keepalives: Vec<(SimTime, u64, SwitchId)>,
     /// Flood tunnel copies known to have landed.
     copies_landed: u64,
     /// `(lands, mark)` of the flood tunnel copies that may still be in
@@ -569,6 +545,7 @@ impl Default for Unheard {
         Unheard {
             due: SimTime::MAX,
             inbox: BinaryHeap::new(),
+            keepalives: Vec::new(),
             copies_landed: 0,
             copies_in_flight: Vec::new(),
             latest: SimTime::ZERO,
@@ -606,11 +583,19 @@ impl Unheard {
         copies
     }
 
+    /// Queues a keep-alive from `from` that lands at `lands`, marked
+    /// with the queue's next seq `mark`.
+    fn push_keepalive(&mut self, lands: SimTime, mark: u64, from: SwitchId) {
+        self.keepalives.push((lands, mark, from));
+        self.due = self.due.min(lands);
+    }
+
     /// Recomputes `due` once everything that fired has been taken.
     fn settle(&mut self) {
         let inbox = self.inbox.peek().map_or(SimTime::MAX, |Reverse(l)| l.lands);
         let copies = self.copies_in_flight.iter().map(|&(lands, _)| lands);
-        self.due = copies.fold(inbox, SimTime::min);
+        let keepalives = self.keepalives.iter().map(|&(lands, ..)| lands);
+        self.due = copies.chain(keepalives).fold(inbox, SimTime::min);
     }
 }
 
@@ -1002,8 +987,7 @@ impl DataCenterWorld {
                         if let Some(LazyMsg::KeepAlive(ka)) = msg.as_lazy() {
                             let lands = now + delay;
                             if self.countable(now, lands) {
-                                let delivery = Delivery::KeepAlive(ka.from);
-                                self.count_delivery(lands, to, sched.next_seq(), delivery);
+                                self.count_keepalive(lands, to, sched.next_seq(), ka.from);
                                 continue;
                             }
                         }
@@ -1211,12 +1195,16 @@ impl DataCenterWorld {
                 return;
             }
             if self.countable(now, lands) {
-                match Delivery::from_controller(msg) {
-                    Ok(delivery) => {
-                        self.count_delivery(lands, to, sched.next_seq(), delivery);
+                match msg.body {
+                    MessageBody::Lazy(LazyMsg::KeepAlive(_)) => {
+                        self.count_keepalive(lands, to, sched.next_seq(), SwitchId::CONTROLLER);
                         return;
                     }
-                    Err(other) => msg = other,
+                    MessageBody::Of(OfMessage::FlowMod(rule)) => {
+                        self.count_flow_mod(lands, to, sched.next_seq(), msg.xid, rule);
+                        return;
+                    }
+                    body => msg = Message { xid: msg.xid, body },
                 }
             }
             let ev = Ev::MsgToSwitch {
@@ -1407,22 +1395,35 @@ impl DataCenterWorld {
         !self.eager && !self.power_changes.due(now, lands)
     }
 
-    /// Counts `delivery`, landing at switch `to` at `lands` and marked
-    /// with the queue's next seq `mark`, instead of scheduling it, and
-    /// queues it for `to` to hear (DESIGN §7.6) — if it lands by the
-    /// horizon: the wheel would never have popped it otherwise.
-    fn count_delivery(&mut self, lands: SimTime, to: SwitchId, mark: u64, delivery: Delivery) {
-        let counter = match delivery {
-            Delivery::KeepAlive(_) => self.ctr.keepalives_counted,
-            Delivery::FlowMod(..) => self.ctr.flow_mods_counted,
-        };
-        if self.count_unscheduled(counter, KIND_MSG_TO_SWITCH, lands) {
+    /// Counts a keep-alive from `from`, landing at switch `to` at `lands`
+    /// and marked with the queue's next seq `mark`, instead of
+    /// scheduling it, and queues it for `to` to hear (DESIGN §7.6) — if
+    /// it lands by the horizon: the wheel would never have popped it
+    /// otherwise.
+    fn count_keepalive(&mut self, lands: SimTime, to: SwitchId, mark: u64, from: SwitchId) {
+        if self.count_unscheduled(self.ctr.keepalives_counted, KIND_MSG_TO_SWITCH, lands) {
+            self.unheard[to.index()].push_keepalive(lands, mark, from);
+        }
+    }
+
+    /// Counts a `FlowMod` (`xid`, `rule`) as [`Self::count_keepalive`]
+    /// counts a keep-alive, and queues it on `to`'s inbox.
+    fn count_flow_mod(
+        &mut self,
+        lands: SimTime,
+        to: SwitchId,
+        mark: u64,
+        xid: u32,
+        rule: Box<FlowModMsg>,
+    ) {
+        if self.count_unscheduled(self.ctr.flow_mods_counted, KIND_MSG_TO_SWITCH, lands) {
             let unheard = &mut self.unheard[to.index()];
             unheard.inbox.push(Reverse(Landed {
                 lands,
                 mark,
                 order: self.counted_events,
-                delivery,
+                xid,
+                rule,
             }));
             unheard.due = unheard.due.min(lands);
         }
@@ -1455,12 +1456,20 @@ impl DataCenterWorld {
     #[inline(never)]
     fn hear_due(&mut self, s: SwitchId, now: SimTime, seq: Option<u64>) {
         let i = s.index();
-        let copies = self.unheard[i].take_copies(now, seq);
-        if copies > 0 {
-            self.switches[i]
+        let unheard = &mut self.unheard[i];
+        let copies = unheard.take_copies(now, seq);
+        if copies > 0 || !unheard.keepalives.is_empty() {
+            let sw = self.switches[i]
                 .as_mut()
-                .expect("counted copy bound for its owner")
-                .hear_flood_copies(copies);
+                .expect("counted delivery bound for its owner");
+            sw.hear_flood_copies(copies);
+            unheard.keepalives.retain(|&(lands, mark, from)| {
+                let fired = fires_before(lands, mark, now, seq);
+                if fired {
+                    sw.hear_keepalive(from, lands.as_nanos());
+                }
+                !fired
+            });
         }
         while self.unheard[i]
             .inbox
@@ -1468,18 +1477,14 @@ impl DataCenterWorld {
             .is_some_and(|Reverse(next)| next.before(now, seq))
         {
             let Reverse(landed) = self.unheard[i].inbox.pop().expect("peeked");
-            if let Delivery::FlowMod(_, fm) = &landed.delivery {
-                self.trace(landed.lands, || {
-                    let id = flow_mod_trace_id(fm);
-                    (id, tk::FLOW_MOD_RECV, ts::SWITCH, s.0, 0)
-                });
-            }
+            self.trace(landed.lands, || {
+                let id = flow_mod_trace_id(&landed.rule);
+                (id, tk::FLOW_MOD_RECV, ts::SWITCH, s.0, 0)
+            });
             let sw = self.switches[i]
                 .as_mut()
                 .expect("counted delivery bound for its owner");
-            landed
-                .delivery
-                .apply(sw, landed.lands, &mut self.switch_sink);
+            landed.apply(sw, &mut self.switch_sink);
         }
         self.unheard[i].settle();
     }
@@ -3130,18 +3135,25 @@ mod tests {
                 .iter()
                 .filter(|&&(lands, mark)| fires_before(lands, mark, now, seq))
                 .count();
-        if unheard.is_empty() && copies == 0 {
+        let keepalives: Vec<_> = pending
+            .keepalives
+            .iter()
+            .filter(|&&(lands, mark, _)| fires_before(lands, mark, now, seq))
+            .collect();
+        if unheard.is_empty() && copies == 0 && keepalives.is_empty() {
             return (format!("{sw:?}"), 0);
         }
         unheard.sort();
         let mut sw = sw.clone();
         let mut sink = OutputSink::new();
         for landed in &unheard {
-            let landed = Landed::clone(landed);
-            landed.delivery.apply(&mut sw, landed.lands, &mut sink);
+            Landed::clone(landed).apply(&mut sw, &mut sink);
+        }
+        for &&(lands, _, from) in &keepalives {
+            sw.hear_keepalive(from, lands.as_nanos());
         }
         sw.hear_flood_copies(copies as u64);
-        (format!("{sw:?}"), unheard.len() + copies)
+        (format!("{sw:?}"), unheard.len() + copies + keepalives.len())
     }
 
     impl Fabric {
@@ -3518,6 +3530,41 @@ mod tests {
         let counted = counted_matches_eager(4, 4, &[], end, tune, |_| {});
         assert_eq!(counted.dispatched_keepalives, 0, "a tie stayed eager");
         assert!(counted.world.counted_events() > 0, "no tie was counted");
+    }
+
+    /// Keep-alives from one sender overtake each other: sent every 2 ms
+    /// over a peer latency of 60 ms ± 5 %, so dozens from each neighbour
+    /// are in flight at once and many land in the reverse of their send
+    /// order. A switch hears the ones that fired in send order; the wheel
+    /// keeps each source's latest landing, as hearing them as they land
+    /// leaves it.
+    #[test]
+    fn keepalives_that_overtake_each_other_leave_the_wheel_the_eager_run_does() {
+        let tune = |mut cfg: ExperimentConfig| {
+            cfg.keepalive_interval_ms = 2;
+            cfg.latency.degrade(ChannelClass::Peer, 400.0);
+            cfg
+        };
+        let end = SimTime::from_millis(400);
+        let counted = counted_matches_eager(4, 4, &[], end, tune, |fabric| {
+            fabric.run_to(SimTime::from_millis(200));
+            if fabric.world.eager {
+                return;
+            }
+            let overtaken = |heard: &[(SimTime, u64, SwitchId)]| {
+                heard.iter().enumerate().any(|(i, &(lands, _, from))| {
+                    heard[i + 1..]
+                        .iter()
+                        .any(|&(later, _, other)| other == from && later < lands)
+                })
+            };
+            let unheard = &fabric.world.unheard;
+            assert!(
+                unheard.iter().any(|u| overtaken(&u.keepalives)),
+                "no keep-alive in flight overtook one sent before it"
+            );
+        });
+        assert_eq!(counted.dispatched_keepalives, 0);
     }
 
     /// A regroup's `GroupAssign` replaces the receiver's wheel while

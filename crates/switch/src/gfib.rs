@@ -11,14 +11,27 @@
 //! The bank is one contiguous store: a 16-byte header per peer, ascending
 //! by peer id, and one `Vec<u64>` holding every filter's words back to
 //! back in header order, decoded straight from each `GfibUpdate`'s bits.
-//! A query hashes the address once and walks the headers with a running
-//! word offset, probing each filter through [`lazyctrl_bloom::probe`]. An
-//! update splices the peer's words into the store: in place when it is as
-//! wide as the filter it replaces (a re-advertisement under the same
+//!
+//! A query hashes the address once and probes the filters breadth-first,
+//! in chunks of up to 64 headers: the first pass tests every filter's
+//! first probe bit without branching on it and records the survivors in
+//! a `u64` mask; each later pass tests the next probe of the survivors
+//! only, until each has hit a clear bit or passed its own `k` probes. A
+//! bank is usually cold when a query starts, and its filters have as
+//! many geometries as peers with different L-FIB sizes; probing one
+//! filter to its first clear bit, then the next, serves those cache
+//! misses one at a time behind a mispredicted branch each, where a pass
+//! has all of them in flight at once. The index arithmetic (first probe,
+//! stride, wrap) is [`lazyctrl_bloom::first_probe`] and
+//! [`lazyctrl_bloom::next_probe`], the definition the filters are built
+//! with.
+//!
+//! An update splices the peer's words into the store: in place when it is
+//! as wide as the filter it replaces (a re-advertisement under the same
 //! geometry, the common case), moving the later filters' words only when
 //! the width changes. Nothing is cached between queries (DESIGN §7.7).
 
-use lazyctrl_bloom::{base_hashes, probe, wire_words, BloomFilter};
+use lazyctrl_bloom::{base_hashes, first_probe, next_probe, wire_words, BloomFilter};
 use lazyctrl_net::{MacAddr, SwitchId};
 use lazyctrl_proto::GfibUpdateMsg;
 
@@ -38,6 +51,10 @@ struct Header {
     /// Number of hash functions.
     k: u8,
 }
+
+/// Filters a query probes together: one bit each of the `u64` masks that
+/// track them.
+const CHUNK: usize = 64;
 
 /// The per-peer Bloom filter bank (see the module docs for its layout).
 #[derive(Debug, Clone, Default)]
@@ -117,8 +134,7 @@ impl Gfib {
         self.words.truncate(write);
     }
 
-    /// The Fig. 5 query: all peers whose filter claims the address (the
-    /// test oracle of [`Gfib::query_into`]).
+    /// The Fig. 5 query: all peers whose filter claims the address.
     #[cfg(test)]
     fn query(&self, mac: MacAddr) -> Vec<SwitchId> {
         let mut out = Vec::new();
@@ -126,22 +142,94 @@ impl Gfib {
         out
     }
 
-    /// The Fig. 5 query: appends every peer whose filter claims the
-    /// address to `out` (a caller-owned scratch buffer), in ascending peer
-    /// order. Nothing appended means "definitely not in this group" — the
-    /// packet must go to the controller. This is the per-packet path of
-    /// the forwarding routine: one hash of the address, one probe per
-    /// filter, no allocation once `out` has room.
-    pub fn query_into(&self, mac: MacAddr, out: &mut Vec<SwitchId>) {
+    /// The query [`Gfib::query_into`] replaced, kept as its oracle: each
+    /// filter probed to its first clear bit, one filter after another.
+    #[cfg(test)]
+    fn query_scalar(&self, mac: MacAddr) -> Vec<SwitchId> {
         let base = base_hashes(&mac.octets());
+        let mut out = Vec::new();
         let mut start = 0;
         for f in &self.filters {
             let end = start + f.width as usize;
-            if probe(&self.words[start..end], f.m as u64, f.k as u32, base) {
+            if lazyctrl_bloom::probe(&self.words[start..end], f.m as u64, f.k as u32, base) {
                 out.push(f.peer);
             }
             start = end;
         }
+        out
+    }
+
+    /// The Fig. 5 query: appends every peer whose filter claims the
+    /// address to `out` (a caller-owned scratch buffer), in ascending peer
+    /// order. Nothing appended means "definitely not in this group" — the
+    /// packet must go to the controller. This is the per-packet path of
+    /// the forwarding routine: one hash of the address, then the filters
+    /// in chunks of up to 64, each chunk probed breadth-first
+    /// (see the module docs); no allocation once `out` has room.
+    pub fn query_into(&self, mac: MacAddr, out: &mut Vec<SwitchId>) {
+        let base = base_hashes(&mac.octets());
+        let mut start = 0;
+        for chunk in self.filters.chunks(CHUNK) {
+            start = self.query_chunk(chunk, start, base, out);
+        }
+    }
+
+    /// Queries the headers `chunk`, whose words start at `start`, for the
+    /// key with base hashes `base`, appending the peers that claim it to
+    /// `out`; returns where the next chunk's words start.
+    ///
+    /// Pass 1 tests every filter's first probe without a branch on its
+    /// bit, so the loads of all of them are in flight at once; each later
+    /// pass tests the next probe of the filters still alive. A filter
+    /// drops out at a clear bit and claims the key once it has passed its
+    /// own `k` probes. Bit `j` of each mask stands for `chunk[j]`.
+    fn query_chunk(
+        &self,
+        chunk: &[Header],
+        mut start: usize,
+        base: (u64, u64),
+        out: &mut Vec<SwitchId>,
+    ) -> usize {
+        // Per filter: where its words start, its next probe and stride.
+        let mut at = [0usize; CHUNK];
+        let mut next = [0u32; CHUNK];
+        let mut step = [0u32; CHUNK];
+        let bit = |at: usize, idx: u64| (self.words[at + (idx / 64) as usize] >> (idx % 64)) & 1;
+        let (mut alive, mut last) = (0u64, 0u64);
+        for (j, f) in chunk.iter().enumerate() {
+            let m = u64::from(f.m);
+            let (idx, stride) = first_probe(base, m);
+            alive |= bit(start, idx) << j;
+            last |= u64::from(f.k == 1) << j;
+            at[j] = start;
+            next[j] = next_probe(idx, stride, m) as u32;
+            step[j] = stride as u32;
+            start += f.width as usize;
+        }
+        let mut claimed = alive & last;
+        alive &= !last;
+        let mut probes = 1;
+        while alive != 0 {
+            probes += 1;
+            let (mut kept, mut last) = (0u64, 0u64);
+            let mut rest = alive;
+            while rest != 0 {
+                let j = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let f = &chunk[j];
+                let idx = u64::from(next[j]);
+                kept |= bit(at[j], idx) << j;
+                last |= u64::from(u32::from(f.k) == probes) << j;
+                next[j] = next_probe(idx, u64::from(step[j]), u64::from(f.m)) as u32;
+            }
+            claimed |= kept & last;
+            alive = kept & !last;
+        }
+        while claimed != 0 {
+            out.push(chunk[claimed.trailing_zeros() as usize].peer);
+            claimed &= claimed - 1;
+        }
+        start
     }
 
     /// Total storage held by the filter bank in bytes (§V-D's quantity).
@@ -227,14 +315,40 @@ mod tests {
         }
     }
 
+    /// The update advertising `hosts` behind `peer`: sized by
+    /// [`build_update`] when `geometry` is `None`, else with that `(m,
+    /// k)`.
+    fn update(peer: u32, epoch: u32, geometry: Option<(u32, u8)>, hosts: &[u64]) -> GfibUpdateMsg {
+        let macs = hosts.iter().copied().map(mac);
+        let Some((m, k)) = geometry else {
+            return build_update(SwitchId::new(peer), epoch, macs);
+        };
+        let mut bloom = BloomFilter::new(m.into(), k.into());
+        for mac in macs {
+            bloom.insert(mac.octets());
+        }
+        GfibUpdateMsg {
+            origin: SwitchId::new(peer),
+            epoch,
+            num_hashes: k,
+            m_bits: m,
+            entries: hosts.len() as u32,
+            bits: bloom.to_bytes(),
+        }
+    }
+
     /// One step of a bank's life.
     #[derive(Debug, Clone)]
     enum BankOp {
-        /// Peer, epoch, and the hosts its filter advertises: more than 16
-        /// hosts widens the filter, so a replace can change word count.
-        Update(u32, u32, Vec<u64>),
+        /// Peer, epoch, geometry (see [`update`]), and the hosts its
+        /// filter advertises: more than 16 hosts widens a sized filter,
+        /// so a replace can change word count.
+        Update(u32, u32, Option<(u32, u8)>, Vec<u64>),
         Retain(Vec<u32>),
     }
+
+    /// Peer ids the steps name: spread over three chunks of the bank.
+    const PEER_IDS: u32 = 160;
 
     fn arb_bank_op() -> impl Strategy<Value = BankOp> {
         let update = || {
@@ -242,49 +356,92 @@ mod tests {
                 proptest::collection::vec(0u64..96, 0..16),
                 proptest::collection::vec(0u64..96, 16..90),
             ];
-            (0u32..8, 0u32..4, hosts).prop_map(|(p, e, h)| BankOp::Update(p, e, h))
+            // One word with a single hash, a word and a bit, and wider.
+            let geometry = prop_oneof![
+                Just(None),
+                (Just(64u32), 1u8..5).prop_map(Some),
+                (65u32..400, 1u8..5).prop_map(Some),
+            ];
+            let peer = (0u32..8).prop_map(|p| p * (PEER_IDS / 8) + p);
+            (peer, 0u32..4, geometry, hosts).prop_map(|(p, e, g, h)| BankOp::Update(p, e, g, h))
         };
         prop_oneof![
             update(),
             update(),
             update(),
-            proptest::collection::vec(0u32..8, 0..8).prop_map(BankOp::Retain),
+            proptest::collection::vec(0u32..PEER_IDS, 0..PEER_IDS as usize)
+                .prop_map(BankOp::Retain),
         ]
+    }
+
+    /// A bank's starting size: empty, exactly one chunk, one past it,
+    /// and past two.
+    fn arb_preload() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(0u32), Just(64), Just(65), 129u32..PEER_IDS]
     }
 
     proptest! {
         /// New peers, same-epoch replaces of either width, stale updates
-        /// and regroupings leave the bank and the map of filters with the
-        /// same candidates, in the same order, for members (hosts 0..96)
-        /// and non-members alike, and the same size.
+        /// and regroupings leave the bank, the map of filters and the
+        /// scalar query with the same candidates, in the same order, and
+        /// the bank and the map with the same size. Banks start with up to
+        /// three chunks of peers of mixed geometry (one-word and
+        /// single-hash filters among them), each advertising two of the
+        /// hosts, so many addresses have several candidates.
         #[test]
         fn bank_agrees_with_map_of_filters(
-            ops in proptest::collection::vec(arb_bank_op(), 1..40),
+            preload in arb_preload(),
+            ops in proptest::collection::vec(arb_bank_op(), 1..24),
         ) {
             let mut bank = Gfib::new();
             let mut oracle = MapBank::default();
-            for op in &ops {
-                match op {
-                    BankOp::Update(peer, epoch, hosts) => {
-                        let upd = build_update(
-                            SwitchId::new(*peer),
-                            *epoch,
-                            hosts.iter().copied().map(mac),
-                        );
-                        prop_assert_eq!(bank.apply_update(&upd), oracle.apply_update(&upd));
-                    }
-                    BankOp::Retain(keep) => {
-                        let keep: Vec<SwitchId> = keep.iter().copied().map(SwitchId::new).collect();
-                        bank.retain_peers(&keep);
-                        oracle.retain_peers(&keep);
-                    }
-                }
-                prop_assert_eq!(bank.num_peers(), oracle.0.len());
-                prop_assert_eq!(bank.storage_bytes(), oracle.storage_bytes());
-                for host in (0..96).chain(10_000..10_064) {
-                    prop_assert_eq!(bank.query(mac(host)), oracle.query(mac(host)), "host {} after {:?}", host, op);
-                }
+            for p in 0..preload {
+                let geometry = [None, Some((64, 1 + (p % 4) as u8)), Some((64 + p, 2))];
+                let hosts = [(p % 96) as u64, ((p * 7 + 3) % 96) as u64];
+                let op = BankOp::Update(p, 0, geometry[p as usize % 3], hosts.to_vec());
+                apply(&mut bank, &mut oracle, &op);
             }
+            agree(&bank, &oracle, "the preload");
+            for op in &ops {
+                apply(&mut bank, &mut oracle, op);
+                agree(&bank, &oracle, op);
+            }
+        }
+    }
+
+    /// Applies `op` to both banks, which must accept or refuse it alike.
+    fn apply(bank: &mut Gfib, oracle: &mut MapBank, op: &BankOp) {
+        match op {
+            BankOp::Update(peer, epoch, geometry, hosts) => {
+                let upd = update(*peer, *epoch, *geometry, hosts);
+                assert_eq!(bank.apply_update(&upd), oracle.apply_update(&upd));
+            }
+            BankOp::Retain(keep) => {
+                let keep: Vec<SwitchId> = keep.iter().copied().map(SwitchId::new).collect();
+                bank.retain_peers(&keep);
+                oracle.retain_peers(&keep);
+            }
+        }
+    }
+
+    /// The bank, the map of filters and the scalar query agree on the
+    /// size and on every candidate list for members (hosts 0..96) and
+    /// non-members alike.
+    fn agree(bank: &Gfib, oracle: &MapBank, after: impl std::fmt::Debug) {
+        assert_eq!(bank.num_peers(), oracle.0.len());
+        assert_eq!(bank.storage_bytes(), oracle.storage_bytes());
+        for host in (0..96).chain(10_000..10_032) {
+            let candidates = bank.query(mac(host));
+            assert_eq!(
+                candidates,
+                oracle.query(mac(host)),
+                "host {host} after {after:?}"
+            );
+            assert_eq!(
+                candidates,
+                bank.query_scalar(mac(host)),
+                "host {host} after {after:?}"
+            );
         }
     }
 

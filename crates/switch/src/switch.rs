@@ -706,8 +706,9 @@ impl EdgeSwitch {
     /// Records a wheel keep-alive from `from` (`SwitchId::CONTROLLER` for
     /// the controller's) that landed at `at_ns`. Receiving one calls
     /// this; a driver that counts keep-alives instead of scheduling them
-    /// calls it directly, in landing order, before the switch's next
-    /// keep-alive tick or control message.
+    /// calls it directly, in any order, before the switch's next
+    /// keep-alive tick or control message: the wheel keeps the latest
+    /// landing of each source.
     pub fn hear_keepalive(&mut self, from: SwitchId, at_ns: u64) {
         let Some(w) = &mut self.wheel else {
             return;

@@ -98,21 +98,25 @@ impl WheelPosition {
         }
     }
 
-    /// Records a keep-alive heard from a ring neighbour.
-    pub fn on_peer_keepalive(&mut self, from: SwitchId, now_ns: u64) {
+    /// Records a keep-alive from a ring neighbour that landed at
+    /// `at_ns`. The wheel keeps the latest landing it has heard, so
+    /// keep-alives that landed before the next tick may be heard in any
+    /// order; heard as they land, each is the latest.
+    pub fn on_peer_keepalive(&mut self, from: SwitchId, at_ns: u64) {
         if from == self.prev {
-            self.last_from_prev_ns = now_ns;
+            self.last_from_prev_ns = self.last_from_prev_ns.max(at_ns);
             self.reported_prev_at_ns = None;
         }
         if from == self.next {
-            self.last_from_next_ns = now_ns;
+            self.last_from_next_ns = self.last_from_next_ns.max(at_ns);
             self.reported_next_at_ns = None;
         }
     }
 
-    /// Records a keep-alive heard from the controller.
-    pub fn on_controller_keepalive(&mut self, now_ns: u64) {
-        self.last_from_controller_ns = now_ns;
+    /// Records a keep-alive from the controller that landed at `at_ns`,
+    /// keeping the latest landing as [`Self::on_peer_keepalive`] does.
+    pub fn on_controller_keepalive(&mut self, at_ns: u64) {
+        self.last_from_controller_ns = self.last_from_controller_ns.max(at_ns);
         self.reported_controller_at_ns = None;
     }
 
@@ -333,6 +337,42 @@ mod tests {
         }
         assert!(seen.contains(&(SwitchId::new(5), WheelLoss::Downstream)));
         assert!(seen.contains(&(SwitchId::new(5), WheelLoss::Upstream)));
+    }
+
+    /// Two keep-alives from each source, heard in reverse landing order:
+    /// the wheel keeps the later landing, so the source is silent from
+    /// then, not from the earlier one.
+    #[test]
+    fn keepalives_heard_out_of_landing_order_keep_the_latest() {
+        let deadline = IVL * lazyctrl_proto::WHEEL_MISS_THRESHOLD as u64;
+        let (early, late) = (IVL, 2 * IVL);
+        let mut w = wheel();
+        for at in [late, early] {
+            w.on_peer_keepalive(SwitchId::new(4), at);
+            w.on_peer_keepalive(SwitchId::new(6), at);
+            w.on_controller_keepalive(at);
+        }
+        // Past the earlier landing's deadline, within the later's.
+        assert!(reports(&w.tick(early + deadline + 1)).is_empty());
+        let all = reports(&w.tick(late + deadline + 1));
+        assert_eq!(all.len(), 3, "{all:?}");
+    }
+
+    /// A ring of two: `prev` and `next` are the same switch, and each of
+    /// its keep-alives feeds both directions, heard in either order.
+    #[test]
+    fn ring_of_two_keeps_the_latest_in_both_directions() {
+        let deadline = IVL * lazyctrl_proto::WHEEL_MISS_THRESHOLD as u64;
+        let other = SwitchId::new(4);
+        let mut w = WheelPosition::new(SwitchId::new(5), other, other, IVL, 0);
+        w.on_peer_keepalive(other, 2 * IVL);
+        w.on_peer_keepalive(other, IVL);
+        w.on_controller_keepalive(10 * IVL);
+        assert!(reports(&w.tick(IVL + deadline + 1)).is_empty());
+        assert_eq!(
+            reports(&w.tick(2 * IVL + deadline + 1)),
+            vec![(other, WheelLoss::Upstream), (other, WheelLoss::Downstream)]
+        );
     }
 
     #[test]

@@ -70,6 +70,8 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const PEERS: u32 = 40;
+/// A bank past two of the query's 64-filter chunks.
+const MANY_PEERS: u32 = 130;
 const HOSTS_PER_PEER: u64 = 24;
 const QUERIES: u64 = 10_000;
 
@@ -80,34 +82,50 @@ fn allocations(f: impl FnOnce()) -> u64 {
     allocated() - before
 }
 
-#[test]
-fn gfib_queries_and_same_width_updates_do_not_allocate() {
-    let hosts = |peer: u32, shift: u64| {
-        let first = peer as u64 * HOSTS_PER_PEER + shift;
-        (first..first + HOSTS_PER_PEER).map(MacAddr::for_host)
-    };
+/// The hosts `peer` advertises, `shift` places on.
+fn hosts(peer: u32, shift: u64) -> impl Iterator<Item = MacAddr> {
+    let first = peer as u64 * HOSTS_PER_PEER + shift;
+    (first..first + HOSTS_PER_PEER).map(MacAddr::for_host)
+}
+
+/// A bank of `peers` filters.
+fn bank(peers: u32) -> Gfib {
     let mut gfib = Gfib::new();
-    for peer in 0..PEERS {
+    for peer in 0..peers {
         assert!(gfib.apply_update(&build_gfib_update(SwitchId::new(peer), 1, hosts(peer, 0))));
     }
-    assert_eq!(gfib.num_peers(), PEERS as usize);
+    assert_eq!(gfib.num_peers(), peers as usize);
+    gfib
+}
 
-    // Members of every filter and addresses no peer holds, into a scratch
-    // with room for every peer.
-    let mut scratch = Vec::with_capacity(PEERS as usize);
+/// Queries `gfib` for members of every filter and addresses no peer
+/// holds, into a scratch with room for every peer: nothing allocates.
+fn queries_do_not_allocate(gfib: &Gfib) {
+    let mut scratch = Vec::with_capacity(gfib.num_peers());
     let mut claimed = 0;
     let queries = allocations(|| {
         for i in 0..QUERIES {
             scratch.clear();
-            gfib.query_into(MacAddr::for_host(i % 2_000), &mut scratch);
+            gfib.query_into(MacAddr::for_host(i % 5_000), &mut scratch);
             claimed += scratch.len();
         }
     });
     assert_eq!(
-        queries, 0,
-        "{QUERIES} G-FIB queries allocated {queries} times"
+        queries,
+        0,
+        "{QUERIES} queries of {} peers allocated {queries} times",
+        gfib.num_peers()
     );
-    assert!(claimed as u64 >= (PEERS as u64 * HOSTS_PER_PEER).min(QUERIES));
+    let members = gfib.num_peers() as u64 * HOSTS_PER_PEER;
+    let member_queries = (0..QUERIES).filter(|i| i % 5_000 < members).count();
+    assert!(claimed >= member_queries);
+}
+
+#[test]
+fn gfib_queries_and_same_width_updates_do_not_allocate() {
+    let mut gfib = bank(PEERS);
+    queries_do_not_allocate(&gfib);
+    queries_do_not_allocate(&bank(MANY_PEERS));
 
     // A re-advertisement under the same geometry: same host count, so the
     // same width, different contents.
@@ -120,7 +138,7 @@ fn gfib_queries_and_same_width_updates_do_not_allocate() {
         "a same-width G-FIB update allocated {update} times"
     );
     assert_eq!(gfib.storage_bytes(), bytes);
-    scratch.clear();
+    let mut scratch = Vec::new();
     gfib.query_into(
         MacAddr::for_host((PEERS / 2) as u64 * HOSTS_PER_PEER + HOSTS_PER_PEER),
         &mut scratch,
