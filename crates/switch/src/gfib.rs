@@ -56,6 +56,9 @@ struct Header {
 /// track them.
 const CHUNK: usize = 64;
 
+/// The longest chunk queried with scratch for no more filters than that.
+const SHORT_CHUNK: usize = 16;
+
 /// The per-peer Bloom filter bank (see the module docs for its layout).
 #[derive(Debug, Clone, Default)]
 pub struct Gfib {
@@ -170,7 +173,13 @@ impl Gfib {
         let base = base_hashes(&mac.octets());
         let mut start = 0;
         for chunk in self.filters.chunks(CHUNK) {
-            start = self.query_chunk(chunk, start, base, out);
+            // Scratch sized to the chunk, so a short bank (a handful of
+            // peers under dynamic regrouping) zeroes a short one.
+            start = if chunk.len() <= SHORT_CHUNK {
+                self.query_chunk::<SHORT_CHUNK>(chunk, start, base, out)
+            } else {
+                self.query_chunk::<CHUNK>(chunk, start, base, out)
+            };
         }
     }
 
@@ -182,8 +191,9 @@ impl Gfib {
     /// bit, so the loads of all of them are in flight at once; each later
     /// pass tests the next probe of the filters still alive. A filter
     /// drops out at a clear bit and claims the key once it has passed its
-    /// own `k` probes. Bit `j` of each mask stands for `chunk[j]`.
-    fn query_chunk(
+    /// own `k` probes. Bit `j` of each mask stands for `chunk[j]`, which
+    /// holds at most `N` (at most 64) headers.
+    fn query_chunk<const N: usize>(
         &self,
         chunk: &[Header],
         mut start: usize,
@@ -191,9 +201,9 @@ impl Gfib {
         out: &mut Vec<SwitchId>,
     ) -> usize {
         // Per filter: where its words start, its next probe and stride.
-        let mut at = [0usize; CHUNK];
-        let mut next = [0u32; CHUNK];
-        let mut step = [0u32; CHUNK];
+        let mut at = [0usize; N];
+        let mut next = [0u32; N];
+        let mut step = [0u32; N];
         let bit = |at: usize, idx: u64| (self.words[at + (idx / 64) as usize] >> (idx % 64)) & 1;
         let (mut alive, mut last) = (0u64, 0u64);
         for (j, f) in chunk.iter().enumerate() {
@@ -391,7 +401,7 @@ mod tests {
         #[test]
         fn bank_agrees_with_map_of_filters(
             preload in arb_preload(),
-            ops in proptest::collection::vec(arb_bank_op(), 1..24),
+            ops in proptest::collection::vec(arb_bank_op(), 1..40),
         ) {
             let mut bank = Gfib::new();
             let mut oracle = MapBank::default();
@@ -430,7 +440,7 @@ mod tests {
     fn agree(bank: &Gfib, oracle: &MapBank, after: impl std::fmt::Debug) {
         assert_eq!(bank.num_peers(), oracle.0.len());
         assert_eq!(bank.storage_bytes(), oracle.storage_bytes());
-        for host in (0..96).chain(10_000..10_032) {
+        for host in (0..96).chain(10_000..10_064) {
             let candidates = bank.query(mac(host));
             assert_eq!(
                 candidates,
